@@ -4,6 +4,7 @@ from .hybrid_time import (
     TIME_TOL,
     ArcSegment,
     DomainError,
+    History,
     HybridArc,
     HybridMemoryArc,
     HybridTime,
@@ -13,9 +14,7 @@ from .hybrid_time import (
     arc_from_csv,
     arc_to_csv,
     constant_memory_arc,
-    delayed_value,
     delta_inf,
-    eval_arc,
     memory_arc_from_function,
     memory_window,
     sup_norm_w,
@@ -31,7 +30,6 @@ from .numerics import (
     spectral_radius,
 )
 from .solver import (
-    ArcWindowView,
     EventLocationError,
     PreconditionError,
     SimOptions,

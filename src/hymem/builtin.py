@@ -71,10 +71,10 @@ class Example1CertificateInfo:
     feasible: bool
 
 
-def _example1_ingredients(params: Example1Params,
-                          theta: float | None) -> Example1CertificateInfo:
-    a_f = np.block([[params.A, params.B],
-                    [np.zeros((params.m, params.nz + params.m))]])
+def _example1_ingredients(params: Example1Params, theta: float | None,
+                          fam: _MatrixExpFamily) -> Example1CertificateInfo:
+    """Quadratic form and comparison constants; ``fam`` is expm(A_f s)."""
+    a_f = fam.m
     a_g = np.block([[np.eye(params.nz), np.zeros((params.nz, params.m))],
                     [params.K, np.zeros((params.m, params.m))]])
     h = numerics.expm(a_f * params.delta) @ a_g
@@ -104,7 +104,6 @@ def _example1_ingredients(params: Example1Params,
         sigma = params.sigma if params.sigma is not None else 0.5
         rho_hat = 0.95
 
-    fam = _MatrixExpFamily(a_f)
     taus = np.linspace(0.0, params.delta, 401)
     c1, c2 = np.inf, 0.0
     for tau in taus:
@@ -121,11 +120,13 @@ def _example1_ingredients(params: Example1Params,
                                    c2=float(c2), theta=theta, feasible=feasible)
 
 
-def _example1_v_functions(params: Example1Params, info: Example1CertificateInfo):
+def _example1_parts(params: Example1Params, theta: float | None):
+    """(info, v, grad_v, v_batch) of the sampled-data certificate."""
     n1 = params.nz + params.m
     a_f = np.block([[params.A, params.B],
                     [np.zeros((params.m, n1))]])
     fam = _MatrixExpFamily(a_f)
+    info = _example1_ingredients(params, theta, fam)
     p = info.p
     sigma = info.sigma
     delta = params.delta
@@ -152,7 +153,7 @@ def _example1_v_functions(params: Example1Params, info: Example1CertificateInfo)
         y = fam.apply_batch(delta - taus, arr[:, :n1])
         return np.exp(-sigma * taus) * np.einsum("ij,jk,ik->i", y, p, y)
 
-    return v, grad_v, v_batch
+    return info, v, grad_v, v_batch
 
 
 def example1_razumikhin_certificate(
@@ -165,8 +166,7 @@ def example1_razumikhin_certificate(
     returned so the checker can exhibit the violations; ``info.feasible``
     records which case occurred.
     """
-    info = _example1_ingredients(params, theta)
-    v, grad_v, v_batch = _example1_v_functions(params, info)
+    info, v, grad_v, v_batch = _example1_parts(params, theta)
     sigma, rho_hat = info.sigma, info.rho_hat
     cert = RazumikhinCertificate(
         v=v, grad_v=grad_v,
@@ -186,8 +186,7 @@ def example1_halanay_certificate(
         q: float = 1e-6) -> tuple[HalanayCertificate, Example1CertificateInfo]:
     """Linear-form variant: the flow identity gives decay at exactly rate
     sigma, so any 0 < q < sigma works alongside the jump contraction."""
-    info = _example1_ingredients(params, theta)
-    v, grad_v, v_batch = _example1_v_functions(params, info)
+    info, v, grad_v, v_batch = _example1_parts(params, theta)
     if not 0 < q < info.sigma:
         raise ValueError(f"q must lie in (0, sigma) = (0, {info.sigma})")
     cert = HalanayCertificate(

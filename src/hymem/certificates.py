@@ -267,6 +267,59 @@ def _split_counts(total: int) -> tuple[int, int, int]:
 # Checkers
 # ---------------------------------------------------------------------------
 
+def _check_pointwise(spec: SystemSpec, cert, sampler: ArcSampler,
+                     slack: float | None, samples: int,
+                     target: TargetSet | None,
+                     premise: Callable[[float, float], bool] | None,
+                     flow_rhs: Callable[[float, float], float],
+                     jump_rhs: Callable[[float], float]) -> CheckReport:
+    """The pipeline shared by the pointwise checkers.
+
+    (i) sandwich at the window head on C, D and post-jump arcs; (ii) on a
+    flow arc whose premise(V, Vbar) holds (every one when premise is None),
+    grad V . f <= flow_rhs(V, Vbar) for every flow candidate f; (iii)
+    V(g) <= jump_rhs(Vbar) for every jump candidate g.
+    """
+    if target is None:
+        raise ValueError("a TargetSet is required (pass target=...)")
+    rec = _Recorder(slack if slack is not None else ALGEBRAIC_SLACK,
+                    slack if slack is not None else derivative_slack(0.0))
+    n_c, n_d, n_g = _split_counts(samples)
+    c_arcs = sampler.sample("C", n_c)
+    d_arcs = sampler.sample("D", n_d)
+    g_arcs = sampler.sample("Gplus", n_g)
+    check_gradient(cert, _gradient_check_points(c_arcs + d_arcs))
+
+    for s in c_arcs + d_arcs + g_arcs:
+        head = s.arc.head
+        dw = float(target.dist(head))
+        vh = float(cert.v(head))
+        rec.record(f"{cert.name}.i.lower", s, cert.alpha1(dw), vh, True)
+        rec.record(f"{cert.name}.i.upper", s, vh, cert.alpha2(dw), True)
+
+    for s in c_arcs:
+        head = s.arc.head
+        vh = float(cert.v(head))
+        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
+        if premise is not None and not premise(vh, vb):
+            continue  # no decay required here
+        grad = np.asarray(cert.grad_v(head), dtype=float)
+        for ci, f in enumerate(spec.flow_candidates(s.arc)):
+            lhs = float(grad @ np.asarray(f, dtype=float))
+            rec.record(f"{cert.name}.ii", s, lhs, flow_rhs(vh, vb), False,
+                       aux=("flow_candidate", ci))
+
+    for s in d_arcs:
+        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
+        for gi, g in enumerate(spec.jump_selections(s.arc)):
+            rec.record(f"{cert.name}.iii", s, float(cert.v(np.asarray(g))),
+                       jump_rhs(vb), True, aux=("jump_candidate", gi))
+
+    counts = {"C": len(c_arcs), "D": len(d_arcs), "Gplus": len(g_arcs)}
+    return rec.report(cert.name, sum(counts.values()), counts,
+                      meta={"sampler_mode": sampler.mode, "seed": sampler.seed})
+
+
 def check_razumikhin(spec: SystemSpec, cert: RazumikhinCertificate,
                      sampler: ArcSampler, slack: float | None = None,
                      samples: int = 1000, target: TargetSet | None = None
@@ -279,46 +332,11 @@ def check_razumikhin(spec: SystemSpec, cert: RazumikhinCertificate,
     must contract below rho(Vbar).
     """
     validate_razumikhin(cert)
-    if target is None:
-        target = spec.meta.get("target")
-    if target is None:
-        raise ValueError("a TargetSet is required (pass target=...)")
-    rec = _Recorder(slack if slack is not None else ALGEBRAIC_SLACK,
-                    slack if slack is not None else derivative_slack(0.0))
-    n_c, n_d, n_g = _split_counts(samples)
-    c_arcs = sampler.sample("C", n_c)
-    d_arcs = sampler.sample("D", n_d)
-    g_arcs = sampler.sample("Gplus", n_g)
-    check_gradient(cert, _gradient_check_points(c_arcs + d_arcs))
-
-    for s in c_arcs + d_arcs + g_arcs:
-        head = s.arc.head
-        dw = float(target.dist(head))
-        vh = float(cert.v(head))
-        rec.record(f"{cert.name}.i.lower", s, cert.alpha1(dw), vh, True)
-        rec.record(f"{cert.name}.i.upper", s, vh, cert.alpha2(dw), True)
-
-    for s in c_arcs:
-        head = s.arc.head
-        vh = float(cert.v(head))
-        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
-        if cert.p(vh) < vb:
-            continue  # threshold premise not met; no decay required here
-        grad = np.asarray(cert.grad_v(head), dtype=float)
-        for ci, f in enumerate(spec.flow_candidates(s.arc)):
-            lhs = float(grad @ np.asarray(f, dtype=float))
-            rec.record(f"{cert.name}.ii", s, lhs, -cert.alpha3(vh), False,
-                       aux=("flow_candidate", ci))
-
-    for s in d_arcs:
-        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
-        for gi, g in enumerate(spec.jump_selections(s.arc)):
-            rec.record(f"{cert.name}.iii", s, float(cert.v(np.asarray(g))),
-                       cert.rho(vb), True, aux=("jump_candidate", gi))
-
-    counts = {"C": len(c_arcs), "D": len(d_arcs), "Gplus": len(g_arcs)}
-    return rec.report(cert.name, sum(counts.values()), counts,
-                      meta={"sampler_mode": sampler.mode, "seed": sampler.seed})
+    return _check_pointwise(
+        spec, cert, sampler, slack, samples, target,
+        premise=lambda vh, vb: not cert.p(vh) < vb,
+        flow_rhs=lambda vh, vb: -cert.alpha3(vh),
+        jump_rhs=cert.rho)
 
 
 def check_halanay(spec: SystemSpec, cert: HalanayCertificate,
@@ -329,42 +347,10 @@ def check_halanay(spec: SystemSpec, cert: HalanayCertificate,
     arcs, (iii) V(g) <= rho Vbar on all jump arcs; sandwich as in the
     threshold check."""
     validate_halanay(cert)
-    if target is None:
-        raise ValueError("a TargetSet is required (pass target=...)")
-    rec = _Recorder(slack if slack is not None else ALGEBRAIC_SLACK,
-                    slack if slack is not None else derivative_slack(0.0))
-    n_c, n_d, n_g = _split_counts(samples)
-    c_arcs = sampler.sample("C", n_c)
-    d_arcs = sampler.sample("D", n_d)
-    g_arcs = sampler.sample("Gplus", n_g)
-    check_gradient(cert, _gradient_check_points(c_arcs + d_arcs))
-
-    for s in c_arcs + d_arcs + g_arcs:
-        head = s.arc.head
-        dw = float(target.dist(head))
-        vh = float(cert.v(head))
-        rec.record(f"{cert.name}.i.lower", s, cert.alpha1(dw), vh, True)
-        rec.record(f"{cert.name}.i.upper", s, vh, cert.alpha2(dw), True)
-
-    for s in c_arcs:
-        head = s.arc.head
-        vh = float(cert.v(head))
-        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
-        grad = np.asarray(cert.grad_v(head), dtype=float)
-        for ci, f in enumerate(spec.flow_candidates(s.arc)):
-            lhs = float(grad @ np.asarray(f, dtype=float))
-            rec.record(f"{cert.name}.ii", s, lhs, -cert.mu * vh + cert.q * vb,
-                       False, aux=("flow_candidate", ci))
-
-    for s in d_arcs:
-        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
-        for gi, g in enumerate(spec.jump_selections(s.arc)):
-            rec.record(f"{cert.name}.iii", s, float(cert.v(np.asarray(g))),
-                       cert.rho * vb, True, aux=("jump_candidate", gi))
-
-    counts = {"C": len(c_arcs), "D": len(d_arcs), "Gplus": len(g_arcs)}
-    return rec.report(cert.name, sum(counts.values()), counts,
-                      meta={"sampler_mode": sampler.mode, "seed": sampler.seed})
+    return _check_pointwise(
+        spec, cert, sampler, slack, samples, target, premise=None,
+        flow_rhs=lambda vh, vb: -cert.mu * vh + cert.q * vb,
+        jump_rhs=lambda vb: cert.rho * vb)
 
 
 def _dplus_v(spec: SystemSpec, cert: KrasovskiiCertificate,
@@ -376,10 +362,7 @@ def _dplus_v(spec: SystemSpec, cert: KrasovskiiCertificate,
     """
     h_eff = h
     for _ in range(30):
-        try:
-            w_h = flow_window(spec, phi, h_eff)
-        except PreconditionError:
-            raise
+        w_h = flow_window(spec, phi, h_eff)
         if spec.flow_guard(w_h) >= -1e-7:
             base = float(cert.vf(phi))
             return (float(cert.vf(w_h)) - base) / h_eff, h_eff

@@ -44,10 +44,10 @@ class RunConfig:
     system: str | None = None
     config_path: str | None = None
     overrides: tuple[str, ...] = ()
-    t_max: float = 10.0
-    j_max: int = 1_000_000
+    t_max: float | None = None
+    j_max: int | None = None
     step: float | None = None
-    jump_priority: str = "jump"
+    jump_priority: str | None = None
     samples: int = 1000
     seed: int = 0
     slack: float | None = None
@@ -123,18 +123,21 @@ def _build_system(cfg: RunConfig):
 
 
 def _sim_options(cfg: RunConfig, spec: SystemSpec, extras: dict) -> SimOptions:
+    """Each option from its flag, else the config's sim section, else the
+    SimOptions default (the step defaults to min(period / 40, 0.01))."""
     sim = extras.get("sim", {})
     period = spec.meta.get("period")
     step = cfg.step if cfg.step is not None else sim.get("step")
     if step is None:
         step = min(period / 40.0, 1e-2) if period else 1e-2
-    return SimOptions(
-        t_max=float(sim.get("t_max", cfg.t_max)) if cfg.t_max == 10.0 else cfg.t_max,
-        j_max=int(sim.get("j_max", cfg.j_max)) if cfg.j_max == 1_000_000 else cfg.j_max,
-        step=float(step),
-        jump_priority=sim.get("jump_priority", cfg.jump_priority)
-        if cfg.jump_priority == "jump" else cfg.jump_priority,
-    )
+    chosen = {}
+    for name, cast in (("t_max", float), ("j_max", int), ("jump_priority", str)):
+        value = getattr(cfg, name)
+        if value is None:
+            value = sim.get(name)
+        if value is not None:
+            chosen[name] = cast(value)
+    return SimOptions(step=float(step), **chosen)
 
 
 def _initial_history(cfg: RunConfig, spec: SystemSpec, extras: dict,
@@ -263,12 +266,18 @@ _system_options = [
 ]
 
 _sim_flag_options = [
-    click.option("--t-max", type=float, default=10.0, show_default=True),
-    click.option("--j-max", type=int, default=1_000_000),
+    click.option("--t-max", type=float, default=None,
+                 help="Time horizon (default: the config's sim.t_max, else "
+                      "the solver default)."),
+    click.option("--j-max", type=int, default=None,
+                 help="Jump horizon (default: the config's sim.j_max, else "
+                      "the solver default)."),
     click.option("--step", type=float, default=None,
                  help="Integrator step (default: period/40)."),
     click.option("--jump-priority", type=click.Choice(["jump", "flow"]),
-                 default="jump", show_default=True),
+                 default=None,
+                 help="Branch taken in both sets (default: the config's "
+                      "sim.jump_priority, else the solver default)."),
 ]
 
 _check_options = [

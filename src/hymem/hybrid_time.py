@@ -10,11 +10,16 @@ default, cubic Hermite when derivative samples are stored).
 The window operator extracts the recent history of a stored solution at a
 forward point (t, j): the result is a memory arc whose depth, measured in
 s + k, lies between the memory size ``delta`` and ``delta + 1``.
+:class:`History` stores an arc's samples in growable arrays for the solver,
+and :class:`WindowView` reads them through the window protocol (head,
+delayed(s), delta) without materializing that memory arc.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -105,6 +110,39 @@ def validate_domain(domain: HybridTimeDomain, tol: float = TIME_TOL) -> Optional
     return None
 
 
+def _lerp(y0: np.ndarray, y1: np.ndarray, w: float) -> np.ndarray:
+    return (1 - w) * y0 + w * y1
+
+
+def _interpolate(times: np.ndarray, values: np.ndarray,
+                 derivs: np.ndarray | None, t: float,
+                 scheme: str = "linear") -> np.ndarray:
+    """Value at time t of increasing samples, held constant past either end.
+
+    Cubic Hermite when ``scheme`` is "hermite" and derivative samples are
+    given, piecewise linear otherwise.
+    """
+    if t <= times[0]:
+        return values[0].copy()
+    if t >= times[-1]:
+        return values[-1].copy()
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    t0, t1 = times[i], times[i + 1]
+    h = t1 - t0
+    if h <= 0:
+        return values[i].copy()
+    w = (t - t0) / h
+    y0, y1 = values[i], values[i + 1]
+    if scheme == "hermite" and derivs is not None:
+        d0, d1 = derivs[i], derivs[i + 1]
+        h00 = (1 + 2 * w) * (1 - w) ** 2
+        h10 = w * (1 - w) ** 2
+        h01 = w * w * (3 - 2 * w)
+        h11 = w * w * (w - 1)
+        return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+    return _lerp(y0, y1, w)
+
+
 @dataclass(frozen=True)
 class ArcSegment:
     """Samples of one jump level: times (increasing) and row-wise values.
@@ -158,26 +196,7 @@ class ArcSegment:
 
     def interpolate(self, t: float, scheme: str = "linear") -> np.ndarray:
         """Evaluate the segment at time t (must lie in [lo, hi] up to tol)."""
-        times = self.times
-        if t <= times[0]:
-            return self.values[0].copy()
-        if t >= times[-1]:
-            return self.values[-1].copy()
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        t0, t1 = times[i], times[i + 1]
-        h = t1 - t0
-        if h <= 0:
-            return self.values[i].copy()
-        w = (t - t0) / h
-        y0, y1 = self.values[i], self.values[i + 1]
-        if scheme == "hermite" and self.derivs is not None:
-            d0, d1 = self.derivs[i], self.derivs[i + 1]
-            h00 = (1 + 2 * w) * (1 - w) ** 2
-            h10 = w * (1 - w) ** 2
-            h01 = w * w * (3 - 2 * w)
-            h11 = w * w * (w - 1)
-            return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-        return (1 - w) * y0 + w * y1
+        return _interpolate(self.times, self.values, self.derivs, t, scheme)
 
     def restricted(self, lo: float, hi: float, scheme: str = "linear",
                    tol: float = TIME_TOL) -> "ArcSegment | None":
@@ -192,26 +211,16 @@ class ArcSegment:
         times = list(self.times[mask])
         values = list(self.values[mask])
         derivs = list(self.derivs[mask]) if self.derivs is not None else None
-
-        def deriv_at(t: float) -> np.ndarray:
-            i = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
-                            len(self.times) - 2)) if len(self.times) > 1 else 0
-            if len(self.times) == 1:
-                return self.derivs[0]
-            t0, t1 = self.times[i], self.times[i + 1]
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            return (1 - w) * self.derivs[i] + w * self.derivs[i + 1]
-
         if not times or times[0] > lo + tol:
             times.insert(0, lo)
             values.insert(0, self.interpolate(lo, scheme))
             if derivs is not None:
-                derivs.insert(0, deriv_at(lo))
+                derivs.insert(0, _interpolate(self.times, self.derivs, None, lo))
         if times[-1] < hi - tol:
             times.append(hi)
             values.append(self.interpolate(hi, scheme))
             if derivs is not None:
-                derivs.append(deriv_at(hi))
+                derivs.append(_interpolate(self.times, self.derivs, None, hi))
         return ArcSegment(self.jump_index, np.array(times), np.array(values),
                           np.array(derivs) if derivs is not None else None)
 
@@ -320,7 +329,7 @@ class HybridMemoryArc(HybridArc):
 
     def delayed(self, s: float, tol: float = TIME_TOL) -> np.ndarray:
         """Value at (s, k(s)) where k(s) is the maximal jump index at time s."""
-        return delayed_value(self, s, tol)
+        return History(self, self.delta, capacity=0).value(s, tol=tol)
 
     def delayed_runs(self, lo: float, hi: float, tol: float = TIME_TOL
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -355,36 +364,124 @@ class HybridMemoryArc(HybridArc):
         return runs
 
 
-def eval_arc(arc: HybridArc, t: float, j: int) -> np.ndarray:
-    """Evaluate a hybrid arc at (t, j); off-domain queries raise DomainError."""
-    return arc.eval(t, j)
+class History:
+    """An arc's samples in growable arrays, for appending and reading.
+
+    All segments, memory side first, sit back to back in arrays of times,
+    values and derivatives that double in size when full; ``starts`` holds
+    each segment's first index.  Forward segment i has jump index i.
+    Appending costs O(1) amortised; a delayed read is one binary search on
+    one segment's slice.
+    """
+
+    def __init__(self, arc: HybridArc, delta: float, capacity: int = 64):
+        segments = arc.all_segments()
+        lengths = [seg.times.shape[0] for seg in segments]
+        pad = np.zeros((capacity, arc.dimension))
+        self.memory = arc.memory_segments
+        self.n_memory = len(self.memory)
+        self.delta = float(delta)
+        self.interpolation = arc.interpolation
+        self.n = sum(lengths)
+        self.starts = list(accumulate([0] + lengths[:-1]))
+        self.has_derivs = [seg.derivs is not None for seg in segments]
+        self.times = np.concatenate([seg.times for seg in segments] + [pad[:, 0]])
+        self.values = np.concatenate([seg.values for seg in segments] + [pad])
+        self.derivs = np.concatenate(
+            [np.zeros_like(seg.values) if seg.derivs is None else seg.derivs
+             for seg in segments] + [pad])
+
+    def start_segment(self, t: float, x: np.ndarray) -> None:
+        """Open the next forward jump level with its first sample."""
+        self.starts.append(self.n)
+        self.has_derivs.append(True)
+        self.append(t, x)
+
+    def append(self, t: float, x: np.ndarray) -> None:
+        """Add a sample to the newest segment, with derivative 0."""
+        if self.n == self.times.shape[0]:
+            for name in ("times", "values", "derivs"):
+                old = getattr(self, name)
+                setattr(self, name, np.concatenate([old, np.zeros_like(old)]))
+        self.times[self.n] = t
+        self.values[self.n] = x
+        self.n += 1
+
+    def view(self, index: int | None = None) -> "WindowView":
+        """The window at the stored sample ``index`` (default: the newest)."""
+        if index is None:
+            index, segment = self.n - 1, len(self.starts) - 1
+        else:
+            segment = bisect.bisect_right(self.starts, index) - 1
+        return WindowView(self, index, segment, self.values[index])
+
+    def value(self, tq: float, segment: int | None = None,
+              end: int | None = None, tol: float = TIME_TOL) -> np.ndarray:
+        """Value at time tq on the newest jump level whose first sample is at
+        or before tq (up to tol): the maximal-jump-index rule, so a jump
+        instant reads its post-jump value.  Only segments up to ``segment``
+        and samples before ``end`` are read (default: all)."""
+        if segment is None:
+            segment, end = len(self.starts) - 1, self.n
+        times = self.times
+        if tq > times[end - 1] + tol:
+            raise DomainError(f"time {tq} is after the stored history", tq, None)
+        for k in range(segment, -1, -1):
+            lo = self.starts[k]
+            if tq >= times[lo] - tol:
+                derivs = self.derivs[lo:end] if self.has_derivs[k] else None
+                return _interpolate(times[lo:end], self.values[lo:end], derivs,
+                                    tq, self.interpolation)
+            end = lo
+        raise InsufficientHistoryError(
+            f"time {tq} precedes all stored history", tq, None)
+
+    def to_arc(self) -> HybridArc:
+        """The stored memory segments plus copies of the forward samples."""
+        bounds = self.starts[self.n_memory:] + [self.n]
+        forward = [
+            ArcSegment(j, self.times[lo:hi].copy(), self.values[lo:hi].copy(),
+                       self.derivs[lo:hi].copy() if d else None)
+            for j, (lo, hi, d) in enumerate(zip(bounds, bounds[1:],
+                                                self.has_derivs[self.n_memory:]))]
+        return HybridArc(self.memory, forward, interpolation=self.interpolation,
+                         validate=False)
 
 
-def delayed_value(phi: HybridArc, s: float, tol: float = TIME_TOL) -> np.ndarray:
-    """phi(s, k(s)) with k(s) the maximal jump index whose interval contains s."""
-    for seg in reversed(phi.memory_segments):
-        if seg.contains_time(s, tol):
-            return seg.interpolate(s, phi.interpolation)
-    raise DomainError(f"time {s} is outside the stored history", s, None)
+class WindowView:
+    """The window protocol (head, delayed(s), delta) at a sample of a History.
 
+    Reads follow the maximal-jump-index rule and never see samples stored
+    after the view's own.  :meth:`extend` gives the window at a provisional
+    point x, dt ahead on the same jump level, as Runge-Kutta stages need:
+    delays shorter than dt read the straight line from the stored head to x,
+    longer ones read the stored history.  No arrays are copied.
+    """
 
-def _depth_intervals(arc: HybridArc, t: float, j: int, tol: float
-                     ) -> list[tuple[float, float, ArcSegment]]:
-    """Achievable depth intervals [c, d] in delta = -(s + k) per segment."""
-    out = []
-    for seg in arc.all_segments():
-        if seg.jump_index > j:
-            continue
-        u_hi = min(seg.hi, t)
-        if u_hi < seg.lo - tol:
-            continue
-        u_hi = max(u_hi, seg.lo)
-        k = seg.jump_index - j
-        # s + k ranges over [seg.lo - t + k, u_hi - t + k]
-        c = t + j - u_hi - seg.jump_index
-        d = t + j - seg.lo - seg.jump_index
-        out.append((c, d, seg))
-    return out
+    __slots__ = ("history", "index", "segment", "head", "dt")
+
+    def __init__(self, history: History, index: int, segment: int,
+                 head: np.ndarray, dt: float = 0.0):
+        self.history = history
+        self.index = index
+        self.segment = segment
+        self.head = head
+        self.dt = dt
+
+    @property
+    def delta(self) -> float:
+        return self.history.delta
+
+    def extend(self, dt: float, x: np.ndarray) -> "WindowView":
+        return WindowView(self.history, self.index, self.segment, x, dt)
+
+    def delayed(self, s: float) -> np.ndarray:
+        hist = self.history
+        q = self.dt + s
+        if q >= 0.0 and self.dt > 0.0:
+            return _lerp(hist.values[self.index], self.head, q / self.dt)
+        return hist.value(hist.times[self.index] + q, self.segment,
+                          self.index + 1)
 
 
 def delta_inf(arc: HybridArc, t: float, j: int, delta: float,
@@ -392,14 +489,19 @@ def delta_inf(arc: HybridArc, t: float, j: int, delta: float,
     """Smallest d >= delta such that some (t+s, j+k) in dom arc has s + k = -d.
 
     Computed exactly from the piecewise-interval domain structure: each
-    backward-shifted segment contributes a closed interval of achievable
-    depths.
+    backward-shifted segment contributes a closed interval [c, d] of
+    achievable depths.
     """
     best = np.inf
-    for c, d, _ in _depth_intervals(arc, t, j, tol):
-        if d < delta - tol:
+    for seg in arc.all_segments():
+        u_hi = min(seg.hi, t)
+        if seg.jump_index > j or u_hi < seg.lo - tol:
             continue
-        best = min(best, max(c, delta))
+        # s + k ranges over [seg.lo - t + k, u_hi - t + k], k = seg.jump_index - j
+        c = t + j - max(u_hi, seg.lo) - seg.jump_index
+        d = t + j - seg.lo - seg.jump_index
+        if d >= delta - tol:
+            best = min(best, max(c, delta))
     if not np.isfinite(best):
         raise InsufficientHistoryError(
             f"no history at depth >= {delta} behind (t={t}, j={j})", t, j)
@@ -454,8 +556,7 @@ def memory_window(arc: HybridArc, t: float, j: int, delta: float,
     segments = _merge_contiguous(segments, tol)
     if not segments:
         raise InsufficientHistoryError(f"empty window at (t={t}, j={j})", t, j)
-    window = HybridMemoryArc(segments, delta, arc.interpolation, validate=True)
-    return window
+    return HybridMemoryArc(segments, delta, arc.interpolation, validate=True)
 
 
 def append_jump(phi: HybridMemoryArc, g: np.ndarray,

@@ -6,11 +6,16 @@ boundaries, applies jumps when the window is in the jump set, and records
 the result as a hybrid arc (memory side = initial data, forward side =
 computed solution).
 
-Delayed lookups inside a Runge-Kutta stage read from the provisional
-extension of the current segment (linear to the stage time) when the delay
-is shorter than the elapsed segment, and from stored history otherwise.
-The solver is deterministic: identical inputs produce bit-identical
-trajectories.
+The solution is built in a :class:`~hymem.hybrid_time.History`, and every
+selection map and guard sees it through one window view, which exposes the
+window protocol (head, delayed(s), delta) at a stored point without
+materializing a memory arc.  Reads follow the maximal-jump-index rule and
+agree with the formal clipped window for every delay the system declares,
+because builders size the memory so declared delays stay inside it.  A
+Runge-Kutta stage sees the view extended by its provisional point: delays
+shorter than the stage offset read the straight line from the stored head
+to that point, longer ones the stored history.  The solver is
+deterministic: identical inputs produce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from enum import Enum
 
 import numpy as np
 
-from .hybrid_time import (TIME_TOL, ArcSegment, DomainError, HybridArc,
-                          HybridMemoryArc, InsufficientHistoryError,
-                          memory_window, sup_norm_w, validate_domain)
+from .hybrid_time import (TIME_TOL, DomainError, History, HybridArc,
+                          HybridMemoryArc, WindowView, memory_window,
+                          sup_norm_w, validate_domain)
 from .system import SystemSpec, TargetSet
 
 
@@ -115,136 +120,21 @@ def run_summary(traj: Trajectory, target: TargetSet) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Window views.  These expose the duck-typed window protocol (head, delayed,
-# delta) over stored data without materializing a memory arc.  Reads agree
-# with the formal clipped window for every delay the system declares, because
-# builders size the memory so declared delays stay inside the window.
-# ---------------------------------------------------------------------------
-
-class _LiveWindow:
-    """View of the solution being built, positioned at its newest point."""
-
-    __slots__ = ("init", "bufs", "t", "j", "delta")
-
-    def __init__(self, init: HybridMemoryArc, bufs: list, t: float, j: int,
-                 delta: float):
-        self.init = init
-        self.bufs = bufs
-        self.t = t
-        self.j = j
-        self.delta = delta
-
-    @property
-    def head(self) -> np.ndarray:
-        return self.bufs[-1].values[-1]
-
-    def delayed(self, s: float) -> np.ndarray:
-        tq = self.t + s
-        for buf in reversed(self.bufs):
-            if tq >= buf.times[0] - TIME_TOL:
-                return buf.interp(tq)
-        return self.init.delayed(tq)
+def _as_view(window) -> WindowView:
+    """A window view of a memory arc at its head; views pass through."""
+    if isinstance(window, WindowView):
+        return window
+    return History(window, window.delta, capacity=0).view()
 
 
-class _ExtendedWindow:
-    """A window extended linearly by a provisional point dt ahead."""
-
-    __slots__ = ("base", "dt", "x")
-
-    def __init__(self, base, dt: float, x: np.ndarray):
-        self.base = base
-        self.dt = dt
-        self.x = x
-
-    @property
-    def head(self) -> np.ndarray:
-        return self.x
-
-    @property
-    def delta(self) -> float:
-        return self.base.delta
-
-    def delayed(self, s: float) -> np.ndarray:
-        q = self.dt + s
-        if q >= 0.0 and self.dt > 0.0:
-            base_head = self.base.head
-            w = q / self.dt
-            return (1 - w) * base_head + w * self.x
-        return self.base.delayed(min(q, 0.0))
-
-
-class ArcWindowView:
-    """Window view over a completed arc at a stored point (t, j)."""
-
-    __slots__ = ("arc", "t", "j", "delta")
-
-    def __init__(self, arc: HybridArc, t: float, j: int, delta: float):
-        self.arc = arc
-        self.t = t
-        self.j = j
-        self.delta = delta
-
-    @property
-    def head(self) -> np.ndarray:
-        return self.arc.eval(self.t, self.j)
-
-    def delayed(self, s: float) -> np.ndarray:
-        tq = self.t + s
-        for seg in reversed(self.arc.forward_segments):
-            if seg.jump_index > self.j:
-                continue
-            hi = min(seg.hi, self.t) if seg.jump_index == self.j else seg.hi
-            if seg.lo - TIME_TOL <= tq <= hi + TIME_TOL:
-                return seg.interpolate(min(tq, hi), self.arc.interpolation)
-        for seg in reversed(self.arc.memory_segments):
-            if seg.contains_time(tq):
-                return seg.interpolate(tq, self.arc.interpolation)
-        raise InsufficientHistoryError(
-            f"time {tq} precedes all stored history", tq, None)
-
-
-class _Buf:
-    """Growable per-segment sample storage."""
-
-    __slots__ = ("j", "times", "values", "derivs")
-
-    def __init__(self, j: int, t0: float, x0: np.ndarray, d0: np.ndarray):
-        self.j = j
-        self.times = [t0]
-        self.values = [x0]
-        self.derivs = [d0]
-
-    def append(self, t: float, x: np.ndarray, d: np.ndarray) -> None:
-        self.times.append(t)
-        self.values.append(x)
-        self.derivs.append(d)
-
-    def interp(self, t: float) -> np.ndarray:
-        times = self.times
-        if t <= times[0]:
-            return self.values[0]
-        if t >= times[-1]:
-            return self.values[-1]
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        t0, t1 = times[i], times[i + 1]
-        if t1 == t0:
-            return self.values[i]
-        w = (t - t0) / (t1 - t0)
-        return (1 - w) * self.values[i] + w * self.values[i + 1]
-
-    def to_segment(self) -> ArcSegment:
-        return ArcSegment(self.j, np.array(self.times), np.array(self.values),
-                          np.array(self.derivs))
-
-
-def _rk4(spec: SystemSpec, window, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _rk4(spec: SystemSpec, window: WindowView,
+         h: float) -> tuple[np.ndarray, np.ndarray]:
     f = spec.flow_selection
     x0 = np.asarray(window.head, dtype=float)
     k1 = np.asarray(f(window), dtype=float)
-    k2 = np.asarray(f(_ExtendedWindow(window, h / 2, x0 + (h / 2) * k1)), dtype=float)
-    k3 = np.asarray(f(_ExtendedWindow(window, h / 2, x0 + (h / 2) * k2)), dtype=float)
-    k4 = np.asarray(f(_ExtendedWindow(window, h, x0 + h * k3)), dtype=float)
+    k2 = np.asarray(f(window.extend(h / 2, x0 + (h / 2) * k1)), dtype=float)
+    k3 = np.asarray(f(window.extend(h / 2, x0 + (h / 2) * k2)), dtype=float)
+    k4 = np.asarray(f(window.extend(h, x0 + h * k3)), dtype=float)
     return x0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
 
 
@@ -259,7 +149,7 @@ def integrate_flow_step(spec: SystemSpec, window, h: float,
         raise PreconditionError("window is not in the flow set")
     if h <= 0:
         raise ValueError("step must be positive")
-    return _rk4(spec, window, h)
+    return _rk4(spec, _as_view(window), h)
 
 
 def locate_event(spec: SystemSpec, window, h_bracket: float,
@@ -272,9 +162,10 @@ def locate_event(spec: SystemSpec, window, h_bracket: float,
     so the accepted flow segment can end at h*.
     """
     gfun = spec.flow_guard if guard == "flow" else spec.jump_guard
+    window = _as_view(window)
     sign0 = gfun(window)
     x_end, _ = _rk4(spec, window, h_bracket)
-    g_end = gfun(_ExtendedWindow(window, h_bracket, x_end))
+    g_end = gfun(window.extend(h_bracket, x_end))
     if guard == "flow":
         if sign0 < -guard_tol or g_end >= -guard_tol:
             raise EventLocationError(
@@ -292,7 +183,7 @@ def locate_event(spec: SystemSpec, window, h_bracket: float,
     while hi - lo > event_tol:
         mid = 0.5 * (lo + hi)
         x_mid, _ = _rk4(spec, window, mid)
-        g_mid = gfun(_ExtendedWindow(window, mid, x_mid))
+        g_mid = gfun(window.extend(mid, x_mid))
         inside = g_mid >= 0.0 if crossing_down else g_mid < 0.0
         if inside:
             lo = mid
@@ -326,30 +217,26 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
             "initial data lies outside both the flow and jump sets "
             f"(flow_guard={fg0:.3e}, jump_guard={jg0:.3e})")
 
-    x0 = np.array(init.head, dtype=float)
+    hist = History(init, spec.memory_size)
+    hist.start_segment(0.0, np.array(init.head, dtype=float))
     t, j = 0.0, 0
-    zero = np.zeros(spec.dimension)
-    bufs: list[_Buf] = [_Buf(0, 0.0, x0, zero)]
     jumps: list[tuple[float, int]] = []
     termination = Termination.horizon_reached
     last_jump_t: float | None = None
     consecutive_jumps = 0
 
-    def window() -> _LiveWindow:
-        return _LiveWindow(init, bufs, t, j, spec.memory_size)
-
-    def set_head_deriv(w) -> None:
+    def set_head_deriv(w: WindowView) -> None:
         if spec.flow_guard(w) >= -opts.guard_tol:
-            bufs[-1].derivs[-1] = np.asarray(spec.flow_selection(w), dtype=float)
+            hist.derivs[hist.n - 1] = np.asarray(spec.flow_selection(w), dtype=float)
 
-    def try_flow(w) -> bool:
+    def try_flow(w: WindowView) -> bool:
         """Advance by at most one step; True iff time progressed."""
         nonlocal t
         h = min(opts.step, opts.t_max - t)
         if h <= TIME_TOL:
             return False
         x_new, _ = _rk4(spec, w, h)
-        end_w = _ExtendedWindow(w, h, x_new)
+        end_w = w.extend(h, x_new)
         event_h = None
         if spec.flow_guard(end_w) < -opts.guard_tol:
             event_h = locate_event(spec, w, h, "flow", opts.event_tol,
@@ -365,17 +252,17 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
             x_new, _ = _rk4(spec, w, event_h)
             h = event_h
         t = t + h
-        bufs[-1].append(t, x_new, zero)
-        set_head_deriv(window())
+        hist.append(t, x_new)
+        set_head_deriv(hist.view())
         return True
 
     try:
-        set_head_deriv(window())
+        set_head_deriv(hist.view())
         while True:
             if t >= opts.t_max - TIME_TOL or j >= opts.j_max:
                 termination = Termination.horizon_reached
                 break
-            w = window()
+            w = hist.view()
             jump_ok = spec.jump_guard(w) >= -opts.guard_tol
             flow_ok = spec.flow_guard(w) >= -opts.guard_tol
 
@@ -416,16 +303,13 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                 g = np.array(spec.jump_choice(candidates), dtype=float)
                 jumps.append((t, j))
                 j += 1
-                bufs.append(_Buf(j, t, g, zero))
-                set_head_deriv(window())
+                hist.start_segment(t, g)
+                set_head_deriv(hist.view())
     except DomainError:
         termination = Termination.error
-    if any(not np.all(np.isfinite(b.values[-1])) for b in bufs):
+    arc = hist.to_arc()
+    if any(not np.all(np.isfinite(s.values[-1])) for s in arc.forward_segments):
         termination = Termination.error
-
-    arc = HybridArc(init.memory_segments,
-                    [b.to_segment() for b in bufs],
-                    interpolation=init.interpolation, validate=False)
     return Trajectory(arc=arc, termination=termination, jumps=tuple(jumps),
                       memory_size=spec.memory_size)
 
@@ -487,13 +371,13 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
 
     n_deriv = 0
     n_guard = 0
-    delta = traj.memory_size
-    for seg in arc.forward_segments:
+    hist = History(arc, traj.memory_size, capacity=0)
+    for seg, start in zip(arc.forward_segments, hist.starts[hist.n_memory:]):
         times, values = seg.times, seg.values
         m = len(times)
         for i in range(m):
             t_i, j_i = float(times[i]), seg.jump_index
-            w = ArcWindowView(arc, t_i, j_i, delta)
+            w = hist.view(start + i)
             fgv = spec.flow_guard(w)
             n_guard += 1
             if fgv < -tol:
@@ -520,10 +404,11 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
                         "flow selection", err, bound))
 
     n_jumps = 0
-    for (pre, post) in zip(arc.forward_segments, arc.forward_segments[1:]):
+    for pre, post, post_start in zip(arc.forward_segments, arc.forward_segments[1:],
+                                     hist.starts[hist.n_memory + 1:]):
         t_jump = pre.hi
         j_pre = pre.jump_index
-        w = ArcWindowView(arc, t_jump, j_pre, delta)
+        w = hist.view(post_start - 1)
         jg = spec.jump_guard(w)
         n_jumps += 1
         if jg < -tol:
@@ -560,15 +445,12 @@ def flow_window(spec: SystemSpec, phi: HybridMemoryArc, h: float,
     """
     if spec.flow_guard(phi) < -guard_tol:
         raise PreconditionError("window is not in the flow set")
-    x0 = np.array(phi.head, dtype=float)
-    bufs = [_Buf(0, 0.0, x0, np.zeros(phi.dimension))]
+    hist = History(phi, phi.delta, capacity=n_steps + 1)
+    hist.start_segment(0.0, np.array(phi.head, dtype=float))
     t = 0.0
     sub = h / n_steps
     for _ in range(n_steps):
-        w = _LiveWindow(phi, bufs, t, 0, phi.delta)
-        x_new, _ = _rk4(spec, w, sub)
+        x_new, _ = _rk4(spec, hist.view(), sub)
         t += sub
-        bufs[-1].append(t, x_new, np.zeros(phi.dimension))
-    arc = HybridArc(phi.memory_segments, [bufs[0].to_segment()],
-                    interpolation=phi.interpolation, validate=False)
-    return memory_window(arc, t, 0, phi.delta)
+        hist.append(t, x_new)
+    return memory_window(hist.to_arc(), t, 0, phi.delta)

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hybrid_time import HybridMemoryArc, constant_memory_arc, memory_arc_from_function
+from .hybrid_time import (HybridMemoryArc, _lerp, constant_memory_arc,
+                          memory_arc_from_function)
 
 
 class ConfigError(ValueError):
@@ -498,6 +499,6 @@ def history_from_config(hist: dict, spec: SystemSpec,
         idx = np.clip(np.searchsorted(times, s), 1, len(times) - 1)
         t0, t1 = times[idx - 1], times[idx]
         w = 0.0 if t1 == t0 else (s - t0) / (t1 - t0)
-        return (1 - w) * values[idx - 1] + w * values[idx]
+        return _lerp(values[idx - 1], values[idx], w)
 
     return memory_arc_from_function(fn, delta, depth=depth, grid_step=grid_step)

@@ -141,6 +141,34 @@ class TestConfigSystems:
         assert json.loads(rep.read_text())["final_distW"] > 1.0
 
 
+class TestSimFlags:
+    """An explicit flag beats the config's sim section, which beats the
+    solver default, also when the flag's value equals that default."""
+
+    def run_config(self, tmp_path, sim, *flags):
+        cfg = tmp_path / "sys.json"
+        cfg.write_text(json.dumps({
+            "dimension": 1, "memory_size": 0.0, "flow": {"A0": [[-1.0]]},
+            "jump": {"period": 0.1, "J0": [[0.5]]}, "sim": sim}))
+        rep = tmp_path / "sum.json"
+        r = run_cli("simulate", "--config", str(cfg), "--report", str(rep),
+                    *flags)
+        assert r.returncode == 0, r.stderr
+        return json.loads(rep.read_text())
+
+    @pytest.mark.parametrize("flags, t_final", [
+        ((), 2.0), (("--t-max", "10"), 10.0), (("--t-max", "1"), 1.0)])
+    def test_t_max(self, tmp_path, flags, t_final):
+        doc = self.run_config(tmp_path, {"t_max": 2.0, "step": 0.05}, *flags)
+        assert doc["t_final"] == pytest.approx(t_final, abs=1e-9)
+
+    def test_j_max_flag_equal_to_the_default(self, tmp_path):
+        sim = {"t_max": 1.0, "step": 0.01, "j_max": 3}
+        assert self.run_config(tmp_path, sim)["jumps"] == 3
+        doc = self.run_config(tmp_path, sim, "--j-max", "1000000")
+        assert doc["jumps"] >= 9
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ("simulate", "--system", "example1", "--t-max", "2"),

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hymem.hybrid_time import (ArcSegment, DomainError, HybridArc,
+from hymem.hybrid_time import (ArcSegment, DomainError, History, HybridArc,
                                HybridMemoryArc, HybridTimeDomain,
                                InsufficientHistoryError, append_jump,
                                arc_from_csv, arc_to_csv, constant_memory_arc,
-                               delayed_sq_integral, delayed_value, delta_inf,
-                               eval_arc, memory_arc_from_function,
-                               memory_window, sup_norm_w, validate_domain,
-                               vbar)
+                               delayed_sq_integral, delta_inf,
+                               memory_arc_from_function, memory_window,
+                               sup_norm_w, validate_domain, vbar)
+from hymem.solver import SimOptions, simulate
+from hymem.system import Example2Params, build_example2
 
 
 def seg(j, times, values):
@@ -67,17 +68,17 @@ class TestValidateDomain:
 class TestEvalArc:
     def test_endpoint_sample(self):
         arc = decay_arc()
-        assert eval_arc(arc, 0.0, 0)[0] == 1.0
+        assert arc.eval(0.0, 0)[0] == 1.0
 
     def test_interior_against_closed_form(self):
         arc = decay_arc()
         # linear interpolation on a 0.01 grid of e^-t is accurate to ~1.25e-5
-        assert eval_arc(arc, 0.5, 0)[0] == pytest.approx(np.exp(-0.5), abs=2e-5)
+        assert arc.eval(0.5, 0)[0] == pytest.approx(np.exp(-0.5), abs=2e-5)
 
     def test_off_domain_raises(self):
         arc = decay_arc()
         with pytest.raises(DomainError):
-            eval_arc(arc, 1.5, 0)
+            arc.eval(1.5, 0)
 
     def test_hermite_beats_linear(self):
         ts = np.linspace(0.0, 1.0, 11)
@@ -282,18 +283,108 @@ class TestAppendJump:
 class TestDelayedValue:
     def test_continuous_history(self):
         phi = memory_arc_from_function(lambda s: np.array([np.cos(s)]), 1.0)
-        assert delayed_value(phi, -0.3)[0] == pytest.approx(np.cos(0.3), abs=1e-4)
+        assert phi.delayed(-0.3)[0] == pytest.approx(np.cos(0.3), abs=1e-4)
 
     def test_post_jump_value_wins(self):
         phi = HybridMemoryArc(
             [seg(-1, [-0.6, -0.2], [1.0, 1.0]), seg(0, [-0.2, 0.0], [0.5, 0.5])],
             0.9)
-        assert delayed_value(phi, -0.2)[0] == 0.5
+        assert phi.delayed(-0.2)[0] == 0.5
 
     def test_too_old_raises(self):
         phi = constant_memory_arc(np.array([1.0]), 0.5)
         with pytest.raises(DomainError):
-            delayed_value(phi, -2.0)
+            phi.delayed(-2.0)
+
+
+def _reset_trajectory():
+    """example2 with dyadic data across three resets.
+
+    Step, delay, reset period and history grid are multiples of 1/64, so
+    every stored time, every jump time and the grid s = -delta + i/128 are
+    exact binary fractions.  Shifting times by t, as memory_window does, is
+    then exact and its reads must agree with the view's bit for bit.
+    """
+    spec, _ = build_example2(Example2Params(a=-0.5, b=0.25, rho=0.5, r=0.25,
+                                            delta=0.5))
+    init = memory_arc_from_function(
+        lambda s: np.array([np.cos(3 * s), 0.0]), spec.memory_size,
+        depth=spec.memory_size + 0.5, grid_step=1 / 64)
+    return simulate(spec, init, SimOptions(t_max=2.0, step=1 / 64))
+
+
+class TestHistory:
+    def test_reads_match_memory_window(self):
+        traj = _reset_trajectory()
+        delta = traj.memory_size
+        assert [t for t, _ in traj.jumps] == [0.5, 1.0, 1.5]
+        hist = History(traj.arc, delta)
+        grid = -delta + np.arange(int(delta * 128) + 1) / 128
+        index = hist.starts[hist.n_memory]
+        reads = 0
+        for seg in traj.arc.forward_segments:
+            for t in seg.times:
+                view = hist.view(index)
+                window = memory_window(traj.arc, float(t), seg.jump_index, delta)
+                assert np.array_equal(view.head, window.head)
+                # shared jump-boundary times read the post-jump value
+                boundaries = [tj - t for tj, _ in traj.jumps if tj <= t]
+                for s in np.concatenate([grid, boundaries]):
+                    if s < window.time_reach:
+                        continue
+                    got, want = view.delayed(float(s)), window.delayed(float(s))
+                    assert got.tobytes() == want.tobytes(), (t, seg.jump_index, s)
+                    reads += 1
+                index += 1
+        assert reads > 5000
+
+    def test_provisional_point_extends_linearly(self):
+        traj = _reset_trajectory()
+        hist = History(traj.arc, traj.memory_size)
+        view = hist.view(hist.n - 40)
+        dt, x = 0.01, np.array([0.3, 0.7])
+        stage = view.extend(dt, x)
+        assert stage.head is x
+        assert stage.delta == view.delta
+        for s in (0.0, -0.002, -0.0075, -dt):
+            w = (dt + s) / dt
+            want = (1 - w) * view.head + w * x
+            assert stage.delayed(s).tobytes() == want.tobytes()
+        for s in (-0.0101, -0.2, -1.0):
+            assert stage.delayed(s).tobytes() == view.delayed(dt + s).tobytes()
+
+    def test_growth_keeps_every_sample(self):
+        phi = constant_memory_arc(np.array([1.0, -1.0]), 0.5)
+        hist = History(phi, phi.delta, capacity=2)
+        hist.start_segment(0.0, np.array([0.0, 0.0]))
+        for i in range(1, 1000):
+            hist.append(i / 100, np.array([i, -i], dtype=float))
+            if i % 250 == 0:
+                hist.start_segment(i / 100, np.array([-i, i], dtype=float))
+        assert hist.times.shape[0] >= 1003
+        arc = hist.to_arc()
+        assert arc.memory_segments == phi.memory_segments
+        assert [s.jump_index for s in arc.forward_segments] == [0, 1, 2, 3]
+        for s in arc.forward_segments:
+            i = np.round(s.times * 100)
+            assert np.array_equal(i, np.arange(i[0], i[-1] + 1))
+            assert np.array_equal(s.values[1:, 0], i[1:])
+            assert np.array_equal(s.values[:, 1], -s.values[:, 0])
+        assert arc.forward_segments[-1].times[-1] == 9.99
+        # a reset instant reads its post-jump value, an earlier time the line
+        assert hist.value(2.5)[0] == -250.0
+        assert hist.value(2.495)[0] == pytest.approx(249.5)
+        assert hist.value(-0.25)[1] == -1.0
+
+    def test_reads_never_see_later_samples(self):
+        traj = _reset_trajectory()
+        hist = History(traj.arc, traj.memory_size)
+        view = hist.view(hist.starts[hist.n_memory] + 10)
+        assert view.delayed(0.0).tobytes() == view.head.tobytes()
+        with pytest.raises(DomainError):
+            hist.value(float(hist.times[hist.n - 1]) + 1.0)
+        with pytest.raises(InsufficientHistoryError):
+            view.delayed(-5.0)
 
 
 class TestDelayedSquareIntegral:
