@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -110,8 +111,24 @@ def validate_domain(domain: HybridTimeDomain, tol: float = TIME_TOL) -> Optional
     return None
 
 
-def _lerp(y0: np.ndarray, y1: np.ndarray, w: float) -> np.ndarray:
+def _lerp(y0: np.ndarray, y1: np.ndarray, w):
     return (1 - w) * y0 + w * y1
+
+
+def _hermite(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray,
+             h, w):
+    """Cubic Hermite blend at weight w of an interval of length h.
+
+    Squares are written as products: numpy's scalar ``** 2`` calls libm
+    ``pow`` and its array ``** 2`` multiplies, which differ in the last bit
+    now and then, so only products round alike on scalars and columns.
+    """
+    u = 1 - w
+    h00 = (1 + 2 * w) * (u * u)
+    h10 = w * (u * u)
+    h01 = w * w * (3 - 2 * w)
+    h11 = w * w * (w - 1)
+    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
 
 
 def _interpolate(times: np.ndarray, values: np.ndarray,
@@ -132,15 +149,34 @@ def _interpolate(times: np.ndarray, values: np.ndarray,
     if h <= 0:
         return values[i].copy()
     w = (t - t0) / h
-    y0, y1 = values[i], values[i + 1]
     if scheme == "hermite" and derivs is not None:
-        d0, d1 = derivs[i], derivs[i + 1]
-        h00 = (1 + 2 * w) * (1 - w) ** 2
-        h10 = w * (1 - w) ** 2
-        h01 = w * w * (3 - 2 * w)
-        h11 = w * w * (w - 1)
-        return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-    return _lerp(y0, y1, w)
+        return _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], h, w)
+    return _lerp(values[i], values[i + 1], w)
+
+
+def _interpolate_many(times: np.ndarray, values: np.ndarray,
+                      derivs: np.ndarray | None, ts: np.ndarray,
+                      scheme: str = "linear") -> np.ndarray:
+    """:func:`_interpolate` at every time of ``ts``, one row each, bit for bit.
+
+    One binary search for all of ``ts``, then the same blend formulas with
+    the weights as a column.  ``times`` must be strictly increasing, as in
+    an :class:`ArcSegment`.
+    """
+    m = times.shape[0]
+    if m < 2:
+        return np.repeat(values[:1], ts.shape[0], axis=0)
+    i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, m - 2)
+    t0 = times[i]
+    h = (times[i + 1] - t0)[:, None]
+    w = (ts - t0)[:, None] / h
+    if scheme == "hermite" and derivs is not None:
+        out = _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], h, w)
+    else:
+        out = _lerp(values[i], values[i + 1], w)
+    out[ts <= times[0]] = values[0]
+    out[ts >= times[-1]] = values[-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -201,28 +237,44 @@ class ArcSegment:
     def restricted(self, lo: float, hi: float, scheme: str = "linear",
                    tol: float = TIME_TOL) -> "ArcSegment | None":
         """Slice of the segment on [lo, hi], adding interpolated boundary samples."""
+        cut = self._slice(lo, hi, scheme, tol)
+        return None if cut is None else ArcSegment(self.jump_index, *cut)
+
+    def _slice(self, lo: float, hi: float, scheme: str, tol: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+        """(times, values, derivs) of :meth:`restricted`, without the segment.
+
+        The stored samples within tol of [lo, hi] are one contiguous slice
+        (a view, found by two binary searches); interpolated samples at lo
+        and hi are concatenated on where no stored sample lies within tol.
+        Returns None when [lo, hi] misses the segment by more than tol.
+        """
         lo = max(lo, self.lo)
         hi = min(hi, self.hi)
         if hi < lo - tol:
             return None
         if hi < lo:
             hi = lo
-        mask = (self.times >= lo - tol) & (self.times <= hi + tol)
-        times = list(self.times[mask])
-        values = list(self.values[mask])
-        derivs = list(self.derivs[mask]) if self.derivs is not None else None
-        if not times or times[0] > lo + tol:
-            times.insert(0, lo)
-            values.insert(0, self.interpolate(lo, scheme))
-            if derivs is not None:
-                derivs.insert(0, _interpolate(self.times, self.derivs, None, lo))
-        if times[-1] < hi - tol:
-            times.append(hi)
-            values.append(self.interpolate(hi, scheme))
-            if derivs is not None:
-                derivs.append(_interpolate(self.times, self.derivs, None, hi))
-        return ArcSegment(self.jump_index, np.array(times), np.array(values),
-                          np.array(derivs) if derivs is not None else None)
+        times, values, derivs = self.times, self.values, self.derivs
+        a = int(np.searchsorted(times, lo - tol, side="left"))
+        b = int(np.searchsorted(times, hi + tol, side="right"))
+
+        def sample(t: float):
+            return (np.array([t]), self.interpolate(t, scheme)[None],
+                    None if derivs is None
+                    else _interpolate(times, derivs, None, t)[None])
+
+        pieces = [(times[a:b], values[a:b],
+                   None if derivs is None else derivs[a:b])]
+        if a == b or times[a] > lo + tol:
+            pieces.insert(0, sample(lo))
+        if (times[b - 1] if a < b else lo) < hi - tol:
+            pieces.append(sample(hi))
+        if len(pieces) == 1:
+            return pieces[0]
+        t, v, d = zip(*pieces)
+        return (np.concatenate(t), np.concatenate(v),
+                None if derivs is None else np.concatenate(d))
 
 
 class HybridArc:
@@ -327,17 +379,40 @@ class HybridMemoryArc(HybridArc):
         """Oldest time covered by the arc (a nonpositive number)."""
         return self.memory_segments[0].lo
 
+    @cached_property
+    def history(self) -> "History":
+        """The arc's samples as a :class:`History`, built on first use and
+        kept for the arc's lifetime; window views of the arc read it.
+        Never append to it."""
+        return History(self, self.delta, capacity=0)
+
     def delayed(self, s: float, tol: float = TIME_TOL) -> np.ndarray:
-        """Value at (s, k(s)) where k(s) is the maximal jump index at time s."""
-        return History(self, self.delta, capacity=0).value(s, tol=tol)
+        """Value at (s, k(s)) where k(s) is the maximal jump index at time s.
+
+        Reads the newest segment whose first sample is at or before s (up to
+        tol), as :meth:`History.value` does.  It reads the segments directly,
+        not through :attr:`history`, so that a read keeps no second copy of
+        the arc's samples alive.
+        """
+        segments = self.memory_segments
+        if s > segments[-1].hi + tol:
+            raise DomainError(f"time {s} is after the stored history", s, None)
+        for seg in reversed(segments):
+            if s >= seg.times[0] - tol:
+                return seg.interpolate(s, self.interpolation)
+        raise InsufficientHistoryError(
+            f"time {s} precedes all stored history", s, None)
 
     def delayed_runs(self, lo: float, hi: float, tol: float = TIME_TOL
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Stored samples of s -> phi(s, k(s)) on [lo, hi], split at memory jumps.
 
-        Returns one (times, values) pair per continuous piece; boundary points
-        are interpolated in.  Jump instants belong to the newer (post-jump)
-        piece, matching the maximal-k rule.
+        Returns one (times, values) pair of arrays per continuous piece,
+        sliced from the segments as :meth:`ArcSegment.restricted` slices
+        them (boundary points interpolated in) but without building a
+        segment per piece; they may be read-only views of the arc's own
+        samples.  Jump instants belong to the newer (post-jump) piece,
+        matching the maximal-k rule.
         """
         if hi < lo:
             raise ValueError("need lo <= hi")
@@ -353,9 +428,9 @@ class HybridMemoryArc(HybridArc):
             if runs:
                 piece_hi = min(piece_hi, runs[-1][0][0])
             piece_lo = max(lo, seg.lo)
-            cut = seg.restricted(piece_lo, piece_hi, self.interpolation, tol)
+            cut = seg._slice(piece_lo, piece_hi, self.interpolation, tol)
             if cut is not None:
-                runs.append((cut.times, cut.values))
+                runs.append(cut[:2])
             if seg.lo <= lo + tol:
                 break
         runs.reverse()
@@ -549,10 +624,11 @@ def memory_window(arc: HybridArc, t: float, j: int, delta: float,
         s_hi = u_hi - t
         if s_hi < s_lo - tol:
             continue
-        cut = seg.restricted(s_lo + t, s_hi + t, arc.interpolation, tol)
+        cut = seg._slice(s_lo + t, s_hi + t, arc.interpolation, tol)
         if cut is None:
             continue
-        segments.append(ArcSegment(k, cut.times - t, cut.values, cut.derivs))
+        times, values, derivs = cut
+        segments.append(ArcSegment(k, times - t, values, derivs))
     segments = _merge_contiguous(segments, tol)
     if not segments:
         raise InsufficientHistoryError(f"empty window at (t={t}, j={j})", t, j)
@@ -580,8 +656,8 @@ def append_jump(phi: HybridMemoryArc, g: np.ndarray,
         if seg.lo >= s_cut - tol:
             segments.append(ArcSegment(k_new, seg.times, seg.values, seg.derivs))
         else:
-            cut = seg.restricted(s_cut, seg.hi, phi.interpolation, tol)
-            segments.append(ArcSegment(k_new, cut.times, cut.values, cut.derivs))
+            segments.append(ArcSegment(
+                k_new, *seg._slice(s_cut, seg.hi, phi.interpolation, tol)))
     segments.append(ArcSegment(0, np.array([0.0]), g.reshape(1, -1)))
     return HybridMemoryArc(segments, phi.delta, phi.interpolation, validate=True)
 
@@ -592,8 +668,11 @@ def _window_extremum(phi: HybridMemoryArc, fn: Callable[[np.ndarray], float],
     """max of fn over the window s + k >= -delta - 1, with grid refinement.
 
     Stored samples and segment endpoints seed the estimate; each refinement
-    level adds interval midpoints (evaluated through the arc's interpolant)
-    until successive estimates agree to refine_tol (relative).
+    level adds interval midpoints until successive estimates agree to
+    refine_tol (relative).  A level interpolates all of a segment's
+    midpoints at once (:func:`_interpolate_many`, bit for bit the arc's
+    pointwise interpolant) and hands them to ``batch`` as one array, or to
+    ``fn`` row by row when no batch form is given.
     """
     floor = -phi.delta - 1 - TIME_TOL
     best = -np.inf
@@ -611,9 +690,9 @@ def _window_extremum(phi: HybridMemoryArc, fn: Callable[[np.ndarray], float],
             if level_times.shape[0] < 2:
                 break
             mids = 0.5 * (level_times[:-1] + level_times[1:])
-            mid_vals = evaluate(np.array([seg.interpolate(t, phi.interpolation)
-                                          for t in mids]))
-            new_est = max(est, float(np.max(mid_vals)) if mid_vals.size else -np.inf)
+            mid_vals = evaluate(_interpolate_many(seg.times, seg.values, seg.derivs,
+                                                  mids, phi.interpolation))
+            new_est = max(est, float(np.max(mid_vals)))
             merged = np.sort(np.concatenate([level_times, mids]))
             if abs(new_est - est) <= refine_tol * max(1.0, abs(new_est)):
                 est = new_est
@@ -654,7 +733,7 @@ def delayed_sq_integral(phi: HybridMemoryArc, lo: float, hi: float,
         sq = np.einsum("ij,ij->i", values, values)
         mid = 0.5 * (values[:-1] + values[1:])
         sq_mid = np.einsum("ij,ij->i", mid, mid)
-        h = np.diff(times)
+        h = times[1:] - times[:-1]
         total += float(np.sum(h / 6.0 * (sq[:-1] + 4.0 * sq_mid + sq[1:])))
     return total
 

@@ -82,12 +82,17 @@ class SimOptions:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A computed solution: hybrid arc plus the reason integration stopped."""
+    """A computed solution: hybrid arc plus the reason integration stopped.
+
+    ``error`` says what went wrong when ``termination`` is
+    ``Termination.error``.
+    """
 
     arc: HybridArc
     termination: Termination
     jumps: tuple[tuple[float, int], ...]  # (time, pre-jump index)
     memory_size: float
+    error: str | None = None
 
     @property
     def t_final(self) -> float:
@@ -124,7 +129,7 @@ def _as_view(window) -> WindowView:
     """A window view of a memory arc at its head; views pass through."""
     if isinstance(window, WindowView):
         return window
-    return History(window, window.delta, capacity=0).view()
+    return window.history.view()
 
 
 def _rk4(spec: SystemSpec, window: WindowView,
@@ -199,7 +204,8 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     The initial data must be admissible for the system's memory size and lie
     in the union of the flow and jump sets.  Integration stops when t or j
     reaches its horizon, when the window leaves both sets, or when the Zeno
-    guard trips.
+    guard trips.  A read outside the stored history or a non-finite state
+    stops it with ``Termination.error``, and ``Trajectory.error`` says why.
     """
     if abs(init.delta - spec.memory_size) > 1e-12:
         raise PreconditionError(
@@ -224,6 +230,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     termination = Termination.horizon_reached
     last_jump_t: float | None = None
     consecutive_jumps = 0
+    error = None
 
     def set_head_deriv(w: WindowView) -> None:
         if spec.flow_guard(w) >= -opts.guard_tol:
@@ -305,13 +312,17 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                 j += 1
                 hist.start_segment(t, g)
                 set_head_deriv(hist.view())
-    except DomainError:
+    except DomainError as exc:
         termination = Termination.error
+        error = f"{type(exc).__name__} at (t={t}, j={j}): {exc}"
     arc = hist.to_arc()
-    if any(not np.all(np.isfinite(s.values[-1])) for s in arc.forward_segments):
+    bad = [s for s in arc.forward_segments if not np.all(np.isfinite(s.values[-1]))]
+    if bad:
         termination = Termination.error
+        error = error or (f"non-finite state at (t={bad[0].hi}, "
+                          f"j={bad[0].jump_index})")
     return Trajectory(arc=arc, termination=termination, jumps=tuple(jumps),
-                      memory_size=spec.memory_size)
+                      memory_size=spec.memory_size, error=error)
 
 
 # ---------------------------------------------------------------------------

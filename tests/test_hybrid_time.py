@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hymem.hybrid_time import (ArcSegment, DomainError, History, HybridArc,
-                               HybridMemoryArc, HybridTimeDomain,
-                               InsufficientHistoryError, append_jump,
-                               arc_from_csv, arc_to_csv, constant_memory_arc,
+from hymem.builtin import example1_razumikhin_certificate
+from hymem.hybrid_time import (TIME_TOL, ArcSegment, DomainError, History,
+                               HybridArc, HybridMemoryArc, HybridTimeDomain,
+                               InsufficientHistoryError, _interpolate,
+                               _interpolate_many, append_jump, arc_from_csv,
+                               arc_to_csv, constant_memory_arc,
                                delayed_sq_integral, delta_inf,
                                memory_arc_from_function, memory_window,
                                sup_norm_w, validate_domain, vbar)
+from hymem.sampling import ArcSampler
 from hymem.solver import SimOptions, simulate
-from hymem.system import Example2Params, build_example2
+from hymem.system import (Example1Params, Example2Params, build_example1,
+                          build_example2)
 
 
 def seg(j, times, values):
@@ -404,6 +408,262 @@ class TestDelayedSquareIntegral:
         phi = HybridMemoryArc([ArcSegment(0, np.linspace(-1, 0, 5), vals)], 0.0)
         assert delayed_sq_integral(phi, -1.0, 0.0,
                                    components=slice(0, 1)) == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# Array paths against the pointwise code they replaced
+# ---------------------------------------------------------------------------
+
+def _interpolate_loop(times, values, derivs, ts, scheme):
+    """One pointwise interpolation per query time."""
+    return np.array([_interpolate(times, values, derivs, t, scheme) for t in ts])
+
+
+def _window_extremum_loop(phi, fn, batch, refine_tol=1e-9, max_levels=6):
+    """The window maximum with one pointwise interpolation per midpoint."""
+    floor = -phi.delta - 1 - TIME_TOL
+    best = -np.inf
+    evaluate = batch if batch is not None else (
+        lambda arr: np.array([fn(row) for row in arr]))
+    for s in phi.memory_segments:
+        mask = (s.times + s.jump_index) >= floor
+        if not np.any(mask):
+            continue
+        times = s.times[mask]
+        est = float(np.max(evaluate(s.values[mask])))
+        level_times = times
+        for _ in range(max_levels):
+            if level_times.shape[0] < 2:
+                break
+            mids = 0.5 * (level_times[:-1] + level_times[1:])
+            mid_vals = evaluate(np.array([s.interpolate(t, phi.interpolation)
+                                          for t in mids]))
+            new_est = max(est, float(np.max(mid_vals)))
+            merged = np.sort(np.concatenate([level_times, mids]))
+            if abs(new_est - est) <= refine_tol * max(1.0, abs(new_est)):
+                est = new_est
+                break
+            est = new_est
+            level_times = merged
+        best = max(best, est)
+    return best
+
+
+def _restricted_lists(s, lo, hi, scheme="linear", tol=TIME_TOL):
+    """ArcSegment.restricted built from Python lists, as (times, values,
+    derivs) arrays or None."""
+    lo = max(lo, s.lo)
+    hi = min(hi, s.hi)
+    if hi < lo - tol:
+        return None
+    if hi < lo:
+        hi = lo
+    mask = (s.times >= lo - tol) & (s.times <= hi + tol)
+    times = list(s.times[mask])
+    values = list(s.values[mask])
+    derivs = list(s.derivs[mask]) if s.derivs is not None else None
+    if not times or times[0] > lo + tol:
+        times.insert(0, lo)
+        values.insert(0, s.interpolate(lo, scheme))
+        if derivs is not None:
+            derivs.insert(0, _interpolate(s.times, s.derivs, None, lo))
+    if times[-1] < hi - tol:
+        times.append(hi)
+        values.append(s.interpolate(hi, scheme))
+        if derivs is not None:
+            derivs.append(_interpolate(s.times, s.derivs, None, hi))
+    return (np.array(times), np.array(values),
+            np.array(derivs) if derivs is not None else None)
+
+
+def _delayed_runs_lists(phi, lo, hi, tol=TIME_TOL):
+    """HybridMemoryArc.delayed_runs through one list-built segment per piece."""
+    runs = []
+    for idx in range(len(phi.memory_segments) - 1, -1, -1):
+        s = phi.memory_segments[idx]
+        if s.lo > hi + tol:
+            continue
+        if s.hi < lo - tol:
+            break
+        piece_hi = min(hi, s.hi)
+        if runs:
+            piece_hi = min(piece_hi, runs[-1][0][0])
+        cut = _restricted_lists(s, max(lo, s.lo), piece_hi, phi.interpolation, tol)
+        if cut is not None:
+            cut = ArcSegment(s.jump_index, *cut)
+            runs.append((cut.times, cut.values))
+        if s.lo <= lo + tol:
+            break
+    runs.reverse()
+    return runs
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_segment(rng, m, n, with_derivs):
+    times = np.cumsum(rng.uniform(0.01, 0.4, m)) - rng.uniform(0.0, 3.0)
+    values = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0)
+    derivs = rng.normal(size=(m, n)) * 5.0 if with_derivs else None
+    return ArcSegment(0, times, values, derivs)
+
+
+def _query_times(rng, times):
+    lo, hi = times[0], times[-1]
+    mids = 0.5 * (times[:-1] + times[1:])
+    return np.concatenate([
+        [lo - 1.0, lo - 1e-13, np.nextafter(lo, -np.inf)],  # before the first
+        times,                                                # on samples
+        mids,                                                 # midpoints
+        rng.uniform(lo, hi, 400),
+        [np.nextafter(hi, np.inf), hi + 1e-13, hi + 2.0]])     # after the last
+
+
+def _cover_arcs(spec, seed, total):
+    sampler = ArcSampler(spec, seed=seed, mode="cover")
+    per = total // 3
+    return [a.arc for region in ("C", "D", "Gplus")
+            for a in sampler.sample(region, per)]
+
+
+def _as_hermite(phi):
+    """phi with finite-difference derivative samples, read as Hermite."""
+    segs = []
+    for s in phi.memory_segments:
+        d = (np.gradient(s.values, s.times, axis=0) if s.times.shape[0] > 1
+             else np.zeros_like(s.values))
+        segs.append(ArcSegment(s.jump_index, s.times, s.values, d))
+    return HybridMemoryArc(segs, phi.delta, "hermite")
+
+
+class TestArrayInterpolant:
+    @pytest.mark.parametrize("scheme,with_derivs", [
+        ("linear", False), ("linear", True), ("hermite", True),
+        ("hermite", False)])
+    def test_equals_pointwise_bit_for_bit(self, scheme, with_derivs):
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 3, 7, 40):
+            for n in (1, 3):
+                for _ in range(4):
+                    s = _random_segment(rng, m, n, with_derivs)
+                    ts = _query_times(rng, s.times)
+                    got = _interpolate_many(s.times, s.values, s.derivs, ts, scheme)
+                    want = _interpolate_loop(s.times, s.values, s.derivs, ts,
+                                             scheme)
+                    assert _same_bits(got, want), (m, n)
+
+    def test_hermite_reads_cubic_exactly(self):
+        # derivative samples of a cubic make the Hermite interpolant exact
+        times = np.linspace(-1.0, 0.0, 5)
+        f = lambda t: t ** 3 - 2 * t
+        s = ArcSegment(0, times, f(times)[:, None], (3 * times ** 2 - 2)[:, None])
+        ts = np.linspace(-1.0, 0.0, 33)
+        got = _interpolate_many(s.times, s.values, s.derivs, ts, "hermite")
+        assert np.allclose(got[:, 0], f(ts), atol=1e-14)
+
+
+class TestWindowMaximumArrayPath:
+    """vbar and sup_norm_w equal the pointwise refinement on cover arcs."""
+
+    def test_example1_vbar(self):
+        p = Example1Params.paper()
+        spec, _ = build_example1(p)
+        cert, _ = example1_razumikhin_certificate(p)
+        arcs = _cover_arcs(spec, 5, 201)
+        assert len(arcs) == 201
+        for phi in arcs:
+            assert vbar(phi, cert.v, batch=cert.v_batch) == \
+                _window_extremum_loop(phi, cert.v, cert.v_batch)
+        for phi in arcs[::10]:  # row by row when there is no batch form
+            assert vbar(phi, cert.v) == _window_extremum_loop(phi, cert.v, None)
+
+    @pytest.mark.parametrize("hermite", [False, True], ids=["linear", "hermite"])
+    def test_example2_sup_norm(self, hermite):
+        spec, target = build_example2(Example2Params.case2())
+        arcs = _cover_arcs(spec, 6, 201)
+        if hermite:
+            arcs = [_as_hermite(phi) for phi in arcs]
+        for phi in arcs:
+            assert sup_norm_w(phi, target.dist, batch=target.dist_batch) == \
+                _window_extremum_loop(phi, target.dist, target.dist_batch)
+
+
+class TestArraySlicing:
+    def test_restricted_equals_list_slicing(self):
+        rng = np.random.default_rng(23)
+        checked = 0
+        for m in (1, 2, 5, 30):
+            for with_derivs in (False, True):
+                for _ in range(10):
+                    s = _random_segment(rng, m, 2, with_derivs)
+                    cuts = list(zip(rng.uniform(s.lo - 0.5, s.hi + 0.5, 12),
+                                    rng.uniform(0.0, 1.5, 12)))
+                    cuts += [(s.lo, 0.0), (s.hi, 0.0), (s.lo - 1.0, 0.5),
+                             (s.hi + 1e-13, 1.0), (s.lo - 1e-13, s.hi - s.lo)]
+                    cuts += [(t, 0.5 * w) for t, w in
+                             zip(s.times, np.diff(s.times, append=s.hi + 1))]
+                    for lo, width in cuts:
+                        for scheme in ("linear", "hermite"):
+                            got = s.restricted(lo, lo + width, scheme)
+                            want = _restricted_lists(s, lo, lo + width, scheme)
+                            if want is None:
+                                assert got is None
+                                continue
+                            assert _same_bits(got.times, want[0])
+                            assert _same_bits(got.values, want[1])
+                            assert _same_bits(got.derivs, want[2])
+                            checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("hermite", [False, True], ids=["linear", "hermite"])
+    def test_delayed_runs_equal_segment_path(self, hermite):
+        p = Example2Params.case2()
+        spec, _ = build_example2(p)
+        arcs = _cover_arcs(spec, 8, 120)
+        if hermite:
+            arcs = [_as_hermite(phi) for phi in arcs]
+        rng = np.random.default_rng(29)
+        pieces = 0
+        for phi in arcs:
+            reach = phi.time_reach
+            for lo, hi in [(-p.r, 0.0), (reach, 0.0),
+                           *sorted(rng.uniform(reach, 0.0, (3, 2)).tolist())]:
+                lo, hi = min(lo, hi), max(lo, hi)
+                got = phi.delayed_runs(lo, hi)
+                want = _delayed_runs_lists(phi, lo, hi)
+                assert len(got) == len(want)
+                for (gt, gv), (wt, wv) in zip(got, want):
+                    assert _same_bits(gt, wt) and _same_bits(gv, wv)
+                pieces += len(got)
+        assert pieces > 600
+
+
+class TestHistoryOfMemoryArc:
+    def test_reads_like_a_fresh_history(self):
+        phi = HybridMemoryArc(
+            [seg(-1, np.linspace(-0.85, -0.4, 10), np.linspace(2.0, 1.0, 10)),
+             seg(0, np.linspace(-0.4, 0.0, 9), np.cos(np.linspace(-0.4, 0, 9)))],
+            0.9)
+        grid = np.concatenate([np.linspace(phi.time_reach, 0.0, 57),
+                               [-0.4, -0.4 - 1e-13, 1e-13]])
+        first = [phi.delayed(float(s)).tobytes() for s in grid]
+        again = [phi.delayed(float(s)).tobytes() for s in grid]
+        fresh = [History(phi, phi.delta).value(float(s)).tobytes() for s in grid]
+        assert first == again == fresh
+        # a jump instant reads the post-jump value
+        assert phi.delayed(-0.4)[0] == phi.memory_segments[1].values[0, 0]
+        with pytest.raises(DomainError, match="after the stored history"):
+            phi.delayed(1e-6)
+        with pytest.raises(InsufficientHistoryError):
+            phi.delayed(-0.9)
+
+    def test_history_is_built_once(self):
+        phi = constant_memory_arc(np.array([1.0, 2.0]), 0.5)
+        assert phi.history is phi.history
+        assert phi.history.n == phi.memory_segments[0].times.shape[0]
 
 
 class TestCsvRoundTrip:

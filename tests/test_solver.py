@@ -1,14 +1,17 @@
 """Solver tests: closed forms, an independent method-of-steps reference,
 order of accuracy, event location, and the a-posteriori solution check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from hymem.hybrid_time import ArcSegment, HybridArc, constant_memory_arc, validate_domain
 from hymem.solver import (EventLocationError, PreconditionError, SimOptions,
-                          Termination, Trajectory, integrate_flow_step,
-                          locate_event, run_summary, simulate, verify_solution)
+                          Termination, Trajectory, _as_view, flow_window,
+                          integrate_flow_step, locate_event, run_summary,
+                          simulate, verify_solution)
 from hymem.system import (Example1Params, Example2Params, LinearDelayConfig,
                           build_example1, build_example2,
                           build_linear_delay_system)
@@ -273,3 +276,51 @@ class TestRunSummary:
         assert s["termination"] == "horizon_reached"
         assert s["sup_norm_initial"] == pytest.approx(1.0)
         assert s["jumps"] == len(traj.jumps)
+
+
+class TestTerminationReason:
+    def test_too_deep_delayed_read_is_reported(self):
+        spec, target = decay_system()
+        deep = dataclasses.replace(spec, flow_selection=lambda w: -w.delayed(-5.0))
+        init = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
+        traj = simulate(deep, init, SimOptions(t_max=1.0, step=0.1))
+        assert traj.termination is Termination.error
+        assert "time -5.0 precedes all stored history" in traj.error
+        assert "t=0.0" in traj.error
+        assert "error" not in run_summary(traj, target)
+
+    def test_overflow_is_reported(self):
+        spec, _ = decay_system()
+        blowup = dataclasses.replace(spec, flow_selection=lambda w: 1e308 * w.head)
+        init = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = simulate(blowup, init, SimOptions(t_max=0.5, step=0.1))
+        assert traj.termination is Termination.error
+        assert traj.error == "non-finite state at (t=0.5, j=0)"
+
+    def test_no_error_when_the_horizon_is_reached(self):
+        spec, _ = decay_system()
+        init = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
+        traj = simulate(spec, init, SimOptions(t_max=0.5, step=0.1))
+        assert traj.termination is Termination.horizon_reached
+        assert traj.error is None
+
+
+class TestMemoryArcViews:
+    def test_view_ignores_earlier_flow_window(self):
+        p = Example2Params.case2()
+        spec, _ = build_example2(p)
+        phi = const_history(spec, [1.0, 0.0])
+        n_stored = sum(s.times.shape[0] for s in phi.memory_segments)
+        before = integrate_flow_step(spec, phi, 0.01)
+        w_h = flow_window(spec, phi, 0.05)
+        assert w_h.head.tobytes() != phi.head.tobytes()
+        view = _as_view(phi)
+        assert view.history is phi.history
+        assert view.history.n == n_stored
+        assert view.head.tobytes() == phi.head.tobytes()
+        assert view.delayed(0.0).tobytes() == phi.head.tobytes()
+        after = integrate_flow_step(spec, phi, 0.01)
+        fresh = integrate_flow_step(spec, const_history(spec, [1.0, 0.0]), 0.01)
+        for a, b, c in zip(before, after, fresh):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
