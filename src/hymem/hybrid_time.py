@@ -236,7 +236,8 @@ class ArcSegment:
 
     def restricted(self, lo: float, hi: float, scheme: str = "linear",
                    tol: float = TIME_TOL) -> "ArcSegment | None":
-        """Slice of the segment on [lo, hi], adding interpolated boundary samples."""
+        """Slice of the segment on [lo, hi], adding interpolated boundary
+        samples: the arrays of :meth:`_slice` wrapped in a segment."""
         cut = self._slice(lo, hi, scheme, tol)
         return None if cut is None else ArcSegment(self.jump_index, *cut)
 
