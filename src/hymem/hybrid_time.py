@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -160,13 +159,11 @@ def _interpolate_many(times: np.ndarray, values: np.ndarray,
     """:func:`_interpolate` at every time of ``ts``, one row each, bit for bit.
 
     One binary search for all of ``ts``, then the same blend formulas with
-    the weights as a column.  ``times`` must be strictly increasing, as in
-    an :class:`ArcSegment`.
+    the weights as a column.  ``times`` must hold at least two strictly
+    increasing samples (the window maximum refines only such segments).
     """
-    m = times.shape[0]
-    if m < 2:
-        return np.repeat(values[:1], ts.shape[0], axis=0)
-    i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, m - 2)
+    i = np.clip(np.searchsorted(times, ts, side="right") - 1,
+                0, times.shape[0] - 2)
     t0 = times[i]
     h = (times[i + 1] - t0)[:, None]
     w = (ts - t0)[:, None] / h
@@ -380,20 +377,12 @@ class HybridMemoryArc(HybridArc):
         """Oldest time covered by the arc (a nonpositive number)."""
         return self.memory_segments[0].lo
 
-    @cached_property
-    def history(self) -> "History":
-        """The arc's samples as a :class:`History`, built on first use and
-        kept for the arc's lifetime; window views of the arc read it.
-        Never append to it."""
-        return History(self, self.delta, capacity=0)
-
     def delayed(self, s: float, tol: float = TIME_TOL) -> np.ndarray:
         """Value at (s, k(s)) where k(s) is the maximal jump index at time s.
 
         Reads the newest segment whose first sample is at or before s (up to
-        tol), as :meth:`History.value` does.  It reads the segments directly,
-        not through :attr:`history`, so that a read keeps no second copy of
-        the arc's samples alive.
+        tol), as :meth:`History.value` does, but reads the segments in place
+        rather than copying them into a :class:`History`.
         """
         segments = self.memory_segments
         if s > segments[-1].hi + tol:

@@ -129,7 +129,7 @@ def _as_view(window) -> WindowView:
     """A window view of a memory arc at its head; views pass through."""
     if isinstance(window, WindowView):
         return window
-    return window.history.view()
+    return History(window, window.delta, capacity=0).view()
 
 
 def _rk4(spec: SystemSpec, window: WindowView,

@@ -316,7 +316,6 @@ class TestMemoryArcViews:
         w_h = flow_window(spec, phi, 0.05)
         assert w_h.head.tobytes() != phi.head.tobytes()
         view = _as_view(phi)
-        assert view.history is phi.history
         assert view.history.n == n_stored
         assert view.head.tobytes() == phi.head.tobytes()
         assert view.delayed(0.0).tobytes() == phi.head.tobytes()
