@@ -7,7 +7,6 @@ from .hybrid_time import (
     History,
     HybridArc,
     HybridMemoryArc,
-    HybridTime,
     HybridTimeDomain,
     InsufficientHistoryError,
     append_jump,

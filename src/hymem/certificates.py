@@ -1,10 +1,16 @@
 """Sampling-based verification of Lyapunov stability certificates.
 
-The checkers evaluate the hypotheses of the pointwise (threshold and Halanay
-form) and functional certificates on randomly sampled memory arcs and report
-every failure with a witness.  They falsify, not prove: zero violations over
-a sample set is evidence, a reported violation is a certified
-counterexample (re-evaluating the witness reproduces it exactly).
+The pointwise certificates (threshold and Halanay form) and the functional
+(Krasovskii) certificate state the same three hypotheses: (i) sandwich
+bounds on the window, (ii) decrease along flows, (iii) decrease across
+jumps.  One pipeline, :func:`_check`, draws flow, jump and post-jump arcs
+from the sampler, evaluates (i) on all of them, (ii) on the flow arcs and
+(iii) on the jump arcs, and records every evaluation; each checker only
+supplies its certificate's value on an arc and its (ii) and (iii) terms.
+
+The checkers falsify, not prove: zero violations over a sample set is
+evidence, a reported violation is a certified counterexample (re-evaluating
+the witness reproduces it exactly).
 
 Default slack: 1e-9 for algebraic conditions, 1e-7 + 10 h for conditions
 evaluated through an h-step finite difference.
@@ -12,9 +18,8 @@ evaluated through an h-step finite difference.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -126,7 +131,7 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_json_dict(self, elapsed: float | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "certificate": self.certificate,
             "samples": self.checked,
@@ -138,11 +143,8 @@ class CheckReport:
             "region_counts": dict(sorted(self.region_counts.items())),
             "meta": {k: v for k, v in sorted(self.meta.items())
                      if isinstance(v, (int, float, str, bool))},
-            "elapsed": elapsed,
+            "elapsed": None,
         }
-
-    def to_json(self, elapsed: float | None = None) -> str:
-        return json.dumps(self.to_json_dict(elapsed), indent=2, sort_keys=True)
 
 
 class _Recorder:
@@ -248,14 +250,6 @@ def check_gradient(cert, points: np.ndarray, rel_tol: float = 1e-6) -> None:
                 f"x={x.tolist()} (|diff|={np.linalg.norm(fd - g):.3e})")
 
 
-def _gradient_check_points(samples: Sequence[ArcSample], budget: int = 1000
-                           ) -> np.ndarray:
-    pts = [s.arc.head for s in samples]
-    if not pts:
-        return np.empty((0, 0))
-    return np.array(pts[:budget])
-
-
 def _split_counts(total: int) -> tuple[int, int, int]:
     n_c = max(1, int(round(total * 0.4)))
     n_d = max(1, int(round(total * 0.3)))
@@ -267,57 +261,89 @@ def _split_counts(total: int) -> tuple[int, int, int]:
 # Checkers
 # ---------------------------------------------------------------------------
 
-def _check_pointwise(spec: SystemSpec, cert, sampler: ArcSampler,
-                     slack: float | None, samples: int,
-                     target: TargetSet | None,
-                     premise: Callable[[float, float], bool] | None,
-                     flow_rhs: Callable[[float, float], float],
-                     jump_rhs: Callable[[float], float]) -> CheckReport:
-    """The pipeline shared by the pointwise checkers.
+def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
+           target: TargetSet | None, h: float,
+           value: Callable[[HybridMemoryArc], float],
+           upper: Callable[[HybridMemoryArc, float], float],
+           flow: Callable[[ArcSample, float, float], Iterable[tuple]],
+           jump: Callable[[ArcSample, float, float], Iterable[tuple]],
+           meta: dict) -> CheckReport:
+    """The pipeline of every checker; a certificate form supplies its terms.
 
-    (i) sandwich at the window head on C, D and post-jump arcs; (ii) on a
-    flow arc whose premise(V, Vbar) holds (every one when premise is None),
-    grad V . f <= flow_rhs(V, Vbar) for every flow candidate f; (iii)
-    V(g) <= jump_rhs(Vbar) for every jump candidate g.
+    Draws C, D and post-jump arcs and records, in this order: (i) on every
+    arc, alpha1(|head|_W) <= value(phi) <= alpha2(upper(phi, |head|_W));
+    (ii) on every flow arc, each (lhs, rhs, aux) that flow(s, value,
+    |head|_W) yields as lhs <= rhs; (iii) on every jump arc, each triple
+    that jump(s, value, |head|_W) yields.  Every arc's value and head
+    distance are computed once, in (i).  A certificate with a gradient has
+    it screened at up to 1000 flow and jump heads before anything is
+    recorded.  h sets the default derivative slack; meta joins the report's
+    meta when the run ends, so the terms may update it.
     """
     if target is None:
         raise ValueError("a TargetSet is required (pass target=...)")
     rec = _Recorder(slack if slack is not None else ALGEBRAIC_SLACK,
-                    slack if slack is not None else derivative_slack(0.0))
+                    slack if slack is not None else derivative_slack(h))
     n_c, n_d, n_g = _split_counts(samples)
     c_arcs = sampler.sample("C", n_c)
     d_arcs = sampler.sample("D", n_d)
     g_arcs = sampler.sample("Gplus", n_g)
-    check_gradient(cert, _gradient_check_points(c_arcs + d_arcs))
+    if hasattr(cert, "grad_v"):
+        check_gradient(cert, np.array([s.arc.head
+                                       for s in (c_arcs + d_arcs)[:1000]]))
 
+    values = []  # (value, |head|_W) of every arc, in drawing order
     for s in c_arcs + d_arcs + g_arcs:
-        head = s.arc.head
-        dw = float(target.dist(head))
-        vh = float(cert.v(head))
-        rec.record(f"{cert.name}.i.lower", s, cert.alpha1(dw), vh, True)
-        rec.record(f"{cert.name}.i.upper", s, vh, cert.alpha2(dw), True)
+        dw = float(target.dist(s.arc.head))
+        val = value(s.arc)
+        rec.record(f"{cert.name}.i.lower", s, cert.alpha1(dw), val, True)
+        rec.record(f"{cert.name}.i.upper", s, val, cert.alpha2(upper(s.arc, dw)),
+                   True)
+        values.append((val, dw))
 
-    for s in c_arcs:
-        head = s.arc.head
-        vh = float(cert.v(head))
-        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
-        if premise is not None and not premise(vh, vb):
-            continue  # no decay required here
-        grad = np.asarray(cert.grad_v(head), dtype=float)
-        for ci, f in enumerate(spec.flow_candidates(s.arc)):
-            lhs = float(grad @ np.asarray(f, dtype=float))
-            rec.record(f"{cert.name}.ii", s, lhs, flow_rhs(vh, vb), False,
-                       aux=("flow_candidate", ci))
+    for s, (val, dw) in zip(c_arcs, values):
+        for lhs, rhs, aux in flow(s, val, dw):
+            rec.record(f"{cert.name}.ii", s, lhs, rhs, False, aux)
 
-    for s in d_arcs:
-        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
-        for gi, g in enumerate(spec.jump_selections(s.arc)):
-            rec.record(f"{cert.name}.iii", s, float(cert.v(np.asarray(g))),
-                       jump_rhs(vb), True, aux=("jump_candidate", gi))
+    for s, (val, dw) in zip(d_arcs, values[len(c_arcs):]):
+        for lhs, rhs, aux in jump(s, val, dw):
+            rec.record(f"{cert.name}.iii", s, lhs, rhs, True, aux)
 
     counts = {"C": len(c_arcs), "D": len(d_arcs), "Gplus": len(g_arcs)}
     return rec.report(cert.name, sum(counts.values()), counts,
-                      meta={"sampler_mode": sampler.mode, "seed": sampler.seed})
+                      meta={"sampler_mode": sampler.mode, "seed": sampler.seed,
+                            **meta})
+
+
+def _check_pointwise(spec: SystemSpec, cert, sampler: ArcSampler,
+                     slack: float | None, samples: int,
+                     target: TargetSet | None,
+                     premise: Callable[[float, float], bool],
+                     flow_rhs: Callable[[float, float], float],
+                     jump_rhs: Callable[[float], float]) -> CheckReport:
+    """The pointwise forms' terms for :func:`_check`.
+
+    (i) sandwich at the window head; (ii) on a flow arc whose premise(V,
+    Vbar) holds, grad V . f <= flow_rhs(V, Vbar) for every flow candidate f;
+    (iii) V(g) <= jump_rhs(Vbar) for every jump candidate g.
+    """
+    def flow(s: ArcSample, vh: float, dw: float):
+        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
+        if not premise(vh, vb):
+            return  # no decay required here
+        grad = np.asarray(cert.grad_v(s.arc.head), dtype=float)
+        for ci, f in enumerate(spec.flow_candidates(s.arc)):
+            yield (float(grad @ np.asarray(f, dtype=float)), flow_rhs(vh, vb),
+                   ("flow_candidate", ci))
+
+    def jump(s: ArcSample, vh: float, dw: float):
+        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
+        for gi, g in enumerate(spec.jump_selections(s.arc)):
+            yield float(cert.v(np.asarray(g))), jump_rhs(vb), ("jump_candidate", gi)
+
+    return _check(cert, sampler, slack, samples, target, 0.0,
+                  value=lambda arc: float(cert.v(arc.head)),
+                  upper=lambda arc, dw: dw, flow=flow, jump=jump, meta={})
 
 
 def check_razumikhin(spec: SystemSpec, cert: RazumikhinCertificate,
@@ -348,25 +374,24 @@ def check_halanay(spec: SystemSpec, cert: HalanayCertificate,
     threshold check."""
     validate_halanay(cert)
     return _check_pointwise(
-        spec, cert, sampler, slack, samples, target, premise=None,
+        spec, cert, sampler, slack, samples, target,
+        premise=lambda vh, vb: True,
         flow_rhs=lambda vh, vb: -cert.mu * vh + cert.q * vb,
         jump_rhs=lambda vb: cert.rho * vb)
 
 
-def _dplus_v(spec: SystemSpec, cert: KrasovskiiCertificate,
-             phi: HybridMemoryArc, h: float) -> tuple[float, float]:
-    """Forward difference of the functional along the selected flow.
+def _quotient(spec: SystemSpec, cert: KrasovskiiCertificate,
+              phi: HybridMemoryArc, h: float, base: float) -> float:
+    """(Vf(flow window of phi over h) - base) / h, with base = Vf(phi).
 
-    Shrinks h when the flow would leave the flow set within h; errors when
-    no positive duration keeps it inside.  Returns (value, h actually used).
+    Halves h while the flow would leave the flow set within h; errors when
+    no positive duration keeps it inside.
     """
-    h_eff = h
     for _ in range(30):
-        w_h = flow_window(spec, phi, h_eff)
+        w_h = flow_window(spec, phi, h)
         if spec.flow_guard(w_h) >= -1e-7:
-            base = float(cert.vf(phi))
-            return (float(cert.vf(w_h)) - base) / h_eff, h_eff
-        h_eff *= 0.5
+            return (float(cert.vf(w_h)) - base) / h
+        h *= 0.5
     raise PreconditionError("flow leaves the flow set immediately; the "
                             "functional derivative is undefined here")
 
@@ -375,8 +400,7 @@ def dplus_v(spec: SystemSpec, cert: KrasovskiiCertificate,
             phi: HybridMemoryArc, h: float) -> float:
     """Finite-difference upper right-hand derivative of the functional at phi
     along the selected flow (exact for single-valued flow maps as h -> 0+)."""
-    value, _ = _dplus_v(spec, cert, phi, h)
-    return value
+    return _quotient(spec, cert, phi, h, float(cert.vf(phi)))
 
 
 def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
@@ -391,50 +415,29 @@ def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
     candidates are screened for an empirical norm bound (local boundedness).
     """
     validate_krasovskii(cert)
-    if target is None:
-        raise ValueError("a TargetSet is required (pass target=...)")
-    rec = _Recorder(slack if slack is not None else ALGEBRAIC_SLACK,
-                    slack if slack is not None else derivative_slack(h))
-    n_c, n_d, n_g = _split_counts(samples)
-    c_arcs = sampler.sample("C", n_c)
-    d_arcs = sampler.sample("D", n_d)
-    g_arcs = sampler.sample("Gplus", n_g)
+    meta = {"flow_bound_observed": 0.0, "flow_arcs_skipped": 0, "h": h}
 
-    flow_bound = 0.0
-    skipped_flow = 0
-    for s in c_arcs + d_arcs + g_arcs:
-        head = s.arc.head
-        dw = float(target.dist(head))
-        vf = float(cert.vf(s.arc))
-        sup = sup_norm_w(s.arc, target.dist, batch=target.dist_batch)
-        rec.record(f"{cert.name}.i.lower", s, cert.alpha1(dw), vf, True)
-        rec.record(f"{cert.name}.i.upper", s, vf, cert.alpha2(sup), True)
-
-    for s in c_arcs:
-        dw = float(target.dist(s.arc.head))
+    def flow(s: ArcSample, vf: float, dw: float):
         for f in spec.flow_candidates(s.arc):
-            flow_bound = max(flow_bound, float(np.linalg.norm(f)))
+            meta["flow_bound_observed"] = max(meta["flow_bound_observed"],
+                                              float(np.linalg.norm(f)))
         try:
-            d, _ = _dplus_v(spec, cert, s.arc, h)
+            d = _quotient(spec, cert, s.arc, h, vf)
         except PreconditionError:
-            skipped_flow += 1
-            continue
-        rec.record(f"{cert.name}.ii", s, d, -cert.alpha3(dw), False)
+            meta["flow_arcs_skipped"] += 1
+            return
+        yield d, -cert.alpha3(dw), ()
 
-    for s in d_arcs:
-        head = s.arc.head
-        dw = float(target.dist(head))
-        base = float(cert.vf(s.arc))
+    def jump(s: ArcSample, vf: float, dw: float):
         for gi, g in enumerate(spec.jump_selections(s.arc)):
             lhs = float(cert.vf(append_jump(s.arc, np.asarray(g, dtype=float))))
-            rec.record(f"{cert.name}.iii", s, lhs - base, -cert.alpha3(dw),
-                       True, aux=("jump_candidate", gi))
+            yield lhs - vf, -cert.alpha3(dw), ("jump_candidate", gi)
 
-    counts = {"C": len(c_arcs), "D": len(d_arcs), "Gplus": len(g_arcs)}
-    return rec.report(cert.name, sum(counts.values()), counts,
-                      meta={"sampler_mode": sampler.mode, "seed": sampler.seed,
-                            "flow_bound_observed": flow_bound,
-                            "flow_arcs_skipped": skipped_flow, "h": h})
+    return _check(cert, sampler, slack, samples, target, h,
+                  value=lambda arc: float(cert.vf(arc)),
+                  upper=lambda arc, dw: sup_norm_w(arc, target.dist,
+                                                   batch=target.dist_batch),
+                  flow=flow, jump=jump, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +491,7 @@ class KLEnvelopeReport:
     def passed(self) -> bool:
         return self.bounded_ok and self.attractive_ok
 
-    def to_json_dict(self, elapsed: float | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "bounded_ok": self.bounded_ok,
             "attractive_ok": self.attractive_ok,
@@ -496,7 +499,7 @@ class KLEnvelopeReport:
             "time_table": [list(row) for row in self.time_table],
             "overshoot_cap": self.overshoot_cap,
             "trajectories": self.trajectories,
-            "elapsed": elapsed,
+            "elapsed": None,
         }
 
 
@@ -561,12 +564,9 @@ def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
                     break
                 if np.any(above):
                     last = int(np.flatnonzero(above)[-1])
-                    t_i = float(tj[last + 1]) if last + 1 < len(tj) else None
+                    t_i = float(tj[last + 1])
                 else:
                     t_i = 0.0
-                if t_i is None:
-                    worst_T = None
-                    break
                 worst_T = max(worst_T, t_i)
             time_rows.append((float(eps), float(eta), worst_T))
             if worst_T is None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,13 +40,6 @@ class DomainError(ValueError):
 
 class InsufficientHistoryError(DomainError):
     """Raised when a memory lookup reaches past all stored history."""
-
-
-class HybridTime(NamedTuple):
-    """A point (t, j) in hybrid time."""
-
-    t: float
-    j: int
 
 
 @dataclass(frozen=True)
@@ -231,16 +224,10 @@ class ArcSegment:
         """Evaluate the segment at time t (must lie in [lo, hi] up to tol)."""
         return _interpolate(self.times, self.values, self.derivs, t, scheme)
 
-    def restricted(self, lo: float, hi: float, scheme: str = "linear",
-                   tol: float = TIME_TOL) -> "ArcSegment | None":
-        """Slice of the segment on [lo, hi], adding interpolated boundary
-        samples: the arrays of :meth:`_slice` wrapped in a segment."""
-        cut = self._slice(lo, hi, scheme, tol)
-        return None if cut is None else ArcSegment(self.jump_index, *cut)
-
     def _slice(self, lo: float, hi: float, scheme: str, tol: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
-        """(times, values, derivs) of :meth:`restricted`, without the segment.
+        """(times, values, derivs) of the segment on [lo, hi], with
+        interpolated boundary samples.
 
         The stored samples within tol of [lo, hi] are one contiguous slice
         (a view, found by two binary searches); interpolated samples at lo
@@ -398,11 +385,11 @@ class HybridMemoryArc(HybridArc):
         """Stored samples of s -> phi(s, k(s)) on [lo, hi], split at memory jumps.
 
         Returns one (times, values) pair of arrays per continuous piece,
-        sliced from the segments as :meth:`ArcSegment.restricted` slices
-        them (boundary points interpolated in) but without building a
-        segment per piece; they may be read-only views of the arc's own
-        samples.  Jump instants belong to the newer (post-jump) piece,
-        matching the maximal-k rule.
+        sliced from the segments by :meth:`ArcSegment._slice` (boundary
+        points interpolated in) without building a segment per piece;
+        they may be read-only views of the arc's own samples.  Jump
+        instants belong to the newer (post-jump) piece, matching the
+        maximal-k rule.
         """
         if hi < lo:
             raise ValueError("need lo <= hi")

@@ -32,6 +32,9 @@ from .solver import SimOptions, Trajectory, simulate
 from .system import SystemSpec
 
 _REGIONS = ("C", "D", "Gplus")
+AMPLITUDE = (0.1, 2.0)  # range of a random arc's amplitude
+SEGMENT_COUNTS = (0, 1, 2, 3)  # memory jumps of an unclocked cover arc
+GUARD_TOL = 1e-7  # guard slack of an emitted arc
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,6 @@ class ArcSampler:
     spec: SystemSpec
     seed: int = 0
     mode: str = "reachable"  # "reachable" | "cover" | "both"
-    amplitude: tuple[float, float] = (0.1, 2.0)
-    segment_counts: tuple[int, ...] = (0, 1, 2, 3)
-    step: float | None = None
-    guard_tol: float = 1e-7
 
     def __post_init__(self):
         if self.mode not in ("reachable", "cover", "both"):
@@ -114,16 +113,14 @@ class ArcSampler:
             g = self.spec.jump_guard(arc)
         else:
             return  # post-jump arcs are in C u D by construction of the clock
-        if g < -self.guard_tol:
+        if g < -GUARD_TOL:
             raise RuntimeError(f"sampler emitted an arc violating its {region} "
                                f"guard (value {g:.3e})")
 
     def _sim_options(self) -> SimOptions:
         period = self.spec.meta.get("period")
         depth = self.spec.memory_size + 1.0
-        if self.step is not None:
-            step = self.step
-        elif period is not None:
+        if period is not None:
             step = min(period / 40.0, depth / 50.0)
         else:
             step = depth / 100.0
@@ -134,7 +131,7 @@ class ArcSampler:
         n = self.spec.dimension
         clock = self.spec.meta.get("clock_index")
         period = self.spec.meta.get("period")
-        lo, hi = self.amplitude
+        lo, hi = AMPLITUDE
         amp = rng.uniform(lo, hi)
         v = amp * rng.uniform(-1.0, 1.0, size=n)
         if clock is not None:
@@ -202,7 +199,7 @@ class ArcSampler:
         clock = self.spec.meta.get("clock_index")
         period = self.spec.meta.get("period")
         delta = self.spec.memory_size
-        lo, hi = self.amplitude
+        lo, hi = AMPLITUDE
         amp = rng.uniform(lo, hi)
         depth_total = delta + rng.uniform(0.05, 0.95)  # target depth in s + k
 
@@ -230,8 +227,8 @@ class ArcSampler:
             bounds = [0.0] + [-tau0 - m * period for m in range(k_count)]
             bounds.append(-(depth_cut - k_count))
         else:
-            max_jumps = min(max(self.segment_counts), int(np.floor(depth_total)))
-            counts = [c for c in self.segment_counts if c <= max_jumps] or [0]
+            max_jumps = min(max(SEGMENT_COUNTS), int(np.floor(depth_total)))
+            counts = [c for c in SEGMENT_COUNTS if c <= max_jumps] or [0]
             k_count = int(rng.choice(counts))
             time_depth = depth_total - k_count
             cuts = np.sort(rng.uniform(-time_depth, 0.0, size=k_count))[::-1]

@@ -166,31 +166,26 @@ def locate_event(spec: SystemSpec, window, h_bracket: float,
     satisfies guard(flow(h*)) >= -guard_tol with bracket width <= event_tol,
     so the accepted flow segment can end at h*.
     """
-    gfun = spec.flow_guard if guard == "flow" else spec.jump_guard
+    # The flow guard crosses from inside (>= 0) to outside, the jump guard
+    # from outside to inside; lo always stays on the starting side.
+    crossing_down = guard == "flow"
+    gfun = spec.flow_guard if crossing_down else spec.jump_guard
     window = _as_view(window)
     sign0 = gfun(window)
     x_end, _ = _rk4(spec, window, h_bracket)
     g_end = gfun(window.extend(h_bracket, x_end))
-    if guard == "flow":
-        if sign0 < -guard_tol or g_end >= -guard_tol:
-            raise EventLocationError(
-                f"flow guard does not cross in bracket (g0={sign0:.3e}, "
-                f"g1={g_end:.3e})", (0.0, h_bracket))
-        crossing_down = True
-    else:
-        if sign0 >= -guard_tol or g_end < -guard_tol:
-            raise EventLocationError(
-                f"jump guard does not cross in bracket (g0={sign0:.3e}, "
-                f"g1={g_end:.3e})", (0.0, h_bracket))
-        crossing_down = False
+    if ((sign0 >= -guard_tol) != crossing_down
+            or (g_end >= -guard_tol) == crossing_down):
+        raise EventLocationError(
+            f"{guard} guard does not cross in bracket (g0={sign0:.3e}, "
+            f"g1={g_end:.3e})", (0.0, h_bracket))
 
     lo, hi = 0.0, h_bracket
     while hi - lo > event_tol:
         mid = 0.5 * (lo + hi)
         x_mid, _ = _rk4(spec, window, mid)
         g_mid = gfun(window.extend(mid, x_mid))
-        inside = g_mid >= 0.0 if crossing_down else g_mid < 0.0
-        if inside:
+        if (g_mid >= 0.0) == crossing_down:
             lo = mid
         else:
             hi = mid

@@ -34,14 +34,6 @@ class TargetSet:
     dist_batch: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "custom"
 
-    def __call__(self, z: np.ndarray) -> float:
-        return self.dist(z)
-
-    def batch(self, arr: np.ndarray) -> np.ndarray:
-        if self.dist_batch is not None:
-            return self.dist_batch(arr)
-        return np.array([self.dist(row) for row in arr])
-
 
 @dataclass(frozen=True)
 class SystemSpec:

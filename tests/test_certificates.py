@@ -1,9 +1,13 @@
 """Certificate screening, the functional derivative, checkers, and the
 trajectory-level conclusion checks."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from hymem import certificates
 from hymem.builtin import (example1_halanay_certificate,
                            example1_razumikhin_certificate,
                            example2_krasovskii_certificate)
@@ -263,6 +267,30 @@ class TestExample2Checks:
         rep = check_krasovskii(spec, cert, ArcSampler(spec, seed=0, mode="both"),
                                samples=300, target=target)
         assert any(v.condition == "krasovskii.iii" for v in rep.violations)
+
+    def test_functional_evaluated_once_per_arc_window_and_jump(self, monkeypatch):
+        p = Example2Params.case2()
+        spec, target = build_example2(p)
+        cert, _ = example2_krasovskii_certificate(p)
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(certificates, "flow_window",
+                            counted("window", certificates.flow_window))
+        monkeypatch.setattr(certificates, "append_jump",
+                            counted("jump", certificates.append_jump))
+        cert = dataclasses.replace(cert, vf=counted("vf", cert.vf))
+        rep = check_krasovskii(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
+                               samples=50, target=target)
+        assert rep.passed
+        assert calls["window"] == rep.region_counts["C"] > 0
+        assert calls["jump"] >= rep.region_counts["D"] > 0
+        assert calls["vf"] == rep.checked + calls["window"] + calls["jump"]
 
     def test_report_json_shape(self):
         p = Example2Params.case2()

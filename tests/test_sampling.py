@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hymem.sampling import ArcSampler
+from hymem.sampling import AMPLITUDE, ArcSampler
 from hymem.system import (Example1Params, Example2Params, LinearDelayConfig,
                           build_example1, build_example2,
                           build_linear_delay_system)
@@ -75,7 +75,7 @@ def test_cover_clock_history_is_consistent():
 
 def test_amplitude_range_respected():
     spec, _ = build_example2(Example2Params.case2())
-    sampler = ArcSampler(spec, seed=0, mode="cover", amplitude=(0.1, 0.5))
+    sampler = ArcSampler(spec, seed=0, mode="cover")
     for s in sampler.sample("C", 20):
         xs = np.concatenate([seg.values[:, 0] for seg in s.arc.memory_segments])
-        assert np.max(np.abs(xs)) <= 0.5 + 1e-12
+        assert np.max(np.abs(xs)) <= AMPLITUDE[1] + 1e-12

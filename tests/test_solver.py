@@ -13,7 +13,7 @@ from hymem.solver import (EventLocationError, PreconditionError, SimOptions,
                           integrate_flow_step, locate_event, run_summary,
                           simulate, verify_solution)
 from hymem.system import (Example1Params, Example2Params, LinearDelayConfig,
-                          build_example1, build_example2,
+                          SystemSpec, build_example1, build_example2,
                           build_linear_delay_system)
 
 
@@ -79,8 +79,30 @@ class TestLocateEvent:
         p = Example2Params(a=0.0, b=0.0, rho=1.0, r=0.1, delta=0.2)
         spec, _ = build_example2(p)
         phi = const_history(spec, [1.0, 0.05])
-        with pytest.raises(EventLocationError):
+        with pytest.raises(EventLocationError, match="flow guard does not cross"):
             locate_event(spec, phi, 0.01, guard="flow")
+
+    @staticmethod
+    def ramp():
+        """dx = 1 with the jump set {x >= 0.3}; flows everywhere."""
+        return SystemSpec(dimension=1, memory_size=0.0,
+                          flow_guard=lambda w: 1.0,
+                          jump_guard=lambda w: float(w.head[0]) - 0.3,
+                          flow_selection=lambda w: np.array([1.0]),
+                          jump_selections=lambda w: [np.zeros(1)])
+
+    def test_jump_guard_crossing(self):
+        phi = constant_memory_arc(np.array([0.25]), 0.0, depth=0.0)
+        t_star = locate_event(self.ramp(), phi, 0.1, guard="jump", event_tol=1e-9)
+        assert t_star == pytest.approx(0.05, abs=2e-9)
+        assert 0.25 + t_star >= 0.3 - 1e-12  # on the jump-set side
+
+    @pytest.mark.parametrize("x0, bracket", [(0.25, 0.01), (0.35, 0.1)],
+                             ids=["ends-before-the-set", "starts-in-the-set"])
+    def test_jump_guard_without_crossing_is_an_error(self, x0, bracket):
+        phi = constant_memory_arc(np.array([x0]), 0.0, depth=0.0)
+        with pytest.raises(EventLocationError, match="jump guard does not cross"):
+            locate_event(self.ramp(), phi, bracket, guard="jump")
 
     def test_jump_spacing_equals_period_across_many_jumps(self):
         p = Example1Params.paper()
