@@ -1,10 +1,13 @@
 """Event-driven integration of hybrid systems with memory.
 
 Integrates the flow with a fixed-step classical Runge-Kutta scheme while the
-memory window stays in the flow set, bisects guard crossings to locate
-boundaries, applies jumps when the window is in the jump set, and records
+memory window stays in the flow set, locates guard crossings within
+``event_tol`` by a safeguarded secant (regula falsi that falls back to the
+midpoint), applies jumps when the window is in the jump set, and records
 the result as a hybrid arc (memory side = initial data, forward side =
-computed solution).
+computed solution).  Each map is evaluated once per stored point: the flow
+selection stored at a head is the first Runge-Kutta stage of the step and
+of every event trial from it.
 
 The solution is built in a :class:`~hymem.hybrid_time.History`, and every
 selection map and guard sees it through one window view, which exposes the
@@ -20,6 +23,7 @@ deterministic: identical inputs produce bit-identical trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,7 +40,7 @@ class PreconditionError(ValueError):
 
 
 class EventLocationError(RuntimeError):
-    """Guard bisection failed; carries the bracketing interval."""
+    """The guard does not cross in the event bracket; carries that bracket."""
 
     def __init__(self, message: str, bracket: tuple[float, float] | None = None):
         super().__init__(message)
@@ -132,11 +136,14 @@ def _as_view(window) -> WindowView:
     return History(window, window.delta, capacity=0).view()
 
 
-def _rk4(spec: SystemSpec, window: WindowView,
-         h: float) -> tuple[np.ndarray, np.ndarray]:
+def _rk4(spec: SystemSpec, window: WindowView, h: float,
+         k1: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step from the window's head; ``k1``, when given, is the flow
+    selection already evaluated on this same window."""
     f = spec.flow_selection
     x0 = np.asarray(window.head, dtype=float)
-    k1 = np.asarray(f(window), dtype=float)
+    if k1 is None:
+        k1 = np.asarray(f(window), dtype=float)
     k2 = np.asarray(f(window.extend(h / 2, x0 + (h / 2) * k1)), dtype=float)
     k3 = np.asarray(f(window.extend(h / 2, x0 + (h / 2) * k2)), dtype=float)
     k4 = np.asarray(f(window.extend(h, x0 + h * k3)), dtype=float)
@@ -159,37 +166,60 @@ def integrate_flow_step(spec: SystemSpec, window, h: float,
 
 def locate_event(spec: SystemSpec, window, h_bracket: float,
                  guard: str = "flow", event_tol: float = 1e-9,
-                 guard_tol: float = 1e-7) -> float:
-    """Bisect the time at which the named guard crosses zero along the flow.
+                 guard_tol: float = 1e-7, k1: np.ndarray | None = None,
+                 x_end: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Locate the time at which the named guard crosses zero along the flow.
 
-    The guard must change sign across (0, h_bracket]; the returned time h*
-    satisfies guard(flow(h*)) >= -guard_tol with bracket width <= event_tol,
-    so the accepted flow segment can end at h*.
+    The guard ("flow" or "jump") must change sign across (0, h_bracket].
+    Each trial shrinks the bracket: it is the secant root of the guard
+    values at the bracket's ends, kept at least event_tol / 2 inside it
+    (regula falsi), or the midpoint when the previous secant trial did not
+    halve the bracket or the secant has no finite root.  An affine guard
+    closes in two or three trials, any guard in at most about twice the
+    trials of bisection.  Returns (h*, x*), x* the flow state at h*: the
+    final bracket is at most event_tol wide and h* is its end on the flow
+    set's side for the flow guard and on the jump set's side for the jump
+    guard, so guard(x*) >= -guard_tol and the accepted flow segment can end
+    at h*.  ``k1`` (the flow selection on the window) and ``x_end`` (the
+    RK4 state at h_bracket) may be passed when already computed.
     """
+    if guard not in ("flow", "jump"):
+        raise ValueError(f"guard must be 'flow' or 'jump', not {guard!r}")
     # The flow guard crosses from inside (>= 0) to outside, the jump guard
     # from outside to inside; lo always stays on the starting side.
     crossing_down = guard == "flow"
     gfun = spec.flow_guard if crossing_down else spec.jump_guard
     window = _as_view(window)
-    sign0 = gfun(window)
-    x_end, _ = _rk4(spec, window, h_bracket)
-    g_end = gfun(window.extend(h_bracket, x_end))
-    if ((sign0 >= -guard_tol) != crossing_down
-            or (g_end >= -guard_tol) == crossing_down):
+    if x_end is None:
+        x_end, k1 = _rk4(spec, window, h_bracket, k1)
+    g_lo = gfun(window)
+    g_hi = gfun(window.extend(h_bracket, x_end))
+    if ((g_lo >= -guard_tol) != crossing_down
+            or (g_hi >= -guard_tol) == crossing_down):
         raise EventLocationError(
-            f"{guard} guard does not cross in bracket (g0={sign0:.3e}, "
-            f"g1={g_end:.3e})", (0.0, h_bracket))
+            f"{guard} guard does not cross in bracket (g0={g_lo:.3e}, "
+            f"g1={g_hi:.3e})", (0.0, h_bracket))
 
     lo, hi = 0.0, h_bracket
+    x_lo, x_hi = np.array(window.head, dtype=float), x_end
+    secant_stalled = False
     while hi - lo > event_tol:
-        mid = 0.5 * (lo + hi)
-        x_mid, _ = _rk4(spec, window, mid)
-        g_mid = gfun(window.extend(mid, x_mid))
-        if (g_mid >= 0.0) == crossing_down:
-            lo = mid
+        width = hi - lo
+        ratio = g_lo / (g_lo - g_hi) if g_lo != g_hi else math.nan
+        secant = not secant_stalled and math.isfinite(ratio)
+        if secant:
+            trial = min(max(lo + width * ratio, lo + 0.5 * event_tol),
+                        hi - 0.5 * event_tol)
         else:
-            hi = mid
-    return lo if crossing_down else hi
+            trial = 0.5 * (lo + hi)
+        x_t, _ = _rk4(spec, window, trial, k1)
+        g_t = gfun(window.extend(trial, x_t))
+        if (g_t >= 0.0) == crossing_down:
+            lo, g_lo, x_lo = trial, g_t, x_t
+        else:
+            hi, g_hi, x_hi = trial, g_t, x_t
+        secant_stalled = secant and hi - lo > 0.5 * width
+    return (lo, x_lo) if crossing_down else (hi, x_hi)
 
 
 def simulate(spec: SystemSpec, init: HybridMemoryArc,
@@ -227,46 +257,51 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     consecutive_jumps = 0
     error = None
 
-    def set_head_deriv(w: WindowView) -> None:
-        if spec.flow_guard(w) >= -opts.guard_tol:
+    def set_head_deriv() -> bool:
+        """Store the flow selection at the newest sample if its window is in
+        the flow set; return whether it is."""
+        w = hist.view()
+        in_flow_set = spec.flow_guard(w) >= -opts.guard_tol
+        if in_flow_set:
             hist.derivs[hist.n - 1] = np.asarray(spec.flow_selection(w), dtype=float)
+        return in_flow_set
 
     def try_flow(w: WindowView) -> bool:
-        """Advance by at most one step; True iff time progressed."""
-        nonlocal t
+        """Advance by at most one step from the head ``w``; True iff time
+        progressed.  ``w`` is in the flow set, so its selection is stored,
+        and under jump priority it is outside the jump set."""
+        nonlocal t, flow_ok
         h = min(opts.step, opts.t_max - t)
         if h <= TIME_TOL:
             return False
-        x_new, _ = _rk4(spec, w, h)
+        k1 = hist.derivs[w.index]
+        x_new, _ = _rk4(spec, w, h, k1)
         end_w = w.extend(h, x_new)
-        event_h = None
+        event = None
         if spec.flow_guard(end_w) < -opts.guard_tol:
-            event_h = locate_event(spec, w, h, "flow", opts.event_tol,
-                                   opts.guard_tol)
+            event = locate_event(spec, w, h, "flow", opts.event_tol,
+                                 opts.guard_tol, k1, x_new)
         elif (opts.jump_priority == "jump"
-              and spec.jump_guard(w) < -opts.guard_tol
               and spec.jump_guard(end_w) >= -opts.guard_tol):
-            event_h = locate_event(spec, w, h, "jump", opts.event_tol,
-                                   opts.guard_tol)
-        if event_h is not None:
-            if event_h <= TIME_TOL:
+            event = locate_event(spec, w, h, "jump", opts.event_tol,
+                                 opts.guard_tol, k1, x_new)
+        if event is not None:
+            h, x_new = event
+            if h <= TIME_TOL:
                 return False
-            x_new, _ = _rk4(spec, w, event_h)
-            h = event_h
         t = t + h
         hist.append(t, x_new)
-        set_head_deriv(hist.view())
+        flow_ok = set_head_deriv()
         return True
 
     try:
-        set_head_deriv(hist.view())
+        flow_ok = set_head_deriv()
         while True:
             if t >= opts.t_max - TIME_TOL or j >= opts.j_max:
                 termination = Termination.horizon_reached
                 break
             w = hist.view()
             jump_ok = spec.jump_guard(w) >= -opts.guard_tol
-            flow_ok = spec.flow_guard(w) >= -opts.guard_tol
 
             do_jump = jump_ok and opts.jump_priority == "jump"
             if not do_jump:
@@ -306,7 +341,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                 jumps.append((t, j))
                 j += 1
                 hist.start_segment(t, g)
-                set_head_deriv(hist.view())
+                flow_ok = set_head_deriv()
     except DomainError as exc:
         termination = Termination.error
         error = f"{type(exc).__name__} at (t={t}, j={j}): {exc}"

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hymem.hybrid_time import ArcSegment, HybridArc, constant_memory_arc, validate_domain
+from hymem import solver
+from hymem.hybrid_time import (ArcSegment, History, HybridArc,
+                               constant_memory_arc, memory_arc_from_function,
+                               validate_domain)
 from hymem.solver import (EventLocationError, PreconditionError, SimOptions,
-                          Termination, Trajectory, _as_view, flow_window,
+                          Termination, Trajectory, _as_view, _rk4, flow_window,
                           integrate_flow_step, locate_event, run_summary,
                           simulate, verify_solution)
-from hymem.system import (Example1Params, Example2Params, LinearDelayConfig,
-                          SystemSpec, build_example1, build_example2,
-                          build_linear_delay_system)
+from hymem.system import (DelayTerm, Example1Params, Example2Params,
+                          LinearDelayConfig, SystemSpec, build_example1,
+                          build_example2, build_linear_delay_system)
 
 
 def decay_system():
@@ -67,13 +70,33 @@ class TestIntegrateFlowStep:
             integrate_flow_step(spec, phi, 0.01)
 
 
+def count_rk4_steps(monkeypatch):
+    """Count the RK4 steps the solver takes from now on."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return _rk4(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_rk4", counting)
+    return calls
+
+
+def example1_at_clock(tau0):
+    """Example 1 (paper parameters) from a constant history with clock tau0."""
+    p = Example1Params.paper()
+    spec, _ = build_example1(p)
+    return p, spec, const_history(spec, [1.0, 1.0, 0.0, tau0])
+
+
 class TestLocateEvent:
     def test_linear_clock_crossing(self):
         p = Example2Params(a=0.0, b=0.0, rho=1.0, r=0.1, delta=0.2)
         spec, _ = build_example2(p)
         phi = const_history(spec, [1.0, 0.15])
-        t_star = locate_event(spec, phi, 0.1, guard="flow", event_tol=1e-9)
+        t_star, x_star = locate_event(spec, phi, 0.1, guard="flow", event_tol=1e-9)
         assert t_star == pytest.approx(0.05, abs=2e-9)
+        assert x_star[1] == pytest.approx(0.2, abs=2e-9)
 
     def test_no_crossing_is_an_error(self):
         p = Example2Params(a=0.0, b=0.0, rho=1.0, r=0.1, delta=0.2)
@@ -82,20 +105,29 @@ class TestLocateEvent:
         with pytest.raises(EventLocationError, match="flow guard does not cross"):
             locate_event(spec, phi, 0.01, guard="flow")
 
+    def test_unknown_guard_is_rejected(self):
+        spec, _ = build_example2(Example2Params.case2())
+        phi = const_history(spec, [1.0, 0.0])
+        with pytest.raises(ValueError, match="'flw'"):
+            locate_event(spec, phi, 0.1, guard="flw")
+
     @staticmethod
-    def ramp():
-        """dx = 1 with the jump set {x >= 0.3}; flows everywhere."""
+    def ramp(jump_guard=lambda x: x - 0.3, flow_guard=lambda x: 1.0):
+        """dx = 1 with the jump set {jump_guard >= 0}; flows everywhere by
+        default."""
         return SystemSpec(dimension=1, memory_size=0.0,
-                          flow_guard=lambda w: 1.0,
-                          jump_guard=lambda w: float(w.head[0]) - 0.3,
+                          flow_guard=lambda w: flow_guard(float(w.head[0])),
+                          jump_guard=lambda w: jump_guard(float(w.head[0])),
                           flow_selection=lambda w: np.array([1.0]),
                           jump_selections=lambda w: [np.zeros(1)])
 
     def test_jump_guard_crossing(self):
         phi = constant_memory_arc(np.array([0.25]), 0.0, depth=0.0)
-        t_star = locate_event(self.ramp(), phi, 0.1, guard="jump", event_tol=1e-9)
+        t_star, x_star = locate_event(self.ramp(), phi, 0.1, guard="jump",
+                                      event_tol=1e-9)
         assert t_star == pytest.approx(0.05, abs=2e-9)
         assert 0.25 + t_star >= 0.3 - 1e-12  # on the jump-set side
+        assert x_star[0] >= 0.3 - 1e-12
 
     @pytest.mark.parametrize("x0, bracket", [(0.25, 0.01), (0.35, 0.1)],
                              ids=["ends-before-the-set", "starts-in-the-set"])
@@ -103,6 +135,59 @@ class TestLocateEvent:
         phi = constant_memory_arc(np.array([x0]), 0.0, depth=0.0)
         with pytest.raises(EventLocationError, match="jump guard does not cross"):
             locate_event(self.ramp(), phi, bracket, guard="jump")
+
+    @pytest.mark.parametrize("guard, tau0", [("flow", 0.1973), ("flow", 0.1999),
+                                             ("jump", 0.195)])
+    def test_returned_state_is_the_rk4_step_at_the_returned_time(self, guard, tau0):
+        _, spec, phi = example1_at_clock(tau0)
+        h, x = locate_event(spec, phi, 0.005, guard=guard)
+        want, _ = _rk4(spec, _as_view(phi), h)
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tau0", [0.1951, 0.1963, 0.19775, 0.1988, 0.19999])
+    def test_affine_clock_guard_takes_at_most_four_rk4_steps(self, tau0, monkeypatch):
+        p, spec, phi = example1_at_clock(tau0)
+        steps = count_rk4_steps(monkeypatch)
+        h, x = locate_event(spec, phi, 0.005, guard="flow", event_tol=1e-9)
+        assert len(steps) <= 4  # the bracket's end plus at most three trials
+        assert 0.0 <= (p.delta - tau0) - h <= 1e-9 + 1e-15
+        assert spec.flow_guard(_as_view(phi).extend(h, x)) >= 0.0
+
+    @pytest.mark.parametrize("h_bracket", [0.005, 0.003, 2.0 ** -8])
+    def test_v_shaped_jump_guard_at_the_period(self, h_bracket, monkeypatch):
+        # Example 1's jump guard -|period - tau| touches zero only at the
+        # period; a step that ends there rounds to either side of it.
+        p, spec, phi = example1_at_clock(0.2 - h_bracket)
+        tol = 1e-9
+        steps = count_rk4_steps(monkeypatch)
+        h, x = locate_event(spec, phi, h_bracket, guard="jump", event_tol=tol)
+        assert len(steps) <= 2 * np.ceil(np.log2(h_bracket / tol)) + 2
+        assert spec.jump_guard(_as_view(phi).extend(h, x)) >= -1e-7
+        assert abs(x[3] - p.delta) <= tol
+        assert h <= h_bracket
+
+    @pytest.mark.parametrize("guard", ["flow", "jump"])
+    def test_flat_guard_stalling_the_secant(self, guard, monkeypatch):
+        # x**9 - c is flat left of its root, so the secant creeps along
+        # from the left end; the midpoint steps still close the bracket.
+        c = 0.3 ** 9
+        if guard == "jump":
+            spec = self.ramp(jump_guard=lambda x: x ** 9 - c)
+        else:
+            spec = self.ramp(flow_guard=lambda x: c - x ** 9)
+        phi = constant_memory_arc(np.array([0.0]), 0.0, depth=0.0)
+        h_bracket, tol = 0.5, 1e-9
+        steps = count_rk4_steps(monkeypatch)
+        h, x = locate_event(spec, phi, h_bracket, guard=guard, event_tol=tol)
+        assert len(steps) <= 2 * np.ceil(np.log2(h_bracket / tol)) + 2
+        assert len(steps) > 4  # the secant alone does not close it
+        root = 0.3
+        if guard == "jump":  # on the jump-set side, at most tol after the root
+            assert x[0] ** 9 - c >= 0.0
+            assert root - 1e-15 <= h <= root + tol
+        else:  # in the flow set, at most tol before the root
+            assert c - x[0] ** 9 >= 0.0
+            assert root - tol <= h <= root + 1e-15
 
     def test_jump_spacing_equals_period_across_many_jumps(self):
         p = Example1Params.paper()
@@ -113,6 +198,20 @@ class TestLocateEvent:
         assert len(times) >= 50
         gaps = np.diff(times[:51])
         assert np.all(np.abs(gaps - p.delta) <= 2e-9)
+
+    @pytest.mark.parametrize("jump_priority", ["jump", "flow"])
+    @pytest.mark.parametrize("tau0", [0.0, 0.0137, 0.11, 0.19999])
+    def test_jump_times_match_the_closed_form(self, tau0, jump_priority):
+        # The clock runs at rate 1 from tau0 and resets at the period, so
+        # jump k happens at (period - tau0) + k * period.
+        p, spec, init = example1_at_clock(tau0)
+        opts = SimOptions(t_max=2.5, step=5e-3, jump_priority=jump_priority)
+        traj = simulate(spec, init, opts)
+        times = np.array([t for t, _ in traj.jumps])
+        want = (p.delta - tau0) + p.delta * np.arange(len(times))
+        assert len(times) == 12 + (tau0 > 0.1)
+        assert np.max(np.abs(times - want)) <= opts.event_tol
+        assert verify_solution(spec, traj).issues == ()
 
 
 class TestSimulateClosedForms:
@@ -184,6 +283,36 @@ class TestSimulateClosedForms:
                                                jump_priority="flow"))
         assert len(traj.jumps) == 2
         assert traj.arc.forward_segments[-1].values[-1][0] == pytest.approx(0.25)
+
+
+class TestOneFlowSelectionPerStage:
+    def test_samples_equal_a_loop_that_recomputes_the_first_stage(self):
+        # Jump-free dx = -x/2 + 3/4 x(t - 1/4) - x(t - 1/256) on a dyadic
+        # grid: the short delay reads the stage's provisional line.
+        cfg = LinearDelayConfig(
+            dimension=1, memory_size=0.25, a0=np.array([[-0.5]]),
+            flow_delayed=(DelayTerm(0.25, np.array([[0.75]])),
+                          DelayTerm(2.0 ** -8, np.array([[-1.0]]))))
+        spec, _ = build_linear_delay_system(cfg)
+        calls = []
+        counted = dataclasses.replace(
+            spec, flow_selection=lambda w: calls.append(1) or spec.flow_selection(w))
+        init = memory_arc_from_function(lambda s: np.array([np.cos(3.0 * s)]),
+                                        0.25, depth=0.25, grid_step=2.0 ** -6)
+        h, steps = 2.0 ** -6, 96
+        traj = simulate(counted, init, SimOptions(t_max=steps * h, step=h))
+        # three stages per step plus the head derivative at every stored point
+        assert len(calls) == 4 * steps + 1
+
+        hist = History(init, spec.memory_size)
+        hist.start_segment(0.0, np.array(init.head, dtype=float))
+        for i in range(steps):
+            x_new, _ = _rk4(spec, hist.view(), h)
+            hist.append((i + 1) * h, x_new)
+        (want,) = hist.to_arc().forward_segments
+        (got,) = traj.arc.forward_segments
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def method_of_steps_reference(a, b, r, history, t_end, rtol=1e-10, atol=1e-12):
