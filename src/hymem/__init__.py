@@ -34,7 +34,6 @@ from .solver import (
     SimOptions,
     Termination,
     Trajectory,
-    integrate_flow_step,
     locate_event,
     run_summary,
     simulate,

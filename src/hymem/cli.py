@@ -260,10 +260,13 @@ _system_options = [
                  help="Linear-delay system config (JSON)."),
     click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
                  help="Parameter override (JSON value; dotted path for configs)."),
-    click.option("--seed", type=int, default=0, show_default=True),
     click.option("--report", type=click.Path(), default=None,
                  help="Write the JSON report here instead of stdout."),
 ]
+
+# Only the commands that draw random arcs or initial states take a seed.
+_seed_option = click.option("--seed", type=int, default=0, show_default=True,
+                            help="Seed of the sampled arcs or initial states.")
 
 _sim_flag_options = [
     click.option("--t-max", type=float, default=None,
@@ -273,7 +276,8 @@ _sim_flag_options = [
                  help="Jump horizon (default: the config's sim.j_max, else "
                       "the solver default)."),
     click.option("--step", type=float, default=None,
-                 help="Integrator step (default: period/40)."),
+                 help="Integrator step (default: the config's sim.step, else "
+                      "min(period/40, 0.01), or 0.01 without a jump period)."),
     click.option("--jump-priority", type=click.Choice(["jump", "flow"]),
                  default=None,
                  help="Branch taken in both sets (default: the config's "
@@ -311,11 +315,11 @@ def main():
               help="Trajectory CSV path.")
 @click.option("--plot-out", type=click.Path(), default=None,
               help="(t+j, |x|_W) plot-data CSV path.")
-def cmd_simulate(system, config_path, overrides, seed, report, t_max, j_max,
+def cmd_simulate(system, config_path, overrides, report, t_max, j_max,
                  step, jump_priority, history, out, plot_out):
     """Integrate one solution and write its trajectory and summary."""
     cfg = RunConfig(command="simulate", system=system, config_path=config_path,
-                    overrides=tuple(overrides), seed=seed, report=report,
+                    overrides=tuple(overrides), report=report,
                     t_max=t_max, j_max=j_max, step=step,
                     jump_priority=jump_priority, history=history, out=out,
                     plot_out=plot_out)
@@ -325,8 +329,9 @@ def cmd_simulate(system, config_path, overrides, seed, report, t_max, j_max,
 def _check_command(name: str, doc: str):
     @main.command(name, help=doc)
     @_add(_system_options)
+    @_seed_option
     @_add(_check_options)
-    def cmd(system, config_path, overrides, seed, report, samples, slack,
+    def cmd(system, config_path, overrides, report, seed, samples, slack,
             sampler_mode):
         cfg = RunConfig(command=name, system=system, config_path=config_path,
                         overrides=tuple(overrides), seed=seed, report=report,
@@ -346,11 +351,12 @@ _check_command("check-krasovskii",
 
 @main.command("check-kl")
 @_add(_system_options)
+@_seed_option
 @_add(_sim_flag_options)
 @click.option("--trajectories", type=int, default=20, show_default=True)
 @click.option("--eps-grid", default="0.01,0.1,1.0", show_default=True)
 @click.option("--eta-grid", default="0.25,0.5,1.0", show_default=True)
-def cmd_check_kl(system, config_path, overrides, seed, report, t_max, j_max,
+def cmd_check_kl(system, config_path, overrides, report, seed, t_max, j_max,
                  step, jump_priority, trajectories, eps_grid, eta_grid):
     """Empirical boundedness and attractivity over a trajectory bundle."""
     cfg = RunConfig(command="check-kl", system=system, config_path=config_path,

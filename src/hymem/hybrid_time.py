@@ -13,6 +13,11 @@ s + k, lies between the memory size ``delta`` and ``delta + 1``.
 :class:`History` stores an arc's samples in growable arrays for the solver,
 and :class:`WindowView` reads them through the window protocol (head,
 delayed(s), delta) without materializing that memory arc.
+
+Arcs are checked once, where outside data enters: by the constructors of
+:class:`HybridArc` and :class:`HybridMemoryArc`.  The window operators and
+:meth:`History.to_arc` only cut, shift and join the samples of checked
+arcs, which keeps them valid, so they skip the checks.
 """
 
 from __future__ import annotations
@@ -174,7 +179,8 @@ class ArcSegment:
     """Samples of one jump level: times (increasing) and row-wise values.
 
     ``derivs`` optionally stores the time derivative at each sample, enabling
-    cubic Hermite interpolation.
+    cubic Hermite interpolation.  Construction only converts the samples to
+    read-only float arrays (values as rows); :class:`HybridArc` checks them.
     """
 
     jump_index: int
@@ -187,17 +193,9 @@ class ArcSegment:
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if values.shape[0] != times.shape[0]:
             values = values.T
-        if times.ndim != 1 or values.ndim != 2 or values.shape[0] != times.shape[0]:
-            raise ValueError("segment needs times of shape (m,) and values of shape (m, n)")
-        if times.shape[0] == 0:
-            raise ValueError("segment must contain at least one sample")
-        if np.any(np.diff(times) <= 0) and times.shape[0] > 1:
-            raise ValueError("segment sample times must be strictly increasing")
         derivs = self.derivs
         if derivs is not None:
             derivs = np.atleast_2d(np.asarray(derivs, dtype=float))
-            if derivs.shape != values.shape:
-                raise ValueError("derivative samples must match value samples in shape")
             derivs.flags.writeable = False
         times.flags.writeable = False
         values.flags.writeable = False
@@ -268,6 +266,12 @@ class HybridArc:
     The memory side carries the initial data, the forward side a computed
     solution.  Evaluation is defined exactly on the domain; querying off the
     domain raises :class:`DomainError`.
+
+    ``validate`` (default True) checks each segment (at least one sample,
+    strictly increasing times, values of shape (m, n), derivatives of that
+    shape) and the domain; no other place checks them.  Results cut from
+    checked arcs pass ``validate=False``, since a certificate check cuts
+    thousands of windows and each is valid by construction.
     """
 
     def __init__(self, memory_segments: Sequence[ArcSegment] = (),
@@ -285,6 +289,19 @@ class HybridArc:
             raise ValueError("all segments must share one state dimension")
         self.dimension = dims.pop()
         if validate:
+            for seg in self.all_segments():
+                times, values = seg.times, seg.values
+                if (times.ndim != 1 or values.ndim != 2
+                        or values.shape[0] != times.shape[0]):
+                    raise ValueError("segment needs times of shape (m,) and "
+                                     "values of shape (m, n)")
+                if times.shape[0] == 0:
+                    raise ValueError("segment must contain at least one sample")
+                if np.any(np.diff(times) <= 0):
+                    raise ValueError("segment sample times must be strictly increasing")
+                if seg.derivs is not None and seg.derivs.shape != values.shape:
+                    raise ValueError("derivative samples must match value "
+                                     "samples in shape")
             msg = validate_domain(self.domain())
             if msg is not None:
                 raise ValueError(f"invalid hybrid time domain: {msg}")
@@ -609,7 +626,7 @@ def memory_window(arc: HybridArc, t: float, j: int, delta: float,
     segments = _merge_contiguous(segments, tol)
     if not segments:
         raise InsufficientHistoryError(f"empty window at (t={t}, j={j})", t, j)
-    return HybridMemoryArc(segments, delta, arc.interpolation, validate=True)
+    return HybridMemoryArc(segments, delta, arc.interpolation, validate=False)
 
 
 def append_jump(phi: HybridMemoryArc, g: np.ndarray,
@@ -636,13 +653,19 @@ def append_jump(phi: HybridMemoryArc, g: np.ndarray,
             segments.append(ArcSegment(
                 k_new, *seg._slice(s_cut, seg.hi, phi.interpolation, tol)))
     segments.append(ArcSegment(0, np.array([0.0]), g.reshape(1, -1)))
-    return HybridMemoryArc(segments, phi.delta, phi.interpolation, validate=True)
+    return HybridMemoryArc(segments, phi.delta, phi.interpolation, validate=False)
 
 
-def _window_extremum(phi: HybridMemoryArc, fn: Callable[[np.ndarray], float],
-                     batch: Callable[[np.ndarray], np.ndarray] | None,
-                     refine_tol: float, max_levels: int) -> float:
+def sup_norm_w(phi: HybridMemoryArc, fn: Callable[[np.ndarray], float],
+               batch: Callable[[np.ndarray], np.ndarray] | None = None,
+               refine_tol: float = 1e-9, max_levels: int = 6) -> float:
     """max of fn over the window s + k >= -delta - 1, with grid refinement.
+
+    Both window maxima of the conditions are this one function: with
+    fn = |.|_W it is the window norm sup |phi(s,k)|_W (the argument of
+    alpha2 in the functional form, and a run's initial size), and as
+    :func:`vbar`, with fn = V, it is the maximum of V over the window that
+    the Razumikhin and Halanay forms compare with.
 
     Stored samples and segment endpoints seed the estimate; each refinement
     level adds interval midpoints until successive estimates agree to
@@ -682,18 +705,8 @@ def _window_extremum(phi: HybridMemoryArc, fn: Callable[[np.ndarray], float],
     return best
 
 
-def sup_norm_w(phi: HybridMemoryArc, dist_w: Callable[[np.ndarray], float],
-               batch: Callable[[np.ndarray], np.ndarray] | None = None,
-               refine_tol: float = 1e-9, max_levels: int = 6) -> float:
-    """sup of |phi(s,k)|_W over the window s + k >= -delta - 1."""
-    return _window_extremum(phi, dist_w, batch, refine_tol, max_levels)
-
-
-def vbar(phi: HybridMemoryArc, v: Callable[[np.ndarray], float],
-         batch: Callable[[np.ndarray], np.ndarray] | None = None,
-         refine_tol: float = 1e-9, max_levels: int = 6) -> float:
-    """max of V over the window s + k >= -delta - 1 (samples plus refinement)."""
-    return _window_extremum(phi, v, batch, refine_tol, max_levels)
+#: The maximum of V over the window: :func:`sup_norm_w` under its own name.
+vbar = sup_norm_w
 
 
 def delayed_sq_integral(phi: HybridMemoryArc, lo: float, hi: float,

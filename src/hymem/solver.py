@@ -129,13 +129,6 @@ def run_summary(traj: Trajectory, target: TargetSet) -> dict:
     }
 
 
-def _as_view(window) -> WindowView:
-    """A window view of a memory arc at its head; views pass through."""
-    if isinstance(window, WindowView):
-        return window
-    return History(window, window.delta, capacity=0).view()
-
-
 def _rk4(spec: SystemSpec, window: WindowView, h: float,
          k1: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step from the window's head; ``k1``, when given, is the flow
@@ -150,21 +143,7 @@ def _rk4(spec: SystemSpec, window: WindowView, h: float,
     return x0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
 
 
-def integrate_flow_step(spec: SystemSpec, window, h: float,
-                        guard_tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray]:
-    """One explicit RK4 step of the functional ODE from the window's head.
-
-    Returns (new state sample, derivative sample at the step start).  The
-    window must lie in the flow set.
-    """
-    if spec.flow_guard(window) < -guard_tol:
-        raise PreconditionError("window is not in the flow set")
-    if h <= 0:
-        raise ValueError("step must be positive")
-    return _rk4(spec, _as_view(window), h)
-
-
-def locate_event(spec: SystemSpec, window, h_bracket: float,
+def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
                  guard: str = "flow", event_tol: float = 1e-9,
                  guard_tol: float = 1e-7, k1: np.ndarray | None = None,
                  x_end: np.ndarray | None = None) -> tuple[float, np.ndarray]:
@@ -189,7 +168,6 @@ def locate_event(spec: SystemSpec, window, h_bracket: float,
     # from outside to inside; lo always stays on the starting side.
     crossing_down = guard == "flow"
     gfun = spec.flow_guard if crossing_down else spec.jump_guard
-    window = _as_view(window)
     if x_end is None:
         x_end, k1 = _rk4(spec, window, h_bracket, k1)
     g_lo = gfun(window)

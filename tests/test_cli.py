@@ -104,6 +104,12 @@ class TestExitCodes:
                     "--samples", "50")
         assert r.returncode == 2
 
+    def test_simulate_takes_no_seed(self):
+        # simulate draws nothing at random, so a seed would change nothing
+        r = run_cli("simulate", "--system", "example1", "--seed", "1")
+        assert r.returncode == 2
+        assert "No such option '--seed'" in r.stderr
+
     def test_bad_history_length_exits_two(self):
         r = run_cli("simulate", "--system", "example2", "--history", "1,2,3")
         assert r.returncode == 2
@@ -161,6 +167,25 @@ class TestSimFlags:
     def test_t_max(self, tmp_path, flags, t_final):
         doc = self.run_config(tmp_path, {"t_max": 2.0, "step": 0.05}, *flags)
         assert doc["t_final"] == pytest.approx(t_final, abs=1e-9)
+
+    @pytest.mark.parametrize("jump, step", [
+        ({"period": 1.0}, 0.01), ({"period": 0.2}, 0.005), (None, 0.01)],
+        ids=["period-1", "period-0.2", "no-jumps"])
+    def test_default_step(self, tmp_path, jump, step):
+        # min(period / 40, 0.01), and 0.01 without a jump period
+        doc = {"dimension": 1, "memory_size": 0.0, "flow": {"A0": [[-1.0]]},
+               "sim": {"t_max": 0.1}}
+        if jump is not None:
+            doc["jump"] = jump
+        cfg, out = tmp_path / "sys.json", tmp_path / "traj.csv"
+        cfg.write_text(json.dumps(doc))
+        r = run_cli("simulate", "--config", str(cfg), "--out", str(out),
+                    "--report", str(tmp_path / "sum.json"))
+        assert r.returncode == 0, r.stderr
+        times = [float(line.split(",")[0])
+                 for line in out.read_text().splitlines()]
+        forward = np.unique([t for t in times if t >= 0.0])
+        assert np.allclose(np.diff(forward), step, rtol=0, atol=1e-12)
 
     def test_j_max_flag_equal_to_the_default(self, tmp_path):
         sim = {"t_max": 1.0, "step": 0.01, "j_max": 3}

@@ -96,6 +96,72 @@ class TestEvalArc:
             abs(lin.eval(x, 0)[0] - np.exp(-x)) / 50
 
 
+def _memory_arc(segments):
+    return HybridMemoryArc(segments, 0.5)
+
+
+def _plain_arc(segments):
+    return HybridArc(segments, [])
+
+
+class TestConstructorRejections:
+    """The public constructors reject malformed data with a message that
+    names the violated rule; ArcSegment only normalises."""
+
+    @pytest.mark.parametrize("build", [_plain_arc, _memory_arc],
+                             ids=["HybridArc", "HybridMemoryArc"])
+    @pytest.mark.parametrize("times, values, derivs, message", [
+        ([-1.0, -0.2, -0.5, 0.0], np.zeros((4, 1)), None,
+         "strictly increasing"),
+        ([-1.0, -0.5, -0.5, 0.0], np.zeros((4, 1)), None,
+         "strictly increasing"),
+        (np.array([]), np.zeros((0, 1)), None, "at least one sample"),
+        ([-1.0, -0.5, 0.0], np.zeros((2, 1)), None,
+         r"times of shape \(m,\) and values of shape \(m, n\)"),
+        ([-1.0, -0.5, 0.0], np.zeros((3, 1)), np.zeros((2, 1)),
+         "derivative samples must match value samples in shape"),
+    ], ids=["decreasing", "duplicate", "empty", "values-shape", "derivs-shape"])
+    def test_segment_checks(self, build, times, values, derivs, message):
+        segment = ArcSegment(0, np.asarray(times, dtype=float), values, derivs)
+        with pytest.raises(ValueError, match=message):
+            build([segment])
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="share one state dimension"):
+            HybridArc([seg(0, [-1.0, 0.0], [1.0, 1.0])],
+                      [ArcSegment(0, [0.0, 1.0], np.ones((2, 2)))])
+
+    def test_unknown_interpolation(self):
+        with pytest.raises(ValueError, match="unknown interpolation scheme 'cubic'"):
+            HybridArc([], [seg(0, [0.0, 1.0], [1.0, 1.0])], interpolation="cubic")
+
+    def test_invalid_domain(self):
+        with pytest.raises(ValueError, match="invalid hybrid time domain: "
+                                             "forward domain must start at t = 0"):
+            HybridArc([], [seg(0, [0.5, 1.0], [1.0, 1.0])])
+
+    def test_negative_delta(self):
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            HybridMemoryArc([seg(0, [-1.0, 0.0], [1.0, 1.0])], -0.1)
+
+    def test_window_deeper_than_delta_plus_one(self):
+        with pytest.raises(ValueError, match=r"reaches s \+ k = -2.5 < -delta - 1"):
+            HybridMemoryArc([seg(0, [-2.5, 0.0], [1.0, 1.0])], 1.0)
+
+    def test_window_shallower_than_delta(self):
+        with pytest.raises(ValueError, match=r"only reaches s \+ k = -0.2; "
+                                             r"some point must satisfy"):
+            HybridMemoryArc([seg(0, [-0.2, 0.0], [1.0, 1.0])], 0.5)
+
+    @pytest.mark.parametrize("text, delta", [
+        ("-1.0,0,1.0\n-0.5,0,2.0\n-0.5,0,3.0\n0.0,0,4.0\n", 0.5),
+        ("0.0,0,1.0\n0.5,0,2.0\n0.5,0,3.0\n1.0,0,4.0\n", None),
+    ], ids=["memory-side", "forward-side"])
+    def test_csv_with_duplicate_rows(self, text, delta):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            arc_from_csv(text, delta=delta)
+
+
 def brute_force_delta_inf(arc, t, j, delta, grid=2e-4):
     """Scan achievable s+k values on a fine grid."""
     best = np.inf
@@ -419,7 +485,7 @@ def _interpolate_loop(times, values, derivs, ts, scheme):
     return np.array([_interpolate(times, values, derivs, t, scheme) for t in ts])
 
 
-def _window_extremum_loop(phi, fn, batch, refine_tol=1e-9, max_levels=6):
+def _window_max_loop(phi, fn, batch, refine_tol=1e-9, max_levels=6):
     """The window maximum with one pointwise interpolation per midpoint."""
     floor = -phi.delta - 1 - TIME_TOL
     best = -np.inf
@@ -529,14 +595,18 @@ def _cover_arcs(spec, seed, total):
             for a in sampler.sample(region, per)]
 
 
+def _with_derivs(segments):
+    """The segments with finite-difference derivative samples."""
+    return [ArcSegment(s.jump_index, s.times, s.values,
+                       np.gradient(s.values, s.times, axis=0)
+                       if s.times.shape[0] > 1 else np.zeros_like(s.values))
+            for s in segments]
+
+
 def _as_hermite(phi):
     """phi with finite-difference derivative samples, read as Hermite."""
-    segs = []
-    for s in phi.memory_segments:
-        d = (np.gradient(s.values, s.times, axis=0) if s.times.shape[0] > 1
-             else np.zeros_like(s.values))
-        segs.append(ArcSegment(s.jump_index, s.times, s.values, d))
-    return HybridMemoryArc(segs, phi.delta, "hermite")
+    return HybridMemoryArc(_with_derivs(phi.memory_segments), phi.delta,
+                           "hermite")
 
 
 class TestArrayInterpolant:
@@ -576,9 +646,9 @@ class TestWindowMaximumArrayPath:
         assert len(arcs) == 201
         for phi in arcs:
             assert vbar(phi, cert.v, batch=cert.v_batch) == \
-                _window_extremum_loop(phi, cert.v, cert.v_batch)
+                _window_max_loop(phi, cert.v, cert.v_batch)
         for phi in arcs[::10]:  # row by row when there is no batch form
-            assert vbar(phi, cert.v) == _window_extremum_loop(phi, cert.v, None)
+            assert vbar(phi, cert.v) == _window_max_loop(phi, cert.v, None)
 
     @pytest.mark.parametrize("hermite", [False, True], ids=["linear", "hermite"])
     def test_example2_sup_norm(self, hermite):
@@ -588,7 +658,7 @@ class TestWindowMaximumArrayPath:
             arcs = [_as_hermite(phi) for phi in arcs]
         for phi in arcs:
             assert sup_norm_w(phi, target.dist, batch=target.dist_batch) == \
-                _window_extremum_loop(phi, target.dist, target.dist_batch)
+                _window_max_loop(phi, target.dist, target.dist_batch)
 
 
 class TestArraySlicing:
@@ -733,6 +803,47 @@ def test_append_shift_property(arc, gval):
             if t + s.jump_index - 1 < -w.delta - 1 - 1e-12:
                 continue
             assert psi.eval(float(t), s.jump_index - 1)[0] == v[0]
+
+
+def _revalidate(phi):
+    """phi rebuilt through the validating constructor, which raises if the
+    unchecked result of a window operator broke a rule."""
+    return HybridMemoryArc(phi.memory_segments, phi.delta, phi.interpolation)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_arc(), st.booleans(), st.data())
+def test_window_cuts_pass_the_checks_property(arc, derivs, data):
+    """memory_window and append_jump skip the checks; what they return at
+    any stored point, also windows that reach back into the memory side and
+    join its jump-0 piece to the forward one, passes them."""
+    if derivs:
+        arc = HybridArc(_with_derivs(arc.memory_segments),
+                        _with_derivs(arc.forward_segments), "hermite")
+    delta = data.draw(st.floats(0.0, -arc.memory_segments[0].lo))
+    points = [(float(t), s.jump_index)
+              for s in arc.forward_segments for t in s.times]
+    t, j = data.draw(st.sampled_from(points))
+    w = memory_window(arc, t, j, delta)
+    _revalidate(w)
+    _revalidate(append_jump(w, np.array([data.draw(st.floats(-3.0, 3.0))])))
+
+
+def test_window_cuts_of_a_solution_pass_the_checks():
+    """The same at every stored point of a simulated run with three resets,
+    whose forward samples carry derivatives and memory samples do not; the
+    run itself, copied out of its History unchecked, passes too."""
+    traj = _reset_trajectory()
+    arc = traj.arc
+    HybridArc(arc.memory_segments, arc.forward_segments, arc.interpolation)
+    joined = 0
+    for s in arc.forward_segments:
+        for t in s.times:
+            w = memory_window(arc, float(t), s.jump_index, traj.memory_size)
+            _revalidate(w)
+            _revalidate(append_jump(w, np.array([1.0, 0.0])))
+            joined += s.jump_index == 0 and w.time_reach < -t
+    assert joined > 10
 
 
 @settings(max_examples=40, deadline=None)

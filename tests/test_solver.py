@@ -12,9 +12,8 @@ from hymem.hybrid_time import (ArcSegment, History, HybridArc,
                                constant_memory_arc, memory_arc_from_function,
                                validate_domain)
 from hymem.solver import (EventLocationError, PreconditionError, SimOptions,
-                          Termination, Trajectory, _as_view, _rk4, flow_window,
-                          integrate_flow_step, locate_event, run_summary,
-                          simulate, verify_solution)
+                          Termination, Trajectory, _rk4, flow_window,
+                          locate_event, run_summary, simulate, verify_solution)
 from hymem.system import (DelayTerm, Example1Params, Example2Params,
                           LinearDelayConfig, SystemSpec, build_example1,
                           build_example2, build_linear_delay_system)
@@ -33,13 +32,23 @@ def const_history(spec, values, step=5e-3):
                                grid_step=step * 4)
 
 
+def head_view(phi):
+    """The window view of a memory arc at its head."""
+    return History(phi, phi.delta).view()
+
+
 class TestIntegrateFlowStep:
+    """One integration step of the flow: flow_window with n_steps=1 is one
+    RK4 step from the arc's head."""
+
     def test_rk4_value_for_exponential_decay(self):
         spec, _ = decay_system()
         phi = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
-        x_new, deriv = integrate_flow_step(spec, phi, 0.1)
+        x_new = flow_window(spec, phi, 0.1, n_steps=1).head
         assert x_new[0] == pytest.approx(0.9048375, abs=1e-12)
         assert abs(x_new[0] - np.exp(-0.1)) < 1e-7
+        x_rk4, deriv = _rk4(spec, head_view(phi), 0.1)
+        assert x_rk4.tobytes() == x_new.tobytes()
         assert deriv[0] == -1.0
 
     def test_zero_field(self):
@@ -48,7 +57,7 @@ class TestIntegrateFlowStep:
         spec, _ = build_linear_delay_system(cfg)
         phi = constant_memory_arc(np.array([1.0, -2.0]), 0.0, depth=0.0)
         for h in (1e-3, 0.1, 1.0):
-            x_new, _ = integrate_flow_step(spec, phi, h)
+            x_new = flow_window(spec, phi, h, n_steps=1).head
             assert np.array_equal(x_new, np.array([1.0, -2.0]))
 
     def test_constant_history_delay_reduction(self):
@@ -58,7 +67,7 @@ class TestIntegrateFlowStep:
         spec, _ = build_example2(p)
         phi = const_history(spec, [c, 0.0])
         h = 0.01
-        x_new, _ = integrate_flow_step(spec, phi, h)
+        x_new = flow_window(spec, phi, h, n_steps=1).head
         want = (c + b * c / a) * np.exp(a * h) - b * c / a
         assert x_new[0] == pytest.approx(want, abs=1e-8)
 
@@ -66,8 +75,8 @@ class TestIntegrateFlowStep:
         p = Example2Params(a=0.0, b=0.0, rho=1.0, r=0.1, delta=0.5)
         spec, _ = build_example2(p)
         phi = const_history(spec, [1.0, 0.7])  # clock beyond the period
-        with pytest.raises(PreconditionError):
-            integrate_flow_step(spec, phi, 0.01)
+        with pytest.raises(PreconditionError, match="not in the flow set"):
+            flow_window(spec, phi, 0.01, n_steps=1)
 
 
 def count_rk4_steps(monkeypatch):
@@ -94,7 +103,8 @@ class TestLocateEvent:
         p = Example2Params(a=0.0, b=0.0, rho=1.0, r=0.1, delta=0.2)
         spec, _ = build_example2(p)
         phi = const_history(spec, [1.0, 0.15])
-        t_star, x_star = locate_event(spec, phi, 0.1, guard="flow", event_tol=1e-9)
+        t_star, x_star = locate_event(spec, head_view(phi), 0.1, guard="flow",
+                                      event_tol=1e-9)
         assert t_star == pytest.approx(0.05, abs=2e-9)
         assert x_star[1] == pytest.approx(0.2, abs=2e-9)
 
@@ -103,13 +113,13 @@ class TestLocateEvent:
         spec, _ = build_example2(p)
         phi = const_history(spec, [1.0, 0.05])
         with pytest.raises(EventLocationError, match="flow guard does not cross"):
-            locate_event(spec, phi, 0.01, guard="flow")
+            locate_event(spec, head_view(phi), 0.01, guard="flow")
 
     def test_unknown_guard_is_rejected(self):
         spec, _ = build_example2(Example2Params.case2())
         phi = const_history(spec, [1.0, 0.0])
         with pytest.raises(ValueError, match="'flw'"):
-            locate_event(spec, phi, 0.1, guard="flw")
+            locate_event(spec, head_view(phi), 0.1, guard="flw")
 
     @staticmethod
     def ramp(jump_guard=lambda x: x - 0.3, flow_guard=lambda x: 1.0):
@@ -123,8 +133,8 @@ class TestLocateEvent:
 
     def test_jump_guard_crossing(self):
         phi = constant_memory_arc(np.array([0.25]), 0.0, depth=0.0)
-        t_star, x_star = locate_event(self.ramp(), phi, 0.1, guard="jump",
-                                      event_tol=1e-9)
+        t_star, x_star = locate_event(self.ramp(), head_view(phi), 0.1,
+                                      guard="jump", event_tol=1e-9)
         assert t_star == pytest.approx(0.05, abs=2e-9)
         assert 0.25 + t_star >= 0.3 - 1e-12  # on the jump-set side
         assert x_star[0] >= 0.3 - 1e-12
@@ -134,24 +144,25 @@ class TestLocateEvent:
     def test_jump_guard_without_crossing_is_an_error(self, x0, bracket):
         phi = constant_memory_arc(np.array([x0]), 0.0, depth=0.0)
         with pytest.raises(EventLocationError, match="jump guard does not cross"):
-            locate_event(self.ramp(), phi, bracket, guard="jump")
+            locate_event(self.ramp(), head_view(phi), bracket, guard="jump")
 
     @pytest.mark.parametrize("guard, tau0", [("flow", 0.1973), ("flow", 0.1999),
                                              ("jump", 0.195)])
     def test_returned_state_is_the_rk4_step_at_the_returned_time(self, guard, tau0):
         _, spec, phi = example1_at_clock(tau0)
-        h, x = locate_event(spec, phi, 0.005, guard=guard)
-        want, _ = _rk4(spec, _as_view(phi), h)
+        h, x = locate_event(spec, head_view(phi), 0.005, guard=guard)
+        want, _ = _rk4(spec, head_view(phi), h)
         assert x.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("tau0", [0.1951, 0.1963, 0.19775, 0.1988, 0.19999])
     def test_affine_clock_guard_takes_at_most_four_rk4_steps(self, tau0, monkeypatch):
         p, spec, phi = example1_at_clock(tau0)
         steps = count_rk4_steps(monkeypatch)
-        h, x = locate_event(spec, phi, 0.005, guard="flow", event_tol=1e-9)
+        h, x = locate_event(spec, head_view(phi), 0.005, guard="flow",
+                            event_tol=1e-9)
         assert len(steps) <= 4  # the bracket's end plus at most three trials
         assert 0.0 <= (p.delta - tau0) - h <= 1e-9 + 1e-15
-        assert spec.flow_guard(_as_view(phi).extend(h, x)) >= 0.0
+        assert spec.flow_guard(head_view(phi).extend(h, x)) >= 0.0
 
     @pytest.mark.parametrize("h_bracket", [0.005, 0.003, 2.0 ** -8])
     def test_v_shaped_jump_guard_at_the_period(self, h_bracket, monkeypatch):
@@ -160,9 +171,10 @@ class TestLocateEvent:
         p, spec, phi = example1_at_clock(0.2 - h_bracket)
         tol = 1e-9
         steps = count_rk4_steps(monkeypatch)
-        h, x = locate_event(spec, phi, h_bracket, guard="jump", event_tol=tol)
+        h, x = locate_event(spec, head_view(phi), h_bracket, guard="jump",
+                            event_tol=tol)
         assert len(steps) <= 2 * np.ceil(np.log2(h_bracket / tol)) + 2
-        assert spec.jump_guard(_as_view(phi).extend(h, x)) >= -1e-7
+        assert spec.jump_guard(head_view(phi).extend(h, x)) >= -1e-7
         assert abs(x[3] - p.delta) <= tol
         assert h <= h_bracket
 
@@ -178,7 +190,8 @@ class TestLocateEvent:
         phi = constant_memory_arc(np.array([0.0]), 0.0, depth=0.0)
         h_bracket, tol = 0.5, 1e-9
         steps = count_rk4_steps(monkeypatch)
-        h, x = locate_event(spec, phi, h_bracket, guard=guard, event_tol=tol)
+        h, x = locate_event(spec, head_view(phi), h_bracket, guard=guard,
+                            event_tol=tol)
         assert len(steps) <= 2 * np.ceil(np.log2(h_bracket / tol)) + 2
         assert len(steps) > 4  # the secant alone does not close it
         root = 0.3
@@ -463,14 +476,14 @@ class TestMemoryArcViews:
         spec, _ = build_example2(p)
         phi = const_history(spec, [1.0, 0.0])
         n_stored = sum(s.times.shape[0] for s in phi.memory_segments)
-        before = integrate_flow_step(spec, phi, 0.01)
+        before = _rk4(spec, head_view(phi), 0.01)
         w_h = flow_window(spec, phi, 0.05)
         assert w_h.head.tobytes() != phi.head.tobytes()
-        view = _as_view(phi)
+        view = head_view(phi)
         assert view.history.n == n_stored
         assert view.head.tobytes() == phi.head.tobytes()
         assert view.delayed(0.0).tobytes() == phi.head.tobytes()
-        after = integrate_flow_step(spec, phi, 0.01)
-        fresh = integrate_flow_step(spec, const_history(spec, [1.0, 0.0]), 0.01)
+        after = _rk4(spec, view, 0.01)
+        fresh = _rk4(spec, head_view(const_history(spec, [1.0, 0.0])), 0.01)
         for a, b, c in zip(before, after, fresh):
             assert a.tobytes() == b.tobytes() == c.tobytes()
