@@ -1,9 +1,23 @@
 """Command-line front end.
 
 Builds a system from a stock name or a JSON config, runs simulations or
-certificate checks, and writes deterministic CSV/JSON artifacts.  Exit
-codes: 0 success with no violations, 1 violations found, 2 usage or config
-error, 3 runtime error.
+certificate checks, and writes deterministic CSV/JSON artifacts.
+
+Every command takes ``--set`` and ``--report``.  ``simulate`` and
+``check-kl`` take ``--system`` or ``--config`` and the simulation flags
+(``--t-max``, ``--j-max``, ``--step``, ``--jump-priority``); ``simulate``
+adds ``--history``, ``--out`` and ``--plot-out``, ``check-kl`` adds
+``--seed``, ``--trajectories``, ``--eps-grid`` and ``--eta-grid``.  The
+check commands take ``--seed``, ``--samples``, ``--slack`` and
+``--sampler-mode``, and only the stock system that has their certificate:
+``--system example1`` for ``check-razumikhin`` and ``check-halanay``,
+``--system example2`` for ``check-krasovskii``.
+
+Each command reads all of its input (system, overrides, options, initial
+history, stock certificate) before it runs anything, so malformed input
+exits 2 with ``config error: ...`` and writes nothing.  Exit codes: 0
+success with no violations, 1 violations found, 2 usage or config error
+(also a certificate that fails its screening), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -11,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -22,7 +36,7 @@ from .builtin import (example1_halanay_certificate,
 from .certificates import (CertificateValidationError, check_halanay,
                            check_kl_envelope, check_krasovskii,
                            check_razumikhin)
-from .hybrid_time import constant_memory_arc, write_arc_csv
+from .hybrid_time import HybridMemoryArc, constant_memory_arc, write_arc_csv
 from .sampling import ArcSampler
 from .solver import SimOptions, Trajectory, run_summary, simulate
 from .system import (ConfigError, Example1Params, Example2Params, SystemSpec,
@@ -34,31 +48,6 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one CLI invocation needs; exactly one system source."""
-
-    command: str
-    system: str | None = None
-    config_path: str | None = None
-    overrides: tuple[str, ...] = ()
-    t_max: float | None = None
-    j_max: int | None = None
-    step: float | None = None
-    jump_priority: str | None = None
-    samples: int = 1000
-    seed: int = 0
-    slack: float | None = None
-    sampler_mode: str = "reachable"
-    history: str | None = None
-    out: str | None = None
-    report: str | None = None
-    plot_out: str | None = None
-    trajectories: int = 20
-    eps_grid: tuple[float, ...] = (0.01, 0.1, 1.0)
-    eta_grid: tuple[float, ...] = (0.25, 0.5, 1.0)
 
 
 def _parse_override(item: str) -> tuple[str, object]:
@@ -87,52 +76,51 @@ def _apply_dotted(doc: dict, key: str, value: object) -> None:
     node[parts[-1]] = value
 
 
-def _build_system(cfg: RunConfig):
-    """Returns (kind, params_or_cfg, spec, target, extras)."""
-    if (cfg.system is None) == (cfg.config_path is None):
+_STOCK_SYSTEMS = {"example1": (Example1Params.paper, build_example1),
+                  "example2": (Example2Params.case2, build_example2)}
+
+
+def _build_system(system: str | None, config_path: str | None,
+                  overrides: tuple[str, ...]):
+    """Returns (params_or_cfg, spec, target, extras)."""
+    if (system is None) == (config_path is None):
         raise ConfigError("exactly one of --system and --config is required")
-    overrides = [_parse_override(o) for o in cfg.overrides]
-    if cfg.system is not None:
-        if cfg.system == "example1":
-            params = Example1Params.paper()
-        elif cfg.system == "example2":
-            params = Example2Params.case2()
-        else:
-            raise ConfigError(f"unknown system {cfg.system!r}; "
-                              "expected 'example1' or 'example2'")
+    pairs = [_parse_override(o) for o in overrides]
+    if system is not None:
+        default_params, build = _STOCK_SYSTEMS[system]
+        params = default_params()
         fields = {f.name for f in dataclasses.fields(params)}
         updates = {}
-        for key, value in overrides:
+        for key, value in pairs:
             if key not in fields:
-                raise ConfigError(f"unknown parameter {key!r} for {cfg.system}")
+                raise ConfigError(f"unknown parameter {key!r} for {system}")
             updates[key] = value
         if updates:
             params = dataclasses.replace(params, **updates)
-        if cfg.system == "example1":
-            spec, target = build_example1(params)
-        else:
-            spec, target = build_example2(params)
-        return cfg.system, params, spec, target, {}
-    with open(cfg.config_path) as fh:
+        spec, target = build(params)
+        return params, spec, target, {}
+    with open(config_path) as fh:
         doc = json.load(fh)
-    for key, value in overrides:
+    for key, value in pairs:
         _apply_dotted(doc, key, value)
     ld_cfg, extras = parse_linear_delay_config(doc)
     spec, target = build_linear_delay_system(ld_cfg)
-    return "linear_delay", ld_cfg, spec, target, extras
+    return ld_cfg, spec, target, extras
 
 
-def _sim_options(cfg: RunConfig, spec: SystemSpec, extras: dict) -> SimOptions:
+def _sim_options(spec: SystemSpec, extras: dict, t_max: float | None,
+                 j_max: int | None, step: float | None,
+                 jump_priority: str | None) -> SimOptions:
     """Each option from its flag, else the config's sim section, else the
     SimOptions default (the step defaults to min(period / 40, 0.01))."""
     sim = extras.get("sim", {})
     period = spec.meta.get("period")
-    step = cfg.step if cfg.step is not None else sim.get("step")
+    step = step if step is not None else sim.get("step")
     if step is None:
         step = min(period / 40.0, 1e-2) if period else 1e-2
     chosen = {}
-    for name, cast in (("t_max", float), ("j_max", int), ("jump_priority", str)):
-        value = getattr(cfg, name)
+    for name, value, cast in (("t_max", t_max, float), ("j_max", j_max, int),
+                              ("jump_priority", jump_priority, str)):
         if value is None:
             value = sim.get(name)
         if value is not None:
@@ -140,10 +128,17 @@ def _sim_options(cfg: RunConfig, spec: SystemSpec, extras: dict) -> SimOptions:
     return SimOptions(step=float(step), **chosen)
 
 
-def _initial_history(cfg: RunConfig, spec: SystemSpec, extras: dict,
-                     opts: SimOptions):
-    if cfg.history is not None:
-        value = np.array([float(x) for x in cfg.history.split(",")])
+def _constant_history(spec: SystemSpec, value: np.ndarray,
+                      opts: SimOptions) -> HybridMemoryArc:
+    return constant_memory_arc(value, spec.memory_size,
+                               depth=spec.memory_size + 0.5,
+                               grid_step=opts.step * 4)
+
+
+def _initial_history(history: str | None, spec: SystemSpec, extras: dict,
+                     opts: SimOptions) -> HybridMemoryArc:
+    if history is not None:
+        value = np.array([float(x) for x in history.split(",")])
         if value.shape != (spec.dimension,):
             raise ConfigError(f"--history needs {spec.dimension} components")
     elif "initial_history" in extras:
@@ -153,9 +148,7 @@ def _initial_history(cfg: RunConfig, spec: SystemSpec, extras: dict,
         clock = spec.meta.get("clock_index")
         if clock is not None:
             value[clock] = 0.0
-    return constant_memory_arc(value, spec.memory_size,
-                               depth=spec.memory_size + 0.5,
-                               grid_step=opts.step * 4)
+    return _constant_history(spec, value, opts)
 
 
 def emit_plot_data(traj: Trajectory, target: TargetSet, out: str) -> None:
@@ -178,86 +171,32 @@ def _write_json(doc: dict, path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+# Exceptions that exit 2 while a command reads its input, and while it runs.
+_READ_ERRORS = (ValueError, TypeError, OSError)
+_RUN_ERRORS = (CertificateValidationError,)
+
+
+@contextmanager
+def _exit_on_failure(config_errors):
+    """Exit 2 on ``config_errors``, 3 on any other exception."""
     try:
-        kind, params, spec, target, extras = _build_system(cfg)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        yield
+    except config_errors as exc:
         click.echo(f"config error: {exc}", err=True)
-        return EXIT_CONFIG
-
-    try:
-        if cfg.command == "simulate":
-            opts = _sim_options(cfg, spec, extras)
-            init = _initial_history(cfg, spec, extras, opts)
-            traj = simulate(spec, init, opts)
-            if cfg.out:
-                write_arc_csv(traj.arc, cfg.out)
-            _write_json(run_summary(traj, target), cfg.report)
-            if cfg.plot_out:
-                emit_plot_data(traj, target, cfg.plot_out)
-            return EXIT_OK
-
-        if cfg.command in ("check-razumikhin", "check-halanay",
-                           "check-krasovskii"):
-            if kind == "example1" and cfg.command == "check-razumikhin":
-                cert, info = example1_razumikhin_certificate(params)
-                checker = check_razumikhin
-            elif kind == "example1" and cfg.command == "check-halanay":
-                cert, info = example1_halanay_certificate(params)
-                checker = check_halanay
-            elif kind == "example2" and cfg.command == "check-krasovskii":
-                cert, info = example2_krasovskii_certificate(params)
-                checker = check_krasovskii
-            else:
-                click.echo(f"config error: no stock certificate for "
-                           f"{cfg.command} on system {kind!r}", err=True)
-                return EXIT_CONFIG
-            sampler = ArcSampler(spec, seed=cfg.seed, mode=cfg.sampler_mode)
-            report = checker(spec, cert, sampler, slack=cfg.slack,
-                             samples=cfg.samples, target=target)
-            _write_json(report.to_json_dict(), cfg.report)
-            return EXIT_OK if report.passed else EXIT_VIOLATIONS
-
-        if cfg.command == "check-kl":
-            opts = _sim_options(cfg, spec, extras)
-            rng_root = np.random.SeedSequence((cfg.seed, 4097))
-            trajs = []
-            clock = spec.meta.get("clock_index")
-            for child in rng_root.spawn(cfg.trajectories):
-                rng = np.random.Generator(np.random.Philox(child))
-                v = rng.normal(size=spec.dimension)
-                if clock is not None:
-                    v[clock] = 0.0
-                norm = np.linalg.norm(v)
-                if norm > 0:
-                    v = v / norm * rng.uniform(0.05, max(cfg.eta_grid))
-                init = constant_memory_arc(v, spec.memory_size,
-                                           depth=spec.memory_size + 0.5,
-                                           grid_step=opts.step * 4)
-                trajs.append(simulate(spec, init, opts))
-            report = check_kl_envelope(trajs, target, cfg.eps_grid, cfg.eta_grid)
-            _write_json(report.to_json_dict(), cfg.report)
-            return EXIT_OK if report.passed else EXIT_VIOLATIONS
-
-        raise ValueError(f"unknown command {cfg.command!r}")
-    except (ConfigError, CertificateValidationError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return EXIT_CONFIG
+        sys.exit(EXIT_CONFIG)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         click.echo(f"runtime error: {exc}", err=True)
-        return EXIT_RUNTIME
+        sys.exit(EXIT_RUNTIME)
 
 
-# ---------------------------------------------------------------------------
-# click wiring
-# ---------------------------------------------------------------------------
-
-_system_options = [
-    click.option("--system", type=click.Choice(["example1", "example2"]),
+_source_options = [
+    click.option("--system", type=click.Choice(sorted(_STOCK_SYSTEMS)),
                  default=None, help="Stock system."),
     click.option("--config", "config_path", type=click.Path(), default=None,
                  help="Linear-delay system config (JSON)."),
+]
+
+_io_options = [
     click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
                  help="Parameter override (JSON value; dotted path for configs)."),
     click.option("--report", type=click.Path(), default=None,
@@ -285,7 +224,7 @@ _sim_flag_options = [
 ]
 
 _check_options = [
-    click.option("--samples", type=int, default=1000, show_default=True),
+    click.option("--samples", type=click.IntRange(1), default=1000, show_default=True),
     click.option("--slack", type=float, default=None,
                  help="Override both condition slacks."),
     click.option("--sampler-mode", type=click.Choice(["reachable", "cover", "both"]),
@@ -307,7 +246,8 @@ def main():
 
 
 @main.command("simulate")
-@_add(_system_options)
+@_add(_source_options)
+@_add(_io_options)
 @_add(_sim_flag_options)
 @click.option("--history", default=None,
               help="Constant initial history, comma-separated components.")
@@ -318,54 +258,81 @@ def main():
 def cmd_simulate(system, config_path, overrides, report, t_max, j_max,
                  step, jump_priority, history, out, plot_out):
     """Integrate one solution and write its trajectory and summary."""
-    cfg = RunConfig(command="simulate", system=system, config_path=config_path,
-                    overrides=tuple(overrides), report=report,
-                    t_max=t_max, j_max=j_max, step=step,
-                    jump_priority=jump_priority, history=history, out=out,
-                    plot_out=plot_out)
-    sys.exit(run(cfg))
+    with _exit_on_failure(_READ_ERRORS):
+        _, spec, target, extras = _build_system(system, config_path, overrides)
+        opts = _sim_options(spec, extras, t_max, j_max, step, jump_priority)
+        init = _initial_history(history, spec, extras, opts)
+    with _exit_on_failure(_RUN_ERRORS):
+        traj = simulate(spec, init, opts)
+        if out:
+            write_arc_csv(traj.arc, out)
+        _write_json(run_summary(traj, target), report)
+        if plot_out:
+            emit_plot_data(traj, target, plot_out)
+    sys.exit(EXIT_OK)
 
 
-def _check_command(name: str, doc: str):
+def _check_command(name: str, system: str, certificate, checker, doc: str):
+    """A check command on the one stock system with that certificate."""
     @main.command(name, help=doc)
-    @_add(_system_options)
+    @click.option("--system", "system_name", type=click.Choice([system]),
+                  required=True, help="Stock system with this certificate.")
+    @_add(_io_options)
     @_seed_option
     @_add(_check_options)
-    def cmd(system, config_path, overrides, report, seed, samples, slack,
-            sampler_mode):
-        cfg = RunConfig(command=name, system=system, config_path=config_path,
-                        overrides=tuple(overrides), seed=seed, report=report,
-                        samples=samples, slack=slack, sampler_mode=sampler_mode)
-        sys.exit(run(cfg))
+    def cmd(system_name, overrides, report, seed, samples, slack, sampler_mode):
+        with _exit_on_failure(_READ_ERRORS):
+            params, spec, target, _ = _build_system(system_name, None, overrides)
+            cert, _ = certificate(params)
+        with _exit_on_failure(_RUN_ERRORS):
+            sampler = ArcSampler(spec, seed=seed, mode=sampler_mode)
+            result = checker(spec, cert, sampler, slack=slack,
+                             samples=samples, target=target)
+            _write_json(result.to_json_dict(), report)
+        sys.exit(EXIT_OK if result.passed else EXIT_VIOLATIONS)
 
     return cmd
 
 
-_check_command("check-razumikhin",
-               "Check the threshold certificate on sampled arcs.")
-_check_command("check-halanay",
-               "Check the linear-form certificate on sampled arcs.")
-_check_command("check-krasovskii",
-               "Check the functional certificate on sampled arcs.")
+_check_command("check-razumikhin", "example1", example1_razumikhin_certificate,
+               check_razumikhin, "Check the threshold certificate on sampled arcs.")
+_check_command("check-halanay", "example1", example1_halanay_certificate,
+               check_halanay, "Check the linear-form certificate on sampled arcs.")
+_check_command("check-krasovskii", "example2", example2_krasovskii_certificate,
+               check_krasovskii, "Check the functional certificate on sampled arcs.")
 
 
 @main.command("check-kl")
-@_add(_system_options)
+@_add(_source_options)
+@_add(_io_options)
 @_seed_option
 @_add(_sim_flag_options)
-@click.option("--trajectories", type=int, default=20, show_default=True)
+@click.option("--trajectories", type=click.IntRange(1), default=20, show_default=True)
 @click.option("--eps-grid", default="0.01,0.1,1.0", show_default=True)
 @click.option("--eta-grid", default="0.25,0.5,1.0", show_default=True)
 def cmd_check_kl(system, config_path, overrides, report, seed, t_max, j_max,
                  step, jump_priority, trajectories, eps_grid, eta_grid):
     """Empirical boundedness and attractivity over a trajectory bundle."""
-    cfg = RunConfig(command="check-kl", system=system, config_path=config_path,
-                    overrides=tuple(overrides), seed=seed, report=report,
-                    t_max=t_max, j_max=j_max, step=step,
-                    jump_priority=jump_priority, trajectories=trajectories,
-                    eps_grid=tuple(float(x) for x in eps_grid.split(",")),
-                    eta_grid=tuple(float(x) for x in eta_grid.split(",")))
-    sys.exit(run(cfg))
+    with _exit_on_failure(_READ_ERRORS):
+        _, spec, target, extras = _build_system(system, config_path, overrides)
+        opts = _sim_options(spec, extras, t_max, j_max, step, jump_priority)
+        eps, eta = (tuple(float(x) for x in grid.split(","))
+                    for grid in (eps_grid, eta_grid))
+    with _exit_on_failure(_RUN_ERRORS):
+        clock = spec.meta.get("clock_index")
+        trajs = []
+        for child in np.random.SeedSequence((seed, 4097)).spawn(trajectories):
+            rng = np.random.Generator(np.random.Philox(child))
+            v = rng.normal(size=spec.dimension)
+            if clock is not None:
+                v[clock] = 0.0
+            norm = np.linalg.norm(v)
+            if norm > 0:
+                v = v / norm * rng.uniform(0.05, max(eta))
+            trajs.append(simulate(spec, _constant_history(spec, v, opts), opts))
+        result = check_kl_envelope(trajs, target, eps, eta)
+        _write_json(result.to_json_dict(), report)
+    sys.exit(EXIT_OK if result.passed else EXIT_VIOLATIONS)
 
 
 if __name__ == "__main__":

@@ -191,7 +191,7 @@ class ArcSegment:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if values.shape[0] != times.shape[0]:
+        if times.ndim == 1 and values.shape[0] != times.shape[0]:
             values = values.T
         derivs = self.derivs
         if derivs is not None:

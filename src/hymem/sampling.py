@@ -75,24 +75,15 @@ class ArcSampler:
             raise ValueError(f"unknown region {region!r}")
         if count <= 0 or not self.region_supported(region):
             return []
-        if self.mode == "reachable":
-            plan = [("reachable", i) for i in range(count)]
-        elif self.mode == "cover":
-            plan = [("cover", i) for i in range(count)]
-        else:
-            half = (count + 1) // 2
-            plan = [("reachable", i) for i in range(half)]
-            plan += [("cover", i) for i in range(count - half)]
-
-        out: list[ArcSample] = []
-        n_reach = sum(1 for kind, _ in plan if kind == "reachable")
+        n_reach = {"reachable": count, "cover": 0,
+                   "both": (count + 1) // 2}[self.mode]
         reach_arcs = self._reachable(region, n_reach) if n_reach else []
-        r_iter = iter(reach_arcs)
-        for idx, (kind, sub) in enumerate(plan):
-            if kind == "reachable":
-                arc, origin = next(r_iter)
+        out: list[ArcSample] = []
+        for idx in range(count):
+            if idx < n_reach:
+                arc, origin = reach_arcs[idx]
             else:
-                arc, origin = self._cover_arc(region, sub)
+                arc, origin = self._cover_arc(region, idx - n_reach)
             self._check_guard(arc, region)
             out.append(ArcSample(arc=arc, region=region, index=idx, origin=origin))
         return out

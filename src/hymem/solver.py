@@ -280,46 +280,32 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                 break
             w = hist.view()
             jump_ok = spec.jump_guard(w) >= -opts.guard_tol
-
-            do_jump = jump_ok and opts.jump_priority == "jump"
-            if not do_jump:
-                if flow_ok:
-                    if try_flow(w):
-                        continue
-                    if t >= opts.t_max - TIME_TOL:
-                        termination = Termination.horizon_reached
-                        break
-                    # flow cannot progress past the boundary
-                    if jump_ok:
-                        do_jump = True
-                    else:
-                        termination = Termination.left_C_and_D
-                        break
-                elif jump_ok:
-                    do_jump = True
-                else:
+            if not (jump_ok and opts.jump_priority == "jump"):
+                if flow_ok and try_flow(w):
+                    continue
+                # flow cannot progress past the boundary, or w is not in C
+                if not jump_ok:
                     termination = Termination.left_C_and_D
                     break
 
-            if do_jump:
-                if last_jump_t is not None and abs(t - last_jump_t) <= TIME_TOL:
-                    consecutive_jumps += 1
-                else:
-                    consecutive_jumps = 1
-                last_jump_t = t
-                if consecutive_jumps > opts.max_consecutive_jumps:
-                    termination = Termination.zeno_guard
-                    break
-                candidates = spec.jump_selections(w)
-                if not candidates:
-                    raise PreconditionError(
-                        f"jump set entered at (t={t}, j={j}) but the jump map "
-                        "offers no candidate")
-                g = np.array(spec.jump_choice(candidates), dtype=float)
-                jumps.append((t, j))
-                j += 1
-                hist.start_segment(t, g)
-                flow_ok = set_head_deriv()
+            if last_jump_t is not None and abs(t - last_jump_t) <= TIME_TOL:
+                consecutive_jumps += 1
+            else:
+                consecutive_jumps = 1
+            last_jump_t = t
+            if consecutive_jumps > opts.max_consecutive_jumps:
+                termination = Termination.zeno_guard
+                break
+            candidates = spec.jump_selections(w)
+            if not candidates:
+                raise PreconditionError(
+                    f"jump set entered at (t={t}, j={j}) but the jump map "
+                    "offers no candidate")
+            g = np.array(spec.jump_choice(candidates), dtype=float)
+            jumps.append((t, j))
+            j += 1
+            hist.start_segment(t, g)
+            flow_ok = set_head_deriv()
     except DomainError as exc:
         termination = Termination.error
         error = f"{type(exc).__name__} at (t={t}, j={j}): {exc}"

@@ -10,6 +10,9 @@ import pytest
 CLI = [sys.executable, "-m", "hymem"]
 
 
+MINIMAL_CONFIG = {"dimension": 1, "memory_size": 0.0, "flow": {"A0": [[-1.0]]}}
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
                           cwd=cwd)
@@ -100,9 +103,57 @@ class TestExitCodes:
         assert "mystery" in r.stderr
 
     def test_no_stock_certificate_exits_two(self):
+        # each check command offers only the stock system with its certificate
         r = run_cli("check-krasovskii", "--system", "example1",
                     "--samples", "50")
         assert r.returncode == 2
+        assert "Invalid value for '--system'" in r.stderr
+
+    def test_check_commands_take_no_config(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(MINIMAL_CONFIG))
+        r = run_cli("check-razumikhin", "--config", str(cfg))
+        assert r.returncode == 2
+        assert "No such option" in r.stderr
+
+    @pytest.mark.parametrize("args, config", [
+        (("check-razumikhin", "--system", "example1", "--set", "K=foo"), None),
+        (("simulate", "--system", "example1", "--set", "A=foo"), None),
+        (("simulate",), {"dimension": "abc"}),
+        (("check-kl", "--system", "example1", "--eps-grid", "0.1,x"), None),
+        (("simulate", "--system", "example1", "--step", "0"), None),
+        (("simulate", "--system", "example1", "--history", "1,x,0,0"), None),
+        (("simulate",), {"sim": {"t_max": "long"}}),
+        (("simulate",), {"initial_history": {
+            "kind": "samples", "points": [[-1.0, 1.0], [0, "x"]]}}),
+    ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "step-zero",
+            "history", "config-t-max", "config-history-point"])
+    def test_malformed_input_exits_two(self, tmp_path, args, config):
+        # read before anything runs: exit 2 with the reason, no traceback
+        if config is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({**MINIMAL_CONFIG, **config}))
+            args = (*args, "--config", str(cfg))
+        r = run_cli(*args, "--report", str(tmp_path / "r.json"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error:")
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("check-razumikhin", "--system", "example1", "--samples", "0"),
+        ("check-kl", "--system", "example2", "--trajectories", "0"),
+    ], ids=["samples", "trajectories"])
+    def test_counts_below_one_exit_two(self, args):
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert "is not in the range x>=1" in r.stderr
+
+    def test_failure_while_running_exits_three(self):
+        # a well-formed history that starts outside both the flow and jump sets
+        r = run_cli("simulate", "--system", "example1", "--history", "1,1,0,0.5")
+        assert r.returncode == 3
+        assert r.stderr.startswith("runtime error: initial data lies outside both")
 
     def test_simulate_takes_no_seed(self):
         # simulate draws nothing at random, so a seed would change nothing

@@ -120,7 +120,10 @@ class TestConstructorRejections:
          r"times of shape \(m,\) and values of shape \(m, n\)"),
         ([-1.0, -0.5, 0.0], np.zeros((3, 1)), np.zeros((2, 1)),
          "derivative samples must match value samples in shape"),
-    ], ids=["decreasing", "duplicate", "empty", "values-shape", "derivs-shape"])
+        (0.0, [1.0], None,
+         r"times of shape \(m,\) and values of shape \(m, n\)"),
+    ], ids=["decreasing", "duplicate", "empty", "values-shape", "derivs-shape",
+            "scalar-times"])
     def test_segment_checks(self, build, times, values, derivs, message):
         segment = ArcSegment(0, np.asarray(times, dtype=float), values, derivs)
         with pytest.raises(ValueError, match=message):
