@@ -282,6 +282,8 @@ def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
     """
     if target is None:
         raise ValueError("a TargetSet is required (pass target=...)")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rec = _Recorder(slack if slack is not None else ALGEBRAIC_SLACK,
                     slack if slack is not None else derivative_slack(h))
     n_c, n_d, n_g = _split_counts(samples)

@@ -318,8 +318,12 @@ def cmd_check_kl(system, config_path, overrides, report, seed, t_max, j_max,
         opts = _sim_options(spec, extras, t_max, j_max, step, jump_priority)
         eps, eta = (tuple(float(x) for x in grid.split(","))
                     for grid in (eps_grid, eta_grid))
+        bad = [v for v in eps + eta if not (np.isfinite(v) and v > 0)]
+        if bad:
+            raise ConfigError(f"grid values must be positive and finite, got {bad[0]}")
     with _exit_on_failure(_RUN_ERRORS):
         clock = spec.meta.get("clock_index")
+        top = max(eta)  # initial sizes are drawn below the largest eta
         trajs = []
         for child in np.random.SeedSequence((seed, 4097)).spawn(trajectories):
             rng = np.random.Generator(np.random.Philox(child))
@@ -328,7 +332,7 @@ def cmd_check_kl(system, config_path, overrides, report, seed, t_max, j_max,
                 v[clock] = 0.0
             norm = np.linalg.norm(v)
             if norm > 0:
-                v = v / norm * rng.uniform(0.05, max(eta))
+                v = v / norm * rng.uniform(min(0.05, 0.5 * top), top)
             trajs.append(simulate(spec, _constant_history(spec, v, opts), opts))
         result = check_kl_envelope(trajs, target, eps, eta)
         _write_json(result.to_json_dict(), report)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .hybrid_time import (ArcSegment, HybridMemoryArc, append_jump,
                           constant_memory_arc, memory_window)
-from .solver import SimOptions, Trajectory, simulate
+from .solver import SimOptions, simulate
 from .system import SystemSpec
 
 _REGIONS = ("C", "D", "Gplus")
@@ -56,7 +56,7 @@ class ArcSampler:
     def __post_init__(self):
         if self.mode not in ("reachable", "cover", "both"):
             raise ValueError("mode must be 'reachable', 'cover' or 'both'")
-        self._pool_trajs: list[Trajectory] = []
+        self._pool_sims = 0  # simulations run to fill the reachable pool
         self._pool_jump_windows: list[tuple[HybridMemoryArc, str]] = []
         self._pool_flow_windows: list[tuple[HybridMemoryArc, str]] = []
 
@@ -136,7 +136,7 @@ class ArcSampler:
         opts = self._sim_options()
         init = self._random_history(rng)
         traj = simulate(self.spec, init, opts)
-        self._pool_trajs.append(traj)
+        self._pool_sims += 1
         tag = f"reachable:traj{traj_index}"
         delta = self.spec.memory_size
         for nj, (t, j) in enumerate(traj.jumps):
@@ -166,7 +166,7 @@ class ArcSampler:
     def _reachable(self, region: str, count: int) -> list[tuple[HybridMemoryArc, str]]:
         pool = self._pool_jump_windows if region in ("D", "Gplus") \
             else self._pool_flow_windows
-        traj_index = len(self._pool_trajs)
+        traj_index = self._pool_sims
         while len(pool) < count:
             before = len(pool)
             self._extend_pool(traj_index)

@@ -301,7 +301,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                 raise PreconditionError(
                     f"jump set entered at (t={t}, j={j}) but the jump map "
                     "offers no candidate")
-            g = np.array(spec.jump_choice(candidates), dtype=float)
+            g = np.array(candidates[0], dtype=float)
             jumps.append((t, j))
             j += 1
             hist.start_segment(t, g)

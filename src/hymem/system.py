@@ -6,9 +6,11 @@ windows.  Windows are duck-typed: anything exposing ``head`` (the value at
 (0, 0)), ``delayed(s)`` (the value at (s, k(s))), and ``delta`` works, which
 lets the solver pass lightweight views instead of materialized arcs.
 
-Builders are provided for the two stock examples (a sampled-data loop with
-delayed measurements and a scalar delay system with periodic resets) and for
-a general linear-delay family that subsumes both.
+Both stock systems are members of the linear-delay family below, jumping
+when their clock reaches the period delta: ``example1`` has x = (z, u),
+A0 = [[A, B], [0, 0]], J0 = [[I, 0], [0, 0]] and one jump term
+[[0, 0], [K, 0]] at delay r; ``example2`` has A0 = [[a]], one flow term [[b]]
+at delay r and J0 = [[rho]].
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ class SystemSpec:
     """Flow/jump sets as signed guards plus selection maps, and memory size.
 
     ``flow_selection`` must be defined whenever ``flow_guard`` >= 0 and
-    ``jump_selections`` must be nonempty whenever ``jump_guard`` >= 0.
-    ``flow_candidates`` lists the flow selections a checker should try; it
-    defaults to the single simulation selection.
+    ``jump_selections`` must be nonempty whenever ``jump_guard`` >= 0; the
+    solver applies the first candidate.  ``flow_candidates`` lists the flow
+    selections a checker should try; it defaults to the single simulation
+    selection.  ``meta`` holds ``clock_index``, ``period`` and ``delays``.
     """
 
     dimension: int
@@ -51,13 +54,10 @@ class SystemSpec:
     jump_guard: Callable
     flow_selection: Callable
     jump_selections: Callable
-    jump_choice: Callable = None  # type: ignore[assignment]
     flow_candidates: Callable = None  # type: ignore[assignment]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.jump_choice is None:
-            object.__setattr__(self, "jump_choice", lambda gs: gs[0])
         if self.flow_candidates is None:
             object.__setattr__(self, "flow_candidates",
                                lambda w: [self.flow_selection(w)])
@@ -167,87 +167,6 @@ class Example2Params:
         return cls(a=0.5, b=0.25, rho=0.5, r=0.05, delta=0.1, sigma=2.0, mu=0.5)
 
 
-def _clock_guards(period: float, clock_index: int):
-    def flow_guard(w) -> float:
-        tau = float(w.head[clock_index])
-        return min(tau, period - tau)
-
-    def jump_guard(w) -> float:
-        tau = float(w.head[clock_index])
-        return -abs(period - tau)
-
-    return flow_guard, jump_guard
-
-
-def build_example1(p: Example1Params) -> tuple[SystemSpec, TargetSet]:
-    """Sampled-data system with delayed measurements.
-
-    State (z, u, tau); between samples dz = A z + B u, du = 0, dtau = 1; when
-    the clock reaches delta the input resets to K times the z-measurement
-    taken r units of time earlier and the clock restarts.
-    """
-    nz, m = p.nz, p.m
-    n = nz + m + 1
-    A, B, K = p.A, p.B, p.K
-    delta_mem = p.r  # the only delayed lookup happens at jumps, spaced delta > r
-    flow_guard, jump_guard = _clock_guards(p.delta, n - 1)
-
-    def flow_selection(w) -> np.ndarray:
-        x = w.head
-        out = np.empty(n)
-        out[:nz] = A @ x[:nz] + B @ x[nz:nz + m]
-        out[nz:nz + m] = 0.0
-        out[n - 1] = 1.0
-        return out
-
-    def jump_selections(w) -> list[np.ndarray]:
-        x = w.head
-        zhat = w.delayed(-p.r)[:nz]
-        g = np.empty(n)
-        g[:nz] = x[:nz]
-        g[nz:nz + m] = K @ zhat
-        g[n - 1] = 0.0
-        return [g]
-
-    spec = SystemSpec(
-        dimension=n, memory_size=delta_mem,
-        flow_guard=flow_guard, jump_guard=jump_guard,
-        flow_selection=flow_selection, jump_selections=jump_selections,
-        meta={"kind": "example1", "params": p, "clock_index": n - 1,
-              "period": p.delta, "delays": (p.r,)},
-    )
-    return spec, origin_times_clock_target(n, p.delta)
-
-
-def build_example2(p: Example2Params) -> tuple[SystemSpec, TargetSet]:
-    """Scalar delay flow with periodic resets.
-
-    State (x, tau); dx = a x + b x(t - r), dtau = 1; at tau = delta the state
-    resets to rho x and the clock to zero.  The memory size is r + 1 so the
-    delayed lookup stays inside the window across a reset.
-    """
-    delta_mem = p.r + 1.0
-    flow_guard, jump_guard = _clock_guards(p.delta, 1)
-
-    def flow_selection(w) -> np.ndarray:
-        x = w.head
-        xd = w.delayed(-p.r)
-        return np.array([p.a * x[0] + p.b * xd[0], 1.0])
-
-    def jump_selections(w) -> list[np.ndarray]:
-        x = w.head
-        return [np.array([p.rho * x[0], 0.0])]
-
-    spec = SystemSpec(
-        dimension=2, memory_size=delta_mem,
-        flow_guard=flow_guard, jump_guard=jump_guard,
-        flow_selection=flow_selection, jump_selections=jump_selections,
-        meta={"kind": "example2", "params": p, "clock_index": 1,
-              "period": p.delta, "delays": (p.r,)},
-    )
-    return spec, origin_times_clock_target(2, p.delta)
-
-
 # ---------------------------------------------------------------------------
 # General linear-delay family:
 #   flow  dx = A0 x + sum_i Ai x(t - r_i)
@@ -311,9 +230,31 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
         j0, jump_terms = None, ()
 
     dim = n + 1 if has_clock else n
+    flow_reads = [(-t.delay, t.matrix) for t in flow_terms]
+    jump_reads = [(-t.delay, t.matrix) for t in jump_terms]
+    rate, reset = np.ones(1), np.zeros(1)  # the clock's flow and jump values
+
+    def linear(m0, reads, w) -> np.ndarray:
+        out = m0.dot(w.head[:n])
+        for s, m in reads:
+            out += m.dot(w.delayed(s)[:n])
+        return out
 
     if has_clock:
-        flow_guard, jump_guard = _clock_guards(cfg.jump_period, n)
+        period = cfg.jump_period
+
+        def flow_guard(w) -> float:
+            tau = float(w.head[n])
+            return min(tau, period - tau)
+
+        def jump_guard(w) -> float:
+            return -abs(period - float(w.head[n]))
+
+        def flow_selection(w) -> np.ndarray:
+            return np.concatenate((linear(a0, flow_reads, w), rate))
+
+        def jump_selections(w) -> list[np.ndarray]:
+            return [np.concatenate((linear(j0, jump_reads, w), reset))]
     else:
         def flow_guard(w) -> float:
             return 1.0
@@ -321,23 +262,11 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
         def jump_guard(w) -> float:
             return -1.0
 
-    def flow_selection(w) -> np.ndarray:
-        x = w.head
-        dx = a0 @ x[:n]
-        for term in flow_terms:
-            dx = dx + term.matrix @ w.delayed(-term.delay)[:n]
-        if has_clock:
-            return np.concatenate([dx, [1.0]])
-        return dx
+        def flow_selection(w) -> np.ndarray:
+            return linear(a0, flow_reads, w)
 
-    def jump_selections(w) -> list[np.ndarray]:
-        if not has_clock:
+        def jump_selections(w) -> list[np.ndarray]:
             return []
-        x = w.head
-        g = j0 @ x[:n]
-        for term in jump_terms:
-            g = g + term.matrix @ w.delayed(-term.delay)[:n]
-        return [np.concatenate([g, [0.0]])]
 
     if cfg.target_set == "origin":
         target = origin_target(dim)
@@ -353,12 +282,45 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
         dimension=dim, memory_size=cfg.memory_size,
         flow_guard=flow_guard, jump_guard=jump_guard,
         flow_selection=flow_selection, jump_selections=jump_selections,
-        meta={"kind": "linear_delay", "config": cfg,
-              "clock_index": n if has_clock else None,
+        meta={"clock_index": n if has_clock else None,
               "period": cfg.jump_period,
               "delays": tuple(t.delay for t in flow_terms + jump_terms)},
     )
     return spec, target
+
+
+def build_example1(p: Example1Params) -> tuple[SystemSpec, TargetSet]:
+    """Sampled-data system with delayed measurements.
+
+    State (z, u, tau); between samples dz = A z + B u, du = 0, dtau = 1; when
+    the clock reaches delta the input resets to K times the z-measurement
+    taken r units of time earlier and the clock restarts.  The memory size is
+    r: the only delayed read happens at jumps, which are delta > r apart.
+    """
+    nz, m = p.nz, p.m
+    zero_u = np.zeros((m, nz + m))
+    return build_linear_delay_system(LinearDelayConfig(
+        dimension=nz + m, memory_size=p.r,
+        a0=np.block([[p.A, p.B], [zero_u]]),
+        jump_period=p.delta,
+        j0=np.block([[np.eye(nz), np.zeros((nz, m))], [zero_u]]),
+        jump_delayed=(DelayTerm(p.r, np.block([[np.zeros((nz, nz + m))],
+                                                [p.K, np.zeros((m, m))]])),),
+        target_set="origin_times_clock"))
+
+
+def build_example2(p: Example2Params) -> tuple[SystemSpec, TargetSet]:
+    """Scalar delay flow with periodic resets.
+
+    State (x, tau); dx = a x + b x(t - r), dtau = 1; at tau = delta the state
+    resets to rho x and the clock to zero.  The memory size is r + 1 so the
+    delayed lookup stays inside the window across a reset.
+    """
+    return build_linear_delay_system(LinearDelayConfig(
+        dimension=1, memory_size=p.r + 1.0, a0=np.array([[p.a]]),
+        flow_delayed=(DelayTerm(p.r, np.array([[p.b]])),),
+        jump_period=p.delta, j0=np.array([[p.rho]]),
+        target_set="origin_times_clock"))
 
 
 # ---------------------------------------------------------------------------

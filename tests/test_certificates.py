@@ -153,6 +153,25 @@ class TestCheckHalanayScalar:
         assert rep.region_counts["D"] == 0  # no jump set without a clock
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("check, params, build, certificate", [
+    (check_razumikhin, Example1Params.paper(), build_example1,
+     example1_razumikhin_certificate),
+    (check_halanay, Example1Params.paper(), build_example1,
+     example1_halanay_certificate),
+    (check_krasovskii, Example2Params.case2(), build_example2,
+     example2_krasovskii_certificate),
+], ids=["razumikhin", "halanay", "krasovskii"])
+def test_sample_counts_below_one_rejected(check, params, build, certificate,
+                                          samples):
+    # no count may be stretched into a token run of one C and one D arc
+    spec, target = build(params)
+    cert, _ = certificate(params)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        check(spec, cert, ArcSampler(spec, seed=0), samples=samples,
+              target=target)
+
+
 class TestExample1Checks:
     def test_paper_instance_razumikhin_clean(self):
         p = Example1Params.paper()

@@ -121,13 +121,16 @@ class TestExitCodes:
         (("simulate", "--system", "example1", "--set", "A=foo"), None),
         (("simulate",), {"dimension": "abc"}),
         (("check-kl", "--system", "example1", "--eps-grid", "0.1,x"), None),
+        (("check-kl", "--system", "example1", "--eps-grid", "0,0.1"), None),
+        (("check-kl", "--system", "example1", "--eta-grid", "-1"), None),
         (("simulate", "--system", "example1", "--step", "0"), None),
         (("simulate", "--system", "example1", "--history", "1,x,0,0"), None),
         (("simulate",), {"sim": {"t_max": "long"}}),
         (("simulate",), {"initial_history": {
             "kind": "samples", "points": [[-1.0, 1.0], [0, "x"]]}}),
-    ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "step-zero",
-            "history", "config-t-max", "config-history-point"])
+    ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "eps-grid-zero",
+            "eta-grid-negative", "step-zero", "history", "config-t-max",
+            "config-history-point"])
     def test_malformed_input_exits_two(self, tmp_path, args, config):
         # read before anything runs: exit 2 with the reason, no traceback
         if config is not None:
@@ -148,6 +151,12 @@ class TestExitCodes:
         r = run_cli(*args)
         assert r.returncode == 2
         assert "is not in the range x>=1" in r.stderr
+
+    def test_small_eta_grid_runs(self):
+        # initial sizes are drawn below the largest eta, however small
+        r = run_cli("check-kl", "--system", "example2", "--t-max", "1",
+                    "--trajectories", "2", "--eta-grid", "0.01")
+        assert r.returncode in (0, 1), r.stderr
 
     def test_failure_while_running_exits_three(self):
         # a well-formed history that starts outside both the flow and jump sets

@@ -132,48 +132,63 @@ class TestLinearDelayBuilder:
         assert spec.jump_guard(phi) < 0
         assert target.dist(np.array([2.0])) == 2.0
 
-    def test_reproduces_example2_flow(self):
-        p = Example2Params.case2()
-        spec2, _ = build_example2(p)
-        cfg = LinearDelayConfig(
-            dimension=1, memory_size=p.r + 1.0, a0=np.array([[p.a]]),
-            flow_delayed=(DelayTerm(p.r, np.array([[p.b]])),),
-            jump_period=p.delta, j0=np.array([[p.rho]]),
-            target_set="origin_times_clock")
-        spec_g, _ = build_linear_delay_system(cfg)
+    # The stock builders are instances of the family; these pin them to the
+    # paper's maps, written out, on random windows.
+
+    @staticmethod
+    def example2_windows(p, spec):
         rng = np.random.default_rng(6)
         for _ in range(100):
             vals = rng.normal(size=2)
             vals[1] = rng.uniform(0, p.delta)
             phi = memory_arc_from_function(
                 lambda s, v=vals: np.array([v[0] * (1 + np.sin(3 * s)), v[1] + s]),
-                spec2.memory_size, depth=spec2.memory_size + 0.2)
-            assert np.allclose(spec_g.flow_selection(phi),
-                               spec2.flow_selection(phi), rtol=0, atol=0)
+                spec.memory_size, depth=spec.memory_size + 0.2)
+            yield phi, phi.head[0], phi.delayed(-p.r)[0]
 
-    def test_reproduces_example1_jumps(self):
-        p = Example1Params.paper()
-        spec1, _ = build_example1(p)
-        j0 = np.block([[np.eye(2), np.zeros((2, 1))],
-                       [np.zeros((1, 3))]])
-        jr = np.block([[np.zeros((2, 3))],
-                       [p.K, np.zeros((1, 1))]])
-        cfg = LinearDelayConfig(
-            dimension=3, memory_size=p.r,
-            a0=np.block([[p.A, p.B], [np.zeros((1, 3))]]),
-            jump_period=p.delta, j0=j0,
-            jump_delayed=(DelayTerm(p.r, jr),),
-            target_set="origin_times_clock")
-        spec_g, _ = build_linear_delay_system(cfg)
+    @staticmethod
+    def example1_windows(p):
         rng = np.random.default_rng(7)
         for _ in range(100):
             base = rng.normal(size=3)
             phi = memory_arc_from_function(
                 lambda s, v=base: np.concatenate([v * (1 + 0.3 * s), [p.delta + s]]),
                 p.r, depth=p.r + 0.1)
-            g1 = spec1.jump_selections(phi)[0]
-            g2 = spec_g.jump_selections(phi)[0]
-            assert np.allclose(g1, g2, rtol=0, atol=0)
+            yield phi, phi.head[:2], phi.head[2:3], phi.delayed(-p.r)[:2]
+
+    def test_reproduces_example2_flow(self):
+        # dx = a x + b x(t - r), dtau = 1
+        p = Example2Params.case2()
+        spec, _ = build_example2(p)
+        for phi, x, xr in self.example2_windows(p, spec):
+            assert np.array_equal(spec.flow_selection(phi),
+                                  [p.a * x + p.b * xr, 1.0])
+
+    def test_reproduces_example2_jumps(self):
+        # x+ = rho x, tau+ = 0
+        p = Example2Params.case2()
+        spec, _ = build_example2(p)
+        for phi, x, _ in self.example2_windows(p, spec):
+            assert np.array_equal(spec.jump_selections(phi), [[p.rho * x, 0.0]])
+
+    def test_reproduces_example1_flow(self):
+        # (dz, du, dtau) = (A z + B u, 0, 1), up to rounding: the family forms
+        # one product A0 x where the paper's form sums two
+        p = Example1Params.paper()
+        spec, _ = build_example1(p)
+        for phi, z, u, _ in self.example1_windows(p):
+            f = spec.flow_selection(phi)
+            ulps = 4 * np.spacing(np.abs(p.A) @ np.abs(z) + np.abs(p.B) @ np.abs(u))
+            assert np.all(np.abs(f[:2] - (p.A @ z + p.B @ u)) <= ulps)
+            assert np.array_equal(f[2:], [0.0, 1.0])
+
+    def test_reproduces_example1_jumps(self):
+        # (z, u, tau)+ = (z, K z(-r), 0)
+        p = Example1Params.paper()
+        spec, _ = build_example1(p)
+        for phi, z, _, zr in self.example1_windows(p):
+            assert np.array_equal(spec.jump_selections(phi),
+                                  [np.concatenate([z, p.K @ zr, [0.0]])])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError):
