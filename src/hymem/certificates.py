@@ -284,6 +284,8 @@ def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
         raise ValueError("a TargetSet is required (pass target=...)")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if slack is not None and not np.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack}")
     rec = _Recorder(slack if slack is not None else ALGEBRAIC_SLACK,
                     slack if slack is not None else derivative_slack(h))
     n_c, n_d, n_g = _split_counts(samples)

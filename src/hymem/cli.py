@@ -282,6 +282,8 @@ def _check_command(name: str, system: str, certificate, checker, doc: str):
     @_add(_check_options)
     def cmd(system_name, overrides, report, seed, samples, slack, sampler_mode):
         with _exit_on_failure(_READ_ERRORS):
+            if slack is not None and not np.isfinite(slack):
+                raise ConfigError(f"--slack must be finite, got {slack}")
             params, spec, target, _ = _build_system(system_name, None, overrides)
             cert, _ = certificate(params)
         with _exit_on_failure(_RUN_ERRORS):

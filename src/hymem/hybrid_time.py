@@ -12,7 +12,8 @@ forward point (t, j): the result is a memory arc whose depth, measured in
 s + k, lies between the memory size ``delta`` and ``delta + 1``.
 :class:`History` stores an arc's samples in growable arrays for the solver,
 and :class:`WindowView` reads them through the window protocol (head,
-delayed(s), delta) without materializing that memory arc.
+delayed(s), delta) without materializing that memory arc; a
+:class:`BatchView` reads the windows at many stored samples at once.
 
 Arcs are checked once, where outside data enters: by the constructors of
 :class:`HybridArc` and :class:`HybridMemoryArc`.  The window operators and
@@ -484,6 +485,10 @@ class History:
             segment = bisect.bisect_right(self.starts, index) - 1
         return WindowView(self, index, segment, self.values[index])
 
+    def batch_view(self, index: np.ndarray) -> "BatchView":
+        """The windows at the stored samples ``index``, as one batch."""
+        return BatchView(self, index)
+
     def value(self, tq: float, segment: int | None = None,
               end: int | None = None, tol: float = TIME_TOL) -> np.ndarray:
         """Value at time tq on the newest jump level whose first sample is at
@@ -551,6 +556,69 @@ class WindowView:
             return _lerp(hist.values[self.index], self.head, q / self.dt)
         return hist.value(hist.times[self.index] + q, self.segment,
                           self.index + 1)
+
+
+class BatchView:
+    """The window protocol at several stored samples of one History at once.
+
+    ``head`` and ``delayed(s)`` are (B, n) arrays whose row i is bit for bit
+    what ``history.view(index[i])`` gives; :meth:`views` lists those views.
+    A delayed read finds every row's jump level with one binary search over
+    the levels' first times, which an arc's levels have in time order, and
+    interpolates each level's rows with one :func:`_interpolate_many` call.
+    Like a view, it never reads a sample stored after its row's own.
+    """
+
+    __slots__ = ("history", "index", "segment", "head")
+
+    def __init__(self, history: History, index: np.ndarray):
+        self.history = history
+        self.index = np.asarray(index, dtype=np.intp)
+        self.segment = np.searchsorted(history.starts, self.index, side="right") - 1
+        self.head = history.values[self.index]
+
+    @property
+    def delta(self) -> float:
+        return self.history.delta
+
+    def views(self) -> list[WindowView]:
+        hist = self.history
+        return [WindowView(hist, i, k, hist.values[i])
+                for i, k in zip(self.index.tolist(), self.segment.tolist())]
+
+    def delayed(self, s: float) -> np.ndarray:
+        hist, index = self.history, self.index
+        times, values = hist.times, hist.values
+        own = times[index]
+        tq = own + s
+        late = tq > own + TIME_TOL
+        if late.any():
+            t = tq[late][0]
+            raise DomainError(f"time {t} is after the stored history", t, None)
+        starts = np.array(hist.starts + [hist.n])
+        # History.value's rule: the newest level, up to the row's own, whose
+        # first sample lies at or before tq
+        level = np.minimum(np.searchsorted(times[starts[:-1]] - TIME_TOL, tq,
+                                           side="right") - 1, self.segment)
+        if level.min() < 0:
+            t = tq[level < 0][0]
+            raise InsufficientHistoryError(
+                f"time {t} precedes all stored history", t, None)
+        first = starts[level]
+        last = np.where(level == self.segment, index, starts[level + 1] - 1)
+        out = np.empty_like(self.head)
+        before = tq <= times[first]
+        after = ~before & (tq >= times[last])
+        out[before] = values[first[before]]
+        out[after] = values[last[after]]
+        inner = np.flatnonzero(~(before | after))
+        for k in np.unique(level[inner]).tolist():
+            rows = inner[level[inner] == k]
+            lo, hi = starts[k], starts[k + 1]
+            derivs = hist.derivs[lo:hi] if hist.has_derivs[k] else None
+            out[rows] = _interpolate_many(times[lo:hi], values[lo:hi], derivs,
+                                          tq[rows], hist.interpolation)
+        return out
 
 
 def delta_inf(arc: HybridArc, t: float, j: int, delta: float,

@@ -74,6 +74,13 @@ class SimOptions:
     guard_tol: float = 1e-7
 
     def __post_init__(self):
+        for name in ("t_max", "step", "event_tol", "guard_tol"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
+        # an infinite t_max is fine: j_max then bounds the run
+        for name in ("step", "event_tol"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.event_tol <= 0:
@@ -342,6 +349,25 @@ class SolutionCheckReport:
     jumps_checked: int
 
 
+def _stencil_centres(times: np.ndarray, kinks: np.ndarray) -> np.ndarray:
+    """Indices i whose five-point stencil times[i-2 : i+3] is uniform (each
+    step within 1e-9 max(1, h) of the first step h > 0) and holds no kink."""
+    m = times.shape[0]
+    if m < 5:
+        return np.empty(0, dtype=np.intp)
+    steps = np.diff(times)
+    h = steps[:m - 4]
+    dev = np.abs(steps[1:m - 3] - h)
+    for k in (2, 3):
+        dev = np.maximum(dev, np.abs(steps[k:m - 4 + k] - h))
+    skip = (h <= 0) | (dev > 1e-9 * np.maximum(1.0, h))
+    if kinks.size:
+        nxt = np.searchsorted(kinks, times[:m - 4] - 1e-12)
+        skip |= ((nxt < kinks.size)
+                 & (kinks[np.minimum(nxt, kinks.size - 1)] <= times[4:] + 1e-12))
+    return np.flatnonzero(~skip) + 2
+
+
 def verify_solution(spec: SystemSpec, traj: Trajectory,
                     tol: float = 1e-4) -> SolutionCheckReport:
     """Check the stored trajectory against the solution semantics.
@@ -357,6 +383,14 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
     derivative genuinely jumps at t_jump + d, so stencils straddling such a
     time are excluded from the derivative check (the guard check still runs
     there).
+
+    Each flow segment's derivative check runs in arrays: one ``flow_batch``
+    call on the segment's :class:`~hymem.hybrid_time.BatchView` gives every
+    checked point's flow selection.  At the segment's first checked point
+    that row is compared with ``flow_selection``, and a gap beyond
+    tol * (1 + |f|) raises ValueError (a batch map left over from another
+    flow selection).  The guard runs point by point, and issues come out
+    in time order, a point's guard issue before its derivative issue.
     """
     issues: list[SolutionIssue] = []
     arc = traj.arc
@@ -368,45 +402,47 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
     kinks = np.array(sorted(t_j + d for (t_j, _) in traj.jumps
                             for d in delays))
 
-    def stencil_has_kink(lo: float, hi: float) -> bool:
-        if kinks.size == 0:
-            return False
-        i = int(np.searchsorted(kinks, lo - 1e-12))
-        return i < kinks.size and kinks[i] <= hi + 1e-12
-
     n_deriv = 0
     n_guard = 0
     hist = History(arc, traj.memory_size, capacity=0)
     for seg, start in zip(arc.forward_segments, hist.starts[hist.n_memory:]):
-        times, values = seg.times, seg.values
-        m = len(times)
-        for i in range(m):
-            t_i, j_i = float(times[i]), seg.jump_index
-            w = hist.view(start + i)
-            fgv = spec.flow_guard(w)
-            n_guard += 1
+        times, values, j = seg.times, seg.values, seg.jump_index
+        i = _stencil_centres(times, kinks)
+        failed = {}
+        if i.size:
+            fd = ((values[i - 2] - 8 * values[i - 1] + 8 * values[i + 1]
+                   - values[i + 2]) / (12 * (times[i - 1] - times[i - 2]))[:, None])
+            fval = np.asarray(spec.flow_batch(hist.batch_view(start + i)),
+                              dtype=float)
+            f0 = np.asarray(spec.flow_selection(hist.view(start + i[0])),
+                            dtype=float)
+            gap = float(np.linalg.norm(fval[0] - f0))
+            if gap > tol * (1.0 + float(np.linalg.norm(f0))):
+                raise ValueError(
+                    f"flow_batch disagrees with flow_selection by {gap:.3e} at "
+                    f"(t={times[i[0]]}, j={j}); dataclasses.replace keeps the "
+                    "old batch map unless flow_batch=None is passed")
+            # np.vecdot runs the dot kernel of np.linalg.norm on each row,
+            # so err and bound are bit for bit the per-point norms
+            diff = fd - fval
+            err = np.sqrt(np.vecdot(diff, diff))
+            bound = tol * (1.0 + np.sqrt(np.vecdot(fval, fval)))
+            n_deriv += i.size
+            bad = err > bound
+            failed = dict(zip(i[bad].tolist(),
+                              zip(err[bad].tolist(), bound[bad].tolist())))
+        for k, t in enumerate(times.tolist()):
+            fgv = spec.flow_guard(hist.view(start + k))
             if fgv < -tol:
                 issues.append(SolutionIssue(
-                    "S1.flow_set", t_i, j_i,
+                    "S1.flow_set", t, j,
                     "window left the flow set on a flow segment", fgv, -tol))
-            if 2 <= i < m - 2:
-                hs = np.diff(times[i - 2:i + 3])
-                h = hs[0]
-                if h <= 0 or np.max(np.abs(hs - h)) > 1e-9 * max(1.0, h):
-                    continue
-                if stencil_has_kink(float(times[i - 2]), float(times[i + 2])):
-                    continue
-                fd = (values[i - 2] - 8 * values[i - 1] + 8 * values[i + 1]
-                      - values[i + 2]) / (12 * h)
-                fval = np.asarray(spec.flow_selection(w), dtype=float)
-                err = float(np.linalg.norm(fd - fval))
-                bound = tol * (1.0 + float(np.linalg.norm(fval)))
-                n_deriv += 1
-                if err > bound:
-                    issues.append(SolutionIssue(
-                        "S1.derivative", t_i, j_i,
-                        "finite-difference derivative disagrees with the "
-                        "flow selection", err, bound))
+            if k in failed:
+                issues.append(SolutionIssue(
+                    "S1.derivative", t, j,
+                    "finite-difference derivative disagrees with the "
+                    "flow selection", *failed[k]))
+        n_guard += times.shape[0]
 
     n_jumps = 0
     for pre, post, post_start in zip(arc.forward_segments, arc.forward_segments[1:],

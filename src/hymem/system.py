@@ -4,7 +4,9 @@ A system is described by signed guard functions (>= 0 means membership in
 the flow set C or jump set D) and selection maps evaluated on memory
 windows.  Windows are duck-typed: anything exposing ``head`` (the value at
 (0, 0)), ``delayed(s)`` (the value at (s, k(s))), and ``delta`` works, which
-lets the solver pass lightweight views instead of materialized arcs.
+lets the solver pass lightweight views instead of materialized arcs.  A
+batch flow map reads a batch window, whose ``head`` and ``delayed(s)`` have
+one row per window.
 
 Both stock systems are members of the linear-delay family below, jumping
 when their clock reaches the period delta: ``example1`` has x = (z, u),
@@ -45,7 +47,16 @@ class SystemSpec:
     ``jump_selections`` must be nonempty whenever ``jump_guard`` >= 0; the
     solver applies the first candidate.  ``flow_candidates`` lists the flow
     selections a checker should try; it defaults to the single simulation
-    selection.  ``meta`` holds ``clock_index``, ``period`` and ``delays``.
+    selection.  ``flow_batch`` maps a batch of windows (``head`` and
+    ``delayed(s)`` of shape (B, n), ``delta``) to a (B, n) array whose row i
+    is the flow selection of window i; it defaults to ``flow_selection`` on
+    each row's own window (:meth:`~hymem.hybrid_time.BatchView.views`).
+    Both defaults are bound when the spec is built, so
+    ``dataclasses.replace(spec, flow_selection=f)`` keeps the old ones; pass
+    ``flow_candidates=None, flow_batch=None`` with ``f`` to derive them from
+    it.  :func:`~hymem.solver.verify_solution` raises ValueError when the
+    batch map and ``flow_selection`` disagree.  ``meta`` holds
+    ``clock_index``, ``period`` and ``delays``.
     """
 
     dimension: int
@@ -55,12 +66,16 @@ class SystemSpec:
     flow_selection: Callable
     jump_selections: Callable
     flow_candidates: Callable = None  # type: ignore[assignment]
+    flow_batch: Callable = None  # type: ignore[assignment]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.flow_candidates is None:
             object.__setattr__(self, "flow_candidates",
                                lambda w: [self.flow_selection(w)])
+        if self.flow_batch is None:
+            object.__setattr__(self, "flow_batch", lambda w: np.array(
+                [self.flow_selection(v) for v in w.views()], dtype=float))
 
 
 def origin_target(dimension: int) -> TargetSet:
@@ -240,6 +255,14 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
             out += m.dot(w.delayed(s)[:n])
         return out
 
+    def linear_batch(m0, reads, w) -> np.ndarray:
+        """``linear`` on each row of a batch window; a product of n > 1
+        terms may sum in another order and differ in the last bits."""
+        out = w.head[:, :n] @ m0.T
+        for s, m in reads:
+            out += w.delayed(s)[:, :n] @ m.T
+        return out
+
     if has_clock:
         period = cfg.jump_period
 
@@ -253,6 +276,10 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
         def flow_selection(w) -> np.ndarray:
             return np.concatenate((linear(a0, flow_reads, w), rate))
 
+        def flow_batch(w) -> np.ndarray:
+            rates = np.ones((w.head.shape[0], 1))
+            return np.hstack((linear_batch(a0, flow_reads, w), rates))
+
         def jump_selections(w) -> list[np.ndarray]:
             return [np.concatenate((linear(j0, jump_reads, w), reset))]
     else:
@@ -264,6 +291,9 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
 
         def flow_selection(w) -> np.ndarray:
             return linear(a0, flow_reads, w)
+
+        def flow_batch(w) -> np.ndarray:
+            return linear_batch(a0, flow_reads, w)
 
         def jump_selections(w) -> list[np.ndarray]:
             return []
@@ -282,6 +312,7 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
         dimension=dim, memory_size=cfg.memory_size,
         flow_guard=flow_guard, jump_guard=jump_guard,
         flow_selection=flow_selection, jump_selections=jump_selections,
+        flow_batch=flow_batch,
         meta={"clock_index": n if has_clock else None,
               "period": cfg.jump_period,
               "delays": tuple(t.delay for t in flow_terms + jump_terms)},

@@ -172,6 +172,25 @@ def test_sample_counts_below_one_rejected(check, params, build, certificate,
               target=target)
 
 
+@pytest.mark.parametrize("slack", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("check, params, build, certificate", [
+    (check_razumikhin, Example1Params.paper(), build_example1,
+     example1_razumikhin_certificate),
+    (check_halanay, Example1Params.paper(), build_example1,
+     example1_halanay_certificate),
+    (check_krasovskii, Example2Params.case2(), build_example2,
+     example2_krasovskii_certificate),
+], ids=["razumikhin", "halanay", "krasovskii"])
+def test_non_finite_slack_rejected(check, params, build, certificate, slack):
+    # a NaN slack makes every margin test false and an infinite one true,
+    # either way no condition could fail
+    spec, target = build(params)
+    cert, _ = certificate(params)
+    with pytest.raises(ValueError, match="slack must be finite"):
+        check(spec, cert, ArcSampler(spec, seed=0), slack=slack, samples=10,
+              target=target)
+
+
 class TestExample1Checks:
     def test_paper_instance_razumikhin_clean(self):
         p = Example1Params.paper()

@@ -128,9 +128,14 @@ class TestExitCodes:
         (("simulate",), {"sim": {"t_max": "long"}}),
         (("simulate",), {"initial_history": {
             "kind": "samples", "points": [[-1.0, 1.0], [0, "x"]]}}),
+        (("simulate", "--system", "example1", "--t-max", "nan"), None),
+        (("check-kl", "--system", "example1", "--step", "nan"), None),
+        (("check-razumikhin", "--system", "example1", "--slack", "nan"), None),
+        (("check-krasovskii", "--system", "example2", "--slack", "inf"), None),
     ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "eps-grid-zero",
             "eta-grid-negative", "step-zero", "history", "config-t-max",
-            "config-history-point"])
+            "config-history-point", "t-max-nan", "step-nan", "slack-nan",
+            "slack-inf"])
     def test_malformed_input_exits_two(self, tmp_path, args, config):
         # read before anything runs: exit 2 with the reason, no traceback
         if config is not None:
@@ -142,6 +147,15 @@ class TestExitCodes:
         assert r.stderr.startswith("config error:")
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
+    def test_open_loop_with_a_non_finite_slack_exits_two(self, slack):
+        # the open loop violates the conditions; a NaN slack used to hide
+        # every violation and exit 0
+        r = run_cli("check-razumikhin", "--system", "example1",
+                    "--set", "K=[[0,0]]", "--samples", "200", "--slack", slack)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error: --slack must be finite")
 
     @pytest.mark.parametrize("args", [
         ("check-razumikhin", "--system", "example1", "--samples", "0"),

@@ -862,3 +862,103 @@ def test_round_trip_property(arc):
 @given(random_arc())
 def test_domain_of_valid_arc_validates(arc):
     assert validate_domain(arc.domain()) is None
+
+
+@st.composite
+def leveled_history(draw):
+    """A History over an arc with random jump levels on both sides of 0,
+    single-sample levels among them, read linearly or as Hermite with
+    derivative samples on some levels only."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    n = draw(st.integers(1, 3))
+    hermite = draw(st.booleans())
+    span = st.sampled_from([0.0, 0.0625, 0.2, 0.37, 0.5])
+
+    def level(j, lo, hi):
+        m = 1 if hi == lo else draw(st.integers(2, 6))
+        derivs = (rng.normal(size=(m, n)) if hermite and draw(st.booleans())
+                  else None)
+        return ArcSegment(j, np.linspace(lo, hi, m), rng.normal(size=(m, n)),
+                          derivs)
+
+    n_mem, n_fwd = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    ends = [0.0]
+    for _ in range(n_mem):
+        ends.insert(0, ends[0] - draw(span))
+    mem = [level(k - n_mem + 1, lo, hi)
+           for k, (lo, hi) in enumerate(zip(ends, ends[1:]))]
+    ends = [0.0]
+    for _ in range(n_fwd):
+        ends.append(ends[-1] + draw(span))
+    fwd = [level(j, lo, hi) for j, (lo, hi) in enumerate(zip(ends, ends[1:]))]
+    arc = HybridArc(mem, fwd, interpolation="hermite" if hermite else "linear")
+    return History(arc, 1.0, capacity=0)
+
+
+def _rowwise_delayed(hist, rows, s):
+    """view(i).delayed(s) for each row that can read it, and the rows that
+    cannot (their read precedes all stored history)."""
+    got, missing = {}, []
+    for i in rows:
+        try:
+            got[i] = hist.view(i).delayed(s)
+        except InsufficientHistoryError:
+            missing.append(i)
+    return got, missing
+
+
+@settings(max_examples=80, deadline=None)
+@given(leveled_history(), st.data())
+def test_batch_view_reads_like_each_view_property(hist, data):
+    rows = np.arange(hist.n)
+    firsts = [float(hist.times[k]) for k in hist.starts]
+    # delay 0, random depths, and depths that put some row's query on a
+    # level boundary or within TIME_TOL of one
+    shifts = [0.0] + [-data.draw(st.floats(0.0, 2.0)) for _ in range(3)]
+    for b in firsts:
+        i = data.draw(st.integers(0, hist.n - 1))
+        for eps in (0.0, -5e-13, 5e-13, -3e-12, 3e-12):
+            s = b - float(hist.times[i]) + eps
+            if s <= 0.0:
+                shifts.append(s)
+
+    batch = hist.batch_view(rows)
+    assert batch.delta == 1.0
+    assert batch.head.tobytes() == hist.values[:hist.n].tobytes()
+    assert [(v.index, v.segment) for v in batch.views()] == \
+        [(hist.view(i).index, hist.view(i).segment) for i in rows]
+    for s in shifts:
+        want, missing = _rowwise_delayed(hist, rows, s)
+        if missing:
+            with pytest.raises(InsufficientHistoryError):
+                batch.delayed(s)
+        if want:
+            got = hist.batch_view(list(want)).delayed(s)
+            assert got.tobytes() == np.array(list(want.values())).tobytes(), s
+    with pytest.raises(DomainError, match="after the stored history"):
+        batch.delayed(1e-9)
+
+    # samples after the rows' own are never read: poison them
+    cut = data.draw(st.integers(0, hist.n - 1))
+    reads = {s: _rowwise_delayed(hist, range(cut + 1), s)[0] for s in shifts}
+    hist.values[cut + 1:] = np.inf
+    hist.derivs[cut + 1:] = -np.inf
+    with np.errstate(all="raise"):
+        for s, want in reads.items():
+            if want:
+                got = hist.batch_view(list(want)).delayed(s)
+                assert got.tobytes() == np.array(list(want.values())).tobytes()
+
+
+class TestBatchView:
+    def test_reset_trajectory_reads_across_jump_levels(self):
+        # every forward sample of a run with three resets, read at delays
+        # that cross one, two and three jump levels
+        traj = _reset_trajectory()
+        hist = History(traj.arc, traj.memory_size)
+        rows = np.arange(hist.starts[hist.n_memory], hist.n)
+        for s in (0.0, -1 / 64, -0.25, -0.5, -0.6, -1.0, -1.5, -traj.memory_size):
+            want, missing = _rowwise_delayed(hist, rows.tolist(), s)
+            assert not missing
+            got = hist.batch_view(rows).delayed(s)
+            assert got.tobytes() == np.array(list(want.values())).tobytes()

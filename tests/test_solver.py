@@ -9,8 +9,8 @@ from scipy.integrate import solve_ivp
 
 from hymem import solver
 from hymem.hybrid_time import (ArcSegment, History, HybridArc,
-                               constant_memory_arc, memory_arc_from_function,
-                               validate_domain)
+                               HybridMemoryArc, constant_memory_arc,
+                               memory_arc_from_function, validate_domain)
 from hymem.solver import (EventLocationError, PreconditionError, SimOptions,
                           Termination, Trajectory, _rk4, flow_window,
                           locate_event, run_summary, simulate, verify_solution)
@@ -227,6 +227,26 @@ class TestLocateEvent:
         assert verify_solution(spec, traj).issues == ()
 
 
+class TestSimOptions:
+    @pytest.mark.parametrize("field", ["t_max", "step", "event_tol", "guard_tol"])
+    def test_nan_is_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must not be NaN"):
+            SimOptions(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["step", "event_tol"])
+    def test_infinite_step_and_event_tol_are_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimOptions(**{field: float("inf")})
+
+    def test_infinite_horizon_is_bounded_by_the_jump_horizon(self):
+        p, spec, init = example1_at_clock(0.0)
+        traj = simulate(spec, init, SimOptions(t_max=float("inf"), j_max=3,
+                                               step=5e-3))
+        assert traj.termination is Termination.horizon_reached
+        assert traj.j_final == 3
+        assert traj.t_final == pytest.approx(3 * p.delta, abs=1e-9)
+
+
 class TestSimulateClosedForms:
     def test_exponential_decay_example2_reduction(self):
         p = Example2Params(a=-1.0, b=0.0, rho=1.0, r=0.1, delta=2.0)
@@ -426,6 +446,296 @@ class TestVerifySolution:
         assert validate_domain(traj.arc.domain()) is None
         js = [s.jump_index for s in traj.arc.forward_segments]
         assert js == list(range(len(js)))
+
+
+def pointwise_verify_solution(spec, traj, tol=1e-4):
+    """verify_solution as it was before its flow check ran in arrays: one
+    window view, flow guard and flow selection per stored point."""
+    issues = []
+    arc = traj.arc
+    msg = validate_domain(arc.domain())
+    if msg is not None:
+        issues.append(solver.SolutionIssue("domain", np.nan, 0, msg, 0.0, 0.0))
+    delays = [d for d in spec.meta.get("delays", ()) if d > 0]
+    kinks = np.array(sorted(t_j + d for (t_j, _) in traj.jumps for d in delays))
+
+    def stencil_has_kink(lo, hi):
+        if kinks.size == 0:
+            return False
+        i = int(np.searchsorted(kinks, lo - 1e-12))
+        return i < kinks.size and kinks[i] <= hi + 1e-12
+
+    n_deriv = n_guard = 0
+    hist = History(arc, traj.memory_size, capacity=0)
+    for seg, start in zip(arc.forward_segments, hist.starts[hist.n_memory:]):
+        times, values = seg.times, seg.values
+        m = len(times)
+        for i in range(m):
+            t_i, j_i = float(times[i]), seg.jump_index
+            w = hist.view(start + i)
+            fgv = spec.flow_guard(w)
+            n_guard += 1
+            if fgv < -tol:
+                issues.append(solver.SolutionIssue(
+                    "S1.flow_set", t_i, j_i,
+                    "window left the flow set on a flow segment", fgv, -tol))
+            if 2 <= i < m - 2:
+                hs = np.diff(times[i - 2:i + 3])
+                h = hs[0]
+                if h <= 0 or np.max(np.abs(hs - h)) > 1e-9 * max(1.0, h):
+                    continue
+                if stencil_has_kink(float(times[i - 2]), float(times[i + 2])):
+                    continue
+                fd = (values[i - 2] - 8 * values[i - 1] + 8 * values[i + 1]
+                      - values[i + 2]) / (12 * h)
+                fval = np.asarray(spec.flow_selection(w), dtype=float)
+                err = float(np.linalg.norm(fd - fval))
+                bound = tol * (1.0 + float(np.linalg.norm(fval)))
+                n_deriv += 1
+                if err > bound:
+                    issues.append(solver.SolutionIssue(
+                        "S1.derivative", t_i, j_i,
+                        "finite-difference derivative disagrees with the "
+                        "flow selection", err, bound))
+    n_jumps = 0
+    for pre, post, post_start in zip(arc.forward_segments, arc.forward_segments[1:],
+                                     hist.starts[hist.n_memory + 1:]):
+        w = hist.view(post_start - 1)
+        jg = spec.jump_guard(w)
+        n_jumps += 1
+        if jg < -tol:
+            issues.append(solver.SolutionIssue(
+                "S2.jump_set", pre.hi, pre.jump_index,
+                "pre-jump window is not in the jump set", jg, -tol))
+        g_stored = post.values[0]
+        candidates = spec.jump_selections(w)
+        if candidates:
+            dist = min(float(np.linalg.norm(g_stored - np.asarray(c, dtype=float)))
+                       for c in candidates)
+            bound = tol * (1.0 + float(np.linalg.norm(g_stored)))
+            if dist > bound:
+                issues.append(solver.SolutionIssue(
+                    "S2.jump_value", pre.hi, pre.jump_index,
+                    "post-jump value matches no jump candidate", dist, bound))
+        else:
+            issues.append(solver.SolutionIssue(
+                "S2.jump_value", pre.hi, pre.jump_index,
+                "jump recorded but the jump map offers no candidate", 0.0, 0.0))
+    return solver.SolutionCheckReport(
+        passed=not issues, issues=tuple(issues),
+        derivative_points_checked=n_deriv,
+        guard_points_checked=n_guard, jumps_checked=n_jumps)
+
+
+def assert_same_report(spec, traj, exact=True, tol=1e-4):
+    """verify_solution's report equals the pointwise loop's: the issues in
+    order, with kind, t, j and detail, lhs and rhs (bit for bit, or within
+    1e-12 relative when the batch flow map sums products of more than one
+    term in another order), and the three counters.  Returns the report."""
+    got = verify_solution(spec, traj, tol)
+    want = pointwise_verify_solution(spec, traj, tol)
+    assert (got.derivative_points_checked, got.guard_points_checked,
+            got.jumps_checked) == (want.derivative_points_checked,
+                                   want.guard_points_checked, want.jumps_checked)
+    assert got.passed == want.passed
+    assert [(i.kind, i.t, i.j, i.detail) for i in got.issues] == \
+        [(i.kind, i.t, i.j, i.detail) for i in want.issues]
+    for a, b in zip(got.issues, want.issues):
+        if exact:
+            assert (a.lhs, a.rhs) == (b.lhs, b.rhs)
+        else:
+            assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
+            assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
+    return got
+
+
+def delay_horizon_system(t_max):
+    """dx = -k x(t - r), k r = pi/2, from the history cos(k s + 0.7): its
+    solution is cos(k t + 0.7)."""
+    r = 0.432
+    k = np.pi / (2 * r)
+    cfg = LinearDelayConfig(dimension=1, memory_size=r, a0=np.array([[0.0]]),
+                            flow_delayed=(DelayTerm(r, np.array([[-k]])),))
+    spec, _ = build_linear_delay_system(cfg)
+    init = memory_arc_from_function(lambda s: np.array([np.cos(k * s + 0.7)]),
+                                    r, depth=r, grid_step=0.01)
+    return spec, simulate(spec, init, SimOptions(t_max=t_max, step=0.01))
+
+
+def forge(traj, index, values_of):
+    """traj with forward segment ``index``'s values replaced."""
+    segs = list(traj.arc.forward_segments)
+    bad = segs[index]
+    segs[index] = ArcSegment(bad.jump_index, bad.times,
+                             values_of(bad.values.copy()), bad.derivs)
+    return Trajectory(
+        arc=HybridArc(traj.arc.memory_segments, segs,
+                      interpolation=traj.arc.interpolation, validate=False),
+        termination=traj.termination, jumps=traj.jumps,
+        memory_size=traj.memory_size, error=traj.error)
+
+
+class TestVerifySolutionMatchesThePointwiseLoop:
+    def test_delay_horizon(self):
+        spec, traj = delay_horizon_system(8.0)
+        report = assert_same_report(spec, traj)
+        assert report.passed
+        assert report.derivative_points_checked == 797
+
+    @pytest.mark.parametrize("build, state, t_max, exact", [
+        (lambda: build_example1(Example1Params.paper()), [1.0, 1.0, 0.0, 0.0],
+         2.0, False),
+        (lambda: build_example2(Example2Params.case1()), [1.0, 0.0], 4.0, True),
+        (lambda: build_example2(Example2Params.case2()), [1.0, 0.03], 1.0, True),
+    ], ids=["example1", "example2-case1", "example2-case2"])
+    def test_systems_with_jumps(self, build, state, t_max, exact):
+        spec, _ = build()
+        traj = simulate(spec, const_history(spec, state),
+                        SimOptions(t_max=t_max, step=5e-3))
+        assert len(traj.jumps) >= 3
+        report = assert_same_report(spec, traj, exact)
+        assert report.jumps_checked == len(traj.jumps)
+        # and with a tolerance so tight that most derivative points fail
+        report = assert_same_report(spec, traj, exact, tol=1e-13)
+        assert any(i.kind == "S1.derivative" for i in report.issues)
+
+    def test_hermite_initial_arc(self):
+        spec, _ = build_example2(Example2Params.case1())
+        times = np.linspace(-spec.memory_size, 0.0, 161)
+        values = np.column_stack([np.cos(3 * times), np.zeros_like(times)])
+        derivs = np.column_stack([-3 * np.sin(3 * times), np.zeros_like(times)])
+        init = HybridMemoryArc([ArcSegment(0, times, values, derivs)],
+                               spec.memory_size, "hermite")
+        traj = simulate(spec, init, SimOptions(t_max=3.5, step=5e-3))
+        assert traj.arc.interpolation == "hermite" and len(traj.jumps) == 3
+        assert_same_report(spec, traj)
+        assert_same_report(spec, traj, tol=1e-12)
+
+    @pytest.mark.parametrize("case", ["decay", "example1"])
+    def test_forged_flow_value(self, case):
+        if case == "decay":
+            spec, _ = decay_system()
+            init = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
+            traj = simulate(spec, init, SimOptions(t_max=1.0, step=1e-2))
+        else:
+            spec, _ = build_example1(Example1Params.paper())
+            traj = simulate(spec, const_history(spec, [1.0, 1.0, 0.0, 0.0]),
+                            SimOptions(t_max=1.0, step=5e-3))
+
+        def kink(values):
+            values[20:30] *= 1.2
+            return values
+
+        report = assert_same_report(spec, forge(traj, 0, kink), case == "decay")
+        assert sum(i.kind == "S1.derivative" for i in report.issues) >= 4
+
+    def test_uneven_stencils_are_skipped(self):
+        # steps off by 5e-8 leave their stencils out, steps off by 2e-10
+        # leave them in (the uniformity test allows 1e-9 max(1, h))
+        spec, _ = decay_system()
+        init = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
+        traj = simulate(spec, init, SimOptions(t_max=1.0, step=1e-2))
+        seg0 = traj.arc.forward_segments[0]
+        times = seg0.times.copy()
+        times[30] += 5e-8
+        times[60] += 2e-10
+        jittered = Trajectory(
+            arc=HybridArc([], [ArcSegment(0, times, seg0.values)]),
+            termination=traj.termination, jumps=(), memory_size=0.0)
+        report = assert_same_report(spec, jittered)
+        assert report.derivative_points_checked == 97 - 5
+
+    def test_forged_jump_value(self):
+        spec, _ = build_example1(Example1Params.paper())
+        traj = simulate(spec, const_history(spec, [1.0, 1.0, 0.0, 0.0]),
+                        SimOptions(t_max=1.0, step=5e-3))
+
+        def shift(values):
+            values[0] += np.array([0.3, 0.0, 0.0, 0.0])
+            return values
+
+        report = assert_same_report(spec, forge(traj, 1, shift), False)
+        assert [i.kind for i in report.issues] == ["S2.jump_value"]
+
+    def test_forged_flow_set_and_derivative_interleave(self):
+        # a clock pushed past the period fails the guard at each forged
+        # point, and the kink it makes fails the derivative check nearby
+        spec, _ = build_example2(Example2Params.case1())
+        traj = simulate(spec, const_history(spec, [1.0, 0.0]),
+                        SimOptions(t_max=0.8, step=5e-3))
+
+        def late_clock(values):
+            values[50:60, 1] += 1.0
+            return values
+
+        report = assert_same_report(spec, forge(traj, 0, late_clock))
+        kinds = [i.kind for i in report.issues]
+        assert kinds.count("S1.flow_set") == 10
+        assert "S1.derivative" in kinds
+        assert kinds != sorted(kinds)  # interleaved by time, not grouped
+
+    def test_spec_without_a_batch_map(self):
+        # dx = -x(t - 0.1) written by hand: flow_batch is the default
+        spec = SystemSpec(dimension=1, memory_size=0.1,
+                          flow_guard=lambda w: 1.0, jump_guard=lambda w: -1.0,
+                          flow_selection=lambda w: -w.delayed(-0.1),
+                          jump_selections=lambda w: [],
+                          meta={"delays": (0.1,)})
+        init = memory_arc_from_function(lambda s: np.array([1.0 + s]), 0.1,
+                                        grid_step=0.01)
+        traj = simulate(spec, init, SimOptions(t_max=1.0, step=0.01))
+        assert_same_report(spec, traj)
+        report = assert_same_report(spec, traj, tol=1e-12)
+        assert report.issues
+
+    def test_run_that_ends_in_error(self):
+        # dx = 800 x overflows about halfway, leaving inf and nan samples
+        cfg = LinearDelayConfig(dimension=1, memory_size=0.0,
+                                a0=np.array([[800.0]]))
+        spec, _ = build_linear_delay_system(cfg)
+        init = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
+        with np.errstate(all="ignore"):
+            traj = simulate(spec, init, SimOptions(t_max=2.0, step=1e-2))
+            assert traj.termination is Termination.error
+            assert not np.all(np.isfinite(traj.arc.forward_segments[0].values))
+            assert_same_report(spec, traj)
+
+    def test_constant_history_breakpoint(self):
+        # the constant history meets the solution at t = 0.13, where the
+        # derivative jumps; no jump puts 0.13 on the kink list
+        cfg = LinearDelayConfig(dimension=1, memory_size=0.13,
+                                a0=np.array([[-2.0]]),
+                                flow_delayed=(DelayTerm(0.13, np.array([[1.0]])),))
+        spec, _ = build_linear_delay_system(cfg)
+        init = constant_memory_arc([1.0], 0.13)
+        traj = simulate(spec, init, SimOptions(t_max=2.0, step=0.01))
+        report = assert_same_report(spec, traj)
+        assert [i.kind for i in report.issues] == ["S1.derivative"] * 3
+        assert [i.t for i in report.issues] == pytest.approx([0.12, 0.13, 0.14])
+
+
+class TestVerifySolutionBatchGuard:
+    def test_replaced_flow_selection_is_caught(self):
+        spec, traj = delay_horizon_system(1.0)
+        doubled = dataclasses.replace(
+            spec, flow_selection=lambda w: 2.0 * spec.flow_selection(w))
+        with pytest.raises(ValueError, match="flow_batch disagrees with "
+                                             "flow_selection"):
+            verify_solution(doubled, traj)
+
+    def test_rederived_batch_map_agrees(self):
+        spec, traj = delay_horizon_system(1.0)
+        doubled = dataclasses.replace(
+            spec, flow_selection=lambda w: 2.0 * spec.flow_selection(w),
+            flow_batch=None)
+        report = assert_same_report(doubled, traj)
+        assert not report.passed
+
+    def test_gap_within_tolerance_passes(self):
+        spec, traj = delay_horizon_system(1.0)
+        nudged = dataclasses.replace(
+            spec, flow_batch=lambda w: spec.flow_batch(w) * (1 + 1e-7))
+        assert verify_solution(nudged, traj).passed
 
 
 class TestRunSummary:

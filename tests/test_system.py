@@ -1,14 +1,19 @@
 """System builders, guards, target sets, and the config schema."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hymem.builtin import example2_feasibility
-from hymem.hybrid_time import constant_memory_arc, memory_arc_from_function
+from hymem.hybrid_time import (History, constant_memory_arc,
+                               memory_arc_from_function)
+from hymem.solver import SimOptions, simulate
 from hymem.system import (ConfigError, DelayTerm, Example1Params,
-                          Example2Params, LinearDelayConfig, build_example1,
-                          build_example2, build_linear_delay_system,
-                          history_from_config, parse_linear_delay_config)
+                          Example2Params, LinearDelayConfig, SystemSpec,
+                          build_example1, build_example2,
+                          build_linear_delay_system, history_from_config,
+                          parse_linear_delay_config)
 
 
 def const_arc(values, delta, depth=None):
@@ -200,6 +205,64 @@ class TestLinearDelayBuilder:
             build_linear_delay_system(LinearDelayConfig(
                 dimension=1, memory_size=0.5, a0=np.array([[0.0]]),
                 flow_delayed=(DelayTerm(0.8, np.array([[1.0]])),)))
+
+
+def batch_of_run(spec, state, t_max):
+    """The batch window at every forward sample of a run from a constant
+    history, and the flow selection on each sample's own window."""
+    init = constant_memory_arc(np.asarray(state, dtype=float), spec.memory_size,
+                               depth=spec.memory_size + 0.5, grid_step=0.02)
+    traj = simulate(spec, init, SimOptions(t_max=t_max, step=5e-3))
+    hist = History(traj.arc, spec.memory_size)
+    batch = hist.batch_view(np.arange(hist.starts[hist.n_memory], hist.n))
+    return batch, np.array([spec.flow_selection(v) for v in batch.views()])
+
+
+class TestFlowBatch:
+    @pytest.mark.parametrize("build, state, t_max", [
+        (lambda: build_example2(Example2Params.case1()), [1.0, 0.0], 3.5),
+        (lambda: build_example2(Example2Params.case2()), [1.0, 0.0], 0.5),
+        (lambda: build_linear_delay_system(LinearDelayConfig(
+            dimension=1, memory_size=0.3, a0=np.array([[0.0]]),
+            flow_delayed=(DelayTerm(0.3, np.array([[-2.0]])),
+                          DelayTerm(0.05, np.array([[0.5]]))))), [1.0], 2.0),
+    ], ids=["example2-case1", "example2-case2", "two-delays"])
+    def test_rows_equal_the_scalar_map_for_one_component(self, build, state,
+                                                         t_max):
+        # with n = 1 each entry is one product per term, summed in the
+        # scalar map's order
+        spec, _ = build()
+        batch, rows = batch_of_run(spec, state, t_max)
+        assert rows.shape[0] > 90
+        assert spec.flow_batch(batch).tobytes() == rows.tobytes()
+
+    def test_example1_rows_within_rounding_of_the_scalar_map(self):
+        # A0 x sums n = 3 products per entry, and the batch product may sum
+        # them in another order: each entry lies within 2 n ulps of
+        # sum_j |A0_ij x_j| of the scalar map
+        p = Example1Params.paper()
+        spec, _ = build_example1(p)
+        batch, rows = batch_of_run(spec, [1.0, -2.0, 0.5, 0.0], 2.0)
+        a0 = np.block([[p.A, p.B], [np.zeros((1, 3))]])
+        scale = np.abs(batch.head[:, :3]) @ np.abs(a0).T
+        got = spec.flow_batch(batch)
+        assert np.all(np.abs(got[:, :3] - rows[:, :3]) <= 6 * np.spacing(scale))
+        assert np.array_equal(got[:, 3], rows[:, 3])
+
+    def test_default_evaluates_each_row(self):
+        spec = SystemSpec(dimension=1, memory_size=0.1,
+                          flow_guard=lambda w: 1.0, jump_guard=lambda w: -1.0,
+                          flow_selection=lambda w: w.head - 3 * w.delayed(-0.1),
+                          jump_selections=lambda w: [])
+        batch, rows = batch_of_run(spec, [1.0], 1.0)
+        assert spec.flow_batch(batch).tobytes() == rows.tobytes()
+        # a replaced flow selection keeps the old default unless the batch
+        # map is derived again
+        doubled = dataclasses.replace(
+            spec, flow_selection=lambda w: 2 * spec.flow_selection(w))
+        assert doubled.flow_batch(batch).tobytes() == rows.tobytes()
+        again = dataclasses.replace(doubled, flow_batch=None)
+        assert again.flow_batch(batch).tobytes() == (2 * rows).tobytes()
 
 
 class TestConfigSchema:
