@@ -65,7 +65,7 @@ class HybridTimeDomain:
         return self.memory + self.forward
 
 
-def validate_domain(domain: HybridTimeDomain, tol: float = TIME_TOL) -> Optional[str]:
+def validate_domain(domain: HybridTimeDomain) -> Optional[str]:
     """Check the hybrid-time-domain invariants; return None if they hold.
 
     On failure returns a string naming the first violated clause.
@@ -73,37 +73,37 @@ def validate_domain(domain: HybridTimeDomain, tol: float = TIME_TOL) -> Optional
     for lo, hi, _ in domain.all_segments():
         if not (np.isfinite(lo) and np.isfinite(hi)):
             return "interval endpoints must be finite"
-        if hi < lo - tol:
+        if hi < lo - TIME_TOL:
             return "interval endpoints must be non-decreasing"
 
     if domain.forward:
         lo0, _, j0 = domain.forward[0]
-        if abs(lo0) > tol:
+        if abs(lo0) > TIME_TOL:
             return "forward domain must start at t = 0"
         if j0 != 0:
             return "forward domain must start at jump index 0"
         for (lo_a, hi_a, j_a), (lo_b, hi_b, j_b) in zip(domain.forward, domain.forward[1:]):
             if j_b != j_a + 1:
                 return "forward jump indices must increment by exactly 1"
-            if abs(lo_b - hi_a) > tol:
+            if abs(lo_b - hi_a) > TIME_TOL:
                 return "segments must share boundary time"
         for lo, hi, j in domain.forward:
-            if lo < -tol or j < 0:
+            if lo < -TIME_TOL or j < 0:
                 return "forward points must satisfy t >= 0 and j >= 0"
 
     if domain.memory:
         _, hi_last, k_last = domain.memory[-1]
-        if abs(hi_last) > tol:
+        if abs(hi_last) > TIME_TOL:
             return "memory domain must end at t = 0"
         if k_last != 0:
             return "memory domain must end at jump index 0"
         for (lo_a, hi_a, k_a), (lo_b, hi_b, k_b) in zip(domain.memory, domain.memory[1:]):
             if k_b != k_a + 1:
                 return "memory jump indices must increment by exactly 1"
-            if abs(lo_b - hi_a) > tol:
+            if abs(lo_b - hi_a) > TIME_TOL:
                 return "segments must share boundary time"
         for lo, hi, k in domain.memory:
-            if hi > tol or k > 0:
+            if hi > TIME_TOL or k > 0:
                 return "memory points must satisfy t <= 0 and j <= 0"
 
     return None
@@ -216,32 +216,33 @@ class ArcSegment:
     def dimension(self) -> int:
         return self.values.shape[1]
 
-    def contains_time(self, t: float, tol: float = TIME_TOL) -> bool:
-        return self.lo - tol <= t <= self.hi + tol
+    def contains_time(self, t: float) -> bool:
+        return self.lo - TIME_TOL <= t <= self.hi + TIME_TOL
 
     def interpolate(self, t: float, scheme: str = "linear") -> np.ndarray:
-        """Evaluate the segment at time t (must lie in [lo, hi] up to tol)."""
+        """Evaluate the segment at time t (in [lo, hi] up to TIME_TOL)."""
         return _interpolate(self.times, self.values, self.derivs, t, scheme)
 
-    def _slice(self, lo: float, hi: float, scheme: str, tol: float
+    def _slice(self, lo: float, hi: float, scheme: str
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
         """(times, values, derivs) of the segment on [lo, hi], with
         interpolated boundary samples.
 
-        The stored samples within tol of [lo, hi] are one contiguous slice
-        (a view, found by two binary searches); interpolated samples at lo
-        and hi are concatenated on where no stored sample lies within tol.
-        Returns None when [lo, hi] misses the segment by more than tol.
+        The stored samples within TIME_TOL of [lo, hi] are one contiguous
+        slice (a view, found by two binary searches); interpolated samples
+        at lo and hi are concatenated on where no stored sample lies within
+        TIME_TOL.  Returns None when [lo, hi] misses the segment by more
+        than TIME_TOL.
         """
         lo = max(lo, self.lo)
         hi = min(hi, self.hi)
-        if hi < lo - tol:
+        if hi < lo - TIME_TOL:
             return None
         if hi < lo:
             hi = lo
         times, values, derivs = self.times, self.values, self.derivs
-        a = int(np.searchsorted(times, lo - tol, side="left"))
-        b = int(np.searchsorted(times, hi + tol, side="right"))
+        a = int(np.searchsorted(times, lo - TIME_TOL, side="left"))
+        b = int(np.searchsorted(times, hi + TIME_TOL, side="right"))
 
         def sample(t: float):
             return (np.array([t]), self.interpolate(t, scheme)[None],
@@ -250,9 +251,9 @@ class ArcSegment:
 
         pieces = [(times[a:b], values[a:b],
                    None if derivs is None else derivs[a:b])]
-        if a == b or times[a] > lo + tol:
+        if a == b or times[a] > lo + TIME_TOL:
             pieces.insert(0, sample(lo))
-        if (times[b - 1] if a < b else lo) < hi - tol:
+        if (times[b - 1] if a < b else lo) < hi - TIME_TOL:
             pieces.append(sample(hi))
         if len(pieces) == 1:
             return pieces[0]
@@ -313,22 +314,22 @@ class HybridArc:
             memory=tuple((s.lo, s.hi, s.jump_index) for s in self.memory_segments),
         )
 
-    def _find_segment(self, t: float, j: int, tol: float) -> ArcSegment | None:
-        if j > 0 or (j == 0 and t > tol):
+    def _find_segment(self, t: float, j: int) -> ArcSegment | None:
+        if j > 0 or (j == 0 and t > TIME_TOL):
             pools: tuple[tuple[ArcSegment, ...], ...] = (self.forward_segments,)
-        elif j < 0 or (j == 0 and t < -tol):
+        elif j < 0 or (j == 0 and t < -TIME_TOL):
             pools = (self.memory_segments,)
         else:
             pools = (self.memory_segments, self.forward_segments)
         for pool in pools:
             for seg in pool:
-                if seg.jump_index == j and seg.contains_time(t, tol):
+                if seg.jump_index == j and seg.contains_time(t):
                     return seg
         return None
 
-    def eval(self, t: float, j: int, tol: float = TIME_TOL) -> np.ndarray:
+    def eval(self, t: float, j: int) -> np.ndarray:
         """Value at hybrid time (t, j); interpolates within the j segment."""
-        seg = self._find_segment(t, j, tol)
+        seg = self._find_segment(t, j)
         if seg is None:
             raise DomainError(f"point (t={t}, j={j}) is not in the arc domain", t, j)
         return seg.interpolate(t, self.interpolation)
@@ -358,16 +359,16 @@ class HybridMemoryArc(HybridArc):
             if msg is not None:
                 raise ValueError(msg)
 
-    def membership_violation(self, tol: float = TIME_TOL) -> Optional[str]:
+    def membership_violation(self) -> Optional[str]:
         """Check the two memory-class clauses; None when both hold."""
         deepest = np.inf
         for seg in self.memory_segments:
             lo_depth = seg.lo + seg.jump_index
-            if lo_depth < -self.delta - 1 - tol:
+            if lo_depth < -self.delta - 1 - TIME_TOL:
                 return ("memory arc reaches s + k = "
                         f"{lo_depth:.6g} < -delta - 1 = {-self.delta - 1:.6g}")
             deepest = min(deepest, lo_depth)
-        if deepest > -self.delta + tol:
+        if deepest > -self.delta + TIME_TOL:
             return (f"memory arc only reaches s + k = {deepest:.6g}; "
                     f"some point must satisfy s + k <= -delta = {-self.delta:.6g}")
         return None
@@ -382,24 +383,24 @@ class HybridMemoryArc(HybridArc):
         """Oldest time covered by the arc (a nonpositive number)."""
         return self.memory_segments[0].lo
 
-    def delayed(self, s: float, tol: float = TIME_TOL) -> np.ndarray:
+    def delayed(self, s: float) -> np.ndarray:
         """Value at (s, k(s)) where k(s) is the maximal jump index at time s.
 
         Reads the newest segment whose first sample is at or before s (up to
-        tol), as :meth:`History.value` does, but reads the segments in place
-        rather than copying them into a :class:`History`.
+        TIME_TOL), as :meth:`History.value` does, but reads the segments in
+        place rather than copying them into a :class:`History`.
         """
         segments = self.memory_segments
-        if s > segments[-1].hi + tol:
+        if s > segments[-1].hi + TIME_TOL:
             raise DomainError(f"time {s} is after the stored history", s, None)
         for seg in reversed(segments):
-            if s >= seg.times[0] - tol:
+            if s >= seg.times[0] - TIME_TOL:
                 return seg.interpolate(s, self.interpolation)
         raise InsufficientHistoryError(
             f"time {s} precedes all stored history", s, None)
 
-    def delayed_runs(self, lo: float, hi: float, tol: float = TIME_TOL
-                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    def delayed_runs(self, lo: float,
+                     hi: float) -> list[tuple[np.ndarray, np.ndarray]]:
         """Stored samples of s -> phi(s, k(s)) on [lo, hi], split at memory jumps.
 
         Returns one (times, values) pair of arrays per continuous piece,
@@ -414,19 +415,19 @@ class HybridMemoryArc(HybridArc):
         runs: list[tuple[np.ndarray, np.ndarray]] = []
         for idx in range(len(self.memory_segments) - 1, -1, -1):
             seg = self.memory_segments[idx]
-            if seg.lo > hi + tol:
+            if seg.lo > hi + TIME_TOL:
                 continue
-            if seg.hi < lo - tol:
+            if seg.hi < lo - TIME_TOL:
                 break
             piece_hi = min(hi, seg.hi)
             # the newer neighbour owns the shared boundary time
             if runs:
                 piece_hi = min(piece_hi, runs[-1][0][0])
             piece_lo = max(lo, seg.lo)
-            cut = seg._slice(piece_lo, piece_hi, self.interpolation, tol)
+            cut = seg._slice(piece_lo, piece_hi, self.interpolation)
             if cut is not None:
                 runs.append(cut[:2])
-            if seg.lo <= lo + tol:
+            if seg.lo <= lo + TIME_TOL:
                 break
         runs.reverse()
         if not runs:
@@ -485,24 +486,20 @@ class History:
             segment = bisect.bisect_right(self.starts, index) - 1
         return WindowView(self, index, segment, self.values[index])
 
-    def batch_view(self, index: np.ndarray) -> "BatchView":
-        """The windows at the stored samples ``index``, as one batch."""
-        return BatchView(self, index)
-
     def value(self, tq: float, segment: int | None = None,
-              end: int | None = None, tol: float = TIME_TOL) -> np.ndarray:
+              end: int | None = None) -> np.ndarray:
         """Value at time tq on the newest jump level whose first sample is at
-        or before tq (up to tol): the maximal-jump-index rule, so a jump
+        or before tq (up to TIME_TOL): the maximal-jump-index rule, so a jump
         instant reads its post-jump value.  Only segments up to ``segment``
         and samples before ``end`` are read (default: all)."""
         if segment is None:
             segment, end = len(self.starts) - 1, self.n
         times = self.times
-        if tq > times[end - 1] + tol:
+        if tq > times[end - 1] + TIME_TOL:
             raise DomainError(f"time {tq} is after the stored history", tq, None)
         for k in range(segment, -1, -1):
             lo = self.starts[k]
-            if tq >= times[lo] - tol:
+            if tq >= times[lo] - TIME_TOL:
                 derivs = self.derivs[lo:end] if self.has_derivs[k] else None
                 return _interpolate(times[lo:end], self.values[lo:end], derivs,
                                     tq, self.interpolation)
@@ -621,8 +618,7 @@ class BatchView:
         return out
 
 
-def delta_inf(arc: HybridArc, t: float, j: int, delta: float,
-              tol: float = TIME_TOL) -> float:
+def delta_inf(arc: HybridArc, t: float, j: int, delta: float) -> float:
     """Smallest d >= delta such that some (t+s, j+k) in dom arc has s + k = -d.
 
     Computed exactly from the piecewise-interval domain structure: each
@@ -632,12 +628,12 @@ def delta_inf(arc: HybridArc, t: float, j: int, delta: float,
     best = np.inf
     for seg in arc.all_segments():
         u_hi = min(seg.hi, t)
-        if seg.jump_index > j or u_hi < seg.lo - tol:
+        if seg.jump_index > j or u_hi < seg.lo - TIME_TOL:
             continue
         # s + k ranges over [seg.lo - t + k, u_hi - t + k], k = seg.jump_index - j
         c = t + j - max(u_hi, seg.lo) - seg.jump_index
         d = t + j - seg.lo - seg.jump_index
-        if d >= delta - tol:
+        if d >= delta - TIME_TOL:
             best = min(best, max(c, delta))
     if not np.isfinite(best):
         raise InsufficientHistoryError(
@@ -645,7 +641,7 @@ def delta_inf(arc: HybridArc, t: float, j: int, delta: float,
     return float(best)
 
 
-def _merge_contiguous(segments: list[ArcSegment], tol: float) -> list[ArcSegment]:
+def _merge_contiguous(segments: list[ArcSegment]) -> list[ArcSegment]:
     """Merge consecutive segments that share a jump index and boundary time.
 
     Needed when a window spans the stored memory/forward boundary: both
@@ -654,10 +650,10 @@ def _merge_contiguous(segments: list[ArcSegment], tol: float) -> list[ArcSegment
     merged: list[ArcSegment] = []
     for seg in segments:
         if (merged and merged[-1].jump_index == seg.jump_index
-                and seg.lo <= merged[-1].hi + tol):
+                and seg.lo <= merged[-1].hi + TIME_TOL):
             prev = merged[-1]
             skip = 1 if (seg.times.shape[0] and
-                         seg.times[0] <= prev.times[-1] + tol) else 0
+                         seg.times[0] <= prev.times[-1] + TIME_TOL) else 0
             times = np.concatenate([prev.times, seg.times[skip:]])
             values = np.concatenate([prev.values, seg.values[skip:]])
             if prev.derivs is not None and seg.derivs is not None:
@@ -670,35 +666,34 @@ def _merge_contiguous(segments: list[ArcSegment], tol: float) -> list[ArcSegment
     return merged
 
 
-def memory_window(arc: HybridArc, t: float, j: int, delta: float,
-                  tol: float = TIME_TOL) -> HybridMemoryArc:
+def memory_window(arc: HybridArc, t: float, j: int,
+                  delta: float) -> HybridMemoryArc:
     """The memory window (s, k) -> arc(t+s, j+k) clipped at depth delta_inf."""
-    dinf = delta_inf(arc, t, j, delta, tol)
+    dinf = delta_inf(arc, t, j, delta)
     segments: list[ArcSegment] = []
     for seg in arc.all_segments():
         if seg.jump_index > j:
             continue
         u_hi = min(seg.hi, t)
-        if u_hi < seg.lo - tol:
+        if u_hi < seg.lo - TIME_TOL:
             continue
         k = seg.jump_index - j
         s_lo = max(seg.lo - t, -dinf - k)
         s_hi = u_hi - t
-        if s_hi < s_lo - tol:
+        if s_hi < s_lo - TIME_TOL:
             continue
-        cut = seg._slice(s_lo + t, s_hi + t, arc.interpolation, tol)
+        cut = seg._slice(s_lo + t, s_hi + t, arc.interpolation)
         if cut is None:
             continue
         times, values, derivs = cut
         segments.append(ArcSegment(k, times - t, values, derivs))
-    segments = _merge_contiguous(segments, tol)
+    segments = _merge_contiguous(segments)
     if not segments:
         raise InsufficientHistoryError(f"empty window at (t={t}, j={j})", t, j)
     return HybridMemoryArc(segments, delta, arc.interpolation, validate=False)
 
 
-def append_jump(phi: HybridMemoryArc, g: np.ndarray,
-                tol: float = TIME_TOL) -> HybridMemoryArc:
+def append_jump(phi: HybridMemoryArc, g: np.ndarray) -> HybridMemoryArc:
     """Memory arc after taking a jump of value g.
 
     The result psi satisfies psi(0,0) = g and psi(s, k-1) = phi(s, k) for all
@@ -713,13 +708,13 @@ def append_jump(phi: HybridMemoryArc, g: np.ndarray,
     for seg in phi.memory_segments:
         k_new = seg.jump_index - 1
         s_cut = floor - k_new
-        if seg.hi < s_cut - tol:
+        if seg.hi < s_cut - TIME_TOL:
             continue
-        if seg.lo >= s_cut - tol:
+        if seg.lo >= s_cut - TIME_TOL:
             segments.append(ArcSegment(k_new, seg.times, seg.values, seg.derivs))
         else:
             segments.append(ArcSegment(
-                k_new, *seg._slice(s_cut, seg.hi, phi.interpolation, tol)))
+                k_new, *seg._slice(s_cut, seg.hi, phi.interpolation)))
     segments.append(ArcSegment(0, np.array([0.0]), g.reshape(1, -1)))
     return HybridMemoryArc(segments, phi.delta, phi.interpolation, validate=False)
 

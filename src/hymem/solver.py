@@ -5,9 +5,13 @@ memory window stays in the flow set, locates guard crossings within
 ``event_tol`` by a safeguarded secant (regula falsi that falls back to the
 midpoint), applies jumps when the window is in the jump set, and records
 the result as a hybrid arc (memory side = initial data, forward side =
-computed solution).  Each map is evaluated once per stored point: the flow
-selection stored at a head is the first Runge-Kutta stage of the step and
-of every event trial from it.
+computed solution).  Each guard and the flow selection are evaluated once
+per stored sample, on its stored window; the stored flow selection is the
+first Runge-Kutta stage of the step and of every event trial from it.  A step
+end that crosses a guard is dropped and the crossing located.  So a guard
+that reads delayed values judges a step end on the stored window, which
+:func:`verify_solution` re-checks, not on the stage view; the two can differ
+in the last bits.
 
 The solution is built in a :class:`~hymem.hybrid_time.History`, and every
 selection map and guard sees it through one window view, which exposes the
@@ -17,8 +21,9 @@ agree with the formal clipped window for every delay the system declares,
 because builders size the memory so declared delays stay inside it.  A
 Runge-Kutta stage sees the view extended by its provisional point: delays
 shorter than the stage offset read the straight line from the stored head
-to that point, longer ones the stored history.  The solver is
-deterministic: identical inputs produce bit-identical trajectories.
+to that point, longer ones the stored history.  An infinite time horizon
+needs a declared jump period.  The solver is deterministic: identical
+inputs produce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from enum import Enum
 
 import numpy as np
 
-from .hybrid_time import (TIME_TOL, DomainError, History, HybridArc,
-                          HybridMemoryArc, WindowView, memory_window,
-                          sup_norm_w, validate_domain)
+from .hybrid_time import (TIME_TOL, BatchView, DomainError, History,
+                          HybridArc, HybridMemoryArc, WindowView,
+                          memory_window, sup_norm_w, validate_domain)
 from .system import SystemSpec, TargetSet
 
 
@@ -207,6 +212,15 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     return (lo, x_lo) if crossing_down else (hi, x_hi)
 
 
+def _judge(spec: SystemSpec, hist: History,
+           guard_tol: float) -> tuple[WindowView, bool, bool]:
+    """The window at the newest stored sample, and whether it lies in the
+    flow set and in the jump set."""
+    w = hist.view()
+    return (w, spec.flow_guard(w) >= -guard_tol,
+            spec.jump_guard(w) >= -guard_tol)
+
+
 def simulate(spec: SystemSpec, init: HybridMemoryArc,
              opts: SimOptions) -> Trajectory:
     """Compute a solution from the initial memory arc.
@@ -216,6 +230,10 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     reaches its horizon, when the window leaves both sets, or when the Zeno
     guard trips.  A read outside the stored history or a non-finite state
     stops it with ``Termination.error``, and ``Trajectory.error`` says why.
+    An infinite ``t_max`` needs a jump period in ``spec.meta``.  Each guard
+    and the flow selection run once per stored sample, on its stored window;
+    a step end that leaves C, or enters D under jump priority, is dropped and
+    the crossing located.
     """
     if abs(init.delta - spec.memory_size) > 1e-12:
         raise PreconditionError(
@@ -225,6 +243,9 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
         raise PreconditionError(
             f"initial arc dimension {init.dimension} != system dimension "
             f"{spec.dimension}")
+    if math.isinf(opts.t_max) and spec.meta.get("period") is None:
+        raise PreconditionError("an infinite t_max needs a system with a "
+                                "jump period; nothing else bounds the run")
 
     fg0 = spec.flow_guard(init)
     jg0 = spec.jump_guard(init)
@@ -238,68 +259,44 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     t, j = 0.0, 0
     jumps: list[tuple[float, int]] = []
     termination = Termination.horizon_reached
-    last_jump_t: float | None = None
     consecutive_jumps = 0
     error = None
-
-    def set_head_deriv() -> bool:
-        """Store the flow selection at the newest sample if its window is in
-        the flow set; return whether it is."""
-        w = hist.view()
-        in_flow_set = spec.flow_guard(w) >= -opts.guard_tol
-        if in_flow_set:
-            hist.derivs[hist.n - 1] = np.asarray(spec.flow_selection(w), dtype=float)
-        return in_flow_set
-
-    def try_flow(w: WindowView) -> bool:
-        """Advance by at most one step from the head ``w``; True iff time
-        progressed.  ``w`` is in the flow set, so its selection is stored,
-        and under jump priority it is outside the jump set."""
-        nonlocal t, flow_ok
-        h = min(opts.step, opts.t_max - t)
-        if h <= TIME_TOL:
-            return False
-        k1 = hist.derivs[w.index]
-        x_new, _ = _rk4(spec, w, h, k1)
-        end_w = w.extend(h, x_new)
-        event = None
-        if spec.flow_guard(end_w) < -opts.guard_tol:
-            event = locate_event(spec, w, h, "flow", opts.event_tol,
-                                 opts.guard_tol, k1, x_new)
-        elif (opts.jump_priority == "jump"
-              and spec.jump_guard(end_w) >= -opts.guard_tol):
-            event = locate_event(spec, w, h, "jump", opts.event_tol,
-                                 opts.guard_tol, k1, x_new)
-        if event is not None:
-            h, x_new = event
-            if h <= TIME_TOL:
-                return False
-        t = t + h
-        hist.append(t, x_new)
-        flow_ok = set_head_deriv()
-        return True
-
     try:
-        flow_ok = set_head_deriv()
+        w, in_c, in_d = _judge(spec, hist, opts.guard_tol)
         while True:
+            if in_c:
+                hist.derivs[w.index] = np.asarray(spec.flow_selection(w), dtype=float)
             if t >= opts.t_max - TIME_TOL or j >= opts.j_max:
                 termination = Termination.horizon_reached
                 break
-            w = hist.view()
-            jump_ok = spec.jump_guard(w) >= -opts.guard_tol
-            if not (jump_ok and opts.jump_priority == "jump"):
-                if flow_ok and try_flow(w):
+            h = min(opts.step, opts.t_max - t)
+            if (in_c and h > TIME_TOL
+                    and not (in_d and opts.jump_priority == "jump")):
+                k1 = hist.derivs[w.index]
+                x_new, _ = _rk4(spec, w, h, k1)
+                hist.append(t + h, x_new)
+                end = _judge(spec, hist, opts.guard_tol)
+                if not end[1] or (end[2] and opts.jump_priority == "jump"):
+                    # the step end crossed a guard: drop it (its derivative
+                    # slot is still unwritten) and store the located crossing
+                    hist.n -= 1
+                    guard = "jump" if end[1] else "flow"
+                    h, x_new = locate_event(spec, w, h, guard, opts.event_tol,
+                                            opts.guard_tol, k1, x_new)
+                    end = None
+                    if h > TIME_TOL:
+                        hist.append(t + h, x_new)
+                        end = _judge(spec, hist, opts.guard_tol)
+                if end is not None:
+                    t += h
+                    w, in_c, in_d = end
+                    consecutive_jumps = 0
                     continue
-                # flow cannot progress past the boundary, or w is not in C
-                if not jump_ok:
-                    termination = Termination.left_C_and_D
-                    break
-
-            if last_jump_t is not None and abs(t - last_jump_t) <= TIME_TOL:
-                consecutive_jumps += 1
-            else:
-                consecutive_jumps = 1
-            last_jump_t = t
+            # flow cannot progress past the boundary, or w is not in C
+            if not in_d:
+                termination = Termination.left_C_and_D
+                break
+            consecutive_jumps += 1
             if consecutive_jumps > opts.max_consecutive_jumps:
                 termination = Termination.zeno_guard
                 break
@@ -312,7 +309,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
             jumps.append((t, j))
             j += 1
             hist.start_segment(t, g)
-            flow_ok = set_head_deriv()
+            w, in_c, in_d = _judge(spec, hist, opts.guard_tol)
     except DomainError as exc:
         termination = Termination.error
         error = f"{type(exc).__name__} at (t={t}, j={j}): {exc}"
@@ -412,7 +409,7 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
         if i.size:
             fd = ((values[i - 2] - 8 * values[i - 1] + 8 * values[i + 1]
                    - values[i + 2]) / (12 * (times[i - 1] - times[i - 2]))[:, None])
-            fval = np.asarray(spec.flow_batch(hist.batch_view(start + i)),
+            fval = np.asarray(spec.flow_batch(BatchView(hist, start + i)),
                               dtype=float)
             f0 = np.asarray(spec.flow_selection(hist.view(start + i[0])),
                             dtype=float)

@@ -13,9 +13,9 @@ CLI = [sys.executable, "-m", "hymem"]
 MINIMAL_CONFIG = {"dimension": 1, "memory_size": 0.0, "flow": {"A0": [[-1.0]]}}
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          cwd=cwd)
+                          cwd=cwd, timeout=timeout)
 
 
 class TestSimulate:
@@ -177,6 +177,16 @@ class TestExitCodes:
         r = run_cli("simulate", "--system", "example1", "--history", "1,1,0,0.5")
         assert r.returncode == 3
         assert r.stderr.startswith("runtime error: initial data lies outside both")
+
+    def test_infinite_horizon_without_jumps_exits_three(self, tmp_path):
+        # a jump-free system never reaches j_max: the run used to go on until
+        # it was killed
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(MINIMAL_CONFIG))
+        r = run_cli("simulate", "--config", str(cfg), "--t-max", "inf",
+                    timeout=60)
+        assert r.returncode == 3
+        assert r.stderr.startswith("runtime error: an infinite t_max needs")
 
     def test_simulate_takes_no_seed(self):
         # simulate draws nothing at random, so a seed would change nothing

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hymem.builtin import example1_razumikhin_certificate
-from hymem.hybrid_time import (TIME_TOL, ArcSegment, DomainError, History,
-                               HybridArc, HybridMemoryArc, HybridTimeDomain,
-                               InsufficientHistoryError, _interpolate,
-                               _interpolate_many, append_jump, arc_from_csv,
-                               arc_to_csv, constant_memory_arc,
+from hymem.hybrid_time import (TIME_TOL, ArcSegment, BatchView, DomainError,
+                               History, HybridArc, HybridMemoryArc,
+                               HybridTimeDomain, InsufficientHistoryError,
+                               _interpolate, _interpolate_many, append_jump,
+                               arc_from_csv, arc_to_csv, constant_memory_arc,
                                delayed_sq_integral, delta_inf,
                                memory_arc_from_function, memory_window,
                                sup_norm_w, validate_domain, vbar)
@@ -680,7 +680,7 @@ class TestArraySlicing:
                              zip(s.times, np.diff(s.times, append=s.hi + 1))]
                     for lo, width in cuts:
                         for scheme in ("linear", "hermite"):
-                            got = s._slice(lo, lo + width, scheme, TIME_TOL)
+                            got = s._slice(lo, lo + width, scheme)
                             want = _slice_lists(s, lo, lo + width, scheme)
                             if want is None:
                                 assert got is None
@@ -922,7 +922,7 @@ def test_batch_view_reads_like_each_view_property(hist, data):
             if s <= 0.0:
                 shifts.append(s)
 
-    batch = hist.batch_view(rows)
+    batch = BatchView(hist, rows)
     assert batch.delta == 1.0
     assert batch.head.tobytes() == hist.values[:hist.n].tobytes()
     assert [(v.index, v.segment) for v in batch.views()] == \
@@ -933,7 +933,7 @@ def test_batch_view_reads_like_each_view_property(hist, data):
             with pytest.raises(InsufficientHistoryError):
                 batch.delayed(s)
         if want:
-            got = hist.batch_view(list(want)).delayed(s)
+            got = BatchView(hist, list(want)).delayed(s)
             assert got.tobytes() == np.array(list(want.values())).tobytes(), s
     with pytest.raises(DomainError, match="after the stored history"):
         batch.delayed(1e-9)
@@ -946,7 +946,7 @@ def test_batch_view_reads_like_each_view_property(hist, data):
     with np.errstate(all="raise"):
         for s, want in reads.items():
             if want:
-                got = hist.batch_view(list(want)).delayed(s)
+                got = BatchView(hist, list(want)).delayed(s)
                 assert got.tobytes() == np.array(list(want.values())).tobytes()
 
 
@@ -960,5 +960,5 @@ class TestBatchView:
         for s in (0.0, -1 / 64, -0.25, -0.5, -0.6, -1.0, -1.5, -traj.memory_size):
             want, missing = _rowwise_delayed(hist, rows.tolist(), s)
             assert not missing
-            got = hist.batch_view(rows).delayed(s)
+            got = BatchView(hist, rows).delayed(s)
             assert got.tobytes() == np.array(list(want.values())).tobytes()

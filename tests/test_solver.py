@@ -246,6 +246,24 @@ class TestSimOptions:
         assert traj.j_final == 3
         assert traj.t_final == pytest.approx(3 * p.delta, abs=1e-9)
 
+    def test_infinite_horizon_without_a_jump_period_is_rejected(self):
+        # a jump-free run never advances j, so nothing would bound it; the
+        # bounded flow map turns an unbounded run into a failure, not a hang
+        spec, _ = decay_system()
+        calls = []
+
+        def bounded(w):
+            calls.append(1)
+            if len(calls) > 1000:
+                raise RuntimeError("the run was not bounded")
+            return spec.flow_selection(w)
+
+        counted = dataclasses.replace(spec, flow_selection=bounded)
+        init = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
+        with pytest.raises(PreconditionError, match="needs a system with a jump period"):
+            simulate(counted, init, SimOptions(t_max=float("inf")))
+        assert calls == []
+
 
 class TestSimulateClosedForms:
     def test_exponential_decay_example2_reduction(self):
@@ -346,6 +364,69 @@ class TestOneFlowSelectionPerStage:
         (got,) = traj.arc.forward_segments
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
+
+
+def delayed_guard_system(d=0.004):
+    """dx = 1, reset to 0 when x(t) + x(t - d) reaches 2: both guards read a
+    delay d shorter than the solver's step."""
+    def flow_guard(w):
+        return 2.0 - float(w.head[0]) - float(w.delayed(-d)[0])
+
+    return SystemSpec(
+        dimension=1, memory_size=d, flow_guard=flow_guard,
+        jump_guard=lambda w: -flow_guard(w),
+        flow_selection=lambda w: np.array([1.0]),
+        jump_selections=lambda w: [np.array([0.0])])
+
+
+class TestOneGuardEvaluationPerStoredPoint:
+    """Both guards run once on the initial data and once per stored forward
+    sample, on its stored window; a step end that crosses a guard is judged
+    too before it is dropped and its crossing located."""
+
+    @pytest.mark.parametrize("case, jump_priority", [
+        ("example1", "jump"), ("example2-case1", "jump"),
+        ("example2-case1", "flow"), ("delayed-guard", "jump")])
+    def test_guard_calls_outside_event_location(self, case, jump_priority,
+                                                monkeypatch):
+        if case == "example1":
+            _, spec, init = example1_at_clock(0.0)
+        elif case == "example2-case1":
+            spec, _ = build_example2(Example2Params.case1())
+            init = const_history(spec, [1.0, 0.0])
+        else:
+            spec = delayed_guard_system()
+            init = constant_memory_arc(np.array([0.0]), spec.memory_size)
+        calls, located, counting = [], [], [True]
+
+        def counted(guard):
+            def wrapped(w):
+                if counting[0]:
+                    calls.append(1)
+                return guard(w)
+            return wrapped
+
+        def paused(*args, **kwargs):
+            located.append(args[3])
+            counting[0] = False
+            try:
+                return locate_event(*args, **kwargs)
+            finally:
+                counting[0] = True
+
+        monkeypatch.setattr(solver, "locate_event", paused)
+        counted_spec = dataclasses.replace(spec,
+                                           flow_guard=counted(spec.flow_guard),
+                                           jump_guard=counted(spec.jump_guard))
+        traj = simulate(counted_spec, init,
+                        SimOptions(t_max=3.5, step=1e-2,
+                                   jump_priority=jump_priority))
+        stored = sum(seg.times.shape[0] for seg in traj.arc.forward_segments)
+        assert traj.termination is Termination.horizon_reached
+        assert len(traj.jumps) >= 3 and located
+        assert len(calls) == 2 + 2 * (stored + len(located))
+        if case == "delayed-guard":
+            assert verify_solution(spec, traj).issues == ()
 
 
 def method_of_steps_reference(a, b, r, history, t_end, rtol=1e-10, atol=1e-12):

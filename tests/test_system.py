@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hymem.builtin import example2_feasibility
-from hymem.hybrid_time import (History, constant_memory_arc,
+from hymem.hybrid_time import (BatchView, History, constant_memory_arc,
                                memory_arc_from_function)
 from hymem.solver import SimOptions, simulate
 from hymem.system import (ConfigError, DelayTerm, Example1Params,
@@ -214,7 +214,7 @@ def batch_of_run(spec, state, t_max):
                                depth=spec.memory_size + 0.5, grid_step=0.02)
     traj = simulate(spec, init, SimOptions(t_max=t_max, step=5e-3))
     hist = History(traj.arc, spec.memory_size)
-    batch = hist.batch_view(np.arange(hist.starts[hist.n_memory], hist.n))
+    batch = BatchView(hist, np.arange(hist.starts[hist.n_memory], hist.n))
     return batch, np.array([spec.flow_selection(v) for v in batch.views()])
 
 
