@@ -141,6 +141,8 @@ def _initial_history(history: str | None, spec: SystemSpec, extras: dict,
         value = np.array([float(x) for x in history.split(",")])
         if value.shape != (spec.dimension,):
             raise ConfigError(f"--history needs {spec.dimension} components")
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"--history must be finite, got {history!r}")
     elif "initial_history" in extras:
         return history_from_config(extras["initial_history"], spec)
     else:

@@ -24,6 +24,7 @@ arcs, which keeps them valid, so they skip the checks.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
@@ -130,20 +131,25 @@ def _hermite(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray,
 
 
 def _interpolate(times: np.ndarray, values: np.ndarray,
-                 derivs: np.ndarray | None, t: float,
-                 scheme: str = "linear") -> np.ndarray:
-    """Value at time t of increasing samples, held constant past either end.
+                 derivs: np.ndarray | None, t: float, scheme: str = "linear",
+                 lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Value at time t of the increasing samples ``lo:hi`` (default: all),
+    held constant past either end, as a fresh array.
 
     Cubic Hermite when ``scheme`` is "hermite" and derivative samples are
-    given, piecewise linear otherwise.
+    given, piecewise linear otherwise.  The bracket is read as Python floats
+    and found by one binary search on the samples' times; values and
+    derivatives are indexed in place, not sliced.
     """
-    if t <= times[0]:
-        return values[0].copy()
-    if t >= times[-1]:
-        return values[-1].copy()
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    t0, t1 = times[i], times[i + 1]
-    h = t1 - t0
+    if hi is None:
+        hi = times.shape[0]
+    if t <= times.item(lo):
+        return values[lo].copy()
+    if t >= times.item(hi - 1):
+        return values[hi - 1].copy()
+    i = lo + int(times[lo:hi].searchsorted(t, "right")) - 1
+    t0 = times.item(i)
+    h = times.item(i + 1) - t0
     if h <= 0:
         return values[i].copy()
     w = (t - t0) / h
@@ -299,7 +305,7 @@ class HybridArc:
                                      "values of shape (m, n)")
                 if times.shape[0] == 0:
                     raise ValueError("segment must contain at least one sample")
-                if np.any(np.diff(times) <= 0):
+                if not np.all(np.diff(times) > 0):  # NaN fails here too
                     raise ValueError("segment sample times must be strictly increasing")
                 if seg.derivs is not None and seg.derivs.shape != values.shape:
                     raise ValueError("derivative samples must match value "
@@ -394,7 +400,7 @@ class HybridMemoryArc(HybridArc):
         if s > segments[-1].hi + TIME_TOL:
             raise DomainError(f"time {s} is after the stored history", s, None)
         for seg in reversed(segments):
-            if s >= seg.times[0] - TIME_TOL:
+            if s >= seg.times.item(0) - TIME_TOL:
                 return seg.interpolate(s, self.interpolation)
         raise InsufficientHistoryError(
             f"time {s} precedes all stored history", s, None)
@@ -491,18 +497,19 @@ class History:
         """Value at time tq on the newest jump level whose first sample is at
         or before tq (up to TIME_TOL): the maximal-jump-index rule, so a jump
         instant reads its post-jump value.  Only segments up to ``segment``
-        and samples before ``end`` are read (default: all)."""
+        and samples before ``end`` are read (default: all).  Each call
+        returns a fresh array."""
+        starts, times = self.starts, self.times
         if segment is None:
-            segment, end = len(self.starts) - 1, self.n
-        times = self.times
-        if tq > times[end - 1] + TIME_TOL:
+            segment, end = len(starts) - 1, self.n
+        if tq > times.item(end - 1) + TIME_TOL:
             raise DomainError(f"time {tq} is after the stored history", tq, None)
         for k in range(segment, -1, -1):
-            lo = self.starts[k]
-            if tq >= times[lo] - TIME_TOL:
-                derivs = self.derivs[lo:end] if self.has_derivs[k] else None
-                return _interpolate(times[lo:end], self.values[lo:end], derivs,
-                                    tq, self.interpolation)
+            lo = starts[k]
+            if tq >= times.item(lo) - TIME_TOL:
+                return _interpolate(times, self.values,
+                                    self.derivs if self.has_derivs[k] else None,
+                                    tq, self.interpolation, lo, end)
             end = lo
         raise InsufficientHistoryError(
             f"time {tq} precedes all stored history", tq, None)
@@ -526,33 +533,53 @@ class WindowView:
     after the view's own.  :meth:`extend` gives the window at a provisional
     point x, dt ahead on the same jump level, as Runge-Kutta stages need:
     delays shorter than dt read the straight line from the stored head to x,
-    longer ones read the stored history.  No arrays are copied.
+    longer ones read the stored history.  A view from :meth:`extend` keeps
+    its stored-history reads, keyed by s, and :meth:`with_head` hands them to
+    a view at the same stage time with another head, so the two half-step
+    stages of a step read the stored history once per delay.  The straight
+    line depends on the head and is never kept.  Every read returns a fresh
+    array.
     """
 
-    __slots__ = ("history", "index", "segment", "head", "dt")
+    __slots__ = ("history", "index", "segment", "head", "dt", "reads")
 
     def __init__(self, history: History, index: int, segment: int,
-                 head: np.ndarray, dt: float = 0.0):
+                 head: np.ndarray, dt: float = 0.0,
+                 reads: dict[float, np.ndarray] | None = None):
         self.history = history
         self.index = index
         self.segment = segment
         self.head = head
         self.dt = dt
+        self.reads = reads
 
     @property
     def delta(self) -> float:
         return self.history.delta
 
     def extend(self, dt: float, x: np.ndarray) -> "WindowView":
-        return WindowView(self.history, self.index, self.segment, x, dt)
+        return WindowView(self.history, self.index, self.segment, x, dt, {})
+
+    def with_head(self, x: np.ndarray) -> "WindowView":
+        """The view at the same point and stage time with head x; it shares
+        this view's stored-history reads."""
+        return WindowView(self.history, self.index, self.segment, x, self.dt,
+                          self.reads)
 
     def delayed(self, s: float) -> np.ndarray:
         hist = self.history
         q = self.dt + s
         if q >= 0.0 and self.dt > 0.0:
             return _lerp(hist.values[self.index], self.head, q / self.dt)
-        return hist.value(hist.times[self.index] + q, self.segment,
-                          self.index + 1)
+        reads = self.reads
+        x = None if reads is None else reads.get(s)
+        if x is None:
+            x = hist.value(hist.times.item(self.index) + q, self.segment,
+                           self.index + 1)
+            if reads is None:
+                return x
+            reads[s] = x
+        return x.copy()
 
 
 class BatchView:
@@ -719,6 +746,16 @@ def append_jump(phi: HybridMemoryArc, g: np.ndarray) -> HybridMemoryArc:
     return HybridMemoryArc(segments, phi.delta, phi.interpolation, validate=False)
 
 
+def _level_max(vals: np.ndarray, seg: ArcSegment) -> float:
+    """The largest of a level's fn values; NaN raises, since ``max`` would
+    pass over it."""
+    top = float(np.max(vals))
+    if math.isnan(top):
+        raise DomainError(f"window value is NaN on jump level {seg.jump_index}",
+                          None, seg.jump_index)
+    return top
+
+
 def sup_norm_w(phi: HybridMemoryArc, fn: Callable[[np.ndarray], float],
                batch: Callable[[np.ndarray], np.ndarray] | None = None,
                refine_tol: float = 1e-9, max_levels: int = 6) -> float:
@@ -735,7 +772,9 @@ def sup_norm_w(phi: HybridMemoryArc, fn: Callable[[np.ndarray], float],
     refine_tol (relative).  A level interpolates all of a segment's
     midpoints at once (:func:`_interpolate_many`, bit for bit the arc's
     pointwise interpolant) and hands them to ``batch`` as one array, or to
-    ``fn`` row by row when no batch form is given.
+    ``fn`` row by row when no batch form is given.  A NaN value of fn, at a
+    stored sample or a midpoint, raises :class:`DomainError` naming its jump
+    level; infinite values are compared as they are.
     """
     floor = -phi.delta - 1 - TIME_TOL
     best = -np.inf
@@ -746,16 +785,14 @@ def sup_norm_w(phi: HybridMemoryArc, fn: Callable[[np.ndarray], float],
         if not np.any(mask):
             continue
         times = seg.times[mask]
-        vals = evaluate(seg.values[mask])
-        est = float(np.max(vals))
+        est = _level_max(evaluate(seg.values[mask]), seg)
         level_times = times
         for _ in range(max_levels):
             if level_times.shape[0] < 2:
                 break
             mids = 0.5 * (level_times[:-1] + level_times[1:])
-            mid_vals = evaluate(_interpolate_many(seg.times, seg.values, seg.derivs,
-                                                  mids, phi.interpolation))
-            new_est = max(est, float(np.max(mid_vals)))
+            new_est = max(est, _level_max(evaluate(_interpolate_many(
+                seg.times, seg.values, seg.derivs, mids, phi.interpolation)), seg))
             merged = np.sort(np.concatenate([level_times, mids]))
             if abs(new_est - est) <= refine_tol * max(1.0, abs(new_est)):
                 est = new_est
@@ -834,20 +871,27 @@ def memory_arc_from_function(fn: Callable[[float], np.ndarray], delta: float,
 
 # ---------------------------------------------------------------------------
 # CSV serialization: rows `t, j, v_1, ..., v_n`, sorted lexicographically by
-# (j, t); the memory side uses t <= 0, j <= 0.  Round-trips are bit-exact on
-# sample points (derivative samples are not serialized).
+# (j, t), the memory side's row first where both sides share (j, t); the
+# memory side uses t <= 0, j <= 0.  Round-trips are bit-exact on sample
+# points (derivative samples are not serialized).  Both directions go one
+# jump level at a time, through Python floats and one array per level.
 # ---------------------------------------------------------------------------
 
 def arc_to_csv(arc: HybridArc) -> str:
-    rows = []
-    for side, segs in (("m", arc.memory_segments), ("f", arc.forward_segments)):
-        for seg in segs:
-            for t, v in zip(seg.times, seg.values):
-                rows.append((seg.jump_index, float(t), side, v))
-    rows.sort(key=lambda r: (r[0], r[1], 0 if r[2] == "m" else 1))
+    levels: dict[int, list[ArcSegment]] = {}
+    for seg in arc.memory_segments + arc.forward_segments:
+        levels.setdefault(seg.jump_index, []).append(seg)
     lines = []
-    for j, t, _, v in rows:
-        lines.append(",".join([repr(t), str(j)] + [repr(float(x)) for x in v]))
+    for j in sorted(levels):
+        segs = levels[j]
+        times = np.concatenate([seg.times for seg in segs])
+        values = np.concatenate([seg.values for seg in segs])
+        # a stable sort keeps the memory side's rows first on equal times;
+        # near t = 0 the two sides' samples may interleave
+        order = np.argsort(times, kind="stable")
+        tag = str(j)
+        for t, *row in zip(times[order].tolist(), *values[order].T.tolist()):
+            lines.append(",".join([repr(t), tag, *map(repr, row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -864,49 +908,66 @@ def arc_from_csv(text: str, delta: float | None = None,
     (once per side).  If ``delta`` is given and the forward side is empty, a
     :class:`HybridMemoryArc` is returned.
     """
-    rows: list[tuple[float, int, np.ndarray]] = []
+    if not text.strip():
+        raise ValueError("empty CSV")
+    # per jump level of each side: its times and its rows' components, all
+    # in file order
+    memory: dict[int, tuple[list[float], list[float]]] = {}
+    forward: dict[int, tuple[list[float], list[float]]] = {}
+    zero: list[tuple[float, list[float]]] = []  # rows at (0, 0) up to TIME_TOL
+    width = None
     for line in text.strip().splitlines():
         parts = line.strip().split(",")
         if len(parts) < 3:
             raise ValueError(f"CSV row needs t, j and at least one component: {line!r}")
-        rows.append((float(parts[0]), int(parts[1]),
-                     np.array([float(x) for x in parts[2:]])))
-    if not rows:
-        raise ValueError("empty CSV")
+        if len(parts) - 2 != width:
+            if width is not None:
+                raise ValueError("CSV rows differ in their number of components")
+            width = len(parts) - 2
+        t, j = float(parts[0]), int(parts[1])
+        row = [float(x) for x in parts[2:]]
+        if j < 0 or (j == 0 and t < -TIME_TOL):
+            side = memory
+        elif j > 0 or (j == 0 and t > TIME_TOL):
+            side = forward
+        else:
+            if abs(t) <= TIME_TOL:  # a NaN time at j = 0 lies on no side
+                zero.append((t, row))
+            continue
+        times, flat = side.setdefault(j, ([], []))
+        times.append(t)
+        flat += row
 
-    mem_rows = [r for r in rows if r[1] < 0 or (r[1] == 0 and r[0] < -TIME_TOL)]
-    fwd_rows = [r for r in rows if r[1] > 0 or (r[1] == 0 and r[0] > TIME_TOL)]
-    zero_rows = [r for r in rows if r[1] == 0 and abs(r[0]) <= TIME_TOL]
-
-    has_memory = bool(mem_rows) or (bool(zero_rows) and not fwd_rows)
-    has_forward = bool(fwd_rows)
+    has_memory = bool(memory) or (bool(zero) and not forward)
+    has_forward = bool(forward)
     if has_memory and has_forward:
-        if len(zero_rows) < 2:
+        if len(zero) < 2:
             raise ValueError("arc with both sides must store the shared (0, 0) "
                              "sample once per side")
-        mem_rows.append(zero_rows[0])
-        fwd_rows = zero_rows[1:2] + fwd_rows
+        mem_zero, fwd_zero = zero[:1], zero[1:2]
     elif has_memory:
-        if not zero_rows:
+        if not zero:
             raise ValueError("memory side must end at (0, 0)")
-        mem_rows.extend(zero_rows[:1])
+        mem_zero, fwd_zero = zero[:1], []
     else:
-        fwd_rows = zero_rows[:1] + fwd_rows
+        mem_zero, fwd_zero = [], zero[:1]
+    for side, rows in ((memory, mem_zero), (forward, fwd_zero)):
+        for t, row in rows:
+            times, flat = side.setdefault(0, ([], []))
+            times.append(t)
+            flat += row
 
-    def build(side_rows, is_memory):
-        groups: dict[int, list[tuple[float, np.ndarray]]] = {}
-        for t, j, v in side_rows:
-            groups.setdefault(j, []).append((t, v))
+    def build(side):
         segs = []
-        for j in sorted(groups):
-            pts = sorted(groups[j], key=lambda p: p[0])
-            times = np.array([p[0] for p in pts])
-            values = np.array([p[1] for p in pts])
-            segs.append(ArcSegment(j, times, values))
+        for j in sorted(side):
+            times, flat = side[j]
+            times = np.array(times)
+            order = np.argsort(times, kind="stable")
+            values = np.array(flat).reshape(times.shape[0], width)
+            segs.append(ArcSegment(j, times[order], values[order]))
         return segs
 
-    mem_segs = build(mem_rows, True) if mem_rows else []
-    fwd_segs = build(fwd_rows, False) if fwd_rows else []
+    mem_segs, fwd_segs = build(memory), build(forward)
     if delta is not None and not fwd_segs:
         return HybridMemoryArc(mem_segs, delta, interpolation)
     return HybridArc(mem_segs, fwd_segs, interpolation)

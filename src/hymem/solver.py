@@ -21,9 +21,12 @@ agree with the formal clipped window for every delay the system declares,
 because builders size the memory so declared delays stay inside it.  A
 Runge-Kutta stage sees the view extended by its provisional point: delays
 shorter than the stage offset read the straight line from the stored head
-to that point, longer ones the stored history.  An infinite time horizon
-needs a declared jump period.  The solver is deterministic: identical
-inputs produce bit-identical trajectories.
+to that point, longer ones the stored history.  The two half-step stages
+sit at one stage time and share its stored-history reads, one per delay;
+the straight line depends on the stage's head and is read afresh.  Every
+read returns a fresh array, so a selection map may write into it.  An
+infinite time horizon needs a declared jump period.  The solver is
+deterministic: identical inputs produce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -144,13 +147,15 @@ def run_summary(traj: Trajectory, target: TargetSet) -> dict:
 def _rk4(spec: SystemSpec, window: WindowView, h: float,
          k1: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step from the window's head; ``k1``, when given, is the flow
-    selection already evaluated on this same window."""
+    selection already evaluated on this same window.  The two half-step
+    stages sit at one stage time, so they share its stored-history reads."""
     f = spec.flow_selection
     x0 = np.asarray(window.head, dtype=float)
     if k1 is None:
         k1 = np.asarray(f(window), dtype=float)
-    k2 = np.asarray(f(window.extend(h / 2, x0 + (h / 2) * k1)), dtype=float)
-    k3 = np.asarray(f(window.extend(h / 2, x0 + (h / 2) * k2)), dtype=float)
+    half = window.extend(h / 2, x0 + (h / 2) * k1)
+    k2 = np.asarray(f(half), dtype=float)
+    k3 = np.asarray(f(half.with_head(x0 + (h / 2) * k2)), dtype=float)
     k4 = np.asarray(f(window.extend(h, x0 + h * k3)), dtype=float)
     return x0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
 
@@ -229,7 +234,8 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     in the union of the flow and jump sets.  Integration stops when t or j
     reaches its horizon, when the window leaves both sets, or when the Zeno
     guard trips.  A read outside the stored history or a non-finite state
-    stops it with ``Termination.error``, and ``Trajectory.error`` says why.
+    stops it with ``Termination.error``, and ``Trajectory.error`` says why;
+    a non-finite initial arc is refused before integrating.
     An infinite ``t_max`` needs a jump period in ``spec.meta``.  Each guard
     and the flow selection run once per stored sample, on its stored window;
     a step end that leaves C, or enters D under jump priority, is dropped and
@@ -243,6 +249,10 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
         raise PreconditionError(
             f"initial arc dimension {init.dimension} != system dimension "
             f"{spec.dimension}")
+    if not all(np.all(np.isfinite(seg.values))
+               and (seg.derivs is None or np.all(np.isfinite(seg.derivs)))
+               for seg in init.memory_segments):
+        raise PreconditionError("initial arc holds a non-finite value")
     if math.isinf(opts.t_max) and spec.meta.get("period") is None:
         raise PreconditionError("an infinite t_max needs a system with a "
                                 "jump period; nothing else bounds the run")

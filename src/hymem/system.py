@@ -467,6 +467,8 @@ def history_from_config(hist: dict, spec: SystemSpec,
         value = np.atleast_1d(np.asarray(hist["value"], dtype=float))
         if value.shape != (spec.dimension,):
             raise ConfigError(f"initial_history.value must have length {spec.dimension}")
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"initial_history.value must be finite, got {hist['value']}")
         return constant_memory_arc(value, delta, depth=depth, grid_step=grid_step)
     points = hist["points"]
     if not isinstance(points, list) or not points:
@@ -474,6 +476,8 @@ def history_from_config(hist: dict, spec: SystemSpec,
     rows = np.asarray(points, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != spec.dimension + 1:
         raise ConfigError("initial_history.points rows must be [s, v_1, ..., v_n]")
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError("initial_history.points must be finite")
     order = np.argsort(rows[:, 0])
     rows = rows[order]
     times, values = rows[:, 0], rows[:, 1:]

@@ -132,10 +132,21 @@ class TestExitCodes:
         (("check-kl", "--system", "example1", "--step", "nan"), None),
         (("check-razumikhin", "--system", "example1", "--slack", "nan"), None),
         (("check-krasovskii", "--system", "example2", "--slack", "inf"), None),
+        (("simulate", "--system", "example2", "--history", "nan,0"), None),
+        (("simulate", "--system", "example2", "--history", "inf,0"), None),
+        (("simulate", "--system", "example2", "--history", "1,nan"), None),
+        (("simulate",), {"initial_history": {"kind": "constant",
+                                             "value": [float("nan")]}}),
+        (("simulate",), {"initial_history": {
+            "kind": "samples", "points": [[-1.0, 1.0], [0.0, float("inf")]]}}),
+        (("simulate", "--set", "initial_history.value=[NaN]"),
+         {"initial_history": {"kind": "constant", "value": [1.0]}}),
     ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "eps-grid-zero",
             "eta-grid-negative", "step-zero", "history", "config-t-max",
             "config-history-point", "t-max-nan", "step-nan", "slack-nan",
-            "slack-inf"])
+            "slack-inf", "history-nan", "history-inf", "history-nan-clock",
+            "config-history-nan", "config-history-point-inf",
+            "set-config-history-nan"])
     def test_malformed_input_exits_two(self, tmp_path, args, config):
         # read before anything runs: exit 2 with the reason, no traceback
         if config is not None:
@@ -147,6 +158,24 @@ class TestExitCodes:
         assert r.stderr.startswith("config error:")
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("args, config, message", [
+        (("--system", "example2", "--history", "nan,0"), None,
+         "--history must be finite, got 'nan,0'"),
+        (("--set", "initial_history.value=[Infinity]"),
+         {"initial_history": {"kind": "constant", "value": [1.0]}},
+         "initial_history.value must be finite, got [inf]"),
+    ], ids=["history", "config"])
+    def test_non_finite_history_names_its_source(self, tmp_path, args, config,
+                                                 message):
+        # it used to run and exit 3: "window is empty above the depth floor"
+        if config is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({**MINIMAL_CONFIG, **config}))
+            args = (*args, "--config", str(cfg))
+        r = run_cli("simulate", *args, "--t-max", "0.5")
+        assert r.returncode == 2
+        assert r.stderr.strip() == f"config error: {message}"
 
     @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
     def test_open_loop_with_a_non_finite_slack_exits_two(self, slack):

@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hymem.builtin import example1_razumikhin_certificate
@@ -155,6 +155,11 @@ class TestConstructorRejections:
         with pytest.raises(ValueError, match=r"only reaches s \+ k = -0.2; "
                                              r"some point must satisfy"):
             HybridMemoryArc([seg(0, [-0.2, 0.0], [1.0, 1.0])], 0.5)
+
+    def test_nan_interior_time(self):
+        # np.diff(times) <= 0 is False at a NaN, so this once passed
+        with pytest.raises(ValueError, match="strictly increasing"):
+            HybridArc([], [seg(0, [0.0, np.nan, 1.0], [1.0, 2.0, 3.0])])
 
     @pytest.mark.parametrize("text, delta", [
         ("-1.0,0,1.0\n-0.5,0,2.0\n-0.5,0,3.0\n0.0,0,4.0\n", 0.5),
@@ -320,6 +325,39 @@ class TestSupNormAndVbar:
                               0.4)
         f = lambda z: abs(z[0])
         assert sup_norm_w(ext, f) >= sup_norm_w(base, f)
+
+    @staticmethod
+    def two_levels(oldest, newest):
+        return HybridMemoryArc([seg(-1, [-1.0, -0.5], oldest),
+                                seg(0, [-0.5, -0.25, 0.0], newest)], 1.0)
+
+    @pytest.mark.parametrize("oldest, newest, level", [
+        ([np.nan, np.nan], [0.1, 0.2, 0.3], -1),
+        ([0.1, 0.2], [0.1, np.nan, 0.3], 0),
+    ], ids=["oldest-level", "newest-level"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "batch"])
+    def test_nan_at_a_stored_sample_raises(self, oldest, newest, level, batch):
+        # max(best, nan) keeps best: a NaN window used to read 0.3 here
+        phi = self.two_levels(oldest, newest)
+        kw = {"batch": lambda arr: np.abs(arr[:, 0])} if batch else {}
+        with pytest.raises(DomainError, match=f"NaN on jump level {level}$"):
+            sup_norm_w(phi, lambda z: abs(z[0]), **kw)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "batch"])
+    def test_nan_at_a_refined_midpoint_raises(self, batch):
+        # fn is NaN only at the midpoint value 0.25 of the newest level
+        phi = self.two_levels([0.1, 0.2], [0.0, 0.5, 1.0])
+
+        def fn(z):
+            return np.nan if z[0] == 0.25 else abs(z[0])
+
+        kw = {"batch": lambda arr: np.array([fn(z) for z in arr])} if batch else {}
+        with pytest.raises(DomainError, match="NaN on jump level 0$"):
+            sup_norm_w(phi, fn, **kw)
+
+    def test_minus_infinity_is_a_value_below_the_maximum(self):
+        phi = self.two_levels([0.1, 0.2], [0.1, 0.2, 0.3])
+        assert sup_norm_w(phi, lambda z: -np.inf if z[0] < 0.3 else 0.3) == 0.3
 
 
 class TestAppendJump:
@@ -759,6 +797,134 @@ class TestCsvRoundTrip:
                               phi.memory_segments[0].values)
 
 
+def reference_arc_to_csv(arc):
+    """arc_to_csv as it was written first: one (j, t, side, row) tuple per
+    sample, sorted."""
+    rows = []
+    for side, segs in (("m", arc.memory_segments), ("f", arc.forward_segments)):
+        for s in segs:
+            for t, v in zip(s.times, s.values):
+                rows.append((s.jump_index, float(t), side, v))
+    rows.sort(key=lambda r: (r[0], r[1], 0 if r[2] == "m" else 1))
+    lines = []
+    for j, t, _, v in rows:
+        lines.append(",".join([repr(t), str(j)] + [repr(float(x)) for x in v]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_arc_from_csv(text, delta=None, interpolation="linear"):
+    """arc_from_csv as it was written first: one ndarray per row."""
+    rows = []
+    for line in text.strip().splitlines():
+        parts = line.strip().split(",")
+        if len(parts) < 3:
+            raise ValueError(f"CSV row needs t, j and at least one component: {line!r}")
+        rows.append((float(parts[0]), int(parts[1]),
+                     np.array([float(x) for x in parts[2:]])))
+    if not rows:
+        raise ValueError("empty CSV")
+
+    mem_rows = [r for r in rows if r[1] < 0 or (r[1] == 0 and r[0] < -TIME_TOL)]
+    fwd_rows = [r for r in rows if r[1] > 0 or (r[1] == 0 and r[0] > TIME_TOL)]
+    zero_rows = [r for r in rows if r[1] == 0 and abs(r[0]) <= TIME_TOL]
+
+    has_memory = bool(mem_rows) or (bool(zero_rows) and not fwd_rows)
+    has_forward = bool(fwd_rows)
+    if has_memory and has_forward:
+        if len(zero_rows) < 2:
+            raise ValueError("arc with both sides must store the shared (0, 0) "
+                             "sample once per side")
+        mem_rows.append(zero_rows[0])
+        fwd_rows = zero_rows[1:2] + fwd_rows
+    elif has_memory:
+        if not zero_rows:
+            raise ValueError("memory side must end at (0, 0)")
+        mem_rows.extend(zero_rows[:1])
+    else:
+        fwd_rows = zero_rows[:1] + fwd_rows
+
+    def build(side_rows):
+        groups = {}
+        for t, j, v in side_rows:
+            groups.setdefault(j, []).append((t, v))
+        segs = []
+        for j in sorted(groups):
+            pts = sorted(groups[j], key=lambda p: p[0])
+            segs.append(ArcSegment(j, np.array([p[0] for p in pts]),
+                                   np.array([p[1] for p in pts])))
+        return segs
+
+    mem_segs = build(mem_rows) if mem_rows else []
+    fwd_segs = build(fwd_rows) if fwd_rows else []
+    if delta is not None and not fwd_segs:
+        return HybridMemoryArc(mem_segs, delta, interpolation)
+    return HybridArc(mem_segs, fwd_segs, interpolation)
+
+
+def _csv_outcome(read, text, delta):
+    """What a CSV reader makes of text: the arc's samples, bytes and all, or
+    the ValueError it raised."""
+    try:
+        arc = read(text, delta=delta)
+    except ValueError as exc:
+        return str(exc)
+    return (type(arc), getattr(arc, "delta", None),
+            [(s.jump_index, s.times.tobytes(), s.values.tobytes())
+             for s in arc.memory_segments],
+            [(s.jump_index, s.times.tobytes(), s.values.tobytes())
+             for s in arc.forward_segments])
+
+
+# sample times next to t = 0, all within TIME_TOL of it
+NEAR_ZERO = (-1e-12, -6e-13, -1e-13, -0.0, 0.0, 2e-13, 7e-13, 1e-12)
+SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7e308, 0.1)
+
+
+@st.composite
+def csv_arc(draw):
+    """An arc the constructors accept: memory levels, forward levels or both,
+    single-sample levels among them, 1 to 3 components with extreme and
+    special values, and one to three samples within TIME_TOL of t = 0 on
+    each side, where the memory side's last level may end after the forward
+    side's first level starts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    n = draw(st.integers(1, 3))
+    n_mem, n_fwd = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    assume(n_mem + n_fwd > 0)
+    span = st.sampled_from([0.0, 0.0625, 0.3, 0.5])
+    near = st.lists(st.sampled_from(NEAR_ZERO), min_size=1, max_size=3,
+                    unique_by=float).map(sorted)
+
+    def between(a, b):
+        return [a] if a == b else np.linspace(a, b, draw(st.integers(2, 5))).tolist()
+
+    def level(j, times):
+        values = rng.normal(size=(len(times), n)) * 10.0 ** rng.integers(
+            -300, 300, size=(len(times), n))
+        mask = rng.random(values.shape) < 0.2
+        values[mask] = rng.choice(SPECIAL_VALUES, size=int(mask.sum()))
+        return ArcSegment(j, np.array(times), values)
+
+    mem, fwd = [], []
+    if n_mem:
+        zero = draw(near)
+        ends = [zero[0]]
+        for _ in range(n_mem):
+            ends.insert(0, ends[0] - draw(span))
+        for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            tail = zero[1:] if i == n_mem - 1 else []
+            mem.append(level(i - n_mem + 1, between(lo, hi) + tail))
+    if n_fwd:
+        zero = draw(near)
+        ends = [zero[-1]]
+        for _ in range(n_fwd):
+            ends.append(ends[-1] + draw(span))
+        for j, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            head = zero[:-1] if j == 0 else []
+            fwd.append(level(j, head + between(lo, hi)))
+    return HybridArc(mem, fwd)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
@@ -856,6 +1022,33 @@ def test_round_trip_property(arc):
     for a, b in zip(arc.all_segments(), back.all_segments()):
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.values, b.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_arc(), st.sampled_from([None, 0.0, 0.5]), st.randoms(use_true_random=False))
+def test_csv_matches_the_reference_writer_and_reader(arc, delta, random):
+    """Same text as the tuple-sorting writer, and the same arc (or the same
+    error) as the row-by-row reader, also from the rows in any order."""
+    text = arc_to_csv(arc)
+    assert text == reference_arc_to_csv(arc)
+    lines = text.splitlines()
+    random.shuffle(lines)
+    for t in (text, "\n".join(lines)):
+        assert _csv_outcome(arc_from_csv, t, delta) == \
+            _csv_outcome(reference_arc_from_csv, t, delta)
+
+
+def test_csv_rows_interleave_both_sides_near_zero():
+    # the memory side's last level ends after the forward side starts: the
+    # rows at j = 0 are not the two sides' samples one after the other
+    arc = HybridArc([seg(0, [-1.0, -2e-13, 7e-13], [1.0, 2.0, 3.0])],
+                    [seg(0, [-6e-13, 0.0, 1.0], [4.0, 5.0, 6.0])])
+    text = arc_to_csv(arc)
+    assert text == reference_arc_to_csv(arc)
+    assert [line.split(",")[2] for line in text.splitlines()] == \
+        ["1.0", "4.0", "2.0", "5.0", "3.0", "6.0"]
+    assert _csv_outcome(arc_from_csv, text, None) == \
+        _csv_outcome(reference_arc_from_csv, text, None)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,16 +1,20 @@
 """Solver tests: closed forms, an independent method-of-steps reference,
 order of accuracy, event location, and the a-posteriori solution check."""
 
+import contextlib
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hymem import solver
-from hymem.hybrid_time import (ArcSegment, History, HybridArc,
-                               HybridMemoryArc, constant_memory_arc,
-                               memory_arc_from_function, validate_domain)
+from hymem import hybrid_time, solver
+from hymem.hybrid_time import (TIME_TOL, ArcSegment, DomainError, History,
+                               HybridArc, HybridMemoryArc,
+                               InsufficientHistoryError, WindowView,
+                               constant_memory_arc, memory_arc_from_function,
+                               validate_domain)
 from hymem.solver import (EventLocationError, PreconditionError, SimOptions,
                           Termination, Trajectory, _rk4, flow_window,
                           locate_event, run_summary, simulate, verify_solution)
@@ -281,6 +285,19 @@ class TestSimulateClosedForms:
         with pytest.raises(PreconditionError):
             simulate(spec, init, SimOptions(t_max=1.0, step=1e-3))
 
+    @pytest.mark.parametrize("where, bad", [
+        ("values", np.nan), ("values", np.inf), ("derivs", np.nan)])
+    def test_non_finite_initial_arc_is_refused(self, where, bad):
+        # a NaN head once ran to the end and failed in run_summary
+        spec, init = hermite_case1_problem()
+        seg = init.memory_segments[0]
+        arrays = {"values": seg.values.copy(), "derivs": seg.derivs.copy()}
+        arrays[where][-3, 0] = bad
+        init = HybridMemoryArc([ArcSegment(0, seg.times, **arrays)],
+                               spec.memory_size, "hermite")
+        with pytest.raises(PreconditionError, match="non-finite"):
+            simulate(spec, init, SimOptions(t_max=0.5, step=5e-3))
+
     def test_fourth_order_step_convergence(self):
         spec, _ = decay_system()
         errors = []
@@ -336,20 +353,38 @@ class TestSimulateClosedForms:
         assert traj.arc.forward_segments[-1].values[-1][0] == pytest.approx(0.25)
 
 
+def delay_horizon_problem():
+    """dx = -k x(t - r), k r = pi/2, from the history cos(k s + 0.7): its
+    solution is cos(k t + 0.7)."""
+    r = 0.432
+    k = np.pi / (2 * r)
+    cfg = LinearDelayConfig(dimension=1, memory_size=r, a0=np.array([[0.0]]),
+                            flow_delayed=(DelayTerm(r, np.array([[-k]])),))
+    spec, _ = build_linear_delay_system(cfg)
+    init = memory_arc_from_function(lambda s: np.array([np.cos(k * s + 0.7)]),
+                                    r, depth=r, grid_step=0.01)
+    return spec, init
+
+
+def short_delay_problem():
+    """Jump-free dx = -x/2 + 3/4 x(t - 1/4) - x(t - 1/256) on a dyadic grid
+    of step 1/64: the short delay reads each stage's provisional line."""
+    cfg = LinearDelayConfig(
+        dimension=1, memory_size=0.25, a0=np.array([[-0.5]]),
+        flow_delayed=(DelayTerm(0.25, np.array([[0.75]])),
+                      DelayTerm(2.0 ** -8, np.array([[-1.0]]))))
+    spec, _ = build_linear_delay_system(cfg)
+    init = memory_arc_from_function(lambda s: np.array([np.cos(3.0 * s)]),
+                                    0.25, depth=0.25, grid_step=2.0 ** -6)
+    return spec, init
+
+
 class TestOneFlowSelectionPerStage:
     def test_samples_equal_a_loop_that_recomputes_the_first_stage(self):
-        # Jump-free dx = -x/2 + 3/4 x(t - 1/4) - x(t - 1/256) on a dyadic
-        # grid: the short delay reads the stage's provisional line.
-        cfg = LinearDelayConfig(
-            dimension=1, memory_size=0.25, a0=np.array([[-0.5]]),
-            flow_delayed=(DelayTerm(0.25, np.array([[0.75]])),
-                          DelayTerm(2.0 ** -8, np.array([[-1.0]]))))
-        spec, _ = build_linear_delay_system(cfg)
+        spec, init = short_delay_problem()
         calls = []
         counted = dataclasses.replace(
             spec, flow_selection=lambda w: calls.append(1) or spec.flow_selection(w))
-        init = memory_arc_from_function(lambda s: np.array([np.cos(3.0 * s)]),
-                                        0.25, depth=0.25, grid_step=2.0 ** -6)
         h, steps = 2.0 ** -6, 96
         traj = simulate(counted, init, SimOptions(t_max=steps * h, step=h))
         # three stages per step plus the head derivative at every stored point
@@ -364,6 +399,222 @@ class TestOneFlowSelectionPerStage:
         (got,) = traj.arc.forward_segments
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The stored-history read and the RK4 step as first written, kept as
+# references: a read sliced every level it searched and bracketed with numpy
+# scalars, and each of the four stages read the stored history itself.
+# ---------------------------------------------------------------------------
+
+def reference_interpolate(times, values, derivs, t, scheme="linear"):
+    if t <= times[0]:
+        return values[0].copy()
+    if t >= times[-1]:
+        return values[-1].copy()
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    t0, t1 = times[i], times[i + 1]
+    h = t1 - t0
+    if h <= 0:
+        return values[i].copy()
+    w = (t - t0) / h
+    if scheme == "hermite" and derivs is not None:
+        return hybrid_time._hermite(values[i], values[i + 1], derivs[i],
+                                    derivs[i + 1], h, w)
+    return hybrid_time._lerp(values[i], values[i + 1], w)
+
+
+def reference_value(hist, tq, segment=None, end=None):
+    if segment is None:
+        segment, end = len(hist.starts) - 1, hist.n
+    times = hist.times
+    if tq > times[end - 1] + TIME_TOL:
+        raise DomainError(f"time {tq} is after the stored history", tq, None)
+    for k in range(segment, -1, -1):
+        lo = hist.starts[k]
+        if tq >= times[lo] - TIME_TOL:
+            derivs = hist.derivs[lo:end] if hist.has_derivs[k] else None
+            return reference_interpolate(times[lo:end], hist.values[lo:end],
+                                         derivs, tq, hist.interpolation)
+        end = lo
+    raise InsufficientHistoryError(
+        f"time {tq} precedes all stored history", tq, None)
+
+
+def reference_rk4(spec, window, h, k1=None):
+    f = spec.flow_selection
+
+    def stage(dt, x):  # a view that keeps no reads
+        return WindowView(window.history, window.index, window.segment, x, dt)
+
+    x0 = np.asarray(window.head, dtype=float)
+    if k1 is None:
+        k1 = np.asarray(f(window), dtype=float)
+    k2 = np.asarray(f(stage(h / 2, x0 + (h / 2) * k1)), dtype=float)
+    k3 = np.asarray(f(stage(h / 2, x0 + (h / 2) * k2)), dtype=float)
+    k4 = np.asarray(f(stage(h, x0 + h * k3)), dtype=float)
+    return x0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
+
+
+@contextlib.contextmanager
+def reference_reads(monkeypatch):
+    """Every read and RK4 step of the solver through the references."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_rk4", reference_rk4)
+        m.setattr(History, "value", reference_value)
+        m.setattr(hybrid_time, "_interpolate", reference_interpolate)
+        yield
+
+
+def in_place_problem():
+    """dx = -x/2 + 3/4 x(t - 1/4) through a flow selection that writes into
+    the arrays its delayed reads return, reading the one delay twice."""
+    def flow_selection(w):
+        x = w.delayed(-0.25)
+        x *= 0.5
+        x += 0.25 * w.delayed(-0.25)
+        x -= 0.5 * w.head
+        return x
+
+    spec = SystemSpec(dimension=1, memory_size=0.25,
+                      flow_guard=lambda w: 1.0, jump_guard=lambda w: -1.0,
+                      flow_selection=flow_selection,
+                      jump_selections=lambda w: [])
+    return spec, memory_arc_from_function(
+        lambda s: np.array([np.cos(3.0 * s)]), 0.25, depth=0.25, grid_step=0.01)
+
+
+def hermite_case1_problem():
+    """Example 2, case 1, from a cosine history with exact derivative
+    samples, read as cubic Hermite."""
+    spec, _ = build_example2(Example2Params.case1())
+    times = np.linspace(-spec.memory_size, 0.0, 161)
+    values = np.column_stack([np.cos(3 * times), np.zeros_like(times)])
+    derivs = np.column_stack([-3 * np.sin(3 * times), np.zeros_like(times)])
+    return spec, HybridMemoryArc([ArcSegment(0, times, values, derivs)],
+                                 spec.memory_size, "hermite")
+
+
+def example2_problem(params, state):
+    spec, _ = build_example2(params)
+    return spec, const_history(spec, state)
+
+
+SHARED_READ_CASES = {
+    # name: (problem, options)
+    "delay-horizon": (delay_horizon_problem, SimOptions(t_max=4.0, step=0.01)),
+    "example2-case1": (lambda: example2_problem(Example2Params.case1(), [1.0, 0.0]),
+                       SimOptions(t_max=4.0, step=5e-3)),
+    "example2-case2": (lambda: example2_problem(Example2Params.case2(), [1.0, 0.03]),
+                       SimOptions(t_max=1.0, step=5e-3)),
+    "hermite-case1": (hermite_case1_problem, SimOptions(t_max=3.5, step=5e-3)),
+    "short-delay": (short_delay_problem, SimOptions(t_max=1.5, step=2.0 ** -6)),
+    "in-place": (in_place_problem, SimOptions(t_max=2.0, step=0.01)),
+}
+
+
+def same_run(a, b):
+    assert (a.termination, a.jumps, a.error) == (b.termination, b.jumps, b.error)
+    for x, y in zip(a.arc.forward_segments, b.arc.forward_segments,
+                    strict=True):
+        assert x.times.tobytes() == y.times.tobytes()
+        assert x.values.tobytes() == y.values.tobytes()
+        assert x.derivs.tobytes() == y.derivs.tobytes()
+
+
+class TestSharedHalfStepReads:
+    """The two half-step stages of a step share their stored-history reads,
+    and a read is one lean scalar interpolation; both give, bit for bit,
+    what the references give."""
+
+    @pytest.mark.parametrize("case", sorted(SHARED_READ_CASES))
+    def test_simulate_matches_the_references(self, case, monkeypatch):
+        problem, opts = SHARED_READ_CASES[case]
+        spec, init = problem()
+        got = simulate(spec, init, opts)
+        with reference_reads(monkeypatch):
+            want = simulate(spec, init, opts)
+        same_run(got, want)
+        if case.startswith(("example2", "hermite")):
+            assert len(got.jumps) >= 3
+
+    @pytest.mark.parametrize("case", sorted(SHARED_READ_CASES))
+    def test_reads_match_the_reference_read(self, case):
+        # every level a run stores, read at and next to its stored times and
+        # between them, from the newest point and from views further back
+        problem, opts = SHARED_READ_CASES[case]
+        spec, init = problem()
+        traj = simulate(spec, init, opts)
+        hist = History(traj.arc, traj.memory_size, capacity=0)
+        times = hist.times[:hist.n]
+        queries = np.concatenate([times[::7] + eps for eps in
+                                  (0.0, -5e-13, 5e-13, -3e-12, 3e-12)]
+                                 + [0.5 * (times[1::5] + times[:-1:5])])
+        views = [hist.view(i) for i in range(0, hist.n, max(1, hist.n // 9))]
+        for tq in queries.tolist() + [times[0] - 1.0, times[-1] + 1.0]:
+            for segment, end in [(None, None)] + [(v.segment, v.index + 1)
+                                                  for v in views]:
+                try:
+                    want = reference_value(hist, tq, segment, end)
+                except DomainError as exc:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        hist.value(tq, segment, end)
+                    continue
+                assert hist.value(tq, segment, end).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("guard, tau0, bracket", [
+        ("flow", 0.9961, 0.007), ("flow", 0.9923, 0.01),
+        ("jump", 0.995, 0.005)])
+    def test_locate_event_trials_match_the_references(self, guard, tau0,
+                                                      bracket, monkeypatch):
+        # from a stored point past a reset, so the delayed reads hit
+        # stored forward samples and their derivatives
+        spec, init = hermite_case1_problem()
+        traj = simulate(spec, init, SimOptions(t_max=1.6, step=5e-3))
+        hist = History(traj.arc, traj.memory_size)
+        w = hist.view(hist.n - 1)
+        w.head = np.array([w.head[0], tau0])
+        trials = count_rk4_steps(monkeypatch)
+        got = locate_event(spec, w, bracket, guard)
+        with reference_reads(monkeypatch):
+            want = locate_event(spec, w, bracket, guard)
+        assert len(trials) >= 2  # the bracket's end and a trial
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+    def test_three_stored_reads_per_step(self, monkeypatch):
+        # the stored point's flow selection, one read for both half steps
+        # and one for the full step; four with the reference stages
+        spec, init = delay_horizon_problem()
+        steps = 250
+        opts = SimOptions(t_max=steps * 0.01, step=0.01)
+        reads = []
+        value = History.value
+
+        def counting(self, *args):
+            reads.append(args[0])
+            return value(self, *args)
+
+        monkeypatch.setattr(History, "value", counting)
+        simulate(spec, init, opts)
+        assert len(reads) == 1 + 3 * steps
+        reads.clear()
+        monkeypatch.setattr(solver, "_rk4", reference_rk4)
+        simulate(spec, init, opts)
+        assert len(reads) == 1 + 4 * steps
+
+    def test_reads_are_fresh_arrays(self):
+        spec, init = short_delay_problem()
+        view = History(init, spec.memory_size).view()
+        half = view.extend(0.01, np.array([2.0]))
+        other = half.with_head(np.array([3.0]))
+        first = half.delayed(-0.25)
+        again, shared = half.delayed(-0.25), other.delayed(-0.25)
+        assert first is not again and again is not shared
+        first[:] = np.nan
+        assert again.tobytes() == shared.tobytes() == \
+            other.delayed(-0.25).tobytes() == view.delayed(-0.24).tobytes()
+        # the provisional line follows each view's own head
+        assert half.delayed(-0.005)[0] != other.delayed(-0.005)[0]
 
 
 def delayed_guard_system(d=0.004):
@@ -631,15 +882,7 @@ def assert_same_report(spec, traj, exact=True, tol=1e-4):
 
 
 def delay_horizon_system(t_max):
-    """dx = -k x(t - r), k r = pi/2, from the history cos(k s + 0.7): its
-    solution is cos(k t + 0.7)."""
-    r = 0.432
-    k = np.pi / (2 * r)
-    cfg = LinearDelayConfig(dimension=1, memory_size=r, a0=np.array([[0.0]]),
-                            flow_delayed=(DelayTerm(r, np.array([[-k]])),))
-    spec, _ = build_linear_delay_system(cfg)
-    init = memory_arc_from_function(lambda s: np.array([np.cos(k * s + 0.7)]),
-                                    r, depth=r, grid_step=0.01)
+    spec, init = delay_horizon_problem()
     return spec, simulate(spec, init, SimOptions(t_max=t_max, step=0.01))
 
 
@@ -681,12 +924,7 @@ class TestVerifySolutionMatchesThePointwiseLoop:
         assert any(i.kind == "S1.derivative" for i in report.issues)
 
     def test_hermite_initial_arc(self):
-        spec, _ = build_example2(Example2Params.case1())
-        times = np.linspace(-spec.memory_size, 0.0, 161)
-        values = np.column_stack([np.cos(3 * times), np.zeros_like(times)])
-        derivs = np.column_stack([-3 * np.sin(3 * times), np.zeros_like(times)])
-        init = HybridMemoryArc([ArcSegment(0, times, values, derivs)],
-                               spec.memory_size, "hermite")
+        spec, init = hermite_case1_problem()
         traj = simulate(spec, init, SimOptions(t_max=3.5, step=5e-3))
         assert traj.arc.interpolation == "hermite" and len(traj.jumps) == 3
         assert_same_report(spec, traj)
