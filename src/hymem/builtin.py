@@ -48,11 +48,13 @@ class _MatrixExpFamily:
         return numerics.expm(self.m * s)
 
     def apply_batch(self, svec: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
-        """Rows of E(svec[i]) @ x_rows[i]."""
+        """Rows of E(svec[i]) @ x_rows[i]; row i depends on row i alone, bit
+        for bit.  The products are einsum loops rather than BLAS matmuls,
+        which round differently by the number of rows."""
         if self.eig_ok:
-            y = self.s_inv @ x_rows.T                      # (n, m)
-            y = np.exp(np.outer(self.w, svec)) * y
-            return (self.s @ y).real.T
+            y = np.einsum("ij,mj->mi", self.s_inv, x_rows)
+            y = np.exp(np.multiply.outer(svec, self.w)) * y
+            return np.einsum("ij,mj->mi", self.s, y).real
         return np.array([self.at(float(si)) @ xi
                          for si, xi in zip(svec, x_rows)])
 

@@ -19,6 +19,7 @@ evaluated through an h-step finite difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -53,6 +54,9 @@ class RazumikhinCertificate:
     v / grad_v act on state vectors; alpha1, alpha2 are class-K-infinity
     bounds, alpha3 is positive definite, p(r) > r and rho(r) < r for r > 0.
     ``v_batch`` optionally evaluates V on an (m, n) array of states at once.
+    Row i of its result must depend on row i alone, bit for bit, whatever
+    rows come with it, since the window maximum evaluates the rows of many
+    windows in one call (:func:`~hymem.hybrid_time.sup_norm_w`).
     """
 
     v: Callable[[np.ndarray], float]
@@ -69,7 +73,9 @@ class RazumikhinCertificate:
 @dataclass(frozen=True)
 class HalanayCertificate:
     """Linear-form variant: decay -mu V + q Vbar with mu > q > 0, jump
-    contraction by a constant rho in (0, 1)."""
+    contraction by a constant rho in (0, 1).  ``v_batch`` is as in
+    :class:`RazumikhinCertificate`: row i of its result depends on row i of
+    its input alone, bit for bit."""
 
     v: Callable[[np.ndarray], float]
     grad_v: Callable[[np.ndarray], np.ndarray]
@@ -264,21 +270,25 @@ def _split_counts(total: int) -> tuple[int, int, int]:
 def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
            target: TargetSet | None, h: float,
            value: Callable[[HybridMemoryArc], float],
-           upper: Callable[[HybridMemoryArc, float], float],
-           flow: Callable[[ArcSample, float, float], Iterable[tuple]],
-           jump: Callable[[ArcSample, float, float], Iterable[tuple]],
+           window: tuple[Callable, Callable | None], upper_is_window: bool,
+           flow: Callable[[ArcSample, float, float, float], Iterable[tuple]],
+           jump: Callable[[ArcSample, float, float, float], Iterable[tuple]],
            meta: dict) -> CheckReport:
     """The pipeline of every checker; a certificate form supplies its terms.
 
     Draws C, D and post-jump arcs and records, in this order: (i) on every
-    arc, alpha1(|head|_W) <= value(phi) <= alpha2(upper(phi, |head|_W));
-    (ii) on every flow arc, each (lhs, rhs, aux) that flow(s, value,
-    |head|_W) yields as lhs <= rhs; (iii) on every jump arc, each triple
-    that jump(s, value, |head|_W) yields.  Every arc's value and head
-    distance are computed once, in (i).  A certificate with a gradient has
-    it screened at up to 1000 flow and jump heads before anything is
-    recorded.  h sets the default derivative slack; meta joins the report's
-    meta when the run ends, so the terms may update it.
+    arc, alpha1(|head|_W) <= value(phi) <= alpha2(U), where U is the window
+    maximum when upper_is_window holds and |head|_W otherwise; (ii) on every
+    flow arc, each (lhs, rhs, aux) that flow(s, value, |head|_W, window
+    maximum) yields as lhs <= rhs; (iii) on every jump arc, each triple that
+    jump(s, value, |head|_W, window maximum) yields.  ``window`` is the
+    (fn, batch) pair whose maximum :func:`sup_norm_w` takes, in one call for
+    the whole check: over every arc when (i) reads it, over the flow and
+    jump arcs otherwise.  Every arc's value and head distance are computed
+    once, in (i).  A certificate with a gradient has it screened at up to
+    1000 flow and jump heads before anything is recorded.  h sets the
+    default derivative slack; meta joins the report's meta when the run
+    ends, so the terms may update it.
     """
     if target is None:
         raise ValueError("a TargetSet is required (pass target=...)")
@@ -296,21 +306,25 @@ def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
         check_gradient(cert, np.array([s.arc.head
                                        for s in (c_arcs + d_arcs)[:1000]]))
 
-    values = []  # (value, |head|_W) of every arc, in drawing order
-    for s in c_arcs + d_arcs + g_arcs:
+    arcs = c_arcs + d_arcs + g_arcs
+    maxima = sup_norm_w([s.arc for s in (arcs if upper_is_window
+                                         else c_arcs + d_arcs)],
+                        window[0], batch=window[1]).tolist()
+    values = []  # (value, |head|_W, window maximum) of every arc, in drawing order
+    for s, wm in zip_longest(arcs, maxima):
         dw = float(target.dist(s.arc.head))
         val = value(s.arc)
         rec.record(f"{cert.name}.i.lower", s, cert.alpha1(dw), val, True)
-        rec.record(f"{cert.name}.i.upper", s, val, cert.alpha2(upper(s.arc, dw)),
-                   True)
-        values.append((val, dw))
+        rec.record(f"{cert.name}.i.upper", s, val,
+                   cert.alpha2(wm if upper_is_window else dw), True)
+        values.append((val, dw, wm))
 
-    for s, (val, dw) in zip(c_arcs, values):
-        for lhs, rhs, aux in flow(s, val, dw):
+    for s, terms in zip(c_arcs, values):
+        for lhs, rhs, aux in flow(s, *terms):
             rec.record(f"{cert.name}.ii", s, lhs, rhs, False, aux)
 
-    for s, (val, dw) in zip(d_arcs, values[len(c_arcs):]):
-        for lhs, rhs, aux in jump(s, val, dw):
+    for s, terms in zip(d_arcs, values[len(c_arcs):]):
+        for lhs, rhs, aux in jump(s, *terms):
             rec.record(f"{cert.name}.iii", s, lhs, rhs, True, aux)
 
     counts = {"C": len(c_arcs), "D": len(d_arcs), "Gplus": len(g_arcs)}
@@ -331,8 +345,7 @@ def _check_pointwise(spec: SystemSpec, cert, sampler: ArcSampler,
     Vbar) holds, grad V . f <= flow_rhs(V, Vbar) for every flow candidate f;
     (iii) V(g) <= jump_rhs(Vbar) for every jump candidate g.
     """
-    def flow(s: ArcSample, vh: float, dw: float):
-        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
+    def flow(s: ArcSample, vh: float, dw: float, vb: float):
         if not premise(vh, vb):
             return  # no decay required here
         grad = np.asarray(cert.grad_v(s.arc.head), dtype=float)
@@ -340,14 +353,14 @@ def _check_pointwise(spec: SystemSpec, cert, sampler: ArcSampler,
             yield (float(grad @ np.asarray(f, dtype=float)), flow_rhs(vh, vb),
                    ("flow_candidate", ci))
 
-    def jump(s: ArcSample, vh: float, dw: float):
-        vb = vbar(s.arc, cert.v, batch=cert.v_batch)
+    def jump(s: ArcSample, vh: float, dw: float, vb: float):
         for gi, g in enumerate(spec.jump_selections(s.arc)):
             yield float(cert.v(np.asarray(g))), jump_rhs(vb), ("jump_candidate", gi)
 
     return _check(cert, sampler, slack, samples, target, 0.0,
                   value=lambda arc: float(cert.v(arc.head)),
-                  upper=lambda arc, dw: dw, flow=flow, jump=jump, meta={})
+                  window=(cert.v, cert.v_batch), upper_is_window=False,
+                  flow=flow, jump=jump, meta={})
 
 
 def check_razumikhin(spec: SystemSpec, cert: RazumikhinCertificate,
@@ -421,7 +434,7 @@ def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
     validate_krasovskii(cert)
     meta = {"flow_bound_observed": 0.0, "flow_arcs_skipped": 0, "h": h}
 
-    def flow(s: ArcSample, vf: float, dw: float):
+    def flow(s: ArcSample, vf: float, dw: float, sup: float):
         for f in spec.flow_candidates(s.arc):
             meta["flow_bound_observed"] = max(meta["flow_bound_observed"],
                                               float(np.linalg.norm(f)))
@@ -432,15 +445,14 @@ def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
             return
         yield d, -cert.alpha3(dw), ()
 
-    def jump(s: ArcSample, vf: float, dw: float):
+    def jump(s: ArcSample, vf: float, dw: float, sup: float):
         for gi, g in enumerate(spec.jump_selections(s.arc)):
             lhs = float(cert.vf(append_jump(s.arc, np.asarray(g, dtype=float))))
             yield lhs - vf, -cert.alpha3(dw), ("jump_candidate", gi)
 
     return _check(cert, sampler, slack, samples, target, h,
                   value=lambda arc: float(cert.vf(arc)),
-                  upper=lambda arc, dw: sup_norm_w(arc, target.dist,
-                                                   batch=target.dist_batch),
+                  window=(target.dist, target.dist_batch), upper_is_window=True,
                   flow=flow, jump=jump, meta=meta)
 
 
@@ -462,24 +474,15 @@ def check_vbar_monotone(traj: Trajectory, v: Callable[[np.ndarray], float],
                         v_batch=None) -> VbarMonotoneReport:
     """Windowed maximum of V must be non-increasing along the trajectory."""
     arc = traj.arc
-    prev = None
-    first = None
-    initial = final = np.nan
-    count = 0
-    for seg in arc.forward_segments:
-        for t in seg.times:
-            w = memory_window(arc, float(t), seg.jump_index, delta)
-            cur = vbar(w, v, batch=v_batch)
-            count += 1
-            if prev is None:
-                initial = cur
-            elif cur > prev + tol and first is None:
-                first = (float(t), seg.jump_index, float(prev), float(cur))
-            prev = cur
-    final = prev if prev is not None else np.nan
+    points = [(float(t), seg.jump_index) for seg in arc.forward_segments
+              for t in seg.times]
+    maxima = vbar([memory_window(arc, t, j, delta) for t, j in points], v,
+                  batch=v_batch).tolist()
+    first = next(((t, j, prev, cur) for (t, j), prev, cur
+                  in zip(points[1:], maxima, maxima[1:]) if cur > prev + tol), None)
     return VbarMonotoneReport(passed=first is None, first_violation=first,
-                              initial_value=float(initial),
-                              final_value=float(final), points=count)
+                              initial_value=maxima[0], final_value=maxima[-1],
+                              points=len(points))
 
 
 @dataclass(frozen=True)
@@ -525,11 +528,11 @@ def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
     if len(mem) > 1 or len(dims) > 1:
         raise ValueError("trajectories come from mismatched systems")
 
-    etas, sups, drop_times = [], [], []
+    etas = sup_norm_w([HybridMemoryArc(t.arc.memory_segments, t.memory_size,
+                                       t.arc.interpolation, validate=False)
+                       for t in trajectories], target.dist, batch=target.dist_batch)
+    sups, drop_times = [], []
     for traj in trajectories:
-        init = HybridMemoryArc(traj.arc.memory_segments, traj.memory_size,
-                               traj.arc.interpolation, validate=False)
-        etas.append(sup_norm_w(init, target.dist, batch=target.dist_batch))
         tj = []
         dist = []
         for t, j, x in traj.sample_points():
@@ -540,7 +543,6 @@ def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
         sups.append(float(np.max(dist)))
         drop_times.append((tj, dist))
 
-    etas = np.asarray(etas)
     gamma_rows = []
     bounded_ok = True
     for eta in sorted(eta_grid):

@@ -15,6 +15,13 @@ and :class:`WindowView` reads them through the window protocol (head,
 delayed(s), delta) without materializing that memory arc; a
 :class:`BatchView` reads the windows at many stored samples at once.
 
+The window maximum (:func:`sup_norm_w`, also named :func:`vbar`) takes
+every window a check needs in one pass: consecutive windows go into blocks
+of at most ``_BLOCK_ROWS`` stored samples, and each block makes one call of
+the batch form for its stored samples and one per refinement round.  A
+batch form must give each row the same bits whatever rows come with it, so
+a window's maximum is what it would be alone.
+
 Arcs are checked once, where outside data enters: by the constructors of
 :class:`HybridArc` and :class:`HybridMemoryArc`.  The window operators and
 :meth:`History.to_arc` only cut, shift and join the samples of checked
@@ -24,7 +31,6 @@ arcs, which keeps them valid, so they skip the checks.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
@@ -158,6 +164,26 @@ def _interpolate(times: np.ndarray, values: np.ndarray,
     return _lerp(values[i], values[i + 1], w)
 
 
+def _blend(times: np.ndarray, values: np.ndarray, derivs: np.ndarray | None,
+           ts: np.ndarray, i: np.ndarray, hermite: np.ndarray) -> np.ndarray:
+    """The interpolant at each time of ``ts`` in its bracket [times[i],
+    times[i + 1]], one row each: cubic Hermite on the rows that the mask
+    ``hermite`` selects, linear on the others, with :func:`_interpolate`'s
+    formulas."""
+    t0 = times[i]
+    h = (times[i + 1] - t0)[:, None]
+    w = (ts - t0)[:, None] / h
+    if not hermite.any():
+        return _lerp(values[i], values[i + 1], w)
+    if hermite.all():
+        return _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], h, w)
+    out = _lerp(values[i], values[i + 1], w)
+    k = i[hermite]
+    out[hermite] = _hermite(values[k], values[k + 1], derivs[k], derivs[k + 1],
+                            h[hermite], w[hermite])
+    return out
+
+
 def _interpolate_many(times: np.ndarray, values: np.ndarray,
                       derivs: np.ndarray | None, ts: np.ndarray,
                       scheme: str = "linear") -> np.ndarray:
@@ -169,13 +195,8 @@ def _interpolate_many(times: np.ndarray, values: np.ndarray,
     """
     i = np.clip(np.searchsorted(times, ts, side="right") - 1,
                 0, times.shape[0] - 2)
-    t0 = times[i]
-    h = (times[i + 1] - t0)[:, None]
-    w = (ts - t0)[:, None] / h
-    if scheme == "hermite" and derivs is not None:
-        out = _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], h, w)
-    else:
-        out = _lerp(values[i], values[i + 1], w)
+    out = _blend(times, values, derivs, ts, i,
+                 np.full(ts.shape[0], scheme == "hermite" and derivs is not None))
     out[ts <= times[0]] = values[0]
     out[ts >= times[-1]] = values[-1]
     return out
@@ -746,20 +767,17 @@ def append_jump(phi: HybridMemoryArc, g: np.ndarray) -> HybridMemoryArc:
     return HybridMemoryArc(segments, phi.delta, phi.interpolation, validate=False)
 
 
-def _level_max(vals: np.ndarray, seg: ArcSegment) -> float:
-    """The largest of a level's fn values; NaN raises, since ``max`` would
-    pass over it."""
-    top = float(np.max(vals))
-    if math.isnan(top):
-        raise DomainError(f"window value is NaN on jump level {seg.jump_index}",
-                          None, seg.jump_index)
-    return top
+#: Most stored samples in one block of :func:`sup_norm_w` (a window larger
+#: than this is a block of its own).  Only one block's arrays and its
+#: refinement midpoints exist at a time, whatever the number of windows.
+_BLOCK_ROWS = 1024
 
 
-def sup_norm_w(phi: HybridMemoryArc, fn: Callable[[np.ndarray], float],
+def sup_norm_w(phis: Sequence[HybridMemoryArc], fn: Callable[[np.ndarray], float],
                batch: Callable[[np.ndarray], np.ndarray] | None = None,
-               refine_tol: float = 1e-9, max_levels: int = 6) -> float:
-    """max of fn over the window s + k >= -delta - 1, with grid refinement.
+               refine_tol: float = 1e-9, max_levels: int = 6) -> np.ndarray:
+    """Max of fn over each window's s + k >= -delta - 1, with grid refinement:
+    one value per window of ``phis``, as an array.
 
     Both window maxima of the conditions are this one function: with
     fn = |.|_W it is the window norm sup |phi(s,k)|_W (the argument of
@@ -767,42 +785,125 @@ def sup_norm_w(phi: HybridMemoryArc, fn: Callable[[np.ndarray], float],
     :func:`vbar`, with fn = V, it is the maximum of V over the window that
     the Razumikhin and Halanay forms compare with.
 
-    Stored samples and segment endpoints seed the estimate; each refinement
-    level adds interval midpoints until successive estimates agree to
-    refine_tol (relative).  A level interpolates all of a segment's
-    midpoints at once (:func:`_interpolate_many`, bit for bit the arc's
-    pointwise interpolant) and hands them to ``batch`` as one array, or to
-    ``fn`` row by row when no batch form is given.  A NaN value of fn, at a
-    stored sample or a midpoint, raises :class:`DomainError` naming its jump
-    level; infinite values are compared as they are.
+    Each jump level's stored samples above the depth floor seed its
+    estimate; each refinement round adds the midpoints of its current grid
+    until successive estimates agree to refine_tol (relative), at most
+    ``max_levels`` rounds, and a level leaves the pass once it converges.
+    A window's maximum is the largest of its levels'.  One pass serves every
+    window of the call: consecutive windows go into blocks of at most
+    ``_BLOCK_ROWS`` stored samples, and a block makes one evaluation for all
+    its stored samples and one per refinement round for all its midpoints.
+    A midpoint's bracket is its stored interval, known from its index in the
+    grid, and its value is bit for bit the arc's pointwise interpolant.
+
+    ``batch`` maps an (m, n) array of states to the m values of fn; without
+    it fn runs row by row.  Its contract: row i of the result depends on row
+    i of the input alone, bit for bit, whatever rows come with it.  Then a
+    window's maximum does not depend on the other windows of the call or on
+    the blocks.  The windows must share one state dimension.  A NaN value of
+    fn, at a stored sample or a midpoint, raises :class:`DomainError` naming
+    the window's index and its jump level; infinite values are compared as
+    they are, so a window may have an infinite maximum.  A window with no
+    sample above its floor raises.
     """
-    floor = -phi.delta - 1 - TIME_TOL
-    best = -np.inf
     evaluate = batch if batch is not None else (
         lambda arr: np.array([fn(row) for row in arr]))
-    for seg in phi.memory_segments:
-        mask = (seg.times + seg.jump_index) >= floor
-        if not np.any(mask):
-            continue
-        times = seg.times[mask]
-        est = _level_max(evaluate(seg.values[mask]), seg)
-        level_times = times
-        for _ in range(max_levels):
-            if level_times.shape[0] < 2:
-                break
-            mids = 0.5 * (level_times[:-1] + level_times[1:])
-            new_est = max(est, _level_max(evaluate(_interpolate_many(
-                seg.times, seg.values, seg.derivs, mids, phi.interpolation)), seg))
-            merged = np.sort(np.concatenate([level_times, mids]))
-            if abs(new_est - est) <= refine_tol * max(1.0, abs(new_est)):
-                est = new_est
-                break
-            est = new_est
-            level_times = merged
-        best = max(best, est)
-    if not np.isfinite(best):
-        raise DomainError("window is empty above the depth floor")
-    return best
+    out = np.empty(len(phis))
+    lo = rows = 0
+    for hi, phi in enumerate(phis):
+        size = sum(seg.times.shape[0] for seg in phi.memory_segments)
+        if hi > lo and rows + size > _BLOCK_ROWS:
+            out[lo:hi] = _block_max(phis[lo:hi], lo, evaluate, refine_tol, max_levels)
+            lo, rows = hi, 0
+        rows += size
+    if lo < len(phis):
+        out[lo:] = _block_max(phis[lo:], lo, evaluate, refine_tol, max_levels)
+    return out
+
+
+def _block_max(phis: Sequence[HybridMemoryArc], offset: int, evaluate: Callable,
+               refine_tol: float, max_levels: int) -> np.ndarray:
+    """:func:`sup_norm_w` of one block of windows, the first of which has
+    index ``offset`` in the call."""
+    levels = [(w, phi, seg) for w, phi in enumerate(phis, offset)
+              for seg in phi.memory_segments]
+    win = np.array([w for w, _, _ in levels])
+    jumps = np.array([seg.jump_index for _, _, seg in levels])
+    lengths = np.array([seg.times.shape[0] for _, _, seg in levels])
+    ends = np.cumsum(lengths)  # one past each level's last sample
+    starts = ends - lengths
+    times = np.concatenate([seg.times for _, _, seg in levels])
+    values = np.concatenate([seg.values for _, _, seg in levels])
+    hermite = np.array([phi.interpolation == "hermite" and seg.derivs is not None
+                        for _, phi, seg in levels])
+    derivs = None if not hermite.any() else np.concatenate(
+        [np.zeros_like(seg.values) if seg.derivs is None else seg.derivs
+         for _, _, seg in levels])
+    floors = np.array([-phi.delta - 1 - TIME_TOL for _, phi, _ in levels])
+    # a level's times increase, so its samples above the floor are a suffix
+    above = times + np.repeat(jumps, lengths) >= np.repeat(floors, lengths)
+    csum = np.concatenate(([0], np.cumsum(above)))
+    count = csum[ends] - csum[starts]
+    lv = np.flatnonzero(count)  # the levels with samples above the floor
+    empty = np.flatnonzero(np.bincount(win[lv] - offset, minlength=len(phis)) == 0)
+    if empty.size:
+        raise DomainError(f"window {offset + empty[0]} is empty above the depth floor")
+    first = ends - count
+
+    def check_nan(level_max: np.ndarray, k: np.ndarray) -> None:
+        bad = np.flatnonzero(np.isnan(level_max))
+        if bad.size:
+            j = int(jumps[k[bad[0]]])
+            raise DomainError(f"window {win[k[bad[0]]]}: value is NaN on jump "
+                              f"level {j}", None, j)
+
+    def evaluate_rows(x: np.ndarray) -> np.ndarray:
+        return np.asarray(evaluate(x), dtype=float).reshape(x.shape[0])
+
+    est = np.maximum.reduceat(evaluate_rows(values[above]),
+                              np.cumsum(count[lv]) - count[lv])
+    check_nan(est, lv)
+    # refinement: the grids of the levels still refining, back to back
+    act = np.flatnonzero(count[lv] >= 2)
+    grid = times[above & np.repeat(count >= 2, lengths)]
+    for r in range(max_levels):
+        if act.size == 0:
+            break
+        k = lv[act]
+        cnt = (count[k] - 1) << r  # midpoints per level this round
+        goff = np.concatenate(([0], np.cumsum(cnt + 1)))
+        pairs = 0.5 * (grid[:-1] + grid[1:])
+        mids = np.delete(pairs, goff[1:-1] - 1)  # drop pairs across levels
+        moff = goff[:-1] - np.arange(act.shape[0])
+        own = np.repeat(k, cnt)
+        i = first[own] + ((np.arange(mids.shape[0]) - np.repeat(moff, cnt)) >> r)
+        end = ends[own]
+        # a midpoint on the bracket's right end reads the next bracket, as a
+        # binary search would, except in the level's last bracket
+        i += (mids >= times[i + 1]) & (i + 2 < end)
+        x = _blend(times, values, derivs, mids, i, hermite[own])
+        left = mids <= times[starts[own]]
+        x[left] = values[starts[own][left]]
+        right = mids >= times[end - 1]
+        x[right] = values[end[right] - 1]
+        level_max = np.maximum.reduceat(evaluate_rows(x), moff)
+        check_nan(level_max, k)
+        prev = est[act]
+        new = np.maximum(prev, level_max)
+        est[act] = new
+        with np.errstate(invalid="ignore"):  # inf - inf never converges
+            going = ~(np.abs(new - prev) <= refine_tol * np.maximum(1.0, np.abs(new)))
+        if r + 1 == max_levels:
+            break
+        keep = np.repeat(going, 2 * (cnt + 1))
+        keep[2 * goff[1:] - 1] = False
+        merged = np.empty(2 * grid.shape[0] - 1)
+        merged[0::2] = grid
+        merged[1::2] = pairs
+        grid = merged[keep[:-1]]
+        act = act[going]
+    return np.maximum.reduceat(est, np.searchsorted(win[lv], np.arange(
+        offset, offset + len(phis))))
 
 
 #: The maximum of V over the window: :func:`sup_norm_w` under its own name.

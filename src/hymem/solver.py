@@ -132,7 +132,7 @@ def run_summary(traj: Trajectory, target: TargetSet) -> dict:
     """Deterministic JSON-ready digest of a simulation run."""
     init = HybridMemoryArc(traj.arc.memory_segments, traj.memory_size,
                            traj.arc.interpolation, validate=False)
-    sup0 = sup_norm_w(init, target.dist, batch=target.dist_batch)
+    sup0 = float(sup_norm_w([init], target.dist, batch=target.dist_batch)[0])
     final = traj.arc.forward_segments[-1].values[-1]
     return {
         "termination": traj.termination.value,

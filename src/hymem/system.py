@@ -32,7 +32,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TargetSet:
-    """Point-to-set distance |z|_W; zero exactly on W."""
+    """Point-to-set distance |z|_W; zero exactly on W.
+
+    ``dist_batch`` optionally maps an (m, n) array of states to the m
+    distances at once.  Row i of its result must depend on row i alone, bit
+    for bit, whatever rows come with it, as
+    :func:`~hymem.hybrid_time.sup_norm_w` evaluates many windows' rows in
+    one call and promises each window the value it would get alone.
+    """
 
     dist: Callable[[np.ndarray], float]
     dist_batch: Callable[[np.ndarray], np.ndarray] | None = None

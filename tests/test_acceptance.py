@@ -88,8 +88,8 @@ def test_criterion_2_sampled_data_decay():
                 if t + j >= 30.0]
         assert tail, "horizon did not reach t + j = 30"
         worst_tail = max(worst_tail, max(tail))
-        vbar0 = vbar(memory_window(traj.arc, 0.0, 0, spec.memory_size),
-                     cert.v, batch=cert.v_batch)
+        vbar0 = vbar([memory_window(traj.arc, 0.0, 0, spec.memory_size)],
+                     cert.v, batch=cert.v_batch)[0]
         rep = check_vbar_monotone(traj, cert.v, spec.memory_size,
                                   tol=1e-6 * vbar0, v_batch=cert.v_batch)
         all_monotone = all_monotone and rep.passed

@@ -17,12 +17,13 @@ from hymem.certificates import (CertificateValidationError, HalanayCertificate,
                                 check_kl_envelope, check_krasovskii,
                                 check_razumikhin, check_vbar_monotone, dplus_v,
                                 validate_halanay, validate_razumikhin)
-from hymem.hybrid_time import constant_memory_arc, delayed_sq_integral
+from hymem.hybrid_time import (constant_memory_arc, delayed_sq_integral,
+                               sup_norm_w)
 from hymem.sampling import ArcSampler
 from hymem.solver import SimOptions, simulate
 from hymem.system import (Example1Params, Example2Params, LinearDelayConfig,
                           build_example1, build_example2,
-                          build_linear_delay_system)
+                          build_linear_delay_system, origin_target)
 
 
 def quadratic_razumikhin(rho=0.5, alpha3=None):
@@ -230,7 +231,7 @@ class TestExample1Checks:
         from hymem.hybrid_time import vbar
         for v in rep.violations[:10]:
             assert v.condition == "razumikhin.iii"
-            vb = vbar(v.arc, cert.v, batch=cert.v_batch)
+            vb = vbar([v.arc], cert.v, batch=cert.v_batch)[0]
             g = spec.jump_selections(v.arc)[v.aux[1]]
             assert float(cert.v(np.asarray(g))) == v.lhs
             assert cert.rho(vb) == v.rhs
@@ -340,6 +341,79 @@ class TestExample2Checks:
         assert {"certificate", "samples", "violations", "worst_margin",
                 "slack", "elapsed"} <= set(doc)
         assert doc["elapsed"] is None
+
+
+def _states(spec, seed):
+    """Window samples of cover arcs plus random states, clocks out of range
+    included."""
+    sampler = ArcSampler(spec, seed=seed, mode="cover")
+    rows = [seg.values for s in sampler.sample("C", 40) + sampler.sample("D", 40)
+            for seg in s.arc.memory_segments]
+    rng = np.random.default_rng(seed)
+    rows.append(rng.normal(size=(300, spec.dimension)) * 3.0)
+    return np.concatenate(rows)
+
+
+def _same_bits_by_chunks(batch, rows, seed):
+    """batch on the whole block, on random chunks and row by row agree bit
+    for bit."""
+    whole = np.asarray(batch(rows))
+    cuts = np.sort(np.random.default_rng(seed).choice(
+        np.arange(1, rows.shape[0]), 40, replace=False))
+    chunks = np.concatenate([batch(part) for part in np.split(rows, cuts)])
+    single = np.concatenate([batch(row[None]) for row in rows])
+    assert whole.shape == (rows.shape[0],)
+    assert whole.tobytes() == chunks.tobytes() == single.tobytes()
+
+
+class TestBatchRowContract:
+    """Batch forms give each row the same bits whatever rows come with it."""
+
+    @pytest.mark.parametrize("gain", ["paper", "open-loop"])
+    @pytest.mark.parametrize("certificate", [example1_razumikhin_certificate,
+                                             example1_halanay_certificate])
+    def test_example1_v_batch(self, gain, certificate):
+        p = Example1Params.paper()
+        if gain == "open-loop":
+            p = dataclasses.replace(p, K=[[0.0, 0.0]])
+        spec, _ = build_example1(p)
+        cert, _ = certificate(p)
+        _same_bits_by_chunks(cert.v_batch, _states(spec, 11), 11)
+
+    @pytest.mark.parametrize("build, params", [
+        (build_example1, Example1Params.paper()),
+        (build_example2, Example2Params.case2())], ids=["example1", "example2"])
+    def test_target_dist_batch(self, build, params):
+        spec, target = build(params)
+        _same_bits_by_chunks(target.dist_batch, _states(spec, 12), 12)
+
+    def test_origin_target_dist_batch(self):
+        target = origin_target(3)
+        rows = np.random.default_rng(13).normal(size=(500, 3))
+        _same_bits_by_chunks(target.dist_batch, rows, 13)
+
+    @pytest.mark.parametrize("check, params, build, certificate, expect", [
+        (check_razumikhin, Example1Params.paper(), build_example1,
+         example1_razumikhin_certificate, ("C", "D")),
+        (check_halanay, Example1Params.paper(), build_example1,
+         example1_halanay_certificate, ("C", "D")),
+        (check_krasovskii, Example2Params.case2(), build_example2,
+         example2_krasovskii_certificate, ("C", "D", "Gplus")),
+    ], ids=["razumikhin", "halanay", "krasovskii"])
+    def test_one_window_maximum_call_per_check(self, monkeypatch, check, params,
+                                               build, certificate, expect):
+        spec, target = build(params)
+        cert, _ = certificate(params)
+        calls = []
+
+        def counted(phis, *args, **kwargs):
+            calls.append(len(phis))
+            return sup_norm_w(phis, *args, **kwargs)
+
+        monkeypatch.setattr(certificates, "sup_norm_w", counted)
+        rep = check(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
+                    samples=60, target=target)
+        assert calls == [sum(rep.region_counts[r] for r in expect)]
 
 
 class TestVbarMonotone:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hymem import hybrid_time
 from hymem.builtin import example1_razumikhin_certificate
 from hymem.hybrid_time import (TIME_TOL, ArcSegment, BatchView, DomainError,
                                History, HybridArc, HybridMemoryArc,
@@ -283,38 +284,40 @@ class TestMemoryWindow:
 class TestSupNormAndVbar:
     def test_zero_arc(self):
         phi = constant_memory_arc(np.zeros(2), 0.5)
-        assert sup_norm_w(phi, np.linalg.norm) == 0.0
+        assert sup_norm_w([phi], np.linalg.norm).tolist() == [0.0]
 
     def test_ramp(self):
         phi = HybridMemoryArc([seg(0, np.linspace(-1, 0, 11),
                                    np.linspace(-1, 0, 11))], 0.0)
-        assert sup_norm_w(phi, np.linalg.norm) == pytest.approx(1.0)
-        assert vbar(phi, lambda z: z[0] ** 2) == pytest.approx(1.0)
+        assert sup_norm_w([phi], np.linalg.norm)[0] == pytest.approx(1.0)
+        assert vbar([phi], lambda z: z[0] ** 2)[0] == pytest.approx(1.0)
 
     def test_constant_arc_vbar_equals_value(self):
         phi = constant_memory_arc(np.array([3.0]), 0.7)
-        assert vbar(phi, lambda z: abs(z[0])) == 3.0
+        assert vbar([phi], lambda z: abs(z[0])).tolist() == [3.0]
 
     def test_piecewise_max_across_jump_levels(self):
         phi = HybridMemoryArc(
             [seg(-1, [-1.0, -0.4], [2.0, 2.0]), seg(0, [-0.4, 0.0], [0.5, 0.5])],
             1.0)
-        assert vbar(phi, lambda z: abs(z[0])) == 2.0
+        assert vbar([phi], lambda z: abs(z[0])).tolist() == [2.0]
 
     def test_vbar_dominates_head(self):
         rng = np.random.default_rng(5)
+        windows = []
         for _ in range(20):
             arc = _random_solution_like_arc(rng)
-            w = memory_window(arc, arc.forward_segments[0].hi, 0, 0.02)
-            v = lambda z: float(z[0] ** 2 + 0.3 * abs(z[0]))
-            assert vbar(w, v) >= v(w.head) - 1e-12
+            windows.append(memory_window(arc, arc.forward_segments[0].hi, 0, 0.02))
+        v = lambda z: float(z[0] ** 2 + 0.3 * abs(z[0]))
+        for w, vb in zip(windows, vbar(windows, v)):
+            assert vb >= v(w.head) - 1e-12
 
     def test_refinement_finds_interior_peak(self):
         # V peaks strictly inside a sampling interval
         phi = HybridMemoryArc([seg(0, [-1.0, 0.0], [-1.0, 1.0])], 0.0)
-        got = vbar(phi, lambda z: 1.0 - z[0] ** 2, refine_tol=1e-12,
+        got = vbar([phi], lambda z: 1.0 - z[0] ** 2, refine_tol=1e-12,
                    max_levels=20)
-        assert got == pytest.approx(1.0, abs=1e-6)
+        assert got[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_under_extension(self):
         base = HybridMemoryArc([seg(0, np.linspace(-0.5, 0, 6),
@@ -324,7 +327,8 @@ class TestSupNormAndVbar:
                                                    np.linspace(0.2, 0.7, 6)]))],
                               0.4)
         f = lambda z: abs(z[0])
-        assert sup_norm_w(ext, f) >= sup_norm_w(base, f)
+        got_ext, got_base = sup_norm_w([ext, base], f)
+        assert got_ext >= got_base
 
     @staticmethod
     def two_levels(oldest, newest):
@@ -341,7 +345,7 @@ class TestSupNormAndVbar:
         phi = self.two_levels(oldest, newest)
         kw = {"batch": lambda arr: np.abs(arr[:, 0])} if batch else {}
         with pytest.raises(DomainError, match=f"NaN on jump level {level}$"):
-            sup_norm_w(phi, lambda z: abs(z[0]), **kw)
+            sup_norm_w([phi], lambda z: abs(z[0]), **kw)
 
     @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "batch"])
     def test_nan_at_a_refined_midpoint_raises(self, batch):
@@ -353,11 +357,27 @@ class TestSupNormAndVbar:
 
         kw = {"batch": lambda arr: np.array([fn(z) for z in arr])} if batch else {}
         with pytest.raises(DomainError, match="NaN on jump level 0$"):
-            sup_norm_w(phi, fn, **kw)
+            sup_norm_w([phi], fn, **kw)
 
     def test_minus_infinity_is_a_value_below_the_maximum(self):
         phi = self.two_levels([0.1, 0.2], [0.1, 0.2, 0.3])
-        assert sup_norm_w(phi, lambda z: -np.inf if z[0] < 0.3 else 0.3) == 0.3
+        got = sup_norm_w([phi], lambda z: -np.inf if z[0] < 0.3 else 0.3)
+        assert got.tolist() == [0.3]
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "batch"])
+    def test_plus_infinity_is_the_maximum(self, batch):
+        # an infinite maximum used to raise "window is empty above the depth floor"
+        phi = HybridMemoryArc([ArcSegment(0, [-1.0, 0.0], [[np.inf], [1.0]])], 0.0)
+        kw = {"batch": lambda arr: np.abs(arr[:, 0])} if batch else {}
+        assert sup_norm_w([phi], lambda z: abs(z[0]), **kw).tolist() == [np.inf]
+
+    def test_window_below_its_floor_raises(self):
+        # only unchecked arcs can lie wholly below s + k = -delta - 1
+        deep = HybridMemoryArc([seg(-1, [-3.0, -2.5], [1.0, 1.0]),
+                                seg(0, [-2.5], [2.0])], 0.5, validate=False)
+        ok = constant_memory_arc(np.array([1.0]), 0.5)
+        with pytest.raises(DomainError, match="window 1 is empty above the depth floor"):
+            sup_norm_w([ok, deep], lambda z: abs(z[0]))
 
 
 class TestAppendJump:
@@ -685,11 +705,12 @@ class TestWindowMaximumArrayPath:
         cert, _ = example1_razumikhin_certificate(p)
         arcs = _cover_arcs(spec, 5, 201)
         assert len(arcs) == 201
-        for phi in arcs:
-            assert vbar(phi, cert.v, batch=cert.v_batch) == \
-                _window_max_loop(phi, cert.v, cert.v_batch)
-        for phi in arcs[::10]:  # row by row when there is no batch form
-            assert vbar(phi, cert.v) == _window_max_loop(phi, cert.v, None)
+        got = vbar(arcs, cert.v, batch=cert.v_batch)
+        for phi, vb in zip(arcs, got):
+            assert vb == _window_max_loop(phi, cert.v, cert.v_batch)
+        # row by row when there is no batch form
+        for phi, vb in zip(arcs[::10], vbar(arcs[::10], cert.v)):
+            assert vb == _window_max_loop(phi, cert.v, None)
 
     @pytest.mark.parametrize("hermite", [False, True], ids=["linear", "hermite"])
     def test_example2_sup_norm(self, hermite):
@@ -697,9 +718,131 @@ class TestWindowMaximumArrayPath:
         arcs = _cover_arcs(spec, 6, 201)
         if hermite:
             arcs = [_as_hermite(phi) for phi in arcs]
-        for phi in arcs:
-            assert sup_norm_w(phi, target.dist, batch=target.dist_batch) == \
-                _window_max_loop(phi, target.dist, target.dist_batch)
+        got = sup_norm_w(arcs, target.dist, batch=target.dist_batch)
+        for phi, sup in zip(arcs, got):
+            assert sup == _window_max_loop(phi, target.dist, target.dist_batch)
+
+
+def seg2(j, times, first):
+    """A two-component level, the second component zero (as example 2's
+    windows, with their clock)."""
+    first = np.asarray(first, dtype=float)
+    return seg(j, times, np.column_stack([first, np.zeros_like(first)]))
+
+
+def _peak_window():
+    """One level whose maximum, 1 at z = 0, lies off every dyadic midpoint,
+    so each of the six refinement rounds raises the estimate."""
+    return HybridMemoryArc([seg2(0, [-1.0, 0.0], [-1.0, 2.0])], 0.0)
+
+
+def _floor_cut_window():
+    """Unchecked initial data reaching below s + k = -delta - 1: the oldest
+    level lies wholly below the floor, the next one partly, and the newest
+    holds a single sample."""
+    return HybridMemoryArc([seg2(-2, [-2.0, -1.5], [9.0, 9.0]),
+                            seg2(-1, [-1.5, -0.9, -0.3, 0.0], [8.0, 3.0, -0.7, 0.1]),
+                            seg2(0, [0.0], [0.4])], 0.5, validate=False)
+
+
+def _mixed_windows():
+    """Linear and Hermite windows, levels cut by the floor, single-sample
+    levels, a level that refines every round, and more rows than a block."""
+    spec, _ = build_example2(Example2Params.case2())
+    cover = _cover_arcs(spec, 7, 60)
+    one_point = append_jump(cover[0], np.array([0.5, 0.01]))
+    rng = np.random.default_rng(8)
+    long_times = np.linspace(-1.5, 0.0, hybrid_time._BLOCK_ROWS + 300)
+    long = HybridMemoryArc([seg2(0, long_times, rng.normal(size=long_times.shape[0]))],
+                           0.5)
+    return (cover[:30] + [_as_hermite(phi) for phi in cover[30:]]
+            + [one_point, _as_hermite(one_point), _peak_window(),
+               _floor_cut_window(), long])
+
+
+class TestWindowMaximumPass:
+    """One pass over many windows equals the pointwise refinement of each."""
+
+    fn = staticmethod(lambda z: float(1.0 - z[0] * z[0]))
+    batch = staticmethod(lambda arr: 1.0 - arr[:, 0] * arr[:, 0])
+
+    def test_mixed_list_equals_each_window_alone(self):
+        windows = _mixed_windows()
+        assert sum(s.times.shape[0] for w in windows
+                   for s in w.memory_segments) > 2 * hybrid_time._BLOCK_ROWS
+        got = sup_norm_w(windows, self.fn, batch=self.batch)
+        want = [_window_max_loop(w, self.fn, self.batch) for w in windows]
+        assert got.tolist() == want
+        assert sup_norm_w(windows[::5], self.fn).tolist() == want[::5]
+
+    def test_peak_refines_every_round(self):
+        rounds = [sup_norm_w([_peak_window()], self.fn, max_levels=m)[0]
+                  for m in range(7)]
+        assert all(a < b for a, b in zip(rounds, rounds[1:]))
+        assert rounds[-1] == _window_max_loop(_peak_window(), self.fn, None)
+
+    def test_floor_cut_levels(self):
+        phi = _floor_cut_window()
+        want = _window_max_loop(phi, self.fn, None)
+        assert sup_norm_w([phi], self.fn).tolist() == [want]
+        # the 9s, the 8 and the 3 lie below the floor
+        assert sup_norm_w([phi], lambda z: abs(z[0])).tolist() == [0.7]
+
+    def test_result_does_not_depend_on_the_other_windows(self):
+        windows = _mixed_windows()
+        want = sup_norm_w(windows, self.fn, batch=self.batch)
+        order = np.random.default_rng(9).permutation(len(windows))
+        got = sup_norm_w([windows[i] for i in order], self.fn, batch=self.batch)
+        assert got.tolist() == want[order].tolist()
+        for lo, hi in ((0, 1), (3, 17), (len(windows) - 2, len(windows))):
+            assert sup_norm_w(windows[lo:hi], self.fn,
+                              batch=self.batch).tolist() == want[lo:hi].tolist()
+
+    @pytest.mark.parametrize("rows", [7, 150])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, rows):
+        # 7: one window per block; 150: two or three
+        windows = _mixed_windows()[:-1]
+        want = sup_norm_w(windows, self.fn, batch=self.batch)
+        monkeypatch.setattr(hybrid_time, "_BLOCK_ROWS", rows)
+        assert sup_norm_w(windows, self.fn, batch=self.batch).tolist() == want.tolist()
+
+    @staticmethod
+    def _touching(where):
+        """A level with two adjacent float times whose midpoint rounds onto
+        one of them, at its start, inside it or at its end, and a signed zero
+        there: 1/z tells which bracket the midpoint was read from."""
+        a = np.nextafter(-0.75, 0.0)
+        b = np.nextafter(a, 0.0)
+        assert 0.5 * (-0.75 + a) == -0.75 and 0.5 * (a + b) == b
+        if where == "start":  # on the first sample: its own value, -0.0
+            return HybridMemoryArc([seg2(0, [-0.75, a, 0.0], [-0.0, 1.0, 1.0])], 0.0)
+        if where == "inside":  # on b: b's bracket gives -0.0, a's would give +0.0
+            return HybridMemoryArc([seg2(0, [a, b, 0.0], [1.0, -0.0, -1.0])], 0.0)
+        # on the last sample: its own value, -0.0 (an unchecked arc ending at b)
+        return HybridMemoryArc([seg2(0, [-1.0, a, b], [1.0, 1.0, -0.0])], 0.0,
+                               validate=False)
+
+    @pytest.mark.parametrize("where", ["start", "inside", "end"])
+    def test_midpoint_on_a_stored_time_reads_like_a_binary_search(self, where):
+        phi = self._touching(where)
+        inverse = lambda arr: 1.0 / arr[:, 0]
+        with np.errstate(divide="ignore"):
+            got = sup_norm_w([phi], None, batch=inverse)
+            want = _window_max_loop(phi, None, inverse)
+        assert got.tolist() == [want] == [1.0]
+
+    def test_empty_list(self):
+        got = sup_norm_w([], self.fn)
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "batch"])
+    def test_nan_names_the_window_and_its_level(self, batch):
+        windows = _mixed_windows()[:3] + [HybridMemoryArc(
+            [seg2(-1, [-1.0, -0.5], [np.nan, 0.1]),
+             seg2(0, [-0.5, -0.25, 0.0], [0.1, 0.2, 0.3])], 1.0)]
+        kw = {"batch": lambda arr: np.abs(arr[:, 0])} if batch else {}
+        with pytest.raises(DomainError, match="window 3: .*NaN on jump level -1$"):
+            sup_norm_w(windows, lambda z: abs(z[0]), **kw)
 
 
 class TestArraySlicing:
