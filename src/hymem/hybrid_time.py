@@ -31,6 +31,7 @@ arcs, which keeps them valid, so they skip the checks.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
@@ -78,7 +79,7 @@ def validate_domain(domain: HybridTimeDomain) -> Optional[str]:
     On failure returns a string naming the first violated clause.
     """
     for lo, hi, _ in domain.all_segments():
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             return "interval endpoints must be finite"
         if hi < lo - TIME_TOL:
             return "interval endpoints must be non-decreasing"
@@ -326,7 +327,7 @@ class HybridArc:
                                      "values of shape (m, n)")
                 if times.shape[0] == 0:
                     raise ValueError("segment must contain at least one sample")
-                if not np.all(np.diff(times) > 0):  # NaN fails here too
+                if not (times[1:] > times[:-1]).all():  # NaN fails here too
                     raise ValueError("segment sample times must be strictly increasing")
                 if seg.derivs is not None and seg.derivs.shape != values.shape:
                     raise ValueError("derivative samples must match value "
@@ -976,9 +977,42 @@ def memory_arc_from_function(fn: Callable[[float], np.ndarray], delta: float,
 # memory side uses t <= 0, j <= 0.  Round-trips are bit-exact on sample
 # points (derivative samples are not serialized).  Both directions go one
 # jump level at a time, through Python floats and one array per level.
+#
+# A row at j = 0 within TIME_TOL of t = 0 names no side.  The reader gives
+# the first such row to the memory side if the file has other memory rows
+# or no other forward rows, and the next one to the forward side if it has
+# other forward rows; it drops the rest.  So each side may hold at most one
+# sample there, the memory side's not after the forward side's, and a side
+# may be that one sample alone only in a memory arc.  arc_to_csv refuses
+# other arcs with a ValueError instead of writing rows that read back as
+# another arc.
 # ---------------------------------------------------------------------------
 
+def _csv_zero_rows_problem(arc: HybridArc) -> Optional[str]:
+    """Why the jump-0 rows near t = 0 would not read back; None if they do."""
+    near = {}
+    for side, segs in (("memory", arc.memory_segments),
+                       ("forward", arc.forward_segments)):
+        near[side] = [t for seg in segs if seg.jump_index == 0
+                      for t in seg.times[np.abs(seg.times) <= TIME_TOL].tolist()]
+        if len(near[side]) > 1:
+            return (f"the {side} side holds {len(near[side])} samples within "
+                    "TIME_TOL of t = 0")
+        if (near[side] and arc.forward_segments
+                and sum(seg.times.shape[0] for seg in segs) == 1):
+            return (f"the {side} side is one sample within TIME_TOL of t = 0, "
+                    "which the reader cannot place on it")
+    if near["memory"] and near["forward"] and near["memory"][0] > near["forward"][0]:
+        return (f"the memory side's sample at t = {near['memory'][0]!r} lies "
+                f"after the forward side's at t = {near['forward'][0]!r}")
+    return None
+
+
 def arc_to_csv(arc: HybridArc) -> str:
+    problem = _csv_zero_rows_problem(arc)
+    if problem is not None:
+        raise ValueError(f"cannot write jump level 0 as CSV: {problem}; "
+                         "its rows would read back as another arc")
     levels: dict[int, list[ArcSegment]] = {}
     for seg in arc.memory_segments + arc.forward_segments:
         levels.setdefault(seg.jump_index, []).append(seg)
@@ -987,8 +1021,7 @@ def arc_to_csv(arc: HybridArc) -> str:
         segs = levels[j]
         times = np.concatenate([seg.times for seg in segs])
         values = np.concatenate([seg.values for seg in segs])
-        # a stable sort keeps the memory side's rows first on equal times;
-        # near t = 0 the two sides' samples may interleave
+        # a stable sort keeps the memory side's row first on equal times
         order = np.argsort(times, kind="stable")
         tag = str(j)
         for t, *row in zip(times[order].tolist(), *values[order].T.tolist()):

@@ -17,10 +17,24 @@ Two modes:
 
 All randomness derives from the sampler seed through named seed sequences,
 so sampling is deterministic and independent of call order.
+
+Each cover arc reads its own Philox stream, keyed by (seed, "cover",
+region, index), in a fixed order of uniforms on [0, 1):
+
+1. with a clock: amplitude, target depth (drawn, unused), tau0 (region C
+   only), the jump-level pick, the cut depth; without one: amplitude, target
+   depth, then one integer draw for the number of memory jumps, then the
+   jump times;
+2. per segment, newest jump level first: three knot times, then five knot
+   values for each non-clock component in component order.
+
+Any change to that order, or to how a uniform maps onto its range, changes
+every seeded cover arc.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -35,6 +49,14 @@ _REGIONS = ("C", "D", "Gplus")
 AMPLITUDE = (0.1, 2.0)  # range of a random arc's amplitude
 SEGMENT_COUNTS = (0, 1, 2, 3)  # memory jumps of an unclocked cover arc
 GUARD_TOL = 1e-7  # guard slack of an emitted arc
+
+
+def _choice_index(weights: np.ndarray, u: float) -> int:
+    """The index ``Generator.choice(len(weights), p=weights / weights.sum())``
+    draws with the uniform u: the first whose normalised cdf exceeds u."""
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, "right"))
 
 
 @dataclass(frozen=True)
@@ -185,20 +207,25 @@ class ArcSampler:
         return list(arcs)
 
     def _cover_arc(self, region: str, index: int) -> tuple[HybridMemoryArc, str]:
+        # Draws in the order the module docstring lists, each uniform u on
+        # [lo, hi) mapped as lo + (hi - lo) * u like Generator.uniform.
         rng = self._rng("cover", region, index)
         n = self.spec.dimension
         clock = self.spec.meta.get("clock_index")
         period = self.spec.meta.get("period")
         delta = self.spec.memory_size
+        free = [comp for comp in range(n) if comp != clock]
+        per_segment = 3 + 5 * len(free)  # knot times, then knot values
         lo, hi = AMPLITUDE
-        amp = rng.uniform(lo, hi)
-        depth_total = delta + rng.uniform(0.05, 0.95)  # target depth in s + k
 
         if clock is not None:
+            u = rng.random(4 if region in ("D", "Gplus") else 5).tolist()
+            amp = lo + (hi - lo) * u[0]
+            # u[1] is the target depth of an unclocked arc, unused here
             if region in ("D", "Gplus"):
                 tau0 = period
             else:
-                tau0 = rng.uniform(0.0, 0.9 * period)
+                tau0 = 0.9 * period * u[2]
             # Clock-consistent histories reach depths in unit-gapped intervals
             # (one per backward jump level); sample the cut depth from the
             # intersection of those intervals with [delta, delta + 1].
@@ -212,45 +239,53 @@ class ArcSampler:
                 if d_hi >= d_lo - 1e-12:
                     cands.append((i, d_lo, max(d_hi, d_lo)))
             widths = np.array([hi_ - lo_ + 1e-6 for _, lo_, hi_ in cands])
-            pick = int(rng.choice(len(cands), p=widths / widths.sum()))
-            k_count, d_lo, d_hi = cands[pick]
-            depth_cut = rng.uniform(d_lo, d_hi)
+            k_count, d_lo, d_hi = cands[_choice_index(widths, u[-2])]
+            depth_cut = d_lo + (d_hi - d_lo) * u[-1]
             bounds = [0.0] + [-tau0 - m * period for m in range(k_count)]
             bounds.append(-(depth_cut - k_count))
+            draws = rng.random((k_count + 1) * per_segment).tolist()
         else:
-            max_jumps = min(max(SEGMENT_COUNTS), int(np.floor(depth_total)))
+            u = rng.random(2).tolist()
+            amp = lo + (hi - lo) * u[0]
+            depth_total = delta + (0.05 + (0.95 - 0.05) * u[1])  # in s + k
+            max_jumps = min(max(SEGMENT_COUNTS), math.floor(depth_total))
             counts = [c for c in SEGMENT_COUNTS if c <= max_jumps] or [0]
+            # integers read the stream unlike uniforms: kept as a choice
             k_count = int(rng.choice(counts))
             time_depth = depth_total - k_count
-            cuts = np.sort(rng.uniform(-time_depth, 0.0, size=k_count))[::-1]
-            bounds = [0.0] + [float(c) for c in cuts] + [-time_depth]
+            draws = rng.random(k_count + (k_count + 1) * per_segment).tolist()
+            cuts = sorted((-time_depth + time_depth * x for x in draws[:k_count]),
+                          reverse=True)
+            draws = draws[k_count:]
+            bounds = [0.0] + cuts + [-time_depth]
             tau0 = None
 
         segments = []
         grid = max((bounds[0] - bounds[-1]) / 60.0, 1e-4)
         for i in range(len(bounds) - 1):
             s_hi, s_lo = bounds[i], bounds[i + 1]
-            k = -i
-            m = max(2, int(np.ceil((s_hi - s_lo) / grid)) + 1)
-            times = np.linspace(s_lo, s_hi, m)
-            knots = np.sort(np.concatenate([[s_lo, s_hi],
-                                            rng.uniform(s_lo, s_hi, size=3)]))
+            span = s_hi - s_lo
+            m = max(2, math.ceil(span / grid) + 1)
+            # np.linspace(s_lo, s_hi, m), bit for bit
+            step = span / (m - 1)
+            if step == 0:
+                times = np.arange(m) / (m - 1) * span + s_lo
+            else:
+                times = np.arange(m) * step + s_lo
+            times[-1] = s_hi
+            u = draws[i * per_segment:(i + 1) * per_segment]
+            knots = sorted([s_lo, s_hi, *(s_lo + span * x for x in u[:3])])
             vals = np.empty((m, n))
-            for comp in range(n):
-                if comp == clock:
-                    continue
-                kv = amp * rng.uniform(-1.0, 1.0, size=len(knots))
+            for c, comp in enumerate(free):
+                kv = [amp * (-1.0 + 2.0 * x) for x in u[3 + 5 * c:8 + 5 * c]]
                 vals[:, comp] = np.interp(times, knots, kv)
             if clock is not None:
                 # slope-1 clock consistent with the jump placement
-                if i == 0:
-                    tau_hi = tau0
-                else:
-                    tau_hi = period
+                tau_hi = tau0 if i == 0 else period
                 vals[:, clock] = tau_hi + (times - s_hi)
             if s_hi == s_lo:
                 times, vals = times[:1], vals[:1]
-            segments.append(ArcSegment(k, times, vals))
+            segments.append(ArcSegment(-i, times, vals))
         segments.reverse()
         arc = HybridMemoryArc(segments, delta)
         origin = f"cover:{region}{index}"

@@ -123,8 +123,16 @@ class TestConstructorRejections:
          "derivative samples must match value samples in shape"),
         (0.0, [1.0], None,
          r"times of shape \(m,\) and values of shape \(m, n\)"),
+        ([-np.inf, 0.0], np.zeros((2, 1)), None,
+         "invalid hybrid time domain: interval endpoints must be finite"),
+        ([0.0, np.inf], np.zeros((2, 1)), None,
+         "invalid hybrid time domain: interval endpoints must be finite"),
+        ([np.nan], np.zeros((1, 1)), None,
+         "invalid hybrid time domain: interval endpoints must be finite"),
+        ([np.nan, 0.0], np.zeros((2, 1)), None, "strictly increasing"),
     ], ids=["decreasing", "duplicate", "empty", "values-shape", "derivs-shape",
-            "scalar-times"])
+            "scalar-times", "minus-inf-start", "plus-inf-end", "lone-nan",
+            "nan-start"])
     def test_segment_checks(self, build, times, values, derivs, message):
         segment = ArcSegment(0, np.asarray(times, dtype=float), values, derivs)
         with pytest.raises(ValueError, match=message):
@@ -1011,8 +1019,11 @@ def _csv_outcome(read, text, delta):
         arc = read(text, delta=delta)
     except ValueError as exc:
         return str(exc)
-    return (type(arc), getattr(arc, "delta", None),
-            [(s.jump_index, s.times.tobytes(), s.values.tobytes())
+    return (type(arc), getattr(arc, "delta", None), *_samples(arc))
+
+
+def _samples(arc):
+    return ([(s.jump_index, s.times.tobytes(), s.values.tobytes())
              for s in arc.memory_segments],
             [(s.jump_index, s.times.tobytes(), s.values.tobytes())
              for s in arc.forward_segments])
@@ -1170,10 +1181,14 @@ def test_round_trip_property(arc):
 @settings(max_examples=150, deadline=None)
 @given(csv_arc(), st.sampled_from([None, 0.0, 0.5]), st.randoms(use_true_random=False))
 def test_csv_matches_the_reference_writer_and_reader(arc, delta, random):
-    """Same text as the tuple-sorting writer, and the same arc (or the same
-    error) as the row-by-row reader, also from the rows in any order."""
-    text = arc_to_csv(arc)
-    assert text == reference_arc_to_csv(arc)
+    """Same text as the tuple-sorting writer, unless the writer refuses the
+    arc's rows near (0, 0), and the same arc (or the same error) as the
+    row-by-row reader, also from the rows in any order."""
+    text = reference_arc_to_csv(arc)
+    try:
+        assert arc_to_csv(arc) == text
+    except ValueError as exc:
+        assert str(exc).startswith("cannot write jump level 0 as CSV: ")
     lines = text.splitlines()
     random.shuffle(lines)
     for t in (text, "\n".join(lines)):
@@ -1186,12 +1201,68 @@ def test_csv_rows_interleave_both_sides_near_zero():
     # rows at j = 0 are not the two sides' samples one after the other
     arc = HybridArc([seg(0, [-1.0, -2e-13, 7e-13], [1.0, 2.0, 3.0])],
                     [seg(0, [-6e-13, 0.0, 1.0], [4.0, 5.0, 6.0])])
-    text = arc_to_csv(arc)
-    assert text == reference_arc_to_csv(arc)
+    with pytest.raises(ValueError, match="jump level 0 as CSV: the memory "
+                                         "side holds 2 samples within TIME_TOL"):
+        arc_to_csv(arc)
+    text = reference_arc_to_csv(arc)
     assert [line.split(",")[2] for line in text.splitlines()] == \
         ["1.0", "4.0", "2.0", "5.0", "3.0", "6.0"]
     assert _csv_outcome(arc_from_csv, text, None) == \
         _csv_outcome(reference_arc_from_csv, text, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_arc())
+def test_csv_writer_refuses_exactly_what_would_not_read_back(arc):
+    """Either the arc round-trips bit for bit, or the writer refuses it, and
+    it refuses it only when the rows it would have written read back as
+    another arc (or not at all)."""
+    try:
+        text = arc_to_csv(arc)
+    except ValueError as exc:
+        assert str(exc).startswith("cannot write jump level 0 as CSV: ")
+        text = reference_arc_to_csv(arc)
+        try:
+            back = arc_from_csv(text)
+        except ValueError:
+            return
+        assert _samples(back) != _samples(arc)
+    else:
+        assert _samples(arc_from_csv(text)) == _samples(arc)
+
+
+def test_csv_writer_refuses_rows_the_reader_cannot_place():
+    # two memory samples within TIME_TOL of t = 0: the second one would be
+    # dropped and the head would change from 3 to 2
+    arc = HybridArc([seg(0, [-1.0, -5e-13, 0.0], [1.0, 2.0, 3.0])])
+    with pytest.raises(ValueError, match=r"cannot write jump level 0 as CSV: "
+                                         r"the memory side holds 2 samples"):
+        arc_to_csv(arc)
+    back = arc_from_csv(reference_arc_to_csv(arc))
+    assert back.memory_segments[-1].values[-1, 0] == 2.0
+    with pytest.raises(ValueError, match="the forward side holds 3 samples"):
+        arc_to_csv(HybridArc([], [seg(0, [0.0, 5e-13, 1e-12, 1.0],
+                                      [1.0, 2.0, 3.0, 4.0])]))
+    # one sample per side, the memory side's after the forward side's: the
+    # reader would swap them
+    with pytest.raises(ValueError, match=r"memory side's sample at t = 7e-13 "
+                                         r"lies after the forward side's at "
+                                         r"t = -6e-13"):
+        arc_to_csv(HybridArc([seg(0, [-1.0, 7e-13], [1.0, 2.0])],
+                             [seg(0, [-6e-13, 1.0], [3.0, 4.0])]))
+    # a lone forward sample at (0, 0) would read back as a memory side, and
+    # a lone memory sample there beside a forward side as a forward sample
+    with pytest.raises(ValueError, match="the forward side is one sample"):
+        arc_to_csv(HybridArc([], [seg(0, [-1e-12], [1.0])]))
+    with pytest.raises(ValueError, match="the memory side is one sample"):
+        arc_to_csv(HybridArc([seg(0, [0.0], [1.0])],
+                             [seg(0, [0.0, 1.0], [1.0, 2.0])]))
+    lone = HybridArc([seg(0, [0.0], [1.0])])
+    assert _samples(arc_from_csv(arc_to_csv(lone))) == _samples(lone)
+    # equal times keep the memory side first and read back
+    arc = HybridArc([seg(0, [-1.0, 5e-13], [1.0, 2.0])],
+                    [seg(0, [5e-13, 1.0], [3.0, 4.0])])
+    assert _samples(arc_from_csv(arc_to_csv(arc))) == _samples(arc)
 
 
 @settings(max_examples=40, deadline=None)

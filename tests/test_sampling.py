@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hymem.sampling import AMPLITUDE, ArcSampler
+from hymem.hybrid_time import ArcSegment, HybridMemoryArc, append_jump
+from hymem.sampling import AMPLITUDE, SEGMENT_COUNTS, ArcSampler, _choice_index
 from hymem.system import (Example1Params, Example2Params, LinearDelayConfig,
                           build_example1, build_example2,
                           build_linear_delay_system)
@@ -79,3 +80,135 @@ def test_amplitude_range_respected():
     for s in sampler.sample("C", 20):
         xs = np.concatenate([seg.values[:, 0] for seg in s.arc.memory_segments])
         assert np.max(np.abs(xs)) <= AMPLITUDE[1] + 1e-12
+
+
+def reference_cover_arc(sampler, region, index):
+    """The cover arc as the sampler built it with one NumPy call per draw:
+    the draw order and arithmetic that every seeded cover arc depends on."""
+    rng = sampler._rng("cover", region, index)
+    n = sampler.spec.dimension
+    clock = sampler.spec.meta.get("clock_index")
+    period = sampler.spec.meta.get("period")
+    delta = sampler.spec.memory_size
+    lo, hi = AMPLITUDE
+    amp = rng.uniform(lo, hi)
+    depth_total = delta + rng.uniform(0.05, 0.95)  # target depth in s + k
+
+    if clock is not None:
+        if region in ("D", "Gplus"):
+            tau0 = period
+        else:
+            tau0 = rng.uniform(0.0, 0.9 * period)
+        levels = [(0, 0.0, tau0)]
+        while levels[-1][1] <= delta + 1.0:
+            i, top, bot = levels[-1]
+            levels.append((i + 1, bot + 1.0, bot + 1.0 + period))
+        cands = []
+        for i, top, bot in levels:
+            d_lo, d_hi = max(top, delta), min(bot, delta + 1.0)
+            if d_hi >= d_lo - 1e-12:
+                cands.append((i, d_lo, max(d_hi, d_lo)))
+        widths = np.array([hi_ - lo_ + 1e-6 for _, lo_, hi_ in cands])
+        pick = int(rng.choice(len(cands), p=widths / widths.sum()))
+        k_count, d_lo, d_hi = cands[pick]
+        depth_cut = rng.uniform(d_lo, d_hi)
+        bounds = [0.0] + [-tau0 - m * period for m in range(k_count)]
+        bounds.append(-(depth_cut - k_count))
+    else:
+        max_jumps = min(max(SEGMENT_COUNTS), int(np.floor(depth_total)))
+        counts = [c for c in SEGMENT_COUNTS if c <= max_jumps] or [0]
+        k_count = int(rng.choice(counts))
+        time_depth = depth_total - k_count
+        cuts = np.sort(rng.uniform(-time_depth, 0.0, size=k_count))[::-1]
+        bounds = [0.0] + [float(c) for c in cuts] + [-time_depth]
+        tau0 = None
+
+    segments = []
+    grid = max((bounds[0] - bounds[-1]) / 60.0, 1e-4)
+    for i in range(len(bounds) - 1):
+        s_hi, s_lo = bounds[i], bounds[i + 1]
+        k = -i
+        m = max(2, int(np.ceil((s_hi - s_lo) / grid)) + 1)
+        times = np.linspace(s_lo, s_hi, m)
+        knots = np.sort(np.concatenate([[s_lo, s_hi],
+                                        rng.uniform(s_lo, s_hi, size=3)]))
+        vals = np.empty((m, n))
+        for comp in range(n):
+            if comp == clock:
+                continue
+            kv = amp * rng.uniform(-1.0, 1.0, size=len(knots))
+            vals[:, comp] = np.interp(times, knots, kv)
+        if clock is not None:
+            tau_hi = tau0 if i == 0 else period
+            vals[:, clock] = tau_hi + (times - s_hi)
+        if s_hi == s_lo:
+            times, vals = times[:1], vals[:1]
+        segments.append(ArcSegment(k, times, vals))
+    segments.reverse()
+    arc = HybridMemoryArc(segments, delta)
+    origin = f"cover:{region}{index}"
+    if region == "Gplus":
+        gs = sampler.spec.jump_selections(arc)
+        return append_jump(arc, gs[index % len(gs)]), origin + ":+g"
+    return arc, origin
+
+
+def _reference_systems():
+    jump_free, _ = build_linear_delay_system(LinearDelayConfig(
+        dimension=2, memory_size=3.0, a0=np.array([[-1.0, 0.5], [0.0, -2.0]])))
+    return _systems() + [("jump-free", jump_free)]
+
+
+def _arc_bytes(arc):
+    return [(s.jump_index, s.times.tobytes(), s.values.tobytes())
+            for s in arc.memory_segments]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+@pytest.mark.parametrize("name, spec", _reference_systems(),
+                         ids=[name for name, _ in _reference_systems()])
+def test_cover_arcs_match_the_reference_sampler(name, spec, seed):
+    """Byte for byte the arcs and origins of the one-call-per-draw sampler,
+    in every region the system supports: example 1 (three free components),
+    both example 2 cases, and a jump-free system (the unclocked branch,
+    deep enough for every segment count)."""
+    sampler = ArcSampler(spec, seed=seed, mode="cover")
+    streams = []  # each arc's generator, to compare how far it was read
+    make_rng = sampler._rng
+
+    def recording_rng(*key):
+        streams.append(make_rng(*key))
+        return streams[-1]
+
+    sampler._rng = recording_rng
+    regions = [r for r in ("C", "D", "Gplus") if sampler.region_supported(r)]
+    assert regions == (["C"] if name == "jump-free" else ["C", "D", "Gplus"])
+    levels = set()
+    for region in regions:
+        for index in range(400):
+            arc, origin = sampler._cover_arc(region, index)
+            ref_arc, ref_origin = reference_cover_arc(sampler, region, index)
+            assert origin == ref_origin
+            assert _arc_bytes(arc) == _arc_bytes(ref_arc), (region, index)
+            # exactly the draws the reference makes, none left unread
+            assert str(streams[-2].bit_generator.state) == \
+                str(streams[-1].bit_generator.state), (region, index)
+            levels.add(len(arc.memory_segments))
+    if name == "jump-free":  # every entry of SEGMENT_COUNTS comes up
+        assert levels == {c + 1 for c in SEGMENT_COUNTS}
+
+
+def test_level_pick_is_generator_choice():
+    """The level pick is the index Generator.choice(p=...) draws from the
+    same uniform, also when the uniform lands exactly on a cdf step."""
+    for seed in range(200):
+        u = np.random.Generator(np.random.Philox(seed)).random()
+        weights = np.random.default_rng(seed).random(1 + seed % 6) + 1e-6
+        if seed % 2 and u >= 0.5:
+            # u + (1 - u) == 1 exactly here, so the cdf is [u, 1.0]
+            weights = np.array([u, 1.0 - u])
+        want = np.random.Generator(np.random.Philox(seed)).choice(
+            len(weights), p=weights / weights.sum())
+        assert _choice_index(weights, u) == want
+    assert _choice_index(np.array([1.0, 1.0]), 0.5) == 1
+    assert _choice_index(np.array([1.0, 1.0]), 0.0) == 0
