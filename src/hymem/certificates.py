@@ -473,10 +473,8 @@ def check_vbar_monotone(traj: Trajectory, v: Callable[[np.ndarray], float],
                         delta: float, tol: float,
                         v_batch=None) -> VbarMonotoneReport:
     """Windowed maximum of V must be non-increasing along the trajectory."""
-    arc = traj.arc
-    points = [(float(t), seg.jump_index) for seg in arc.forward_segments
-              for t in seg.times]
-    maxima = vbar([memory_window(arc, t, j, delta) for t, j in points], v,
+    points = [(t, j) for t, j, _ in traj.sample_points()]
+    maxima = vbar([memory_window(traj.arc, t, j, delta) for t, j in points], v,
                   batch=v_batch).tolist()
     first = next(((t, j, prev, cur) for (t, j), prev, cur
                   in zip(points[1:], maxima, maxima[1:]) if cur > prev + tol), None)
@@ -528,18 +526,12 @@ def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
     if len(mem) > 1 or len(dims) > 1:
         raise ValueError("trajectories come from mismatched systems")
 
-    etas = sup_norm_w([HybridMemoryArc(t.arc.memory_segments, t.memory_size,
-                                       t.arc.interpolation, validate=False)
-                       for t in trajectories], target.dist, batch=target.dist_batch)
+    etas = sup_norm_w([t.arc.memory_side(t.memory_size) for t in trajectories],
+                      target.dist, batch=target.dist_batch)
     sups, drop_times = [], []
     for traj in trajectories:
-        tj = []
-        dist = []
-        for t, j, x in traj.sample_points():
-            tj.append(t + j)
-            dist.append(target.dist(x))
-        tj = np.asarray(tj)
-        dist = np.asarray(dist)
+        tj, dist = np.array([(t + j, target.dist(x))
+                             for t, j, x in traj.sample_points()]).T
         sups.append(float(np.max(dist)))
         drop_times.append((tj, dist))
 

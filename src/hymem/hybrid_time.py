@@ -5,15 +5,21 @@ The forward part lives in t >= 0, j >= 0 and the memory part in t <= 0,
 j <= 0; both are unions of closed intervals, one per jump level, with
 consecutive levels sharing their boundary time.  Arcs attach sampled vector
 values to such a domain and interpolate between samples (piecewise linear by
-default, cubic Hermite when derivative samples are stored).
+default, cubic Hermite between samples that both carry a derivative).
+
+Every arc keeps its samples in one store: arrays of times, values and
+derivatives, the jump levels back to back, and each level's first index.
+:class:`History` is the growable form of that store, for the solver.  One
+read rule, :meth:`HybridArc.value`, serves every store: a memory arc's
+``delayed(s)`` is that rule, and :class:`WindowView` and :class:`BatchView`
+read a History through it at one or many stored samples.
 
 The window operator extracts the recent history of a stored solution at a
 forward point (t, j): the result is a memory arc whose depth, measured in
-s + k, lies between the memory size ``delta`` and ``delta + 1``.
-:class:`History` stores an arc's samples in growable arrays for the solver,
-and :class:`WindowView` reads them through the window protocol (head,
-delayed(s), delta) without materializing that memory arc; a
-:class:`BatchView` reads the windows at many stored samples at once.
+s + k, lies between the memory size ``delta`` and ``delta + 1``.  It cuts an
+index range of the store per jump level, with an interpolated sample where a
+range ends between stored samples.  :class:`ArcSegment` is the constructors'
+input and the type of the ``memory_segments``/``forward_segments`` views.
 
 The window maximum (:func:`sup_norm_w`, also named :func:`vbar`) takes
 every window a check needs in one pass: consecutive windows go into blocks
@@ -139,13 +145,15 @@ def _hermite(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray,
 
 def _interpolate(times: np.ndarray, values: np.ndarray,
                  derivs: np.ndarray | None, t: float, scheme: str = "linear",
-                 lo: int = 0, hi: int | None = None) -> np.ndarray:
+                 lo: int = 0, hi: int | None = None,
+                 known: np.ndarray | None = None) -> np.ndarray:
     """Value at time t of the increasing samples ``lo:hi`` (default: all),
     held constant past either end, as a fresh array.
 
-    Cubic Hermite when ``scheme`` is "hermite" and derivative samples are
-    given, piecewise linear otherwise.  The bracket is read as Python floats
-    and found by one binary search on the samples' times; values and
+    Cubic Hermite when ``scheme`` is "hermite", derivative samples are given
+    and ``known`` (default: every sample) marks both ends of the bracket as
+    carrying one; piecewise linear otherwise.  The bracket is read as Python
+    floats and found by one binary search on the samples' times; values and
     derivatives are indexed in place, not sliced.
     """
     if hi is None:
@@ -160,46 +168,32 @@ def _interpolate(times: np.ndarray, values: np.ndarray,
     if h <= 0:
         return values[i].copy()
     w = (t - t0) / h
-    if scheme == "hermite" and derivs is not None:
+    if (scheme == "hermite" and derivs is not None
+            and (known is None or known.item(i) and known.item(i + 1))):
         return _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], h, w)
     return _lerp(values[i], values[i + 1], w)
 
 
 def _blend(times: np.ndarray, values: np.ndarray, derivs: np.ndarray | None,
-           ts: np.ndarray, i: np.ndarray, hermite: np.ndarray) -> np.ndarray:
+           known: np.ndarray | None, ts: np.ndarray, i: np.ndarray) -> np.ndarray:
     """The interpolant at each time of ``ts`` in its bracket [times[i],
-    times[i + 1]], one row each: cubic Hermite on the rows that the mask
-    ``hermite`` selects, linear on the others, with :func:`_interpolate`'s
-    formulas."""
+    times[i + 1]], one row each, bit for bit :func:`_interpolate`'s formulas:
+    linear without ``derivs``, else cubic Hermite on the rows whose bracket
+    ``known`` marks at both ends (every row when it is None)."""
     t0 = times[i]
     h = (times[i + 1] - t0)[:, None]
     w = (ts - t0)[:, None] / h
+    if derivs is None:
+        return _lerp(values[i], values[i + 1], w)
+    hermite = None if known is None else known[i] & known[i + 1]
+    if hermite is None or hermite.all():
+        return _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], h, w)
     if not hermite.any():
         return _lerp(values[i], values[i + 1], w)
-    if hermite.all():
-        return _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], h, w)
     out = _lerp(values[i], values[i + 1], w)
     k = i[hermite]
     out[hermite] = _hermite(values[k], values[k + 1], derivs[k], derivs[k + 1],
                             h[hermite], w[hermite])
-    return out
-
-
-def _interpolate_many(times: np.ndarray, values: np.ndarray,
-                      derivs: np.ndarray | None, ts: np.ndarray,
-                      scheme: str = "linear") -> np.ndarray:
-    """:func:`_interpolate` at every time of ``ts``, one row each, bit for bit.
-
-    One binary search for all of ``ts``, then the same blend formulas with
-    the weights as a column.  ``times`` must hold at least two strictly
-    increasing samples (the window maximum refines only such segments).
-    """
-    i = np.clip(np.searchsorted(times, ts, side="right") - 1,
-                0, times.shape[0] - 2)
-    out = _blend(times, values, derivs, ts, i,
-                 np.full(ts.shape[0], scheme == "hermite" and derivs is not None))
-    out[ts <= times[0]] = values[0]
-    out[ts >= times[-1]] = values[-1]
     return out
 
 
@@ -209,7 +203,8 @@ class ArcSegment:
 
     ``derivs`` optionally stores the time derivative at each sample, enabling
     cubic Hermite interpolation.  Construction only converts the samples to
-    read-only float arrays (values as rows); :class:`HybridArc` checks them.
+    float arrays (values as rows); :class:`HybridArc` checks them and copies
+    them into its store.
     """
 
     jump_index: int
@@ -222,15 +217,11 @@ class ArcSegment:
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if times.ndim == 1 and values.shape[0] != times.shape[0]:
             values = values.T
-        derivs = self.derivs
-        if derivs is not None:
-            derivs = np.atleast_2d(np.asarray(derivs, dtype=float))
-            derivs.flags.writeable = False
-        times.flags.writeable = False
-        values.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "derivs", derivs)
+        if self.derivs is not None:
+            object.__setattr__(self, "derivs",
+                               np.atleast_2d(np.asarray(self.derivs, dtype=float)))
 
     @property
     def lo(self) -> float:
@@ -244,126 +235,164 @@ class ArcSegment:
     def dimension(self) -> int:
         return self.values.shape[1]
 
-    def contains_time(self, t: float) -> bool:
-        return self.lo - TIME_TOL <= t <= self.hi + TIME_TOL
-
-    def interpolate(self, t: float, scheme: str = "linear") -> np.ndarray:
-        """Evaluate the segment at time t (in [lo, hi] up to TIME_TOL)."""
-        return _interpolate(self.times, self.values, self.derivs, t, scheme)
-
-    def _slice(self, lo: float, hi: float, scheme: str
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
-        """(times, values, derivs) of the segment on [lo, hi], with
-        interpolated boundary samples.
-
-        The stored samples within TIME_TOL of [lo, hi] are one contiguous
-        slice (a view, found by two binary searches); interpolated samples
-        at lo and hi are concatenated on where no stored sample lies within
-        TIME_TOL.  Returns None when [lo, hi] misses the segment by more
-        than TIME_TOL.
-        """
-        lo = max(lo, self.lo)
-        hi = min(hi, self.hi)
-        if hi < lo - TIME_TOL:
-            return None
-        if hi < lo:
-            hi = lo
-        times, values, derivs = self.times, self.values, self.derivs
-        a = int(np.searchsorted(times, lo - TIME_TOL, side="left"))
-        b = int(np.searchsorted(times, hi + TIME_TOL, side="right"))
-
-        def sample(t: float):
-            return (np.array([t]), self.interpolate(t, scheme)[None],
-                    None if derivs is None
-                    else _interpolate(times, derivs, None, t)[None])
-
-        pieces = [(times[a:b], values[a:b],
-                   None if derivs is None else derivs[a:b])]
-        if a == b or times[a] > lo + TIME_TOL:
-            pieces.insert(0, sample(lo))
-        if (times[b - 1] if a < b else lo) < hi - TIME_TOL:
-            pieces.append(sample(hi))
-        if len(pieces) == 1:
-            return pieces[0]
-        t, v, d = zip(*pieces)
-        return (np.concatenate(t), np.concatenate(v),
-                None if derivs is None else np.concatenate(d))
-
 
 class HybridArc:
     """A hybrid time domain with memory plus sampled vector values.
 
+    The store: ``times`` (m,), ``values`` (m, n) and, when some sample
+    carries a derivative, ``derivs`` (m, n) with flags ``known`` (m,) for
+    those samples (else both None).  The ``n_memory`` memory levels (jump
+    indices -K+1, ..., 0) come first, then the forward levels (0, 1, ...);
+    ``starts`` holds each level's first index, and ``n`` samples are in use.
     The memory side carries the initial data, the forward side a computed
-    solution.  Evaluation is defined exactly on the domain; querying off the
-    domain raises :class:`DomainError`.
+    solution.  Querying off the domain raises :class:`DomainError`.
 
-    ``validate`` (default True) checks each segment (at least one sample,
-    strictly increasing times, values of shape (m, n), derivatives of that
-    shape) and the domain; no other place checks them.  Results cut from
-    checked arcs pass ``validate=False``, since a certificate check cuts
-    thousands of windows and each is valid by construction.
+    The constructor checks each segment (at least one sample, strictly
+    increasing times, values of shape (m, n), derivatives of that shape) and
+    the domain; no other place checks them.  Cuts of checked arcs are built
+    by :meth:`_of`, unchecked, since a certificate check cuts thousands of
+    windows and each is valid by construction.  An arc's arrays are
+    read-only; only a :class:`History` writes its own.
     """
 
     def __init__(self, memory_segments: Sequence[ArcSegment] = (),
                  forward_segments: Sequence[ArcSegment] = (),
-                 interpolation: str = "linear", validate: bool = True):
-        self.memory_segments = tuple(memory_segments)
-        self.forward_segments = tuple(forward_segments)
+                 interpolation: str = "linear"):
+        memory, forward = tuple(memory_segments), tuple(forward_segments)
+        segments = memory + forward
         if interpolation not in ("linear", "hermite"):
             raise ValueError(f"unknown interpolation scheme {interpolation!r}")
-        self.interpolation = interpolation
-        if not self.memory_segments and not self.forward_segments:
+        if not segments:
             raise ValueError("arc must have at least one segment")
-        dims = {s.dimension for s in self.memory_segments + self.forward_segments}
-        if len(dims) != 1:
+        if len({s.dimension for s in segments}) != 1:
             raise ValueError("all segments must share one state dimension")
-        self.dimension = dims.pop()
-        if validate:
-            for seg in self.all_segments():
-                times, values = seg.times, seg.values
-                if (times.ndim != 1 or values.ndim != 2
-                        or values.shape[0] != times.shape[0]):
-                    raise ValueError("segment needs times of shape (m,) and "
-                                     "values of shape (m, n)")
-                if times.shape[0] == 0:
-                    raise ValueError("segment must contain at least one sample")
-                if not (times[1:] > times[:-1]).all():  # NaN fails here too
-                    raise ValueError("segment sample times must be strictly increasing")
-                if seg.derivs is not None and seg.derivs.shape != values.shape:
-                    raise ValueError("derivative samples must match value "
-                                     "samples in shape")
-            msg = validate_domain(self.domain())
-            if msg is not None:
-                raise ValueError(f"invalid hybrid time domain: {msg}")
+        for seg in segments:
+            times, values = seg.times, seg.values
+            if (times.ndim != 1 or values.ndim != 2
+                    or values.shape[0] != times.shape[0]):
+                raise ValueError("segment needs times of shape (m,) and "
+                                 "values of shape (m, n)")
+            if times.shape[0] == 0:
+                raise ValueError("segment must contain at least one sample")
+            if not (times[1:] > times[:-1]).all():  # NaN fails here too
+                raise ValueError("segment sample times must be strictly increasing")
+            if seg.derivs is not None and seg.derivs.shape != values.shape:
+                raise ValueError("derivative samples must match value "
+                                 "samples in shape")
+        msg = validate_domain(HybridTimeDomain(
+            *(tuple((s.lo, s.hi, s.jump_index) for s in side)
+              for side in (forward, memory))))
+        if msg is not None:
+            raise ValueError(f"invalid hybrid time domain: {msg}")
+        lengths = [s.times.shape[0] for s in segments]
+        has = [s.derivs is not None for s in segments]
+        derivs = known = None
+        if any(has):
+            derivs = np.concatenate([s.derivs if d else np.zeros_like(s.values)
+                                     for s, d in zip(segments, has)])
+            known = np.repeat(has, lengths)
+        self._store(*_read_only(np.concatenate([s.times for s in segments]),
+                                np.concatenate([s.values for s in segments]),
+                                derivs, known),
+                    list(accumulate(lengths[:-1], initial=0)), len(memory),
+                    interpolation)
 
-    def domain(self) -> HybridTimeDomain:
-        return HybridTimeDomain(
-            forward=tuple((s.lo, s.hi, s.jump_index) for s in self.forward_segments),
-            memory=tuple((s.lo, s.hi, s.jump_index) for s in self.memory_segments),
-        )
+    def _store(self, times, values, derivs, known, starts, n_memory,
+               interpolation, delta=None) -> "HybridArc":
+        self.times, self.values, self.derivs, self.known = times, values, derivs, known
+        self.starts, self.n_memory, self.n = starts, n_memory, times.shape[0]
+        self.interpolation, self.dimension = interpolation, values.shape[1]
+        if delta is not None:  # a memory arc's or a History's memory size
+            self.delta = float(delta)
+        return self
 
-    def _find_segment(self, t: float, j: int) -> ArcSegment | None:
-        if j > 0 or (j == 0 and t > TIME_TOL):
-            pools: tuple[tuple[ArcSegment, ...], ...] = (self.forward_segments,)
-        elif j < 0 or (j == 0 and t < -TIME_TOL):
-            pools = (self.memory_segments,)
-        else:
-            pools = (self.memory_segments, self.forward_segments)
-        for pool in pools:
-            for seg in pool:
-                if seg.jump_index == j and seg.contains_time(t):
-                    return seg
-        return None
+    @classmethod
+    def _of(cls, times, values, derivs, known, *rest, delta=None) -> "HybridArc":
+        """An arc on the given store, read-only and unchecked: for cuts of
+        checked arcs."""
+        return cls.__new__(cls)._store(*_read_only(times, values, derivs, known),
+                                       *rest, delta)
 
-    def eval(self, t: float, j: int) -> np.ndarray:
-        """Value at hybrid time (t, j); interpolates within the j segment."""
-        seg = self._find_segment(t, j)
-        if seg is None:
-            raise DomainError(f"point (t={t}, j={j}) is not in the arc domain", t, j)
-        return seg.interpolate(t, self.interpolation)
+    def levels(self) -> list[tuple[int, int]]:
+        """(first, end) indices of each level, memory side first."""
+        bounds = self.starts + [self.n]
+        return list(zip(bounds, bounds[1:]))
+
+    def jump_index(self, level: int) -> int:
+        return level - self.n_memory + (level < self.n_memory)
 
     def all_segments(self) -> tuple[ArcSegment, ...]:
-        return self.memory_segments + self.forward_segments
+        """Each level as a segment on views of the store; a level shows
+        derivatives only when all its samples carry one."""
+        return tuple(ArcSegment(self.jump_index(k), self.times[a:b], self.values[a:b],
+                                self.derivs[a:b] if self.derivs is not None
+                                and self.known[a:b].all() else None)
+                     for k, (a, b) in enumerate(self.levels()))
+
+    @property
+    def memory_segments(self) -> tuple[ArcSegment, ...]:
+        return self.all_segments()[:self.n_memory]
+
+    @property
+    def forward_segments(self) -> tuple[ArcSegment, ...]:
+        return self.all_segments()[self.n_memory:]
+
+    def domain(self) -> HybridTimeDomain:
+        spans = tuple((self.times.item(a), self.times.item(b - 1), self.jump_index(k))
+                      for k, (a, b) in enumerate(self.levels()))
+        return HybridTimeDomain(forward=spans[self.n_memory:],
+                                memory=spans[:self.n_memory])
+
+    def _level_at(self, t: float, j: int) -> tuple[int, int]:
+        """(first, end) indices of the level holding hybrid time (t, j), up
+        to TIME_TOL (at (0, 0) the memory side's); DomainError if none."""
+        m, levels = self.n_memory, self.levels()
+        for k, first, end, side in ((m - 1 + j, 0, m, j < 0 or t <= TIME_TOL),
+                                    (m + j, m, len(levels), j > 0 or t >= -TIME_TOL)):
+            if side and first <= k < end:
+                a, b = levels[k]
+                if self.times.item(a) - TIME_TOL <= t <= self.times.item(b - 1) + TIME_TOL:
+                    return a, b
+        raise DomainError(f"point (t={t}, j={j}) is not in the arc domain", t, j)
+
+    def eval(self, t: float, j: int) -> np.ndarray:
+        """Value at hybrid time (t, j), interpolated within its level."""
+        a, b = self._level_at(t, j)
+        return _interpolate(self.times, self.values, self.derivs, t,
+                            self.interpolation, a, b, self.known)
+
+    def value(self, tq: float, segment: int | None = None,
+              end: int | None = None) -> np.ndarray:
+        """Value at time tq on the newest jump level whose first sample is at
+        or before tq (up to TIME_TOL): the maximal-jump-index rule, so a jump
+        instant reads its post-jump value.  Only levels up to ``segment``
+        and samples before ``end`` are read (default: all).  Each call
+        returns a fresh array."""
+        starts, times = self.starts, self.times
+        if segment is None:
+            segment, end = len(starts) - 1, self.n
+        if tq > times.item(end - 1) + TIME_TOL:
+            raise DomainError(f"time {tq} is after the stored history", tq, None)
+        for k in range(segment, -1, -1):
+            lo = starts[k]
+            if tq >= times.item(lo) - TIME_TOL:
+                return _interpolate(times, self.values, self.derivs, tq,
+                                    self.interpolation, lo, end, self.known)
+            end = lo
+        raise InsufficientHistoryError(
+            f"time {tq} precedes all stored history", tq, None)
+
+    def memory_side(self, delta: float) -> "HybridMemoryArc":
+        """The memory side as a memory arc of size delta, on read-only views
+        of this arc's arrays (unchecked)."""
+        m = self.n_memory
+        if m == 0:
+            raise ValueError("arc has no memory side")
+        end = self.levels()[m - 1][1]
+        return HybridMemoryArc._of(
+            *(None if a is None else a[:end]
+              for a in (self.times, self.values, self.derivs, self.known)),
+            self.starts[:m], m, self.interpolation, delta=delta)
 
 
 class HybridMemoryArc(HybridArc):
@@ -376,22 +405,21 @@ class HybridMemoryArc(HybridArc):
     """
 
     def __init__(self, segments: Sequence[ArcSegment], delta: float,
-                 interpolation: str = "linear", validate: bool = True):
+                 interpolation: str = "linear"):
         if delta < 0:
             raise ValueError("memory size delta must be nonnegative")
         self.delta = float(delta)
         super().__init__(memory_segments=segments, forward_segments=(),
-                         interpolation=interpolation, validate=validate)
-        if validate:
-            msg = self.membership_violation()
-            if msg is not None:
-                raise ValueError(msg)
+                         interpolation=interpolation)
+        msg = self.membership_violation()
+        if msg is not None:
+            raise ValueError(msg)
 
     def membership_violation(self) -> Optional[str]:
         """Check the two memory-class clauses; None when both hold."""
         deepest = np.inf
-        for seg in self.memory_segments:
-            lo_depth = seg.lo + seg.jump_index
+        for k, a in enumerate(self.starts, 1 - len(self.starts)):
+            lo_depth = self.times.item(a) + k
             if lo_depth < -self.delta - 1 - TIME_TOL:
                 return ("memory arc reaches s + k = "
                         f"{lo_depth:.6g} < -delta - 1 = {-self.delta - 1:.6g}")
@@ -404,104 +432,48 @@ class HybridMemoryArc(HybridArc):
     @property
     def head(self) -> np.ndarray:
         """Value at (0, 0)."""
-        return self.memory_segments[-1].values[-1]
+        return self.values[self.n - 1]
 
     @property
     def time_reach(self) -> float:
         """Oldest time covered by the arc (a nonpositive number)."""
-        return self.memory_segments[0].lo
+        return self.times.item(0)
 
-    def delayed(self, s: float) -> np.ndarray:
-        """Value at (s, k(s)) where k(s) is the maximal jump index at time s.
-
-        Reads the newest segment whose first sample is at or before s (up to
-        TIME_TOL), as :meth:`History.value` does, but reads the segments in
-        place rather than copying them into a :class:`History`.
-        """
-        segments = self.memory_segments
-        if s > segments[-1].hi + TIME_TOL:
-            raise DomainError(f"time {s} is after the stored history", s, None)
-        for seg in reversed(segments):
-            if s >= seg.times.item(0) - TIME_TOL:
-                return seg.interpolate(s, self.interpolation)
-        raise InsufficientHistoryError(
-            f"time {s} precedes all stored history", s, None)
-
-    def delayed_runs(self, lo: float,
-                     hi: float) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Stored samples of s -> phi(s, k(s)) on [lo, hi], split at memory jumps.
-
-        Returns one (times, values) pair of arrays per continuous piece,
-        sliced from the segments by :meth:`ArcSegment._slice` (boundary
-        points interpolated in) without building a segment per piece;
-        they may be read-only views of the arc's own samples.  Jump
-        instants belong to the newer (post-jump) piece, matching the
-        maximal-k rule.
-        """
-        if hi < lo:
-            raise ValueError("need lo <= hi")
-        runs: list[tuple[np.ndarray, np.ndarray]] = []
-        for idx in range(len(self.memory_segments) - 1, -1, -1):
-            seg = self.memory_segments[idx]
-            if seg.lo > hi + TIME_TOL:
-                continue
-            if seg.hi < lo - TIME_TOL:
-                break
-            piece_hi = min(hi, seg.hi)
-            # the newer neighbour owns the shared boundary time
-            if runs:
-                piece_hi = min(piece_hi, runs[-1][0][0])
-            piece_lo = max(lo, seg.lo)
-            cut = seg._slice(piece_lo, piece_hi, self.interpolation)
-            if cut is not None:
-                runs.append(cut[:2])
-            if seg.lo <= lo + TIME_TOL:
-                break
-        runs.reverse()
-        if not runs:
-            raise DomainError(f"no stored history on [{lo}, {hi}]", lo, None)
-        return runs
+    #: Value at (s, k(s)), k(s) the maximal jump index at time s.
+    delayed = HybridArc.value
 
 
-class History:
-    """An arc's samples in growable arrays, for appending and reading.
+class History(HybridArc):
+    """The growable form of an arc's store, for the solver.
 
-    All segments, memory side first, sit back to back in arrays of times,
-    values and derivatives that double in size when full; ``starts`` holds
-    each segment's first index.  Forward segment i has jump index i.
-    Appending costs O(1) amortised; a delayed read is one binary search on
-    one segment's slice.
+    It starts as the arc's samples and grows by forward levels, a sample at
+    a time, in arrays that double in size when full; forward samples carry
+    a derivative (0 until the solver writes one).  ``capacity`` rows are
+    reserved up front; with none, it reads the arc's own read-only arrays
+    until it grows.  Appending costs O(1) amortised; a delayed read is one binary
+    search on one level's slice.
     """
 
     def __init__(self, arc: HybridArc, delta: float, capacity: int = 64):
-        segments = arc.all_segments()
-        lengths = [seg.times.shape[0] for seg in segments]
-        pad = np.zeros((capacity, arc.dimension))
-        self.memory = arc.memory_segments
-        self.n_memory = len(self.memory)
-        self.delta = float(delta)
-        self.interpolation = arc.interpolation
-        self.n = sum(lengths)
-        self.starts = list(accumulate([0] + lengths[:-1]))
-        self.has_derivs = [seg.derivs is not None for seg in segments]
-        self.times = np.concatenate([seg.times for seg in segments] + [pad[:, 0]])
-        self.values = np.concatenate([seg.values for seg in segments] + [pad])
-        self.derivs = np.concatenate(
-            [np.zeros_like(seg.values) if seg.derivs is None else seg.derivs
-             for seg in segments] + [pad])
+        n = arc.n
+        derivs, known = arc.derivs, arc.known
+        if derivs is None:
+            derivs, known = np.zeros_like(arc.values[:n]), np.zeros(n, dtype=bool)
+        self._store(*(_padded(a[:n], capacity)
+                      for a in (arc.times, arc.values, derivs, known)),
+                    list(arc.starts), arc.n_memory, arc.interpolation, delta)
+        self.n = n
 
     def start_segment(self, t: float, x: np.ndarray) -> None:
         """Open the next forward jump level with its first sample."""
         self.starts.append(self.n)
-        self.has_derivs.append(True)
         self.append(t, x)
 
     def append(self, t: float, x: np.ndarray) -> None:
-        """Add a sample to the newest segment, with derivative 0."""
+        """Add a sample to the newest level, with derivative 0."""
         if self.n == self.times.shape[0]:
-            for name in ("times", "values", "derivs"):
-                old = getattr(self, name)
-                setattr(self, name, np.concatenate([old, np.zeros_like(old)]))
+            for name in ("times", "values", "derivs", "known"):
+                setattr(self, name, _padded(getattr(self, name), self.n))
         self.times[self.n] = t
         self.values[self.n] = x
         self.n += 1
@@ -514,38 +486,26 @@ class History:
             segment = bisect.bisect_right(self.starts, index) - 1
         return WindowView(self, index, segment, self.values[index])
 
-    def value(self, tq: float, segment: int | None = None,
-              end: int | None = None) -> np.ndarray:
-        """Value at time tq on the newest jump level whose first sample is at
-        or before tq (up to TIME_TOL): the maximal-jump-index rule, so a jump
-        instant reads its post-jump value.  Only segments up to ``segment``
-        and samples before ``end`` are read (default: all).  Each call
-        returns a fresh array."""
-        starts, times = self.starts, self.times
-        if segment is None:
-            segment, end = len(starts) - 1, self.n
-        if tq > times.item(end - 1) + TIME_TOL:
-            raise DomainError(f"time {tq} is after the stored history", tq, None)
-        for k in range(segment, -1, -1):
-            lo = starts[k]
-            if tq >= times.item(lo) - TIME_TOL:
-                return _interpolate(times, self.values,
-                                    self.derivs if self.has_derivs[k] else None,
-                                    tq, self.interpolation, lo, end)
-            end = lo
-        raise InsufficientHistoryError(
-            f"time {tq} precedes all stored history", tq, None)
-
     def to_arc(self) -> HybridArc:
-        """The stored memory segments plus copies of the forward samples."""
-        bounds = self.starts[self.n_memory:] + [self.n]
-        forward = [
-            ArcSegment(j, self.times[lo:hi].copy(), self.values[lo:hi].copy(),
-                       self.derivs[lo:hi].copy() if d else None)
-            for j, (lo, hi, d) in enumerate(zip(bounds, bounds[1:],
-                                                self.has_derivs[self.n_memory:]))]
-        return HybridArc(self.memory, forward, interpolation=self.interpolation,
-                         validate=False)
+        """The stored samples as an arc, on copies of the rows in use."""
+        return HybridArc._of(*(a[:self.n].copy() for a in (
+            self.times, self.values, self.derivs, self.known)),
+            list(self.starts), self.n_memory, self.interpolation)
+
+
+def _read_only(*arrays: np.ndarray | None) -> tuple:
+    """The arrays, each but None marked read-only."""
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return arrays
+
+
+def _padded(a: np.ndarray, rows: int) -> np.ndarray:
+    """a followed by ``rows`` rows of zeros, or of True for flags (appended
+    samples carry a derivative); a itself when rows is 0."""
+    return a if not rows else np.concatenate(
+        [a, np.full((rows,) + a.shape[1:], a.dtype == bool, dtype=a.dtype)])
 
 
 class WindowView:
@@ -611,7 +571,8 @@ class BatchView:
     what ``history.view(index[i])`` gives; :meth:`views` lists those views.
     A delayed read finds every row's jump level with one binary search over
     the levels' first times, which an arc's levels have in time order, and
-    interpolates each level's rows with one :func:`_interpolate_many` call.
+    interpolates each level's rows with one binary search and one
+    :func:`_blend` call.
     Like a view, it never reads a sample stored after its row's own.
     """
 
@@ -661,9 +622,9 @@ class BatchView:
         for k in np.unique(level[inner]).tolist():
             rows = inner[level[inner] == k]
             lo, hi = starts[k], starts[k + 1]
-            derivs = hist.derivs[lo:hi] if hist.has_derivs[k] else None
-            out[rows] = _interpolate_many(times[lo:hi], values[lo:hi], derivs,
-                                          tq[rows], hist.interpolation)
+            i = lo - 1 + times[lo:hi].searchsorted(tq[rows], side="right")
+            out[rows] = _blend(times, values, hist.derivs if hist.interpolation
+                               == "hermite" else None, hist.known, tq[rows], i)
         return out
 
 
@@ -671,17 +632,18 @@ def delta_inf(arc: HybridArc, t: float, j: int, delta: float) -> float:
     """Smallest d >= delta such that some (t+s, j+k) in dom arc has s + k = -d.
 
     Computed exactly from the piecewise-interval domain structure: each
-    backward-shifted segment contributes a closed interval [c, d] of
+    backward-shifted level contributes a closed interval [c, d] of
     achievable depths.
     """
     best = np.inf
-    for seg in arc.all_segments():
-        u_hi = min(seg.hi, t)
-        if seg.jump_index > j or u_hi < seg.lo - TIME_TOL:
+    for k, (a, b) in enumerate(arc.levels()):
+        jump, lo = arc.jump_index(k), arc.times.item(a)
+        u_hi = min(arc.times.item(b - 1), t)
+        if jump > j or u_hi < lo - TIME_TOL:
             continue
-        # s + k ranges over [seg.lo - t + k, u_hi - t + k], k = seg.jump_index - j
-        c = t + j - max(u_hi, seg.lo) - seg.jump_index
-        d = t + j - seg.lo - seg.jump_index
+        # s + k ranges over [lo - t + k, u_hi - t + k], k = jump - j
+        c = t + j - max(u_hi, lo) - jump
+        d = t + j - lo - jump
         if d >= delta - TIME_TOL:
             best = min(best, max(c, delta))
     if not np.isfinite(best):
@@ -690,56 +652,102 @@ def delta_inf(arc: HybridArc, t: float, j: int, delta: float) -> float:
     return float(best)
 
 
-def _merge_contiguous(segments: list[ArcSegment]) -> list[ArcSegment]:
-    """Merge consecutive segments that share a jump index and boundary time.
+def _piece(arc: HybridArc, a0: int, b0: int, lo: float,
+           hi: float) -> list[tuple] | None:
+    """The level stored at [a0, b0) on [lo, hi] as parts, each a tuple of
+    rows of the store's arrays (times, values, and derivs and known when
+    reads use them): the index range of the stored samples within TIME_TOL
+    of [lo, hi], with an interpolated sample before or after it where none
+    lies within TIME_TOL of lo or hi.  Such a sample's derivative is
+    interpolated linearly, and it carries one when both ends of its bracket
+    do.  None when [lo, hi] misses the level by more than TIME_TOL."""
+    times, values = arc.times, arc.values
+    # linear reads use no derivatives, so cuts of a linear arc drop them
+    derivs, known = ((arc.derivs, arc.known) if arc.interpolation == "hermite"
+                     else (None, None))
+    lo, hi = max(lo, times.item(a0)), min(hi, times.item(b0 - 1))
+    if hi < lo - TIME_TOL:
+        return None
+    hi = max(hi, lo)
+    a = a0 + int(times[a0:b0].searchsorted(lo - TIME_TOL, "left"))
+    b = a0 + int(times[a0:b0].searchsorted(hi + TIME_TOL, "right"))
 
-    Needed when a window spans the stored memory/forward boundary: both
-    contribute pieces of the same jump level.
-    """
-    merged: list[ArcSegment] = []
-    for seg in segments:
-        if (merged and merged[-1].jump_index == seg.jump_index
-                and seg.lo <= merged[-1].hi + TIME_TOL):
-            prev = merged[-1]
-            skip = 1 if (seg.times.shape[0] and
-                         seg.times[0] <= prev.times[-1] + TIME_TOL) else 0
-            times = np.concatenate([prev.times, seg.times[skip:]])
-            values = np.concatenate([prev.values, seg.values[skip:]])
-            if prev.derivs is not None and seg.derivs is not None:
-                derivs = np.concatenate([prev.derivs, seg.derivs[skip:]])
-            else:
-                derivs = None
-            merged[-1] = ArcSegment(seg.jump_index, times, values, derivs)
+    def sample(t: float, i: int) -> tuple:  # in the bracket [i - 1, i]
+        x = _interpolate(times, values, derivs, t, arc.interpolation, a0, b0, known)
+        if derivs is None:
+            return np.array([t]), x[None]
+        d = _interpolate(times, derivs, None, t, lo=a0, hi=b0)
+        return np.array([t]), x[None], d[None], known[i - 1:i] & known[i:i + 1]
+
+    parts = []
+    if a < b:
+        parts.append((times[a:b], values[a:b]) if derivs is None else
+                     (times[a:b], values[a:b], derivs[a:b], known[a:b]))
+    if a == b or times.item(a) > lo + TIME_TOL:
+        parts.insert(0, sample(lo, a))
+    if (times.item(b - 1) if a < b else lo) < hi - TIME_TOL:
+        parts.append(sample(hi, b))
+    return parts
+
+
+def _join(parts: list[tuple]) -> list[np.ndarray]:
+    """Each field of the parts as one array (a lone part's own)."""
+    return [f[0] if len(f) == 1 else np.concatenate(f) for f in zip(*parts)]
+
+
+def _cut(arc: HybridArc, pieces: list[tuple[int, list[tuple]]], shift: float,
+         delta: float) -> HybridMemoryArc:
+    """The memory arc of size delta made of (key, parts) pieces, times
+    shifted by -shift.  Consecutive pieces with one key form one level: the
+    later one's first sample gives way to the earlier one's last when they
+    lie within TIME_TOL, and lends it its derivative when it has none."""
+    parts, starts, rows, junction = [], [], 0, None
+    for k, (key, piece) in enumerate(pieces):
+        if k and key == pieces[k - 1][0]:
+            first = piece[0]
+            if first[0].item(0) - shift <= parts[-1][0].item(-1) - shift + TIME_TOL:
+                junction = (rows - 1, first)
+                piece[0] = tuple(f[1:] for f in first)
         else:
-            merged.append(seg)
-    return merged
+            starts.append(rows)
+        parts += piece
+        for p in piece:
+            rows += p[0].shape[0]
+    times, values, *rest = _join(parts)
+    derivs, known = rest or (None, None)
+    if junction is not None and derivs is not None and not known[junction[0]]:
+        i, first = junction  # the join made these arrays: no one else holds them
+        derivs[i], known[i] = first[2][0], first[3][0]
+    return HybridMemoryArc._of(times - shift, values, derivs, known, starts,
+                               len(starts), arc.interpolation, delta=delta)
 
 
 def memory_window(arc: HybridArc, t: float, j: int,
                   delta: float) -> HybridMemoryArc:
-    """The memory window (s, k) -> arc(t+s, j+k) clipped at depth delta_inf."""
+    """The memory window (s, k) -> arc(t+s, j+k) clipped at depth delta_inf.
+
+    (t, j) must lie in the arc's domain up to TIME_TOL.  Each level up to j
+    gives the index range of its samples in the window, times shifted by
+    -t, with an interpolated sample where the range ends between stored
+    samples.  Memory level 0 and forward level 0 join into one level, where
+    the memory side's sample at t = 0 stands for both (see :func:`_cut`), so
+    the window reads what the arc's read rule gives.  Cuts of a linear arc
+    keep no derivatives.
+    """
+    arc._level_at(t, j)  # raises DomainError off the domain
     dinf = delta_inf(arc, t, j, delta)
-    segments: list[ArcSegment] = []
-    for seg in arc.all_segments():
-        if seg.jump_index > j:
-            continue
-        u_hi = min(seg.hi, t)
-        if u_hi < seg.lo - TIME_TOL:
-            continue
-        k = seg.jump_index - j
-        s_lo = max(seg.lo - t, -dinf - k)
-        s_hi = u_hi - t
-        if s_hi < s_lo - TIME_TOL:
-            continue
-        cut = seg._slice(s_lo + t, s_hi + t, arc.interpolation)
-        if cut is None:
-            continue
-        times, values, derivs = cut
-        segments.append(ArcSegment(k, times - t, values, derivs))
-    segments = _merge_contiguous(segments)
-    if not segments:
-        raise InsufficientHistoryError(f"empty window at (t={t}, j={j})", t, j)
-    return HybridMemoryArc(segments, delta, arc.interpolation, validate=False)
+    pieces = []
+    for level, (a0, b0) in enumerate(arc.levels()):
+        jump = arc.jump_index(level)
+        if jump > j:
+            break
+        lo, u_hi = arc.times.item(a0), min(arc.times.item(b0 - 1), t)
+        s_lo, s_hi = max(lo - t, -dinf - (jump - j)), u_hi - t
+        piece = (u_hi >= lo - TIME_TOL and s_hi >= s_lo - TIME_TOL
+                 and _piece(arc, a0, b0, s_lo + t, s_hi + t))
+        if piece:
+            pieces.append((jump, piece))
+    return _cut(arc, pieces, t, delta)
 
 
 def append_jump(phi: HybridMemoryArc, g: np.ndarray) -> HybridMemoryArc:
@@ -747,25 +755,21 @@ def append_jump(phi: HybridMemoryArc, g: np.ndarray) -> HybridMemoryArc:
 
     The result psi satisfies psi(0,0) = g and psi(s, k-1) = phi(s, k) for all
     retained (s, k); material strictly older than s + k = -delta - 1 is
-    dropped, the boundary point is kept.
+    dropped, the boundary point is kept.  g carries no derivative.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (phi.dimension,):
         raise ValueError(f"jump value must have shape ({phi.dimension},)")
     floor = -phi.delta - 1
-    segments: list[ArcSegment] = []
-    for seg in phi.memory_segments:
-        k_new = seg.jump_index - 1
-        s_cut = floor - k_new
-        if seg.hi < s_cut - TIME_TOL:
-            continue
-        if seg.lo >= s_cut - TIME_TOL:
-            segments.append(ArcSegment(k_new, seg.times, seg.values, seg.derivs))
-        else:
-            segments.append(ArcSegment(
-                k_new, *seg._slice(s_cut, seg.hi, phi.interpolation)))
-    segments.append(ArcSegment(0, np.array([0.0]), g.reshape(1, -1)))
-    return HybridMemoryArc(segments, phi.delta, phi.interpolation, validate=False)
+    pieces = []
+    for level, (a0, b0) in enumerate(phi.levels()):
+        s_cut = floor - (phi.jump_index(level) - 1)
+        if phi.times.item(b0 - 1) >= s_cut - TIME_TOL:
+            pieces.append((level, _piece(phi, a0, b0, s_cut, np.inf)))
+    pieces.append((-1, [(np.zeros(1), g[None]) + (
+        () if phi.derivs is None or phi.interpolation != "hermite"
+        else (np.zeros((1, g.shape[0])), np.zeros(1, bool)))]))
+    return _cut(phi, pieces, 0.0, phi.delta)
 
 
 #: Most stored samples in one block of :func:`sup_norm_w` (a window larger
@@ -812,7 +816,7 @@ def sup_norm_w(phis: Sequence[HybridMemoryArc], fn: Callable[[np.ndarray], float
     out = np.empty(len(phis))
     lo = rows = 0
     for hi, phi in enumerate(phis):
-        size = sum(seg.times.shape[0] for seg in phi.memory_segments)
+        size = phi.n
         if hi > lo and rows + size > _BLOCK_ROWS:
             out[lo:hi] = _block_max(phis[lo:hi], lo, evaluate, refine_tol, max_levels)
             lo, rows = hi, 0
@@ -826,21 +830,22 @@ def _block_max(phis: Sequence[HybridMemoryArc], offset: int, evaluate: Callable,
                refine_tol: float, max_levels: int) -> np.ndarray:
     """:func:`sup_norm_w` of one block of windows, the first of which has
     index ``offset`` in the call."""
-    levels = [(w, phi, seg) for w, phi in enumerate(phis, offset)
-              for seg in phi.memory_segments]
-    win = np.array([w for w, _, _ in levels])
-    jumps = np.array([seg.jump_index for _, _, seg in levels])
-    lengths = np.array([seg.times.shape[0] for _, _, seg in levels])
+    # per level of each window: the window, jump index, length and floor
+    win, jumps, lengths, floors = map(np.array, zip(*[
+        (w, k - len(phi.starts) + 1, b - a, -phi.delta - 1 - TIME_TOL)
+        for w, phi in enumerate(phis, offset) for k, (a, b) in enumerate(phi.levels())]))
     ends = np.cumsum(lengths)  # one past each level's last sample
     starts = ends - lengths
-    times = np.concatenate([seg.times for _, _, seg in levels])
-    values = np.concatenate([seg.values for _, _, seg in levels])
-    hermite = np.array([phi.interpolation == "hermite" and seg.derivs is not None
-                        for _, phi, seg in levels])
-    derivs = None if not hermite.any() else np.concatenate(
-        [np.zeros_like(seg.values) if seg.derivs is None else seg.derivs
-         for _, _, seg in levels])
-    floors = np.array([-phi.delta - 1 - TIME_TOL for _, phi, _ in levels])
+    times = np.concatenate([phi.times for phi in phis])
+    values = np.concatenate([phi.values for phi in phis])
+    hermite = [phi.interpolation == "hermite" and phi.derivs is not None
+               for phi in phis]
+    derivs = known = None
+    if any(hermite):
+        derivs = np.concatenate([phi.derivs if h else np.zeros_like(phi.values)
+                                 for phi, h in zip(phis, hermite)])
+        known = np.concatenate([phi.known if h else np.zeros(phi.n, dtype=bool)
+                                for phi, h in zip(phis, hermite)])
     # a level's times increase, so its samples above the floor are a suffix
     above = times + np.repeat(jumps, lengths) >= np.repeat(floors, lengths)
     csum = np.concatenate(([0], np.cumsum(above)))
@@ -882,7 +887,7 @@ def _block_max(phis: Sequence[HybridMemoryArc], offset: int, evaluate: Callable,
         # a midpoint on the bracket's right end reads the next bracket, as a
         # binary search would, except in the level's last bracket
         i += (mids >= times[i + 1]) & (i + 2 < end)
-        x = _blend(times, values, derivs, mids, i, hermite[own])
+        x = _blend(times, values, derivs, known, mids, i)
         left = mids <= times[starts[own]]
         x[left] = values[starts[own][left]]
         right = mids >= times[end - 1]
@@ -915,9 +920,31 @@ def delayed_sq_integral(phi: HybridMemoryArc, lo: float, hi: float,
                         components: slice | None = None) -> float:
     """Integral over [lo, hi] of |phi(s, k(s))|^2 ds, exact for the stored
     piecewise-linear interpolant (per-interval Simpson).  ``components``
-    restricts the squared norm to a slice of the state vector."""
+    restricts the squared norm to a slice of the state vector.
+
+    Each level contributes the index range of its samples on the part of
+    [lo, hi] that no newer level covers (a jump instant belongs to the newer
+    level, as the maximal-k rule has it), with interpolated end samples.
+    """
+    if hi < lo:
+        raise ValueError("need lo <= hi")
+    runs, top = [], hi
+    for a0, b0 in reversed(phi.levels()):
+        first, last = phi.times.item(a0), phi.times.item(b0 - 1)
+        if first > hi + TIME_TOL:
+            continue
+        if last < lo - TIME_TOL:
+            break
+        piece = _piece(phi, a0, b0, max(lo, first), min(top, last))
+        if piece is not None:
+            runs.append(_join([p[:2] for p in piece]))
+            top = min(hi, runs[-1][0].item(0))
+        if first <= lo + TIME_TOL:
+            break
+    if not runs:
+        raise DomainError(f"no stored history on [{lo}, {hi}]", lo, None)
     total = 0.0
-    for times, values in phi.delayed_runs(lo, hi):
+    for times, values in reversed(runs):
         if times.shape[0] < 2:
             continue
         if components is not None:
@@ -935,8 +962,9 @@ def constant_memory_arc(value: np.ndarray, delta: float,
                         grid_step: float | None = None) -> HybridMemoryArc:
     """Single-segment memory arc holding a constant value.
 
-    The segment spans [-depth, 0] with depth defaulting to max(delta, epsilon)
-    so the arc is admissible for memory size delta.
+    The segment spans [-depth, 0] with depth defaulting to delta, so the arc
+    is admissible for memory size delta; depth 0 gives the single sample at
+    (0, 0).
     """
     value = np.atleast_1d(np.asarray(value, dtype=float))
     if depth is None:
@@ -946,12 +974,8 @@ def constant_memory_arc(value: np.ndarray, delta: float,
     if depth == 0.0:
         return HybridMemoryArc(
             [ArcSegment(0, np.array([0.0]), value.reshape(1, -1))], delta)
-    if grid_step is None:
-        grid_step = depth / 8.0
-    m = max(2, int(np.ceil(depth / grid_step)) + 1)
-    times = np.linspace(-depth, 0.0, m)
-    values = np.tile(value, (m, 1))
-    return HybridMemoryArc([ArcSegment(0, times, values)], delta)
+    return memory_arc_from_function(lambda s: value, delta, depth,
+                                    depth / 8.0 if grid_step is None else grid_step)
 
 
 def memory_arc_from_function(fn: Callable[[float], np.ndarray], delta: float,
@@ -990,16 +1014,18 @@ def memory_arc_from_function(fn: Callable[[float], np.ndarray], delta: float,
 
 def _csv_zero_rows_problem(arc: HybridArc) -> Optional[str]:
     """Why the jump-0 rows near t = 0 would not read back; None if they do."""
+    levels, m = arc.levels(), arc.n_memory
+    split = levels[m][0] if m < len(levels) else arc.n  # first forward row
     near = {}
-    for side, segs in (("memory", arc.memory_segments),
-                       ("forward", arc.forward_segments)):
-        near[side] = [t for seg in segs if seg.jump_index == 0
-                      for t in seg.times[np.abs(seg.times) <= TIME_TOL].tolist()]
+    for side, (a, b), rows in (("memory", levels[m - 1] if m else (0, 0), split),
+                               ("forward", levels[m] if split < arc.n else (0, 0),
+                                arc.n - split)):
+        times = arc.times[a:b]
+        near[side] = times[np.abs(times) <= TIME_TOL].tolist()
         if len(near[side]) > 1:
             return (f"the {side} side holds {len(near[side])} samples within "
                     "TIME_TOL of t = 0")
-        if (near[side] and arc.forward_segments
-                and sum(seg.times.shape[0] for seg in segs) == 1):
+        if near[side] and split < arc.n and rows == 1:
             return (f"the {side} side is one sample within TIME_TOL of t = 0, "
                     "which the reader cannot place on it")
     if near["memory"] and near["forward"] and near["memory"][0] > near["forward"][0]:
@@ -1013,14 +1039,12 @@ def arc_to_csv(arc: HybridArc) -> str:
     if problem is not None:
         raise ValueError(f"cannot write jump level 0 as CSV: {problem}; "
                          "its rows would read back as another arc")
-    levels: dict[int, list[ArcSegment]] = {}
-    for seg in arc.memory_segments + arc.forward_segments:
-        levels.setdefault(seg.jump_index, []).append(seg)
+    levels, m = arc.levels(), arc.n_memory
+    if 0 < m < len(levels):  # memory and forward level 0 lie back to back
+        levels[m - 1:m + 1] = [(levels[m - 1][0], levels[m][1])]
     lines = []
-    for j in sorted(levels):
-        segs = levels[j]
-        times = np.concatenate([seg.times for seg in segs])
-        values = np.concatenate([seg.values for seg in segs])
+    for j, (a, b) in enumerate(levels, min(1 - m, 0)):
+        times, values = arc.times[a:b], arc.values[a:b]
         # a stable sort keeps the memory side's row first on equal times
         order = np.argsort(times, kind="stable")
         tag = str(j)

@@ -13,20 +13,22 @@ that reads delayed values judges a step end on the stored window, which
 :func:`verify_solution` re-checks, not on the stage view; the two can differ
 in the last bits.
 
-The solution is built in a :class:`~hymem.hybrid_time.History`, and every
-selection map and guard sees it through one window view, which exposes the
-window protocol (head, delayed(s), delta) at a stored point without
-materializing a memory arc.  Reads follow the maximal-jump-index rule and
-agree with the formal clipped window for every delay the system declares,
-because builders size the memory so declared delays stay inside it.  A
-Runge-Kutta stage sees the view extended by its provisional point: delays
-shorter than the stage offset read the straight line from the stored head
-to that point, longer ones the stored history.  The two half-step stages
-sit at one stage time and share its stored-history reads, one per delay;
-the straight line depends on the stage's head and is read afresh.  Every
-read returns a fresh array, so a selection map may write into it.  An
-infinite time horizon needs a declared jump period.  The solver is
-deterministic: identical inputs produce bit-identical trajectories.
+The solution is built in a :class:`~hymem.hybrid_time.History`, the
+growable form of the store every arc keeps its samples in, and the
+trajectory's arc is a copy of its rows.  Every selection map and guard sees
+it through one window view, which exposes the window protocol (head,
+delayed(s), delta) at a stored point without cutting a memory arc.  Reads
+follow the maximal-jump-index rule, as a cut window's do, and agree with
+the formal clipped window for every delay the system declares, because
+builders size the memory so declared delays stay inside it.  A Runge-Kutta
+stage sees the view extended by its provisional point: delays shorter than
+the stage offset read the straight line from the stored head to that point,
+longer ones the stored history.  The two half-step stages sit at one stage
+time and share its stored-history reads, one per delay; the straight line
+depends on the stage's head and is read afresh.  Every read returns a fresh
+array, so a selection map may write into it.  An infinite time horizon needs
+a declared jump period.  The solver is deterministic: identical inputs
+produce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -115,25 +118,24 @@ class Trajectory:
 
     @property
     def t_final(self) -> float:
-        return self.arc.forward_segments[-1].hi
+        return self.arc.times.item(self.arc.n - 1)
 
     @property
     def j_final(self) -> int:
-        return self.arc.forward_segments[-1].jump_index
+        return len(self.arc.starts) - self.arc.n_memory - 1
 
     def sample_points(self):
         """Yield (t, j, value) over all stored forward samples in order."""
-        for seg in self.arc.forward_segments:
-            for t, v in zip(seg.times, seg.values):
-                yield float(t), seg.jump_index, v
+        arc = self.arc
+        for j, (a, b) in enumerate(arc.levels()[arc.n_memory:]):
+            yield from zip(arc.times[a:b].tolist(), repeat(j), arc.values[a:b])
 
 
 def run_summary(traj: Trajectory, target: TargetSet) -> dict:
     """Deterministic JSON-ready digest of a simulation run."""
-    init = HybridMemoryArc(traj.arc.memory_segments, traj.memory_size,
-                           traj.arc.interpolation, validate=False)
+    init = traj.arc.memory_side(traj.memory_size)
     sup0 = float(sup_norm_w([init], target.dist, batch=target.dist_batch)[0])
-    final = traj.arc.forward_segments[-1].values[-1]
+    final = traj.arc.values[traj.arc.n - 1]
     return {
         "termination": traj.termination.value,
         "jumps": len(traj.jumps),
@@ -249,9 +251,8 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
         raise PreconditionError(
             f"initial arc dimension {init.dimension} != system dimension "
             f"{spec.dimension}")
-    if not all(np.all(np.isfinite(seg.values))
-               and (seg.derivs is None or np.all(np.isfinite(seg.derivs)))
-               for seg in init.memory_segments):
+    if not (np.isfinite(init.values).all()
+            and (init.derivs is None or np.isfinite(init.derivs).all())):
         raise PreconditionError("initial arc holds a non-finite value")
     if math.isinf(opts.t_max) and spec.meta.get("period") is None:
         raise PreconditionError("an infinite t_max needs a system with a "
@@ -324,11 +325,12 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
         termination = Termination.error
         error = f"{type(exc).__name__} at (t={t}, j={j}): {exc}"
     arc = hist.to_arc()
-    bad = [s for s in arc.forward_segments if not np.all(np.isfinite(s.values[-1]))]
+    ends = [b - 1 for _, b in arc.levels()[arc.n_memory:]]
+    bad = [(arc.times.item(i), j) for j, i in enumerate(ends)
+           if not np.isfinite(arc.values[i]).all()]
     if bad:
         termination = Termination.error
-        error = error or (f"non-finite state at (t={bad[0].hi}, "
-                          f"j={bad[0].jump_index})")
+        error = error or f"non-finite state at (t={bad[0][0]}, j={bad[0][1]})"
     return Trajectory(arc=arc, termination=termination, jumps=tuple(jumps),
                       memory_size=spec.memory_size, error=error)
 
@@ -412,8 +414,9 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
     n_deriv = 0
     n_guard = 0
     hist = History(arc, traj.memory_size, capacity=0)
-    for seg, start in zip(arc.forward_segments, hist.starts[hist.n_memory:]):
-        times, values, j = seg.times, seg.values, seg.jump_index
+    forward = arc.levels()[arc.n_memory:]
+    for j, (start, end) in enumerate(forward):
+        times, values = arc.times[start:end], arc.values[start:end]
         i = _stencil_centres(times, kinks)
         failed = {}
         if i.size:
@@ -452,10 +455,8 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
         n_guard += times.shape[0]
 
     n_jumps = 0
-    for pre, post, post_start in zip(arc.forward_segments, arc.forward_segments[1:],
-                                     hist.starts[hist.n_memory + 1:]):
-        t_jump = pre.hi
-        j_pre = pre.jump_index
+    for j_pre, (post_start, _) in enumerate(forward[1:]):
+        t_jump = arc.times.item(post_start - 1)
         w = hist.view(post_start - 1)
         jg = spec.jump_guard(w)
         n_jumps += 1
@@ -463,7 +464,7 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
             issues.append(SolutionIssue(
                 "S2.jump_set", t_jump, j_pre,
                 "pre-jump window is not in the jump set", jg, -tol))
-        g_stored = post.values[0]
+        g_stored = arc.values[post_start]
         candidates = spec.jump_selections(w)
         if candidates:
             dist = min(float(np.linalg.norm(g_stored - np.asarray(c, dtype=float)))
@@ -488,8 +489,9 @@ def flow_window(spec: SystemSpec, phi: HybridMemoryArc, h: float,
                 n_steps: int = 2, guard_tol: float = 1e-7) -> HybridMemoryArc:
     """Window reached by flowing from phi for duration h without jumping.
 
-    Used by the functional-derivative evaluator.  Raises PreconditionError
-    when phi is not in the flow set.
+    Used by the functional-derivative evaluator: the window is cut from the
+    History the steps were stored in.  Raises PreconditionError when phi is
+    not in the flow set.
     """
     if spec.flow_guard(phi) < -guard_tol:
         raise PreconditionError("window is not in the flow set")
@@ -501,4 +503,5 @@ def flow_window(spec: SystemSpec, phi: HybridMemoryArc, h: float,
         x_new, _ = _rk4(spec, hist.view(), sub)
         t += sub
         hist.append(t, x_new)
-    return memory_window(hist.to_arc(), t, 0, phi.delta)
+    hist.known[hist.starts[-1]:] = False  # no derivative was computed there
+    return memory_window(hist, t, 0, phi.delta)

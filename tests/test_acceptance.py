@@ -286,8 +286,7 @@ def test_criterion_6_negative_controls():
     values = bad.values.copy()
     values[0] = values[0] + np.array([0.0, 0.2, 0.0, 0.0])
     segs[2] = ArcSegment(bad.jump_index, bad.times, values, bad.derivs)
-    forged = Trajectory(arc=HybridArc(traj.arc.memory_segments, segs,
-                                      validate=False),
+    forged = Trajectory(arc=HybridArc(traj.arc.memory_segments, segs),
                         termination=traj.termination, jumps=traj.jumps,
                         memory_size=traj.memory_size)
     fault_flagged = not verify_solution(spec, forged, tol=1e-4).passed

@@ -12,7 +12,8 @@ from hymem.builtin import example1_razumikhin_certificate
 from hymem.hybrid_time import (TIME_TOL, ArcSegment, BatchView, DomainError,
                                History, HybridArc, HybridMemoryArc,
                                HybridTimeDomain, InsufficientHistoryError,
-                               _interpolate, _interpolate_many, append_jump,
+                               _blend, _interpolate, _join, _piece,
+                               append_jump,
                                arc_from_csv, arc_to_csv, constant_memory_arc,
                                delayed_sq_integral, delta_inf,
                                memory_arc_from_function, memory_window,
@@ -20,7 +21,8 @@ from hymem.hybrid_time import (TIME_TOL, ArcSegment, BatchView, DomainError,
 from hymem.sampling import ArcSampler
 from hymem.solver import SimOptions, simulate
 from hymem.system import (Example1Params, Example2Params, build_example1,
-                          build_example2)
+                          build_example2, build_linear_delay_system,
+                          parse_linear_delay_config)
 
 
 def seg(j, times, values):
@@ -28,6 +30,23 @@ def seg(j, times, values):
     if values.ndim == 1:
         values = values.reshape(-1, 1)
     return ArcSegment(j, np.asarray(times, dtype=float), values)
+
+
+def unchecked(memory, forward=(), interpolation="linear", delta=None):
+    """The arc of the segments with none of the constructor's checks: a
+    memory arc when delta is given.  For data no constructor accepts."""
+    segments = list(memory) + list(forward)
+    derivs = known = None
+    if any(s.derivs is not None for s in segments):
+        derivs = np.concatenate([s.values * 0 if s.derivs is None else s.derivs
+                                 for s in segments])
+        known = np.concatenate([np.full(len(s.times), s.derivs is not None)
+                                for s in segments])
+    starts = np.cumsum([0] + [len(s.times) for s in segments[:-1]]).tolist()
+    cls = HybridArc if delta is None else HybridMemoryArc
+    return cls._of(np.concatenate([s.times for s in segments]),
+                   np.concatenate([s.values for s in segments]), derivs, known,
+                   starts, len(memory), interpolation, delta=delta)
 
 
 def decay_arc(t_end=1.0, n=101, history_span=None):
@@ -251,6 +270,40 @@ def _random_solution_like_arc(rng, max_jumps=3):
 
 
 class TestMemoryWindow:
+    @pytest.mark.parametrize("t, j", [(0.9, 0), (0.2, 1), (5.0, 2), (-0.2, 1),
+                                      (0.3, -1)])
+    def test_point_outside_the_domain_raises(self, t, j):
+        # level 0 ends at t = 0.5, level 1 starts there, level 2 ends at 1.2
+        spec, _ = build_example2(Example2Params(a=-0.5, b=0.25, rho=0.5,
+                                                r=0.25, delta=0.5))
+        init = constant_memory_arc(np.array([1.0, 0.0]), spec.memory_size,
+                                   depth=spec.memory_size)
+        arc = simulate(spec, init, SimOptions(t_max=1.2, step=0.01)).arc
+        with pytest.raises(DomainError, match=f"point \\(t={t}, j={j}\\) is "
+                                              "not in the arc domain"):
+            memory_window(arc, t, j, spec.memory_size)
+        memory_window(arc, 0.5, 0, spec.memory_size)
+        memory_window(arc, 0.5 + 1e-13, 0, spec.memory_size)
+        memory_window(arc, 0.0, 0, spec.memory_size)
+
+    def test_window_and_memory_side_are_read_only(self):
+        # a cut shares the arc's arrays, so a write into it would change the
+        # trajectory it came from
+        spec, _ = build_example2(Example2Params(a=-0.5, b=0.25, rho=0.5,
+                                                r=0.25, delta=0.5))
+        init = constant_memory_arc(np.array([1.0, 0.0]), spec.memory_size)
+        traj = simulate(spec, init, SimOptions(t_max=1.2, step=0.01))
+        window = memory_window(traj.arc, 0.3, 0, spec.memory_size)
+        side = traj.arc.memory_side(traj.memory_size)
+        for rows in (window.head, window.values, side.values, side.times,
+                     side.head, traj.arc.values):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 7.0
+
+    def test_memory_side_needs_one(self):
+        with pytest.raises(ValueError, match="arc has no memory side"):
+            decay_arc().memory_side(0.0)
+
     def test_identity_at_origin(self):
         arc = decay_arc(history_span=1.0)
         w = memory_window(arc, 0.0, 0, 1.0)
@@ -381,8 +434,8 @@ class TestSupNormAndVbar:
 
     def test_window_below_its_floor_raises(self):
         # only unchecked arcs can lie wholly below s + k = -delta - 1
-        deep = HybridMemoryArc([seg(-1, [-3.0, -2.5], [1.0, 1.0]),
-                                seg(0, [-2.5], [2.0])], 0.5, validate=False)
+        deep = unchecked([seg(-1, [-3.0, -2.5], [1.0, 1.0]),
+                          seg(0, [-2.5], [2.0])], delta=0.5)
         ok = constant_memory_arc(np.array([1.0]), 0.5)
         with pytest.raises(DomainError, match="window 1 is empty above the depth floor"):
             sup_norm_w([ok, deep], lambda z: abs(z[0]))
@@ -436,35 +489,47 @@ class TestDelayedValue:
             phi.delayed(-2.0)
 
 
-def _reset_trajectory():
+def _reset_trajectory(interpolation="linear"):
     """example2 with dyadic data across three resets.
 
     Step, delay, reset period and history grid are multiples of 1/64, so
     every stored time, every jump time and the grid s = -delta + i/128 are
     exact binary fractions.  Shifting times by t, as memory_window does, is
-    then exact and its reads must agree with the view's bit for bit.
+    then exact and its reads must agree with the view's bit for bit.  The
+    history carries no derivative samples; the forward samples do.
     """
     spec, _ = build_example2(Example2Params(a=-0.5, b=0.25, rho=0.5, r=0.25,
                                             delta=0.5))
     init = memory_arc_from_function(
         lambda s: np.array([np.cos(3 * s), 0.0]), spec.memory_size,
         depth=spec.memory_size + 0.5, grid_step=1 / 64)
+    init = HybridMemoryArc(init.memory_segments, init.delta, interpolation)
     return simulate(spec, init, SimOptions(t_max=2.0, step=1 / 64))
+
+
+def _example1_trajectory():
+    """example1 (paper parameters) from a constant history over 1.5 units."""
+    spec, _ = build_example1(Example1Params.paper())
+    init = constant_memory_arc(np.array([0.5, -0.3, 0.2, 0.0]), spec.memory_size,
+                               depth=spec.memory_size + 0.5, grid_step=0.02)
+    return simulate(spec, init, SimOptions(t_max=1.5, step=5e-3))
 
 
 class TestHistory:
     def test_reads_match_memory_window(self):
-        traj = _reset_trajectory()
-        delta = traj.memory_size
-        assert [t for t, _ in traj.jumps] == [0.5, 1.0, 1.5]
-        hist = History(traj.arc, delta)
-        grid = -delta + np.arange(int(delta * 128) + 1) / 128
-        index = hist.starts[hist.n_memory]
-        reads = 0
-        for seg in traj.arc.forward_segments:
-            for t in seg.times:
+        # linear, and Hermite with derivatives on the forward samples only:
+        # a window joining the two sides of level 0 reads each side's way
+        for interpolation in ("linear", "hermite"):
+            traj = _reset_trajectory(interpolation)
+            delta = traj.memory_size
+            assert [t for t, _ in traj.jumps] == [0.5, 1.0, 1.5]
+            hist = History(traj.arc, delta)
+            grid = -delta + np.arange(int(delta * 128) + 1) / 128
+            index = hist.starts[hist.n_memory]
+            reads = 0
+            for t, j, _ in traj.sample_points():
                 view = hist.view(index)
-                window = memory_window(traj.arc, float(t), seg.jump_index, delta)
+                window = memory_window(traj.arc, t, j, delta)
                 assert np.array_equal(view.head, window.head)
                 # shared jump-boundary times read the post-jump value
                 boundaries = [tj - t for tj, _ in traj.jumps if tj <= t]
@@ -472,10 +537,29 @@ class TestHistory:
                     if s < window.time_reach:
                         continue
                     got, want = view.delayed(float(s)), window.delayed(float(s))
-                    assert got.tobytes() == want.tobytes(), (t, seg.jump_index, s)
+                    assert got.tobytes() == want.tobytes(), (t, j, s)
                     reads += 1
                 index += 1
-        assert reads > 5000
+            assert reads > 5000
+
+    def test_hermite_window_reads_the_forward_derivatives(self):
+        # dx = -x(t - 1/2) from a history without derivative samples: the
+        # window at (0.3, 0) reads s = -0.05 on the forward samples, Hermite
+        # as the view does, not linearly as the history side would
+        cfg, _ = parse_linear_delay_config({
+            "dimension": 1, "memory_size": 0.5,
+            "flow": {"A0": [[0.0]], "delayed": [{"delay": 0.5, "A": [[-1.0]]}]}})
+        spec, _ = build_linear_delay_system(cfg)
+        init = memory_arc_from_function(lambda s: np.array([np.cos(3 * s)]), 0.5)
+        init = HybridMemoryArc(init.memory_segments, 0.5, "hermite")
+        traj = simulate(spec, init, SimOptions(t_max=0.6, step=0.1))
+        hist = History(traj.arc, 0.5)
+        view = hist.view(hist.starts[hist.n_memory] + 3)
+        window = memory_window(traj.arc, 0.3, 0, 0.5)
+        assert window.delayed(-0.05)[0] == pytest.approx(view.delayed(-0.05)[0],
+                                                         abs=1e-12)
+        linear = HybridMemoryArc(window.memory_segments, 0.5, "hermite")
+        assert abs(linear.delayed(-0.05)[0] - view.delayed(-0.05)[0]) > 1e-4
 
     def test_provisional_point_extends_linearly(self):
         traj = _reset_trajectory()
@@ -502,7 +586,7 @@ class TestHistory:
                 hist.start_segment(i / 100, np.array([-i, i], dtype=float))
         assert hist.times.shape[0] >= 1003
         arc = hist.to_arc()
-        assert arc.memory_segments == phi.memory_segments
+        assert _samples(arc)[0] == _samples(phi)[0]
         assert [s.jump_index for s in arc.forward_segments] == [0, 1, 2, 3]
         for s in arc.forward_segments:
             i = np.round(s.times * 100)
@@ -554,6 +638,16 @@ def _interpolate_loop(times, values, derivs, ts, scheme):
     return np.array([_interpolate(times, values, derivs, t, scheme) for t in ts])
 
 
+def _interpolate_array(times, values, derivs, ts, scheme):
+    """_blend at every time of ts in its bracket, held constant past either
+    end, as the batch reads and the window maximum use it."""
+    i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.shape[0] - 2)
+    out = _blend(times, values, derivs if scheme == "hermite" else None, None, ts, i)
+    out[ts <= times[0]] = values[0]
+    out[ts >= times[-1]] = values[-1]
+    return out
+
+
 def _window_max_loop(phi, fn, batch, refine_tol=1e-9, max_levels=6):
     """The window maximum with one pointwise interpolation per midpoint."""
     floor = -phi.delta - 1 - TIME_TOL
@@ -571,7 +665,8 @@ def _window_max_loop(phi, fn, batch, refine_tol=1e-9, max_levels=6):
             if level_times.shape[0] < 2:
                 break
             mids = 0.5 * (level_times[:-1] + level_times[1:])
-            mid_vals = evaluate(np.array([s.interpolate(t, phi.interpolation)
+            mid_vals = evaluate(np.array([_interpolate(s.times, s.values, s.derivs,
+                                                       t, phi.interpolation)
                                           for t in mids]))
             new_est = max(est, float(np.max(mid_vals)))
             merged = np.sort(np.concatenate([level_times, mids]))
@@ -585,8 +680,10 @@ def _window_max_loop(phi, fn, batch, refine_tol=1e-9, max_levels=6):
 
 
 def _slice_lists(s, lo, hi, scheme="linear", tol=TIME_TOL):
-    """ArcSegment._slice built from Python lists, as (times, values,
-    derivs) arrays or None."""
+    """A segment's samples on [lo, hi], with interpolated end samples where
+    none lies within tol of lo or hi, built from Python lists, as (times,
+    values, derivs) arrays or None: the slice of the segment-list window
+    operators."""
     lo = max(lo, s.lo)
     hi = min(hi, s.hi)
     if hi < lo - tol:
@@ -599,20 +696,22 @@ def _slice_lists(s, lo, hi, scheme="linear", tol=TIME_TOL):
     derivs = list(s.derivs[mask]) if s.derivs is not None else None
     if not times or times[0] > lo + tol:
         times.insert(0, lo)
-        values.insert(0, s.interpolate(lo, scheme))
+        values.insert(0, _interpolate(s.times, s.values, s.derivs, lo, scheme))
         if derivs is not None:
             derivs.insert(0, _interpolate(s.times, s.derivs, None, lo))
     if times[-1] < hi - tol:
         times.append(hi)
-        values.append(s.interpolate(hi, scheme))
+        values.append(_interpolate(s.times, s.values, s.derivs, hi, scheme))
         if derivs is not None:
             derivs.append(_interpolate(s.times, s.derivs, None, hi))
     return (np.array(times), np.array(values),
             np.array(derivs) if derivs is not None else None)
 
 
-def _delayed_runs_lists(phi, lo, hi, tol=TIME_TOL):
-    """HybridMemoryArc.delayed_runs through one list-built segment per piece."""
+def reference_delayed_runs(phi, lo, hi, tol=TIME_TOL):
+    """The pieces of s -> phi(s, k(s)) on [lo, hi], one (times, values) pair
+    per level, each through one list-built segment: the delayed runs of the
+    segment-list arcs."""
     runs = []
     for idx in range(len(phi.memory_segments) - 1, -1, -1):
         s = phi.memory_segments[idx]
@@ -631,6 +730,99 @@ def _delayed_runs_lists(phi, lo, hi, tol=TIME_TOL):
             break
     runs.reverse()
     return runs
+
+
+def reference_delayed_sq_integral(phi, lo, hi, components=None):
+    """delayed_sq_integral over reference_delayed_runs."""
+    total = 0.0
+    for times, values in reference_delayed_runs(phi, lo, hi):
+        if times.shape[0] < 2:
+            continue
+        if components is not None:
+            values = values[:, components]
+        sq = np.einsum("ij,ij->i", values, values)
+        mid = 0.5 * (values[:-1] + values[1:])
+        sq_mid = np.einsum("ij,ij->i", mid, mid)
+        h = times[1:] - times[:-1]
+        total += float(np.sum(h / 6.0 * (sq[:-1] + 4.0 * sq_mid + sq[1:])))
+    return total
+
+
+def reference_merge_contiguous(segments):
+    """Consecutive segments of one jump level and a shared boundary time
+    joined, the later one's first sample dropped when within TIME_TOL."""
+    merged = []
+    for s in segments:
+        if (merged and merged[-1].jump_index == s.jump_index
+                and s.lo <= merged[-1].hi + TIME_TOL):
+            prev = merged[-1]
+            skip = 1 if s.times[0] <= prev.times[-1] + TIME_TOL else 0
+            derivs = (np.concatenate([prev.derivs, s.derivs[skip:]])
+                      if prev.derivs is not None and s.derivs is not None else None)
+            merged[-1] = ArcSegment(s.jump_index,
+                                    np.concatenate([prev.times, s.times[skip:]]),
+                                    np.concatenate([prev.values, s.values[skip:]]),
+                                    derivs)
+        else:
+            merged.append(s)
+    return merged
+
+
+def reference_memory_window(arc, t, j, delta):
+    """memory_window as the segment lists had it: each segment sliced and
+    shifted, then the pieces of jump level 0 merged."""
+    dinf = delta_inf(arc, t, j, delta)
+    segments = []
+    for s in arc.all_segments():
+        if s.jump_index > j:
+            continue
+        u_hi = min(s.hi, t)
+        if u_hi < s.lo - TIME_TOL:
+            continue
+        k = s.jump_index - j
+        s_lo = max(s.lo - t, -dinf - k)
+        s_hi = u_hi - t
+        if s_hi < s_lo - TIME_TOL:
+            continue
+        cut = _slice_lists(s, s_lo + t, s_hi + t, arc.interpolation)
+        if cut is not None:
+            times, values, derivs = cut
+            segments.append(ArcSegment(k, times - t, values, derivs))
+    return HybridMemoryArc(reference_merge_contiguous(segments), delta,
+                           arc.interpolation)
+
+
+def reference_append_jump(phi, g):
+    """append_jump as the segment lists had it."""
+    floor = -phi.delta - 1
+    segments = []
+    for s in phi.memory_segments:
+        k_new = s.jump_index - 1
+        s_cut = floor - k_new
+        if s.hi < s_cut - TIME_TOL:
+            continue
+        if s.lo >= s_cut - TIME_TOL:
+            segments.append(ArcSegment(k_new, s.times, s.values, s.derivs))
+        else:
+            segments.append(ArcSegment(k_new, *_slice_lists(s, s_cut, s.hi,
+                                                            phi.interpolation)))
+    segments.append(ArcSegment(0, np.array([0.0]), np.reshape(g, (1, -1))))
+    return HybridMemoryArc(segments, phi.delta, phi.interpolation)
+
+
+def assert_same_cut(got, want):
+    """Same levels, with the same times and values bit for bit, and on a
+    Hermite arc the same derivatives wherever the segment lists kept them.
+    (They dropped a joined level 0's derivatives when the memory side had
+    none; the store keeps the forward side's, and its sample at t = 0 takes
+    the forward side's derivative.  Cuts of a linear arc keep none.)"""
+    assert (got.delta, got.interpolation) == (want.delta, want.interpolation)
+    assert _samples(got) == _samples(want)
+    for a, b in zip(got.memory_segments, want.memory_segments, strict=True):
+        if got.interpolation == "hermite":
+            assert b.derivs is None or _same_bits(a.derivs, b.derivs)
+        else:
+            assert a.derivs is None
 
 
 def _same_bits(a, b):
@@ -689,7 +881,7 @@ class TestArrayInterpolant:
                 for _ in range(4):
                     s = _random_segment(rng, m, n, with_derivs)
                     ts = _query_times(rng, s.times)
-                    got = _interpolate_many(s.times, s.values, s.derivs, ts, scheme)
+                    got = _interpolate_array(s.times, s.values, s.derivs, ts, scheme)
                     want = _interpolate_loop(s.times, s.values, s.derivs, ts,
                                              scheme)
                     assert _same_bits(got, want), (m, n)
@@ -700,7 +892,7 @@ class TestArrayInterpolant:
         f = lambda t: t ** 3 - 2 * t
         s = ArcSegment(0, times, f(times)[:, None], (3 * times ** 2 - 2)[:, None])
         ts = np.linspace(-1.0, 0.0, 33)
-        got = _interpolate_many(s.times, s.values, s.derivs, ts, "hermite")
+        got = _interpolate_array(s.times, s.values, s.derivs, ts, "hermite")
         assert np.allclose(got[:, 0], f(ts), atol=1e-14)
 
 
@@ -748,9 +940,9 @@ def _floor_cut_window():
     """Unchecked initial data reaching below s + k = -delta - 1: the oldest
     level lies wholly below the floor, the next one partly, and the newest
     holds a single sample."""
-    return HybridMemoryArc([seg2(-2, [-2.0, -1.5], [9.0, 9.0]),
-                            seg2(-1, [-1.5, -0.9, -0.3, 0.0], [8.0, 3.0, -0.7, 0.1]),
-                            seg2(0, [0.0], [0.4])], 0.5, validate=False)
+    return unchecked([seg2(-2, [-2.0, -1.5], [9.0, 9.0]),
+                      seg2(-1, [-1.5, -0.9, -0.3, 0.0], [8.0, 3.0, -0.7, 0.1]),
+                      seg2(0, [0.0], [0.4])], delta=0.5)
 
 
 def _mixed_windows():
@@ -827,8 +1019,7 @@ class TestWindowMaximumPass:
         if where == "inside":  # on b: b's bracket gives -0.0, a's would give +0.0
             return HybridMemoryArc([seg2(0, [a, b, 0.0], [1.0, -0.0, -1.0])], 0.0)
         # on the last sample: its own value, -0.0 (an unchecked arc ending at b)
-        return HybridMemoryArc([seg2(0, [-1.0, a, b], [1.0, 1.0, -0.0])], 0.0,
-                               validate=False)
+        return unchecked([seg2(0, [-1.0, a, b], [1.0, 1.0, -0.0])], delta=0.0)
 
     @pytest.mark.parametrize("where", ["start", "inside", "end"])
     def test_midpoint_on_a_stored_time_reads_like_a_binary_search(self, where):
@@ -869,14 +1060,18 @@ class TestArraySlicing:
                              zip(s.times, np.diff(s.times, append=s.hi + 1))]
                     for lo, width in cuts:
                         for scheme in ("linear", "hermite"):
-                            got = s._slice(lo, lo + width, scheme)
+                            arc = unchecked([], [s], scheme)
+                            got = _piece(arc, 0, arc.n, lo, lo + width)
                             want = _slice_lists(s, lo, lo + width, scheme)
                             if want is None:
                                 assert got is None
                                 continue
+                            got = _join(got) + [None]
                             assert _same_bits(got[0], want[0])
                             assert _same_bits(got[1], want[1])
-                            assert _same_bits(got[2], want[2])
+                            # linear reads use no derivatives: cuts drop them
+                            assert _same_bits(got[2], want[2] if scheme == "hermite"
+                                              else None)
                             checked += 1
         assert checked > 1000
 
@@ -894,12 +1089,11 @@ class TestArraySlicing:
             for lo, hi in [(-p.r, 0.0), (reach, 0.0),
                            *sorted(rng.uniform(reach, 0.0, (3, 2)).tolist())]:
                 lo, hi = min(lo, hi), max(lo, hi)
-                got = phi.delayed_runs(lo, hi)
-                want = _delayed_runs_lists(phi, lo, hi)
-                assert len(got) == len(want)
-                for (gt, gv), (wt, wv) in zip(got, want):
-                    assert _same_bits(gt, wt) and _same_bits(gv, wv)
-                pieces += len(got)
+                for components in (None, slice(0, 1)):
+                    got = delayed_sq_integral(phi, lo, hi, components)
+                    assert got == reference_delayed_sq_integral(phi, lo, hi,
+                                                                components)
+                pieces += len(reference_delayed_runs(phi, lo, hi))
         assert pieces > 600
 
 
@@ -1169,6 +1363,45 @@ def test_window_cuts_of_a_solution_pass_the_checks():
     assert joined > 10
 
 
+@settings(max_examples=80, deadline=None)
+@given(random_arc(), st.sampled_from(["linear", "hermite", "hermite-forward"]),
+       st.data())
+def test_window_operators_match_the_segment_references_property(arc, kind, data):
+    """memory_window, append_jump and delayed_sq_integral give, bit for bit,
+    what the segment-list operators gave: on linear arcs, Hermite arcs, and
+    Hermite arcs whose memory side has no derivative samples."""
+    if kind != "linear":
+        memory = arc.memory_segments
+        arc = HybridArc(memory if kind == "hermite-forward" else _with_derivs(memory),
+                        _with_derivs(arc.forward_segments), "hermite")
+    delta = data.draw(st.floats(0.0, -arc.memory_segments[0].lo))
+    t, j = data.draw(st.sampled_from([(float(t), s.jump_index)
+                                      for s in arc.forward_segments for t in s.times]))
+    w = memory_window(arc, t, j, delta)
+    assert_same_cut(w, reference_memory_window(arc, t, j, delta))
+    g = np.array([data.draw(st.floats(-3.0, 3.0))])
+    assert_same_cut(append_jump(w, g), reference_append_jump(w, g))
+    # a joined level 0 that has derivatives on its forward part only reads
+    # them there, where the segment lists read that level linearly
+    lo = data.draw(st.floats(w.time_reach, 0.0))
+    if kind != "hermite-forward":
+        assert (delayed_sq_integral(w, lo, 0.0)
+                == reference_delayed_sq_integral(w, lo, 0.0))
+
+
+@pytest.mark.parametrize("make", [_reset_trajectory,
+                                  lambda: _reset_trajectory("hermite"),
+                                  _example1_trajectory],
+                         ids=["example2", "example2-hermite", "example1"])
+def test_window_operators_match_the_segment_references_on_runs(make):
+    traj = make()
+    delta = traj.memory_size
+    for t, j, x in traj.sample_points():
+        w = memory_window(traj.arc, t, j, delta)
+        assert_same_cut(w, reference_memory_window(traj.arc, t, j, delta))
+        assert_same_cut(append_jump(w, 0.5 * x), reference_append_jump(w, 0.5 * x))
+
+
 @settings(max_examples=40, deadline=None)
 @given(random_arc())
 def test_round_trip_property(arc):
@@ -1345,9 +1578,11 @@ def test_batch_view_reads_like_each_view_property(hist, data):
     with pytest.raises(DomainError, match="after the stored history"):
         batch.delayed(1e-9)
 
-    # samples after the rows' own are never read: poison them
+    # samples after the rows' own are never read: poison them (in copies,
+    # since a History without spare capacity reads its arc's read-only arrays)
     cut = data.draw(st.integers(0, hist.n - 1))
     reads = {s: _rowwise_delayed(hist, range(cut + 1), s)[0] for s in shifts}
+    hist.values, hist.derivs = hist.values.copy(), hist.derivs.copy()
     hist.values[cut + 1:] = np.inf
     hist.derivs[cut + 1:] = -np.inf
     with np.errstate(all="raise"):

@@ -75,6 +75,19 @@ class TestIntegrateFlowStep:
         want = (c + b * c / a) * np.exp(a * h) - b * c / a
         assert x_new[0] == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize("history_derivs", [True, False])
+    def test_hermite_window_reads_its_steps_linearly(self, history_derivs):
+        # the steps store no derivative, so a Hermite window reads between
+        # them linearly, whether or not its history carries derivatives
+        spec, phi = hermite_case1_problem()
+        if not history_derivs:
+            phi = HybridMemoryArc([ArcSegment(0, phi.times, phi.values)],
+                                  phi.delta, "hermite")
+        w = flow_window(spec, phi, 0.1, n_steps=4)
+        for s in np.linspace(-0.1, 0.0, 41)[1:-1]:
+            want = hybrid_time._interpolate(w.times, w.values, None, s)
+            assert w.delayed(s).tobytes() == want.tobytes()
+
     def test_outside_flow_set_rejected(self):
         p = Example2Params(a=0.0, b=0.0, rho=1.0, r=0.1, delta=0.5)
         spec, _ = build_example2(p)
@@ -433,7 +446,8 @@ def reference_value(hist, tq, segment=None, end=None):
     for k in range(segment, -1, -1):
         lo = hist.starts[k]
         if tq >= times[lo] - TIME_TOL:
-            derivs = hist.derivs[lo:end] if hist.has_derivs[k] else None
+            # a level's samples all carry a derivative or none does
+            derivs = hist.derivs[lo:end] if hist.known[lo] else None
             return reference_interpolate(times[lo:end], hist.values[lo:end],
                                          derivs, tq, hist.interpolation)
         end = lo
@@ -750,7 +764,7 @@ class TestVerifySolution:
         values[0] = values[0] + np.array([0.3, 0.0, 0.0, 0.0])
         segs[1] = ArcSegment(bad.jump_index, bad.times, values, bad.derivs)
         forged = Trajectory(
-            arc=HybridArc(traj.arc.memory_segments, segs, validate=False),
+            arc=HybridArc(traj.arc.memory_segments, segs),
             termination=traj.termination, jumps=traj.jumps,
             memory_size=traj.memory_size)
         report = verify_solution(spec, forged, tol=1e-4)
@@ -765,7 +779,7 @@ class TestVerifySolution:
         values = seg0.values.copy()
         values[40:60] *= 1.2  # kink the stored path
         forged = Trajectory(
-            arc=HybridArc([], [ArcSegment(0, seg0.times, values)], validate=False),
+            arc=HybridArc([], [ArcSegment(0, seg0.times, values)]),
             termination=traj.termination, jumps=(), memory_size=0.0)
         report = verify_solution(spec, forged, tol=1e-4)
         assert any(i.kind == "S1.derivative" for i in report.issues)
@@ -894,7 +908,7 @@ def forge(traj, index, values_of):
                              values_of(bad.values.copy()), bad.derivs)
     return Trajectory(
         arc=HybridArc(traj.arc.memory_segments, segs,
-                      interpolation=traj.arc.interpolation, validate=False),
+                      interpolation=traj.arc.interpolation),
         termination=traj.termination, jumps=traj.jumps,
         memory_size=traj.memory_size, error=traj.error)
 
