@@ -7,7 +7,6 @@ from .hybrid_time import (
     History,
     HybridArc,
     HybridMemoryArc,
-    HybridTimeDomain,
     InsufficientHistoryError,
     append_jump,
     arc_from_csv,

@@ -9,6 +9,9 @@ default, cubic Hermite between samples that both carry a derivative).
 
 Every arc keeps its samples in one store: arrays of times, values and
 derivatives, the jump levels back to back, and each level's first index.
+The store is the only description of the arc's domain: a level is one
+interval of it, its jump index is its position, and :func:`validate_domain`
+checks the domain's invariants on an arc's levels.
 :class:`History` is the growable form of that store, for the solver.  One
 read rule, :meth:`HybridArc.value`, serves every store: a memory arc's
 ``delayed(s)`` is that rule, and :class:`WindowView` and :class:`BatchView`
@@ -62,64 +65,33 @@ class InsufficientHistoryError(DomainError):
     """Raised when a memory lookup reaches past all stored history."""
 
 
-@dataclass(frozen=True)
-class HybridTimeDomain:
-    """Piecewise-interval set in (time, jump counter) space.
+def validate_domain(arc: HybridArc) -> Optional[str]:
+    """Check the hybrid-time-domain invariants on the levels of an arc's
+    store; return None if they hold, else the first violated clause.
 
-    ``forward`` holds (lo, hi, j) triples with j = 0, 1, ... starting at
-    lo = 0; ``memory`` holds (lo, hi, k) triples with k = -K+1, ..., 0 in
-    chronological order, ending at hi = 0.  Consecutive triples on either
-    side share their boundary time and step the jump index by exactly one.
+    One walk over the levels checks, up to TIME_TOL: finite and
+    non-decreasing endpoints, the memory side ending and the forward side
+    starting at t = 0, consecutive levels of a side sharing their boundary
+    time, and the sign of t on each side.  A level's jump index is its
+    position in the store, so jump indices need no check.
     """
-
-    forward: tuple[tuple[float, float, int], ...]
-    memory: tuple[tuple[float, float, int], ...]
-
-    def all_segments(self) -> tuple[tuple[float, float, int], ...]:
-        return self.memory + self.forward
-
-
-def validate_domain(domain: HybridTimeDomain) -> Optional[str]:
-    """Check the hybrid-time-domain invariants; return None if they hold.
-
-    On failure returns a string naming the first violated clause.
-    """
-    for lo, hi, _ in domain.all_segments():
+    times, m, hi = arc.times, arc.n_memory, None
+    for k, (a, b) in enumerate(arc.levels()):
+        lo, prev, hi = times.item(a), hi, times.item(b - 1)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             return "interval endpoints must be finite"
         if hi < lo - TIME_TOL:
             return "interval endpoints must be non-decreasing"
-
-    if domain.forward:
-        lo0, _, j0 = domain.forward[0]
-        if abs(lo0) > TIME_TOL:
+        if k == m and abs(lo) > TIME_TOL:
             return "forward domain must start at t = 0"
-        if j0 != 0:
-            return "forward domain must start at jump index 0"
-        for (lo_a, hi_a, j_a), (lo_b, hi_b, j_b) in zip(domain.forward, domain.forward[1:]):
-            if j_b != j_a + 1:
-                return "forward jump indices must increment by exactly 1"
-            if abs(lo_b - hi_a) > TIME_TOL:
-                return "segments must share boundary time"
-        for lo, hi, j in domain.forward:
-            if lo < -TIME_TOL or j < 0:
-                return "forward points must satisfy t >= 0 and j >= 0"
-
-    if domain.memory:
-        _, hi_last, k_last = domain.memory[-1]
-        if abs(hi_last) > TIME_TOL:
+        if k == m - 1 and abs(hi) > TIME_TOL:
             return "memory domain must end at t = 0"
-        if k_last != 0:
-            return "memory domain must end at jump index 0"
-        for (lo_a, hi_a, k_a), (lo_b, hi_b, k_b) in zip(domain.memory, domain.memory[1:]):
-            if k_b != k_a + 1:
-                return "memory jump indices must increment by exactly 1"
-            if abs(lo_b - hi_a) > TIME_TOL:
-                return "segments must share boundary time"
-        for lo, hi, k in domain.memory:
-            if hi > TIME_TOL or k > 0:
-                return "memory points must satisfy t <= 0 and j <= 0"
-
+        if k not in (0, m) and abs(lo - prev) > TIME_TOL:
+            return "segments must share boundary time"
+        if k >= m and lo < -TIME_TOL:
+            return "forward points must satisfy t >= 0 and j >= 0"
+        if k < m and hi > TIME_TOL:
+            return "memory points must satisfy t <= 0 and j <= 0"
     return None
 
 
@@ -248,11 +220,12 @@ class HybridArc:
     solution.  Querying off the domain raises :class:`DomainError`.
 
     The constructor checks each segment (at least one sample, strictly
-    increasing times, values of shape (m, n), derivatives of that shape) and
-    the domain; no other place checks them.  Cuts of checked arcs are built
-    by :meth:`_of`, unchecked, since a certificate check cuts thousands of
-    windows and each is valid by construction.  An arc's arrays are
-    read-only; only a :class:`History` writes its own.
+    increasing times, values of shape (m, n), derivatives of that shape),
+    that each segment's jump index is its level's, and then the domain on
+    the store it built.  Cuts of checked arcs are built by :meth:`_of`,
+    unchecked, since a certificate check cuts thousands of windows and each
+    is valid by construction.  An arc's arrays are read-only; only a
+    :class:`History` writes its own.
     """
 
     def __init__(self, memory_segments: Sequence[ArcSegment] = (),
@@ -279,11 +252,11 @@ class HybridArc:
             if seg.derivs is not None and seg.derivs.shape != values.shape:
                 raise ValueError("derivative samples must match value "
                                  "samples in shape")
-        msg = validate_domain(HybridTimeDomain(
-            *(tuple((s.lo, s.hi, s.jump_index) for s in side)
-              for side in (forward, memory))))
-        if msg is not None:
-            raise ValueError(f"invalid hybrid time domain: {msg}")
+        if ([s.jump_index for s in segments]
+                != [*range(1 - len(memory), 1), *range(len(forward))]):
+            raise ValueError("invalid hybrid time domain: jump indices must "
+                             "increment by exactly 1, ending at 0 on the memory "
+                             "side and starting at 0 on the forward side")
         lengths = [s.times.shape[0] for s in segments]
         has = [s.derivs is not None for s in segments]
         derivs = known = None
@@ -296,6 +269,9 @@ class HybridArc:
                                 derivs, known),
                     list(accumulate(lengths[:-1], initial=0)), len(memory),
                     interpolation)
+        msg = validate_domain(self)
+        if msg is not None:
+            raise ValueError(f"invalid hybrid time domain: {msg}")
 
     def _store(self, times, values, derivs, known, starts, n_memory,
                interpolation, delta=None) -> "HybridArc":
@@ -336,12 +312,6 @@ class HybridArc:
     @property
     def forward_segments(self) -> tuple[ArcSegment, ...]:
         return self.all_segments()[self.n_memory:]
-
-    def domain(self) -> HybridTimeDomain:
-        spans = tuple((self.times.item(a), self.times.item(b - 1), self.jump_index(k))
-                      for k, (a, b) in enumerate(self.levels()))
-        return HybridTimeDomain(forward=spans[self.n_memory:],
-                                memory=spans[:self.n_memory])
 
     def _level_at(self, t: float, j: int) -> tuple[int, int]:
         """(first, end) indices of the level holding hybrid time (t, j), up
@@ -996,11 +966,13 @@ def memory_arc_from_function(fn: Callable[[float], np.ndarray], delta: float,
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: rows `t, j, v_1, ..., v_n`, sorted lexicographically by
-# (j, t), the memory side's row first where both sides share (j, t); the
-# memory side uses t <= 0, j <= 0.  Round-trips are bit-exact on sample
-# points (derivative samples are not serialized).  Both directions go one
-# jump level at a time, through Python floats and one array per level.
+# CSV serialization: rows `t, j, v_1, ..., v_n`, one jump level of the
+# store after another, which sorts them lexicographically by (j, t), the
+# memory side's row first where both sides share (j, t); the memory side
+# uses t <= 0, j <= 0.  Round-trips are bit-exact on sample points
+# (derivative samples are not serialized; values may be non-finite, times
+# may not).  Both directions go one jump level at a time, through Python
+# floats and one array per level.
 #
 # A row at j = 0 within TIME_TOL of t = 0 names no side.  The reader gives
 # the first such row to the memory side if the file has other memory rows
@@ -1039,16 +1011,10 @@ def arc_to_csv(arc: HybridArc) -> str:
     if problem is not None:
         raise ValueError(f"cannot write jump level 0 as CSV: {problem}; "
                          "its rows would read back as another arc")
-    levels, m = arc.levels(), arc.n_memory
-    if 0 < m < len(levels):  # memory and forward level 0 lie back to back
-        levels[m - 1:m + 1] = [(levels[m - 1][0], levels[m][1])]
     lines = []
-    for j, (a, b) in enumerate(levels, min(1 - m, 0)):
-        times, values = arc.times[a:b], arc.values[a:b]
-        # a stable sort keeps the memory side's row first on equal times
-        order = np.argsort(times, kind="stable")
-        tag = str(j)
-        for t, *row in zip(times[order].tolist(), *values[order].T.tolist()):
+    for k, (a, b) in enumerate(arc.levels()):
+        tag = str(arc.jump_index(k))
+        for t, *row in zip(arc.times[a:b].tolist(), *arc.values[a:b].T.tolist()):
             lines.append(",".join([repr(t), tag, *map(repr, row)]))
     return "\n".join(lines) + "\n"
 
@@ -1083,14 +1049,15 @@ def arc_from_csv(text: str, delta: float | None = None,
                 raise ValueError("CSV rows differ in their number of components")
             width = len(parts) - 2
         t, j = float(parts[0]), int(parts[1])
+        if not math.isfinite(t):
+            raise ValueError(f"CSV row has a non-finite time: {line!r}")
         row = [float(x) for x in parts[2:]]
         if j < 0 or (j == 0 and t < -TIME_TOL):
             side = memory
         elif j > 0 or (j == 0 and t > TIME_TOL):
             side = forward
         else:
-            if abs(t) <= TIME_TOL:  # a NaN time at j = 0 lies on no side
-                zero.append((t, row))
+            zero.append((t, row))
             continue
         times, flat = side.setdefault(j, ([], []))
         times.append(t)

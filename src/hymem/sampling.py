@@ -22,9 +22,9 @@ Each cover arc reads its own Philox stream, keyed by (seed, "cover",
 region, index), in a fixed order of uniforms on [0, 1):
 
 1. with a clock: amplitude, target depth (drawn, unused), tau0 (region C
-   only), the jump-level pick, the cut depth; without one: amplitude, target
-   depth, then one integer draw for the number of memory jumps, then the
-   jump times;
+   only), the jump-level pick (drawn, unused: the widest candidate level is
+   taken), the cut depth; without one: amplitude, target depth, then one
+   integer draw for the number of memory jumps, then the jump times;
 2. per segment, newest jump level first: three knot times, then five knot
    values for each non-clock component in component order.
 
@@ -49,14 +49,6 @@ _REGIONS = ("C", "D", "Gplus")
 AMPLITUDE = (0.1, 2.0)  # range of a random arc's amplitude
 SEGMENT_COUNTS = (0, 1, 2, 3)  # memory jumps of an unclocked cover arc
 GUARD_TOL = 1e-7  # guard slack of an emitted arc
-
-
-def _choice_index(weights: np.ndarray, u: float) -> int:
-    """The index ``Generator.choice(len(weights), p=weights / weights.sum())``
-    draws with the uniform u: the first whose normalised cdf exceeds u."""
-    cdf = np.cumsum(weights / weights.sum())
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(u, "right"))
 
 
 @dataclass(frozen=True)
@@ -238,8 +230,9 @@ class ArcSampler:
                 d_lo, d_hi = max(top, delta), min(bot, delta + 1.0)
                 if d_hi >= d_lo - 1e-12:
                     cands.append((i, d_lo, max(d_hi, d_lo)))
-            widths = np.array([hi_ - lo_ + 1e-6 for _, lo_, hi_ in cands])
-            k_count, d_lo, d_hi = cands[_choice_index(widths, u[-2])]
+            # u[-2] is drawn, unused, to keep the stream's order: the widest
+            # candidate is taken, the first of equally wide ones
+            k_count, d_lo, d_hi = max(cands, key=lambda c: c[2] - c[1])
             depth_cut = d_lo + (d_hi - d_lo) * u[-1]
             bounds = [0.0] + [-tau0 - m * period for m in range(k_count)]
             bounds.append(-(depth_cut - k_count))

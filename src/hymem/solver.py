@@ -107,14 +107,21 @@ class Trajectory:
     """A computed solution: hybrid arc plus the reason integration stopped.
 
     ``error`` says what went wrong when ``termination`` is
-    ``Termination.error``.
+    ``Termination.error``.  ``jumps`` is read from the arc's store, whose
+    forward level k >= 1 starts at the time of jump k - 1.
     """
 
     arc: HybridArc
     termination: Termination
-    jumps: tuple[tuple[float, int], ...]  # (time, pre-jump index)
     memory_size: float
     error: str | None = None
+
+    @property
+    def jumps(self) -> tuple[tuple[float, int], ...]:
+        """(time, pre-jump index) of each jump."""
+        arc = self.arc
+        return tuple((arc.times.item(a), j)
+                     for j, a in enumerate(arc.starts[arc.n_memory + 1:]))
 
     @property
     def t_final(self) -> float:
@@ -268,7 +275,6 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     hist = History(init, spec.memory_size)
     hist.start_segment(0.0, np.array(init.head, dtype=float))
     t, j = 0.0, 0
-    jumps: list[tuple[float, int]] = []
     termination = Termination.horizon_reached
     consecutive_jumps = 0
     error = None
@@ -317,7 +323,6 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                     f"jump set entered at (t={t}, j={j}) but the jump map "
                     "offers no candidate")
             g = np.array(candidates[0], dtype=float)
-            jumps.append((t, j))
             j += 1
             hist.start_segment(t, g)
             w, in_c, in_d = _judge(spec, hist, opts.guard_tol)
@@ -331,7 +336,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     if bad:
         termination = Termination.error
         error = error or f"non-finite state at (t={bad[0][0]}, j={bad[0][1]})"
-    return Trajectory(arc=arc, termination=termination, jumps=tuple(jumps),
+    return Trajectory(arc=arc, termination=termination,
                       memory_size=spec.memory_size, error=error)
 
 
@@ -403,7 +408,7 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
     """
     issues: list[SolutionIssue] = []
     arc = traj.arc
-    msg = validate_domain(arc.domain())
+    msg = validate_domain(arc)
     if msg is not None:
         issues.append(SolutionIssue("domain", np.nan, 0, msg, 0.0, 0.0))
 

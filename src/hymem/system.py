@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hybrid_time import (HybridMemoryArc, _lerp, constant_memory_arc,
+from .hybrid_time import (HybridMemoryArc, _interpolate, constant_memory_arc,
                           memory_arc_from_function)
 
 
@@ -461,8 +461,9 @@ def history_from_config(hist: dict, spec: SystemSpec,
     """Build the initial memory arc described by an 'initial_history' section.
 
     Constant histories put the given state vector on the whole window;
-    sampled histories list [s, v_1, ..., v_n] rows.  The clock component, if
-    the system has one, must be included in the vectors.
+    sampled histories list [s, v_1, ..., v_n] rows, no two with one s, and
+    read their linear interpolant, held constant past either end.  The
+    clock component, if the system has one, must be included in the vectors.
     """
     delta = spec.memory_size
     depth = max(delta, 1e-3)
@@ -488,13 +489,9 @@ def history_from_config(hist: dict, spec: SystemSpec,
     order = np.argsort(rows[:, 0])
     rows = rows[order]
     times, values = rows[:, 0], rows[:, 1:]
+    if (times[1:] == times[:-1]).any():
+        raise ConfigError("initial_history.points must not repeat a time s")
     if times[-1] < -1e-12 or times[0] > -delta + 1e-12:
         raise ConfigError("initial_history.points must span [-memory_size, 0]")
-
-    def fn(s: float) -> np.ndarray:
-        idx = np.clip(np.searchsorted(times, s), 1, len(times) - 1)
-        t0, t1 = times[idx - 1], times[idx]
-        w = 0.0 if t1 == t0 else (s - t0) / (t1 - t0)
-        return _lerp(values[idx - 1], values[idx], w)
-
-    return memory_arc_from_function(fn, delta, depth=depth, grid_step=grid_step)
+    return memory_arc_from_function(lambda s: _interpolate(times, values, None, s),
+                                    delta, depth=depth, grid_step=grid_step)

@@ -206,7 +206,7 @@ def test_criterion_5_semantics_invariants():
     n_domain = 0
     for _ in range(1000):
         arc = _random_valid_arc(rng)
-        assert validate_domain(arc.domain()) is None
+        assert validate_domain(arc) is None
         back = arc_from_csv(arc_to_csv(arc))
         for s_a, s_b in zip(arc.all_segments(), back.all_segments()):
             assert np.array_equal(s_a.times, s_b.times)
@@ -287,7 +287,7 @@ def test_criterion_6_negative_controls():
     values[0] = values[0] + np.array([0.0, 0.2, 0.0, 0.0])
     segs[2] = ArcSegment(bad.jump_index, bad.times, values, bad.derivs)
     forged = Trajectory(arc=HybridArc(traj.arc.memory_segments, segs),
-                        termination=traj.termination, jumps=traj.jumps,
+                        termination=traj.termination,
                         memory_size=traj.memory_size)
     fault_flagged = not verify_solution(spec, forged, tol=1e-4).passed
 

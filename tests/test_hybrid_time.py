@@ -11,7 +11,7 @@ from hymem import hybrid_time
 from hymem.builtin import example1_razumikhin_certificate
 from hymem.hybrid_time import (TIME_TOL, ArcSegment, BatchView, DomainError,
                                History, HybridArc, HybridMemoryArc,
-                               HybridTimeDomain, InsufficientHistoryError,
+                               InsufficientHistoryError,
                                _blend, _interpolate, _join, _piece,
                                append_jump,
                                arc_from_csv, arc_to_csv, constant_memory_arc,
@@ -60,33 +60,60 @@ def decay_arc(t_end=1.0, n=101, history_span=None):
     return HybridArc(mem, fwd)
 
 
+def spans(*triples):
+    """Segments on (lo, hi, j) spans: two samples each, one where lo == hi."""
+    return [seg(j, [lo, hi], [1.0, 1.0]) if hi > lo else seg(j, [lo], [1.0])
+            for lo, hi, j in triples]
+
+
 class TestValidateDomain:
+    """The domain clauses on an arc's store, and as the constructor's
+    ValueError.  Jump indices are store positions, so only the constructor
+    checks the segments' own."""
+
+    JUMP_INDICES = ("invalid hybrid time domain: jump indices must increment "
+                    "by exactly 1")
+
+    @staticmethod
+    def violated(memory, forward):
+        """The clause validate_domain names on the unchecked arc, after
+        checking that the constructor raises it."""
+        msg = validate_domain(unchecked(spans(*memory), spans(*forward)))
+        with pytest.raises(ValueError, match=f"invalid hybrid time domain: {msg}"):
+            HybridArc(spans(*memory), spans(*forward))
+        return msg
+
     def test_minimal_two_segment_domain(self):
-        d = HybridTimeDomain(forward=((0.0, 1.0, 0), (1.0, 2.0, 1)),
-                             memory=((0.0, 0.0, 0),))
-        assert validate_domain(d) is None
+        arc = HybridArc(spans((0.0, 0.0, 0)), spans((0.0, 1.0, 0), (1.0, 2.0, 1)))
+        assert validate_domain(arc) is None
 
     def test_overlapping_forward_segments(self):
-        d = HybridTimeDomain(forward=((0.0, 1.0, 0), (0.5, 2.0, 1)), memory=())
-        assert "share boundary time" in validate_domain(d)
+        assert self.violated([], [(0.0, 1.0, 0), (0.5, 2.0, 1)]) == \
+            "segments must share boundary time"
 
     def test_example1_memory_window_domain(self):
         # one-segment history reaching the measurement delay r = 0.01
-        d = HybridTimeDomain(forward=((0.0, 0.2, 0), (0.2, 0.4, 1)),
-                             memory=((-0.01, 0.0, 0),))
-        assert validate_domain(d) is None
+        arc = HybridArc(spans((-0.01, 0.0, 0)), spans((0.0, 0.2, 0), (0.2, 0.4, 1)))
+        assert validate_domain(arc) is None
 
     def test_forward_must_start_at_zero(self):
-        d = HybridTimeDomain(forward=((0.5, 1.0, 0),), memory=())
-        assert "start at t = 0" in validate_domain(d)
+        assert self.violated([], [(0.5, 1.0, 0)]) == "forward domain must start at t = 0"
 
     def test_jump_index_gap(self):
-        d = HybridTimeDomain(forward=((0.0, 1.0, 0), (1.0, 2.0, 2)), memory=())
-        assert "increment by exactly 1" in validate_domain(d)
+        with pytest.raises(ValueError, match=self.JUMP_INDICES):
+            HybridArc([], spans((0.0, 1.0, 0), (1.0, 2.0, 2)))
+
+    @pytest.mark.parametrize("memory, forward", [
+        ([], [(0.0, 1.0, 1)]),
+        ([(-1.0, -0.5, -2), (-0.5, 0.0, 0)], []),
+        ([(-1.0, 0.0, -1)], [(0.0, 1.0, 0)]),
+    ], ids=["forward-start", "memory-gap", "memory-end"])
+    def test_jump_indices_are_level_positions(self, memory, forward):
+        with pytest.raises(ValueError, match=self.JUMP_INDICES):
+            HybridArc(spans(*memory), spans(*forward))
 
     def test_memory_must_end_at_zero(self):
-        d = HybridTimeDomain(forward=(), memory=((-1.0, -0.5, 0),))
-        assert "end at t = 0" in validate_domain(d)
+        assert self.violated([(-1.0, -0.5, 0)], []) == "memory domain must end at t = 0"
 
 
 class TestEvalArc:
@@ -1141,6 +1168,16 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.memory_segments[0].values,
                               phi.memory_segments[0].values)
 
+    @pytest.mark.parametrize("text, row", [
+        ("-1.0,0,1.0\nnan,0,5.0\n0.0,0,2.0\n", "nan,0,5.0"),
+        ("-1.0,0,1.0\n0.0,0,2.0\n0.0,0,2.0\ninf,0,3.0\n", "inf,0,3.0"),
+        ("-1.0,0,1.0\n0.0,0,2.0\n0.0,0,2.0\n1.0,0,3.0\n1.0,1,4.0\n"
+         "nan,1,5.0\n", "nan,1,5.0"),
+    ], ids=["nan-at-zero", "inf-forward", "nan-level-1"])
+    def test_non_finite_time_names_its_row(self, text, row):
+        with pytest.raises(ValueError, match=f"non-finite time: '{row}'"):
+            arc_from_csv(text)
+
 
 def reference_arc_to_csv(arc):
     """arc_to_csv as it was written first: one (j, t, side, row) tuple per
@@ -1501,7 +1538,7 @@ def test_csv_writer_refuses_rows_the_reader_cannot_place():
 @settings(max_examples=40, deadline=None)
 @given(random_arc())
 def test_domain_of_valid_arc_validates(arc):
-    assert validate_domain(arc.domain()) is None
+    assert validate_domain(arc) is None
 
 
 @st.composite

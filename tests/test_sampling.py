@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hymem.hybrid_time import ArcSegment, HybridMemoryArc, append_jump
-from hymem.sampling import AMPLITUDE, SEGMENT_COUNTS, ArcSampler, _choice_index
+from hymem.sampling import AMPLITUDE, SEGMENT_COUNTS, ArcSampler
 from hymem.system import (Example1Params, Example2Params, LinearDelayConfig,
                           build_example1, build_example2,
                           build_linear_delay_system)
@@ -196,19 +196,3 @@ def test_cover_arcs_match_the_reference_sampler(name, spec, seed):
             levels.add(len(arc.memory_segments))
     if name == "jump-free":  # every entry of SEGMENT_COUNTS comes up
         assert levels == {c + 1 for c in SEGMENT_COUNTS}
-
-
-def test_level_pick_is_generator_choice():
-    """The level pick is the index Generator.choice(p=...) draws from the
-    same uniform, also when the uniform lands exactly on a cdf step."""
-    for seed in range(200):
-        u = np.random.Generator(np.random.Philox(seed)).random()
-        weights = np.random.default_rng(seed).random(1 + seed % 6) + 1e-6
-        if seed % 2 and u >= 0.5:
-            # u + (1 - u) == 1 exactly here, so the cdf is [u, 1.0]
-            weights = np.array([u, 1.0 - u])
-        want = np.random.Generator(np.random.Philox(seed)).choice(
-            len(weights), p=weights / weights.sum())
-        assert _choice_index(weights, u) == want
-    assert _choice_index(np.array([1.0, 1.0]), 0.5) == 1
-    assert _choice_index(np.array([1.0, 1.0]), 0.0) == 0

@@ -765,7 +765,7 @@ class TestVerifySolution:
         segs[1] = ArcSegment(bad.jump_index, bad.times, values, bad.derivs)
         forged = Trajectory(
             arc=HybridArc(traj.arc.memory_segments, segs),
-            termination=traj.termination, jumps=traj.jumps,
+            termination=traj.termination,
             memory_size=traj.memory_size)
         report = verify_solution(spec, forged, tol=1e-4)
         kinds = {i.kind for i in report.issues}
@@ -780,7 +780,7 @@ class TestVerifySolution:
         values[40:60] *= 1.2  # kink the stored path
         forged = Trajectory(
             arc=HybridArc([], [ArcSegment(0, seg0.times, values)]),
-            termination=traj.termination, jumps=(), memory_size=0.0)
+            termination=traj.termination, memory_size=0.0)
         report = verify_solution(spec, forged, tol=1e-4)
         assert any(i.kind == "S1.derivative" for i in report.issues)
 
@@ -789,9 +789,28 @@ class TestVerifySolution:
         spec, _ = build_example2(p)
         init = const_history(spec, [1.0, 0.0])
         traj = simulate(spec, init, SimOptions(t_max=4.0, step=5e-3))
-        assert validate_domain(traj.arc.domain()) is None
+        assert validate_domain(traj.arc) is None
         js = [s.jump_index for s in traj.arc.forward_segments]
         assert js == list(range(len(js)))
+        # each jump's time ends its pre-jump level too
+        arc = traj.arc
+        pre = arc.levels()[arc.n_memory:-1]
+        assert len(traj.jumps) == 3
+        assert traj.jumps == tuple((arc.times.item(b - 1), j)
+                                   for j, (_, b) in enumerate(pre))
+
+    def test_domain_issue(self):
+        spec, _ = decay_system()
+        init = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
+        arc = simulate(spec, init, SimOptions(t_max=1.0, step=1e-2)).arc
+        times = arc.times.copy()
+        times[arc.starts[arc.n_memory]:] += 0.1
+        late = HybridArc._of(times, arc.values, arc.derivs, arc.known,
+                             arc.starts, arc.n_memory, arc.interpolation)
+        report = verify_solution(spec, Trajectory(
+            arc=late, termination=Termination.horizon_reached, memory_size=0.0))
+        assert [(i.kind, i.detail) for i in report.issues] == [
+            ("domain", "forward domain must start at t = 0")]
 
 
 def pointwise_verify_solution(spec, traj, tol=1e-4):
@@ -799,7 +818,7 @@ def pointwise_verify_solution(spec, traj, tol=1e-4):
     window view, flow guard and flow selection per stored point."""
     issues = []
     arc = traj.arc
-    msg = validate_domain(arc.domain())
+    msg = validate_domain(arc)
     if msg is not None:
         issues.append(solver.SolutionIssue("domain", np.nan, 0, msg, 0.0, 0.0))
     delays = [d for d in spec.meta.get("delays", ()) if d > 0]
@@ -909,7 +928,7 @@ def forge(traj, index, values_of):
     return Trajectory(
         arc=HybridArc(traj.arc.memory_segments, segs,
                       interpolation=traj.arc.interpolation),
-        termination=traj.termination, jumps=traj.jumps,
+        termination=traj.termination,
         memory_size=traj.memory_size, error=traj.error)
 
 
@@ -974,7 +993,7 @@ class TestVerifySolutionMatchesThePointwiseLoop:
         times[60] += 2e-10
         jittered = Trajectory(
             arc=HybridArc([], [ArcSegment(0, times, seg0.values)]),
-            termination=traj.termination, jumps=(), memory_size=0.0)
+            termination=traj.termination, memory_size=0.0)
         report = assert_same_report(spec, jittered)
         assert report.derivative_points_checked == 97 - 5
 

@@ -325,3 +325,27 @@ class TestConfigSchema:
         arc = history_from_config(extras["initial_history"], spec)
         assert arc.head[0] == pytest.approx(1.5)
         assert arc.delayed(-0.6)[0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_history_from_config_holds_its_end_values(self):
+        # the arc reaches depth 1e-3, past the oldest point at -memory_size
+        doc = {"dimension": 1, "memory_size": 0.0005, "flow": {"A0": [[-1.0]]},
+               "initial_history": {"kind": "samples",
+                                   "points": [[-0.0005, 1.0], [0.0, 2.0]]}}
+        cfg, extras = parse_linear_delay_config(doc)
+        spec, _ = build_linear_delay_system(cfg)
+        arc = history_from_config(extras["initial_history"], spec)
+        assert arc.time_reach == -1e-3
+        assert arc.delayed(-1e-3)[0] == 1.0
+        assert arc.delayed(-0.00025)[0] == pytest.approx(1.5)
+
+    def test_history_from_config_rejects_a_repeated_time(self):
+        doc = self.good_doc()
+        doc["initial_history"] = {
+            "kind": "samples",
+            "points": [[-1.2, 0.5, 0.0], [-0.6, 1.0, 0.0], [-0.6, 2.0, 0.0],
+                       [0.0, 1.5, 0.0]],
+        }
+        cfg, extras = parse_linear_delay_config(doc)
+        spec, _ = build_linear_delay_system(cfg)
+        with pytest.raises(ConfigError, match="must not repeat a time s"):
+            history_from_config(extras["initial_history"], spec)
