@@ -11,7 +11,8 @@ Every arc keeps its samples in one store: arrays of times, values and
 derivatives, the jump levels back to back, and each level's first index.
 The store is the only description of the arc's domain: a level is one
 interval of it, its jump index is its position, and :func:`validate_domain`
-checks the domain's invariants on an arc's levels.
+checks the domain's invariants on an arc's levels.  Arcs are built from
+the store itself, checked or (``_of``) not.
 :class:`History` is the growable form of that store, for the solver.  One
 read rule, :meth:`HybridArc.value`, serves every store: a memory arc's
 ``delayed(s)`` is that rule, and :class:`WindowView` and :class:`BatchView`
@@ -21,8 +22,9 @@ The window operator extracts the recent history of a stored solution at a
 forward point (t, j): the result is a memory arc whose depth, measured in
 s + k, lies between the memory size ``delta`` and ``delta + 1``.  It cuts an
 index range of the store per jump level, with an interpolated sample where a
-range ends between stored samples.  :class:`ArcSegment` is the constructors'
-input and the type of the ``memory_segments``/``forward_segments`` views.
+range ends between stored samples.  :class:`ArcSegment` is the read-only
+view of one level that ``all_segments``, ``memory_segments`` and
+``forward_segments`` return.
 
 The window maximum (:func:`sup_norm_w`, also named :func:`vbar`) takes
 every window a check needs in one pass: consecutive windows go into blocks
@@ -32,17 +34,18 @@ batch form must give each row the same bits whatever rows come with it, so
 a window's maximum is what it would be alone.
 
 Arcs are checked once, where outside data enters: by the constructors of
-:class:`HybridArc` and :class:`HybridMemoryArc`.  The window operators and
-:meth:`History.to_arc` only cut, shift and join the samples of checked
-arcs, which keeps them valid, so they skip the checks.
+:class:`HybridArc` and :class:`HybridMemoryArc`, and for jump indices by
+:func:`arc_from_csv`.  The window operators and :meth:`History.to_arc`
+only cut, shift and join the samples of checked arcs, which keeps them
+valid, so they skip the checks.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -171,29 +174,15 @@ def _blend(times: np.ndarray, values: np.ndarray, derivs: np.ndarray | None,
 
 @dataclass(frozen=True)
 class ArcSegment:
-    """Samples of one jump level: times (increasing) and row-wise values.
-
-    ``derivs`` optionally stores the time derivative at each sample, enabling
-    cubic Hermite interpolation.  Construction only converts the samples to
-    float arrays (values as rows); :class:`HybridArc` checks them and copies
-    them into its store.
-    """
+    """One jump level of an arc, as views of its store: the level's times
+    (increasing), values as rows, and derivatives where every sample of the
+    level carries one (else None).  :meth:`HybridArc.all_segments` makes
+    them; nothing is built from them."""
 
     jump_index: int
     times: np.ndarray
     values: np.ndarray
     derivs: np.ndarray | None = None
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if times.ndim == 1 and values.shape[0] != times.shape[0]:
-            values = values.T
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if self.derivs is not None:
-            object.__setattr__(self, "derivs",
-                               np.atleast_2d(np.asarray(self.derivs, dtype=float)))
 
     @property
     def lo(self) -> float:
@@ -202,10 +191,6 @@ class ArcSegment:
     @property
     def hi(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[1]
 
 
 class HybridArc:
@@ -219,56 +204,48 @@ class HybridArc:
     The memory side carries the initial data, the forward side a computed
     solution.  Querying off the domain raises :class:`DomainError`.
 
-    The constructor checks each segment (at least one sample, strictly
-    increasing times, values of shape (m, n), derivatives of that shape),
-    that each segment's jump index is its level's, and then the domain on
-    the store it built.  Cuts of checked arcs are built by :meth:`_of`,
-    unchecked, since a certificate check cuts thousands of windows and each
-    is valid by construction.  An arc's arrays are read-only; only a
-    :class:`History` writes its own.
+    The constructor takes that store (``known`` defaults to all True when
+    ``derivs`` is given), copies its arrays and checks, in order: the
+    interpolation scheme, the arrays' shapes, that ``starts`` begins at 0
+    and rises strictly with every level nonempty and ``n_memory`` at most
+    their number, strictly increasing times within each level (NaN fails),
+    and the domain.  Cuts of checked arcs are built by :meth:`_of` on the
+    same arguments, unchecked, since a certificate check cuts thousands of
+    windows and each is valid by construction.  An arc's arrays are
+    read-only; only a :class:`History` writes its own.
     """
 
-    def __init__(self, memory_segments: Sequence[ArcSegment] = (),
-                 forward_segments: Sequence[ArcSegment] = (),
-                 interpolation: str = "linear"):
-        memory, forward = tuple(memory_segments), tuple(forward_segments)
-        segments = memory + forward
+    def __init__(self, times, values, starts: Sequence[int], n_memory: int,
+                 derivs=None, known=None, interpolation: str = "linear"):
         if interpolation not in ("linear", "hermite"):
             raise ValueError(f"unknown interpolation scheme {interpolation!r}")
-        if not segments:
-            raise ValueError("arc must have at least one segment")
-        if len({s.dimension for s in segments}) != 1:
-            raise ValueError("all segments must share one state dimension")
-        for seg in segments:
-            times, values = seg.times, seg.values
-            if (times.ndim != 1 or values.ndim != 2
-                    or values.shape[0] != times.shape[0]):
-                raise ValueError("segment needs times of shape (m,) and "
-                                 "values of shape (m, n)")
-            if times.shape[0] == 0:
-                raise ValueError("segment must contain at least one sample")
-            if not (times[1:] > times[:-1]).all():  # NaN fails here too
-                raise ValueError("segment sample times must be strictly increasing")
-            if seg.derivs is not None and seg.derivs.shape != values.shape:
+        times, values = np.array(times, dtype=float), np.array(values, dtype=float)
+        if (times.ndim != 1 or values.ndim != 2
+                or values.shape[0] != times.shape[0]):
+            raise ValueError("segment needs times of shape (m,) and "
+                             "values of shape (m, n)")
+        if derivs is not None or known is not None:  # flags need derivatives
+            derivs = np.array(derivs, dtype=float)
+            known = (np.ones(times.shape, dtype=bool) if known is None
+                     else np.array(known, dtype=bool))
+            if derivs.shape != values.shape or known.shape != times.shape:
                 raise ValueError("derivative samples must match value "
                                  "samples in shape")
-        if ([s.jump_index for s in segments]
-                != [*range(1 - len(memory), 1), *range(len(forward))]):
-            raise ValueError("invalid hybrid time domain: jump indices must "
-                             "increment by exactly 1, ending at 0 on the memory "
-                             "side and starting at 0 on the forward side")
-        lengths = [s.times.shape[0] for s in segments]
-        has = [s.derivs is not None for s in segments]
-        derivs = known = None
-        if any(has):
-            derivs = np.concatenate([s.derivs if d else np.zeros_like(s.values)
-                                     for s, d in zip(segments, has)])
-            known = np.repeat(has, lengths)
-        self._store(*_read_only(np.concatenate([s.times for s in segments]),
-                                np.concatenate([s.values for s in segments]),
-                                derivs, known),
-                    list(accumulate(lengths[:-1], initial=0)), len(memory),
-                    interpolation)
+        starts = [operator.index(a) for a in starts]
+        bounds = starts + [times.shape[0]]
+        if starts[:1] != [0] or any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(f"starts {starts} must begin at 0 and rise strictly "
+                             f"below {times.shape[0]}: an arc has at least one "
+                             "segment, and each segment at least one sample")
+        if not 0 <= n_memory <= len(starts):
+            raise ValueError(f"n_memory {n_memory} must lie in [0, {len(starts)}], "
+                             "the number of segments")
+        rising = times[1:] > times[:-1]  # NaN fails here too
+        rising[np.array(starts[1:], dtype=np.intp) - 1] = True  # across levels
+        if not rising.all():
+            raise ValueError("segment sample times must be strictly increasing")
+        _read_only(times, values, derivs, known)
+        self._store(times, values, derivs, known, starts, n_memory, interpolation)
         msg = validate_domain(self)
         if msg is not None:
             raise ValueError(f"invalid hybrid time domain: {msg}")
@@ -283,11 +260,13 @@ class HybridArc:
         return self
 
     @classmethod
-    def _of(cls, times, values, derivs, known, *rest, delta=None) -> "HybridArc":
+    def _of(cls, times, values, starts, n_memory, derivs=None, known=None,
+            interpolation="linear", delta=None) -> "HybridArc":
         """An arc on the given store, read-only and unchecked: for cuts of
         checked arcs."""
-        return cls.__new__(cls)._store(*_read_only(times, values, derivs, known),
-                                       *rest, delta)
+        _read_only(times, values, derivs, known)
+        return cls.__new__(cls)._store(times, values, derivs, known, starts,
+                                       n_memory, interpolation, delta)
 
     def levels(self) -> list[tuple[int, int]]:
         """(first, end) indices of each level, memory side first."""
@@ -359,10 +338,10 @@ class HybridArc:
         if m == 0:
             raise ValueError("arc has no memory side")
         end = self.levels()[m - 1][1]
-        return HybridMemoryArc._of(
-            *(None if a is None else a[:end]
-              for a in (self.times, self.values, self.derivs, self.known)),
-            self.starts[:m], m, self.interpolation, delta=delta)
+        times, values, derivs, known = (None if a is None else a[:end] for a in (
+            self.times, self.values, self.derivs, self.known))
+        return HybridMemoryArc._of(times, values, self.starts[:m], m, derivs, known,
+                                   self.interpolation, delta=delta)
 
 
 class HybridMemoryArc(HybridArc):
@@ -371,16 +350,18 @@ class HybridMemoryArc(HybridArc):
     Membership in the class of admissible memory arcs requires every domain
     point to satisfy s + k >= -delta - 1 and some point to reach
     s + k <= -delta.  A single-point domain {(0, 0)} is accepted only when
-    delta = 0.
+    delta = 0.  The constructor takes the store with ``delta`` in place of
+    ``n_memory`` (every level is a memory level) and checks delta >= 0 (NaN
+    fails), the arc's rules, then membership.
     """
 
-    def __init__(self, segments: Sequence[ArcSegment], delta: float,
-                 interpolation: str = "linear"):
-        if delta < 0:
+    def __init__(self, times, values, starts: Sequence[int], delta: float,
+                 derivs=None, known=None, interpolation: str = "linear"):
+        if not delta >= 0:  # NaN fails here too
             raise ValueError("memory size delta must be nonnegative")
         self.delta = float(delta)
-        super().__init__(memory_segments=segments, forward_segments=(),
-                         interpolation=interpolation)
+        super().__init__(times, values, starts, len(starts), derivs, known,
+                         interpolation)
         msg = self.membership_violation()
         if msg is not None:
             raise ValueError(msg)
@@ -458,17 +439,17 @@ class History(HybridArc):
 
     def to_arc(self) -> HybridArc:
         """The stored samples as an arc, on copies of the rows in use."""
-        return HybridArc._of(*(a[:self.n].copy() for a in (
-            self.times, self.values, self.derivs, self.known)),
-            list(self.starts), self.n_memory, self.interpolation)
+        times, values, derivs, known = (a[:self.n].copy() for a in (
+            self.times, self.values, self.derivs, self.known))
+        return HybridArc._of(times, values, list(self.starts), self.n_memory,
+                             derivs, known, self.interpolation)
 
 
-def _read_only(*arrays: np.ndarray | None) -> tuple:
-    """The arrays, each but None marked read-only."""
+def _read_only(*arrays: np.ndarray | None) -> None:
+    """Mark the arrays, each but None, read-only."""
     for a in arrays:
         if a is not None:
             a.flags.writeable = False
-    return arrays
 
 
 def _padded(a: np.ndarray, rows: int) -> np.ndarray:
@@ -688,8 +669,8 @@ def _cut(arc: HybridArc, pieces: list[tuple[int, list[tuple]]], shift: float,
     if junction is not None and derivs is not None and not known[junction[0]]:
         i, first = junction  # the join made these arrays: no one else holds them
         derivs[i], known[i] = first[2][0], first[3][0]
-    return HybridMemoryArc._of(times - shift, values, derivs, known, starts,
-                               len(starts), arc.interpolation, delta=delta)
+    return HybridMemoryArc._of(times - shift, values, starts, len(starts), derivs,
+                               known, arc.interpolation, delta=delta)
 
 
 def memory_window(arc: HybridArc, t: float, j: int,
@@ -927,6 +908,24 @@ def delayed_sq_integral(phi: HybridMemoryArc, lo: float, hi: float,
     return total
 
 
+def _memory_grid(delta: float, depth: float, grid_step: float | None,
+                 intervals: int) -> np.ndarray:
+    """Uniform sample times of [-depth, 0], ``intervals`` of them by default,
+    else as many as make each at most grid_step long (at least one); depth
+    0 gives the single time 0."""
+    if not math.isfinite(depth):
+        raise ValueError(f"depth must be finite, got {depth}")
+    if depth < delta:
+        raise ValueError("depth must reach the memory size delta")
+    if grid_step is not None and not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
+    if depth == 0.0:
+        return np.zeros(1)
+    m = max(2, math.ceil(depth / (depth / intervals if grid_step is None
+                                  else grid_step)) + 1)
+    return np.linspace(-depth, 0.0, m)
+
+
 def constant_memory_arc(value: np.ndarray, delta: float,
                         depth: float | None = None,
                         grid_step: float | None = None) -> HybridMemoryArc:
@@ -934,35 +933,26 @@ def constant_memory_arc(value: np.ndarray, delta: float,
 
     The segment spans [-depth, 0] with depth defaulting to delta, so the arc
     is admissible for memory size delta; depth 0 gives the single sample at
-    (0, 0).
+    (0, 0).  Its grid has 8 intervals unless grid_step is given.
     """
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    if depth is None:
-        depth = max(delta, 0.0)
-    if depth < delta:
-        raise ValueError("depth must reach the memory size delta")
-    if depth == 0.0:
-        return HybridMemoryArc(
-            [ArcSegment(0, np.array([0.0]), value.reshape(1, -1))], delta)
-    return memory_arc_from_function(lambda s: value, delta, depth,
-                                    depth / 8.0 if grid_step is None else grid_step)
+    # max(0.0, nan) is 0.0: a NaN delta reaches the constructor, which names it
+    times = _memory_grid(delta, max(0.0, delta) if depth is None else depth,
+                         grid_step, 8)
+    return HybridMemoryArc(times, np.tile(value, (times.shape[0], 1)), [0], delta)
 
 
 def memory_arc_from_function(fn: Callable[[float], np.ndarray], delta: float,
                              depth: float | None = None,
                              grid_step: float | None = None) -> HybridMemoryArc:
-    """Single-segment memory arc sampling fn(s) on a uniform grid of [-depth, 0]."""
-    if depth is None:
-        depth = max(delta, 1e-3)
-    if depth < delta:
-        raise ValueError("depth must reach the memory size delta")
-    if grid_step is None:
-        grid_step = depth / 50.0
-    m = max(2, int(np.ceil(depth / grid_step)) + 1)
-    times = np.linspace(-depth, 0.0, m)
-    values = np.array([np.atleast_1d(np.asarray(fn(float(s)), dtype=float))
-                       for s in times])
-    return HybridMemoryArc([ArcSegment(0, times, values)], delta)
+    """Single-segment memory arc sampling fn(s) on a uniform grid of
+    [-depth, 0]: depth defaults to delta (at least 1e-3), the grid to 50
+    intervals."""
+    times = _memory_grid(delta, max(1e-3, delta) if depth is None else depth,
+                         grid_step, 50)
+    values = np.array([np.atleast_1d(np.asarray(fn(s), dtype=float))
+                       for s in times.tolist()])
+    return HybridMemoryArc(times, values, [0], delta)
 
 
 # ---------------------------------------------------------------------------
@@ -1082,17 +1072,19 @@ def arc_from_csv(text: str, delta: float | None = None,
             times.append(t)
             flat += row
 
-    def build(side):
-        segs = []
-        for j in sorted(side):
-            times, flat = side[j]
-            times = np.array(times)
-            order = np.argsort(times, kind="stable")
-            values = np.array(flat).reshape(times.shape[0], width)
-            segs.append(ArcSegment(j, times[order], values[order]))
-        return segs
-
-    mem_segs, fwd_segs = build(memory), build(forward)
-    if delta is not None and not fwd_segs:
-        return HybridMemoryArc(mem_segs, delta, interpolation)
-    return HybridArc(mem_segs, fwd_segs, interpolation)
+    mem_js, fwd_js = sorted(memory), sorted(forward)
+    if mem_js != list(range(1 - len(mem_js), 1)) or fwd_js != list(range(len(fwd_js))):
+        raise ValueError("invalid hybrid time domain: jump indices must "
+                         "increment by exactly 1, ending at 0 on the memory "
+                         "side and starting at 0 on the forward side")
+    times, values, starts = [], [], [0]
+    for level_times, flat in [memory[j] for j in mem_js] + [forward[j] for j in fwd_js]:
+        order = np.argsort(level_times, kind="stable")
+        times.append(np.array(level_times)[order])
+        values.append(np.array(flat).reshape(-1, width)[order])
+        starts.append(starts[-1] + order.shape[0])
+    times, values, starts = np.concatenate(times), np.concatenate(values), starts[:-1]
+    if delta is not None and not forward:
+        return HybridMemoryArc(times, values, starts, delta,
+                               interpolation=interpolation)
+    return HybridArc(times, values, starts, len(mem_js), interpolation=interpolation)

@@ -37,11 +37,12 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .hybrid_time import (ArcSegment, HybridMemoryArc, append_jump,
-                          constant_memory_arc, memory_window)
+from .hybrid_time import (HybridMemoryArc, append_jump, constant_memory_arc,
+                          memory_window)
 from .solver import SimOptions, simulate
 from .system import SystemSpec
 
@@ -253,34 +254,33 @@ class ArcSampler:
             bounds = [0.0] + cuts + [-time_depth]
             tau0 = None
 
-        segments = []
+        # one store, oldest level first; level i (newest first) holds
+        # np.linspace(s_lo, s_hi, m), or its first sample alone if s_lo == s_hi
         grid = max((bounds[0] - bounds[-1]) / 60.0, 1e-4)
-        for i in range(len(bounds) - 1):
-            s_hi, s_lo = bounds[i], bounds[i + 1]
-            span = s_hi - s_lo
-            m = max(2, math.ceil(span / grid) + 1)
-            # np.linspace(s_lo, s_hi, m), bit for bit
-            step = span / (m - 1)
-            if step == 0:
-                times = np.arange(m) / (m - 1) * span + s_lo
-            else:
-                times = np.arange(m) * step + s_lo
-            times[-1] = s_hi
+        spans = list(zip(bounds[1:], bounds))  # (s_lo, s_hi), newest first
+        sizes = [1 if s_hi == s_lo else max(2, math.ceil((s_hi - s_lo) / grid) + 1)
+                 for s_lo, s_hi in spans]
+        starts = [0, *accumulate(sizes[:0:-1])]
+        rows = starts[-1] + sizes[0]
+        times, vals = np.empty(rows), np.empty((rows, n))
+        for i, ((s_lo, s_hi), m) in enumerate(zip(spans, sizes)):
+            span, a = s_hi - s_lo, starts[-1 - i]
+            ts, vs = times[a:a + m], vals[a:a + m]
+            if m == 1:
+                ts[0] = 0.0 + s_lo  # as np.linspace(s_lo, s_lo, 2)[0]
+            else:  # np.linspace(s_lo, s_hi, m), bit for bit
+                ts[:] = np.arange(m) * (span / (m - 1)) + s_lo
+                ts[-1] = s_hi
             u = draws[i * per_segment:(i + 1) * per_segment]
             knots = sorted([s_lo, s_hi, *(s_lo + span * x for x in u[:3])])
-            vals = np.empty((m, n))
             for c, comp in enumerate(free):
                 kv = [amp * (-1.0 + 2.0 * x) for x in u[3 + 5 * c:8 + 5 * c]]
-                vals[:, comp] = np.interp(times, knots, kv)
+                vs[:, comp] = np.interp(ts, knots, kv)
             if clock is not None:
                 # slope-1 clock consistent with the jump placement
                 tau_hi = tau0 if i == 0 else period
-                vals[:, clock] = tau_hi + (times - s_hi)
-            if s_hi == s_lo:
-                times, vals = times[:1], vals[:1]
-            segments.append(ArcSegment(-i, times, vals))
-        segments.reverse()
-        arc = HybridMemoryArc(segments, delta)
+                vs[:, clock] = tau_hi + (ts - s_hi)
+        arc = HybridMemoryArc(times, vals, starts, delta)
         origin = f"cover:{region}{index}"
         if region == "Gplus":
             gs = self.spec.jump_selections(arc)

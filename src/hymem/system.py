@@ -171,6 +171,9 @@ class Example2Params:
     mu: float = 0.0
 
     def __post_init__(self):
+        for name in ("a", "b", "rho", "r", "delta", "sigma", "mu"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.r <= 0:
             raise ConfigError("delay r must be positive")
         if self.delta <= 0:
@@ -231,8 +234,9 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
     n = cfg.dimension
     if n <= 0:
         raise ConfigError("dimension must be positive")
-    if cfg.memory_size < 0:
-        raise ConfigError("memory_size must be nonnegative")
+    if not 0 <= cfg.memory_size < np.inf:
+        raise ConfigError("memory_size must be finite and nonnegative, "
+                          f"got {cfg.memory_size}")
     a0 = np.atleast_2d(np.asarray(cfg.a0, dtype=float))
     if a0.shape != (n, n):
         raise ConfigError(f"flow.A0 must be {n}x{n}, got {a0.shape}")
@@ -240,8 +244,9 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
 
     has_clock = cfg.jump_period is not None
     if has_clock:
-        if cfg.jump_period <= 0:
-            raise ConfigError("jump.period must be positive")
+        if not 0 < cfg.jump_period < np.inf:
+            raise ConfigError("jump.period must be finite and positive, "
+                              f"got {cfg.jump_period}")
         j0 = np.eye(n) if cfg.j0 is None else np.atleast_2d(np.asarray(cfg.j0, dtype=float))
         if j0.shape != (n, n):
             raise ConfigError(f"jump.J0 must be {n}x{n}, got {j0.shape}")

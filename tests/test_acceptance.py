@@ -16,7 +16,7 @@ from hymem.builtin import (example1_razumikhin_certificate,
                            example2_krasovskii_certificate)
 from hymem.certificates import (check_kl_envelope, check_krasovskii,
                                 check_razumikhin, check_vbar_monotone)
-from hymem.hybrid_time import (ArcSegment, HybridArc, append_jump,
+from hymem.hybrid_time import (HybridArc, append_jump,
                                arc_from_csv, arc_to_csv, constant_memory_arc,
                                delta_inf, memory_window, validate_domain,
                                vbar)
@@ -171,16 +171,16 @@ def test_criterion_4_solver_oracles():
 def _random_valid_arc(rng):
     mem_depth = rng.uniform(0.05, 1.0)
     m = int(rng.integers(4, 10))
-    mem = [ArcSegment(0, np.linspace(-mem_depth, 0.0, m),
-                      rng.normal(size=(m, 2)))]
-    fwd, t0 = [], 0.0
-    for j in range(int(rng.integers(1, 4))):
+    times, values = [np.linspace(-mem_depth, 0.0, m)], [rng.normal(size=(m, 2))]
+    t0 = 0.0
+    for _ in range(int(rng.integers(1, 4))):
         span = rng.uniform(0.05, 0.8)
         k = int(rng.integers(3, 9))
-        fwd.append(ArcSegment(j, np.linspace(t0, t0 + span, k),
-                              rng.normal(size=(k, 2))))
+        times.append(np.linspace(t0, t0 + span, k))
+        values.append(rng.normal(size=(k, 2)))
         t0 += span
-    return HybridArc(mem, fwd)
+    starts = np.cumsum([0] + [len(t) for t in times[:-1]])
+    return HybridArc(np.concatenate(times), np.concatenate(values), starts, 1)
 
 
 def _brute_force_delta_inf(arc, t, j, delta, grid=1e-3):
@@ -281,12 +281,11 @@ def test_criterion_6_negative_controls():
     spec, _ = hm.build_example1(p)
     traj = simulate(spec, _const_history(spec, [1.0, 1.0, 0.0, 0.0]),
                     SimOptions(t_max=1.0, step=5e-3))
-    segs = list(traj.arc.forward_segments)
-    bad = segs[2]
-    values = bad.values.copy()
-    values[0] = values[0] + np.array([0.0, 0.2, 0.0, 0.0])
-    segs[2] = ArcSegment(bad.jump_index, bad.times, values, bad.derivs)
-    forged = Trajectory(arc=HybridArc(traj.arc.memory_segments, segs),
+    arc = traj.arc
+    values = arc.values.copy()
+    values[arc.levels()[arc.n_memory + 2][0]] += np.array([0.0, 0.2, 0.0, 0.0])
+    forged = Trajectory(arc=HybridArc(arc.times, values, arc.starts, arc.n_memory,
+                                      arc.derivs, arc.known),
                         termination=traj.termination,
                         memory_size=traj.memory_size)
     fault_flagged = not verify_solution(spec, forged, tol=1e-4).passed

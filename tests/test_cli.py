@@ -141,13 +141,19 @@ class TestExitCodes:
             "kind": "samples", "points": [[-1.0, 1.0], [0.0, float("inf")]]}}),
         (("simulate", "--set", "initial_history.value=[NaN]"),
          {"initial_history": {"kind": "constant", "value": [1.0]}}),
+        (("simulate", "--system", "example2", "--set", "r=Infinity"), None),
+        (("simulate", "--system", "example2", "--set", "delta=NaN"), None),
+        (("simulate", "--system", "example2", "--set", "r=NaN"), None),
+        (("simulate",), {"memory_size": float("inf")}),
+        (("simulate",), {"jump": {"period": float("nan")}}),
     ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "eps-grid-zero",
             "eta-grid-negative", "step-zero", "history", "config-t-max",
             "config-history-point", "t-max-nan", "step-nan", "slack-nan",
             "slack-inf", "history-nan", "history-inf", "history-nan-clock",
             "config-history-nan", "config-history-point-inf",
-            "set-config-history-nan"])
-    def test_malformed_input_exits_two(self, tmp_path, args, config):
+            "set-config-history-nan", "set-r-inf", "set-delta-nan", "set-r-nan",
+            "config-memory-size-inf", "config-period-nan"])
+    def test_malformed_input_exits_two(self, tmp_path, request, args, config):
         # read before anything runs: exit 2 with the reason, no traceback
         if config is not None:
             cfg = tmp_path / "c.json"
@@ -158,6 +164,13 @@ class TestExitCodes:
         assert r.stderr.startswith("config error:")
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "r.json").exists()
+        # a non-finite parameter is named with its field
+        field = {"set-r-inf": "r", "set-delta-nan": "delta", "set-r-nan": "r",
+                 "config-memory-size-inf": "memory_size",
+                 "config-period-nan": "jump.period"}.get(request.node.callspec.id)
+        if field is not None:
+            assert r.stderr.startswith(f"config error: {field} must be finite"), \
+                r.stderr
 
     @pytest.mark.parametrize("args, config, message", [
         (("--system", "example2", "--history", "nan,0"), None,

@@ -32,21 +32,43 @@ def seg(j, times, values):
     return ArcSegment(j, np.asarray(times, dtype=float), values)
 
 
-def unchecked(memory, forward=(), interpolation="linear", delta=None):
-    """The arc of the segments with none of the constructor's checks: a
-    memory arc when delta is given.  For data no constructor accepts."""
-    segments = list(memory) + list(forward)
+def store(memory, forward=()):
+    """The store arguments (times, values, starts, n_memory, derivs, known)
+    of level records, memory levels first.  A level's jump index must be its
+    position; a level without derivatives gets zeros, flagged unknown."""
+    levels = list(memory) + list(forward)
+    assert [s.jump_index for s in levels] == \
+        [*range(1 - len(memory), 1), *range(len(forward))]
     derivs = known = None
-    if any(s.derivs is not None for s in segments):
-        derivs = np.concatenate([s.values * 0 if s.derivs is None else s.derivs
-                                 for s in segments])
+    if any(s.derivs is not None for s in levels):
+        derivs = np.concatenate([np.zeros_like(s.values) if s.derivs is None
+                                 else s.derivs for s in levels])
         known = np.concatenate([np.full(len(s.times), s.derivs is not None)
-                                for s in segments])
-    starts = np.cumsum([0] + [len(s.times) for s in segments[:-1]]).tolist()
+                                for s in levels])
+    starts = np.cumsum([0] + [len(s.times) for s in levels[:-1]]).tolist()
+    return (np.concatenate([s.times for s in levels]),
+            np.concatenate([s.values for s in levels]), starts, len(memory),
+            derivs, known)
+
+
+def arc_of(memory, forward=(), interpolation="linear"):
+    """The checked arc on the store of the level records."""
+    return HybridArc(*store(memory, forward), interpolation)
+
+
+def memory_arc_of(levels, delta, interpolation="linear"):
+    """The checked memory arc of size delta on the store of the levels."""
+    times, values, starts, _, derivs, known = store(levels)
+    return HybridMemoryArc(times, values, starts, delta, derivs, known,
+                           interpolation)
+
+
+def unchecked(memory, forward=(), interpolation="linear", delta=None):
+    """The arc of the level records with none of the constructor's checks:
+    a memory arc when delta is given.  For data no constructor accepts."""
     cls = HybridArc if delta is None else HybridMemoryArc
-    return cls._of(np.concatenate([s.times for s in segments]),
-                   np.concatenate([s.values for s in segments]), derivs, known,
-                   starts, len(memory), interpolation, delta=delta)
+    return cls._of(*store(memory, forward), interpolation=interpolation,
+                   delta=delta)
 
 
 def decay_arc(t_end=1.0, n=101, history_span=None):
@@ -57,7 +79,7 @@ def decay_arc(t_end=1.0, n=101, history_span=None):
     if history_span is not None:
         ms = np.linspace(-history_span, 0.0, 21)
         mem = [seg(0, ms, np.ones_like(ms))]
-    return HybridArc(mem, fwd)
+    return arc_of(mem, fwd)
 
 
 def spans(*triples):
@@ -68,8 +90,8 @@ def spans(*triples):
 
 class TestValidateDomain:
     """The domain clauses on an arc's store, and as the constructor's
-    ValueError.  Jump indices are store positions, so only the constructor
-    checks the segments' own."""
+    ValueError.  Jump indices are store positions, so only the CSV reader,
+    where outside data brings them in, checks them."""
 
     JUMP_INDICES = ("invalid hybrid time domain: jump indices must increment "
                     "by exactly 1")
@@ -80,11 +102,11 @@ class TestValidateDomain:
         checking that the constructor raises it."""
         msg = validate_domain(unchecked(spans(*memory), spans(*forward)))
         with pytest.raises(ValueError, match=f"invalid hybrid time domain: {msg}"):
-            HybridArc(spans(*memory), spans(*forward))
+            arc_of(spans(*memory), spans(*forward))
         return msg
 
     def test_minimal_two_segment_domain(self):
-        arc = HybridArc(spans((0.0, 0.0, 0)), spans((0.0, 1.0, 0), (1.0, 2.0, 1)))
+        arc = arc_of(spans((0.0, 0.0, 0)), spans((0.0, 1.0, 0), (1.0, 2.0, 1)))
         assert validate_domain(arc) is None
 
     def test_overlapping_forward_segments(self):
@@ -93,7 +115,7 @@ class TestValidateDomain:
 
     def test_example1_memory_window_domain(self):
         # one-segment history reaching the measurement delay r = 0.01
-        arc = HybridArc(spans((-0.01, 0.0, 0)), spans((0.0, 0.2, 0), (0.2, 0.4, 1)))
+        arc = arc_of(spans((-0.01, 0.0, 0)), spans((0.0, 0.2, 0), (0.2, 0.4, 1)))
         assert validate_domain(arc) is None
 
     def test_forward_must_start_at_zero(self):
@@ -101,16 +123,18 @@ class TestValidateDomain:
 
     def test_jump_index_gap(self):
         with pytest.raises(ValueError, match=self.JUMP_INDICES):
-            HybridArc([], spans((0.0, 1.0, 0), (1.0, 2.0, 2)))
+            arc_from_csv("0.0,0,1.0\n1.0,0,1.0\n1.0,2,1.0\n2.0,2,1.0\n")
 
-    @pytest.mark.parametrize("memory, forward", [
-        ([], [(0.0, 1.0, 1)]),
-        ([(-1.0, -0.5, -2), (-0.5, 0.0, 0)], []),
-        ([(-1.0, 0.0, -1)], [(0.0, 1.0, 0)]),
-    ], ids=["forward-start", "memory-gap", "memory-end"])
-    def test_jump_indices_are_level_positions(self, memory, forward):
+    # the reader puts the first row at (0, 0) on memory level 0, so a
+    # memory side always ends at j = 0
+    @pytest.mark.parametrize("text", [
+        "0.5,1,1.0\n1.0,1,1.0\n",
+        "-1.0,-2,1.0\n-0.5,-2,1.0\n-0.5,0,1.0\n0.0,0,1.0\n",
+        "-1.0,0,1.0\n0.0,0,1.0\n0.0,0,1.0\n1.0,0,1.0\n1.0,2,1.0\n2.0,2,1.0\n",
+    ], ids=["forward-start", "memory-gap", "forward-gap"])
+    def test_jump_indices_are_level_positions(self, text):
         with pytest.raises(ValueError, match=self.JUMP_INDICES):
-            HybridArc(spans(*memory), spans(*forward))
+            arc_from_csv(text)
 
     def test_memory_must_end_at_zero(self):
         assert self.violated([(-1.0, -0.5, 0)], []) == "memory domain must end at t = 0"
@@ -135,25 +159,24 @@ class TestEvalArc:
         ts = np.linspace(0.0, 1.0, 11)
         vals = np.exp(-ts).reshape(-1, 1)
         derivs = (-np.exp(-ts)).reshape(-1, 1)
-        lin = HybridArc([], [ArcSegment(0, ts, vals)], interpolation="linear")
-        her = HybridArc([], [ArcSegment(0, ts, vals, derivs)],
-                        interpolation="hermite")
+        lin = HybridArc(ts, vals, [0], 0, interpolation="linear")
+        her = HybridArc(ts, vals, [0], 0, derivs, interpolation="hermite")
         x = 0.55
         assert abs(her.eval(x, 0)[0] - np.exp(-x)) < \
             abs(lin.eval(x, 0)[0] - np.exp(-x)) / 50
 
 
-def _memory_arc(segments):
-    return HybridMemoryArc(segments, 0.5)
+def _memory_arc(times, values, derivs):
+    return HybridMemoryArc(times, values, [0], 0.5, derivs)
 
 
-def _plain_arc(segments):
-    return HybridArc(segments, [])
+def _plain_arc(times, values, derivs):
+    return HybridArc(times, values, [0], 1, derivs)
 
 
 class TestConstructorRejections:
-    """The public constructors reject malformed data with a message that
-    names the violated rule; ArcSegment only normalises."""
+    """The public constructors reject a malformed store with a message that
+    names the violated rule."""
 
     @pytest.mark.parametrize("build", [_plain_arc, _memory_arc],
                              ids=["HybridArc", "HybridMemoryArc"])
@@ -180,41 +203,94 @@ class TestConstructorRejections:
             "scalar-times", "minus-inf-start", "plus-inf-end", "lone-nan",
             "nan-start"])
     def test_segment_checks(self, build, times, values, derivs, message):
-        segment = ArcSegment(0, np.asarray(times, dtype=float), values, derivs)
         with pytest.raises(ValueError, match=message):
-            build([segment])
+            build(times, values, derivs)
 
-    def test_mixed_dimensions(self):
-        with pytest.raises(ValueError, match="share one state dimension"):
-            HybridArc([seg(0, [-1.0, 0.0], [1.0, 1.0])],
-                      [ArcSegment(0, [0.0, 1.0], np.ones((2, 2)))])
+    @pytest.mark.parametrize("starts, n_memory, known, message", [
+        ([], 0, None, "an arc has at least one segment"),
+        ([1], 1, None, r"starts \[1\] must begin at 0"),
+        ([0, 2, 2], 1, None, "each segment at least one sample"),
+        ([0, 4], 1, None, "each segment at least one sample"),
+        ([0, 2], 3, None, r"n_memory 3 must lie in \[0, 2\]"),
+        ([0, 2], -1, None, r"n_memory -1 must lie in \[0, 2\]"),
+        ([0, 2], 1, [True, False], "derivative samples must match"),
+        ([0, 2], 1, [True] * 4, "derivative samples must match"),
+    ], ids=["no-level", "late-start", "empty-level", "past-the-end",
+            "too-many-memory", "negative-memory", "known-shape", "known-alone"])
+    def test_store_checks(self, starts, n_memory, known, message):
+        times, values = [-1.0, 0.0, 0.0, 1.0], np.ones((4, 1))
+        derivs = None if known == [True] * 4 else np.ones((4, 1))
+        with pytest.raises(ValueError, match=message):
+            HybridArc(times, values, starts, n_memory, derivs, known)
+        # the same store with a valid layout passes
+        HybridArc(times, values, [0, 2], 1, np.ones((4, 1)), [True, False, True, True])
 
     def test_unknown_interpolation(self):
         with pytest.raises(ValueError, match="unknown interpolation scheme 'cubic'"):
-            HybridArc([], [seg(0, [0.0, 1.0], [1.0, 1.0])], interpolation="cubic")
+            HybridArc([0.0, 1.0], [[1.0], [1.0]], [0], 0, interpolation="cubic")
 
     def test_invalid_domain(self):
         with pytest.raises(ValueError, match="invalid hybrid time domain: "
                                              "forward domain must start at t = 0"):
-            HybridArc([], [seg(0, [0.5, 1.0], [1.0, 1.0])])
+            HybridArc([0.5, 1.0], [[1.0], [1.0]], [0], 0)
 
     def test_negative_delta(self):
-        with pytest.raises(ValueError, match="delta must be nonnegative"):
-            HybridMemoryArc([seg(0, [-1.0, 0.0], [1.0, 1.0])], -0.1)
+        # NaN once passed: both membership clauses compare False on it
+        for delta in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="delta must be nonnegative"):
+                HybridMemoryArc([-1.0, 0.0], [[1.0], [1.0]], [0], delta)
+            with pytest.raises(ValueError, match="delta must be nonnegative"):
+                arc_from_csv("-1.0,0,1.0\n0.0,0,1.0\n", delta=delta)
 
     def test_window_deeper_than_delta_plus_one(self):
         with pytest.raises(ValueError, match=r"reaches s \+ k = -2.5 < -delta - 1"):
-            HybridMemoryArc([seg(0, [-2.5, 0.0], [1.0, 1.0])], 1.0)
+            HybridMemoryArc([-2.5, 0.0], [[1.0], [1.0]], [0], 1.0)
 
     def test_window_shallower_than_delta(self):
         with pytest.raises(ValueError, match=r"only reaches s \+ k = -0.2; "
                                              r"some point must satisfy"):
-            HybridMemoryArc([seg(0, [-0.2, 0.0], [1.0, 1.0])], 0.5)
+            HybridMemoryArc([-0.2, 0.0], [[1.0], [1.0]], [0], 0.5)
 
     def test_nan_interior_time(self):
         # np.diff(times) <= 0 is False at a NaN, so this once passed
         with pytest.raises(ValueError, match="strictly increasing"):
-            HybridArc([], [seg(0, [0.0, np.nan, 1.0], [1.0, 2.0, 3.0])])
+            HybridArc([0.0, np.nan, 1.0], [[1.0], [2.0], [3.0]], [0], 0)
+
+    def test_levels_may_share_a_time(self):
+        # only times within a level must rise: the memory side's last
+        # sample and the forward side's first share t = 0
+        arc = HybridArc([-1.0, 0.0, 0.0, 1.0], np.ones((4, 1)), [0, 2], 1)
+        assert arc.levels() == [(0, 2), (2, 4)]
+
+    def test_the_arrays_are_copied(self):
+        # the arc's arrays are read-only; the caller's stay writable
+        times, values = np.array([-1.0, 0.0]), np.ones((2, 1))
+        phi = HybridMemoryArc(times, values, [0], 0.5)
+        times[0] = values[0, 0] = 7.0
+        assert phi.times[0] == -1.0 and phi.values[0, 0] == 1.0
+        assert not phi.times.flags.writeable
+
+    @pytest.mark.parametrize("build, kwargs, message", [
+        (constant_memory_arc, {"grid_step": 0.0}, "grid_step must be positive"),
+        (constant_memory_arc, {"grid_step": -0.1}, "grid_step must be positive"),
+        (memory_arc_from_function, {"grid_step": 0.0}, "grid_step must be positive"),
+        (memory_arc_from_function, {"grid_step": -0.1},
+         "grid_step must be positive"),
+        (memory_arc_from_function, {"grid_step": np.nan},
+         "grid_step must be positive and finite, got nan"),
+        (constant_memory_arc, {"grid_step": np.inf}, "grid_step must be positive"),
+        (constant_memory_arc, {"depth": np.nan}, "depth must be finite, got nan"),
+        (memory_arc_from_function, {"depth": np.nan}, "depth must be finite"),
+        (memory_arc_from_function, {"depth": np.inf}, "depth must be finite"),
+    ], ids=["constant-zero-step", "constant-negative-step", "function-zero-step",
+            "function-negative-step", "nan-step", "inf-step", "constant-nan-depth",
+            "function-nan-depth", "inf-depth"])
+    def test_bad_grid_arguments(self, build, kwargs, message):
+        # they once raised ZeroDivisionError, built a two-sample arc, or
+        # could not convert NaN to an integer
+        first = np.ones(1) if build is constant_memory_arc else lambda s: np.ones(1)
+        with pytest.raises(ValueError, match=message):
+            build(first, 0.5, **kwargs)
 
     @pytest.mark.parametrize("text, delta", [
         ("-1.0,0,1.0\n-0.5,0,2.0\n-0.5,0,3.0\n0.0,0,4.0\n", 0.5),
@@ -252,11 +328,11 @@ class TestDeltaInf:
         # achievable s+k values {0} u [-2, -1]: memory jump right at 0
         mem = [seg(-1, np.linspace(-1.0, 0.0, 11), np.zeros(11)),
                seg(0, [0.0], [0.0])]
-        arc = HybridArc(mem, [])
+        arc = arc_of(mem, [])
         assert delta_inf(arc, 0.0, 0, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_delta_single_point(self):
-        arc = HybridArc([seg(0, [0.0], [3.0])], [])
+        arc = arc_of([seg(0, [0.0], [3.0])], [])
         assert delta_inf(arc, 0.0, 0, 0.0) == 0.0
 
     def test_insufficient_history(self):
@@ -293,7 +369,7 @@ def _random_solution_like_arc(rng, max_jumps=3):
         ts = np.linspace(t0, t0 + span, 7)
         fwd.append(seg(j, ts, rng.normal(size=(7, 1))))
         t0 += span
-    return HybridArc(mem, fwd)
+    return arc_of(mem, fwd)
 
 
 class TestMemoryWindow:
@@ -340,7 +416,7 @@ class TestMemoryWindow:
     def test_constant_arc_windows_are_constant(self):
         mem = [seg(0, np.linspace(-1.5, 0, 16), np.full(16, 2.5))]
         fwd = [seg(0, np.linspace(0, 2, 21), np.full(21, 2.5))]
-        arc = HybridArc(mem, fwd)
+        arc = arc_of(mem, fwd)
         w = memory_window(arc, 1.3, 0, 1.0)
         for s in w.memory_segments:
             assert np.all(s.values == 2.5)
@@ -350,7 +426,7 @@ class TestMemoryWindow:
         ts = np.linspace(0.0, 1.0, 201)
         fwd = [seg(0, ts, np.exp(-ts))]
         mem = [seg(0, np.linspace(-1.0, 0.0, 41), np.ones(41))]
-        arc = HybridArc(mem, fwd)
+        arc = arc_of(mem, fwd)
         w = memory_window(arc, 0.5, 0, 1.0)
         for s_q in (-0.2, -0.45):
             assert w.delayed(s_q)[0] == pytest.approx(np.exp(-(0.5 + s_q)), abs=1e-4)
@@ -375,7 +451,7 @@ class TestSupNormAndVbar:
         assert sup_norm_w([phi], np.linalg.norm).tolist() == [0.0]
 
     def test_ramp(self):
-        phi = HybridMemoryArc([seg(0, np.linspace(-1, 0, 11),
+        phi = memory_arc_of([seg(0, np.linspace(-1, 0, 11),
                                    np.linspace(-1, 0, 11))], 0.0)
         assert sup_norm_w([phi], np.linalg.norm)[0] == pytest.approx(1.0)
         assert vbar([phi], lambda z: z[0] ** 2)[0] == pytest.approx(1.0)
@@ -385,7 +461,7 @@ class TestSupNormAndVbar:
         assert vbar([phi], lambda z: abs(z[0])).tolist() == [3.0]
 
     def test_piecewise_max_across_jump_levels(self):
-        phi = HybridMemoryArc(
+        phi = memory_arc_of(
             [seg(-1, [-1.0, -0.4], [2.0, 2.0]), seg(0, [-0.4, 0.0], [0.5, 0.5])],
             1.0)
         assert vbar([phi], lambda z: abs(z[0])).tolist() == [2.0]
@@ -402,15 +478,15 @@ class TestSupNormAndVbar:
 
     def test_refinement_finds_interior_peak(self):
         # V peaks strictly inside a sampling interval
-        phi = HybridMemoryArc([seg(0, [-1.0, 0.0], [-1.0, 1.0])], 0.0)
+        phi = memory_arc_of([seg(0, [-1.0, 0.0], [-1.0, 1.0])], 0.0)
         got = vbar([phi], lambda z: 1.0 - z[0] ** 2, refine_tol=1e-12,
                    max_levels=20)
         assert got[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_under_extension(self):
-        base = HybridMemoryArc([seg(0, np.linspace(-0.5, 0, 6),
+        base = memory_arc_of([seg(0, np.linspace(-0.5, 0, 6),
                                     np.linspace(0.2, 0.7, 6))], 0.4)
-        ext = HybridMemoryArc([seg(0, np.linspace(-0.9, 0, 10),
+        ext = memory_arc_of([seg(0, np.linspace(-0.9, 0, 10),
                                    np.concatenate([np.full(4, 0.9),
                                                    np.linspace(0.2, 0.7, 6)]))],
                               0.4)
@@ -420,7 +496,7 @@ class TestSupNormAndVbar:
 
     @staticmethod
     def two_levels(oldest, newest):
-        return HybridMemoryArc([seg(-1, [-1.0, -0.5], oldest),
+        return memory_arc_of([seg(-1, [-1.0, -0.5], oldest),
                                 seg(0, [-0.5, -0.25, 0.0], newest)], 1.0)
 
     @pytest.mark.parametrize("oldest, newest, level", [
@@ -455,7 +531,7 @@ class TestSupNormAndVbar:
     @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "batch"])
     def test_plus_infinity_is_the_maximum(self, batch):
         # an infinite maximum used to raise "window is empty above the depth floor"
-        phi = HybridMemoryArc([ArcSegment(0, [-1.0, 0.0], [[np.inf], [1.0]])], 0.0)
+        phi = HybridMemoryArc([-1.0, 0.0], [[np.inf], [1.0]], [0], 0.0)
         kw = {"batch": lambda arr: np.abs(arr[:, 0])} if batch else {}
         assert sup_norm_w([phi], lambda z: abs(z[0]), **kw).tolist() == [np.inf]
 
@@ -470,7 +546,7 @@ class TestSupNormAndVbar:
 
 class TestAppendJump:
     def test_single_point(self):
-        phi = HybridMemoryArc([seg(0, [0.0], [4.0])], 0.0)
+        phi = memory_arc_of([seg(0, [0.0], [4.0])], 0.0)
         psi = append_jump(phi, np.array([7.0]))
         assert psi.head[0] == 7.0
         assert psi.eval(0.0, -1)[0] == 4.0
@@ -490,7 +566,7 @@ class TestAppendJump:
                 assert psi.eval(float(t), s.jump_index - 1)[0] == v[0]
 
     def test_truncation_keeps_membership(self):
-        phi = HybridMemoryArc([seg(0, np.linspace(-1.5, 0, 31),
+        phi = memory_arc_of([seg(0, np.linspace(-1.5, 0, 31),
                                    np.linspace(5, 1, 31))], 0.5)
         psi = append_jump(phi, np.array([0.0]))
         assert psi.membership_violation() is None
@@ -505,7 +581,7 @@ class TestDelayedValue:
         assert phi.delayed(-0.3)[0] == pytest.approx(np.cos(0.3), abs=1e-4)
 
     def test_post_jump_value_wins(self):
-        phi = HybridMemoryArc(
+        phi = memory_arc_of(
             [seg(-1, [-0.6, -0.2], [1.0, 1.0]), seg(0, [-0.2, 0.0], [0.5, 0.5])],
             0.9)
         assert phi.delayed(-0.2)[0] == 0.5
@@ -530,7 +606,8 @@ def _reset_trajectory(interpolation="linear"):
     init = memory_arc_from_function(
         lambda s: np.array([np.cos(3 * s), 0.0]), spec.memory_size,
         depth=spec.memory_size + 0.5, grid_step=1 / 64)
-    init = HybridMemoryArc(init.memory_segments, init.delta, interpolation)
+    init = HybridMemoryArc(init.times, init.values, init.starts, init.delta,
+                           interpolation=interpolation)
     return simulate(spec, init, SimOptions(t_max=2.0, step=1 / 64))
 
 
@@ -578,14 +655,16 @@ class TestHistory:
             "flow": {"A0": [[0.0]], "delayed": [{"delay": 0.5, "A": [[-1.0]]}]}})
         spec, _ = build_linear_delay_system(cfg)
         init = memory_arc_from_function(lambda s: np.array([np.cos(3 * s)]), 0.5)
-        init = HybridMemoryArc(init.memory_segments, 0.5, "hermite")
+        init = HybridMemoryArc(init.times, init.values, init.starts, 0.5,
+                               interpolation="hermite")
         traj = simulate(spec, init, SimOptions(t_max=0.6, step=0.1))
         hist = History(traj.arc, 0.5)
         view = hist.view(hist.starts[hist.n_memory] + 3)
         window = memory_window(traj.arc, 0.3, 0, 0.5)
         assert window.delayed(-0.05)[0] == pytest.approx(view.delayed(-0.05)[0],
                                                          abs=1e-12)
-        linear = HybridMemoryArc(window.memory_segments, 0.5, "hermite")
+        linear = HybridMemoryArc(window.times, window.values, window.starts, 0.5,
+                                 interpolation="hermite")  # no derivatives
         assert abs(linear.delayed(-0.05)[0] - view.delayed(-0.05)[0]) > 1e-4
 
     def test_provisional_point_extends_linearly(self):
@@ -643,7 +722,7 @@ class TestDelayedSquareIntegral:
         assert delayed_sq_integral(phi, -0.5, 0.0) == pytest.approx(2.0)
 
     def test_linear_ramp_exact(self):
-        phi = HybridMemoryArc([seg(0, np.linspace(-1, 0, 5),
+        phi = memory_arc_of([seg(0, np.linspace(-1, 0, 5),
                                    np.linspace(-1, 0, 5))], 0.0)
         # integral of s^2 over [-1, 0] = 1/3, Simpson exact on quadratics
         assert delayed_sq_integral(phi, -1.0, 0.0) == pytest.approx(1.0 / 3.0,
@@ -651,7 +730,7 @@ class TestDelayedSquareIntegral:
 
     def test_component_restriction(self):
         vals = np.column_stack([np.full(5, 2.0), np.full(5, 9.0)])
-        phi = HybridMemoryArc([ArcSegment(0, np.linspace(-1, 0, 5), vals)], 0.0)
+        phi = HybridMemoryArc(np.linspace(-1, 0, 5), vals, [0], 0.0)
         assert delayed_sq_integral(phi, -1.0, 0.0,
                                    components=slice(0, 1)) == pytest.approx(4.0)
 
@@ -815,7 +894,7 @@ def reference_memory_window(arc, t, j, delta):
         if cut is not None:
             times, values, derivs = cut
             segments.append(ArcSegment(k, times - t, values, derivs))
-    return HybridMemoryArc(reference_merge_contiguous(segments), delta,
+    return memory_arc_of(reference_merge_contiguous(segments), delta,
                            arc.interpolation)
 
 
@@ -834,7 +913,7 @@ def reference_append_jump(phi, g):
             segments.append(ArcSegment(k_new, *_slice_lists(s, s_cut, s.hi,
                                                             phi.interpolation)))
     segments.append(ArcSegment(0, np.array([0.0]), np.reshape(g, (1, -1))))
-    return HybridMemoryArc(segments, phi.delta, phi.interpolation)
+    return memory_arc_of(segments, phi.delta, phi.interpolation)
 
 
 def assert_same_cut(got, want):
@@ -893,7 +972,7 @@ def _with_derivs(segments):
 
 def _as_hermite(phi):
     """phi with finite-difference derivative samples, read as Hermite."""
-    return HybridMemoryArc(_with_derivs(phi.memory_segments), phi.delta,
+    return memory_arc_of(_with_derivs(phi.memory_segments), phi.delta,
                            "hermite")
 
 
@@ -960,7 +1039,7 @@ def seg2(j, times, first):
 def _peak_window():
     """One level whose maximum, 1 at z = 0, lies off every dyadic midpoint,
     so each of the six refinement rounds raises the estimate."""
-    return HybridMemoryArc([seg2(0, [-1.0, 0.0], [-1.0, 2.0])], 0.0)
+    return memory_arc_of([seg2(0, [-1.0, 0.0], [-1.0, 2.0])], 0.0)
 
 
 def _floor_cut_window():
@@ -980,7 +1059,7 @@ def _mixed_windows():
     one_point = append_jump(cover[0], np.array([0.5, 0.01]))
     rng = np.random.default_rng(8)
     long_times = np.linspace(-1.5, 0.0, hybrid_time._BLOCK_ROWS + 300)
-    long = HybridMemoryArc([seg2(0, long_times, rng.normal(size=long_times.shape[0]))],
+    long = memory_arc_of([seg2(0, long_times, rng.normal(size=long_times.shape[0]))],
                            0.5)
     return (cover[:30] + [_as_hermite(phi) for phi in cover[30:]]
             + [one_point, _as_hermite(one_point), _peak_window(),
@@ -1042,9 +1121,9 @@ class TestWindowMaximumPass:
         b = np.nextafter(a, 0.0)
         assert 0.5 * (-0.75 + a) == -0.75 and 0.5 * (a + b) == b
         if where == "start":  # on the first sample: its own value, -0.0
-            return HybridMemoryArc([seg2(0, [-0.75, a, 0.0], [-0.0, 1.0, 1.0])], 0.0)
+            return memory_arc_of([seg2(0, [-0.75, a, 0.0], [-0.0, 1.0, 1.0])], 0.0)
         if where == "inside":  # on b: b's bracket gives -0.0, a's would give +0.0
-            return HybridMemoryArc([seg2(0, [a, b, 0.0], [1.0, -0.0, -1.0])], 0.0)
+            return memory_arc_of([seg2(0, [a, b, 0.0], [1.0, -0.0, -1.0])], 0.0)
         # on the last sample: its own value, -0.0 (an unchecked arc ending at b)
         return unchecked([seg2(0, [-1.0, a, b], [1.0, 1.0, -0.0])], delta=0.0)
 
@@ -1063,7 +1142,7 @@ class TestWindowMaximumPass:
 
     @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "batch"])
     def test_nan_names_the_window_and_its_level(self, batch):
-        windows = _mixed_windows()[:3] + [HybridMemoryArc(
+        windows = _mixed_windows()[:3] + [memory_arc_of(
             [seg2(-1, [-1.0, -0.5], [np.nan, 0.1]),
              seg2(0, [-0.5, -0.25, 0.0], [0.1, 0.2, 0.3])], 1.0)]
         kw = {"batch": lambda arr: np.abs(arr[:, 0])} if batch else {}
@@ -1126,7 +1205,7 @@ class TestArraySlicing:
 
 class TestHistoryOfMemoryArc:
     def test_reads_like_a_fresh_history(self):
-        phi = HybridMemoryArc(
+        phi = memory_arc_of(
             [seg(-1, np.linspace(-0.85, -0.4, 10), np.linspace(2.0, 1.0, 10)),
              seg(0, np.linspace(-0.4, 0.0, 9), np.cos(np.linspace(-0.4, 0, 9)))],
             0.9)
@@ -1239,8 +1318,8 @@ def reference_arc_from_csv(text, delta=None, interpolation="linear"):
     mem_segs = build(mem_rows) if mem_rows else []
     fwd_segs = build(fwd_rows) if fwd_rows else []
     if delta is not None and not fwd_segs:
-        return HybridMemoryArc(mem_segs, delta, interpolation)
-    return HybridArc(mem_segs, fwd_segs, interpolation)
+        return memory_arc_of(mem_segs, delta, interpolation)
+    return arc_of(mem_segs, fwd_segs, interpolation)
 
 
 def _csv_outcome(read, text, delta):
@@ -1307,7 +1386,7 @@ def csv_arc(draw):
         for j, (lo, hi) in enumerate(zip(ends, ends[1:])):
             head = zero[:-1] if j == 0 else []
             fwd.append(level(j, head + between(lo, hi)))
-    return HybridArc(mem, fwd)
+    return arc_of(mem, fwd)
 
 
 # ---------------------------------------------------------------------------
@@ -1327,7 +1406,7 @@ def random_arc(draw):
         fwd.append(seg(j, np.linspace(t0, t0 + span, 5),
                        rng.normal(size=(5, 1))))
         t0 += span
-    return HybridArc(mem, fwd)
+    return arc_of(mem, fwd)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1360,9 +1439,10 @@ def test_append_shift_property(arc, gval):
 
 
 def _revalidate(phi):
-    """phi rebuilt through the validating constructor, which raises if the
-    unchecked result of a window operator broke a rule."""
-    return HybridMemoryArc(phi.memory_segments, phi.delta, phi.interpolation)
+    """phi's store rebuilt through the validating constructor, which raises
+    if the unchecked result of a window operator broke a rule."""
+    return HybridMemoryArc(phi.times, phi.values, phi.starts, phi.delta,
+                           phi.derivs, phi.known, phi.interpolation)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1372,7 +1452,7 @@ def test_window_cuts_pass_the_checks_property(arc, derivs, data):
     any stored point, also windows that reach back into the memory side and
     join its jump-0 piece to the forward one, passes them."""
     if derivs:
-        arc = HybridArc(_with_derivs(arc.memory_segments),
+        arc = arc_of(_with_derivs(arc.memory_segments),
                         _with_derivs(arc.forward_segments), "hermite")
     delta = data.draw(st.floats(0.0, -arc.memory_segments[0].lo))
     points = [(float(t), s.jump_index)
@@ -1389,7 +1469,8 @@ def test_window_cuts_of_a_solution_pass_the_checks():
     run itself, copied out of its History unchecked, passes too."""
     traj = _reset_trajectory()
     arc = traj.arc
-    HybridArc(arc.memory_segments, arc.forward_segments, arc.interpolation)
+    HybridArc(arc.times, arc.values, arc.starts, arc.n_memory, arc.derivs,
+              arc.known, arc.interpolation)
     joined = 0
     for s in arc.forward_segments:
         for t in s.times:
@@ -1409,7 +1490,7 @@ def test_window_operators_match_the_segment_references_property(arc, kind, data)
     Hermite arcs whose memory side has no derivative samples."""
     if kind != "linear":
         memory = arc.memory_segments
-        arc = HybridArc(memory if kind == "hermite-forward" else _with_derivs(memory),
+        arc = arc_of(memory if kind == "hermite-forward" else _with_derivs(memory),
                         _with_derivs(arc.forward_segments), "hermite")
     delta = data.draw(st.floats(0.0, -arc.memory_segments[0].lo))
     t, j = data.draw(st.sampled_from([(float(t), s.jump_index)
@@ -1469,7 +1550,7 @@ def test_csv_matches_the_reference_writer_and_reader(arc, delta, random):
 def test_csv_rows_interleave_both_sides_near_zero():
     # the memory side's last level ends after the forward side starts: the
     # rows at j = 0 are not the two sides' samples one after the other
-    arc = HybridArc([seg(0, [-1.0, -2e-13, 7e-13], [1.0, 2.0, 3.0])],
+    arc = arc_of([seg(0, [-1.0, -2e-13, 7e-13], [1.0, 2.0, 3.0])],
                     [seg(0, [-6e-13, 0.0, 1.0], [4.0, 5.0, 6.0])])
     with pytest.raises(ValueError, match="jump level 0 as CSV: the memory "
                                          "side holds 2 samples within TIME_TOL"):
@@ -1504,33 +1585,33 @@ def test_csv_writer_refuses_exactly_what_would_not_read_back(arc):
 def test_csv_writer_refuses_rows_the_reader_cannot_place():
     # two memory samples within TIME_TOL of t = 0: the second one would be
     # dropped and the head would change from 3 to 2
-    arc = HybridArc([seg(0, [-1.0, -5e-13, 0.0], [1.0, 2.0, 3.0])])
+    arc = arc_of([seg(0, [-1.0, -5e-13, 0.0], [1.0, 2.0, 3.0])])
     with pytest.raises(ValueError, match=r"cannot write jump level 0 as CSV: "
                                          r"the memory side holds 2 samples"):
         arc_to_csv(arc)
     back = arc_from_csv(reference_arc_to_csv(arc))
     assert back.memory_segments[-1].values[-1, 0] == 2.0
     with pytest.raises(ValueError, match="the forward side holds 3 samples"):
-        arc_to_csv(HybridArc([], [seg(0, [0.0, 5e-13, 1e-12, 1.0],
+        arc_to_csv(arc_of([], [seg(0, [0.0, 5e-13, 1e-12, 1.0],
                                       [1.0, 2.0, 3.0, 4.0])]))
     # one sample per side, the memory side's after the forward side's: the
     # reader would swap them
     with pytest.raises(ValueError, match=r"memory side's sample at t = 7e-13 "
                                          r"lies after the forward side's at "
                                          r"t = -6e-13"):
-        arc_to_csv(HybridArc([seg(0, [-1.0, 7e-13], [1.0, 2.0])],
+        arc_to_csv(arc_of([seg(0, [-1.0, 7e-13], [1.0, 2.0])],
                              [seg(0, [-6e-13, 1.0], [3.0, 4.0])]))
     # a lone forward sample at (0, 0) would read back as a memory side, and
     # a lone memory sample there beside a forward side as a forward sample
     with pytest.raises(ValueError, match="the forward side is one sample"):
-        arc_to_csv(HybridArc([], [seg(0, [-1e-12], [1.0])]))
+        arc_to_csv(arc_of([], [seg(0, [-1e-12], [1.0])]))
     with pytest.raises(ValueError, match="the memory side is one sample"):
-        arc_to_csv(HybridArc([seg(0, [0.0], [1.0])],
+        arc_to_csv(arc_of([seg(0, [0.0], [1.0])],
                              [seg(0, [0.0, 1.0], [1.0, 2.0])]))
-    lone = HybridArc([seg(0, [0.0], [1.0])])
+    lone = arc_of([seg(0, [0.0], [1.0])])
     assert _samples(arc_from_csv(arc_to_csv(lone))) == _samples(lone)
     # equal times keep the memory side first and read back
-    arc = HybridArc([seg(0, [-1.0, 5e-13], [1.0, 2.0])],
+    arc = arc_of([seg(0, [-1.0, 5e-13], [1.0, 2.0])],
                     [seg(0, [5e-13, 1.0], [3.0, 4.0])])
     assert _samples(arc_from_csv(arc_to_csv(arc))) == _samples(arc)
 
@@ -1568,7 +1649,7 @@ def leveled_history(draw):
     for _ in range(n_fwd):
         ends.append(ends[-1] + draw(span))
     fwd = [level(j, lo, hi) for j, (lo, hi) in enumerate(zip(ends, ends[1:]))]
-    arc = HybridArc(mem, fwd, interpolation="hermite" if hermite else "linear")
+    arc = arc_of(mem, fwd, interpolation="hermite" if hermite else "linear")
     return History(arc, 1.0, capacity=0)
 
 

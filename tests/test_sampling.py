@@ -145,7 +145,10 @@ def reference_cover_arc(sampler, region, index):
             times, vals = times[:1], vals[:1]
         segments.append(ArcSegment(k, times, vals))
     segments.reverse()
-    arc = HybridMemoryArc(segments, delta)
+    arc = HybridMemoryArc(np.concatenate([s.times for s in segments]),
+                          np.concatenate([s.values for s in segments]),
+                          np.cumsum([0] + [len(s.times) for s in segments[:-1]]),
+                          delta)
     origin = f"cover:{region}{index}"
     if region == "Gplus":
         gs = sampler.spec.jump_selections(arc)

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hymem import hybrid_time, solver
-from hymem.hybrid_time import (TIME_TOL, ArcSegment, DomainError, History,
+from hymem.hybrid_time import (TIME_TOL, DomainError, History,
                                HybridArc, HybridMemoryArc,
                                InsufficientHistoryError, WindowView,
                                constant_memory_arc, memory_arc_from_function,
@@ -81,8 +81,8 @@ class TestIntegrateFlowStep:
         # them linearly, whether or not its history carries derivatives
         spec, phi = hermite_case1_problem()
         if not history_derivs:
-            phi = HybridMemoryArc([ArcSegment(0, phi.times, phi.values)],
-                                  phi.delta, "hermite")
+            phi = HybridMemoryArc(phi.times, phi.values, [0], phi.delta,
+                                  interpolation="hermite")
         w = flow_window(spec, phi, 0.1, n_steps=4)
         for s in np.linspace(-0.1, 0.0, 41)[1:-1]:
             want = hybrid_time._interpolate(w.times, w.values, None, s)
@@ -303,11 +303,10 @@ class TestSimulateClosedForms:
     def test_non_finite_initial_arc_is_refused(self, where, bad):
         # a NaN head once ran to the end and failed in run_summary
         spec, init = hermite_case1_problem()
-        seg = init.memory_segments[0]
-        arrays = {"values": seg.values.copy(), "derivs": seg.derivs.copy()}
+        arrays = {"values": init.values.copy(), "derivs": init.derivs.copy()}
         arrays[where][-3, 0] = bad
-        init = HybridMemoryArc([ArcSegment(0, seg.times, **arrays)],
-                               spec.memory_size, "hermite")
+        init = HybridMemoryArc(init.times, starts=[0], delta=spec.memory_size,
+                               interpolation="hermite", **arrays)
         with pytest.raises(PreconditionError, match="non-finite"):
             simulate(spec, init, SimOptions(t_max=0.5, step=5e-3))
 
@@ -505,8 +504,8 @@ def hermite_case1_problem():
     times = np.linspace(-spec.memory_size, 0.0, 161)
     values = np.column_stack([np.cos(3 * times), np.zeros_like(times)])
     derivs = np.column_stack([-3 * np.sin(3 * times), np.zeros_like(times)])
-    return spec, HybridMemoryArc([ArcSegment(0, times, values, derivs)],
-                                 spec.memory_size, "hermite")
+    return spec, HybridMemoryArc(times, values, [0], spec.memory_size, derivs,
+                                 interpolation="hermite")
 
 
 def example2_problem(params, state):
@@ -758,15 +757,11 @@ class TestVerifySolution:
         spec, _ = build_example1(p)
         init = const_history(spec, [1.0, 1.0, 0.0, 0.0])
         traj = simulate(spec, init, SimOptions(t_max=1.0, step=5e-3))
-        segs = list(traj.arc.forward_segments)
-        bad = segs[1]
-        values = bad.values.copy()
-        values[0] = values[0] + np.array([0.3, 0.0, 0.0, 0.0])
-        segs[1] = ArcSegment(bad.jump_index, bad.times, values, bad.derivs)
-        forged = Trajectory(
-            arc=HybridArc(traj.arc.memory_segments, segs),
-            termination=traj.termination,
-            memory_size=traj.memory_size)
+        def bump(values):
+            values[0] += np.array([0.3, 0.0, 0.0, 0.0])
+            return values
+
+        forged = forge(traj, 1, bump)
         report = verify_solution(spec, forged, tol=1e-4)
         kinds = {i.kind for i in report.issues}
         assert "S2.jump_value" in kinds
@@ -779,7 +774,7 @@ class TestVerifySolution:
         values = seg0.values.copy()
         values[40:60] *= 1.2  # kink the stored path
         forged = Trajectory(
-            arc=HybridArc([], [ArcSegment(0, seg0.times, values)]),
+            arc=HybridArc(seg0.times, values, [0], 0),
             termination=traj.termination, memory_size=0.0)
         report = verify_solution(spec, forged, tol=1e-4)
         assert any(i.kind == "S1.derivative" for i in report.issues)
@@ -805,8 +800,8 @@ class TestVerifySolution:
         arc = simulate(spec, init, SimOptions(t_max=1.0, step=1e-2)).arc
         times = arc.times.copy()
         times[arc.starts[arc.n_memory]:] += 0.1
-        late = HybridArc._of(times, arc.values, arc.derivs, arc.known,
-                             arc.starts, arc.n_memory, arc.interpolation)
+        late = HybridArc._of(times, arc.values, arc.starts, arc.n_memory,
+                             arc.derivs, arc.known, arc.interpolation)
         report = verify_solution(spec, Trajectory(
             arc=late, termination=Termination.horizon_reached, memory_size=0.0))
         assert [(i.kind, i.detail) for i in report.issues] == [
@@ -920,14 +915,14 @@ def delay_horizon_system(t_max):
 
 
 def forge(traj, index, values_of):
-    """traj with forward segment ``index``'s values replaced."""
-    segs = list(traj.arc.forward_segments)
-    bad = segs[index]
-    segs[index] = ArcSegment(bad.jump_index, bad.times,
-                             values_of(bad.values.copy()), bad.derivs)
+    """traj with forward level ``index``'s values replaced."""
+    arc = traj.arc
+    a, b = arc.levels()[arc.n_memory + index]
+    values = arc.values.copy()
+    values[a:b] = values_of(values[a:b].copy())
     return Trajectory(
-        arc=HybridArc(traj.arc.memory_segments, segs,
-                      interpolation=traj.arc.interpolation),
+        arc=HybridArc(arc.times, values, arc.starts, arc.n_memory, arc.derivs,
+                      arc.known, arc.interpolation),
         termination=traj.termination,
         memory_size=traj.memory_size, error=traj.error)
 
@@ -992,7 +987,7 @@ class TestVerifySolutionMatchesThePointwiseLoop:
         times[30] += 5e-8
         times[60] += 2e-10
         jittered = Trajectory(
-            arc=HybridArc([], [ArcSegment(0, times, seg0.values)]),
+            arc=HybridArc(times, seg0.values, [0], 0),
             termination=traj.termination, memory_size=0.0)
         report = assert_same_report(spec, jittered)
         assert report.derivative_points_checked == 97 - 5
