@@ -26,7 +26,7 @@ class _MatrixExpFamily:
     diagonalizable for the factored form to be accurate.
     """
 
-    def __init__(self, m: np.ndarray, tol: float = 1e-9):
+    def __init__(self, m: np.ndarray):
         self.m = np.asarray(m, dtype=float)
         n = self.m.shape[0]
         self.eig_ok = False
@@ -36,7 +36,7 @@ class _MatrixExpFamily:
             recon = (s * w) @ s_inv
             err = np.linalg.norm(recon - self.m)
             cond = np.linalg.cond(s)
-            if err <= tol * max(1.0, np.linalg.norm(self.m)) and cond < 1e8:
+            if err <= 1e-9 * max(1.0, np.linalg.norm(self.m)) and cond < 1e8:
                 self.w, self.s, self.s_inv = w, s, s_inv
                 self.eig_ok = True
         except np.linalg.LinAlgError:
@@ -73,7 +73,7 @@ class Example1CertificateInfo:
     feasible: bool
 
 
-def _example1_ingredients(params: Example1Params, theta: float | None,
+def _example1_ingredients(params: Example1Params,
                           fam: _MatrixExpFamily) -> Example1CertificateInfo:
     """Quadratic form and comparison constants; ``fam`` is expm(A_f s)."""
     a_f = fam.m
@@ -87,10 +87,10 @@ def _example1_ingredients(params: Example1Params, theta: float | None,
         # A theta-scaled solve caps the contraction factor at theta^2, which
         # leaves room for the delayed-measurement perturbation; the plain
         # identity-forcing solve can land within a fraction of a percent of 1.
-        if theta is None:
-            theta = min(0.5 * (sr + 1.0), 0.95)
-        if not (sr < theta < 1.0):
-            raise ValueError(f"theta must lie in (spectral radius, 1), got {theta}")
+        # theta: the midpoint of (sr, 1), capped at 0.95 where that exceeds sr
+        theta = 0.5 * (sr + 1.0)
+        if sr < 0.95:
+            theta = min(theta, 0.95)
         p = numerics.solve_discrete_lyapunov(h / theta)
         rho_quad = numerics.contraction_factor(h, p)
         sigma = params.sigma if params.sigma is not None else \
@@ -122,13 +122,13 @@ def _example1_ingredients(params: Example1Params, theta: float | None,
                                    c2=float(c2), theta=theta, feasible=feasible)
 
 
-def _example1_parts(params: Example1Params, theta: float | None):
+def _example1_parts(params: Example1Params):
     """(info, v, grad_v, v_batch) of the sampled-data certificate."""
     n1 = params.nz + params.m
     a_f = np.block([[params.A, params.B],
                     [np.zeros((params.m, n1))]])
     fam = _MatrixExpFamily(a_f)
-    info = _example1_ingredients(params, theta, fam)
+    info = _example1_ingredients(params, fam)
     p = info.p
     sigma = info.sigma
     delta = params.delta
@@ -159,7 +159,7 @@ def _example1_parts(params: Example1Params, theta: float | None):
 
 
 def example1_razumikhin_certificate(
-        params: Example1Params, theta: float | None = None
+        params: Example1Params
 ) -> tuple[RazumikhinCertificate, Example1CertificateInfo]:
     """Threshold certificate for the sampled-data system.
 
@@ -168,7 +168,7 @@ def example1_razumikhin_certificate(
     returned so the checker can exhibit the violations; ``info.feasible``
     records which case occurred.
     """
-    info, v, grad_v, v_batch = _example1_parts(params, theta)
+    info, v, grad_v, v_batch = _example1_parts(params)
     sigma, rho_hat = info.sigma, info.rho_hat
     cert = RazumikhinCertificate(
         v=v, grad_v=grad_v,
@@ -178,17 +178,18 @@ def example1_razumikhin_certificate(
         p=lambda r: 2.0 * r,
         rho=lambda r, rh=rho_hat: rh * r,
         v_batch=v_batch,
-        name="razumikhin",
     )
     return cert, info
 
 
 def example1_halanay_certificate(
-        params: Example1Params, theta: float | None = None,
-        q: float = 1e-6) -> tuple[HalanayCertificate, Example1CertificateInfo]:
+        params: Example1Params
+) -> tuple[HalanayCertificate, Example1CertificateInfo]:
     """Linear-form variant: the flow identity gives decay at exactly rate
-    sigma, so any 0 < q < sigma works alongside the jump contraction."""
-    info, v, grad_v, v_batch = _example1_parts(params, theta)
+    sigma, so any 0 < q < sigma works alongside the jump contraction; this
+    one takes q = 1e-6."""
+    info, v, grad_v, v_batch = _example1_parts(params)
+    q = 1e-6
     if not 0 < q < info.sigma:
         raise ValueError(f"q must lie in (0, sigma) = (0, {info.sigma})")
     cert = HalanayCertificate(
@@ -197,7 +198,6 @@ def example1_halanay_certificate(
         alpha2=lambda s, c=info.c2: c * s * s,
         mu=info.sigma, q=q, rho=info.rho_hat,
         v_batch=v_batch,
-        name="halanay",
     )
     return cert, info
 
@@ -248,18 +248,16 @@ def example2_feasibility(params: Example2Params) -> Example2CertificateInfo:
 
 
 def example2_krasovskii_certificate(
-        params: Example2Params, gamma3: float | None = None
+        params: Example2Params
 ) -> tuple[KrasovskiiCertificate, Example2CertificateInfo]:
     """Functional certificate for the delay system with resets.
 
     Vf(psi) = x(0,0)^2 e^(-sigma tau(0,0)) + mu * integral of x(s, k(s))^2
-    over the last r units of time.  The decay rate gamma3 defaults to half
-    the smaller of the flow and jump margins (a fixed small value when the
+    over the last r units of time.  The decay rate gamma3 is half the
+    smaller of the flow and jump margins (a fixed small value when the
     instance is infeasible, so the checker can exhibit the violations).
     """
     info = example2_feasibility(params)
-    if gamma3 is None:
-        gamma3 = info.gamma3
     sigma, mu, r, delta = params.sigma, params.mu, params.r, params.delta
 
     def vf(phi: HybridMemoryArc) -> float:
@@ -275,7 +273,6 @@ def example2_krasovskii_certificate(
         vf=vf,
         alpha1=lambda s: s * s * np.exp(-abs_sig * delta),
         alpha2=lambda s: s * s * (np.exp(abs_sig * delta) + r * mu),
-        alpha3=lambda s, g=gamma3: g * s * s,
-        name="krasovskii",
+        alpha3=lambda s, g=info.gamma3: g * s * s,
     )
     return cert, info

@@ -27,9 +27,10 @@ import numpy as np
 from .hybrid_time import HybridMemoryArc, append_jump, memory_window, sup_norm_w, vbar
 from .sampling import ArcSample, ArcSampler
 from .solver import PreconditionError, Trajectory, flow_window
-from .system import SystemSpec, TargetSet
+from .system import GUARD_TOL, SystemSpec, TargetSet
 
 ALGEBRAIC_SLACK = 1e-9
+OVERSHOOT_CAP = 100.0  # largest excursion over initial size a KL bundle may show
 
 
 def derivative_slack(h: float) -> float:
@@ -67,7 +68,7 @@ class RazumikhinCertificate:
     p: Callable[[float], float]
     rho: Callable[[float], float]
     v_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = "razumikhin"
+    name = "razumikhin"  # label of the report and its conditions
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class HalanayCertificate:
     q: float
     rho: float
     v_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = "halanay"
+    name = "halanay"
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class KrasovskiiCertificate:
     alpha1: Callable[[float], float]
     alpha2: Callable[[float], float]
     alpha3: Callable[[float], float]
-    name: str = "krasovskii"
+    name = "krasovskii"
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +239,9 @@ def validate_krasovskii(cert: KrasovskiiCertificate) -> None:
     _screen_alpha3(cert.alpha3, cert.name)
 
 
-def check_gradient(cert, points: np.ndarray, rel_tol: float = 1e-6) -> None:
+def check_gradient(cert, points: np.ndarray) -> None:
     """Reject the certificate when grad_v disagrees with central finite
-    differences of v beyond rel_tol (norm-relative) at any supplied point."""
+    differences of v beyond 1e-6 (norm-relative) at any supplied point."""
     for x in points:
         g = np.asarray(cert.grad_v(x), dtype=float)
         fd = np.empty_like(g)
@@ -250,7 +251,7 @@ def check_gradient(cert, points: np.ndarray, rel_tol: float = 1e-6) -> None:
             e[i] = step
             fd[i] = (cert.v(x + e) - cert.v(x - e)) / (2 * step)
         scale = max(1.0, float(np.linalg.norm(g)), float(np.linalg.norm(fd)))
-        if np.linalg.norm(fd - g) > rel_tol * scale:
+        if np.linalg.norm(fd - g) > 1e-6 * scale:
             raise CertificateValidationError(
                 f"{cert.name}: grad_v disagrees with finite differences at "
                 f"x={x.tolist()} (|diff|={np.linalg.norm(fd - g):.3e})")
@@ -406,7 +407,7 @@ def _quotient(spec: SystemSpec, cert: KrasovskiiCertificate,
     """
     for _ in range(30):
         w_h = flow_window(spec, phi, h)
-        if spec.flow_guard(w_h) >= -1e-7:
+        if spec.flow_guard(w_h) >= -GUARD_TOL:
             return (float(cert.vf(w_h)) - base) / h
         h *= 0.5
     raise PreconditionError("flow leaves the flow set immediately; the "
@@ -509,12 +510,12 @@ class KLEnvelopeReport:
 
 
 def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
-                      eps_grid: Sequence[float], eta_grid: Sequence[float],
-                      overshoot_cap: float = 100.0) -> KLEnvelopeReport:
+                      eps_grid: Sequence[float], eta_grid: Sequence[float]
+                      ) -> KLEnvelopeReport:
     """Empirical uniform boundedness and uniform attractivity over a bundle.
 
     Boundedness: within each initial-size bucket eta, the largest excursion
-    must stay below overshoot_cap * eta.  Attractivity: for every grid pair
+    must stay below OVERSHOOT_CAP * eta.  Attractivity: for every grid pair
     (eps, eta) a single time T(eps, eta) must exist by which every bucket
     trajectory's distance has permanently dropped below eps; T is measured
     in t + j and must lie within the simulated horizon.
@@ -543,7 +544,7 @@ def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
             continue
         gamma = float(np.max(np.asarray(sups)[mask]))
         gamma_rows.append((float(eta), gamma))
-        if gamma > overshoot_cap * max(eta, 1e-9):
+        if gamma > OVERSHOOT_CAP * max(eta, 1e-9):
             bounded_ok = False
 
     time_rows = []
@@ -573,4 +574,4 @@ def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
     return KLEnvelopeReport(
         bounded_ok=bounded_ok, attractive_ok=attractive_ok,
         gamma_table=tuple(gamma_rows), time_table=tuple(time_rows),
-        overshoot_cap=overshoot_cap, trajectories=len(trajectories))
+        overshoot_cap=OVERSHOOT_CAP, trajectories=len(trajectories))

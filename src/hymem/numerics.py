@@ -34,8 +34,7 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(_square(m, "M")))))
 
 
-def solve_discrete_lyapunov(h: np.ndarray, q: np.ndarray | None = None,
-                            residual_tol: float = 1e-10) -> np.ndarray:
+def solve_discrete_lyapunov(h: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
     """Symmetric P > 0 with H^T P H - P = -Q (Q defaults to the identity).
 
     Requires the spectral radius of H to be below one; otherwise the fixed
@@ -56,9 +55,9 @@ def solve_discrete_lyapunov(h: np.ndarray, q: np.ndarray | None = None,
     p = sla.solve_discrete_lyapunov(h.T, q)
     p = 0.5 * (p + p.T)
     residual = np.linalg.norm(h.T @ p @ h - p + q)
-    if residual > residual_tol * np.linalg.norm(q):
+    if residual > 1e-10 * np.linalg.norm(q):
         raise InfeasibleError(f"Lyapunov residual {residual:.3e} exceeds "
-                              f"{residual_tol:.1e} * ||Q||")
+                              "1e-10 * ||Q||")
     return p
 
 

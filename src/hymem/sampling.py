@@ -44,12 +44,11 @@ import numpy as np
 from .hybrid_time import (HybridMemoryArc, append_jump, constant_memory_arc,
                           memory_window)
 from .solver import SimOptions, simulate
-from .system import SystemSpec
+from .system import GUARD_TOL, SystemSpec
 
 _REGIONS = ("C", "D", "Gplus")
 AMPLITUDE = (0.1, 2.0)  # range of a random arc's amplitude
 SEGMENT_COUNTS = (0, 1, 2, 3)  # memory jumps of an unclocked cover arc
-GUARD_TOL = 1e-7  # guard slack of an emitted arc
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,8 @@ class ArcSampler:
         return True
 
     def sample(self, region: str, count: int) -> list[ArcSample]:
-        """Deterministic list of arcs lying in the requested region."""
+        """Deterministic list of arcs lying in the requested region: each C
+        or D arc's guard is at least -:data:`~hymem.system.GUARD_TOL`."""
         if region not in _REGIONS:
             raise ValueError(f"unknown region {region!r}")
         if count <= 0 or not self.region_supported(region):
@@ -171,7 +171,7 @@ class ArcSampler:
                     tau = float(w.head[clock])
                     if not (0.0 <= tau <= 0.9 * period):
                         continue
-                if self.spec.flow_guard(w) < 0.0:
+                if self.spec.flow_guard(w) < -GUARD_TOL:
                     continue
                 self._pool_flow_windows.append((w, f"{tag}:flow@({t:.6g},{j})"))
                 taken += 1

@@ -43,7 +43,7 @@ import numpy as np
 from .hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                           HybridArc, HybridMemoryArc, WindowView,
                           memory_window, sup_norm_w, validate_domain)
-from .system import SystemSpec, TargetSet
+from .system import GUARD_TOL, SystemSpec, TargetSet
 
 
 class PreconditionError(ValueError):
@@ -71,9 +71,8 @@ class SimOptions:
 
     ``jump_priority`` picks the branch taken when the window lies in both the
     flow and jump sets; ``max_consecutive_jumps`` bounds jumps at a single
-    continuous time (Zeno guard).  ``guard_tol`` is the guard-value slack for
-    set membership (event location places boundary times within
-    ``event_tol``, which maps into guard values through the guard slope).
+    continuous time (Zeno guard).  Set membership allows the guard slack
+    :data:`~hymem.system.GUARD_TOL`.
     """
 
     t_max: float = 10.0
@@ -82,10 +81,9 @@ class SimOptions:
     event_tol: float = 1e-9
     jump_priority: str = "jump"
     max_consecutive_jumps: int = 10_000
-    guard_tol: float = 1e-7
 
     def __post_init__(self):
-        for name in ("t_max", "step", "event_tol", "guard_tol"):
+        for name in ("t_max", "step", "event_tol"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must not be NaN")
         # an infinite t_max is fine: j_max then bounds the run
@@ -171,7 +169,7 @@ def _rk4(spec: SystemSpec, window: WindowView, h: float,
 
 def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
                  guard: str = "flow", event_tol: float = 1e-9,
-                 guard_tol: float = 1e-7, k1: np.ndarray | None = None,
+                 k1: np.ndarray | None = None,
                  x_end: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Locate the time at which the named guard crosses zero along the flow.
 
@@ -184,9 +182,10 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     trials of bisection.  Returns (h*, x*), x* the flow state at h*: the
     final bracket is at most event_tol wide and h* is its end on the flow
     set's side for the flow guard and on the jump set's side for the jump
-    guard, so guard(x*) >= -guard_tol and the accepted flow segment can end
-    at h*.  ``k1`` (the flow selection on the window) and ``x_end`` (the
-    RK4 state at h_bracket) may be passed when already computed.
+    guard, so guard(x*) >= -GUARD_TOL (:data:`~hymem.system.GUARD_TOL`,
+    the one guard slack) and the accepted flow segment can end at h*.
+    ``k1`` (the flow selection on the window) and ``x_end`` (the RK4 state
+    at h_bracket) may be passed when already computed.
     """
     if guard not in ("flow", "jump"):
         raise ValueError(f"guard must be 'flow' or 'jump', not {guard!r}")
@@ -198,8 +197,8 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
         x_end, k1 = _rk4(spec, window, h_bracket, k1)
     g_lo = gfun(window)
     g_hi = gfun(window.extend(h_bracket, x_end))
-    if ((g_lo >= -guard_tol) != crossing_down
-            or (g_hi >= -guard_tol) == crossing_down):
+    if ((g_lo >= -GUARD_TOL) != crossing_down
+            or (g_hi >= -GUARD_TOL) == crossing_down):
         raise EventLocationError(
             f"{guard} guard does not cross in bracket (g0={g_lo:.3e}, "
             f"g1={g_hi:.3e})", (0.0, h_bracket))
@@ -226,13 +225,12 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     return (lo, x_lo) if crossing_down else (hi, x_hi)
 
 
-def _judge(spec: SystemSpec, hist: History,
-           guard_tol: float) -> tuple[WindowView, bool, bool]:
+def _judge(spec: SystemSpec, hist: History) -> tuple[WindowView, bool, bool]:
     """The window at the newest stored sample, and whether it lies in the
     flow set and in the jump set."""
     w = hist.view()
-    return (w, spec.flow_guard(w) >= -guard_tol,
-            spec.jump_guard(w) >= -guard_tol)
+    return (w, spec.flow_guard(w) >= -GUARD_TOL,
+            spec.jump_guard(w) >= -GUARD_TOL)
 
 
 def simulate(spec: SystemSpec, init: HybridMemoryArc,
@@ -267,7 +265,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
 
     fg0 = spec.flow_guard(init)
     jg0 = spec.jump_guard(init)
-    if fg0 < -opts.guard_tol and jg0 < -opts.guard_tol:
+    if fg0 < -GUARD_TOL and jg0 < -GUARD_TOL:
         raise PreconditionError(
             "initial data lies outside both the flow and jump sets "
             f"(flow_guard={fg0:.3e}, jump_guard={jg0:.3e})")
@@ -279,7 +277,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     consecutive_jumps = 0
     error = None
     try:
-        w, in_c, in_d = _judge(spec, hist, opts.guard_tol)
+        w, in_c, in_d = _judge(spec, hist)
         while True:
             if in_c:
                 hist.derivs[w.index] = np.asarray(spec.flow_selection(w), dtype=float)
@@ -292,18 +290,18 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                 k1 = hist.derivs[w.index]
                 x_new, _ = _rk4(spec, w, h, k1)
                 hist.append(t + h, x_new)
-                end = _judge(spec, hist, opts.guard_tol)
+                end = _judge(spec, hist)
                 if not end[1] or (end[2] and opts.jump_priority == "jump"):
                     # the step end crossed a guard: drop it (its derivative
                     # slot is still unwritten) and store the located crossing
                     hist.n -= 1
                     guard = "jump" if end[1] else "flow"
                     h, x_new = locate_event(spec, w, h, guard, opts.event_tol,
-                                            opts.guard_tol, k1, x_new)
+                                            k1, x_new)
                     end = None
                     if h > TIME_TOL:
                         hist.append(t + h, x_new)
-                        end = _judge(spec, hist, opts.guard_tol)
+                        end = _judge(spec, hist)
                 if end is not None:
                     t += h
                     w, in_c, in_d = end
@@ -325,7 +323,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
             g = np.array(candidates[0], dtype=float)
             j += 1
             hist.start_segment(t, g)
-            w, in_c, in_d = _judge(spec, hist, opts.guard_tol)
+            w, in_c, in_d = _judge(spec, hist)
     except DomainError as exc:
         termination = Termination.error
         error = f"{type(exc).__name__} at (t={t}, j={j}): {exc}"
@@ -491,14 +489,14 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
 
 
 def flow_window(spec: SystemSpec, phi: HybridMemoryArc, h: float,
-                n_steps: int = 2, guard_tol: float = 1e-7) -> HybridMemoryArc:
+                n_steps: int = 2) -> HybridMemoryArc:
     """Window reached by flowing from phi for duration h without jumping.
 
     Used by the functional-derivative evaluator: the window is cut from the
     History the steps were stored in.  Raises PreconditionError when phi is
-    not in the flow set.
+    not in the flow set (its flow guard is below -GUARD_TOL).
     """
-    if spec.flow_guard(phi) < -guard_tol:
+    if spec.flow_guard(phi) < -GUARD_TOL:
         raise PreconditionError("window is not in the flow set")
     hist = History(phi, phi.delta, capacity=n_steps + 1)
     hist.start_segment(0.0, np.array(phi.head, dtype=float))

@@ -1,12 +1,12 @@
 """Hybrid systems with memory: guard functions plus selection maps.
 
 A system is described by signed guard functions (>= 0 means membership in
-the flow set C or jump set D) and selection maps evaluated on memory
-windows.  Windows are duck-typed: anything exposing ``head`` (the value at
-(0, 0)), ``delayed(s)`` (the value at (s, k(s))), and ``delta`` works, which
-lets the solver pass lightweight views instead of materialized arcs.  A
-batch flow map reads a batch window, whose ``head`` and ``delayed(s)`` have
-one row per window.
+the flow set C or jump set D, up to the slack ``GUARD_TOL``) and selection
+maps evaluated on memory windows.  Windows are duck-typed: anything exposing
+``head`` (the value at (0, 0)), ``delayed(s)`` (the value at (s, k(s))),
+and ``delta`` works, which lets the solver pass lightweight views instead
+of materialized arcs.  A batch flow map reads a batch window, whose
+``head`` and ``delayed(s)`` have one row per window.
 
 Both stock systems are members of the linear-delay family below, jumping
 when their clock reaches the period delta: ``example1`` has x = (z, u),
@@ -26,6 +26,12 @@ from .hybrid_time import (HybridMemoryArc, _interpolate, constant_memory_arc,
                           memory_arc_from_function)
 
 
+# A window lies in a set when its guard is at least -GUARD_TOL.  Event
+# location places a boundary time within the solver's event_tol, which maps
+# into guard values through the guard's slope; the slack absorbs that.
+GUARD_TOL = 1e-7
+
+
 class ConfigError(ValueError):
     """A system configuration failed validation; the message names the field."""
 
@@ -43,7 +49,6 @@ class TargetSet:
 
     dist: Callable[[np.ndarray], float]
     dist_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = "custom"
 
 
 @dataclass(frozen=True)
@@ -85,11 +90,10 @@ class SystemSpec:
                 [self.flow_selection(v) for v in w.views()], dtype=float))
 
 
-def origin_target(dimension: int) -> TargetSet:
+def origin_target() -> TargetSet:
     return TargetSet(
         dist=lambda z: float(np.linalg.norm(z)),
         dist_batch=lambda arr: np.linalg.norm(arr, axis=1),
-        name="origin",
     )
 
 
@@ -108,7 +112,7 @@ def origin_times_clock_target(dimension: int, period: float) -> TargetSet:
         excess = np.maximum(0.0, np.maximum(-tau, tau - period))
         return np.sqrt(np.einsum("ij,ij->i", arr[:, :d], arr[:, :d]) + excess ** 2)
 
-    return TargetSet(dist=dist, dist_batch=dist_batch, name="origin_times_clock")
+    return TargetSet(dist=dist, dist_batch=dist_batch)
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,10 @@ class Example1Params:
         m = self.B.shape[1]
         if self.K.shape != (m, nz):
             raise ConfigError(f"K must have shape ({m}, {nz})")
-        if not (np.isfinite(self.delta) and np.isfinite(self.r)):
-            raise ConfigError("delta and r must be finite")
+        for name in ("A", "B", "K", "delta", "r"):
+            value = np.asarray(getattr(self, name))
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value.tolist()}")
         if self.r <= 0 or self.delta <= 0:
             raise ConfigError("delta and r must be positive")
         if self.r >= self.delta:
@@ -217,13 +223,20 @@ class LinearDelayConfig:
     target_set: str = "origin"
 
 
+def _square_matrix(m, n: int, where: str) -> np.ndarray:
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if m.shape != (n, n):
+        raise ConfigError(f"{where} must be {n}x{n}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ConfigError(f"{where} must be finite, got {m.tolist()}")
+    return m
+
+
 def _check_terms(terms: Sequence[DelayTerm], n: int, memory_size: float,
                  where: str) -> tuple[DelayTerm, ...]:
     out = []
     for i, term in enumerate(terms):
-        m = np.atleast_2d(np.asarray(term.matrix, dtype=float))
-        if m.shape != (n, n):
-            raise ConfigError(f"{where}[{i}] matrix must be {n}x{n}, got {m.shape}")
+        m = _square_matrix(term.matrix, n, f"{where}[{i}] matrix")
         if not (0.0 <= term.delay <= memory_size):
             raise ConfigError(f"{where}[{i}].delay must lie in [0, memory_size]")
         out.append(DelayTerm(float(term.delay), m))
@@ -237,9 +250,7 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
     if not 0 <= cfg.memory_size < np.inf:
         raise ConfigError("memory_size must be finite and nonnegative, "
                           f"got {cfg.memory_size}")
-    a0 = np.atleast_2d(np.asarray(cfg.a0, dtype=float))
-    if a0.shape != (n, n):
-        raise ConfigError(f"flow.A0 must be {n}x{n}, got {a0.shape}")
+    a0 = _square_matrix(cfg.a0, n, "flow.A0")
     flow_terms = _check_terms(cfg.flow_delayed, n, cfg.memory_size, "flow.delayed")
 
     has_clock = cfg.jump_period is not None
@@ -247,9 +258,7 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
         if not 0 < cfg.jump_period < np.inf:
             raise ConfigError("jump.period must be finite and positive, "
                               f"got {cfg.jump_period}")
-        j0 = np.eye(n) if cfg.j0 is None else np.atleast_2d(np.asarray(cfg.j0, dtype=float))
-        if j0.shape != (n, n):
-            raise ConfigError(f"jump.J0 must be {n}x{n}, got {j0.shape}")
+        j0 = np.eye(n) if cfg.j0 is None else _square_matrix(cfg.j0, n, "jump.J0")
         jump_terms = _check_terms(cfg.jump_delayed, n, cfg.memory_size, "jump.delayed")
     elif cfg.j0 is not None or cfg.jump_delayed:
         raise ConfigError("jump.J0 and jump.delayed require jump.period")
@@ -311,7 +320,7 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
             return []
 
     if cfg.target_set == "origin":
-        target = origin_target(dim)
+        target = origin_target()
     elif cfg.target_set == "origin_times_clock":
         if not has_clock:
             raise ConfigError("target_set origin_times_clock requires jump.period")
@@ -427,11 +436,6 @@ def parse_linear_delay_config(doc: dict) -> tuple[LinearDelayConfig, dict]:
             j0 = np.asarray(jump["J0"], dtype=float)
         jump_delayed = _parse_terms(jump.get("delayed", []), "jump.delayed")
 
-    target_set = doc.get("target_set", "origin")
-    if target_set not in ("origin", "origin_times_clock"):
-        raise ConfigError(f"target_set must be 'origin' or 'origin_times_clock', "
-                          f"got {target_set!r}")
-
     extras = {}
     if "initial_history" in doc:
         hist = doc["initial_history"]
@@ -456,13 +460,12 @@ def parse_linear_delay_config(doc: dict) -> tuple[LinearDelayConfig, dict]:
     cfg = LinearDelayConfig(
         dimension=dimension, memory_size=memory_size, a0=a0,
         flow_delayed=flow_delayed, jump_period=jump_period, j0=j0,
-        jump_delayed=jump_delayed, target_set=target_set,
+        jump_delayed=jump_delayed, target_set=doc.get("target_set", "origin"),
     )
     return cfg, extras
 
 
-def history_from_config(hist: dict, spec: SystemSpec,
-                        grid_step: float | None = None) -> HybridMemoryArc:
+def history_from_config(hist: dict, spec: SystemSpec) -> HybridMemoryArc:
     """Build the initial memory arc described by an 'initial_history' section.
 
     Constant histories put the given state vector on the whole window;
@@ -472,9 +475,8 @@ def history_from_config(hist: dict, spec: SystemSpec,
     """
     delta = spec.memory_size
     depth = max(delta, 1e-3)
-    if grid_step is None:
-        period = spec.meta.get("period")
-        grid_step = (period / 50.0) if period else depth / 50.0
+    period = spec.meta.get("period")
+    grid_step = (period / 50.0) if period else depth / 50.0
     kind = hist["kind"]
     if kind == "constant":
         value = np.atleast_1d(np.asarray(hist["value"], dtype=float))

@@ -210,6 +210,19 @@ class TestExample1Checks:
                             samples=400, target=target)
         assert rep.passed
 
+    @pytest.mark.parametrize("gain", [[[5.3, -2.65]], [[2.3, -1.15]]],
+                             ids=["sr-0.961", "sr-0.976"])
+    @pytest.mark.parametrize("certificate", [example1_razumikhin_certificate,
+                                             example1_halanay_certificate])
+    def test_theta_lies_above_a_spectral_radius_past_the_cap(self, certificate,
+                                                             gain):
+        # with 0.95 <= sr < 1 the 0.95 cap on theta is not above sr; the
+        # builder used to raise about a theta the caller never passed
+        p = dataclasses.replace(Example1Params.paper(), K=gain)
+        _, info = certificate(p)
+        assert 0.95 <= info.spectral_radius < info.theta < 1.0
+        assert info.theta == 0.5 * (info.spectral_radius + 1.0)
+
     def test_open_loop_fails_at_jumps(self):
         p = Example1Params(A=[[4.0, 1.0], [5.0, -3.0]], B=[[-3.0], [-2.0]],
                            K=[[0.0, 0.0]])
@@ -388,7 +401,7 @@ class TestBatchRowContract:
         _same_bits_by_chunks(target.dist_batch, _states(spec, 12), 12)
 
     def test_origin_target_dist_batch(self):
-        target = origin_target(3)
+        target = origin_target()
         rows = np.random.default_rng(13).normal(size=(500, 3))
         _same_bits_by_chunks(target.dist_batch, rows, 13)
 

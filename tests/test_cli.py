@@ -146,13 +146,16 @@ class TestExitCodes:
         (("simulate", "--system", "example2", "--set", "r=NaN"), None),
         (("simulate",), {"memory_size": float("inf")}),
         (("simulate",), {"jump": {"period": float("nan")}}),
+        (("simulate", "--system", "example1", "--set", "K=[[Infinity, 0]]"), None),
+        (("simulate",), {"flow": {"A0": [[float("nan")]]}}),
     ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "eps-grid-zero",
             "eta-grid-negative", "step-zero", "history", "config-t-max",
             "config-history-point", "t-max-nan", "step-nan", "slack-nan",
             "slack-inf", "history-nan", "history-inf", "history-nan-clock",
             "config-history-nan", "config-history-point-inf",
             "set-config-history-nan", "set-r-inf", "set-delta-nan", "set-r-nan",
-            "config-memory-size-inf", "config-period-nan"])
+            "config-memory-size-inf", "config-period-nan", "set-K-inf",
+            "config-A0-nan"])
     def test_malformed_input_exits_two(self, tmp_path, request, args, config):
         # read before anything runs: exit 2 with the reason, no traceback
         if config is not None:
@@ -167,7 +170,8 @@ class TestExitCodes:
         # a non-finite parameter is named with its field
         field = {"set-r-inf": "r", "set-delta-nan": "delta", "set-r-nan": "r",
                  "config-memory-size-inf": "memory_size",
-                 "config-period-nan": "jump.period"}.get(request.node.callspec.id)
+                 "config-period-nan": "jump.period", "set-K-inf": "K",
+                 "config-A0-nan": "flow.A0"}.get(request.node.callspec.id)
         if field is not None:
             assert r.stderr.startswith(f"config error: {field} must be finite"), \
                 r.stderr

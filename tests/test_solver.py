@@ -245,7 +245,7 @@ class TestLocateEvent:
 
 
 class TestSimOptions:
-    @pytest.mark.parametrize("field", ["t_max", "step", "event_tol", "guard_tol"])
+    @pytest.mark.parametrize("field", ["t_max", "step", "event_tol"])
     def test_nan_is_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must not be NaN"):
             SimOptions(**{field: float("nan")})

@@ -27,6 +27,14 @@ class TestExample1Builder:
         assert spec.dimension == 4
         assert spec.memory_size == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("field", ["A", "B", "K"])
+    def test_non_finite_matrix_entry_is_rejected(self, field):
+        p = Example1Params.paper()
+        bad = getattr(p, field).copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            dataclasses.replace(p, **{field: bad})
+
     def test_delay_must_be_smaller_than_period(self):
         with pytest.raises(ConfigError):
             Example1Params(A=[[1.0]], B=[[1.0]], K=[[1.0]], delta=0.1, r=0.2)
@@ -200,6 +208,22 @@ class TestLinearDelayBuilder:
             build_linear_delay_system(LinearDelayConfig(
                 dimension=2, memory_size=0.5, a0=np.eye(3)))
 
+    @pytest.mark.parametrize("cfg, field", [
+        (dict(a0=np.array([[np.nan]])), "flow.A0"),
+        (dict(a0=np.array([[0.0]]), jump_period=0.1, j0=np.array([[np.inf]])),
+         "jump.J0"),
+        (dict(a0=np.array([[0.0]]),
+              flow_delayed=(DelayTerm(0.1, np.array([[-np.inf]])),)),
+         r"flow.delayed\[0\] matrix"),
+        (dict(a0=np.array([[0.0]]), jump_period=0.1,
+              jump_delayed=(DelayTerm(0.1, np.array([[np.nan]])),)),
+         r"jump.delayed\[0\] matrix"),
+    ], ids=["A0", "J0", "flow-delayed", "jump-delayed"])
+    def test_non_finite_matrix_entry_is_rejected(self, cfg, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            build_linear_delay_system(LinearDelayConfig(
+                dimension=1, memory_size=0.5, **cfg))
+
     def test_delay_beyond_memory_rejected(self):
         with pytest.raises(ConfigError):
             build_linear_delay_system(LinearDelayConfig(
@@ -304,8 +328,9 @@ class TestConfigSchema:
     def test_bad_target_set(self):
         doc = self.good_doc()
         doc["target_set"] = "nowhere"
-        with pytest.raises(ConfigError, match="target_set"):
-            parse_linear_delay_config(doc)
+        cfg, _ = parse_linear_delay_config(doc)
+        with pytest.raises(ConfigError, match="target_set must be 'origin' or"):
+            build_linear_delay_system(cfg)
 
     def test_history_from_config_constant(self):
         cfg, extras = parse_linear_delay_config(self.good_doc())
