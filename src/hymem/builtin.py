@@ -9,13 +9,15 @@ pointwise term and an integral of the squared recent history.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import numerics
 from .certificates import (HalanayCertificate, KrasovskiiCertificate,
                            RazumikhinCertificate)
-from .hybrid_time import HybridMemoryArc, delayed_sq_integral
+from .batch import delayed_sq_integral
+from .hybrid_time import HybridMemoryArc
 from .system import Example1Params, Example2Params
 
 
@@ -260,19 +262,20 @@ def example2_krasovskii_certificate(
     info = example2_feasibility(params)
     sigma, mu, r, delta = params.sigma, params.mu, params.r, params.delta
 
-    def vf(phi: HybridMemoryArc) -> float:
-        head = phi.head
-        point = head[0] * head[0] * np.exp(-sigma * head[1])
+    def vf_batch(phis: Sequence[HybridMemoryArc]) -> np.ndarray:
+        heads = np.array([phi.head for phi in phis]).reshape(len(phis), 2)
+        point = heads[:, 0] * heads[:, 0] * np.exp(-sigma * heads[:, 1])
         if mu == 0.0:
-            return float(point)
-        return float(point + mu * delayed_sq_integral(phi, -r, 0.0,
-                                                      components=slice(0, 1)))
+            return point
+        return point + mu * delayed_sq_integral(phis, -r, 0.0,
+                                                components=slice(0, 1))
 
     abs_sig = abs(sigma)
     cert = KrasovskiiCertificate(
-        vf=vf,
+        vf=lambda phi: float(vf_batch([phi])[0]),
         alpha1=lambda s: s * s * np.exp(-abs_sig * delta),
         alpha2=lambda s: s * s * (np.exp(abs_sig * delta) + r * mu),
         alpha3=lambda s, g=info.gamma3: g * s * s,
+        vf_batch=vf_batch,
     )
     return cert, info

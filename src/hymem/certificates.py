@@ -6,7 +6,13 @@ bounds on the window, (ii) decrease along flows, (iii) decrease across
 jumps.  One pipeline, :func:`_check`, draws flow, jump and post-jump arcs
 from the sampler, evaluates (i) on all of them, (ii) on the flow arcs and
 (iii) on the jump arcs, and records every evaluation; each checker only
-supplies its certificate's value on an arc and its (ii) and (iii) terms.
+supplies its certificate's values and its (ii) and (iii) terms.  The terms
+take whole lists of arcs, so the functional form evaluates its functional
+in arrays: over all arcs for (i), over the flow windows of a block of flow
+arcs for (ii) (:func:`~hymem.solver.flow_windows`), over the appended arcs
+of a block of jump candidates for (iii)
+(:func:`~hymem.batch.append_jumps`), through ``vf_batch`` when the
+certificate has one.  Evaluations are still recorded in drawing order.
 
 The checkers falsify, not prove: zero violations over a sample set is
 evidence, a reported violation is a certified counterexample (re-evaluating
@@ -24,9 +30,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .hybrid_time import HybridMemoryArc, append_jump, memory_window, sup_norm_w, vbar
+from .batch import _blocks, append_jumps, sup_norm_w, vbar
+from .hybrid_time import HybridMemoryArc, memory_window
 from .sampling import ArcSample, ArcSampler
-from .solver import PreconditionError, Trajectory, flow_window
+from .solver import PreconditionError, Trajectory, flow_windows
 from .system import GUARD_TOL, SystemSpec, TargetSet
 
 ALGEBRAIC_SLACK = 1e-9
@@ -91,12 +98,21 @@ class HalanayCertificate:
 
 @dataclass(frozen=True)
 class KrasovskiiCertificate:
-    """Functional certificate: vf maps a whole memory arc to a value."""
+    """Functional certificate: vf maps a whole memory arc to a value.
+
+    ``vf_batch`` optionally maps a sequence of memory arcs to the array of
+    their values at once.  Row i of its result must be vf of arc i, bit for
+    bit, whatever arcs come with it: the check then evaluates all arcs,
+    flow windows and jump candidates in a few calls, and
+    :func:`check_krasovskii` refuses a ``vf_batch`` that differs from vf in
+    any bit on the first sampled arcs.  Without it, vf runs arc by arc.
+    """
 
     vf: Callable[[HybridMemoryArc], float]
     alpha1: Callable[[float], float]
     alpha2: Callable[[float], float]
     alpha3: Callable[[float], float]
+    vf_batch: Callable[[Sequence[HybridMemoryArc]], np.ndarray] | None = None
     name = "krasovskii"
 
 
@@ -270,26 +286,28 @@ def _split_counts(total: int) -> tuple[int, int, int]:
 
 def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
            target: TargetSet | None, h: float,
-           value: Callable[[HybridMemoryArc], float],
+           values: Callable[[list[HybridMemoryArc]], Sequence[float]],
            window: tuple[Callable, Callable | None], upper_is_window: bool,
-           flow: Callable[[ArcSample, float, float, float], Iterable[tuple]],
-           jump: Callable[[ArcSample, float, float, float], Iterable[tuple]],
+           flow: Callable[[list[ArcSample], list[tuple]], Iterable[Iterable[tuple]]],
+           jump: Callable[[list[ArcSample], list[tuple]], Iterable[Iterable[tuple]]],
            meta: dict) -> CheckReport:
     """The pipeline of every checker; a certificate form supplies its terms.
 
     Draws C, D and post-jump arcs and records, in this order: (i) on every
     arc, alpha1(|head|_W) <= value(phi) <= alpha2(U), where U is the window
     maximum when upper_is_window holds and |head|_W otherwise; (ii) on every
-    flow arc, each (lhs, rhs, aux) that flow(s, value, |head|_W, window
-    maximum) yields as lhs <= rhs; (iii) on every jump arc, each triple that
-    jump(s, value, |head|_W, window maximum) yields.  ``window`` is the
-    (fn, batch) pair whose maximum :func:`sup_norm_w` takes, in one call for
-    the whole check: over every arc when (i) reads it, over the flow and
-    jump arcs otherwise.  Every arc's value and head distance are computed
-    once, in (i).  A certificate with a gradient has it screened at up to
-    1000 flow and jump heads before anything is recorded.  h sets the
-    default derivative slack; meta joins the report's meta when the run
-    ends, so the terms may update it.
+    flow arc, each (lhs, rhs, aux) that flow yields for it as lhs <= rhs;
+    (iii) on every jump arc, each triple that jump yields for it.  The terms
+    take whole lists: ``values`` maps the arcs to their values, and
+    ``flow`` and ``jump`` map the flow (jump) arcs and their (value,
+    |head|_W, window maximum) triples to one iterable of triples per arc.
+    ``window`` is the (fn, batch) pair whose maximum :func:`sup_norm_w`
+    takes, in one call for the whole check: over every arc when (i) reads
+    it, over the flow and jump arcs otherwise.  Every arc's value and head
+    distance are computed once, in (i).  A certificate with a gradient has
+    it screened at up to 1000 flow and jump heads before anything is
+    recorded.  h sets the default derivative slack; meta joins the report's
+    meta when the run ends, so the terms may update it.
     """
     if target is None:
         raise ValueError("a TargetSet is required (pass target=...)")
@@ -311,21 +329,21 @@ def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
     maxima = sup_norm_w([s.arc for s in (arcs if upper_is_window
                                          else c_arcs + d_arcs)],
                         window[0], batch=window[1]).tolist()
-    values = []  # (value, |head|_W, window maximum) of every arc, in drawing order
-    for s, wm in zip_longest(arcs, maxima):
+    terms = []  # (value, |head|_W, window maximum) of every arc, in drawing order
+    for s, val, wm in zip_longest(arcs, values([s.arc for s in arcs]), maxima):
         dw = float(target.dist(s.arc.head))
-        val = value(s.arc)
         rec.record(f"{cert.name}.i.lower", s, cert.alpha1(dw), val, True)
         rec.record(f"{cert.name}.i.upper", s, val,
                    cert.alpha2(wm if upper_is_window else dw), True)
-        values.append((val, dw, wm))
+        terms.append((val, dw, wm))
 
-    for s, terms in zip(c_arcs, values):
-        for lhs, rhs, aux in flow(s, *terms):
+    n_cd = len(c_arcs) + len(d_arcs)
+    for s, rows in zip(c_arcs, flow(c_arcs, terms[:len(c_arcs)])):
+        for lhs, rhs, aux in rows:
             rec.record(f"{cert.name}.ii", s, lhs, rhs, False, aux)
 
-    for s, terms in zip(d_arcs, values[len(c_arcs):]):
-        for lhs, rhs, aux in jump(s, *terms):
+    for s, rows in zip(d_arcs, jump(d_arcs, terms[len(c_arcs):n_cd])):
+        for lhs, rhs, aux in rows:
             rec.record(f"{cert.name}.iii", s, lhs, rhs, True, aux)
 
     counts = {"C": len(c_arcs), "D": len(d_arcs), "Gplus": len(g_arcs)}
@@ -358,10 +376,13 @@ def _check_pointwise(spec: SystemSpec, cert, sampler: ArcSampler,
         for gi, g in enumerate(spec.jump_selections(s.arc)):
             yield float(cert.v(np.asarray(g))), jump_rhs(vb), ("jump_candidate", gi)
 
+    def each(term):  # the per-arc generators, one per arc, run as recorded
+        return lambda arcs, terms: (term(s, *t) for s, t in zip(arcs, terms))
+
     return _check(cert, sampler, slack, samples, target, 0.0,
-                  value=lambda arc: float(cert.v(arc.head)),
+                  values=lambda arcs: [float(cert.v(arc.head)) for arc in arcs],
                   window=(cert.v, cert.v_batch), upper_is_window=False,
-                  flow=flow, jump=jump, meta={})
+                  flow=each(flow), jump=each(jump), meta={})
 
 
 def check_razumikhin(spec: SystemSpec, cert: RazumikhinCertificate,
@@ -398,27 +419,69 @@ def check_halanay(spec: SystemSpec, cert: HalanayCertificate,
         jump_rhs=lambda vb: cert.rho * vb)
 
 
-def _quotient(spec: SystemSpec, cert: KrasovskiiCertificate,
-              phi: HybridMemoryArc, h: float, base: float) -> float:
-    """(Vf(flow window of phi over h) - base) / h, with base = Vf(phi).
+#: Sampled arcs on which check_krasovskii compares vf_batch with vf.
+SCREENED_ARCS = 5
 
-    Halves h while the flow would leave the flow set within h; errors when
-    no positive duration keeps it inside.
+
+def _functional(cert: KrasovskiiCertificate) -> Callable:
+    """The certificate's functional on a list of arcs, as an array: vf_batch,
+    or vf arc by arc without it."""
+    if cert.vf_batch is not None:
+        return cert.vf_batch
+    return lambda phis: np.array([float(cert.vf(phi)) for phi in phis])
+
+
+def _quotients(spec: SystemSpec, functional: Callable,
+               phis: Sequence[HybridMemoryArc], h: float,
+               bases: Sequence[float]) -> list[float | None]:
+    """(Vf(flow window of phi over h) - base) / h for each arc phi of phis
+    and its base Vf(phi), a block of arcs at once.
+
+    An arc whose window leaves the flow set retries at h/2 with the others
+    that did, up to 30 halvings; None where no step keeps it inside, or phi
+    is not in the flow set.
     """
+    out: list[float | None] = [None] * len(phis)
+    todo = [i for i, phi in enumerate(phis) if spec.flow_guard(phi) >= -GUARD_TOL]
     for _ in range(30):
-        w_h = flow_window(spec, phi, h)
-        if spec.flow_guard(w_h) >= -GUARD_TOL:
-            return (float(cert.vf(w_h)) - base) / h
+        if not todo:
+            break
+        retry = []
+        # one block of windows at a time; a window's store adds the head and
+        # flow_windows' two steps to its arc's samples
+        for lo, hi in _blocks([phis[i] for i in todo], 3):
+            rows = todo[lo:hi]
+            windows = flow_windows(spec, [phis[i] for i in rows], h)
+            inside = [spec.flow_guard(w) >= -GUARD_TOL for w in windows]
+            done = [i for i, ok in zip(rows, inside) if ok]
+            if done:
+                kept = [w for w, ok in zip(windows, inside) if ok]
+                for i, v in zip(done, functional(kept).tolist()):
+                    out[i] = (v - bases[i]) / h
+            retry += [i for i, ok in zip(rows, inside) if not ok]
+        todo = retry
         h *= 0.5
-    raise PreconditionError("flow leaves the flow set immediately; the "
-                            "functional derivative is undefined here")
+    return out
 
 
 def dplus_v(spec: SystemSpec, cert: KrasovskiiCertificate,
             phi: HybridMemoryArc, h: float) -> float:
     """Finite-difference upper right-hand derivative of the functional at phi
-    along the selected flow (exact for single-valued flow maps as h -> 0+)."""
-    return _quotient(spec, cert, phi, h, float(cert.vf(phi)))
+    along the selected flow (exact for single-valued flow maps as h -> 0+).
+
+    Halves h while the flow would leave the flow set within h; raises
+    PreconditionError when phi is not in the flow set or no positive
+    duration keeps its flow inside.  The check evaluates it for all its
+    flow arcs at once; this is the one-arc case.
+    """
+    functional = _functional(cert)
+    d = _quotients(spec, functional, [phi], h, functional([phi]).tolist())[0]
+    if d is None:
+        if spec.flow_guard(phi) < -GUARD_TOL:
+            raise PreconditionError("window is not in the flow set")
+        raise PreconditionError("flow leaves the flow set immediately; the "
+                                "functional derivative is undefined here")
+    return d
 
 
 def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
@@ -431,28 +494,55 @@ def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
     difference quotient descends at rate alpha3(|head|_W) on flow arcs;
     (iii) appending any jump value decreases Vf by alpha3(|head|_W).  Flow
     candidates are screened for an empirical norm bound (local boundedness).
+
+    The functional runs on lists of arcs: one call for the arcs of (i), and
+    for (ii) and (iii) one per block of the flow windows (a block of flow
+    arcs flows at once, and those whose window leaves the flow set retry at
+    h/2) and of the jump candidates' appended arcs, so that one block's
+    windows exist at a time.  A ``vf_batch`` that differs from vf in any
+    bit on the first SCREENED_ARCS arcs raises CertificateValidationError
+    before anything is recorded.
     """
     validate_krasovskii(cert)
     meta = {"flow_bound_observed": 0.0, "flow_arcs_skipped": 0, "h": h}
+    functional = _functional(cert)
 
-    def flow(s: ArcSample, vf: float, dw: float, sup: float):
-        for f in spec.flow_candidates(s.arc):
-            meta["flow_bound_observed"] = max(meta["flow_bound_observed"],
-                                              float(np.linalg.norm(f)))
-        try:
-            d = _quotient(spec, cert, s.arc, h, vf)
-        except PreconditionError:
-            meta["flow_arcs_skipped"] += 1
-            return
-        yield d, -cert.alpha3(dw), ()
+    def values(arcs: list[HybridMemoryArc]) -> list[float]:
+        vals = functional(arcs).tolist()
+        if cert.vf_batch is not None:
+            for k, (arc, got) in enumerate(zip(arcs[:SCREENED_ARCS], vals)):
+                want = float(cert.vf(arc))
+                if np.float64(got).tobytes() != np.float64(want).tobytes():
+                    raise CertificateValidationError(
+                        f"{cert.name}: vf_batch gives {got!r} where vf gives "
+                        f"{want!r} on sampled arc {k}")
+        return vals
 
-    def jump(s: ArcSample, vf: float, dw: float, sup: float):
-        for gi, g in enumerate(spec.jump_selections(s.arc)):
-            lhs = float(cert.vf(append_jump(s.arc, np.asarray(g, dtype=float))))
-            yield lhs - vf, -cert.alpha3(dw), ("jump_candidate", gi)
+    def flow(samples: list[ArcSample], terms: list[tuple]):
+        for s in samples:
+            for f in spec.flow_candidates(s.arc):
+                meta["flow_bound_observed"] = max(meta["flow_bound_observed"],
+                                                  float(np.linalg.norm(f)))
+        quotients = _quotients(spec, functional, [s.arc for s in samples], h,
+                               [vf for vf, _, _ in terms])
+        meta["flow_arcs_skipped"] += quotients.count(None)
+        return [() if d is None else ((d, -cert.alpha3(dw), ()),)
+                for d, (_, dw, _) in zip(quotients, terms)]
 
-    return _check(cert, sampler, slack, samples, target, h,
-                  value=lambda arc: float(cert.vf(arc)),
+    def jump(samples: list[ArcSample], terms: list[tuple]):
+        cands = [(i, gi, np.asarray(g, dtype=float)) for i, s in enumerate(samples)
+                 for gi, g in enumerate(spec.jump_selections(s.arc))]
+        arcs, lhs = [samples[i].arc for i, _, _ in cands], []
+        for lo, hi in _blocks(arcs, 1):  # one block's appended arcs at a time
+            lhs += functional(append_jumps(
+                arcs[lo:hi], [g for _, _, g in cands[lo:hi]])).tolist()
+        rows: list[list[tuple]] = [[] for _ in samples]
+        for (i, gi, _), v in zip(cands, lhs):
+            vf, dw, _ = terms[i]
+            rows[i].append((v - vf, -cert.alpha3(dw), ("jump_candidate", gi)))
+        return rows
+
+    return _check(cert, sampler, slack, samples, target, h, values=values,
                   window=(target.dist, target.dist_batch), upper_is_window=True,
                   flow=flow, jump=jump, meta=meta)
 

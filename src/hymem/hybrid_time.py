@@ -26,12 +26,10 @@ range ends between stored samples.  :class:`ArcSegment` is the read-only
 view of one level that ``all_segments``, ``memory_segments`` and
 ``forward_segments`` return.
 
-The window maximum (:func:`sup_norm_w`, also named :func:`vbar`) takes
-every window a check needs in one pass: consecutive windows go into blocks
-of at most ``_BLOCK_ROWS`` stored samples, and each block makes one call of
-the batch form for its stored samples and one per refinement round.  A
-batch form must give each row the same bits whatever rows come with it, so
-a window's maximum is what it would be alone.
+The array forms of these operators, which take many arcs in one pass
+(the window maximum :func:`sup_norm_w`, :func:`delayed_sq_integral`,
+``append_jumps`` and the flow windows' cut), live in :mod:`hymem.batch`;
+the first two are re-exported here under their old names.
 
 Arcs are checked once, where outside data enters: by the constructors of
 :class:`HybridArc` and :class:`HybridMemoryArc`, and for jump indices by
@@ -170,6 +168,22 @@ def _blend(times: np.ndarray, values: np.ndarray, derivs: np.ndarray | None,
     out[hermite] = _hermite(values[k], values[k + 1], derivs[k], derivs[k + 1],
                             h[hermite], w[hermite])
     return out
+
+
+def _bisect(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, q: np.ndarray,
+            right: bool) -> np.ndarray:
+    """lo[i] + np.searchsorted(keys[lo[i]:hi[i]], q[i], side) for each i, each
+    slice sorted: one binary search over many slices at once, which grows
+    each row's count of keys before q by halving steps."""
+    pos = lo.copy()
+    widest = int((hi - lo).max(initial=0))
+    step = 1 << (widest.bit_length() - 1) if widest else 0
+    while step:
+        cand = np.minimum(pos + step, hi)
+        k = keys[cand - 1]  # cand = pos only where pos = hi: no move
+        pos = np.where((k <= q) if right else (k < q), cand, pos)
+        step >>= 1
+    return pos
 
 
 @dataclass(frozen=True)
@@ -311,18 +325,18 @@ class HybridArc:
                             self.interpolation, a, b, self.known)
 
     def value(self, tq: float, segment: int | None = None,
-              end: int | None = None) -> np.ndarray:
+              end: int | None = None, floor: int = 0) -> np.ndarray:
         """Value at time tq on the newest jump level whose first sample is at
         or before tq (up to TIME_TOL): the maximal-jump-index rule, so a jump
-        instant reads its post-jump value.  Only levels up to ``segment``
-        and samples before ``end`` are read (default: all).  Each call
-        returns a fresh array."""
+        instant reads its post-jump value.  Only levels ``floor`` to
+        ``segment`` and samples before ``end`` are read (default: all).
+        Each call returns a fresh array."""
         starts, times = self.starts, self.times
         if segment is None:
             segment, end = len(starts) - 1, self.n
         if tq > times.item(end - 1) + TIME_TOL:
             raise DomainError(f"time {tq} is after the stored history", tq, None)
-        for k in range(segment, -1, -1):
+        for k in range(segment, floor - 1, -1):
             lo = starts[k]
             if tq >= times.item(lo) - TIME_TOL:
                 return _interpolate(times, self.values, self.derivs, tq,
@@ -463,7 +477,8 @@ class WindowView:
     """The window protocol (head, delayed(s), delta) at a sample of a History.
 
     Reads follow the maximal-jump-index rule and never see samples stored
-    after the view's own.  :meth:`extend` gives the window at a provisional
+    after the view's own, nor levels below ``floor`` (another arc's, in a
+    stack of many).  :meth:`extend` gives the window at a provisional
     point x, dt ahead on the same jump level, as Runge-Kutta stages need:
     delays shorter than dt read the straight line from the stored head to x,
     longer ones read the stored history.  A view from :meth:`extend` keeps
@@ -474,30 +489,32 @@ class WindowView:
     array.
     """
 
-    __slots__ = ("history", "index", "segment", "head", "dt", "reads")
+    __slots__ = ("history", "index", "segment", "head", "dt", "reads", "floor")
 
     def __init__(self, history: History, index: int, segment: int,
                  head: np.ndarray, dt: float = 0.0,
-                 reads: dict[float, np.ndarray] | None = None):
+                 reads: dict[float, np.ndarray] | None = None, floor: int = 0):
         self.history = history
         self.index = index
         self.segment = segment
         self.head = head
         self.dt = dt
         self.reads = reads
+        self.floor = floor
 
     @property
     def delta(self) -> float:
         return self.history.delta
 
     def extend(self, dt: float, x: np.ndarray) -> "WindowView":
-        return WindowView(self.history, self.index, self.segment, x, dt, {})
+        return WindowView(self.history, self.index, self.segment, x, dt, {},
+                          self.floor)
 
     def with_head(self, x: np.ndarray) -> "WindowView":
         """The view at the same point and stage time with head x; it shares
         this view's stored-history reads."""
         return WindowView(self.history, self.index, self.segment, x, self.dt,
-                          self.reads)
+                          self.reads, self.floor)
 
     def delayed(self, s: float) -> np.ndarray:
         hist = self.history
@@ -508,7 +525,7 @@ class WindowView:
         x = None if reads is None else reads.get(s)
         if x is None:
             x = hist.value(hist.times.item(self.index) + q, self.segment,
-                           self.index + 1)
+                           self.index + 1, self.floor)
             if reads is None:
                 return x
             reads[s] = x
@@ -516,66 +533,106 @@ class WindowView:
 
 
 class BatchView:
-    """The window protocol at several stored samples of one History at once.
+    """The window protocol at several stored samples of one store at once.
 
     ``head`` and ``delayed(s)`` are (B, n) arrays whose row i is bit for bit
-    what ``history.view(index[i])`` gives; :meth:`views` lists those views.
-    A delayed read finds every row's jump level with one binary search over
-    the levels' first times, which an arc's levels have in time order, and
-    interpolates each level's rows with one binary search and one
-    :func:`_blend` call.
-    Like a view, it never reads a sample stored after its row's own.
+    what the :class:`WindowView` at ``index[i]`` on level ``segment[i]``,
+    reading no level below ``floor[i]``, gives; :meth:`views` lists those
+    views.  The store is a History (``segment`` defaults to each sample's
+    level, ``floor`` to 0) or a stack of many arcs' Histories, whose rows
+    each name their own levels.  :meth:`extend` and :meth:`with_head` are
+    the window view's, for every row at once: all rows of a batch share one
+    stage offset dt.  A delayed read finds every row's jump level with one
+    binary search over its own levels' first times, which an arc's levels
+    have in time order, and interpolates all rows with one binary search
+    each and one :func:`_blend` call.  Like a view, it never reads a sample
+    stored after its row's own.
     """
 
-    __slots__ = ("history", "index", "segment", "head")
+    __slots__ = ("history", "index", "segment", "floor", "head", "dt", "reads")
 
-    def __init__(self, history: History, index: np.ndarray):
+    def __init__(self, history: HybridArc, index, segment=None, floor=None):
         self.history = history
         self.index = np.asarray(index, dtype=np.intp)
-        self.segment = np.searchsorted(history.starts, self.index, side="right") - 1
+        self.segment = (np.searchsorted(history.starts, self.index, side="right") - 1
+                        if segment is None else np.asarray(segment, dtype=np.intp))
+        self.floor = (np.zeros_like(self.index) if floor is None
+                      else np.asarray(floor, dtype=np.intp))
         self.head = history.values[self.index]
+        self.dt, self.reads = 0.0, None
 
     @property
     def delta(self) -> float:
         return self.history.delta
 
+    def _moved(self, head: np.ndarray, dt: float, reads: dict | None) -> "BatchView":
+        view = object.__new__(BatchView)
+        view.history, view.index = self.history, self.index
+        view.segment, view.floor = self.segment, self.floor
+        view.head, view.dt, view.reads = head, dt, reads
+        return view
+
+    def extend(self, dt: float, x: np.ndarray) -> "BatchView":
+        return self._moved(x, dt, {})
+
+    def with_head(self, x: np.ndarray) -> "BatchView":
+        return self._moved(x, self.dt, self.reads)
+
     def views(self) -> list[WindowView]:
-        hist = self.history
-        return [WindowView(hist, i, k, hist.values[i])
-                for i, k in zip(self.index.tolist(), self.segment.tolist())]
+        hist, dt = self.history, self.dt
+        return [WindowView(hist, i, k, x, dt, None if self.reads is None else {}, f)
+                for i, k, x, f in zip(self.index.tolist(), self.segment.tolist(),
+                                      self.head, self.floor.tolist())]
 
     def delayed(self, s: float) -> np.ndarray:
         hist, index = self.history, self.index
-        times, values = hist.times, hist.values
-        own = times[index]
-        tq = own + s
-        late = tq > own + TIME_TOL
+        q = self.dt + s
+        if q >= 0.0 and self.dt > 0.0:
+            return _lerp(hist.values[index], self.head, q / self.dt)
+        reads = self.reads
+        x = None if reads is None else reads.get(s)
+        if x is None:
+            x = self._read(hist.times[index] + q)
+            if reads is None:
+                return x
+            reads[s] = x
+        return x.copy()
+
+    def _read(self, tq: np.ndarray) -> np.ndarray:
+        """Each row's History.value at tq[i], on its own levels up to its
+        own sample."""
+        hist, index = self.history, self.index
+        times = hist.times
+        late = tq > times[index] + TIME_TOL
         if late.any():
             t = tq[late][0]
             raise DomainError(f"time {t} is after the stored history", t, None)
-        starts = np.array(hist.starts + [hist.n])
-        # History.value's rule: the newest level, up to the row's own, whose
-        # first sample lies at or before tq
-        level = np.minimum(np.searchsorted(times[starts[:-1]] - TIME_TOL, tq,
-                                           side="right") - 1, self.segment)
-        if level.min() < 0:
-            t = tq[level < 0][0]
+        first = np.array(hist.starts, dtype=np.intp)
+        end = np.append(first[1:], hist.n)
+        # History.value's rule: the newest of the row's levels, up to its
+        # own, whose first sample lies at or before tq
+        level = _bisect(times[first] - TIME_TOL, self.floor, self.segment + 1,
+                        tq, True) - 1
+        missing = level < self.floor
+        if missing.any():
+            t = tq[missing][0]
             raise InsufficientHistoryError(
                 f"time {t} precedes all stored history", t, None)
-        first = starts[level]
-        last = np.where(level == self.segment, index, starts[level + 1] - 1)
+        first = first[level]
+        stop = np.where(level == self.segment, index + 1, end[level])
+        # _interpolate on each row's samples first:stop, held constant past
+        # either end
+        values = hist.values
         out = np.empty_like(self.head)
         before = tq <= times[first]
-        after = ~before & (tq >= times[last])
+        after = ~before & (tq >= times[stop - 1])
         out[before] = values[first[before]]
-        out[after] = values[last[after]]
+        out[after] = values[stop[after] - 1]
         inner = np.flatnonzero(~(before | after))
-        for k in np.unique(level[inner]).tolist():
-            rows = inner[level[inner] == k]
-            lo, hi = starts[k], starts[k + 1]
-            i = lo - 1 + times[lo:hi].searchsorted(tq[rows], side="right")
-            out[rows] = _blend(times, values, hist.derivs if hist.interpolation
-                               == "hermite" else None, hist.known, tq[rows], i)
+        if inner.size:
+            i = _bisect(times, first[inner], stop[inner], tq[inner], True) - 1
+            out[inner] = _blend(times, values, hist.derivs if hist.interpolation
+                                == "hermite" else None, hist.known, tq[inner], i)
         return out
 
 
@@ -721,191 +778,6 @@ def append_jump(phi: HybridMemoryArc, g: np.ndarray) -> HybridMemoryArc:
         () if phi.derivs is None or phi.interpolation != "hermite"
         else (np.zeros((1, g.shape[0])), np.zeros(1, bool)))]))
     return _cut(phi, pieces, 0.0, phi.delta)
-
-
-#: Most stored samples in one block of :func:`sup_norm_w` (a window larger
-#: than this is a block of its own).  Only one block's arrays and its
-#: refinement midpoints exist at a time, whatever the number of windows.
-_BLOCK_ROWS = 1024
-
-
-def sup_norm_w(phis: Sequence[HybridMemoryArc], fn: Callable[[np.ndarray], float],
-               batch: Callable[[np.ndarray], np.ndarray] | None = None,
-               refine_tol: float = 1e-9, max_levels: int = 6) -> np.ndarray:
-    """Max of fn over each window's s + k >= -delta - 1, with grid refinement:
-    one value per window of ``phis``, as an array.
-
-    Both window maxima of the conditions are this one function: with
-    fn = |.|_W it is the window norm sup |phi(s,k)|_W (the argument of
-    alpha2 in the functional form, and a run's initial size), and as
-    :func:`vbar`, with fn = V, it is the maximum of V over the window that
-    the Razumikhin and Halanay forms compare with.
-
-    Each jump level's stored samples above the depth floor seed its
-    estimate; each refinement round adds the midpoints of its current grid
-    until successive estimates agree to refine_tol (relative), at most
-    ``max_levels`` rounds, and a level leaves the pass once it converges.
-    A window's maximum is the largest of its levels'.  One pass serves every
-    window of the call: consecutive windows go into blocks of at most
-    ``_BLOCK_ROWS`` stored samples, and a block makes one evaluation for all
-    its stored samples and one per refinement round for all its midpoints.
-    A midpoint's bracket is its stored interval, known from its index in the
-    grid, and its value is bit for bit the arc's pointwise interpolant.
-
-    ``batch`` maps an (m, n) array of states to the m values of fn; without
-    it fn runs row by row.  Its contract: row i of the result depends on row
-    i of the input alone, bit for bit, whatever rows come with it.  Then a
-    window's maximum does not depend on the other windows of the call or on
-    the blocks.  The windows must share one state dimension.  A NaN value of
-    fn, at a stored sample or a midpoint, raises :class:`DomainError` naming
-    the window's index and its jump level; infinite values are compared as
-    they are, so a window may have an infinite maximum.  A window with no
-    sample above its floor raises.
-    """
-    evaluate = batch if batch is not None else (
-        lambda arr: np.array([fn(row) for row in arr]))
-    out = np.empty(len(phis))
-    lo = rows = 0
-    for hi, phi in enumerate(phis):
-        size = phi.n
-        if hi > lo and rows + size > _BLOCK_ROWS:
-            out[lo:hi] = _block_max(phis[lo:hi], lo, evaluate, refine_tol, max_levels)
-            lo, rows = hi, 0
-        rows += size
-    if lo < len(phis):
-        out[lo:] = _block_max(phis[lo:], lo, evaluate, refine_tol, max_levels)
-    return out
-
-
-def _block_max(phis: Sequence[HybridMemoryArc], offset: int, evaluate: Callable,
-               refine_tol: float, max_levels: int) -> np.ndarray:
-    """:func:`sup_norm_w` of one block of windows, the first of which has
-    index ``offset`` in the call."""
-    # per level of each window: the window, jump index, length and floor
-    win, jumps, lengths, floors = map(np.array, zip(*[
-        (w, k - len(phi.starts) + 1, b - a, -phi.delta - 1 - TIME_TOL)
-        for w, phi in enumerate(phis, offset) for k, (a, b) in enumerate(phi.levels())]))
-    ends = np.cumsum(lengths)  # one past each level's last sample
-    starts = ends - lengths
-    times = np.concatenate([phi.times for phi in phis])
-    values = np.concatenate([phi.values for phi in phis])
-    hermite = [phi.interpolation == "hermite" and phi.derivs is not None
-               for phi in phis]
-    derivs = known = None
-    if any(hermite):
-        derivs = np.concatenate([phi.derivs if h else np.zeros_like(phi.values)
-                                 for phi, h in zip(phis, hermite)])
-        known = np.concatenate([phi.known if h else np.zeros(phi.n, dtype=bool)
-                                for phi, h in zip(phis, hermite)])
-    # a level's times increase, so its samples above the floor are a suffix
-    above = times + np.repeat(jumps, lengths) >= np.repeat(floors, lengths)
-    csum = np.concatenate(([0], np.cumsum(above)))
-    count = csum[ends] - csum[starts]
-    lv = np.flatnonzero(count)  # the levels with samples above the floor
-    empty = np.flatnonzero(np.bincount(win[lv] - offset, minlength=len(phis)) == 0)
-    if empty.size:
-        raise DomainError(f"window {offset + empty[0]} is empty above the depth floor")
-    first = ends - count
-
-    def check_nan(level_max: np.ndarray, k: np.ndarray) -> None:
-        bad = np.flatnonzero(np.isnan(level_max))
-        if bad.size:
-            j = int(jumps[k[bad[0]]])
-            raise DomainError(f"window {win[k[bad[0]]]}: value is NaN on jump "
-                              f"level {j}", None, j)
-
-    def evaluate_rows(x: np.ndarray) -> np.ndarray:
-        return np.asarray(evaluate(x), dtype=float).reshape(x.shape[0])
-
-    est = np.maximum.reduceat(evaluate_rows(values[above]),
-                              np.cumsum(count[lv]) - count[lv])
-    check_nan(est, lv)
-    # refinement: the grids of the levels still refining, back to back
-    act = np.flatnonzero(count[lv] >= 2)
-    grid = times[above & np.repeat(count >= 2, lengths)]
-    for r in range(max_levels):
-        if act.size == 0:
-            break
-        k = lv[act]
-        cnt = (count[k] - 1) << r  # midpoints per level this round
-        goff = np.concatenate(([0], np.cumsum(cnt + 1)))
-        pairs = 0.5 * (grid[:-1] + grid[1:])
-        mids = np.delete(pairs, goff[1:-1] - 1)  # drop pairs across levels
-        moff = goff[:-1] - np.arange(act.shape[0])
-        own = np.repeat(k, cnt)
-        i = first[own] + ((np.arange(mids.shape[0]) - np.repeat(moff, cnt)) >> r)
-        end = ends[own]
-        # a midpoint on the bracket's right end reads the next bracket, as a
-        # binary search would, except in the level's last bracket
-        i += (mids >= times[i + 1]) & (i + 2 < end)
-        x = _blend(times, values, derivs, known, mids, i)
-        left = mids <= times[starts[own]]
-        x[left] = values[starts[own][left]]
-        right = mids >= times[end - 1]
-        x[right] = values[end[right] - 1]
-        level_max = np.maximum.reduceat(evaluate_rows(x), moff)
-        check_nan(level_max, k)
-        prev = est[act]
-        new = np.maximum(prev, level_max)
-        est[act] = new
-        with np.errstate(invalid="ignore"):  # inf - inf never converges
-            going = ~(np.abs(new - prev) <= refine_tol * np.maximum(1.0, np.abs(new)))
-        if r + 1 == max_levels:
-            break
-        keep = np.repeat(going, 2 * (cnt + 1))
-        keep[2 * goff[1:] - 1] = False
-        merged = np.empty(2 * grid.shape[0] - 1)
-        merged[0::2] = grid
-        merged[1::2] = pairs
-        grid = merged[keep[:-1]]
-        act = act[going]
-    return np.maximum.reduceat(est, np.searchsorted(win[lv], np.arange(
-        offset, offset + len(phis))))
-
-
-#: The maximum of V over the window: :func:`sup_norm_w` under its own name.
-vbar = sup_norm_w
-
-
-def delayed_sq_integral(phi: HybridMemoryArc, lo: float, hi: float,
-                        components: slice | None = None) -> float:
-    """Integral over [lo, hi] of |phi(s, k(s))|^2 ds, exact for the stored
-    piecewise-linear interpolant (per-interval Simpson).  ``components``
-    restricts the squared norm to a slice of the state vector.
-
-    Each level contributes the index range of its samples on the part of
-    [lo, hi] that no newer level covers (a jump instant belongs to the newer
-    level, as the maximal-k rule has it), with interpolated end samples.
-    """
-    if hi < lo:
-        raise ValueError("need lo <= hi")
-    runs, top = [], hi
-    for a0, b0 in reversed(phi.levels()):
-        first, last = phi.times.item(a0), phi.times.item(b0 - 1)
-        if first > hi + TIME_TOL:
-            continue
-        if last < lo - TIME_TOL:
-            break
-        piece = _piece(phi, a0, b0, max(lo, first), min(top, last))
-        if piece is not None:
-            runs.append(_join([p[:2] for p in piece]))
-            top = min(hi, runs[-1][0].item(0))
-        if first <= lo + TIME_TOL:
-            break
-    if not runs:
-        raise DomainError(f"no stored history on [{lo}, {hi}]", lo, None)
-    total = 0.0
-    for times, values in reversed(runs):
-        if times.shape[0] < 2:
-            continue
-        if components is not None:
-            values = values[:, components]
-        sq = np.einsum("ij,ij->i", values, values)
-        mid = 0.5 * (values[:-1] + values[1:])
-        sq_mid = np.einsum("ij,ij->i", mid, mid)
-        h = times[1:] - times[:-1]
-        total += float(np.sum(h / 6.0 * (sq[:-1] + 4.0 * sq_mid + sq[1:])))
-    return total
 
 
 def _memory_grid(delta: float, depth: float, grid_step: float | None,
@@ -1088,3 +960,8 @@ def arc_from_csv(text: str, delta: float | None = None,
         return HybridMemoryArc(times, values, starts, delta,
                                interpolation=interpolation)
     return HybridArc(times, values, starts, len(mem_js), interpolation=interpolation)
+
+
+# The array forms import this module's arcs and reads; their window maximum
+# and delayed integral keep their names here, where callers look them up.
+from .batch import delayed_sq_integral, sup_norm_w, vbar  # noqa: E402,F401

@@ -115,6 +115,20 @@ def origin_times_clock_target(dimension: int, period: float) -> TargetSet:
     return TargetSet(dist=dist, dist_batch=dist_batch)
 
 
+def _numbers(params, names: Sequence[str]) -> None:
+    """Store each named field of the frozen params as a float; ConfigError
+    naming the field when it is not a finite number."""
+    for name in names:
+        value = getattr(params, name)
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        if not np.isfinite(x):
+            raise ConfigError(f"{name} must be finite, got {x}")
+        object.__setattr__(params, name, x)
+
+
 @dataclass(frozen=True)
 class Example1Params:
     """Sampled-data loop: plant matrix A, input matrix B, gain K, sampling
@@ -128,9 +142,13 @@ class Example1Params:
     sigma: float | None = None  # tilt exponent; derived by the certificate builder
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
-        object.__setattr__(self, "B", np.atleast_2d(np.asarray(self.B, dtype=float)))
-        object.__setattr__(self, "K", np.atleast_2d(np.asarray(self.K, dtype=float)))
+        for name in ("A", "B", "K"):
+            try:
+                value = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} must be a matrix of numbers, "
+                                  f"got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, value)
         nz = self.A.shape[0]
         if self.A.shape != (nz, nz):
             raise ConfigError("A must be square")
@@ -139,10 +157,12 @@ class Example1Params:
         m = self.B.shape[1]
         if self.K.shape != (m, nz):
             raise ConfigError(f"K must have shape ({m}, {nz})")
-        for name in ("A", "B", "K", "delta", "r"):
-            value = np.asarray(getattr(self, name))
+        for name in ("A", "B", "K"):
+            value = getattr(self, name)
             if not np.isfinite(value).all():
                 raise ConfigError(f"{name} must be finite, got {value.tolist()}")
+        _numbers(self, ("delta", "r") if self.sigma is None
+                 else ("delta", "r", "sigma"))
         if self.r <= 0 or self.delta <= 0:
             raise ConfigError("delta and r must be positive")
         if self.r >= self.delta:
@@ -177,9 +197,7 @@ class Example2Params:
     mu: float = 0.0
 
     def __post_init__(self):
-        for name in ("a", "b", "rho", "r", "delta", "sigma", "mu"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        _numbers(self, ("a", "b", "rho", "r", "delta", "sigma", "mu"))
         if self.r <= 0:
             raise ConfigError("delay r must be positive")
         if self.delta <= 0:

@@ -2,12 +2,14 @@
 trajectory-level conclusion checks."""
 
 import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from hymem import certificates
+from hymem.batch import append_jumps
 from hymem.builtin import (example1_halanay_certificate,
                            example1_razumikhin_certificate,
                            example2_krasovskii_certificate)
@@ -17,11 +19,13 @@ from hymem.certificates import (CertificateValidationError, HalanayCertificate,
                                 check_kl_envelope, check_krasovskii,
                                 check_razumikhin, check_vbar_monotone, dplus_v,
                                 validate_halanay, validate_razumikhin)
-from hymem.hybrid_time import (constant_memory_arc, delayed_sq_integral,
-                               sup_norm_w)
+from hymem.hybrid_time import (HybridMemoryArc, constant_memory_arc,
+                               delayed_sq_integral, sup_norm_w)
 from hymem.sampling import ArcSampler
-from hymem.solver import SimOptions, simulate
-from hymem.system import (Example1Params, Example2Params, LinearDelayConfig,
+from hymem.solver import (PreconditionError, SimOptions, flow_window,
+                          flow_windows, simulate)
+from hymem.system import (GUARD_TOL, Example1Params, Example2Params,
+                          LinearDelayConfig,
                           build_example1, build_example2,
                           build_linear_delay_system, origin_target)
 
@@ -128,7 +132,7 @@ class TestDplusV:
         spec, _ = decay_spec()
         cert = KrasovskiiCertificate(
             vf=lambda phi: float(phi.head[0] ** 4
-                                 + delayed_sq_integral(phi, -0.3, 0.0)),
+                                 + delayed_sq_integral([phi], -0.3, 0.0)[0]),
             alpha1=lambda s: 0.1 * s * s, alpha2=lambda s: 9 * (s ** 4 + s * s),
             alpha3=lambda s: 0.01 * s * s)
         phi = constant_memory_arc(np.array([1.3]), 0.4, grid_step=5e-3)
@@ -321,28 +325,45 @@ class TestExample2Checks:
         assert any(v.condition == "krasovskii.iii" for v in rep.violations)
 
     def test_functional_evaluated_once_per_arc_window_and_jump(self, monkeypatch):
+        """Every arc, flow window and jump candidate goes through the
+        functional once: as vf_batch rows, or as vf calls without it."""
         p = Example2Params.case2()
         spec, target = build_example2(p)
-        cert, _ = example2_krasovskii_certificate(p)
-        calls = Counter()
+        stock, _ = example2_krasovskii_certificate(p)
+        rows = Counter()
 
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counted(name, fn, arcs=0):  # arcs: the position of the arc list
+            def call(*args):
+                rows[name] += len(args[arcs])
+                return fn(*args)
             return call
 
-        monkeypatch.setattr(certificates, "flow_window",
-                            counted("window", certificates.flow_window))
-        monkeypatch.setattr(certificates, "append_jump",
-                            counted("jump", certificates.append_jump))
-        cert = dataclasses.replace(cert, vf=counted("vf", cert.vf))
-        rep = check_krasovskii(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
-                               samples=50, target=target)
-        assert rep.passed
-        assert calls["window"] == rep.region_counts["C"] > 0
-        assert calls["jump"] >= rep.region_counts["D"] > 0
-        assert calls["vf"] == rep.checked + calls["window"] + calls["jump"]
+        monkeypatch.setattr(certificates, "flow_windows",
+                            counted("window", certificates.flow_windows, 1))
+        monkeypatch.setattr(certificates, "append_jumps",
+                            counted("jump", certificates.append_jumps))
+        for batched in (True, False):
+            rows.clear()
+            calls = Counter()
+
+            def vf(phi):
+                calls["vf"] += 1
+                return stock.vf(phi)
+
+            cert = dataclasses.replace(
+                stock, vf=vf,
+                vf_batch=counted("vf_batch", stock.vf_batch) if batched else None)
+            rep = check_krasovskii(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
+                                   samples=50, target=target)
+            assert rep.passed
+            assert rows["window"] == rep.region_counts["C"] > 0
+            assert rows["jump"] >= rep.region_counts["D"] > 0
+            evaluated = rep.checked + rows["window"] + rows["jump"]
+            if batched:  # vf only screens vf_batch on the first arcs
+                assert rows["vf_batch"] == evaluated
+                assert calls["vf"] == certificates.SCREENED_ARCS
+            else:
+                assert calls["vf"] == evaluated
 
     def test_report_json_shape(self):
         p = Example2Params.case2()
@@ -354,6 +375,107 @@ class TestExample2Checks:
         assert {"certificate", "samples", "violations", "worst_margin",
                 "slack", "elapsed"} <= set(doc)
         assert doc["elapsed"] is None
+
+
+def reference_vf(params):
+    """Example 2's functional arc by arc, as its scalar form computed it."""
+    def vf(phi):
+        head = phi.head
+        point = head[0] * head[0] * np.exp(-params.sigma * head[1])
+        return float(point + params.mu * delayed_sq_integral(
+            [phi], -params.r, 0.0, components=slice(0, 1))[0])
+    return vf
+
+
+def near_period(phi, period, gap=3e-6):
+    """phi with its newest level's clock moved so that the head reads
+    period - gap (beyond the period for a negative gap)."""
+    values = phi.values.copy()
+    values[phi.starts[-1]:, 1] += period - gap - values[-1, 1]
+    return HybridMemoryArc(phi.times, values, phi.starts, phi.delta)
+
+
+def functional_rows(params, mode):
+    """Every kind of arc the functional check evaluates: sampled C, D and
+    post-jump arcs, flow windows of the C arcs and the D arcs' jumps."""
+    spec, _ = build_example2(params)
+    sampler = ArcSampler(spec, seed=7, mode=mode)
+    c, d, g = (sampler.sample(r, n) for r, n in (("C", 40), ("D", 20), ("Gplus", 20)))
+    c, d = [s.arc for s in c], [s.arc for s in d]
+    return spec, (c + d + [s.arc for s in g] + flow_windows(spec, c, 1e-5)
+                  + append_jumps(d, [spec.jump_selections(phi)[0] for phi in d]))
+
+
+PARAMS_AND_MODES = pytest.mark.parametrize("params, mode", [
+    (Example2Params.case1(), "cover"), (Example2Params.case1(), "both"),
+    (Example2Params.case2(), "cover"), (Example2Params.case2(), "both")],
+    ids=["case1-cover", "case1-both", "case2-cover", "case2-both"])
+
+
+class TestFunctionalInArrays:
+    """vf_batch, the batched flow quotient and the batched check give what
+    the functional gives one arc at a time."""
+
+    @PARAMS_AND_MODES
+    def test_vf_batch_equals_vf(self, params, mode):
+        spec, arcs = functional_rows(params, mode)
+        cert, _ = example2_krasovskii_certificate(params)
+        want = np.array([reference_vf(params)(phi) for phi in arcs])
+        cuts = np.sort(np.random.default_rng(41).choice(
+            np.arange(1, len(arcs)), 12, replace=False))
+        parts = np.split(np.arange(len(arcs)), cuts)
+        chunks = np.concatenate([cert.vf_batch([arcs[i] for i in part])
+                                 for part in parts])
+        single = np.concatenate([cert.vf_batch([phi]) for phi in arcs])
+        alone = np.array([cert.vf(phi) for phi in arcs])
+        assert cert.vf_batch(arcs).tobytes() == want.tobytes()
+        assert chunks.tobytes() == single.tobytes() == alone.tobytes() == want.tobytes()
+
+    @PARAMS_AND_MODES
+    def test_check_without_vf_batch_reports_the_same(self, params, mode):
+        spec, target = build_example2(params)
+        cert, _ = example2_krasovskii_certificate(params)
+        plain = KrasovskiiCertificate(vf=reference_vf(params), alpha1=cert.alpha1,
+                                      alpha2=cert.alpha2, alpha3=cert.alpha3)
+        reports = [check_krasovskii(spec, c, ArcSampler(spec, seed=2, mode=mode),
+                                    samples=80, target=target).to_json_dict()
+                   for c in (cert, plain)]
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+    def test_flow_arcs_at_the_period_halve_their_step(self):
+        p = Example2Params.case2()
+        spec, _ = build_example2(p)
+        cert, _ = example2_krasovskii_certificate(p)
+        arcs = [s.arc for s in ArcSampler(spec, seed=3, mode="cover").sample("C", 12)]
+        arcs = (arcs[:6] + [near_period(phi, p.delta) for phi in arcs[6:11]]
+                + [near_period(arcs[11], p.delta, gap=-1e-3)])  # last: not in C
+        h = 1e-5
+        bases = cert.vf_batch(arcs).tolist()
+        got = certificates._quotients(spec, cert.vf_batch, arcs, h, bases)
+        assert got[-1] is None
+        with pytest.raises(PreconditionError, match="not in the flow set"):
+            dplus_v(spec, cert, arcs[-1], h)
+        steps = []
+        for phi, base, d in zip(arcs[:-1], bases, got):
+            step = h
+            while spec.flow_guard(flow_window(spec, phi, step)) < -GUARD_TOL:
+                step *= 0.5
+            steps.append(step)
+            want = (reference_vf(p)(flow_window(spec, phi, step)) - base) / step
+            assert np.float64(d).tobytes() == np.float64(want).tobytes()
+            assert np.float64(dplus_v(spec, cert, phi, h)).tobytes() == \
+                np.float64(d).tobytes()
+        assert steps[:6] == [h] * 6 and all(s < h for s in steps[6:])
+
+    def test_disagreeing_vf_batch_is_refused(self):
+        p = Example2Params.case2()
+        spec, target = build_example2(p)
+        cert, _ = example2_krasovskii_certificate(p)
+        off = dataclasses.replace(  # one bit off, on every arc
+            cert, vf_batch=lambda phis: np.nextafter(cert.vf_batch(phis), np.inf))
+        with pytest.raises(CertificateValidationError, match="vf_batch gives"):
+            check_krasovskii(spec, off, ArcSampler(spec, seed=0, mode="cover"),
+                             samples=40, target=target)
 
 
 def _states(spec, seed):

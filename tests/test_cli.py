@@ -148,6 +148,9 @@ class TestExitCodes:
         (("simulate",), {"jump": {"period": float("nan")}}),
         (("simulate", "--system", "example1", "--set", "K=[[Infinity, 0]]"), None),
         (("simulate",), {"flow": {"A0": [[float("nan")]]}}),
+        (("simulate", "--system", "example2", "--set", "a=foo"), None),
+        (("simulate", "--system", "example1", "--set", "delta=foo"), None),
+        (("simulate", "--system", "example1", "--set", "sigma=[1]"), None),
     ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "eps-grid-zero",
             "eta-grid-negative", "step-zero", "history", "config-t-max",
             "config-history-point", "t-max-nan", "step-nan", "slack-nan",
@@ -155,7 +158,7 @@ class TestExitCodes:
             "config-history-nan", "config-history-point-inf",
             "set-config-history-nan", "set-r-inf", "set-delta-nan", "set-r-nan",
             "config-memory-size-inf", "config-period-nan", "set-K-inf",
-            "config-A0-nan"])
+            "config-A0-nan", "set-a-foo", "set-delta-foo", "set-sigma-list"])
     def test_malformed_input_exits_two(self, tmp_path, request, args, config):
         # read before anything runs: exit 2 with the reason, no traceback
         if config is not None:
@@ -167,14 +170,20 @@ class TestExitCodes:
         assert r.stderr.startswith("config error:")
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "r.json").exists()
-        # a non-finite parameter is named with its field
-        field = {"set-r-inf": "r", "set-delta-nan": "delta", "set-r-nan": "r",
-                 "config-memory-size-inf": "memory_size",
-                 "config-period-nan": "jump.period", "set-K-inf": "K",
-                 "config-A0-nan": "flow.A0"}.get(request.node.callspec.id)
-        if field is not None:
-            assert r.stderr.startswith(f"config error: {field} must be finite"), \
-                r.stderr
+        # a non-finite or non-numeric parameter is named with its field
+        named = {"set-r-inf": "r must be finite", "set-delta-nan": "delta must be finite",
+                 "set-r-nan": "r must be finite",
+                 "config-memory-size-inf": "memory_size must be finite",
+                 "config-period-nan": "jump.period must be finite",
+                 "set-K-inf": "K must be finite", "config-A0-nan": "flow.A0 must be finite",
+                 "set-K": "K must be a matrix of numbers, got 'foo'",
+                 "set-A": "A must be a matrix of numbers, got 'foo'",
+                 "set-a-foo": "a must be a number, got 'foo'",
+                 "set-delta-foo": "delta must be a number, got 'foo'",
+                 "set-sigma-list": "sigma must be a number, got [1]",
+                 }.get(request.node.callspec.id)
+        if named is not None:
+            assert r.stderr.startswith(f"config error: {named}"), r.stderr
 
     @pytest.mark.parametrize("args, config, message", [
         (("--system", "example2", "--history", "nan,0"), None,

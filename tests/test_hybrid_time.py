@@ -1,5 +1,6 @@
 """Domain, arc, and window-operator tests."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hymem import hybrid_time
+from hymem import batch
+from hymem.batch import append_jumps
 from hymem.builtin import example1_razumikhin_certificate
 from hymem.hybrid_time import (TIME_TOL, ArcSegment, BatchView, DomainError,
                                History, HybridArc, HybridMemoryArc,
@@ -19,7 +21,7 @@ from hymem.hybrid_time import (TIME_TOL, ArcSegment, BatchView, DomainError,
                                memory_arc_from_function, memory_window,
                                sup_norm_w, validate_domain, vbar)
 from hymem.sampling import ArcSampler
-from hymem.solver import SimOptions, simulate
+from hymem.solver import SimOptions, _rk4, flow_window, flow_windows, simulate
 from hymem.system import (Example1Params, Example2Params, build_example1,
                           build_example2, build_linear_delay_system,
                           parse_linear_delay_config)
@@ -719,20 +721,20 @@ class TestHistory:
 class TestDelayedSquareIntegral:
     def test_constant(self):
         phi = constant_memory_arc(np.array([2.0]), 1.0)
-        assert delayed_sq_integral(phi, -0.5, 0.0) == pytest.approx(2.0)
+        assert delayed_sq_integral([phi], -0.5, 0.0)[0] == pytest.approx(2.0)
 
     def test_linear_ramp_exact(self):
         phi = memory_arc_of([seg(0, np.linspace(-1, 0, 5),
                                    np.linspace(-1, 0, 5))], 0.0)
         # integral of s^2 over [-1, 0] = 1/3, Simpson exact on quadratics
-        assert delayed_sq_integral(phi, -1.0, 0.0) == pytest.approx(1.0 / 3.0,
+        assert delayed_sq_integral([phi], -1.0, 0.0)[0] == pytest.approx(1.0 / 3.0,
                                                                     abs=1e-14)
 
     def test_component_restriction(self):
         vals = np.column_stack([np.full(5, 2.0), np.full(5, 9.0)])
         phi = HybridMemoryArc(np.linspace(-1, 0, 5), vals, [0], 0.0)
-        assert delayed_sq_integral(phi, -1.0, 0.0,
-                                   components=slice(0, 1)) == pytest.approx(4.0)
+        assert delayed_sq_integral([phi], -1.0, 0.0,
+                                   components=slice(0, 1))[0] == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1060,7 @@ def _mixed_windows():
     cover = _cover_arcs(spec, 7, 60)
     one_point = append_jump(cover[0], np.array([0.5, 0.01]))
     rng = np.random.default_rng(8)
-    long_times = np.linspace(-1.5, 0.0, hybrid_time._BLOCK_ROWS + 300)
+    long_times = np.linspace(-1.5, 0.0, batch._BLOCK_ROWS + 300)
     long = memory_arc_of([seg2(0, long_times, rng.normal(size=long_times.shape[0]))],
                            0.5)
     return (cover[:30] + [_as_hermite(phi) for phi in cover[30:]]
@@ -1075,7 +1077,7 @@ class TestWindowMaximumPass:
     def test_mixed_list_equals_each_window_alone(self):
         windows = _mixed_windows()
         assert sum(s.times.shape[0] for w in windows
-                   for s in w.memory_segments) > 2 * hybrid_time._BLOCK_ROWS
+                   for s in w.memory_segments) > 2 * batch._BLOCK_ROWS
         got = sup_norm_w(windows, self.fn, batch=self.batch)
         want = [_window_max_loop(w, self.fn, self.batch) for w in windows]
         assert got.tolist() == want
@@ -1109,7 +1111,7 @@ class TestWindowMaximumPass:
         # 7: one window per block; 150: two or three
         windows = _mixed_windows()[:-1]
         want = sup_norm_w(windows, self.fn, batch=self.batch)
-        monkeypatch.setattr(hybrid_time, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(batch, "_BLOCK_ROWS", rows)
         assert sup_norm_w(windows, self.fn, batch=self.batch).tolist() == want.tolist()
 
     @staticmethod
@@ -1196,11 +1198,146 @@ class TestArraySlicing:
                            *sorted(rng.uniform(reach, 0.0, (3, 2)).tolist())]:
                 lo, hi = min(lo, hi), max(lo, hi)
                 for components in (None, slice(0, 1)):
-                    got = delayed_sq_integral(phi, lo, hi, components)
+                    got = delayed_sq_integral([phi], lo, hi, components)[0]
                     assert got == reference_delayed_sq_integral(phi, lo, hi,
                                                                 components)
                 pieces += len(reference_delayed_runs(phi, lo, hi))
         assert pieces > 600
+
+
+# ---------------------------------------------------------------------------
+# The array forms of the functional check: flow windows, jumps and the
+# delayed integral of many arcs at once, against one arc at a time
+# ---------------------------------------------------------------------------
+
+def reference_flow_window(spec, phi, h, n_steps=2):
+    """flow_window as it stepped one arc: a History of phi, RK4 steps through
+    flow_selection on its views, then memory_window."""
+    hist = History(phi, phi.delta, capacity=n_steps + 1)
+    hist.start_segment(0.0, np.array(phi.head, dtype=float))
+    t, sub = 0.0, h / n_steps
+    for _ in range(n_steps):
+        x_new, _ = _rk4(spec, hist.view(), sub)
+        t += sub
+        hist.append(t, x_new)
+    hist.known[hist.starts[-1]:] = False
+    return memory_window(hist, t, 0, phi.delta)
+
+
+def near_period(phi, period, gap=3e-6):
+    """phi with its newest level's clock moved so that the head reads
+    period - gap: a flow arc whose h = 1e-5 window leaves the flow set."""
+    values = phi.values.copy()
+    values[phi.starts[-1]:, 1] += period - gap - values[-1, 1]
+    return HybridMemoryArc(phi.times, values, phi.starts, phi.delta,
+                           phi.derivs, phi.known, phi.interpolation)
+
+
+def functional_arcs(params, mode, count=40):
+    """Example-2 arcs of the functional check from a sampler of the mode:
+    its C arcs, five of them moved next to the clock period, a Hermite copy
+    of five (with and without derivative samples), and its D and post-jump
+    arcs."""
+    spec, _ = build_example2(params)
+    sampler = ArcSampler(spec, seed=5, mode=mode)
+    c = [s.arc for s in sampler.sample("C", count)]
+    hermite = [_as_hermite(phi) for phi in c[:3]] + [
+        HybridMemoryArc(phi.times, phi.values, phi.starts, phi.delta,
+                        interpolation="hermite") for phi in c[3:5]]
+    c += [near_period(phi, params.delta) for phi in c[:5]] + hermite
+    d = [s.arc for s in sampler.sample("D", count // 2)]
+    g = [s.arc for s in sampler.sample("Gplus", count // 2)]
+    return spec, c, d, g
+
+
+def assert_same_store(got, want):
+    """The same arc, bit for bit: every array of the store, its levels,
+    memory size and scheme."""
+    assert (got.starts, got.n_memory, got.delta, got.interpolation) == \
+        (want.starts, want.n_memory, want.delta, want.interpolation)
+    for name in ("times", "values", "derivs", "known"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def same_rows_by_chunks(batch, arcs, want, same, seed):
+    """batch on all arcs, on random chunks of them and on each alone gives
+    want row by row."""
+    cuts = np.sort(np.random.default_rng(seed).choice(
+        np.arange(1, len(arcs)), 6, replace=False))
+    chunks = [x for part in np.split(np.arange(len(arcs)), cuts)
+              for x in batch([arcs[i] for i in part])]
+    single = [x for arc in arcs for x in batch([arc])]
+    for got in (batch(arcs), chunks, single):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same(g, w)
+
+
+PARAMS_AND_MODES = pytest.mark.parametrize("params, mode", [
+    (Example2Params.case1(), "cover"), (Example2Params.case1(), "both"),
+    (Example2Params.case2(), "cover"), (Example2Params.case2(), "both")],
+    ids=["case1-cover", "case1-both", "case2-cover", "case2-both"])
+
+
+class TestArrayFormsOfTheFunctionalCheck:
+    @PARAMS_AND_MODES
+    def test_flow_windows_equal_one_arc_at_a_time(self, params, mode):
+        spec, c, _, _ = functional_arcs(params, mode)
+        # some windows hold a memory jump inside [-r, 0]
+        assert any(phi.times[phi.starts[-1]] > -params.r for phi in c)
+        for h, n_steps in ((1e-5, 2), (0.3 * params.delta, 2), (1e-3, 4)):
+            want = [reference_flow_window(spec, phi, h, n_steps) for phi in c]
+            same_rows_by_chunks(lambda arcs: flow_windows(spec, arcs, h, n_steps),
+                                c, want, assert_same_store, 31)
+            for phi, w in zip(c[:8], want):
+                assert_same_store(flow_window(spec, phi, h, n_steps), w)
+        # a system without a batch map steps each row through its own view
+        plain = dataclasses.replace(spec, flow_batch=None)
+        want = [reference_flow_window(spec, phi, 1e-5) for phi in c]
+        same_rows_by_chunks(lambda arcs: flow_windows(plain, arcs, 1e-5),
+                            c, want, assert_same_store, 34)
+
+    @PARAMS_AND_MODES
+    def test_append_jumps_equal_append_jump(self, params, mode):
+        spec, c, d, g = functional_arcs(params, mode)
+        arcs = d + c + g
+        values = [spec.jump_selections(phi)[0] for phi in d] + [
+            0.5 * phi.head for phi in c + g]
+        want = [append_jump(phi, x) for phi, x in zip(arcs, values)]
+        by_arc = dict(zip(map(id, arcs), values))
+        same_rows_by_chunks(
+            lambda part: append_jumps(part, [by_arc[id(phi)] for phi in part]),
+            arcs, want, assert_same_store, 32)
+        with pytest.raises(ValueError, match="shape"):
+            append_jumps(d[:2], [values[0], np.zeros(3)])
+
+    @PARAMS_AND_MODES
+    def test_delayed_sq_integral_rows_alone(self, params, mode):
+        spec, c, d, g = functional_arcs(params, mode)
+        flowed = flow_windows(spec, c, 1e-5)
+        jumped = [append_jump(phi, spec.jump_selections(phi)[0]) for phi in d]
+        arcs = c + d + g + flowed + jumped
+        # the segment lists read a joined level 0 with derivatives on its
+        # forward part only linearly: those windows are checked alone
+        joined = {id(w) for w in flowed if w.interpolation == "hermite"}
+        for components in (slice(0, 1), None):
+            want = [delayed_sq_integral([phi], -params.r, 0.0, components)[0]
+                    if id(phi) in joined else
+                    reference_delayed_sq_integral(phi, -params.r, 0.0, components)
+                    for phi in arcs]
+
+            def same(got, w):
+                assert np.float64(got).tobytes() == np.float64(w).tobytes()
+            same_rows_by_chunks(
+                lambda part: delayed_sq_integral(part, -params.r, 0.0, components),
+                arcs, want, same, 33)
+
+    def test_delayed_sq_integral_names_an_empty_range(self):
+        phi = constant_memory_arc(np.array([1.0]), 0.5)
+        with pytest.raises(DomainError, match="no stored history"):
+            delayed_sq_integral([phi, phi], 0.5, 0.7)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            delayed_sq_integral([phi], 0.0, -0.1)
 
 
 class TestHistoryOfMemoryArc:
@@ -1503,7 +1640,7 @@ def test_window_operators_match_the_segment_references_property(arc, kind, data)
     # them there, where the segment lists read that level linearly
     lo = data.draw(st.floats(w.time_reach, 0.0))
     if kind != "hermite-forward":
-        assert (delayed_sq_integral(w, lo, 0.0)
+        assert (delayed_sq_integral([w], lo, 0.0)[0]
                 == reference_delayed_sq_integral(w, lo, 0.0))
 
 

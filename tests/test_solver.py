@@ -436,13 +436,13 @@ def reference_interpolate(times, values, derivs, t, scheme="linear"):
     return hybrid_time._lerp(values[i], values[i + 1], w)
 
 
-def reference_value(hist, tq, segment=None, end=None):
+def reference_value(hist, tq, segment=None, end=None, floor=0):
     if segment is None:
         segment, end = len(hist.starts) - 1, hist.n
     times = hist.times
     if tq > times[end - 1] + TIME_TOL:
         raise DomainError(f"time {tq} is after the stored history", tq, None)
-    for k in range(segment, -1, -1):
+    for k in range(segment, floor - 1, -1):
         lo = hist.starts[k]
         if tq >= times[lo] - TIME_TOL:
             # a level's samples all carry a derivative or none does
