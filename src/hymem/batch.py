@@ -1,27 +1,27 @@
-"""Array forms of the window operators: many memory arcs in one pass.
+"""The window operators, in arrays: many windows or memory arcs in one pass.
 
-Consecutive arcs go into blocks of at most ``_BLOCK_ROWS`` stored samples
-(one memory size and one interpolation scheme each), whose stores are
-joined back to back in a :class:`_Stack`.  Each operation then runs on
-whole arrays of levels, pieces and samples, and gives every arc, bit for
-bit, what the arc alone gets from the scalar operators of
-:mod:`hymem.hybrid_time`:
+This module holds their one implementation.  Arcs are joined back to back
+in a :class:`_Stack`, each a row with its own levels, and every operation
+runs on whole arrays of levels, pieces and samples, giving each window or
+arc, bit for bit, what it would get alone:
 
+* :func:`memory_windows` cuts an arc's window at many points (t, j), or a
+  stack's at a point per row; :func:`memory_window` and :func:`delta_inf`
+  are its one-point cases.  The flow windows of many arcs
+  (:func:`~hymem.solver.flow_windows`) are cut so from the stack they step;
+* :func:`append_jumps`, with its one-arc case :func:`append_jump`;
 * the window maximum (:func:`sup_norm_w`, also named :func:`vbar`) makes,
   per block, one call of the batch form for the stored samples and one per
   refinement round.  A batch form must give each row the same bits
   whatever rows come with it, so a window's maximum is what it would be
   alone;
-* :func:`delayed_sq_integral`, the functional check's delayed integral;
-* :func:`append_jumps`, :func:`~hymem.hybrid_time.append_jump` of many arcs;
-* the flow windows of many arcs (:func:`~hymem.solver.flow_windows`), which
-  step a stack through a :class:`~hymem.hybrid_time.BatchView` and are cut
-  from it by :func:`_stack_windows`, as
-  :func:`~hymem.hybrid_time.memory_window` cuts one History.
+* :func:`delayed_sq_integral`, the functional check's delayed integral.
 
-Only one block's arrays exist at a time, whatever the number of arcs.
-``hymem.hybrid_time`` re-exports :func:`sup_norm_w`, :func:`vbar` and
-:func:`delayed_sq_integral` under their old names.
+Consecutive memory arcs go into blocks of at most ``_BLOCK_ROWS`` or
+``_STACK_ROWS`` stored samples (one memory size and one interpolation
+scheme each), so only one block's arrays exist at a time, whatever the
+number of arcs.  ``hymem.hybrid_time`` re-exports every public name here
+under its old name.
 """
 
 from __future__ import annotations
@@ -64,43 +64,43 @@ def _blocks(phis: Sequence[HybridMemoryArc], extra: int = 0,
 
 
 class _Stack(HybridArc):
-    """The stores of a block of memory arcs (one memory size, one scheme)
-    back to back, each arc a row.
+    """The stores of a block of arcs (one interpolation scheme) back to
+    back, each arc a row.
 
-    ``extra`` > 0 gives each row what a History of its arc holds after
-    ``start_segment``: a forward level of jump index 0 whose first sample is
-    the head at t = 0, then ``extra - 1`` free samples, with derivative 0
-    flagged known.  Per level, ``first`` and ``end`` are its index range,
-    ``jump`` its jump index and ``row`` its arc; a row's levels are
-    ``levels[i]:levels[i + 1]``.  Derivatives are kept on Hermite blocks
-    only (zeros, not flagged known, for an arc that has none), since linear
-    reads and cuts use none; ``has_derivs`` marks the arcs that have some.
-    Reads go through ``HybridArc.value`` and
-    :class:`~hymem.hybrid_time.BatchView`, with a row's first level as the
-    floor.
+    ``extra`` > 0 gives each row of memory arcs what a History of its arc
+    holds after ``start_segment``: a forward level of jump index 0 whose
+    first sample is the head at t = 0, then ``extra - 1`` free samples, with
+    derivative 0 flagged known.  Per level, ``first`` and ``end`` are its
+    index range, ``jump`` its jump index and ``row`` its arc; a row's levels
+    are ``levels[i]:levels[i + 1]``, ``memory[i]`` of them memory levels.
+    Derivatives are kept on Hermite blocks only (zeros, not flagged known,
+    for an arc that has none), since linear reads and cuts use none;
+    ``has_derivs`` marks the arcs that have some.  Reads go through
+    ``HybridArc.value`` and :class:`~hymem.hybrid_time.BatchView`, with a
+    row's first level as the floor.
     """
 
-    def __init__(self, phis: Sequence[HybridMemoryArc], extra: int = 0):
+    def __init__(self, phis: Sequence[HybridArc], extra: int = 0):
         rows = len(phis)
         sizes = np.array([phi.n for phi in phis])
-        depth = np.array([len(phi.starts) for phi in phis])  # memory levels
+        depth = np.array([len(phi.starts) for phi in phis])  # stored levels
+        self.memory = np.array([phi.n_memory for phi in phis])
         fwd = 1 if extra else 0
         offset = np.concatenate(([0], np.cumsum(sizes + extra)))
         self.levels = np.concatenate(([0], np.cumsum(depth + fwd)))
         self.has_derivs = np.array([phi.derivs is not None for phi in phis])
         hermite = phis[0].interpolation == "hermite"
-        times = np.concatenate([phi.times for phi in phis])
-        values = np.concatenate([phi.values for phi in phis])
+        times = np.concatenate([phi.times[:phi.n] for phi in phis])
+        values = np.concatenate([phi.values[:phi.n] for phi in phis])
         derivs = known = None
         if hermite:
-            derivs = np.concatenate([phi.derivs if has else np.zeros_like(phi.values)
-                                     for phi, has in zip(phis, self.has_derivs)])
-            known = np.concatenate([phi.known if has else np.zeros(phi.n, dtype=bool)
-                                    for phi, has in zip(phis, self.has_derivs)])
+            derivs = np.concatenate([p.derivs[:p.n] if has else np.zeros_like(p.values)
+                                     for p, has in zip(phis, self.has_derivs)])
+            known = np.concatenate([p.known[:p.n] if has else np.zeros(p.n, dtype=bool)
+                                    for p, has in zip(phis, self.has_derivs)])
         starts = (np.fromiter(chain.from_iterable(phi.starts for phi in phis),
                               dtype=np.intp, count=int(depth.sum()))
                   + np.repeat(offset[:-1], depth))
-        jump = np.arange(starts.shape[0]) + 1 - np.repeat(np.cumsum(depth), depth)
         if extra:  # each row's forward level follows its samples
             n, levels = offset[-1], self.levels[-1]
             at = np.arange(times.shape[0]) + np.repeat(np.arange(rows) * extra, sizes)
@@ -112,12 +112,14 @@ class _Stack(HybridArc):
                 known = _spread(known, at, n, True)
             mem = np.arange(starts.shape[0]) + np.repeat(np.arange(rows), depth)
             starts = _spread(starts, mem, levels, base)
-            jump = _spread(jump, mem, levels, 0)
+        # a level's jump index from its place k in its row: HybridArc.jump_index
+        k = np.arange(starts.shape[0]) - np.repeat(self.levels[:-1], depth + fwd)
+        m = np.repeat(self.memory, depth + fwd)
         self.first, self.end = starts, np.append(starts[1:], offset[-1])
-        self.jump, self.row = jump, np.repeat(np.arange(rows), depth + fwd)
+        self.jump, self.row = k - m + (k < m), np.repeat(np.arange(rows), depth + fwd)
         self._keys = None
         self._store(times, values, derivs, known, starts.tolist(), len(starts),
-                    phis[0].interpolation, phis[0].delta)
+                    phis[0].interpolation, getattr(phis[0], "delta", None))
 
     def search(self, lv: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
         """first[lv[i]] + np.searchsorted(level lv[i]'s times, q[i], side) for
@@ -161,9 +163,12 @@ def _pymin(a, b):
 
 
 def _pieces(st: _Stack, lv: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """``hybrid_time._piece`` of levels lv of a stack on [lo, hi], as
-    arrays: ok (False where it gives None), the stored range [a, b), the
-    bounds lo and hi as it clips them, and pre and post, which flag an
+    """The piece of each level lv[i] of a stack on [lo[i], hi[i]]: the
+    index range of its stored samples within TIME_TOL of that interval
+    (clipped to the level), with an interpolated sample before or after it
+    where none lies within TIME_TOL of lo or hi.  As arrays: ok (False where
+    the interval misses the level by more than TIME_TOL), the stored range
+    [a, b), the bounds lo and hi as clipped, and pre and post, which flag an
     interpolated sample at lo before the range and at hi after it."""
     times = st.times
     a0, b0 = st.first[lv], st.end[lv]
@@ -181,9 +186,9 @@ def _pieces(st: _Stack, lv: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 def _runs(st: _Stack, lv, a, b, lo, hi, pre, post, derivs: bool):
     """The samples of pieces (see :func:`_pieces`) back to back: times,
     values, derivs and known (None unless ``derivs``), and each piece's
-    offset and sample count.  An interpolated sample reads its level as
-    ``hybrid_time._piece`` does; its derivative is interpolated linearly and
-    known when both ends of its bracket are."""
+    offset and sample count.  An interpolated sample is its level's
+    interpolant there; its derivative is interpolated linearly and known
+    when both ends of its bracket are."""
     count = pre + (b - a) + post
     off = np.cumsum(count) - count
     src = np.repeat(a - off - pre, count) + np.arange(off[-1] + count[-1])
@@ -206,25 +211,28 @@ def _runs(st: _Stack, lv, a, b, lo, hi, pre, post, derivs: bool):
     return times, values, d, k, off, count
 
 
-def _cut_rows(st: _Stack, row, key, lv, a, b, lo, hi, pre, post, shift: float,
-              derivs: np.ndarray) -> list[HybridMemoryArc]:
-    """``hybrid_time._cut`` of every row of a stack at once: the memory arcs
-    made of pieces (see :func:`_pieces`) in order by row, with keys, times
-    shifted by -shift; row i keeps derivatives when derivs[i] holds.  Every
-    row has a piece."""
+def _cut_rows(st: _Stack, row, key, lv, a, b, lo, hi, pre, post, shift, derivs,
+              delta: float) -> list[HybridMemoryArc]:
+    """The memory arcs of size delta made of pieces (see :func:`_pieces`),
+    in order by row, with keys, and each piece's times shifted by -shift;
+    row i keeps derivatives when derivs[i] holds.  Consecutive pieces of a
+    row with one key form one level: the later one's first sample gives way
+    to the earlier one's last when they lie within TIME_TOL, and lends it
+    its derivative when it has none.  Every row has a piece."""
     times, values, d, k, off, count = _runs(st, lv, a, b, lo, hi, pre, post,
                                             bool(derivs.any()))
+    times = times - np.repeat(shift, count)
     last = off + count - 1
     joined = np.zeros(row.shape[0], dtype=bool)
     joined[1:] = (row[1:] == row[:-1]) & (key[1:] == key[:-1])
     drop = np.flatnonzero(joined)
-    drop = drop[times[off[drop]] - shift <= times[last[drop - 1]] - shift + TIME_TOL]
+    drop = drop[times[off[drop]] <= times[last[drop - 1]] + TIME_TOL]
     if d is not None and drop.size:
         lend = drop[~k[last[drop - 1]]]
         d[last[lend - 1]], k[last[lend - 1]] = d[off[lend]], k[off[lend]]
     keep = np.ones(times.shape[0], dtype=bool)
     keep[off[drop]] = False
-    times, values = times[keep] - shift, values[keep]
+    times, values = times[keep], values[keep]
     if d is not None:
         d, k = d[keep], k[keep]
     dropped = np.zeros(row.shape[0], dtype=np.intp)
@@ -242,42 +250,107 @@ def _cut_rows(st: _Stack, row, key, lv, a, b, lo, hi, pre, post, shift: float,
         with_d = d is not None and derivs[i]
         arcs.append(HybridMemoryArc._of(
             times[s:e], values[s:e], starts, len(starts), d[s:e] if with_d else None,
-            k[s:e] if with_d else None, st.interpolation, delta=st.delta))
+            k[s:e] if with_d else None, st.interpolation, delta=delta))
     return arcs
 
 
-def _stack_windows(st: _Stack, t: float) -> list[HybridMemoryArc]:
-    """:func:`~hymem.hybrid_time.memory_window` of every row of a stack
-    with a forward level at (t, 0), t a time that level holds: each row's
-    window of size delta, with ``delta_inf`` and every level's cut computed
-    as memory_window does, in arrays.  Memory level 0 and forward level 0
-    join as there."""
-    j = 0
-    times, delta = st.times, st.delta
-    lo, jump = times[st.first], st.jump
-    u_hi = _pymin(times[st.end - 1], t)
-    use = ~(u_hi < lo - TIME_TOL)
-    c = t + j - _pymax(u_hi, lo) - jump
-    d = t + j - lo - jump
-    depth = np.where(use & (d >= delta - TIME_TOL), _pymax(c, delta), np.inf)
-    dinf = np.minimum.reduceat(depth, st.levels[:-1])
+def _check_points(st: _Stack, row, t, j) -> None:
+    """DomainError naming the first query (row, t, j) whose point is not in
+    its row's domain up to TIME_TOL (at (0, 0) the memory side's level
+    counts): ``HybridArc._level_at``'s rule."""
+    m, base = st.memory[row], st.levels[row]
+    size = st.levels[row + 1] - base
+    found = np.zeros(row.shape, dtype=bool)
+    for k, first, end, side in ((m - 1 + j, 0, m, (j < 0) | (t <= TIME_TOL)),
+                                (m + j, m, size, (j > 0) | (t >= -TIME_TOL))):
+        side &= (first <= k) & (k < end)
+        lv = np.where(side, base + k, 0)
+        found |= side & (st.times[st.first[lv]] - TIME_TOL <= t) & (
+            t <= st.times[st.end[lv] - 1] + TIME_TOL)
+    if not found.all():
+        t, j = (x.item(int(np.flatnonzero(~found)[0])) for x in (t, j))
+        raise DomainError(f"point (t={t}, j={j}) is not in the arc domain", t, j)
+
+
+def _reach(st: _Stack, row, t, j, delta: float) -> tuple:
+    """delta_inf of each query (row, t, j) of a stack, with the pairs (q,
+    lv) of a query and each level of its row with jump index at most j[q]
+    that holds a time u <= u_hi = min(its last time, t[q]): each contributes
+    the closed interval of depths t + j - u - jump."""
+    count = st.levels[row + 1] - st.levels[row]
+    q = np.repeat(np.arange(row.shape[0]), count)
+    lv = np.arange(q.shape[0]) + np.repeat(st.levels[row] - (np.cumsum(count) - count),
+                                           count)
+    lo, jump = st.times[st.first[lv]], st.jump[lv]
+    u_hi = _pymin(st.times[st.end[lv] - 1], t[q])
+    use = np.flatnonzero((jump <= j[q]) & ~(u_hi < lo - TIME_TOL))
+    q, lv, lo, jump, u_hi = q[use], lv[use], lo[use], jump[use], u_hi[use]
+    c = t[q] + j[q] - _pymax(u_hi, lo) - jump
+    d = t[q] + j[q] - lo - jump
+    deep = d >= delta - TIME_TOL
+    dinf = np.full(row.shape, np.inf)
+    np.minimum.at(dinf, q[deep], _pymax(c[deep], delta))
     if not np.isfinite(dinf).all():
+        t, j = (x.item(int(np.flatnonzero(~np.isfinite(dinf))[0])) for x in (t, j))
         raise InsufficientHistoryError(
             f"no history at depth >= {delta} behind (t={t}, j={j})", t, j)
-    s_lo = _pymax(lo - t, -dinf[st.row] - (jump - j))
-    s_hi = u_hi - t
-    lv = np.flatnonzero(use & (s_hi >= s_lo - TIME_TOL))
-    ok, *piece = _pieces(st, lv, s_lo[lv] + t, s_hi[lv] + t)
-    lv = lv[ok]
-    return _cut_rows(st, st.row[lv], jump[lv], lv, *(x[ok] for x in piece), t,
-                     np.full(st.levels.shape[0] - 1, st.derivs is not None))
+    return dinf, q, lv, u_hi
+
+
+def memory_windows(arc: HybridArc, points, delta: float) -> list[HybridMemoryArc]:
+    """The memory window (s, k) -> arc(t+s, j+k) clipped at depth delta_inf
+    at each point of ``points``: (t, j) pairs on an arc, or (row, t, j)
+    triples on a stack, one window per point, each what it would be alone.
+
+    Each point must lie in its arc's domain up to TIME_TOL.  Each level up
+    to j gives the index range of its samples in the window, times shifted
+    by -t, with an interpolated sample where the range ends between stored
+    samples.  Memory level 0 and forward level 0 join into one level, where
+    the memory side's sample at t = 0 stands for both (see
+    :func:`_cut_rows`), so the window reads what the arc's read rule gives.
+    Cuts of a linear arc keep no derivatives.  One pass serves every point.
+    """
+    if not len(points):
+        return []
+    st = arc if isinstance(arc, _Stack) else _Stack([arc])
+    if st is not arc:  # (t, j) pairs: points of the stack's one row
+        points = [(0, t, j) for t, j in points]
+    row, t, j = (np.array(x, dtype=dtype) for x, dtype
+                 in zip(zip(*points), (np.intp, float, np.intp)))
+    _check_points(st, row, t, j)
+    dinf, q, lv, u_hi = _reach(st, row, t, j, delta)
+    tq, jump = t[q], st.jump[lv]
+    s_lo = _pymax(st.times[st.first[lv]] - tq, -dinf[q] - (jump - j[q]))
+    s_hi = u_hi - tq
+    cut = np.flatnonzero(s_hi >= s_lo - TIME_TOL)
+    ok, *piece = _pieces(st, lv[cut], s_lo[cut] + tq[cut], s_hi[cut] + tq[cut])
+    at = cut[ok]
+    return _cut_rows(st, q[at], jump[at], lv[at], *(x[ok] for x in piece), tq[at],
+                     st.has_derivs[row] & (st.derivs is not None), delta)
+
+
+def memory_window(arc: HybridArc, t: float, j: int, delta: float) -> HybridMemoryArc:
+    """:func:`memory_windows` at the one point (t, j)."""
+    return memory_windows(arc, [(t, j)], delta)[0]
+
+
+def delta_inf(arc: HybridArc, t: float, j: int, delta: float) -> float:
+    """Smallest d >= delta such that some (t+s, j+k) in dom arc has s + k = -d,
+    exactly: each level contributes a closed interval of depths (:func:`_reach`)."""
+    one = np.zeros(1, dtype=np.intp)
+    return float(_reach(_Stack([arc]), one, np.array([t], dtype=float), one + j,
+                        delta)[0][0])
 
 
 def append_jumps(phis: Sequence[HybridMemoryArc],
                  gs: Sequence[np.ndarray]) -> list[HybridMemoryArc]:
-    """:func:`~hymem.hybrid_time.append_jump` of each arc of phis with the
-    jump value at the same position of gs, bit for bit, one pass per block
-    of arcs."""
+    """Each memory arc of phis after taking a jump of value gs[i], one pass
+    per block of arcs.
+
+    The result psi satisfies psi(0,0) = g and psi(s, k-1) = phi(s, k) for all
+    retained (s, k); material strictly older than s + k = -delta - 1 is
+    dropped, the boundary point is kept.  g carries no derivative.
+    """
     gs = [np.asarray(g, dtype=float) for g in gs]
     for phi, g in zip(phis, gs):
         if g.shape != (phi.dimension,):
@@ -294,9 +367,14 @@ def append_jumps(phis: Sequence[HybridMemoryArc],
         s_cut[top], keep[top] = -np.inf, True
         lv = np.flatnonzero(keep)
         _, *piece = _pieces(st, lv, s_cut[lv], np.full(lv.shape, np.inf))
-        out += _cut_rows(st, st.row[lv], lv, lv, *piece, 0.0,
-                         st.has_derivs & (st.derivs is not None))
+        out += _cut_rows(st, st.row[lv], lv, lv, *piece, np.zeros(lv.shape),
+                         st.has_derivs & (st.derivs is not None), st.delta)
     return out
+
+
+def append_jump(phi: HybridMemoryArc, g: np.ndarray) -> HybridMemoryArc:
+    """:func:`append_jumps` of the one arc phi."""
+    return append_jumps([phi], [g])[0]
 
 
 def sup_norm_w(phis: Sequence[HybridMemoryArc], fn: Callable[[np.ndarray], float],

@@ -30,14 +30,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .batch import _blocks, append_jumps, sup_norm_w, vbar
-from .hybrid_time import HybridMemoryArc, memory_window
+from .batch import _blocks, _Stack, append_jumps, memory_windows, sup_norm_w, vbar
+from .hybrid_time import HybridMemoryArc
 from .sampling import ArcSample, ArcSampler
 from .solver import PreconditionError, Trajectory, flow_windows
 from .system import GUARD_TOL, SystemSpec, TargetSet
 
 ALGEBRAIC_SLACK = 1e-9
 OVERSHOOT_CAP = 100.0  # largest excursion over initial size a KL bundle may show
+_VBAR_POINTS = 64  # windows that check_vbar_monotone holds at once
 
 
 def derivative_slack(h: float) -> float:
@@ -563,10 +564,13 @@ class VbarMonotoneReport:
 def check_vbar_monotone(traj: Trajectory, v: Callable[[np.ndarray], float],
                         delta: float, tol: float,
                         v_batch=None) -> VbarMonotoneReport:
-    """Windowed maximum of V must be non-increasing along the trajectory."""
+    """Windowed maximum of V must be non-increasing along the trajectory.
+    The windows are cut and maximised ``_VBAR_POINTS`` points at a time."""
     points = [(t, j) for t, j, _ in traj.sample_points()]
-    maxima = vbar([memory_window(traj.arc, t, j, delta) for t, j in points], v,
-                  batch=v_batch).tolist()
+    st = _Stack([traj.arc])  # the trajectory as one row, stacked once
+    maxima = np.concatenate([vbar(memory_windows(
+        st, [(0, t, j) for t, j in points[i:i + _VBAR_POINTS]], delta), v, batch=v_batch)
+        for i in range(0, len(points), _VBAR_POINTS)]).tolist()
     first = next(((t, j, prev, cur) for (t, j), prev, cur
                   in zip(points[1:], maxima, maxima[1:]) if cur > prev + tol), None)
     return VbarMonotoneReport(passed=first is None, first_violation=first,

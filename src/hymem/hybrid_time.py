@@ -26,10 +26,11 @@ range ends between stored samples.  :class:`ArcSegment` is the read-only
 view of one level that ``all_segments``, ``memory_segments`` and
 ``forward_segments`` return.
 
-The array forms of these operators, which take many arcs in one pass
-(the window maximum :func:`sup_norm_w`, :func:`delayed_sq_integral`,
-``append_jumps`` and the flow windows' cut), live in :mod:`hymem.batch`;
-the first two are re-exported here under their old names.
+The window operators (the cut, the appended jump, the window maximum and
+the delayed integral) have one implementation, in arrays, in
+:mod:`hymem.batch`; this module re-exports :func:`memory_window`,
+:func:`delta_inf`, :func:`append_jump`, :func:`sup_norm_w`, :func:`vbar` and
+:func:`delayed_sq_integral` under their old names.
 
 Arcs are checked once, where outside data enters: by the constructors of
 :class:`HybridArc` and :class:`HybridMemoryArc`, and for jump indices by
@@ -636,150 +637,6 @@ class BatchView:
         return out
 
 
-def delta_inf(arc: HybridArc, t: float, j: int, delta: float) -> float:
-    """Smallest d >= delta such that some (t+s, j+k) in dom arc has s + k = -d.
-
-    Computed exactly from the piecewise-interval domain structure: each
-    backward-shifted level contributes a closed interval [c, d] of
-    achievable depths.
-    """
-    best = np.inf
-    for k, (a, b) in enumerate(arc.levels()):
-        jump, lo = arc.jump_index(k), arc.times.item(a)
-        u_hi = min(arc.times.item(b - 1), t)
-        if jump > j or u_hi < lo - TIME_TOL:
-            continue
-        # s + k ranges over [lo - t + k, u_hi - t + k], k = jump - j
-        c = t + j - max(u_hi, lo) - jump
-        d = t + j - lo - jump
-        if d >= delta - TIME_TOL:
-            best = min(best, max(c, delta))
-    if not np.isfinite(best):
-        raise InsufficientHistoryError(
-            f"no history at depth >= {delta} behind (t={t}, j={j})", t, j)
-    return float(best)
-
-
-def _piece(arc: HybridArc, a0: int, b0: int, lo: float,
-           hi: float) -> list[tuple] | None:
-    """The level stored at [a0, b0) on [lo, hi] as parts, each a tuple of
-    rows of the store's arrays (times, values, and derivs and known when
-    reads use them): the index range of the stored samples within TIME_TOL
-    of [lo, hi], with an interpolated sample before or after it where none
-    lies within TIME_TOL of lo or hi.  Such a sample's derivative is
-    interpolated linearly, and it carries one when both ends of its bracket
-    do.  None when [lo, hi] misses the level by more than TIME_TOL."""
-    times, values = arc.times, arc.values
-    # linear reads use no derivatives, so cuts of a linear arc drop them
-    derivs, known = ((arc.derivs, arc.known) if arc.interpolation == "hermite"
-                     else (None, None))
-    lo, hi = max(lo, times.item(a0)), min(hi, times.item(b0 - 1))
-    if hi < lo - TIME_TOL:
-        return None
-    hi = max(hi, lo)
-    a = a0 + int(times[a0:b0].searchsorted(lo - TIME_TOL, "left"))
-    b = a0 + int(times[a0:b0].searchsorted(hi + TIME_TOL, "right"))
-
-    def sample(t: float, i: int) -> tuple:  # in the bracket [i - 1, i]
-        x = _interpolate(times, values, derivs, t, arc.interpolation, a0, b0, known)
-        if derivs is None:
-            return np.array([t]), x[None]
-        d = _interpolate(times, derivs, None, t, lo=a0, hi=b0)
-        return np.array([t]), x[None], d[None], known[i - 1:i] & known[i:i + 1]
-
-    parts = []
-    if a < b:
-        parts.append((times[a:b], values[a:b]) if derivs is None else
-                     (times[a:b], values[a:b], derivs[a:b], known[a:b]))
-    if a == b or times.item(a) > lo + TIME_TOL:
-        parts.insert(0, sample(lo, a))
-    if (times.item(b - 1) if a < b else lo) < hi - TIME_TOL:
-        parts.append(sample(hi, b))
-    return parts
-
-
-def _join(parts: list[tuple]) -> list[np.ndarray]:
-    """Each field of the parts as one array (a lone part's own)."""
-    return [f[0] if len(f) == 1 else np.concatenate(f) for f in zip(*parts)]
-
-
-def _cut(arc: HybridArc, pieces: list[tuple[int, list[tuple]]], shift: float,
-         delta: float) -> HybridMemoryArc:
-    """The memory arc of size delta made of (key, parts) pieces, times
-    shifted by -shift.  Consecutive pieces with one key form one level: the
-    later one's first sample gives way to the earlier one's last when they
-    lie within TIME_TOL, and lends it its derivative when it has none."""
-    parts, starts, rows, junction = [], [], 0, None
-    for k, (key, piece) in enumerate(pieces):
-        if k and key == pieces[k - 1][0]:
-            first = piece[0]
-            if first[0].item(0) - shift <= parts[-1][0].item(-1) - shift + TIME_TOL:
-                junction = (rows - 1, first)
-                piece[0] = tuple(f[1:] for f in first)
-        else:
-            starts.append(rows)
-        parts += piece
-        for p in piece:
-            rows += p[0].shape[0]
-    times, values, *rest = _join(parts)
-    derivs, known = rest or (None, None)
-    if junction is not None and derivs is not None and not known[junction[0]]:
-        i, first = junction  # the join made these arrays: no one else holds them
-        derivs[i], known[i] = first[2][0], first[3][0]
-    return HybridMemoryArc._of(times - shift, values, starts, len(starts), derivs,
-                               known, arc.interpolation, delta=delta)
-
-
-def memory_window(arc: HybridArc, t: float, j: int,
-                  delta: float) -> HybridMemoryArc:
-    """The memory window (s, k) -> arc(t+s, j+k) clipped at depth delta_inf.
-
-    (t, j) must lie in the arc's domain up to TIME_TOL.  Each level up to j
-    gives the index range of its samples in the window, times shifted by
-    -t, with an interpolated sample where the range ends between stored
-    samples.  Memory level 0 and forward level 0 join into one level, where
-    the memory side's sample at t = 0 stands for both (see :func:`_cut`), so
-    the window reads what the arc's read rule gives.  Cuts of a linear arc
-    keep no derivatives.
-    """
-    arc._level_at(t, j)  # raises DomainError off the domain
-    dinf = delta_inf(arc, t, j, delta)
-    pieces = []
-    for level, (a0, b0) in enumerate(arc.levels()):
-        jump = arc.jump_index(level)
-        if jump > j:
-            break
-        lo, u_hi = arc.times.item(a0), min(arc.times.item(b0 - 1), t)
-        s_lo, s_hi = max(lo - t, -dinf - (jump - j)), u_hi - t
-        piece = (u_hi >= lo - TIME_TOL and s_hi >= s_lo - TIME_TOL
-                 and _piece(arc, a0, b0, s_lo + t, s_hi + t))
-        if piece:
-            pieces.append((jump, piece))
-    return _cut(arc, pieces, t, delta)
-
-
-def append_jump(phi: HybridMemoryArc, g: np.ndarray) -> HybridMemoryArc:
-    """Memory arc after taking a jump of value g.
-
-    The result psi satisfies psi(0,0) = g and psi(s, k-1) = phi(s, k) for all
-    retained (s, k); material strictly older than s + k = -delta - 1 is
-    dropped, the boundary point is kept.  g carries no derivative.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.shape != (phi.dimension,):
-        raise ValueError(f"jump value must have shape ({phi.dimension},)")
-    floor = -phi.delta - 1
-    pieces = []
-    for level, (a0, b0) in enumerate(phi.levels()):
-        s_cut = floor - (phi.jump_index(level) - 1)
-        if phi.times.item(b0 - 1) >= s_cut - TIME_TOL:
-            pieces.append((level, _piece(phi, a0, b0, s_cut, np.inf)))
-    pieces.append((-1, [(np.zeros(1), g[None]) + (
-        () if phi.derivs is None or phi.interpolation != "hermite"
-        else (np.zeros((1, g.shape[0])), np.zeros(1, bool)))]))
-    return _cut(phi, pieces, 0.0, phi.delta)
-
-
 def _memory_grid(delta: float, depth: float, grid_step: float | None,
                  intervals: int) -> np.ndarray:
     """Uniform sample times of [-depth, 0], ``intervals`` of them by default,
@@ -962,6 +819,7 @@ def arc_from_csv(text: str, delta: float | None = None,
     return HybridArc(times, values, starts, len(mem_js), interpolation=interpolation)
 
 
-# The array forms import this module's arcs and reads; their window maximum
-# and delayed integral keep their names here, where callers look them up.
-from .batch import delayed_sq_integral, sup_norm_w, vbar  # noqa: E402,F401
+# The window operators import this module's arcs and reads; they keep their
+# names here, where callers look them up.
+from .batch import (append_jump, delayed_sq_integral, delta_inf,  # noqa: E402,F401
+                    memory_window, sup_norm_w, vbar)

@@ -24,7 +24,9 @@ region, index), in a fixed order of uniforms on [0, 1):
 1. with a clock: amplitude, target depth (drawn, unused), tau0 (region C
    only), the jump-level pick (drawn, unused: the widest candidate level is
    taken), the cut depth; without one: amplitude, target depth, then one
-   integer draw for the number of memory jumps, then the jump times;
+   integer draw for the number of memory jumps (among the counts that leave
+   a time depth of at least the longest declared delay), then the jump
+   times;
 2. per segment, newest jump level first: three knot times, then five knot
    values for each non-clock component in component order.
 
@@ -41,14 +43,15 @@ from itertools import accumulate
 
 import numpy as np
 
-from .hybrid_time import (HybridMemoryArc, append_jump, constant_memory_arc,
-                          memory_window)
+from .batch import append_jumps, memory_windows
+from .hybrid_time import HybridMemoryArc, constant_memory_arc
 from .solver import SimOptions, simulate
 from .system import GUARD_TOL, SystemSpec
 
 _REGIONS = ("C", "D", "Gplus")
 AMPLITUDE = (0.1, 2.0)  # range of a random arc's amplitude
 SEGMENT_COUNTS = (0, 1, 2, 3)  # memory jumps of an unclocked cover arc
+_FLOW_CHUNK = 16  # flow points cut per window call while filling the pool
 
 
 @dataclass(frozen=True)
@@ -92,13 +95,16 @@ class ArcSampler:
             return []
         n_reach = {"reachable": count, "cover": 0,
                    "both": (count + 1) // 2}[self.mode]
-        reach_arcs = self._reachable(region, n_reach) if n_reach else []
+        arcs = self._reachable(region, n_reach) if n_reach else []
+        arcs += [self._cover_arc(region, i) for i in range(count - n_reach)]
+        if region == "Gplus":  # one pass appends every arc's jump
+            gs = [self.spec.jump_selections(arc) for arc, _ in arcs]
+            kind = [i if i < n_reach else i - n_reach for i in range(len(arcs))]
+            psis = append_jumps([arc for arc, _ in arcs],  # each kind counts from 0
+                                [g[i % len(g)] for i, g in zip(kind, gs)])
+            arcs = [(psi, origin + ":+g") for psi, (_, origin) in zip(psis, arcs)]
         out: list[ArcSample] = []
-        for idx in range(count):
-            if idx < n_reach:
-                arc, origin = reach_arcs[idx]
-            else:
-                arc, origin = self._cover_arc(region, idx - n_reach)
+        for idx, (arc, origin) in enumerate(arcs):
             self._check_guard(arc, region)
             out.append(ArcSample(arc=arc, region=region, index=idx, origin=origin))
         return out
@@ -154,29 +160,29 @@ class ArcSampler:
         self._pool_sims += 1
         tag = f"reachable:traj{traj_index}"
         delta = self.spec.memory_size
-        for nj, (t, j) in enumerate(traj.jumps):
-            w = memory_window(traj.arc, t, j, delta)
+        clock = self.spec.meta.get("clock_index")
+        period = self.spec.meta.get("period")
+        # one cut for the jump windows and the first flow points, taken in
+        # a deterministic pseudo-random order until 8 pass; more only if not
+        points = [(t, j) for (t, j, _) in traj.sample_points()]
+        order = [points[i] for i in rng.permutation(len(points)).tolist()]
+        jumps = list(traj.jumps)
+        windows = memory_windows(traj.arc, jumps + order[:_FLOW_CHUNK], delta)
+        for nj, w in enumerate(windows[:len(jumps)]):
             self._pool_jump_windows.append((w, f"{tag}:jump{nj}"))
-        # flow windows at deterministic pseudo-random accepted points
-        pts = [(t, j) for (t, j, _) in traj.sample_points()]
-        if pts:
-            clock = self.spec.meta.get("clock_index")
-            period = self.spec.meta.get("period")
-            order = rng.permutation(len(pts))
-            taken = 0
-            for i in order:
-                t, j = pts[int(i)]
-                w = memory_window(traj.arc, t, j, delta)
-                if clock is not None:
-                    tau = float(w.head[clock])
-                    if not (0.0 <= tau <= 0.9 * period):
-                        continue
+        windows, taken = windows[len(jumps):], 0
+        for a in range(0, len(order), _FLOW_CHUNK):
+            if a:
+                windows = memory_windows(traj.arc, order[a:a + _FLOW_CHUNK], delta)
+            for (t, j), w in zip(order[a:], windows):
+                if clock is not None and not 0.0 <= float(w.head[clock]) <= 0.9 * period:
+                    continue
                 if self.spec.flow_guard(w) < -GUARD_TOL:
                     continue
                 self._pool_flow_windows.append((w, f"{tag}:flow@({t:.6g},{j})"))
                 taken += 1
                 if taken >= 8:
-                    break
+                    return
 
     def _reachable(self, region: str, count: int) -> list[tuple[HybridMemoryArc, str]]:
         pool = self._pool_jump_windows if region in ("D", "Gplus") \
@@ -189,15 +195,7 @@ class ArcSampler:
             if len(pool) == before and traj_index > 50 * (count + 1):
                 raise RuntimeError(
                     f"reachable sampler cannot populate region {region!r}")
-        arcs = pool[:count]
-        if region == "Gplus":
-            out = []
-            for i, (w, origin) in enumerate(arcs):
-                gs = self.spec.jump_selections(w)
-                g = gs[i % len(gs)]
-                out.append((append_jump(w, g), origin + ":+g"))
-            return out
-        return list(arcs)
+        return pool[:count]
 
     def _cover_arc(self, region: str, index: int) -> tuple[HybridMemoryArc, str]:
         # Draws in the order the module docstring lists, each uniform u on
@@ -243,7 +241,11 @@ class ArcSampler:
             amp = lo + (hi - lo) * u[0]
             depth_total = delta + (0.05 + (0.95 - 0.05) * u[1])  # in s + k
             max_jumps = min(max(SEGMENT_COUNTS), math.floor(depth_total))
-            counts = [c for c in SEGMENT_COUNTS if c <= max_jumps] or [0]
+            # each memory jump spends a unit of depth; the time left must
+            # still hold the longest delay the flow and jump maps read
+            reach = max(self.spec.meta.get("delays", ()), default=0.0)
+            counts = [c for c in SEGMENT_COUNTS
+                      if c <= max_jumps and depth_total - c >= reach] or [0]
             # integers read the stream unlike uniforms: kept as a choice
             k_count = int(rng.choice(counts))
             time_depth = depth_total - k_count
@@ -280,9 +282,4 @@ class ArcSampler:
                 # slope-1 clock consistent with the jump placement
                 tau_hi = tau0 if i == 0 else period
                 vs[:, clock] = tau_hi + (ts - s_hi)
-        arc = HybridMemoryArc(times, vals, starts, delta)
-        origin = f"cover:{region}{index}"
-        if region == "Gplus":
-            gs = self.spec.jump_selections(arc)
-            return append_jump(arc, gs[index % len(gs)]), origin + ":+g"
-        return arc, origin
+        return HybridMemoryArc(times, vals, starts, delta), f"cover:{region}{index}"

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import _blocks, _Stack, _stack_windows, sup_norm_w
+from .batch import _blocks, _Stack, memory_windows, sup_norm_w
 from .hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                           HybridArc, HybridMemoryArc, WindowView,
                           validate_domain)
@@ -534,5 +534,6 @@ def flow_windows(spec: SystemSpec, phis: Sequence[HybridMemoryArc], h: float,
         if st.known is not None:
             for k in range(n_steps + 1):  # no derivative was computed there
                 st.known[base + k] = False
-        out += _stack_windows(st, t)
+        st.has_derivs[:] = True  # as a History's
+        out += memory_windows(st, [(r, t, 0) for r in range(hi - lo)], st.delta)
     return out

@@ -302,6 +302,27 @@ class TestExample1Checks:
         assert k1 == k2 and k1
 
 
+@pytest.mark.parametrize("check", ["razumikhin", "krasovskii"])
+def test_cover_checks_run_on_an_unclocked_delay_system(check):
+    """Both checks evaluate every cover arc of a jump-free system with a
+    flow delay of 0.3 (they stopped at an arc shorter than the delay)."""
+    from test_sampling import delay_system
+    spec, target = delay_system(0.3)
+    sampler = ArcSampler(spec, seed=3, mode="cover")
+    if check == "razumikhin":
+        rep = check_razumikhin(spec, quadratic_razumikhin(), sampler, samples=60,
+                               target=target)
+    else:
+        cert = KrasovskiiCertificate(
+            vf=lambda phi: float(phi.head @ phi.head
+                                 + delayed_sq_integral([phi], -0.3, 0.0)[0]),
+            alpha1=lambda s: 0.5 * s * s, alpha2=lambda s: 9.0 * s * s,
+            alpha3=lambda s: 0.01 * s * s)
+        rep = check_krasovskii(spec, cert, sampler, samples=60, target=target)
+    assert rep.checked == rep.region_counts["C"] == 24  # C's share of 60
+    assert rep.meta.get("flow_arcs_skipped", 0) == 0
+
+
 class TestExample2Checks:
     @pytest.mark.parametrize("params", [Example2Params.case1(),
                                         Example2Params.case2()],

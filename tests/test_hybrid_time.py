@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hymem import batch
-from hymem.batch import append_jumps
+from hymem.batch import append_jumps, memory_windows
 from hymem.builtin import example1_razumikhin_certificate
 from hymem.hybrid_time import (TIME_TOL, ArcSegment, BatchView, DomainError,
                                History, HybridArc, HybridMemoryArc,
                                InsufficientHistoryError,
-                               _blend, _interpolate, _join, _piece,
+                               _blend, _interpolate,
                                append_jump,
                                arc_from_csv, arc_to_csv, constant_memory_arc,
                                delayed_sq_integral, delta_inf,
@@ -876,7 +877,7 @@ def reference_merge_contiguous(segments):
     return merged
 
 
-def reference_memory_window(arc, t, j, delta):
+def segment_list_memory_window(arc, t, j, delta):
     """memory_window as the segment lists had it: each segment sliced and
     shifted, then the pieces of jump level 0 merged."""
     dinf = delta_inf(arc, t, j, delta)
@@ -900,7 +901,7 @@ def reference_memory_window(arc, t, j, delta):
                            arc.interpolation)
 
 
-def reference_append_jump(phi, g):
+def segment_list_append_jump(phi, g):
     """append_jump as the segment lists had it."""
     floor = -phi.delta - 1
     segments = []
@@ -1168,18 +1169,24 @@ class TestArraySlicing:
                              zip(s.times, np.diff(s.times, append=s.hi + 1))]
                     for lo, width in cuts:
                         for scheme in ("linear", "hermite"):
-                            arc = unchecked([], [s], scheme)
-                            got = _piece(arc, 0, arc.n, lo, lo + width)
+                            stack = batch._Stack([unchecked([], [s], scheme)])
+                            level = np.zeros(1, dtype=np.intp)
+                            ok, *piece = batch._pieces(stack, level, np.array([lo]),
+                                                       np.array([lo + width]))
                             want = _slice_lists(s, lo, lo + width, scheme)
                             if want is None:
-                                assert got is None
+                                assert not ok[0]
                                 continue
-                            got = _join(got) + [None]
-                            assert _same_bits(got[0], want[0])
-                            assert _same_bits(got[1], want[1])
+                            times, values, derivs, known, _, _ = batch._runs(
+                                stack, level, *piece, stack.derivs is not None)
+                            assert _same_bits(times, want[0])
+                            assert _same_bits(values, want[1])
                             # linear reads use no derivatives: cuts drop them
-                            assert _same_bits(got[2], want[2] if scheme == "hermite"
-                                              else None)
+                            if scheme == "linear" or with_derivs:
+                                assert _same_bits(derivs, want[2] if scheme ==
+                                                  "hermite" else None)
+                            else:
+                                assert not known.any()
                             checked += 1
         assert checked > 1000
 
@@ -1206,13 +1213,131 @@ class TestArraySlicing:
 
 
 # ---------------------------------------------------------------------------
+# The window cut one point at a time, as the scalar operators on the store
+# had it before the array cut replaced them
+# ---------------------------------------------------------------------------
+
+def reference_delta_inf(arc, t, j, delta):
+    """delta_inf level by level: each backward-shifted level contributes a
+    closed interval [c, d] of achievable depths."""
+    best = np.inf
+    for k, (a, b) in enumerate(arc.levels()):
+        jump, lo = arc.jump_index(k), arc.times.item(a)
+        u_hi = min(arc.times.item(b - 1), t)
+        if jump > j or u_hi < lo - TIME_TOL:
+            continue
+        c = t + j - max(u_hi, lo) - jump
+        d = t + j - lo - jump
+        if d >= delta - TIME_TOL:
+            best = min(best, max(c, delta))
+    if not np.isfinite(best):
+        raise InsufficientHistoryError(
+            f"no history at depth >= {delta} behind (t={t}, j={j})", t, j)
+    return float(best)
+
+
+def _piece(arc, a0, b0, lo, hi):
+    """The level stored at [a0, b0) on [lo, hi] as parts, each a tuple of
+    rows of the store's arrays (times, values, and derivs and known on a
+    Hermite arc that has them), with an interpolated sample before or after
+    the stored range where none lies within TIME_TOL of lo or hi; None when
+    [lo, hi] misses the level by more than TIME_TOL."""
+    times, values = arc.times, arc.values
+    derivs, known = ((arc.derivs, arc.known) if arc.interpolation == "hermite"
+                     else (None, None))
+    lo, hi = max(lo, times.item(a0)), min(hi, times.item(b0 - 1))
+    if hi < lo - TIME_TOL:
+        return None
+    hi = max(hi, lo)
+    a = a0 + int(times[a0:b0].searchsorted(lo - TIME_TOL, "left"))
+    b = a0 + int(times[a0:b0].searchsorted(hi + TIME_TOL, "right"))
+
+    def sample(t, i):  # in the bracket [i - 1, i]
+        x = _interpolate(times, values, derivs, t, arc.interpolation, a0, b0, known)
+        if derivs is None:
+            return np.array([t]), x[None]
+        d = _interpolate(times, derivs, None, t, lo=a0, hi=b0)
+        return np.array([t]), x[None], d[None], known[i - 1:i] & known[i:i + 1]
+
+    parts = []
+    if a < b:
+        parts.append((times[a:b], values[a:b]) if derivs is None else
+                     (times[a:b], values[a:b], derivs[a:b], known[a:b]))
+    if a == b or times.item(a) > lo + TIME_TOL:
+        parts.insert(0, sample(lo, a))
+    if (times.item(b - 1) if a < b else lo) < hi - TIME_TOL:
+        parts.append(sample(hi, b))
+    return parts
+
+
+def _cut(arc, pieces, shift, delta):
+    """The memory arc of size delta made of (key, parts) pieces, times
+    shifted by -shift.  Consecutive pieces with one key form one level: the
+    later one's first sample gives way to the earlier one's last when they
+    lie within TIME_TOL, and lends it its derivative when it has none."""
+    parts, starts, rows, junction = [], [], 0, None
+    for k, (key, piece) in enumerate(pieces):
+        if k and key == pieces[k - 1][0]:
+            first = piece[0]
+            if first[0].item(0) - shift <= parts[-1][0].item(-1) - shift + TIME_TOL:
+                junction = (rows - 1, first)
+                piece[0] = tuple(f[1:] for f in first)
+        else:
+            starts.append(rows)
+        parts += piece
+        for p in piece:
+            rows += p[0].shape[0]
+    times, values, *rest = [f[0] if len(f) == 1 else np.concatenate(f)
+                            for f in zip(*parts)]
+    derivs, known = rest or (None, None)
+    if junction is not None and derivs is not None and not known[junction[0]]:
+        i, first = junction
+        derivs[i], known[i] = first[2][0], first[3][0]
+    return HybridMemoryArc._of(times - shift, values, starts, len(starts), derivs,
+                               known, arc.interpolation, delta=delta)
+
+
+def reference_memory_window(arc, t, j, delta):
+    """memory_window one level at a time."""
+    arc._level_at(t, j)
+    dinf = reference_delta_inf(arc, t, j, delta)
+    pieces = []
+    for level, (a0, b0) in enumerate(arc.levels()):
+        jump = arc.jump_index(level)
+        if jump > j:
+            break
+        lo, u_hi = arc.times.item(a0), min(arc.times.item(b0 - 1), t)
+        s_lo, s_hi = max(lo - t, -dinf - (jump - j)), u_hi - t
+        piece = (u_hi >= lo - TIME_TOL and s_hi >= s_lo - TIME_TOL
+                 and _piece(arc, a0, b0, s_lo + t, s_hi + t))
+        if piece:
+            pieces.append((jump, piece))
+    return _cut(arc, pieces, t, delta)
+
+
+def reference_append_jump(phi, g):
+    """append_jump one level at a time."""
+    g = np.asarray(g, dtype=float)
+    floor = -phi.delta - 1
+    pieces = []
+    for level, (a0, b0) in enumerate(phi.levels()):
+        s_cut = floor - (phi.jump_index(level) - 1)
+        if phi.times.item(b0 - 1) >= s_cut - TIME_TOL:
+            pieces.append((level, _piece(phi, a0, b0, s_cut, np.inf)))
+    pieces.append((-1, [(np.zeros(1), g[None]) + (
+        () if phi.derivs is None or phi.interpolation != "hermite"
+        else (np.zeros((1, g.shape[0])), np.zeros(1, bool)))]))
+    return _cut(phi, pieces, 0.0, phi.delta)
+
+
+# ---------------------------------------------------------------------------
 # The array forms of the functional check: flow windows, jumps and the
 # delayed integral of many arcs at once, against one arc at a time
 # ---------------------------------------------------------------------------
 
 def reference_flow_window(spec, phi, h, n_steps=2):
     """flow_window as it stepped one arc: a History of phi, RK4 steps through
-    flow_selection on its views, then memory_window."""
+    flow_selection on its views, then reference_memory_window."""
     hist = History(phi, phi.delta, capacity=n_steps + 1)
     hist.start_segment(0.0, np.array(phi.head, dtype=float))
     t, sub = 0.0, h / n_steps
@@ -1221,7 +1346,7 @@ def reference_flow_window(spec, phi, h, n_steps=2):
         t += sub
         hist.append(t, x_new)
     hist.known[hist.starts[-1]:] = False
-    return memory_window(hist, t, 0, phi.delta)
+    return reference_memory_window(hist, t, 0, phi.delta)
 
 
 def near_period(phi, period, gap=3e-6):
@@ -1263,7 +1388,7 @@ def same_rows_by_chunks(batch, arcs, want, same, seed):
     """batch on all arcs, on random chunks of them and on each alone gives
     want row by row."""
     cuts = np.sort(np.random.default_rng(seed).choice(
-        np.arange(1, len(arcs)), 6, replace=False))
+        np.arange(1, len(arcs)), min(6, len(arcs) - 1), replace=False))
     chunks = [x for part in np.split(np.arange(len(arcs)), cuts)
               for x in batch([arcs[i] for i in part])]
     single = [x for arc in arcs for x in batch([arc])]
@@ -1303,7 +1428,7 @@ class TestArrayFormsOfTheFunctionalCheck:
         arcs = d + c + g
         values = [spec.jump_selections(phi)[0] for phi in d] + [
             0.5 * phi.head for phi in c + g]
-        want = [append_jump(phi, x) for phi, x in zip(arcs, values)]
+        want = [reference_append_jump(phi, x) for phi, x in zip(arcs, values)]
         by_arc = dict(zip(map(id, arcs), values))
         same_rows_by_chunks(
             lambda part: append_jumps(part, [by_arc[id(phi)] for phi in part]),
@@ -1338,6 +1463,102 @@ class TestArrayFormsOfTheFunctionalCheck:
             delayed_sq_integral([phi, phi], 0.5, 0.7)
         with pytest.raises(ValueError, match="lo <= hi"):
             delayed_sq_integral([phi], 0.0, -0.1)
+
+
+def _cut_runs():
+    """Simulated runs of example 1, example 2 cases 1 and 2, Hermite case 1,
+    and a Hermite run whose history has no derivative samples (its level-0
+    windows lend the forward side's first derivative to t = 0), each with
+    its spec."""
+    from test_solver import example2_problem, hermite_case1_problem
+    runs = {"example1": (build_example1(Example1Params.paper())[0],
+                         _example1_trajectory()),
+            "hermite-forward": (build_example2(Example2Params(
+                a=-0.5, b=0.25, rho=0.5, r=0.25, delta=0.5))[0],
+                _reset_trajectory("hermite"))}
+    for name, (spec, init), t_max in (
+            ("case1", example2_problem(Example2Params.case1(), [1.0, 0.0]), 2.0),
+            ("case2", example2_problem(Example2Params.case2(), [1.0, 0.03]), 1.0),
+            ("hermite-case1", hermite_case1_problem(), 2.0)):
+        runs[name] = (spec, simulate(spec, init, SimOptions(t_max=t_max, step=5e-3)))
+    return runs
+
+
+def _cut_points(traj):
+    """Every stored forward point of a run, and points on both sides of
+    each jump instant: at it, 1e-3 away, and within TIME_TOL of it."""
+    points = [(t, j) for t, j, _ in traj.sample_points()]
+    for t, j in traj.jumps:
+        points += [(t - 1e-3, j), (t + 5e-13, j), (t - 5e-13, j + 1),
+                   (t + 1e-3, j + 1)]
+    return points
+
+
+def assert_same_cuts(arc, points, delta, seed):
+    """memory_windows at all points, in random chunks and one point at a
+    time, memory_window and delta_inf at each point, and append_jumps and
+    append_jump on the windows, give the scalar references bit for bit."""
+    want = [reference_memory_window(arc, t, j, delta) for t, j in points]
+    same_rows_by_chunks(lambda part: memory_windows(arc, part, delta), points,
+                        want, assert_same_store, seed)
+    for (t, j), w in zip(points, want):
+        assert_same_store(memory_window(arc, t, j, delta), w)
+        assert np.float64(delta_inf(arc, t, j, delta)).tobytes() == \
+            np.float64(reference_delta_inf(arc, t, j, delta)).tobytes()
+    gs = [np.cos(np.arange(w.dimension) + i) for i, w in enumerate(want)]
+    jumped = append_jumps(want, gs)
+    for w, g, psi in zip(want, gs, jumped, strict=True):
+        assert_same_store(psi, reference_append_jump(w, g))
+        assert_same_store(append_jump(w, g), psi)
+    return want
+
+
+class TestOneWindowCut:
+    """The array cut and its one-point forms against the scalar references,
+    bit for bit: store, starts, derivatives and flags."""
+
+    @pytest.mark.parametrize("name", ["example1", "case1", "case2", "hermite-case1",
+                                      "hermite-forward"])
+    def test_runs(self, name):
+        spec, traj = _cut_runs()[name]
+        points = _cut_points(traj)
+        assert_same_cuts(traj.arc, points, 0.4 * traj.memory_size, 42)
+        windows = assert_same_cuts(traj.arc, points, traj.memory_size, 41)
+        # the flow windows of the C windows: a spec without its batch map
+        # steps each row as flow_selection does
+        plain = dataclasses.replace(spec, flow_batch=None)
+        flows = [w for w in windows[::7] if spec.flow_guard(w) >= 0.0]
+        assert len(flows) > 10
+        for got, phi in zip(flow_windows(plain, flows, 1e-3), flows, strict=True):
+            assert_same_store(got, reference_flow_window(spec, phi, 1e-3))
+
+    def test_random_valid_arcs(self):
+        """Criterion 5's random arcs: every stored point, at a random delta."""
+        from test_acceptance import _random_valid_arc
+        rng = np.random.default_rng(99)
+        for i in range(60):
+            arc = _random_valid_arc(rng)
+            delta = rng.uniform(0.0, -arc.times[0])
+            points = [(float(t), s.jump_index)
+                      for s in arc.forward_segments for t in s.times]
+            assert_same_cuts(arc, points, delta, i)
+
+    def test_errors_name_the_first_bad_point(self):
+        traj = _reset_trajectory()
+        arc, delta = traj.arc, traj.memory_size
+        (t0, j0), (t1, j1) = traj.jumps[:2]
+        for point in [(t0 + 1e-9, j0), (t1, j1 + 1 + 1), (-0.1, 1), (0.3, -1)]:
+            with pytest.raises(DomainError) as want:
+                reference_memory_window(arc, *point, delta)
+            with pytest.raises(DomainError, match=re.escape(str(want.value))):
+                memory_windows(arc, [(0.1, 0), point, (t0 + 2e-9, j0)], delta)
+        with pytest.raises(InsufficientHistoryError) as want:
+            reference_memory_window(arc, 0.1, 0, 5.0)
+        with pytest.raises(InsufficientHistoryError, match=re.escape(str(want.value))):
+            memory_windows(arc, [(0.1, 0), (0.2, 0)], 5.0)
+        with pytest.raises(InsufficientHistoryError, match=re.escape(str(want.value))):
+            delta_inf(arc, 0.1, 0, 5.0)
+        assert memory_windows(arc, [], delta) == []
 
 
 class TestHistoryOfMemoryArc:
@@ -1633,9 +1854,9 @@ def test_window_operators_match_the_segment_references_property(arc, kind, data)
     t, j = data.draw(st.sampled_from([(float(t), s.jump_index)
                                       for s in arc.forward_segments for t in s.times]))
     w = memory_window(arc, t, j, delta)
-    assert_same_cut(w, reference_memory_window(arc, t, j, delta))
+    assert_same_cut(w, segment_list_memory_window(arc, t, j, delta))
     g = np.array([data.draw(st.floats(-3.0, 3.0))])
-    assert_same_cut(append_jump(w, g), reference_append_jump(w, g))
+    assert_same_cut(append_jump(w, g), segment_list_append_jump(w, g))
     # a joined level 0 that has derivatives on its forward part only reads
     # them there, where the segment lists read that level linearly
     lo = data.draw(st.floats(w.time_reach, 0.0))
@@ -1653,8 +1874,9 @@ def test_window_operators_match_the_segment_references_on_runs(make):
     delta = traj.memory_size
     for t, j, x in traj.sample_points():
         w = memory_window(traj.arc, t, j, delta)
-        assert_same_cut(w, reference_memory_window(traj.arc, t, j, delta))
-        assert_same_cut(append_jump(w, 0.5 * x), reference_append_jump(w, 0.5 * x))
+        assert_same_cut(w, segment_list_memory_window(traj.arc, t, j, delta))
+        assert_same_cut(append_jump(w, 0.5 * x),
+                        segment_list_append_jump(w, 0.5 * x))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,8 +5,8 @@ import pytest
 
 from hymem.hybrid_time import ArcSegment, HybridMemoryArc, append_jump
 from hymem.sampling import AMPLITUDE, SEGMENT_COUNTS, ArcSampler
-from hymem.system import (Example1Params, Example2Params, LinearDelayConfig,
-                          build_example1, build_example2,
+from hymem.system import (DelayTerm, Example1Params, Example2Params,
+                          LinearDelayConfig, build_example1, build_example2,
                           build_linear_delay_system)
 
 
@@ -58,6 +58,28 @@ def test_no_jump_regions_without_clock():
     assert sampler.sample("D", 10) == []
     assert sampler.sample("Gplus", 10) == []
     assert len(sampler.sample("C", 10)) == 10
+
+
+def delay_system(delay):
+    """A 2-dimensional jump-free system of memory size 0.4 whose flow reads
+    x(t - delay): the unclocked branch of the cover sampler."""
+    spec, target = build_linear_delay_system(LinearDelayConfig(
+        dimension=2, memory_size=0.4, a0=np.array([[-1.0, 0.5], [0.0, -2.0]]),
+        flow_delayed=(DelayTerm(delay, np.array([[0.2, 0.0], [0.0, 0.1]])),)))
+    return spec, target
+
+
+@pytest.mark.parametrize("delay", [0.3, 0.05])
+def test_unclocked_cover_arcs_reach_the_declared_delay(delay):
+    """Memory jumps spend depth in s + k, so a cover arc keeps only the
+    counts that leave the delay in time: the flow map reads every C arc
+    (seed 3 gave 3 of 24 arcs shorter than a delay of 0.3)."""
+    spec, _ = delay_system(delay)
+    arcs = ArcSampler(spec, seed=3, mode="cover").sample("C", 200)
+    assert len({len(s.arc.starts) for s in arcs}) > 1  # some memory jumps
+    for s in arcs:
+        assert s.arc.time_reach <= -delay
+        spec.flow_candidates(s.arc)
 
 
 def test_cover_clock_history_is_consistent():
@@ -116,7 +138,9 @@ def reference_cover_arc(sampler, region, index):
         bounds.append(-(depth_cut - k_count))
     else:
         max_jumps = min(max(SEGMENT_COUNTS), int(np.floor(depth_total)))
-        counts = [c for c in SEGMENT_COUNTS if c <= max_jumps] or [0]
+        reach = max(sampler.spec.meta.get("delays", ()), default=0.0)
+        counts = [c for c in SEGMENT_COUNTS
+                  if c <= max_jumps and depth_total - c >= reach] or [0]
         k_count = int(rng.choice(counts))
         time_depth = depth_total - k_count
         cuts = np.sort(rng.uniform(-time_depth, 0.0, size=k_count))[::-1]
@@ -149,11 +173,7 @@ def reference_cover_arc(sampler, region, index):
                           np.concatenate([s.values for s in segments]),
                           np.cumsum([0] + [len(s.times) for s in segments[:-1]]),
                           delta)
-    origin = f"cover:{region}{index}"
-    if region == "Gplus":
-        gs = sampler.spec.jump_selections(arc)
-        return append_jump(arc, gs[index % len(gs)]), origin + ":+g"
-    return arc, origin
+    return arc, f"cover:{region}{index}"
 
 
 def _reference_systems():
@@ -199,3 +219,11 @@ def test_cover_arcs_match_the_reference_sampler(name, spec, seed):
             levels.add(len(arc.memory_segments))
     if name == "jump-free":  # every entry of SEGMENT_COUNTS comes up
         assert levels == {c + 1 for c in SEGMENT_COUNTS}
+    else:  # a post-jump arc is its pre-jump cover arc after the jump
+        sampler = ArcSampler(spec, seed=seed, mode="cover")
+        for s in sampler.sample("Gplus", 40):
+            arc, origin = reference_cover_arc(sampler, "Gplus", s.index)
+            gs = spec.jump_selections(arc)
+            assert s.origin == origin + ":+g"
+            want = append_jump(arc, gs[s.index % len(gs)])
+            assert _arc_bytes(s.arc) == _arc_bytes(want)
