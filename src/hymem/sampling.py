@@ -32,6 +32,14 @@ region, index), in a fixed order of uniforms on [0, 1):
 
 Any change to that order, or to how a uniform maps onto its range, changes
 every seeded cover arc.
+
+Only those draws and the bounds arithmetic run per arc.  A ``sample`` call
+builds its cover arcs in blocks of consecutive arcs, at most
+``_STACK_ROWS`` (4096) stored samples each: one set of array passes makes
+every level's grid (as ``np.linspace``), sorted knots and spline values (as
+``np.interp``), bit for bit, and each arc then goes through the checked
+``HybridMemoryArc`` constructor.  Since every arc has its own stream, the
+blocking moves no draw.
 """
 
 from __future__ import annotations
@@ -40,10 +48,11 @@ import math
 import zlib
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .batch import append_jumps, memory_windows
+from .batch import _STACK_ROWS, append_jumps, memory_windows
 from .hybrid_time import HybridMemoryArc, constant_memory_arc
 from .solver import SimOptions, simulate
 from .system import GUARD_TOL, SystemSpec
@@ -52,6 +61,16 @@ _REGIONS = ("C", "D", "Gplus")
 AMPLITUDE = (0.1, 2.0)  # range of a random arc's amplitude
 SEGMENT_COUNTS = (0, 1, 2, 3)  # memory jumps of an unclocked cover arc
 _FLOW_CHUNK = 16  # flow points cut per window call while filling the pool
+
+
+class _CoverPlan(NamedTuple):
+    """A cover arc's draws and levels, each level list oldest first."""
+    index: int
+    amp: float
+    spans: list[tuple[float, float]]  # (s_lo, s_hi)
+    sizes: list[int]  # stored samples
+    tau_hi: list[float] | None  # the clock at s_hi
+    draws: np.ndarray  # one row of uniforms per level
 
 
 @dataclass(frozen=True)
@@ -96,7 +115,7 @@ class ArcSampler:
         n_reach = {"reachable": count, "cover": 0,
                    "both": (count + 1) // 2}[self.mode]
         arcs = self._reachable(region, n_reach) if n_reach else []
-        arcs += [self._cover_arc(region, i) for i in range(count - n_reach)]
+        arcs += self._cover_arcs(region, range(count - n_reach))
         if region == "Gplus":  # one pass appends every arc's jump
             gs = [self.spec.jump_selections(arc) for arc, _ in arcs]
             kind = [i if i < n_reach else i - n_reach for i in range(len(arcs))]
@@ -197,16 +216,35 @@ class ArcSampler:
                     f"reachable sampler cannot populate region {region!r}")
         return pool[:count]
 
-    def _cover_arc(self, region: str, index: int) -> tuple[HybridMemoryArc, str]:
-        # Draws in the order the module docstring lists, each uniform u on
-        # [lo, hi) mapped as lo + (hi - lo) * u like Generator.uniform.
+    def _cover_arcs(self, region: str,
+                    indices: Sequence[int]) -> list[tuple[HybridMemoryArc, str]]:
+        """The cover arcs of ``region`` at ``indices``: each arc's draws from
+        its own stream, then the grids, knots and spline values of a block
+        of consecutive arcs (at most ``_STACK_ROWS`` stored samples) in one
+        set of array passes."""
+        out, block, rows = [], [], 0
+        for index in indices:
+            plan = self._cover_plan(region, index)
+            size = sum(plan.sizes)
+            if block and rows + size > _STACK_ROWS:
+                out += self._cover_block(region, block)
+                block, rows = [], 0
+            block.append(plan)
+            rows += size
+        if block:
+            out += self._cover_block(region, block)
+        return out
+
+    def _cover_plan(self, region: str, index: int) -> _CoverPlan:
+        """One cover arc's draws, in the order the module docstring lists,
+        and the levels they give.  Each uniform u on [lo, hi) is mapped as
+        lo + (hi - lo) * u like Generator.uniform."""
         rng = self._rng("cover", region, index)
-        n = self.spec.dimension
         clock = self.spec.meta.get("clock_index")
         period = self.spec.meta.get("period")
         delta = self.spec.memory_size
-        free = [comp for comp in range(n) if comp != clock]
-        per_segment = 3 + 5 * len(free)  # knot times, then knot values
+        # knot times, then knot values of each non-clock component
+        per_segment = 3 + 5 * (self.spec.dimension - (clock is not None))
         lo, hi = AMPLITUDE
 
         if clock is not None:
@@ -235,7 +273,9 @@ class ArcSampler:
             depth_cut = d_lo + (d_hi - d_lo) * u[-1]
             bounds = [0.0] + [-tau0 - m * period for m in range(k_count)]
             bounds.append(-(depth_cut - k_count))
-            draws = rng.random((k_count + 1) * per_segment).tolist()
+            draws = rng.random((k_count + 1) * per_segment)
+            # slope-1 clock consistent with the jump placement
+            tau_hi = [period] * k_count + [tau0]
         else:
             u = rng.random(2).tolist()
             amp = lo + (hi - lo) * u[0]
@@ -249,37 +289,84 @@ class ArcSampler:
             # integers read the stream unlike uniforms: kept as a choice
             k_count = int(rng.choice(counts))
             time_depth = depth_total - k_count
-            draws = rng.random(k_count + (k_count + 1) * per_segment).tolist()
-            cuts = sorted((-time_depth + time_depth * x for x in draws[:k_count]),
-                          reverse=True)
+            draws = rng.random(k_count + (k_count + 1) * per_segment)
+            cuts = sorted((-time_depth + time_depth * x
+                           for x in draws[:k_count].tolist()), reverse=True)
             draws = draws[k_count:]
             bounds = [0.0] + cuts + [-time_depth]
-            tau0 = None
+            tau_hi = None
 
-        # one store, oldest level first; level i (newest first) holds
-        # np.linspace(s_lo, s_hi, m), or its first sample alone if s_lo == s_hi
+        # level i (newest first) holds np.linspace(s_lo, s_hi, m), or its
+        # first sample alone if s_lo == s_hi
         grid = max((bounds[0] - bounds[-1]) / 60.0, 1e-4)
-        spans = list(zip(bounds[1:], bounds))  # (s_lo, s_hi), newest first
+        spans = list(zip(bounds[:0:-1], bounds[-2::-1]))  # oldest first
         sizes = [1 if s_hi == s_lo else max(2, math.ceil((s_hi - s_lo) / grid) + 1)
                  for s_lo, s_hi in spans]
-        starts = [0, *accumulate(sizes[:0:-1])]
-        rows = starts[-1] + sizes[0]
-        times, vals = np.empty(rows), np.empty((rows, n))
-        for i, ((s_lo, s_hi), m) in enumerate(zip(spans, sizes)):
-            span, a = s_hi - s_lo, starts[-1 - i]
-            ts, vs = times[a:a + m], vals[a:a + m]
-            if m == 1:
-                ts[0] = 0.0 + s_lo  # as np.linspace(s_lo, s_lo, 2)[0]
-            else:  # np.linspace(s_lo, s_hi, m), bit for bit
-                ts[:] = np.arange(m) * (span / (m - 1)) + s_lo
-                ts[-1] = s_hi
-            u = draws[i * per_segment:(i + 1) * per_segment]
-            knots = sorted([s_lo, s_hi, *(s_lo + span * x for x in u[:3])])
-            for c, comp in enumerate(free):
-                kv = [amp * (-1.0 + 2.0 * x) for x in u[3 + 5 * c:8 + 5 * c]]
-                vs[:, comp] = np.interp(ts, knots, kv)
-            if clock is not None:
-                # slope-1 clock consistent with the jump placement
-                tau_hi = tau0 if i == 0 else period
-                vs[:, clock] = tau_hi + (ts - s_hi)
-        return HybridMemoryArc(times, vals, starts, delta), f"cover:{region}{index}"
+        return _CoverPlan(index, amp, spans, sizes, tau_hi,
+                          draws.reshape(k_count + 1, per_segment)[::-1])
+
+    def _cover_block(self, region: str,
+                     block: list[_CoverPlan]) -> list[tuple[HybridMemoryArc, str]]:
+        """The arcs of a block of cover plans, each level's grid, knots and
+        spline values as np.linspace and np.interp give them, bit for bit."""
+        n = self.spec.dimension
+        clock = self.spec.meta.get("clock_index")
+        free = [comp for comp in range(n) if comp != clock]
+        s_lo, s_hi = np.array([s for plan in block for s in plan.spans]).T
+        m = np.array([s for plan in block for s in plan.sizes])
+        amp = np.repeat([plan.amp for plan in block],
+                        [len(plan.sizes) for plan in block])
+        u = np.concatenate([plan.draws for plan in block])
+        # the grid: k * (span / (m - 1)) + s_lo, then s_hi; 0.0 + s_lo alone
+        span = s_hi - s_lo
+        level = np.repeat(np.arange(len(m)), m)
+        ends = np.cumsum(m)
+        step = span / np.maximum(m - 1, 1)  # 0.0 / 1 on a one-sample level
+        ts = (np.arange(ends[-1]) - np.repeat(ends - m, m)) * step[level]
+        ts += s_lo[level]
+        ts[(ends - 1)[m > 1]] = s_hi[m > 1]
+        vals = np.empty((ts.shape[0], n))
+        if clock is not None:
+            tau = np.array([t for plan in block for t in plan.tau_hi])
+            vals[:, clock] = tau[level] + (ts - s_hi[level])
+        # the knots, sorted per level as sorted() orders ties
+        knots = np.column_stack([s_lo, s_hi, s_lo[:, None] + span[:, None] * u[:, :3]])
+        knots = np.sort(knots, axis=1, kind="stable").ravel()
+        # np.interp: the interval by a side="right" search, then its slope;
+        # every temporary is one value per stored sample
+        level *= 5  # now each row's first knot
+        at = sum((knots[level + q] <= ts for q in range(5)), np.intp(0))
+        j0 = np.clip(at - 1, 0, 4)
+        j0 += level
+        inner = (at > 0) & (at < 5)  # x0 <= x < x1 = knots[j0 + 1], else past an end
+        del level, at
+        x0 = knots[j0]
+        exact = ts == x0  # a knot's value
+        exact |= ~inner
+        dt = ts - x0
+        dx = knots[j0 + inner]
+        dx -= x0
+        del x0
+        kv = amp[:, None] * (-1.0 + 2.0 * u[:, 3:])
+        # np.interp retries a NaN value from the interval's other end; here
+        # none arises: off the exact rows x0 <= x < x1, knots and values are
+        # finite, and distinct knots differ by far more than 4 / DBL_MAX
+        for c, comp in enumerate(free):
+            y = kv[:, 5 * c:5 * c + 5].ravel()
+            y0, v = y[j0], y[j0 + inner]
+            v -= y0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v /= dx  # the slope, 0/0 only where exact
+            v *= dt
+            v += y0
+            np.copyto(v, y0, where=exact)
+            vals[:, comp] = v
+        del j0, inner, exact, dt, dx  # before the arcs are built: a lower peak
+        out, a = [], 0
+        for plan in block:  # the checked constructor copies each arc's rows
+            b = a + sum(plan.sizes)
+            arc = HybridMemoryArc(ts[a:b], vals[a:b], [0, *accumulate(plan.sizes[:-1])],
+                                  self.spec.memory_size)
+            out.append((arc, f"cover:{region}{plan.index}"))
+            a = b
+        return out

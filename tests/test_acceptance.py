@@ -4,9 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Tolerances are pinned here, not configurable.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,9 @@ from hymem.sampling import ArcSampler
 from hymem.solver import SimOptions, Trajectory, simulate, verify_solution
 
 CLI = [sys.executable, "-m", "hymem"]
+# the subprocess imports this checkout's package, installed or not
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(hm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def _line(criterion: int, ok: bool, detail: str) -> None:
@@ -260,7 +265,7 @@ def test_criterion_6_negative_controls():
     r = subprocess.run(CLI + ["check-razumikhin", "--system", "example1",
                               "--set", "K=[[0,0]]", "--samples", "600",
                               "--seed", "0"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=ENV)
     open_loop_detected = r.returncode == 1
 
     p_open = hm.Example1Params(A=[[4.0, 1.0], [5.0, -3.0]],
@@ -318,8 +323,9 @@ def test_criterion_7_cli_determinism(tmp_path):
             if cmd[0] == "simulate":
                 args += ["--out", str(tmp_path / f"{idx}_{run_i}.csv"),
                          "--plot-out", str(tmp_path / f"{idx}_{run_i}_p.csv")]
-            r = subprocess.run(args, capture_output=True, text=True)
+            r = subprocess.run(args, capture_output=True, text=True, env=ENV)
             assert r.returncode in (0, 1), r.stderr
+            assert rep.exists(), f"{cmd[0]} wrote no report: {r.stderr}"
             payload = rep.read_bytes()
             if cmd[0] == "simulate":
                 payload += (tmp_path / f"{idx}_{run_i}.csv").read_bytes()

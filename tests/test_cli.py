@@ -1,13 +1,20 @@
 """CLI behavior: exit codes, schema strictness, reproducibility, artifacts."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hymem
+
 CLI = [sys.executable, "-m", "hymem"]
+# the subprocess imports this checkout's package, installed or not
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(hymem.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 MINIMAL_CONFIG = {"dimension": 1, "memory_size": 0.0, "flow": {"A0": [[-1.0]]}}
@@ -15,7 +22,7 @@ MINIMAL_CONFIG = {"dimension": 1, "memory_size": 0.0, "flow": {"A0": [[-1.0]]}}
 
 def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          cwd=cwd, timeout=timeout)
+                          cwd=cwd, timeout=timeout, env=ENV)
 
 
 class TestSimulate:

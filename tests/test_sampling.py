@@ -1,8 +1,11 @@
 """Sampler guarantees: region guards, memory-class membership, determinism."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
+from hymem.batch import _STACK_ROWS
 from hymem.hybrid_time import ArcSegment, HybridMemoryArc, append_jump
 from hymem.sampling import AMPLITUDE, SEGMENT_COUNTS, ArcSampler
 from hymem.system import (DelayTerm, Example1Params, Example2Params,
@@ -187,6 +190,31 @@ def _arc_bytes(arc):
             for s in arc.memory_segments]
 
 
+def _check_against_reference(spec, sampler, region, count, streams):
+    """sample(region, count) gives, byte for byte, the arcs and origins of
+    the reference sampler, each arc reading its own stream exactly as far;
+    a post-jump arc is its pre-jump cover arc after the jump.  Returns the
+    arcs and each pre-jump arc's number of stored samples."""
+    streams.clear()
+    got = sampler.sample(region, count)
+    drawn = streams[:]  # one stream per arc, in index order
+    assert [key for key, _ in drawn] == [("cover", region, i) for i in range(count)]
+    assert [s.index for s in got] == list(range(count))
+    sizes = []
+    for s, (_, rng) in zip(got, drawn):
+        arc, origin = reference_cover_arc(sampler, region, s.index)
+        sizes.append(len(arc.times))
+        if region == "Gplus":
+            gs = spec.jump_selections(arc)
+            arc, origin = append_jump(arc, gs[s.index % len(gs)]), origin + ":+g"
+        assert s.origin == origin
+        assert _arc_bytes(s.arc) == _arc_bytes(arc), (region, s.index)
+        # exactly the draws the reference makes, none left unread
+        assert str(rng.bit_generator.state) == \
+            str(streams[-1][1].bit_generator.state), (region, s.index)
+    return got, sizes
+
+
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 @pytest.mark.parametrize("name, spec", _reference_systems(),
                          ids=[name for name, _ in _reference_systems()])
@@ -194,36 +222,85 @@ def test_cover_arcs_match_the_reference_sampler(name, spec, seed):
     """Byte for byte the arcs and origins of the one-call-per-draw sampler,
     in every region the system supports: example 1 (three free components),
     both example 2 cases, and a jump-free system (the unclocked branch,
-    deep enough for every segment count)."""
+    deep enough for every segment count).  400 arcs are several blocks of
+    the array builder; one arc, and one more than fits a block, split the
+    blocks unevenly."""
     sampler = ArcSampler(spec, seed=seed, mode="cover")
-    streams = []  # each arc's generator, to compare how far it was read
+    streams = []  # each stream's key and generator, to see how far it was read
     make_rng = sampler._rng
 
     def recording_rng(*key):
-        streams.append(make_rng(*key))
-        return streams[-1]
+        streams.append((key, make_rng(*key)))
+        return streams[-1][1]
 
     sampler._rng = recording_rng
     regions = [r for r in ("C", "D", "Gplus") if sampler.region_supported(r)]
     assert regions == (["C"] if name == "jump-free" else ["C", "D", "Gplus"])
     levels = set()
     for region in regions:
-        for index in range(400):
-            arc, origin = sampler._cover_arc(region, index)
-            ref_arc, ref_origin = reference_cover_arc(sampler, region, index)
-            assert origin == ref_origin
-            assert _arc_bytes(arc) == _arc_bytes(ref_arc), (region, index)
-            # exactly the draws the reference makes, none left unread
-            assert str(streams[-2].bit_generator.state) == \
-                str(streams[-1].bit_generator.state), (region, index)
-            levels.add(len(arc.memory_segments))
+        got, sizes = _check_against_reference(spec, sampler, region, 400, streams)
+        levels.update(len(s.arc.starts) for s in got)
+        full = sum(r <= _STACK_ROWS for r in accumulate(sizes))  # the first block
+        assert 1 < full < 400
+        for count in (1, full + 1):
+            _check_against_reference(spec, sampler, region, count, streams)
+        if region != "Gplus":  # each arc owns its read-only arrays (post-jump
+            # arcs are cuts of append_jumps' blocks)
+            arrays = [a for s in got for a in (s.arc.times, s.arc.values)]
+            assert not any(a.flags.writeable for a in arrays)
+            bases = {id(a if a.base is None else a.base) for a in arrays}
+            assert len(bases) == len(arrays)
     if name == "jump-free":  # every entry of SEGMENT_COUNTS comes up
         assert levels == {c + 1 for c in SEGMENT_COUNTS}
-    else:  # a post-jump arc is its pre-jump cover arc after the jump
-        sampler = ArcSampler(spec, seed=seed, mode="cover")
-        for s in sampler.sample("Gplus", 40):
-            arc, origin = reference_cover_arc(sampler, "Gplus", s.index)
-            gs = spec.jump_selections(arc)
-            assert s.origin == origin + ":+g"
-            want = append_jump(arc, gs[s.index % len(gs)])
-            assert _arc_bytes(s.arc) == _arc_bytes(want)
+
+
+class _Stub:
+    """A stream of given uniforms: ``head``, then ``cycle`` repeated.  Its
+    uniform and choice read it as Generator's do (choice with p reads one
+    uniform; without p it takes a[0] and reads none)."""
+
+    def __init__(self, head, cycle):
+        self.head, self.cycle, self.pos = list(head), list(cycle), 0
+
+    def _next(self):
+        i, self.pos = self.pos, self.pos + 1
+        return self.head[i] if i < len(self.head) else \
+            self.cycle[(i - len(self.head)) % len(self.cycle)]
+
+    def random(self, size=None):
+        if size is None:
+            return self._next()
+        return np.array([self._next() for _ in range(int(np.prod(size)))]).reshape(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self.random(size)
+
+    def choice(self, a, p=None):
+        if p is None:
+            return a[0]
+        cdf = np.cumsum(p)
+        return int(np.searchsorted(cdf / cdf[-1], self.random(), side="right"))
+
+
+@pytest.mark.parametrize("head, cycle, region", [
+    # tau0 = 0: the newest level is the one sample at s = 0
+    ([0.3, 0.5, 0.0, 0.5, 0.5], [0.2, 0.7, 0.4, 0.1, 0.9, 0.5, 0.3, 0.6], "C"),
+    # coincident knots: two at s_lo (a draw of 0), two in between
+    ([0.3, 0.5, 0.4, 0.5, 0.5], [0.0, 0.5, 0.5, 0.1, 0.9, 0.5, 0.3, 0.6], "C"),
+    # three equal knot times, and a draw of 0 for the clock's tau0 and cut
+    ([0.8, 0.5, 0.0, 0.5, 0.0], [0.25, 0.25, 0.25, 0.9, 0.1, 0.0, 0.7, 0.2], "C"),
+    ([0.8, 0.5, 0.5, 0.0], [0.0, 0.0, 0.75, 0.9, 0.1, 0.0, 0.7, 0.2], "D"),
+])
+def test_cover_arcs_match_the_reference_on_edge_draws(head, cycle, region):
+    """np.interp's zero-width intervals and a one-sample level, forced by a
+    stub stream on example 2 case 2, give the reference's bytes."""
+    spec, _ = build_example2(Example2Params.case2())
+    sampler = ArcSampler(spec, seed=0, mode="cover")
+    sampler._rng = lambda *key: _Stub(head, cycle)
+    got = sampler.sample(region, 3)
+    for s in got:
+        arc, origin = reference_cover_arc(sampler, region, s.index)
+        assert s.origin == origin
+        assert _arc_bytes(s.arc) == _arc_bytes(arc)
+    if head[2] == 0.0 and region == "C":
+        assert len(got[0].arc.memory_segments[-1].times) == 1
