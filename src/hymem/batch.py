@@ -1,14 +1,17 @@
-"""The window operators, in arrays: many windows or memory arcs in one pass.
+"""The window views and operators, in arrays: many windows or memory arcs
+in one pass.
 
-This module holds their one implementation.  Arcs are joined back to back
-in a :class:`_Stack`, each a row with its own levels, and every operation
-runs on whole arrays of levels, pieces and samples, giving each window or
-arc, bit for bit, what it would get alone:
+:class:`WindowView` is the window protocol (head, delayed(s), delta) at one
+stored sample of a :class:`~hymem.hybrid_time.History`, :class:`BatchView`
+at many at once.  This module holds the operators' one implementation.
+Arcs are joined back to back in one History, each a row with its own
+levels, and every operation runs on whole arrays of levels, pieces and
+samples, giving each window or arc, bit for bit, what it would get alone:
 
 * :func:`memory_windows` cuts an arc's window at many points (t, j), or a
-  stack's at a point per row; :func:`memory_window` and :func:`delta_inf`
+  store's at a point per row; :func:`memory_window` and :func:`delta_inf`
   are its one-point cases.  The flow windows of many arcs
-  (:func:`~hymem.solver.flow_windows`) are cut so from the stack they step;
+  (:func:`~hymem.solver.flow_windows`) are cut so from the store they grow;
 * :func:`append_jumps`, with its one-arc case :func:`append_jump`;
 * the window maximum (:func:`sup_norm_w`, also named :func:`vbar`) makes,
   per block, one call of the batch form for the stored samples and one per
@@ -26,13 +29,13 @@ under its old name.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .hybrid_time import (TIME_TOL, DomainError, HybridArc, HybridMemoryArc,
-                          InsufficientHistoryError, _blend)
+from .hybrid_time import (TIME_TOL, DomainError, History, HybridArc,
+                          HybridMemoryArc, InsufficientHistoryError, _blend,
+                          _lerp, _pairs)
 
 #: Most stored samples in one block of the window maximum (an arc larger
 #: than this is a block of its own).  Its refinement rounds hold up to 2^5
@@ -44,112 +47,185 @@ _BLOCK_ROWS = 1024
 _STACK_ROWS = 4096
 
 
-def _blocks(phis: Sequence[HybridMemoryArc], extra: int = 0,
+def _blocks(phis: Sequence[HybridMemoryArc], room: int = 0,
             budget: int | None = None):
     """(lo, hi) ranges of consecutive arcs of phis with at most ``budget``
-    (default _STACK_ROWS) stored samples, ``extra`` more per arc, and one
+    (default _STACK_ROWS) stored samples, ``room`` more per arc, and one
     memory size and one interpolation scheme each."""
     budget = _STACK_ROWS if budget is None else budget
     lo = rows = 0
     for hi, phi in enumerate(phis):
         key = (phi.delta, phi.interpolation)
-        if hi > lo and (rows + phi.n + extra > budget or key != first):
+        if hi > lo and (rows + phi.n + room > budget or key != first):
             yield lo, hi
             lo, rows = hi, 0
         if hi == lo:
             first = key
-        rows += phi.n + extra
+        rows += phi.n + room
     if lo < len(phis):
         yield lo, len(phis)
 
 
-class _Stack(HybridArc):
-    """The stores of a block of arcs (one interpolation scheme) back to
-    back, each arc a row.
+class WindowView:
+    """The window protocol (head, delayed(s), delta) at a sample of a History.
 
-    ``extra`` > 0 gives each row of memory arcs what a History of its arc
-    holds after ``start_segment``: a forward level of jump index 0 whose
-    first sample is the head at t = 0, then ``extra - 1`` free samples, with
-    derivative 0 flagged known.  Per level, ``first`` and ``end`` are its
-    index range, ``jump`` its jump index and ``row`` its arc; a row's levels
-    are ``levels[i]:levels[i + 1]``, ``memory[i]`` of them memory levels.
-    Derivatives are kept on Hermite blocks only (zeros, not flagged known,
-    for an arc that has none), since linear reads and cuts use none;
-    ``has_derivs`` marks the arcs that have some.  Reads go through
-    ``HybridArc.value`` and :class:`~hymem.hybrid_time.BatchView`, with a
-    row's first level as the floor.
+    Reads follow the maximal-jump-index rule and never see samples stored
+    after the view's own, nor levels below ``floor`` (another row's, in a
+    store of many).  :meth:`extend` gives the window at a provisional
+    point x, dt ahead on the same jump level, as Runge-Kutta stages need:
+    delays shorter than dt read the straight line from the stored head to x,
+    longer ones read the stored history.  A view from :meth:`extend` keeps
+    its stored-history reads, keyed by s, and :meth:`with_head` hands them to
+    a view at the same stage time with another head, so the two half-step
+    stages of a step read the stored history once per delay.  The straight
+    line depends on the head and is never kept.  Every read returns a fresh
+    array.
     """
 
-    def __init__(self, phis: Sequence[HybridArc], extra: int = 0):
-        rows = len(phis)
-        sizes = np.array([phi.n for phi in phis])
-        depth = np.array([len(phi.starts) for phi in phis])  # stored levels
-        self.memory = np.array([phi.n_memory for phi in phis])
-        fwd = 1 if extra else 0
-        offset = np.concatenate(([0], np.cumsum(sizes + extra)))
-        self.levels = np.concatenate(([0], np.cumsum(depth + fwd)))
-        self.has_derivs = np.array([phi.derivs is not None for phi in phis])
-        hermite = phis[0].interpolation == "hermite"
-        times = np.concatenate([phi.times[:phi.n] for phi in phis])
-        values = np.concatenate([phi.values[:phi.n] for phi in phis])
-        derivs = known = None
-        if hermite:
-            derivs = np.concatenate([p.derivs[:p.n] if has else np.zeros_like(p.values)
-                                     for p, has in zip(phis, self.has_derivs)])
-            known = np.concatenate([p.known[:p.n] if has else np.zeros(p.n, dtype=bool)
-                                    for p, has in zip(phis, self.has_derivs)])
-        starts = (np.fromiter(chain.from_iterable(phi.starts for phi in phis),
-                              dtype=np.intp, count=int(depth.sum()))
-                  + np.repeat(offset[:-1], depth))
-        if extra:  # each row's forward level follows its samples
-            n, levels = offset[-1], self.levels[-1]
-            at = np.arange(times.shape[0]) + np.repeat(np.arange(rows) * extra, sizes)
-            base = offset[:-1] + sizes  # the forward levels' first samples
-            times, values = _spread(times, at, n, 0.0), _spread(values, at, n, 0.0)
-            values[base] = values[base - 1]  # the head, at t = 0
-            if hermite:
-                derivs = _spread(derivs, at, n, 0.0)
-                known = _spread(known, at, n, True)
-            mem = np.arange(starts.shape[0]) + np.repeat(np.arange(rows), depth)
-            starts = _spread(starts, mem, levels, base)
-        # a level's jump index from its place k in its row: HybridArc.jump_index
-        k = np.arange(starts.shape[0]) - np.repeat(self.levels[:-1], depth + fwd)
-        m = np.repeat(self.memory, depth + fwd)
-        self.first, self.end = starts, np.append(starts[1:], offset[-1])
-        self.jump, self.row = k - m + (k < m), np.repeat(np.arange(rows), depth + fwd)
-        self._keys = None
-        self._store(times, values, derivs, known, starts.tolist(), len(starts),
-                    phis[0].interpolation, getattr(phis[0], "delta", None))
+    __slots__ = ("history", "index", "segment", "head", "dt", "reads", "floor")
 
-    def search(self, lv: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
-        """first[lv[i]] + np.searchsorted(level lv[i]'s times, q[i], side) for
-        each i, in one search: the samples as (level, time) pairs, in the
-        complex numbers' lexicographic order, which compares both parts
-        exactly.  The pairs are taken from the times as they are at the
-        first search."""
-        if self._keys is None:
-            self._keys = _pairs(np.repeat(np.arange(self.first.shape[0]),
-                                          self.end - self.first), self.times)
-        return np.searchsorted(self._keys, _pairs(lv, q), side)
+    def __init__(self, history: History, index: int, segment: int,
+                 head: np.ndarray, dt: float = 0.0,
+                 reads: dict[float, np.ndarray] | None = None, floor: int = 0):
+        self.history = history
+        self.index = index
+        self.segment = segment
+        self.head = head
+        self.dt = dt
+        self.reads = reads
+        self.floor = floor
+
+    @property
+    def delta(self) -> float:
+        return self.history.delta
+
+    def extend(self, dt: float, x: np.ndarray) -> "WindowView":
+        return WindowView(self.history, self.index, self.segment, x, dt, {},
+                          self.floor)
+
+    def with_head(self, x: np.ndarray) -> "WindowView":
+        """The view at the same point and stage time with head x; it shares
+        this view's stored-history reads."""
+        return WindowView(self.history, self.index, self.segment, x, self.dt,
+                          self.reads, self.floor)
+
+    def delayed(self, s: float) -> np.ndarray:
+        hist = self.history
+        q = self.dt + s
+        if q >= 0.0 and self.dt > 0.0:
+            return _lerp(hist.values[self.index], self.head, q / self.dt)
+        reads = self.reads
+        x = None if reads is None else reads.get(s)
+        if x is None:
+            x = hist.value(hist.times.item(self.index) + q, self.segment,
+                           self.index + 1, self.floor)
+            if reads is None:
+                return x
+            reads[s] = x
+        return x.copy()
 
 
-def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a[i], b[i]) as complex numbers a[i] + b[i] j, built without
-    arithmetic, so each part keeps its bits."""
-    z = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    z.real, z.imag = a, b
-    return z
+class BatchView:
+    """The window protocol at several stored samples of one store at once.
 
+    ``head`` and ``delayed(s)`` are (B, n) arrays whose row i is bit for bit
+    what the :class:`WindowView` at ``index[i]`` gives, reading no level
+    below its row's first; :meth:`views` lists those views, whose
+    ``segment`` (the level holding the sample) and ``floor`` (its row's
+    first level) are read from the store's level table.  :meth:`extend` and
+    :meth:`with_head` are the window view's, for every row at once: all
+    rows of a batch share one stage offset dt.  A delayed read finds every
+    row's jump level with one search of (row, first time) pairs, since an
+    arc's levels have their first times in order, and interpolates all rows
+    with one :meth:`~hymem.hybrid_time.History.search` and one
+    :func:`_blend` call.  Like a view, it never reads a sample stored after
+    its row's own.
+    """
 
-def _spread(a: np.ndarray, at: np.ndarray, size: int, fill) -> np.ndarray:
-    """An array of ``size`` rows with a's rows at ``at`` and ``fill`` (a
-    scalar, or an array for the rows not in ``at``, in order) elsewhere."""
-    out = np.empty((size,) + a.shape[1:], dtype=a.dtype)
-    rest = np.ones(size, dtype=bool)
-    rest[at] = False
-    out[rest] = fill
-    out[at] = a
-    return out
+    __slots__ = ("history", "index", "segment", "floor", "head", "dt", "reads")
+
+    def __init__(self, history: History, index):
+        self.history = history
+        self.index = np.asarray(index, dtype=np.intp)
+        self.segment = np.searchsorted(history.first, self.index, side="right") - 1
+        self.floor = history.spans[history.row[self.segment]]
+        self.head = history.values[self.index]
+        self.dt, self.reads = 0.0, None
+
+    @property
+    def delta(self) -> float:
+        return self.history.delta
+
+    def _moved(self, head: np.ndarray, dt: float, reads: dict | None) -> "BatchView":
+        view = object.__new__(BatchView)
+        view.history, view.index = self.history, self.index
+        view.segment, view.floor = self.segment, self.floor
+        view.head, view.dt, view.reads = head, dt, reads
+        return view
+
+    def extend(self, dt: float, x: np.ndarray) -> "BatchView":
+        return self._moved(x, dt, {})
+
+    def with_head(self, x: np.ndarray) -> "BatchView":
+        return self._moved(x, self.dt, self.reads)
+
+    def views(self) -> list[WindowView]:
+        hist, dt = self.history, self.dt
+        return [WindowView(hist, i, k, x, dt, None if self.reads is None else {}, f)
+                for i, k, x, f in zip(self.index.tolist(), self.segment.tolist(),
+                                      self.head, self.floor.tolist())]
+
+    def delayed(self, s: float) -> np.ndarray:
+        hist, index = self.history, self.index
+        q = self.dt + s
+        if q >= 0.0 and self.dt > 0.0:
+            return _lerp(hist.values[index], self.head, q / self.dt)
+        reads = self.reads
+        x = None if reads is None else reads.get(s)
+        if x is None:
+            x = self._read(hist.times[index] + q)
+            if reads is None:
+                return x
+            reads[s] = x
+        return x.copy()
+
+    def _read(self, tq: np.ndarray) -> np.ndarray:
+        """Each row's History.value at tq[i], on its own levels up to its
+        own sample."""
+        hist, index = self.history, self.index
+        times = hist.times
+        late = tq > times[index] + TIME_TOL
+        if late.any():
+            t = tq[late][0]
+            raise DomainError(f"time {t} is after the stored history", t, None)
+        first, end, row = hist.first, hist.end, hist.row
+        # History.value's rule: the newest of the row's levels, up to its
+        # own, whose first sample lies at or before tq: one search of the
+        # levels' (row, first time) pairs, in History.search's order
+        level = np.minimum(np.searchsorted(_pairs(row, times[first] - TIME_TOL),
+                                           _pairs(row[self.segment], tq), "right"),
+                           self.segment + 1) - 1
+        missing = (level < self.floor) | np.isnan(tq)
+        if missing.any():
+            t = tq[missing][0]
+            raise InsufficientHistoryError(
+                f"time {t} precedes all stored history", t, None)
+        first = first[level]
+        stop = np.where(level == self.segment, index + 1, end[level])
+        # _interpolate on each row's samples first:stop, held constant past
+        # either end
+        values = hist.values
+        out = np.empty_like(self.head)
+        before = tq <= times[first]
+        after = ~before & (tq >= times[stop - 1])
+        out[before] = values[first[before]]
+        out[after] = values[stop[after] - 1]
+        inner = np.flatnonzero(~(before | after))
+        if inner.size:
+            i = hist.search(level[inner], tq[inner], "right") - 1
+            out[inner] = _blend(times, values, hist.derivs if hist.interpolation
+                                == "hermite" else None, hist.known, tq[inner], i)
+        return out
 
 
 def _pymax(a, b):
@@ -162,8 +238,8 @@ def _pymin(a, b):
     return np.where(b < a, b, a)
 
 
-def _pieces(st: _Stack, lv: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The piece of each level lv[i] of a stack on [lo[i], hi[i]]: the
+def _pieces(st: History, lv: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The piece of each level lv[i] of a store on [lo[i], hi[i]]: the
     index range of its stored samples within TIME_TOL of that interval
     (clipped to the level), with an interpolated sample before or after it
     where none lies within TIME_TOL of lo or hi.  As arrays: ok (False where
@@ -183,7 +259,7 @@ def _pieces(st: _Stack, lv: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return ok, a, b, lo, hi, pre, post
 
 
-def _runs(st: _Stack, lv, a, b, lo, hi, pre, post, derivs: bool):
+def _runs(st: History, lv, a, b, lo, hi, pre, post, derivs: bool):
     """The samples of pieces (see :func:`_pieces`) back to back: times,
     values, derivs and known (None unless ``derivs``), and each piece's
     offset and sample count.  An interpolated sample is its level's
@@ -198,20 +274,21 @@ def _runs(st: _Stack, lv, a, b, lo, hi, pre, post, derivs: bool):
     d = k = None
     if derivs:
         d, k = st.derivs[src], st.known[src]
+    blend = st.derivs if st.interpolation == "hermite" else None
     # an interpolated sample lies strictly inside its bracket [i - 1, i]
     for at, flag, t, i in ((head, pre, lo, a), (tail, post, hi, b)):
         if not at.size:
             continue
         t, i = t[flag], i[flag]
         times[at] = t
-        values[at] = _blend(st.times, st.values, st.derivs, st.known, t, i - 1)
+        values[at] = _blend(st.times, st.values, blend, st.known, t, i - 1)
         if derivs:
             d[at] = _blend(st.times, st.derivs, None, None, t, i - 1)
             k[at] = st.known[i - 1] & st.known[i]
     return times, values, d, k, off, count
 
 
-def _cut_rows(st: _Stack, row, key, lv, a, b, lo, hi, pre, post, shift, derivs,
+def _cut_rows(st: History, row, key, lv, a, b, lo, hi, pre, post, shift, derivs,
               delta: float) -> list[HybridMemoryArc]:
     """The memory arcs of size delta made of pieces (see :func:`_pieces`),
     in order by row, with keys, and each piece's times shifted by -shift;
@@ -254,12 +331,12 @@ def _cut_rows(st: _Stack, row, key, lv, a, b, lo, hi, pre, post, shift, derivs,
     return arcs
 
 
-def _check_points(st: _Stack, row, t, j) -> None:
+def _check_points(st: History, row, t, j) -> None:
     """DomainError naming the first query (row, t, j) whose point is not in
     its row's domain up to TIME_TOL (at (0, 0) the memory side's level
     counts): ``HybridArc._level_at``'s rule."""
-    m, base = st.memory[row], st.levels[row]
-    size = st.levels[row + 1] - base
+    m, base = st.memory[row], st.spans[row]
+    size = st.spans[row + 1] - base
     found = np.zeros(row.shape, dtype=bool)
     for k, first, end, side in ((m - 1 + j, 0, m, (j < 0) | (t <= TIME_TOL)),
                                 (m + j, m, size, (j > 0) | (t >= -TIME_TOL))):
@@ -272,14 +349,15 @@ def _check_points(st: _Stack, row, t, j) -> None:
         raise DomainError(f"point (t={t}, j={j}) is not in the arc domain", t, j)
 
 
-def _reach(st: _Stack, row, t, j, delta: float) -> tuple:
-    """delta_inf of each query (row, t, j) of a stack, with the pairs (q,
+def _reach(st: History, row, t, j, delta: float) -> tuple:
+    """delta_inf of each query (row, t, j) of a store, with the pairs (q,
     lv) of a query and each level of its row with jump index at most j[q]
     that holds a time u <= u_hi = min(its last time, t[q]): each contributes
     the closed interval of depths t + j - u - jump."""
-    count = st.levels[row + 1] - st.levels[row]
+    spans = st.spans
+    count = spans[row + 1] - spans[row]
     q = np.repeat(np.arange(row.shape[0]), count)
-    lv = np.arange(q.shape[0]) + np.repeat(st.levels[row] - (np.cumsum(count) - count),
+    lv = np.arange(q.shape[0]) + np.repeat(spans[row] - (np.cumsum(count) - count),
                                            count)
     lo, jump = st.times[st.first[lv]], st.jump[lv]
     u_hi = _pymin(st.times[st.end[lv] - 1], t[q])
@@ -300,7 +378,8 @@ def _reach(st: _Stack, row, t, j, delta: float) -> tuple:
 def memory_windows(arc: HybridArc, points, delta: float) -> list[HybridMemoryArc]:
     """The memory window (s, k) -> arc(t+s, j+k) clipped at depth delta_inf
     at each point of ``points``: (t, j) pairs on an arc, or (row, t, j)
-    triples on a stack, one window per point, each what it would be alone.
+    triples on a :class:`~hymem.hybrid_time.History` of many, one window per
+    point, each what it would be alone.
 
     Each point must lie in its arc's domain up to TIME_TOL.  Each level up
     to j gives the index range of its samples in the window, times shifted
@@ -312,8 +391,8 @@ def memory_windows(arc: HybridArc, points, delta: float) -> list[HybridMemoryArc
     """
     if not len(points):
         return []
-    st = arc if isinstance(arc, _Stack) else _Stack([arc])
-    if st is not arc:  # (t, j) pairs: points of the stack's one row
+    st = arc if isinstance(arc, History) else History([arc])
+    if st is not arc:  # (t, j) pairs: points of the store's one row
         points = [(0, t, j) for t, j in points]
     row, t, j = (np.array(x, dtype=dtype) for x, dtype
                  in zip(zip(*points), (np.intp, float, np.intp)))
@@ -326,7 +405,7 @@ def memory_windows(arc: HybridArc, points, delta: float) -> list[HybridMemoryArc
     ok, *piece = _pieces(st, lv[cut], s_lo[cut] + tq[cut], s_hi[cut] + tq[cut])
     at = cut[ok]
     return _cut_rows(st, q[at], jump[at], lv[at], *(x[ok] for x in piece), tq[at],
-                     st.has_derivs[row] & (st.derivs is not None), delta)
+                     st.has_derivs[row], delta)
 
 
 def memory_window(arc: HybridArc, t: float, j: int, delta: float) -> HybridMemoryArc:
@@ -338,7 +417,7 @@ def delta_inf(arc: HybridArc, t: float, j: int, delta: float) -> float:
     """Smallest d >= delta such that some (t+s, j+k) in dom arc has s + k = -d,
     exactly: each level contributes a closed interval of depths (:func:`_reach`)."""
     one = np.zeros(1, dtype=np.intp)
-    return float(_reach(_Stack([arc]), one, np.array([t], dtype=float), one + j,
+    return float(_reach(History([arc]), one, np.array([t], dtype=float), one + j,
                         delta)[0][0])
 
 
@@ -357,18 +436,19 @@ def append_jumps(phis: Sequence[HybridMemoryArc],
             raise ValueError(f"jump value must have shape ({phi.dimension},)")
     out = []
     for lo, hi in _blocks(phis, 1):
-        st = _Stack(phis[lo:hi], 1)
-        top = st.levels[1:] - 1  # each row's forward level: g alone, at t = 0
-        st.values[st.first[top]] = gs[lo:hi]
-        if st.derivs is not None:
-            st.known[st.first[top]] = False  # g carries no derivative
+        st = History(phis[lo:hi], room=1)
+        at = st.start_segments(0.0, gs[lo:hi])  # each row's forward level: g alone
+        if st.known is not None:
+            st.known[at] = False  # g carries no derivative
+        top = st.spans[1:] - 1
         s_cut = -st.delta - 1 - (st.jump - 1)
         keep = st.times[st.end - 1] >= s_cut - TIME_TOL
         s_cut[top], keep[top] = -np.inf, True
         lv = np.flatnonzero(keep)
         _, *piece = _pieces(st, lv, s_cut[lv], np.full(lv.shape, np.inf))
-        out += _cut_rows(st, st.row[lv], lv, lv, *piece, np.zeros(lv.shape),
-                         st.has_derivs & (st.derivs is not None), st.delta)
+        keeps = st.has_derivs & [phi.derivs is not None for phi in phis[lo:hi]]
+        out += _cut_rows(st, st.row[lv], lv, lv, *piece, np.zeros(lv.shape), keeps,
+                         st.delta)
     return out
 
 
@@ -415,12 +495,12 @@ def sup_norm_w(phis: Sequence[HybridMemoryArc], fn: Callable[[np.ndarray], float
         lambda arr: np.array([fn(row) for row in arr]))
     out = np.empty(len(phis))
     for lo, hi in _blocks(phis, budget=_BLOCK_ROWS):
-        out[lo:hi] = _block_max(_Stack(phis[lo:hi]), lo, evaluate, refine_tol,
+        out[lo:hi] = _block_max(History(phis[lo:hi]), lo, evaluate, refine_tol,
                                 max_levels)
     return out
 
 
-def _block_max(st: _Stack, offset: int, evaluate: Callable, refine_tol: float,
+def _block_max(st: History, offset: int, evaluate: Callable, refine_tol: float,
                max_levels: int) -> np.ndarray:
     """:func:`sup_norm_w` of one block of windows, the first of which has
     index ``offset`` in the call."""
@@ -432,7 +512,7 @@ def _block_max(st: _Stack, offset: int, evaluate: Callable, refine_tol: float,
     csum = np.concatenate(([0], np.cumsum(above)))
     count = csum[ends] - csum[starts]
     lv = np.flatnonzero(count)  # the levels with samples above the floor
-    windows = st.levels.shape[0] - 1
+    windows = st.spans.shape[0] - 1
     empty = np.flatnonzero(np.bincount(win[lv] - offset, minlength=windows) == 0)
     if empty.size:
         raise DomainError(f"window {offset + empty[0]} is empty above the depth floor")
@@ -519,17 +599,18 @@ def delayed_sq_integral(phis: Sequence[HybridMemoryArc], lo: float, hi: float,
         raise ValueError("need lo <= hi")
     out = np.empty(len(phis))
     for a, b in _blocks(phis):
-        out[a:b] = _block_sq_integral(_Stack(phis[a:b]), lo, hi, components)
+        out[a:b] = _block_sq_integral(History(phis[a:b]), lo, hi, components)
     return out
 
 
-def _block_sq_integral(st: _Stack, lo: float, hi: float,
+def _block_sq_integral(st: History, lo: float, hi: float,
                        components: slice | None) -> np.ndarray:
-    """:func:`delayed_sq_integral` of the rows of a stack: the levels of all
+    """:func:`delayed_sq_integral` of the rows of a store: the levels of all
     rows are walked newest first in lockstep, one rank of level a round."""
     times = st.times
-    rows = st.levels.shape[0] - 1
-    depth = np.diff(st.levels)
+    spans = st.spans
+    rows = spans.shape[0] - 1
+    depth = np.diff(spans)
     top = np.full(rows, hi)
     active = np.ones(rows, dtype=bool)
     runs = []  # per rank of level, newest first: (rows, pieces)
@@ -537,7 +618,7 @@ def _block_sq_integral(st: _Stack, lo: float, hi: float,
         r = np.flatnonzero(active & (rank < depth))
         if not r.size:
             break
-        lv = st.levels[r + 1] - 1 - rank
+        lv = spans[r + 1] - 1 - rank
         first, last = times[st.first[lv]], times[st.end[lv] - 1]
         go = ~(first > hi + TIME_TOL)
         stop = go & (last < lo - TIME_TOL)

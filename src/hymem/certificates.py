@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .batch import _blocks, _Stack, append_jumps, memory_windows, sup_norm_w, vbar
+from .batch import _blocks, append_jumps, memory_windows, sup_norm_w, vbar
 from .hybrid_time import HybridMemoryArc
 from .sampling import ArcSample, ArcSampler
 from .solver import PreconditionError, Trajectory, flow_windows
@@ -567,9 +567,8 @@ def check_vbar_monotone(traj: Trajectory, v: Callable[[np.ndarray], float],
     """Windowed maximum of V must be non-increasing along the trajectory.
     The windows are cut and maximised ``_VBAR_POINTS`` points at a time."""
     points = [(t, j) for t, j, _ in traj.sample_points()]
-    st = _Stack([traj.arc])  # the trajectory as one row, stacked once
     maxima = np.concatenate([vbar(memory_windows(
-        st, [(0, t, j) for t, j in points[i:i + _VBAR_POINTS]], delta), v, batch=v_batch)
+        traj.arc, points[i:i + _VBAR_POINTS], delta), v, batch=v_batch)
         for i in range(0, len(points), _VBAR_POINTS)]).tolist()
     first = next(((t, j, prev, cur) for (t, j), prev, cur
                   in zip(points[1:], maxima, maxima[1:]) if cur > prev + tol), None)

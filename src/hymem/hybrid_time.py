@@ -13,9 +13,11 @@ The store is the only description of the arc's domain: a level is one
 interval of it, its jump index is its position, and :func:`validate_domain`
 checks the domain's invariants on an arc's levels.  Arcs are built from
 the store itself, checked or (``_of``) not.
-:class:`History` is the growable form of that store, for the solver.  One
+:class:`History` is that store for one arc or many, each a row with room to
+grow: the solver grows one row a sample at a time, the window operators
+grow every row at once, and a lone arc's store is its own arrays.  One
 read rule, :meth:`HybridArc.value`, serves every store: a memory arc's
-``delayed(s)`` is that rule, and :class:`WindowView` and :class:`BatchView`
+``delayed(s)`` is that rule, and the window views of :mod:`hymem.batch`
 read a History through it at one or many stored samples.
 
 The window operator extracts the recent history of a stored solution at a
@@ -28,9 +30,8 @@ view of one level that ``all_segments``, ``memory_segments`` and
 
 The window operators (the cut, the appended jump, the window maximum and
 the delayed integral) have one implementation, in arrays, in
-:mod:`hymem.batch`; this module re-exports :func:`memory_window`,
-:func:`delta_inf`, :func:`append_jump`, :func:`sup_norm_w`, :func:`vbar` and
-:func:`delayed_sq_integral` under their old names.
+:mod:`hymem.batch`; this module re-exports them and the views under their
+old names.
 
 Arcs are checked once, where outside data enters: by the constructors of
 :class:`HybridArc` and :class:`HybridMemoryArc`, and for jump indices by
@@ -45,6 +46,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -169,22 +171,6 @@ def _blend(times: np.ndarray, values: np.ndarray, derivs: np.ndarray | None,
     out[hermite] = _hermite(values[k], values[k + 1], derivs[k], derivs[k + 1],
                             h[hermite], w[hermite])
     return out
-
-
-def _bisect(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, q: np.ndarray,
-            right: bool) -> np.ndarray:
-    """lo[i] + np.searchsorted(keys[lo[i]:hi[i]], q[i], side) for each i, each
-    slice sorted: one binary search over many slices at once, which grows
-    each row's count of keys before q by halving steps."""
-    pos = lo.copy()
-    widest = int((hi - lo).max(initial=0))
-    step = 1 << (widest.bit_length() - 1) if widest else 0
-    while step:
-        cand = np.minimum(pos + step, hi)
-        k = keys[cand - 1]  # cand = pos only where pos = hi: no move
-        pos = np.where((k <= q) if right else (k < q), cand, pos)
-        step >>= 1
-    return pos
 
 
 @dataclass(frozen=True)
@@ -410,42 +396,139 @@ class HybridMemoryArc(HybridArc):
 
 
 class History(HybridArc):
-    """The growable form of an arc's store, for the solver.
+    """The store of one arc or of many, each arc a row with room to grow.
 
-    It starts as the arc's samples and grows by forward levels, a sample at
-    a time, in arrays that double in size when full; forward samples carry
-    a derivative (0 until the solver writes one).  ``capacity`` rows are
-    reserved up front; with none, it reads the arc's own read-only arrays
-    until it grows.  Appending costs O(1) amortised; a delayed read is one binary
-    search on one level's slice.
+    It holds ``arcs`` (one interpolation scheme) back to back, each row
+    followed by ``room`` free samples; ``delta`` defaults to the first
+    arc's.  The last row grows by :meth:`start_segment` and :meth:`append`
+    (the solver's solution) with no NumPy call, in arrays that double when
+    full; every row grows at once by :meth:`start_segments` and
+    :meth:`append_rows`, within its room.  An appended sample carries
+    derivative 0, flagged known, until its writer sets another.  One arc
+    without room is stored on its own read-only arrays.  Derivatives are
+    kept on Hermite stores and on one row with room (where the solver
+    stores flow selections); ``has_derivs`` marks the Hermite rows that
+    have some or have room, whose cuts keep them.  ``starts``, ``n_memory``
+    and ``n`` are an arc's, ``n`` the end of the last row.  The level
+    table, built at its first read: per level, ``first`` and ``end`` are
+    its index range, ``jump`` its jump index and ``row`` its row; row i's
+    levels are ``spans[i]:spans[i + 1]``, ``memory[i]`` of them memory
+    levels.
     """
 
-    def __init__(self, arc: HybridArc, delta: float, capacity: int = 64):
-        n = arc.n
-        derivs, known = arc.derivs, arc.known
-        if derivs is None:
-            derivs, known = np.zeros_like(arc.values[:n]), np.zeros(n, dtype=bool)
-        self._store(*(_padded(a[:n], capacity)
-                      for a in (arc.times, arc.values, derivs, known)),
-                    list(arc.starts), arc.n_memory, arc.interpolation, delta)
-        self.n = n
+    def __init__(self, arcs: Sequence[HybridArc], delta: float | None = None,
+                 room: int = 0):
+        arc, rows = arcs[0], len(arcs)
+        hermite = arc.interpolation == "hermite"
+        sizes = np.array([a.n for a in arcs])
+        depth = np.array([len(a.starts) for a in arcs])  # stored levels
+        self.memory = np.array([a.n_memory for a in arcs])
+        self.has_derivs = np.array([hermite and (room > 0 or a.derivs is not None)
+                                    for a in arcs])
+        self._bounds = np.concatenate(([0], np.cumsum(sizes + room)))  # of the rows
+        self._room, self._index = room, None
+        join = np.concatenate if rows > 1 or room else operator.itemgetter(0)
+        arrays = [join([a.times[:a.n] for a in arcs]),
+                  join([a.values[:a.n] for a in arcs]), None, None]
+        if hermite or room and rows == 1:
+            arrays[2:] = (join([np.zeros_like(a.values[:a.n]) if a.derivs is None
+                                else a.derivs[:a.n] for a in arcs]),
+                          join([np.zeros(a.n, dtype=bool) if a.derivs is None
+                                else a.known[:a.n] for a in arcs]))
+        starts = (np.fromiter(chain.from_iterable(a.starts for a in arcs),
+                              dtype=np.intp, count=int(depth.sum()))
+                  + np.repeat(self._bounds[:-1], depth)).tolist()
+        if room:  # one scatter; free times read +inf, for the search
+            at = np.arange(arrays[0].shape[0]) + np.repeat(np.arange(rows) * room, sizes)
+            for i, fill in enumerate((np.inf, 0.0, 0.0, True)):
+                if arrays[i] is not None:
+                    a = arrays[i]
+                    arrays[i] = np.full((self._bounds[-1],) + a.shape[1:], fill, a.dtype)
+                    arrays[i][at] = a
+        self._store(*arrays, starts, arc.n_memory, arc.interpolation,
+                    getattr(arc, "delta", None) if delta is None else delta)
+        self.n = int(self._bounds[-1]) - room
+
+    def _table(self) -> list:
+        """[n, first, end, jump, row, spans, search keys]: the level arrays
+        as long as the levels stand, the rest as long as ``n`` does."""
+        table = self._index
+        if table is None or table[1].shape[0] != len(self.starts):
+            first = np.array(self.starts, dtype=np.intp)
+            spans = np.append(np.searchsorted(first, self._bounds[:-1]), first.shape[0])
+            count = np.diff(spans)
+            # a level's jump index from its place k in its row: HybridArc.jump_index
+            k = np.arange(first.shape[0]) - np.repeat(spans[:-1], count)
+            m = np.repeat(self.memory, count)
+            table = self._index = [None, first, None, k - m + (k < m),
+                                   np.repeat(np.arange(count.shape[0]), count), spans,
+                                   None]
+        if table[0] != self.n:  # each row's newest level ends at its newest sample
+            table[0], table[2], table[6] = self.n, np.append(table[1][1:], 0), None
+            table[2][table[5][1:] - 1] = self.newest() + 1
+        return table
+
+    first = property(lambda self: self._table()[1])
+    end = property(lambda self: self._table()[2])
+    jump = property(lambda self: self._table()[3])
+    row = property(lambda self: self._table()[4])
+    spans = property(lambda self: self._table()[5])
+
+    def search(self, lv: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
+        """first[lv[i]] + np.searchsorted(level lv[i]'s times, q[i], side) for
+        each i, in one search of the samples as (level, time) pairs (made at
+        the first search; a row's free samples go with its last level), in
+        the complex numbers' lexicographic order, which compares both exactly."""
+        table = self._table()
+        if table[6] is None:
+            table[6] = _pairs(np.repeat(np.arange(table[1].shape[0]),
+                                        np.diff(table[1], append=self.n)),
+                              self.times[:self.n])
+        return np.searchsorted(table[6], _pairs(lv, q), side)
+
+    def newest(self) -> np.ndarray:
+        """Each row's newest sample, as an index array."""
+        at = self._bounds[1:] - self._room - 1
+        at[-1] = self.n - 1
+        return at
 
     def start_segment(self, t: float, x: np.ndarray) -> None:
-        """Open the next forward jump level with its first sample."""
+        """Open the last row's next forward jump level with its first sample."""
         self.starts.append(self.n)
         self.append(t, x)
 
     def append(self, t: float, x: np.ndarray) -> None:
-        """Add a sample to the newest level, with derivative 0."""
+        """Add a sample to the last row's newest level, doubling full arrays."""
         if self.n == self.times.shape[0]:
             for name in ("times", "values", "derivs", "known"):
-                setattr(self, name, _padded(getattr(self, name), self.n))
+                a = getattr(self, name)
+                if a is not None:  # new samples: derivative 0, flagged known
+                    setattr(self, name, np.concatenate([a, np.full_like(a, a.dtype == bool)]))
         self.times[self.n] = t
         self.values[self.n] = x
         self.n += 1
+        self._index = None
+
+    def start_segments(self, t: float, xs) -> np.ndarray:
+        """Open every row's next forward jump level with its first sample
+        (t, xs[i]); return their indices."""
+        self.starts = sorted(self.starts + (self.newest() + 1).tolist())
+        return self.append_rows(t, xs)
+
+    def append_rows(self, t: float, xs) -> np.ndarray:
+        """Add the sample (t, xs[i]) to the newest level of every row i, in
+        its room; return their indices."""
+        if self._room < 1:
+            raise ValueError("no room left in the rows")
+        at = self.newest() + 1
+        self.times[at], self.values[at] = t, xs
+        self._room -= 1
+        self.n += 1
+        return at
 
     def view(self, index: int | None = None) -> "WindowView":
-        """The window at the stored sample ``index`` (default: the newest)."""
+        """The window at the stored sample ``index`` (default: the newest) of
+        a one-row store; :class:`BatchView` reads a store of many."""
         if index is None:
             index, segment = self.n - 1, len(self.starts) - 1
         else:
@@ -453,9 +536,11 @@ class History(HybridArc):
         return WindowView(self, index, segment, self.values[index])
 
     def to_arc(self) -> HybridArc:
-        """The stored samples as an arc, on copies of the rows in use."""
-        times, values, derivs, known = (a[:self.n].copy() for a in (
-            self.times, self.values, self.derivs, self.known))
+        """The stored samples of a one-row store as an arc, on copies of the
+        rows in use."""
+        times, values, derivs, known = (None if a is None else a[:self.n].copy()
+                                        for a in (self.times, self.values,
+                                                  self.derivs, self.known))
         return HybridArc._of(times, values, list(self.starts), self.n_memory,
                              derivs, known, self.interpolation)
 
@@ -467,174 +552,12 @@ def _read_only(*arrays: np.ndarray | None) -> None:
             a.flags.writeable = False
 
 
-def _padded(a: np.ndarray, rows: int) -> np.ndarray:
-    """a followed by ``rows`` rows of zeros, or of True for flags (appended
-    samples carry a derivative); a itself when rows is 0."""
-    return a if not rows else np.concatenate(
-        [a, np.full((rows,) + a.shape[1:], a.dtype == bool, dtype=a.dtype)])
-
-
-class WindowView:
-    """The window protocol (head, delayed(s), delta) at a sample of a History.
-
-    Reads follow the maximal-jump-index rule and never see samples stored
-    after the view's own, nor levels below ``floor`` (another arc's, in a
-    stack of many).  :meth:`extend` gives the window at a provisional
-    point x, dt ahead on the same jump level, as Runge-Kutta stages need:
-    delays shorter than dt read the straight line from the stored head to x,
-    longer ones read the stored history.  A view from :meth:`extend` keeps
-    its stored-history reads, keyed by s, and :meth:`with_head` hands them to
-    a view at the same stage time with another head, so the two half-step
-    stages of a step read the stored history once per delay.  The straight
-    line depends on the head and is never kept.  Every read returns a fresh
-    array.
-    """
-
-    __slots__ = ("history", "index", "segment", "head", "dt", "reads", "floor")
-
-    def __init__(self, history: History, index: int, segment: int,
-                 head: np.ndarray, dt: float = 0.0,
-                 reads: dict[float, np.ndarray] | None = None, floor: int = 0):
-        self.history = history
-        self.index = index
-        self.segment = segment
-        self.head = head
-        self.dt = dt
-        self.reads = reads
-        self.floor = floor
-
-    @property
-    def delta(self) -> float:
-        return self.history.delta
-
-    def extend(self, dt: float, x: np.ndarray) -> "WindowView":
-        return WindowView(self.history, self.index, self.segment, x, dt, {},
-                          self.floor)
-
-    def with_head(self, x: np.ndarray) -> "WindowView":
-        """The view at the same point and stage time with head x; it shares
-        this view's stored-history reads."""
-        return WindowView(self.history, self.index, self.segment, x, self.dt,
-                          self.reads, self.floor)
-
-    def delayed(self, s: float) -> np.ndarray:
-        hist = self.history
-        q = self.dt + s
-        if q >= 0.0 and self.dt > 0.0:
-            return _lerp(hist.values[self.index], self.head, q / self.dt)
-        reads = self.reads
-        x = None if reads is None else reads.get(s)
-        if x is None:
-            x = hist.value(hist.times.item(self.index) + q, self.segment,
-                           self.index + 1, self.floor)
-            if reads is None:
-                return x
-            reads[s] = x
-        return x.copy()
-
-
-class BatchView:
-    """The window protocol at several stored samples of one store at once.
-
-    ``head`` and ``delayed(s)`` are (B, n) arrays whose row i is bit for bit
-    what the :class:`WindowView` at ``index[i]`` on level ``segment[i]``,
-    reading no level below ``floor[i]``, gives; :meth:`views` lists those
-    views.  The store is a History (``segment`` defaults to each sample's
-    level, ``floor`` to 0) or a stack of many arcs' Histories, whose rows
-    each name their own levels.  :meth:`extend` and :meth:`with_head` are
-    the window view's, for every row at once: all rows of a batch share one
-    stage offset dt.  A delayed read finds every row's jump level with one
-    binary search over its own levels' first times, which an arc's levels
-    have in time order, and interpolates all rows with one binary search
-    each and one :func:`_blend` call.  Like a view, it never reads a sample
-    stored after its row's own.
-    """
-
-    __slots__ = ("history", "index", "segment", "floor", "head", "dt", "reads")
-
-    def __init__(self, history: HybridArc, index, segment=None, floor=None):
-        self.history = history
-        self.index = np.asarray(index, dtype=np.intp)
-        self.segment = (np.searchsorted(history.starts, self.index, side="right") - 1
-                        if segment is None else np.asarray(segment, dtype=np.intp))
-        self.floor = (np.zeros_like(self.index) if floor is None
-                      else np.asarray(floor, dtype=np.intp))
-        self.head = history.values[self.index]
-        self.dt, self.reads = 0.0, None
-
-    @property
-    def delta(self) -> float:
-        return self.history.delta
-
-    def _moved(self, head: np.ndarray, dt: float, reads: dict | None) -> "BatchView":
-        view = object.__new__(BatchView)
-        view.history, view.index = self.history, self.index
-        view.segment, view.floor = self.segment, self.floor
-        view.head, view.dt, view.reads = head, dt, reads
-        return view
-
-    def extend(self, dt: float, x: np.ndarray) -> "BatchView":
-        return self._moved(x, dt, {})
-
-    def with_head(self, x: np.ndarray) -> "BatchView":
-        return self._moved(x, self.dt, self.reads)
-
-    def views(self) -> list[WindowView]:
-        hist, dt = self.history, self.dt
-        return [WindowView(hist, i, k, x, dt, None if self.reads is None else {}, f)
-                for i, k, x, f in zip(self.index.tolist(), self.segment.tolist(),
-                                      self.head, self.floor.tolist())]
-
-    def delayed(self, s: float) -> np.ndarray:
-        hist, index = self.history, self.index
-        q = self.dt + s
-        if q >= 0.0 and self.dt > 0.0:
-            return _lerp(hist.values[index], self.head, q / self.dt)
-        reads = self.reads
-        x = None if reads is None else reads.get(s)
-        if x is None:
-            x = self._read(hist.times[index] + q)
-            if reads is None:
-                return x
-            reads[s] = x
-        return x.copy()
-
-    def _read(self, tq: np.ndarray) -> np.ndarray:
-        """Each row's History.value at tq[i], on its own levels up to its
-        own sample."""
-        hist, index = self.history, self.index
-        times = hist.times
-        late = tq > times[index] + TIME_TOL
-        if late.any():
-            t = tq[late][0]
-            raise DomainError(f"time {t} is after the stored history", t, None)
-        first = np.array(hist.starts, dtype=np.intp)
-        end = np.append(first[1:], hist.n)
-        # History.value's rule: the newest of the row's levels, up to its
-        # own, whose first sample lies at or before tq
-        level = _bisect(times[first] - TIME_TOL, self.floor, self.segment + 1,
-                        tq, True) - 1
-        missing = level < self.floor
-        if missing.any():
-            t = tq[missing][0]
-            raise InsufficientHistoryError(
-                f"time {t} precedes all stored history", t, None)
-        first = first[level]
-        stop = np.where(level == self.segment, index + 1, end[level])
-        # _interpolate on each row's samples first:stop, held constant past
-        # either end
-        values = hist.values
-        out = np.empty_like(self.head)
-        before = tq <= times[first]
-        after = ~before & (tq >= times[stop - 1])
-        out[before] = values[first[before]]
-        out[after] = values[stop[after] - 1]
-        inner = np.flatnonzero(~(before | after))
-        if inner.size:
-            i = _bisect(times, first[inner], stop[inner], tq[inner], True) - 1
-            out[inner] = _blend(times, values, hist.derivs if hist.interpolation
-                                == "hermite" else None, hist.known, tq[inner], i)
-        return out
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a[i], b[i]) as complex numbers a[i] + b[i] j, built without
+    arithmetic, so each part keeps its bits."""
+    z = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    z.real, z.imag = a, b
+    return z
 
 
 def _memory_grid(delta: float, depth: float, grid_step: float | None,
@@ -821,5 +744,5 @@ def arc_from_csv(text: str, delta: float | None = None,
 
 # The window operators import this module's arcs and reads; they keep their
 # names here, where callers look them up.
-from .batch import (append_jump, delayed_sq_integral, delta_inf,  # noqa: E402,F401
-                    memory_window, sup_norm_w, vbar)
+from .batch import (BatchView, WindowView, append_jump,  # noqa: E402,F401
+                    delayed_sq_integral, delta_inf, memory_window, sup_norm_w, vbar)

@@ -13,9 +13,9 @@ that reads delayed values judges a step end on the stored window, which
 :func:`verify_solution` re-checks, not on the stage view; the two can differ
 in the last bits.
 
-The solution is built in a :class:`~hymem.hybrid_time.History`, the
-growable form of the store every arc keeps its samples in, and the
-trajectory's arc is a copy of its rows.  Every selection map and guard sees
+The solution is built in a one-row :class:`~hymem.hybrid_time.History`,
+the store every arc keeps its samples in, grown a sample at a time, and
+the trajectory's arc is a copy of its samples.  Every selection map and guard sees
 it through one window view, which exposes the window protocol (head,
 delayed(s), delta) at a stored point without cutting a memory arc.  Reads
 follow the maximal-jump-index rule, as a cut window's do, and agree with
@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import _blocks, _Stack, memory_windows, sup_norm_w
+from .batch import _blocks, memory_windows, sup_norm_w
 from .hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                           HybridArc, HybridMemoryArc, WindowView,
                           validate_domain)
@@ -274,7 +274,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
             "initial data lies outside both the flow and jump sets "
             f"(flow_guard={fg0:.3e}, jump_guard={jg0:.3e})")
 
-    hist = History(init, spec.memory_size)
+    hist = History([init], spec.memory_size, room=64)
     hist.start_segment(0.0, np.array(init.head, dtype=float))
     t, j = 0.0, 0
     termination = Termination.horizon_reached
@@ -420,7 +420,7 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
 
     n_deriv = 0
     n_guard = 0
-    hist = History(arc, traj.memory_size, capacity=0)
+    hist = History([arc], traj.memory_size)
     forward = arc.levels()[arc.n_memory:]
     for j, (start, end) in enumerate(forward):
         times, values = arc.times[start:end], arc.values[start:end]
@@ -508,11 +508,12 @@ def flow_windows(spec: SystemSpec, phis: Sequence[HybridMemoryArc], h: float,
     without jumping, in n_steps RK4 steps, for the functional-derivative
     evaluator.  The arcs must lie in the flow set.
 
-    Each block of arcs is stacked into one store that holds, per arc, what
-    a History of it would (see :mod:`hymem.batch`); every step takes all
-    its arcs at once through ``spec.flow_batch`` on a
-    :class:`~hymem.hybrid_time.BatchView`, whose stage reads are a
-    WindowView's, and the windows are cut from the store by index range.
+    Each block of arcs is one :class:`~hymem.hybrid_time.History` with a
+    row per arc, which opens a forward level at each row's head and
+    appends every step's samples to all rows at once (see
+    :mod:`hymem.batch`); every step takes all its arcs at once through
+    ``spec.flow_batch`` on a :class:`~hymem.hybrid_time.BatchView`, whose
+    stage reads are a WindowView's, and the windows are cut from the store.
     So each window is bit for bit what stepping its arc alone through
     ``flow_selection`` gives, as long as ``flow_batch`` gives each row
     flow_selection's bits: the default batch map does, and so does the
@@ -522,18 +523,14 @@ def flow_windows(spec: SystemSpec, phis: Sequence[HybridMemoryArc], h: float,
     """
     out = []
     for lo, hi in _blocks(phis, n_steps + 1):
-        st = _Stack(phis[lo:hi], n_steps + 1)
-        top = st.levels[1:] - 1  # each row's forward level
-        base, floor = st.first[top], st.levels[:-1]
+        st = History(phis[lo:hi], room=n_steps + 1)
+        new = [st.start_segments(0.0, st.values[st.newest()])]  # the heads, at t = 0
         t, sub = 0.0, h / n_steps
-        for k in range(n_steps):
-            x_new, _ = _rk4(spec, BatchView(st, base + k, top, floor), sub)
+        for _ in range(n_steps):
+            x_new, _ = _rk4(spec, BatchView(st, new[-1]), sub)
             t += sub
-            st.times[base + k + 1] = t
-            st.values[base + k + 1] = x_new
-        if st.known is not None:
-            for k in range(n_steps + 1):  # no derivative was computed there
-                st.known[base + k] = False
-        st.has_derivs[:] = True  # as a History's
+            new.append(st.append_rows(t, x_new))
+        if st.known is not None:  # no derivative was computed there
+            st.known[np.concatenate(new)] = False
         out += memory_windows(st, [(r, t, 0) for r in range(hi - lo)], st.delta)
     return out

@@ -630,7 +630,7 @@ class TestHistory:
             traj = _reset_trajectory(interpolation)
             delta = traj.memory_size
             assert [t for t, _ in traj.jumps] == [0.5, 1.0, 1.5]
-            hist = History(traj.arc, delta)
+            hist = History([traj.arc], delta)
             grid = -delta + np.arange(int(delta * 128) + 1) / 128
             index = hist.starts[hist.n_memory]
             reads = 0
@@ -661,7 +661,7 @@ class TestHistory:
         init = HybridMemoryArc(init.times, init.values, init.starts, 0.5,
                                interpolation="hermite")
         traj = simulate(spec, init, SimOptions(t_max=0.6, step=0.1))
-        hist = History(traj.arc, 0.5)
+        hist = History([traj.arc], 0.5)
         view = hist.view(hist.starts[hist.n_memory] + 3)
         window = memory_window(traj.arc, 0.3, 0, 0.5)
         assert window.delayed(-0.05)[0] == pytest.approx(view.delayed(-0.05)[0],
@@ -672,7 +672,7 @@ class TestHistory:
 
     def test_provisional_point_extends_linearly(self):
         traj = _reset_trajectory()
-        hist = History(traj.arc, traj.memory_size)
+        hist = History([traj.arc], traj.memory_size)
         view = hist.view(hist.n - 40)
         dt, x = 0.01, np.array([0.3, 0.7])
         stage = view.extend(dt, x)
@@ -687,7 +687,7 @@ class TestHistory:
 
     def test_growth_keeps_every_sample(self):
         phi = constant_memory_arc(np.array([1.0, -1.0]), 0.5)
-        hist = History(phi, phi.delta, capacity=2)
+        hist = History([phi], phi.delta, room=2)
         hist.start_segment(0.0, np.array([0.0, 0.0]))
         for i in range(1, 1000):
             hist.append(i / 100, np.array([i, -i], dtype=float))
@@ -710,7 +710,7 @@ class TestHistory:
 
     def test_reads_never_see_later_samples(self):
         traj = _reset_trajectory()
-        hist = History(traj.arc, traj.memory_size)
+        hist = History([traj.arc], traj.memory_size)
         view = hist.view(hist.starts[hist.n_memory] + 10)
         assert view.delayed(0.0).tobytes() == view.head.tobytes()
         with pytest.raises(DomainError):
@@ -1169,7 +1169,7 @@ class TestArraySlicing:
                              zip(s.times, np.diff(s.times, append=s.hi + 1))]
                     for lo, width in cuts:
                         for scheme in ("linear", "hermite"):
-                            stack = batch._Stack([unchecked([], [s], scheme)])
+                            stack = History([unchecked([], [s], scheme)])
                             level = np.zeros(1, dtype=np.intp)
                             ok, *piece = batch._pieces(stack, level, np.array([lo]),
                                                        np.array([lo + width]))
@@ -1178,7 +1178,7 @@ class TestArraySlicing:
                                 assert not ok[0]
                                 continue
                             times, values, derivs, known, _, _ = batch._runs(
-                                stack, level, *piece, stack.derivs is not None)
+                                stack, level, *piece, bool(stack.has_derivs.any()))
                             assert _same_bits(times, want[0])
                             assert _same_bits(values, want[1])
                             # linear reads use no derivatives: cuts drop them
@@ -1186,7 +1186,7 @@ class TestArraySlicing:
                                 assert _same_bits(derivs, want[2] if scheme ==
                                                   "hermite" else None)
                             else:
-                                assert not known.any()
+                                assert known is None
                             checked += 1
         assert checked > 1000
 
@@ -1338,7 +1338,7 @@ def reference_append_jump(phi, g):
 def reference_flow_window(spec, phi, h, n_steps=2):
     """flow_window as it stepped one arc: a History of phi, RK4 steps through
     flow_selection on its views, then reference_memory_window."""
-    hist = History(phi, phi.delta, capacity=n_steps + 1)
+    hist = History([phi], phi.delta, room=n_steps + 1)
     hist.start_segment(0.0, np.array(phi.head, dtype=float))
     t, sub = 0.0, h / n_steps
     for _ in range(n_steps):
@@ -1571,7 +1571,7 @@ class TestHistoryOfMemoryArc:
                                [-0.4, -0.4 - 1e-13, 1e-13]])
         first = [phi.delayed(float(s)).tobytes() for s in grid]
         again = [phi.delayed(float(s)).tobytes() for s in grid]
-        fresh = [History(phi, phi.delta).value(float(s)).tobytes() for s in grid]
+        fresh = [History([phi], phi.delta).value(float(s)).tobytes() for s in grid]
         assert first == again == fresh
         # a jump instant reads the post-jump value
         assert phi.delayed(-0.4)[0] == phi.memory_segments[1].values[0, 0]
@@ -2009,7 +2009,7 @@ def leveled_history(draw):
         ends.append(ends[-1] + draw(span))
     fwd = [level(j, lo, hi) for j, (lo, hi) in enumerate(zip(ends, ends[1:]))]
     arc = arc_of(mem, fwd, interpolation="hermite" if hermite else "linear")
-    return History(arc, 1.0, capacity=0)
+    return History([arc], 1.0)
 
 
 def _rowwise_delayed(hist, rows, s):
@@ -2056,12 +2056,14 @@ def test_batch_view_reads_like_each_view_property(hist, data):
         batch.delayed(1e-9)
 
     # samples after the rows' own are never read: poison them (in copies,
-    # since a History without spare capacity reads its arc's read-only arrays)
+    # since a store of one arc without room reads its arc's read-only arrays)
     cut = data.draw(st.integers(0, hist.n - 1))
     reads = {s: _rowwise_delayed(hist, range(cut + 1), s)[0] for s in shifts}
-    hist.values, hist.derivs = hist.values.copy(), hist.derivs.copy()
+    hist.values = hist.values.copy()
     hist.values[cut + 1:] = np.inf
-    hist.derivs[cut + 1:] = -np.inf
+    if hist.derivs is not None:  # a lone arc's store holds its own (or none)
+        hist.derivs = hist.derivs.copy()
+        hist.derivs[cut + 1:] = -np.inf
     with np.errstate(all="raise"):
         for s, want in reads.items():
             if want:
@@ -2074,10 +2076,137 @@ class TestBatchView:
         # every forward sample of a run with three resets, read at delays
         # that cross one, two and three jump levels
         traj = _reset_trajectory()
-        hist = History(traj.arc, traj.memory_size)
+        hist = History([traj.arc], traj.memory_size)
         rows = np.arange(hist.starts[hist.n_memory], hist.n)
         for s in (0.0, -1 / 64, -0.25, -0.5, -0.6, -1.0, -1.5, -traj.memory_size):
             want, missing = _rowwise_delayed(hist, rows.tolist(), s)
             assert not missing
             got = BatchView(hist, rows).delayed(s)
             assert got.tobytes() == np.array(list(want.values())).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# One store for one arc or many: rows grown together against rows grown
+# alone, a lone row grown past its room, and a lone arc's own arrays
+# ---------------------------------------------------------------------------
+
+def _store_arcs(kind):
+    """Example-2 case-2 cover arcs (linear), or Hermite windows of a run
+    whose history carries derivative samples."""
+    if kind == "cover":
+        spec, _ = build_example2(Example2Params.case2())
+        return _cover_arcs(spec, 3, 60)
+    from test_solver import hermite_case1_problem
+    spec, init = hermite_case1_problem()
+    traj = simulate(spec, init, SimOptions(t_max=1.6, step=5e-3))
+    points = [(t, j) for t, j, _ in traj.sample_points()][5::11]
+    return memory_windows(traj.arc, points, traj.memory_size)
+
+
+def _row(st, i):
+    """Row i of a store: its samples in use, as arrays, and its level starts
+    from the row's first sample."""
+    a, b = st.first[st.spans[i]], st.end[st.spans[i + 1] - 1]
+    arrays = [None if x is None else x[a:b] for x in (st.times, st.values,
+                                                      st.derivs, st.known)]
+    return arrays, [s - a for s in st.starts[st.spans[i]:st.spans[i + 1]]]
+
+
+class TestOneStore:
+    @pytest.mark.parametrize("kind", ["cover", "hermite"])
+    def test_rows_grown_together_equal_rows_grown_alone(self, kind):
+        arcs = _store_arcs(kind)
+        assert len(arcs) > 20 and len({phi.delta for phi in arcs}) == 1
+        hermite = kind == "hermite"
+        assert all((phi.interpolation == "hermite") == hermite for phi in arcs)
+        delta, k = arcs[0].delta, 4
+        heads = np.array([phi.head for phi in arcs])
+        xs = [heads * (1.0 + 0.25 * i) for i in range(k + 1)]
+        times = [i / 64 for i in range(k + 1)]
+        st = History(arcs, room=k + 1)
+        alone = [History([phi], room=k + 1) for phi in arcs]
+        assert (st.derivs is not None) == hermite  # linear rows keep none
+        for i, (t, x) in enumerate(zip(times, xs)):
+            at = st.start_segments(t, x) if i == 0 else st.append_rows(t, x)
+            for r, (h, phi) in enumerate(zip(alone, arcs)):
+                (h.start_segment if i == 0 else h.append)(t, x[r])
+                assert at[r] == st.first[st.spans[r]] + phi.n + i
+                arrays, starts = _row(st, r)
+                assert starts == h.starts
+                for name, got, want in zip(("times", "values", "derivs", "known"),
+                                           arrays, (h.times, h.values, h.derivs,
+                                                    h.known)):
+                    if got is not None or name in ("times", "values"):
+                        assert _same_bits(got, want[:h.n]), (name, r, i)
+            # the cuts, with the rows' room partly free until the last step
+            got = memory_windows(st, [(r, t, 0) for r in range(len(arcs))], delta)
+            for w, h in zip(got, alone):
+                assert_same_store(w, memory_windows(h, [(0, t, 0)], delta)[0])
+        with pytest.raises(ValueError, match="no room"):
+            st.append_rows(1.0, heads)
+
+    @pytest.mark.parametrize("interpolation", ["linear", "hermite"])
+    def test_one_row_grown_past_its_room(self, interpolation):
+        phi = memory_arc_from_function(lambda s: np.array([np.cos(3 * s), s]), 0.5,
+                                       grid_step=1 / 64)
+        phi = HybridMemoryArc(phi.times, phi.values, phi.starts, 0.5,
+                              interpolation=interpolation)
+        hist = History([phi], room=3)
+        hist.start_segment(0.0, np.array([1.0, 0.0]))
+        for i in range(1, 200):
+            t = i / 128
+            x = np.array([np.cos(t) * (1 + (i >= 70) + (i >= 150)), t])
+            (hist.start_segment if i in (70, 150) else hist.append)(t, x)
+            hist.derivs[hist.n - 1] = [-np.sin(t), 1.0]  # as the solver writes
+        assert hist.times.shape[0] > 2 * (phi.n + 3)  # doubled more than once
+        arc = hist.to_arc()
+        assert hist.levels() == arc.levels()
+        assert [s.jump_index for s in arc.forward_segments] == [0, 1, 2]
+        points = [(t, j) for j, s in enumerate(arc.forward_segments)
+                  for t in s.times.tolist()]
+        for delta in (0.5, 0.2):
+            got = memory_windows(hist, [(0, t, j) for t, j in points], delta)
+            for w, want in zip(got, memory_windows(arc, points, delta), strict=True):
+                assert_same_store(w, want)
+        rows = np.arange(phi.n, hist.n)
+        for s in (0.0, -1 / 256, -0.3, -0.5):
+            want = BatchView(History([arc], 0.5), rows).delayed(s)
+            assert BatchView(hist, rows).delayed(s).tobytes() == want.tobytes()
+
+    def test_a_lone_arc_keeps_its_own_arrays(self):
+        phi = _as_hermite(_store_arcs("cover")[0])
+        st = History([phi])
+        for name in ("times", "values", "derivs", "known"):
+            got, own = getattr(st, name), getattr(phi, name)
+            assert np.shares_memory(got, own) and not got.flags.writeable, name
+        assert st.starts == phi.starts and st.starts is not phi.starts
+        # a linear arc's store keeps no derivatives, since no read uses them
+        lin = HybridMemoryArc(phi.times, phi.values, phi.starts, phi.delta,
+                              phi.derivs, phi.known)
+        linear = History([lin])
+        assert np.shares_memory(linear.values, lin.values) and linear.derivs is None
+        # growing copies the arrays: the arc's stay as they were
+        st.start_segment(0.0, phi.head)
+        assert not np.shares_memory(st.values, phi.values)
+        assert phi.n == phi.times.shape[0] and phi.starts == st.starts[:-1]
+
+    def test_batch_view_on_three_rows(self):
+        traj = _reset_trajectory("hermite")
+        points = [(0.3, 0), (1.2, 2), (1.9, 3)]
+        arcs = memory_windows(traj.arc, points, traj.memory_size)
+        st = History(arcs)
+        index = np.arange(st.n)
+        batch = BatchView(st, index)
+        assert batch.floor.tolist() == np.repeat(st.spans[:-1], np.diff(st.spans)
+                                                 )[batch.segment].tolist()
+        rows = st.row[batch.segment]
+        local = index - st.first[st.spans[rows]]
+        alone = [History([phi]) for phi in arcs]
+        views = [alone[r].view(i) for r, i in zip(rows.tolist(), local.tolist())]
+        assert batch.head.tobytes() == np.array([v.head for v in views]).tobytes()
+        for s in (0.0, -1 / 128, -0.3, -0.5):
+            reachable = [i for i, v in enumerate(views)
+                         if v.history.times[0] <= v.history.times[v.index] + s]
+            got = BatchView(st, index[reachable]).delayed(s)
+            want = np.array([views[i].delayed(s) for i in reachable])
+            assert got.tobytes() == want.tobytes(), s

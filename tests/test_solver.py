@@ -38,7 +38,7 @@ def const_history(spec, values, step=5e-3):
 
 def head_view(phi):
     """The window view of a memory arc at its head."""
-    return History(phi, phi.delta).view()
+    return History([phi], phi.delta).view()
 
 
 class TestIntegrateFlowStep:
@@ -402,7 +402,7 @@ class TestOneFlowSelectionPerStage:
         # three stages per step plus the head derivative at every stored point
         assert len(calls) == 4 * steps + 1
 
-        hist = History(init, spec.memory_size)
+        hist = History([init], spec.memory_size, room=64)
         hist.start_segment(0.0, np.array(init.head, dtype=float))
         for i in range(steps):
             x_new, _ = _rk4(spec, hist.view(), h)
@@ -445,8 +445,10 @@ def reference_value(hist, tq, segment=None, end=None, floor=0):
     for k in range(segment, floor - 1, -1):
         lo = hist.starts[k]
         if tq >= times[lo] - TIME_TOL:
-            # a level's samples all carry a derivative or none does
-            derivs = hist.derivs[lo:end] if hist.known[lo] else None
+            # a level's samples all carry a derivative or none does (a
+            # linear arc's store keeps none)
+            derivs = (hist.derivs[lo:end] if hist.derivs is not None and hist.known[lo]
+                      else None)
             return reference_interpolate(times[lo:end], hist.values[lo:end],
                                          derivs, tq, hist.interpolation)
         end = lo
@@ -558,7 +560,7 @@ class TestSharedHalfStepReads:
         problem, opts = SHARED_READ_CASES[case]
         spec, init = problem()
         traj = simulate(spec, init, opts)
-        hist = History(traj.arc, traj.memory_size, capacity=0)
+        hist = History([traj.arc], traj.memory_size)
         times = hist.times[:hist.n]
         queries = np.concatenate([times[::7] + eps for eps in
                                   (0.0, -5e-13, 5e-13, -3e-12, 3e-12)]
@@ -584,7 +586,7 @@ class TestSharedHalfStepReads:
         # stored forward samples and their derivatives
         spec, init = hermite_case1_problem()
         traj = simulate(spec, init, SimOptions(t_max=1.6, step=5e-3))
-        hist = History(traj.arc, traj.memory_size)
+        hist = History([traj.arc], traj.memory_size)
         w = hist.view(hist.n - 1)
         w.head = np.array([w.head[0], tau0])
         trials = count_rk4_steps(monkeypatch)
@@ -617,7 +619,7 @@ class TestSharedHalfStepReads:
 
     def test_reads_are_fresh_arrays(self):
         spec, init = short_delay_problem()
-        view = History(init, spec.memory_size).view()
+        view = History([init], spec.memory_size).view()
         half = view.extend(0.01, np.array([2.0]))
         other = half.with_head(np.array([3.0]))
         first = half.delayed(-0.25)
@@ -826,7 +828,7 @@ def pointwise_verify_solution(spec, traj, tol=1e-4):
         return i < kinks.size and kinks[i] <= hi + 1e-12
 
     n_deriv = n_guard = 0
-    hist = History(arc, traj.memory_size, capacity=0)
+    hist = History([arc], traj.memory_size)
     for seg, start in zip(arc.forward_segments, hist.starts[hist.n_memory:]):
         times, values = seg.times, seg.values
         m = len(times)

@@ -237,7 +237,7 @@ def batch_of_run(spec, state, t_max):
     init = constant_memory_arc(np.asarray(state, dtype=float), spec.memory_size,
                                depth=spec.memory_size + 0.5, grid_step=0.02)
     traj = simulate(spec, init, SimOptions(t_max=t_max, step=5e-3))
-    hist = History(traj.arc, spec.memory_size)
+    hist = History([traj.arc], spec.memory_size)
     batch = BatchView(hist, np.arange(hist.starts[hist.n_memory], hist.n))
     return batch, np.array([spec.flow_selection(v) for v in batch.views()])
 
