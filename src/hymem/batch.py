@@ -2,8 +2,12 @@
 in one pass.
 
 :class:`WindowView` is the window protocol (head, delayed(s), delta) at one
-stored sample of a :class:`~hymem.hybrid_time.History`, :class:`BatchView`
-at many at once.  This module holds the operators' one implementation.
+stored sample of a :class:`~hymem.hybrid_time.History`, and its subclass
+:class:`BatchView` at many at once: one stage rule, two reads of the
+stored history.  Those two level kernels stay apart for speed, the scalar
+loop of :meth:`~hymem.hybrid_time.HybridArc.value` (one sample a read, as
+the solver reads) and the batch view's array search; a change to the level
+rule changes both.  This module holds the operators' one implementation.
 Arcs are joined back to back in one History, each a row with its own
 levels, and every operation runs on whole arrays of levels, pieces and
 samples, giving each window or arc, bit for bit, what it would get alone:
@@ -79,7 +83,7 @@ class WindowView:
     a view at the same stage time with another head, so the two half-step
     stages of a step read the stored history once per delay.  The straight
     line depends on the head and is never kept.  Every read returns a fresh
-    array.
+    array.  A :class:`BatchView` differs only in its stored-history read.
     """
 
     __slots__ = ("history", "index", "segment", "head", "dt", "reads", "floor")
@@ -99,42 +103,53 @@ class WindowView:
     def delta(self) -> float:
         return self.history.delta
 
+    def _moved(self, head: np.ndarray, dt: float, reads: dict | None) -> "WindowView":
+        """This view's kind of view at the same stored sample, with another
+        head, stage offset and read cache."""
+        view = object.__new__(type(self))
+        view.history, view.index = self.history, self.index
+        view.segment, view.floor = self.segment, self.floor
+        view.head, view.dt, view.reads = head, dt, reads
+        return view
+
     def extend(self, dt: float, x: np.ndarray) -> "WindowView":
-        return WindowView(self.history, self.index, self.segment, x, dt, {},
-                          self.floor)
+        return self._moved(x, dt, {})
 
     def with_head(self, x: np.ndarray) -> "WindowView":
         """The view at the same point and stage time with head x; it shares
         this view's stored-history reads."""
-        return WindowView(self.history, self.index, self.segment, x, self.dt,
-                          self.reads, self.floor)
+        return self._moved(x, self.dt, self.reads)
 
     def delayed(self, s: float) -> np.ndarray:
-        hist = self.history
         q = self.dt + s
         if q >= 0.0 and self.dt > 0.0:
-            return _lerp(hist.values[self.index], self.head, q / self.dt)
+            return _lerp(self.history.values[self.index], self.head, q / self.dt)
         reads = self.reads
         x = None if reads is None else reads.get(s)
         if x is None:
-            x = hist.value(hist.times.item(self.index) + q, self.segment,
-                           self.index + 1, self.floor)
+            x = self._stored(q)
             if reads is None:
                 return x
             reads[s] = x
         return x.copy()
 
+    def _stored(self, q: float) -> np.ndarray:
+        """The stored history q after the view's sample, by History.value."""
+        hist = self.history
+        return hist.value(hist.times.item(self.index) + q, self.segment,
+                          self.index + 1, self.floor)
 
-class BatchView:
+
+class BatchView(WindowView):
     """The window protocol at several stored samples of one store at once.
 
-    ``head`` and ``delayed(s)`` are (B, n) arrays whose row i is bit for bit
-    what the :class:`WindowView` at ``index[i]`` gives, reading no level
-    below its row's first; :meth:`views` lists those views, whose
-    ``segment`` (the level holding the sample) and ``floor`` (its row's
-    first level) are read from the store's level table.  :meth:`extend` and
-    :meth:`with_head` are the window view's, for every row at once: all
-    rows of a batch share one stage offset dt.  A delayed read finds every
+    ``index``, ``segment`` and ``floor`` are arrays, and ``head`` and
+    ``delayed(s)`` are (B, n) arrays whose row i is bit for bit what the
+    :class:`WindowView` at ``index[i]`` gives, reading no level below its
+    row's first; :meth:`views` lists those views, whose ``segment`` (the
+    level holding the sample) and ``floor`` (its row's first level) are read
+    from the store's level table.  The stage rule is the window view's, and
+    all rows share one stage offset dt.  Its stored-history read finds every
     row's jump level with one search of (row, first time) pairs, since an
     arc's levels have their first times in order, and interpolates all rows
     with one :meth:`~hymem.hybrid_time.History.search` and one
@@ -142,32 +157,13 @@ class BatchView:
     its row's own.
     """
 
-    __slots__ = ("history", "index", "segment", "floor", "head", "dt", "reads")
+    __slots__ = ()
 
     def __init__(self, history: History, index):
-        self.history = history
-        self.index = np.asarray(index, dtype=np.intp)
-        self.segment = np.searchsorted(history.first, self.index, side="right") - 1
-        self.floor = history.spans[history.row[self.segment]]
-        self.head = history.values[self.index]
-        self.dt, self.reads = 0.0, None
-
-    @property
-    def delta(self) -> float:
-        return self.history.delta
-
-    def _moved(self, head: np.ndarray, dt: float, reads: dict | None) -> "BatchView":
-        view = object.__new__(BatchView)
-        view.history, view.index = self.history, self.index
-        view.segment, view.floor = self.segment, self.floor
-        view.head, view.dt, view.reads = head, dt, reads
-        return view
-
-    def extend(self, dt: float, x: np.ndarray) -> "BatchView":
-        return self._moved(x, dt, {})
-
-    def with_head(self, x: np.ndarray) -> "BatchView":
-        return self._moved(x, self.dt, self.reads)
+        index = np.asarray(index, dtype=np.intp)
+        segment = np.searchsorted(history.first, index, side="right") - 1
+        super().__init__(history, index, segment, history.values[index],
+                         floor=history.spans[history.row[segment]])
 
     def views(self) -> list[WindowView]:
         hist, dt = self.history, self.dt
@@ -175,25 +171,11 @@ class BatchView:
                 for i, k, x, f in zip(self.index.tolist(), self.segment.tolist(),
                                       self.head, self.floor.tolist())]
 
-    def delayed(self, s: float) -> np.ndarray:
-        hist, index = self.history, self.index
-        q = self.dt + s
-        if q >= 0.0 and self.dt > 0.0:
-            return _lerp(hist.values[index], self.head, q / self.dt)
-        reads = self.reads
-        x = None if reads is None else reads.get(s)
-        if x is None:
-            x = self._read(hist.times[index] + q)
-            if reads is None:
-                return x
-            reads[s] = x
-        return x.copy()
-
-    def _read(self, tq: np.ndarray) -> np.ndarray:
-        """Each row's History.value at tq[i], on its own levels up to its
-        own sample."""
+    def _stored(self, q: float) -> np.ndarray:
+        """Each row's History.value q after its sample, on its own levels."""
         hist, index = self.history, self.index
         times = hist.times
+        tq = times[index] + q
         late = tq > times[index] + TIME_TOL
         if late.any():
             t = tq[late][0]
@@ -437,9 +419,7 @@ def append_jumps(phis: Sequence[HybridMemoryArc],
     out = []
     for lo, hi in _blocks(phis, 1):
         st = History(phis[lo:hi], room=1)
-        at = st.start_segments(0.0, gs[lo:hi])  # each row's forward level: g alone
-        if st.known is not None:
-            st.known[at] = False  # g carries no derivative
+        st.start_segments(0.0, gs[lo:hi])  # each row's forward level: g alone
         top = st.spans[1:] - 1
         s_cut = -st.delta - 1 - (st.jump - 1)
         keep = st.times[st.end - 1] >= s_cut - TIME_TOL
@@ -585,15 +565,19 @@ def delayed_sq_integral(phis: Sequence[HybridMemoryArc], lo: float, hi: float,
     (per-interval Simpson).  ``components`` restricts the squared norm to a
     slice of the state vector.
 
-    Each level contributes the index range of its samples on the part of
-    [lo, hi] that no newer level covers (a jump instant belongs to the newer
-    level, as the maximal-k rule has it), with interpolated end samples.
-    One Simpson pass serves a block of arcs: each level's interval terms are
-    summed as one row of a C-contiguous array, which ``np.sum`` reduces with
-    the pairwise summation of a contiguous slice (``np.add.reduceat`` would
-    not), and an arc adds its levels' sums oldest first.  So an arc's value
-    is what it would be alone.  An arc with no stored history on [lo, hi]
-    raises :class:`~hymem.hybrid_time.DomainError`.
+    Each level contributes the index range of its samples (see
+    :func:`_pieces`) on the part of [lo, hi] before its row's next level
+    begins, with interpolated end samples: a jump instant belongs to the
+    newer level, as the maximal-k rule has it, and no level older than the
+    newest one begun by lo (up to TIME_TOL) reaches [lo, hi].  So each
+    level is clipped on its own, all in one call, with no walk over the
+    levels.  One Simpson pass serves a block of arcs: each level's interval
+    terms are summed as one row of a C-contiguous array, which ``np.sum``
+    reduces with the pairwise summation of a contiguous slice
+    (``np.add.reduceat`` would not), and an arc adds its levels' sums oldest
+    first.  So an arc's value is what it would be alone.  An arc with no
+    stored history on [lo, hi] raises
+    :class:`~hymem.hybrid_time.DomainError`.
     """
     if hi < lo:
         raise ValueError("need lo <= hi")
@@ -605,38 +589,23 @@ def delayed_sq_integral(phis: Sequence[HybridMemoryArc], lo: float, hi: float,
 
 def _block_sq_integral(st: History, lo: float, hi: float,
                        components: slice | None) -> np.ndarray:
-    """:func:`delayed_sq_integral` of the rows of a store: the levels of all
-    rows are walked newest first in lockstep, one rank of level a round."""
-    times = st.times
-    spans = st.spans
-    rows = spans.shape[0] - 1
-    depth = np.diff(spans)
-    top = np.full(rows, hi)
-    active = np.ones(rows, dtype=bool)
-    runs = []  # per rank of level, newest first: (rows, pieces)
-    for rank in range(int(depth.max())):
-        r = np.flatnonzero(active & (rank < depth))
-        if not r.size:
-            break
-        lv = spans[r + 1] - 1 - rank
-        first, last = times[st.first[lv]], times[st.end[lv] - 1]
-        go = ~(first > hi + TIME_TOL)
-        stop = go & (last < lo - TIME_TOL)
-        active[r[stop]] = False
-        go &= ~stop
-        r, lv, first, last = r[go], lv[go], first[go], last[go]
-        ok, a, b, p_lo, p_hi, pre, post = _pieces(st, lv, _pymax(lo, first),
-                                                  _pymin(top[r], last))
-        run_first = np.where(pre, p_lo, times[np.minimum(a, st.end[lv] - 1)])
-        top[r[ok]] = _pymin(hi, run_first[ok])  # older levels end there
-        active[r[first <= lo + TIME_TOL]] = False
-        runs.append(tuple(x[ok] for x in (r, lv, a, b, p_lo, p_hi, pre, post)))
-    rank_of = np.concatenate([np.full(run[0].shape, k) for k, run in enumerate(runs)])
-    r, lv, a, b, p_lo, p_hi, pre, post = (np.concatenate(f) for f in zip(*runs))
-    missing = np.flatnonzero(np.bincount(r, minlength=rows) == 0)
-    if missing.size:
+    """:func:`delayed_sq_integral` of the rows of a store: every level
+    clipped on its own, in one :func:`_pieces` call."""
+    lv = np.arange(st.first.shape[0])
+    start = st.times[st.first]
+    # the maximal-jump-index rule: a level ends where its row's next begins,
+    # and none older than the newest begun by lo + TIME_TOL reaches lo
+    upto = np.append(start[1:], np.inf)
+    upto[st.spans[1:] - 1] = np.inf
+    floor = np.maximum.reduceat(np.where(start <= lo + TIME_TOL, lv, 0), st.spans[:-1])
+    ok, *piece = _pieces(st, lv, lo, _pymin(hi, upto))
+    ok &= lv >= floor[st.row]
+    lv = lv[ok]
+    r = st.row[lv]
+    rows = st.spans.shape[0] - 1
+    if not np.bincount(r, minlength=rows).all():
         raise DomainError(f"no stored history on [{lo}, {hi}]", lo, None)
-    t, x, _, _, off, count = _runs(st, lv, a, b, p_lo, p_hi, pre, post, False)
+    t, x, _, _, off, count = _runs(st, lv, *(p[ok] for p in piece), False)
     if components is not None:
         x = x[:, components]
     sq = np.einsum("ij,ij->i", x, x)
@@ -647,8 +616,6 @@ def _block_sq_integral(st: History, lo: float, hi: float,
     for m in np.unique(count[count >= 2] - 1).tolist():
         at = np.flatnonzero(count - 1 == m)
         sums[at] = terms[off[at, None] + np.arange(m)].sum(axis=1)
-    total = np.zeros(rows)
-    for k in range(len(runs) - 1, -1, -1):  # oldest level first
-        at = (rank_of == k) & (count >= 2)
-        total[r[at]] += sums[at]
-    return total
+    # the pieces run oldest first in each row, and bincount adds its weights
+    # in order, from 0
+    return np.bincount(r, weights=sums, minlength=rows)

@@ -40,7 +40,7 @@ from .hybrid_time import HybridMemoryArc, constant_memory_arc, write_arc_csv
 from .sampling import ArcSampler
 from .solver import SimOptions, Trajectory, run_summary, simulate
 from .system import (ConfigError, Example1Params, Example2Params, SystemSpec,
-                     TargetSet, build_example1, build_example2,
+                     TargetSet, _number, build_example1, build_example2,
                      build_linear_delay_system, history_from_config,
                      parse_linear_delay_config)
 
@@ -115,17 +115,17 @@ def _sim_options(spec: SystemSpec, extras: dict, t_max: float | None,
     SimOptions default (the step defaults to min(period / 40, 0.01))."""
     sim = extras.get("sim", {})
     period = spec.meta.get("period")
-    step = step if step is not None else sim.get("step")
-    if step is None:
-        step = min(period / 40.0, 1e-2) if period else 1e-2
     chosen = {}
-    for name, value, cast in (("t_max", t_max, float), ("j_max", j_max, int),
-                              ("jump_priority", jump_priority, str)):
-        if value is None:
-            value = sim.get(name)
+    for name, value, read in (
+            ("step", step, _number), ("t_max", t_max, _number),
+            ("j_max", j_max, lambda x, where: _number(x, where, integer=True)),
+            ("jump_priority", jump_priority, lambda x, where: str(x))):
+        if value is None and sim.get(name) is not None:
+            value = read(sim[name], f"sim.{name}")
         if value is not None:
-            chosen[name] = cast(value)
-    return SimOptions(step=float(step), **chosen)
+            chosen[name] = value
+    chosen.setdefault("step", min(period / 40.0, 1e-2) if period else 1e-2)
+    return SimOptions(**chosen)
 
 
 def _constant_history(spec: SystemSpec, value: np.ndarray,

@@ -404,7 +404,7 @@ class History(HybridArc):
     (the solver's solution) with no NumPy call, in arrays that double when
     full; every row grows at once by :meth:`start_segments` and
     :meth:`append_rows`, within its room.  An appended sample carries
-    derivative 0, flagged known, until its writer sets another.  One arc
+    derivative 0, flagged unknown, until its writer sets one.  One arc
     without room is stored on its own read-only arrays.  Derivatives are
     kept on Hermite stores and on one row with room (where the solver
     stores flow selections); ``has_derivs`` marks the Hermite rows that
@@ -440,7 +440,7 @@ class History(HybridArc):
                   + np.repeat(self._bounds[:-1], depth)).tolist()
         if room:  # one scatter; free times read +inf, for the search
             at = np.arange(arrays[0].shape[0]) + np.repeat(np.arange(rows) * room, sizes)
-            for i, fill in enumerate((np.inf, 0.0, 0.0, True)):
+            for i, fill in enumerate((np.inf, 0.0, 0.0, False)):
                 if arrays[i] is not None:
                     a = arrays[i]
                     arrays[i] = np.full((self._bounds[-1],) + a.shape[1:], fill, a.dtype)
@@ -502,8 +502,8 @@ class History(HybridArc):
         if self.n == self.times.shape[0]:
             for name in ("times", "values", "derivs", "known"):
                 a = getattr(self, name)
-                if a is not None:  # new samples: derivative 0, flagged known
-                    setattr(self, name, np.concatenate([a, np.full_like(a, a.dtype == bool)]))
+                if a is not None:  # new samples: derivative 0, flagged unknown
+                    setattr(self, name, np.concatenate([a, np.zeros_like(a)]))
         self.times[self.n] = t
         self.values[self.n] = x
         self.n += 1

@@ -285,6 +285,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
         while True:
             if in_c:
                 hist.derivs[w.index] = np.asarray(spec.flow_selection(w), dtype=float)
+                hist.known[w.index] = True
             if t >= opts.t_max - TIME_TOL or j >= opts.j_max:
                 termination = Termination.horizon_reached
                 break
@@ -524,13 +525,11 @@ def flow_windows(spec: SystemSpec, phis: Sequence[HybridMemoryArc], h: float,
     out = []
     for lo, hi in _blocks(phis, n_steps + 1):
         st = History(phis[lo:hi], room=n_steps + 1)
-        new = [st.start_segments(0.0, st.values[st.newest()])]  # the heads, at t = 0
+        new = st.start_segments(0.0, st.values[st.newest()])  # the heads, at t = 0
         t, sub = 0.0, h / n_steps
         for _ in range(n_steps):
-            x_new, _ = _rk4(spec, BatchView(st, new[-1]), sub)
+            x_new, _ = _rk4(spec, BatchView(st, new), sub)
             t += sub
-            new.append(st.append_rows(t, x_new))
-        if st.known is not None:  # no derivative was computed there
-            st.known[np.concatenate(new)] = False
+            new = st.append_rows(t, x_new)
         out += memory_windows(st, [(r, t, 0) for r in range(hi - lo)], st.delta)
     return out

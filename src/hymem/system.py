@@ -115,15 +115,32 @@ def origin_times_clock_target(dimension: int, period: float) -> TargetSet:
     return TargetSet(dist=dist, dist_batch=dist_batch)
 
 
+def _number(value, where: str, integer: bool = False) -> float | int:
+    """value as a float, or as an int if ``integer``; ConfigError naming the
+    field ``where`` when it is not a number, or not an integral one."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if integer and not x.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(x) if integer else x
+
+
+def _array(value, where: str, what: str) -> np.ndarray:
+    """value as a float array; ConfigError naming the field ``where`` when
+    it is not ``what``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be {what}, got {value!r}") from None
+
+
 def _numbers(params, names: Sequence[str]) -> None:
     """Store each named field of the frozen params as a float; ConfigError
     naming the field when it is not a finite number."""
     for name in names:
-        value = getattr(params, name)
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        x = _number(getattr(params, name), name)
         if not np.isfinite(x):
             raise ConfigError(f"{name} must be finite, got {x}")
         object.__setattr__(params, name, x)
@@ -143,11 +160,9 @@ class Example1Params:
 
     def __post_init__(self):
         for name in ("A", "B", "K"):
-            try:
-                value = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name} must be a matrix of numbers, "
-                                  f"got {getattr(self, name)!r}") from None
+            value = np.atleast_2d(_array(getattr(self, name), name, "a matrix of numbers"))
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value.tolist()}")
             object.__setattr__(self, name, value)
         nz = self.A.shape[0]
         if self.A.shape != (nz, nz):
@@ -157,10 +172,6 @@ class Example1Params:
         m = self.B.shape[1]
         if self.K.shape != (m, nz):
             raise ConfigError(f"K must have shape ({m}, {nz})")
-        for name in ("A", "B", "K"):
-            value = getattr(self, name)
-            if not np.isfinite(value).all():
-                raise ConfigError(f"{name} must be finite, got {value.tolist()}")
         _numbers(self, ("delta", "r") if self.sigma is None
                  else ("delta", "r", "sigma"))
         if self.r <= 0 or self.delta <= 0:
@@ -242,7 +253,7 @@ class LinearDelayConfig:
 
 
 def _square_matrix(m, n: int, where: str) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+    m = np.atleast_2d(_array(m, where, "a matrix of numbers"))
     if m.shape != (n, n):
         raise ConfigError(f"{where} must be {n}x{n}, got {m.shape}")
     if not np.isfinite(m).all():
@@ -398,10 +409,15 @@ def build_example2(p: Example2Params) -> tuple[SystemSpec, TargetSet]:
 # error message naming the offending key.
 # ---------------------------------------------------------------------------
 
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
+def _object(d, where: str, allowed: set[str]) -> dict:
+    """d, which must be a JSON object with no field outside ``allowed``;
+    ConfigError naming the field ``where`` (the root when empty) otherwise."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where or 'config root'} must be an object")
     for key in d:
         if key not in allowed:
-            raise ConfigError(f"unknown field {where}{key!r}")
+            raise ConfigError(f"unknown field {where and where + '.'}{key!r}")
+    return d
 
 
 def _require(d: dict, key: str, where: str):
@@ -415,51 +431,38 @@ def _parse_terms(entries, where: str) -> tuple[DelayTerm, ...]:
         raise ConfigError(f"{where} must be a list")
     terms = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}[{i}] must be an object")
-        _reject_unknown(entry, {"delay", "A", "J"}, f"{where}[{i}].")
+        entry = _object(entry, f"{where}[{i}]", {"delay", "A", "J"})
         delay = _require(entry, "delay", f"{where}[{i}].")
         mat = entry.get("A", entry.get("J"))
         if mat is None:
             raise ConfigError(f"{where}[{i}] needs a matrix field ('A' or 'J')")
-        terms.append(DelayTerm(float(delay), np.asarray(mat, dtype=float)))
+        terms.append(DelayTerm(_number(delay, f"{where}[{i}].delay"), mat))
     return tuple(terms)
 
 
 def parse_linear_delay_config(doc: dict) -> tuple[LinearDelayConfig, dict]:
     """Validate the JSON document; returns the config and the leftover
     sections ('initial_history' and 'sim') for the caller."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    _reject_unknown(doc, {"dimension", "memory_size", "flow", "jump",
-                          "target_set", "initial_history", "sim"}, "")
-    dimension = int(_require(doc, "dimension", ""))
-    memory_size = float(_require(doc, "memory_size", ""))
+    _object(doc, "", {"dimension", "memory_size", "flow", "jump", "target_set",
+                      "initial_history", "sim"})
+    dimension = _number(_require(doc, "dimension", ""), "dimension", integer=True)
+    memory_size = _number(_require(doc, "memory_size", ""), "memory_size")
 
-    flow = _require(doc, "flow", "")
-    if not isinstance(flow, dict):
-        raise ConfigError("flow must be an object")
-    _reject_unknown(flow, {"A0", "delayed"}, "flow.")
-    a0 = np.asarray(_require(flow, "A0", "flow."), dtype=float)
+    flow = _object(_require(doc, "flow", ""), "flow", {"A0", "delayed"})
+    a0 = _require(flow, "A0", "flow.")
     flow_delayed = _parse_terms(flow.get("delayed", []), "flow.delayed")
 
     jump_period, j0, jump_delayed = None, None, ()
     if "jump" in doc:
-        jump = doc["jump"]
-        if not isinstance(jump, dict):
-            raise ConfigError("jump must be an object")
-        _reject_unknown(jump, {"period", "J0", "delayed"}, "jump.")
-        jump_period = float(_require(jump, "period", "jump."))
-        if "J0" in jump:
-            j0 = np.asarray(jump["J0"], dtype=float)
+        jump = _object(doc["jump"], "jump", {"period", "J0", "delayed"})
+        jump_period = _number(_require(jump, "period", "jump."), "jump.period")
+        j0 = jump.get("J0")
         jump_delayed = _parse_terms(jump.get("delayed", []), "jump.delayed")
 
     extras = {}
     if "initial_history" in doc:
-        hist = doc["initial_history"]
-        if not isinstance(hist, dict):
-            raise ConfigError("initial_history must be an object")
-        _reject_unknown(hist, {"kind", "value", "points"}, "initial_history.")
+        hist = _object(doc["initial_history"], "initial_history",
+                       {"kind", "value", "points"})
         kind = _require(hist, "kind", "initial_history.")
         if kind not in ("constant", "samples"):
             raise ConfigError("initial_history.kind must be 'constant' or 'samples'")
@@ -469,11 +472,8 @@ def parse_linear_delay_config(doc: dict) -> tuple[LinearDelayConfig, dict]:
             raise ConfigError("missing field initial_history.'points'")
         extras["initial_history"] = hist
     if "sim" in doc:
-        sim = doc["sim"]
-        if not isinstance(sim, dict):
-            raise ConfigError("sim must be an object")
-        _reject_unknown(sim, {"t_max", "j_max", "step", "jump_priority"}, "sim.")
-        extras["sim"] = sim
+        extras["sim"] = _object(doc["sim"], "sim", {"t_max", "j_max", "step",
+                                                    "jump_priority"})
 
     cfg = LinearDelayConfig(
         dimension=dimension, memory_size=memory_size, a0=a0,
@@ -497,7 +497,8 @@ def history_from_config(hist: dict, spec: SystemSpec) -> HybridMemoryArc:
     grid_step = (period / 50.0) if period else depth / 50.0
     kind = hist["kind"]
     if kind == "constant":
-        value = np.atleast_1d(np.asarray(hist["value"], dtype=float))
+        value = np.atleast_1d(_array(hist["value"], "initial_history.value",
+                                     "a vector of numbers"))
         if value.shape != (spec.dimension,):
             raise ConfigError(f"initial_history.value must have length {spec.dimension}")
         if not np.all(np.isfinite(value)):
@@ -506,7 +507,7 @@ def history_from_config(hist: dict, spec: SystemSpec) -> HybridMemoryArc:
     points = hist["points"]
     if not isinstance(points, list) or not points:
         raise ConfigError("initial_history.points must be a nonempty list")
-    rows = np.asarray(points, dtype=float)
+    rows = _array(points, "initial_history.points", "rows of numbers")
     if rows.ndim != 2 or rows.shape[1] != spec.dimension + 1:
         raise ConfigError("initial_history.points rows must be [s, v_1, ..., v_n]")
     if not np.all(np.isfinite(rows)):

@@ -192,6 +192,31 @@ class TestExitCodes:
         if named is not None:
             assert r.stderr.startswith(f"config error: {named}"), r.stderr
 
+    @pytest.mark.parametrize("config, message", [
+        ({"flow": {"A0": "x"}}, "flow.A0 must be a matrix of numbers, got 'x'"),
+        ({"dimension": "two"}, "dimension must be a number, got 'two'"),
+        ({"dimension": 1.7}, "dimension must be an integer, got 1.7"),
+        ({"memory_size": [0]}, "memory_size must be a number, got [0]"),
+        ({"flow": {"A0": [[-1.0]], "delayed": [{"delay": "x", "A": [[1.0]]}]}},
+         "flow.delayed[0].delay must be a number, got 'x'"),
+        ({"jump": {"period": 1.0, "J0": [["x"]]}},
+         "jump.J0 must be a matrix of numbers, got [['x']]"),
+        ({"initial_history": {"kind": "constant", "value": "x"}},
+         "initial_history.value must be a vector of numbers, got 'x'"),
+        ({"initial_history": {"kind": "samples", "points": [[-1.0, 1.0], [0.0]]}},
+         "initial_history.points must be rows of numbers"),
+        ({"sim": {"step": "x"}}, "sim.step must be a number, got 'x'"),
+        ({"sim": {"j_max": 2.9}}, "sim.j_max must be an integer, got 2.9"),
+    ], ids=["A0", "dimension", "dimension-fraction", "memory-size", "delay", "J0",
+            "history-value", "history-points-ragged", "step", "j-max-fraction"])
+    def test_config_errors_name_their_field(self, tmp_path, config, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**MINIMAL_CONFIG, **config}))
+        r = run_cli("simulate", "--config", str(cfg), "--report",
+                    str(tmp_path / "r.json"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith(f"config error: {message}"), r.stderr
+
     @pytest.mark.parametrize("args, config, message", [
         (("--system", "example2", "--history", "nan,0"), None,
          "--history must be finite, got 'nan,0'"),

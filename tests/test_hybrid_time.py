@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import re
 
 import numpy as np
@@ -1211,6 +1212,41 @@ class TestArraySlicing:
                 pieces += len(reference_delayed_runs(phi, lo, hi))
         assert pieces > 600
 
+    def test_level_clip_edge_cases(self):
+        # level boundaries apart by +-5e-13, a zero-width level (two jumps at
+        # one instant), and lo and hi on a boundary or within TIME_TOL of
+        # one, in one call for all arcs.  Where an older level's last sample
+        # lies past the next level's first and lo just below it, a clip of
+        # each level to [lo, hi] alone would keep a piece the walk hides
+        arcs = []
+        for e1, e2 in itertools.product((-5e-13, 0.0, 5e-13), repeat=2):
+            for zero in (False, True):
+                levels = [[-2.0, -1.6, -1.2, -1.0 + e1], *[[-1.0]] * zero,
+                          [-1.0, -0.8, -0.7, -0.5 + e2], [-0.5, -0.3, 0.0]]
+                arcs.append(memory_arc_of(
+                    [seg(k - len(levels) + 1, times, np.cos(3 * np.array(times)) + k)
+                     for k, times in enumerate(levels)], 4.0))
+        # a row whose history starts at -1: bounds before that miss it
+        arcs.append(memory_arc_of([seg(k - 3, times, np.cos(times)) for k, times in
+                                   enumerate([[-1.0, -0.8], [-0.8, -0.6],
+                                              [-0.6, -0.3], [-0.3, 0.0]])], 4.0))
+        bounds = sorted({b + eps for b in (-2.0, -1.3, -1.0, -0.75, -0.5, 0.0)
+                         for eps in (0.0, -3e-13, 3e-13, -8e-13, 8e-13, -1.2e-12,
+                                     1.2e-12)})
+        raised = checked = 0
+        for lo, hi in itertools.combinations_with_replacement(bounds, 2):
+            have = [bool(reference_delayed_runs(phi, lo, hi)) for phi in arcs]
+            if not all(have):
+                raised += 1
+                with pytest.raises(DomainError, match="no stored history"):
+                    delayed_sq_integral(arcs, lo, hi)
+            some = [phi for phi, h in zip(arcs, have) if h]
+            got = delayed_sq_integral(some, lo, hi).tolist()
+            assert got == [reference_delayed_sq_integral(phi, lo, hi)
+                           for phi in some], (lo, hi)
+            checked += len(some)
+        assert raised > 100 and checked > 10000
+
 
 # ---------------------------------------------------------------------------
 # The window cut one point at a time, as the scalar operators on the store
@@ -2083,6 +2119,68 @@ class TestBatchView:
             assert not missing
             got = BatchView(hist, rows).delayed(s)
             assert got.tobytes() == np.array(list(want.values())).tobytes()
+
+
+def _first_error(read):
+    """The DomainError read() raises, or None."""
+    try:
+        read()
+    except DomainError as exc:
+        return exc
+    return None
+
+
+class TestOneViewStageReads:
+    """A BatchView is a WindowView over many samples: its stage views read,
+    row for row, what each row's own WindowView chain reads."""
+
+    @pytest.mark.parametrize("interpolation", ["hermite", "linear"])
+    def test_stage_reads_are_each_rows_view_chain(self, interpolation):
+        traj = _reset_trajectory(interpolation)
+        arcs = memory_windows(traj.arc, [(0.3, 0), (1.2, 2), (1.9, 3)],
+                              traj.memory_size)
+        if interpolation == "hermite":  # a row without derivatives reads linearly
+            phi = arcs[1]
+            arcs[1] = HybridMemoryArc(phi.times, phi.values, phi.starts, phi.delta,
+                                      interpolation="hermite")
+            assert arcs[0].derivs is not None and arcs[2].derivs is not None
+        st = History(arcs)
+        index = np.arange(st.n)
+        rows = st.row[np.searchsorted(st.first, index, side="right") - 1]
+        local = index - st.first[st.spans[rows]]
+        alone = [History([phi]) for phi in arcs]
+        views = [alone[r].view(i) for r, i in zip(rows.tolist(), local.tolist())]
+        heads = st.values[:st.n]
+        x, y, z = 1.5 * heads + 0.25, heads - 0.125, 0.5 * heads
+        starts = st.times[st.first].tolist()
+        checked, raised = 0, set()
+        for dt in (0.0, 1 / 256, 1 / 64):
+            # delays below, at and above dt, across levels, and reads on a
+            # level's first time or within TIME_TOL of one
+            delays = [1e-9, -dt / 2, -dt, -dt - 1 / 128, -0.3, -0.5, -1.2]
+            delays += [b - float(st.times[i]) - dt + eps for b, i in
+                       zip(starts, index[::23].tolist()) for eps in (0.0, -5e-13, 5e-13)]
+            for s in delays:
+                chains = [v.extend(dt, x[i]) for i, v in enumerate(views)]
+                errors = [_first_error(lambda c=c: c.delayed(s)) for c in chains]
+                bad = [e for e in errors if e is not None]
+                if bad:
+                    with pytest.raises(type(bad[0]), match=re.escape(str(bad[0]))):
+                        BatchView(st, index).extend(dt, x).delayed(s)
+                    raised.add(type(bad[0]))
+                ok = np.flatnonzero([e is None for e in errors])
+                if not ok.size:
+                    continue
+                stage = BatchView(st, index[ok]).extend(dt, x[ok])
+                other, again = stage.with_head(y[ok]), stage.extend(dt, z[ok])
+                assert other.reads is stage.reads and again.reads is not stage.reads
+                for got, want in ((stage, chains),
+                                  (other, [c.with_head(y[i]) for i, c in enumerate(chains)]),
+                                  (again, [c.extend(dt, z[i]) for i, c in enumerate(chains)])):
+                    want = np.array([want[i].delayed(s) for i in ok.tolist()])
+                    assert got.delayed(s).tobytes() == want.tobytes(), (dt, s)
+                checked += ok.size
+        assert checked > 5000 and raised == {DomainError, InsufficientHistoryError}
 
 
 # ---------------------------------------------------------------------------

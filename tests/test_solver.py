@@ -413,6 +413,41 @@ class TestOneFlowSelectionPerStage:
         assert got.values.tobytes() == want.values.tobytes()
 
 
+def hermite_delay_problem(d):
+    """Jump-free dx = -x(t - d) from a cosine history with exact derivative
+    samples, read as cubic Hermite."""
+    cfg = LinearDelayConfig(dimension=1, memory_size=0.25, a0=np.array([[0.0]]),
+                            flow_delayed=(DelayTerm(d, np.array([[-1.0]])),))
+    spec, _ = build_linear_delay_system(cfg)
+    times = np.linspace(-0.25, 0.0, 26)
+    return spec, HybridMemoryArc(times, np.cos(3 * times)[:, None], [0], 0.25,
+                                 (-3 * np.sin(3 * times))[:, None],
+                                 interpolation="hermite")
+
+
+class TestStoredDerivatives:
+    """A stored sample's derivative is unknown until simulate stores its flow
+    selection, so a delay shorter than the step reads the newest interval
+    linearly, not with a derivative 0 there."""
+
+    @pytest.mark.parametrize("d, gap, err", [
+        (0.004, 2e-5, 5e-6), (0.007, 2e-5, 5e-6), (0.25, 0.0, 1e-10)])
+    def test_stored_derivative_is_the_flow_selection(self, d, gap, err):
+        # the gap to the flow selection on the finished window, and the error
+        # of x(1) against a run at step 1e-4; a derivative 0 at the newest
+        # sample gave 1.4e-3 and 8.6e-5 at d = 0.004, 6.3e-4 and 3.8e-5 at
+        # d = 0.007
+        spec, init = hermite_delay_problem(d)
+        traj = simulate(spec, init, SimOptions(t_max=1.0, step=0.01))
+        hist = History([traj.arc], traj.memory_size)
+        assert hist.known[hist.starts[1]:hist.n].all()
+        got = max(float(np.abs(hist.derivs[i] - spec.flow_selection(hist.view(i))).max())
+                  for i in range(hist.starts[1], hist.n))
+        assert got <= gap
+        fine = simulate(spec, init, SimOptions(t_max=1.0, step=1e-4))
+        assert abs(traj.arc.values[-1, 0] - fine.arc.values[-1, 0]) <= err
+
+
 # ---------------------------------------------------------------------------
 # The stored-history read and the RK4 step as first written, kept as
 # references: a read sliced every level it searched and bracketed with numpy
