@@ -138,7 +138,7 @@ def _constant_history(spec: SystemSpec, value: np.ndarray,
 def _initial_history(history: str | None, spec: SystemSpec, extras: dict,
                      opts: SimOptions) -> HybridMemoryArc:
     if history is not None:
-        value = np.array([float(x) for x in history.split(",")])
+        value = np.array([_number(x, "--history") for x in history.split(",")])
         if value.shape != (spec.dimension,):
             raise ConfigError(f"--history needs {spec.dimension} components")
         if not np.all(np.isfinite(value)):
@@ -320,8 +320,8 @@ def cmd_check_kl(system, config_path, overrides, report, seed, t_max, j_max,
     with _exit_on_failure(_READ_ERRORS):
         _, spec, target, extras = _build_system(system, config_path, overrides)
         opts = _sim_options(spec, extras, t_max, j_max, step, jump_priority)
-        eps, eta = (tuple(float(x) for x in grid.split(","))
-                    for grid in (eps_grid, eta_grid))
+        eps, eta = (tuple(_number(x, flag) for x in grid.split(","))
+                    for flag, grid in (("--eps-grid", eps_grid), ("--eta-grid", eta_grid)))
         bad = [v for v in eps + eta if not (np.isfinite(v) and v > 0)]
         if bad:
             raise ConfigError(f"grid values must be positive and finite, got {bad[0]}")

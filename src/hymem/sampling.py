@@ -18,37 +18,36 @@ Two modes:
 All randomness derives from the sampler seed through named seed sequences,
 so sampling is deterministic and independent of call order.
 
-Each cover arc reads its own Philox stream, keyed by (seed, "cover",
-region, index), in a fixed order of uniforms on [0, 1):
+Each ``sample`` call starts the region's cover stream afresh, keyed by
+(seed, "cover", region), and reads a (count, stride) array of uniforms on
+[0, 1) from it; arc i reads row i from its left end, so arc i is the same
+whatever the count and whichever region was drawn first.  ``stride`` is
+the most uniforms an arc of the system can read.  A row holds:
 
-1. with a clock: amplitude, target depth (drawn, unused), tau0 (region C
-   only), the jump-level pick (drawn, unused: the widest candidate level is
-   taken), the cut depth; without one: amplitude, target depth, then one
-   integer draw for the number of memory jumps (among the counts that leave
-   a time depth of at least the longest declared delay), then the jump
-   times;
-2. per segment, newest jump level first: three knot times, then five knot
-   values for each non-clock component in component order.
+1. with a clock: the amplitude, tau0 (region C only), the cut depth;
+   without one: the amplitude, the depth in s + k, the number of memory
+   jumps (mapped onto the counts that leave a time depth of at least the
+   longest declared delay), then one time per jump;
+2. per jump level, newest first: three knot times, then five knot values
+   for each non-clock component in component order.
 
-Any change to that order, or to how a uniform maps onto its range, changes
-every seeded cover arc.
+A uniform u maps onto [lo, hi) as lo + (hi - lo) * u.  Any change to that
+layout or to a mapping changes every seeded cover arc.
 
-Only those draws and the bounds arithmetic run per arc.  A ``sample`` call
-builds its cover arcs in blocks of consecutive arcs, at most
-``_STACK_ROWS`` (4096) stored samples each: one set of array passes makes
-every level's grid (as ``np.linspace``), sorted knots and spline values (as
-``np.interp``), bit for bit, and each arc then goes through the checked
-``HybridMemoryArc`` constructor.  Since every arc has its own stream, the
-blocking moves no draw.
+The array is drawn a block of consecutive rows at a time (the same
+numbers as one draw), as many rows as ``_STACK_ROWS`` (4096) stored samples
+surely hold, and each block is planned (its levels' bounds and sizes) and
+splined (every level's grid as ``np.linspace``, sorted knots and values as
+``np.interp``, bit for bit) in one set of array passes, so only one block's
+arrays exist at a time.  The arcs are valid by construction and built
+unchecked (``HybridMemoryArc._of``), each on its own copy of its rows;
+``sample`` checks every C and D arc's guard.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,18 +58,8 @@ from .system import GUARD_TOL, SystemSpec
 
 _REGIONS = ("C", "D", "Gplus")
 AMPLITUDE = (0.1, 2.0)  # range of a random arc's amplitude
-SEGMENT_COUNTS = (0, 1, 2, 3)  # memory jumps of an unclocked cover arc
+SEGMENT_COUNTS = (0, 1, 2, 3)  # memory jumps of an unclocked cover arc: a run from 0
 _FLOW_CHUNK = 16  # flow points cut per window call while filling the pool
-
-
-class _CoverPlan(NamedTuple):
-    """A cover arc's draws and levels, each level list oldest first."""
-    index: int
-    amp: float
-    spans: list[tuple[float, float]]  # (s_lo, s_hi)
-    sizes: list[int]  # stored samples
-    tau_hi: list[float] | None  # the clock at s_hi
-    draws: np.ndarray  # one row of uniforms per level
 
 
 @dataclass(frozen=True)
@@ -115,7 +104,7 @@ class ArcSampler:
         n_reach = {"reachable": count, "cover": 0,
                    "both": (count + 1) // 2}[self.mode]
         arcs = self._reachable(region, n_reach) if n_reach else []
-        arcs += self._cover_arcs(region, range(count - n_reach))
+        arcs += self._cover_arcs(region, count - n_reach)
         if region == "Gplus":  # one pass appends every arc's jump
             gs = [self.spec.jump_selections(arc) for arc, _ in arcs]
             kind = [i if i < n_reach else i - n_reach for i in range(len(arcs))]
@@ -216,107 +205,102 @@ class ArcSampler:
                     f"reachable sampler cannot populate region {region!r}")
         return pool[:count]
 
-    def _cover_arcs(self, region: str,
-                    indices: Sequence[int]) -> list[tuple[HybridMemoryArc, str]]:
-        """The cover arcs of ``region`` at ``indices``: each arc's draws from
-        its own stream, then the grids, knots and spline values of a block
-        of consecutive arcs (at most ``_STACK_ROWS`` stored samples) in one
-        set of array passes."""
-        out, block, rows = [], [], 0
-        for index in indices:
-            plan = self._cover_plan(region, index)
-            size = sum(plan.sizes)
-            if block and rows + size > _STACK_ROWS:
-                out += self._cover_block(region, block)
-                block, rows = [], 0
-            block.append(plan)
-            rows += size
-        if block:
-            out += self._cover_block(region, block)
+    def _cover_arcs(self, region: str, count: int) -> list[tuple[HybridMemoryArc, str]]:
+        """The first ``count`` cover arcs of ``region``, arc i from row i of
+        the region's (count, stride) uniforms, drawn and built a block of
+        consecutive rows at a time."""
+        clock = self.spec.meta.get("clock_index")
+        period = self.spec.meta.get("period")
+        jumps = max(SEGMENT_COUNTS)  # the most memory jumps an arc holds
+        if clock is not None:  # the deepest level whose depths can meet
+            # [delta, delta + 1]: level k + 1 starts at depth k (1 + period) + 1
+            # when tau0 = 0, and deeper when tau0 > 0
+            jumps = 0
+            while jumps * (1.0 + period) + 1.0 <= self.spec.memory_size + 1.0 + 1e-12:
+                jumps += 1
+        # knot times, then knot values of each non-clock component
+        per_level = 3 + 5 * (self.spec.dimension - (clock is not None))
+        stride = 3 + (clock is None) * jumps + (jumps + 1) * per_level
+        # an arc's grid step is at least its depth / 60, so it holds at most
+        # 60 samples plus 2 per level, and rounding adds at most 1 per level
+        block = max(1, _STACK_ROWS // (60 + 3 * (jumps + 1)))
+        rng, out = self._rng("cover", region), []
+        for a in range(0, count, block):  # each draw continues the stream
+            u = rng.random((min(block, count - a), stride))
+            k, levels = self._cover_levels(region, u, jumps, per_level)
+            ts, vals = self._splines(*levels)
+            lvl = np.concatenate([[0], np.cumsum(k + 1)]).tolist()  # arc -> first level
+            first = np.concatenate([[0], np.cumsum(levels[2])]).tolist()  # -> first sample
+            for i, (l0, l1) in enumerate(zip(lvl, lvl[1:]), a):
+                at, end = first[l0], first[l1]  # each arc on its own copy of its rows
+                arc = HybridMemoryArc._of(ts[at:end].copy(), vals[at:end].copy(),
+                                          [f - at for f in first[l0:l1]], l1 - l0,
+                                          delta=self.spec.memory_size)
+                out.append((arc, f"cover:{region}{i}"))
         return out
 
-    def _cover_plan(self, region: str, index: int) -> _CoverPlan:
-        """One cover arc's draws, in the order the module docstring lists,
-        and the levels they give.  Each uniform u on [lo, hi) is mapped as
-        lo + (hi - lo) * u like Generator.uniform."""
-        rng = self._rng("cover", region, index)
+    def _cover_levels(self, region: str, u: np.ndarray, jumps: int, per_level: int):
+        """The memory jumps k of the arcs of rows u, and their levels, each
+        arc's oldest first, as :meth:`_splines` takes them."""
         clock = self.spec.meta.get("clock_index")
         period = self.spec.meta.get("period")
         delta = self.spec.memory_size
-        # knot times, then knot values of each non-clock component
-        per_segment = 3 + 5 * (self.spec.dimension - (clock is not None))
+        count = u.shape[0]
+        rows = np.arange(count)
         lo, hi = AMPLITUDE
-
+        amp = lo + (hi - lo) * u[:, 0]
         if clock is not None:
-            u = rng.random(4 if region in ("D", "Gplus") else 5).tolist()
-            amp = lo + (hi - lo) * u[0]
-            # u[1] is the target depth of an unclocked arc, unused here
-            if region in ("D", "Gplus"):
-                tau0 = period
-            else:
-                tau0 = 0.9 * period * u[2]
-            # Clock-consistent histories reach depths in unit-gapped intervals
-            # (one per backward jump level); sample the cut depth from the
-            # intersection of those intervals with [delta, delta + 1].
-            levels = [(0, 0.0, tau0)]
-            while levels[-1][1] <= delta + 1.0:
-                i, top, bot = levels[-1]
-                levels.append((i + 1, bot + 1.0, bot + 1.0 + period))
-            cands = []
-            for i, top, bot in levels:
-                d_lo, d_hi = max(top, delta), min(bot, delta + 1.0)
-                if d_hi >= d_lo - 1e-12:
-                    cands.append((i, d_lo, max(d_hi, d_lo)))
-            # u[-2] is drawn, unused, to keep the stream's order: the widest
-            # candidate is taken, the first of equally wide ones
-            k_count, d_lo, d_hi = max(cands, key=lambda c: c[2] - c[1])
-            depth_cut = d_lo + (d_hi - d_lo) * u[-1]
-            bounds = [0.0] + [-tau0 - m * period for m in range(k_count)]
-            bounds.append(-(depth_cut - k_count))
-            draws = rng.random((k_count + 1) * per_segment)
-            # slope-1 clock consistent with the jump placement
-            tau_hi = [period] * k_count + [tau0]
+            head = np.full(count, 2 + (region == "C"))  # uniforms before the levels
+            tau0 = 0.9 * period * u[:, 1] if region == "C" else np.full(count, period)
+            # A clock-consistent history reaches depths in unit-gapped
+            # intervals, one per jump level (rows, newest first); the cut
+            # depth lies in the widest of their intersections with
+            # [delta, delta + 1], the first of equally wide ones.
+            bot = tau0 + np.arange(jumps + 1)[:, None] * (1.0 + period)
+            top = np.vstack([np.zeros(count), bot[:-1] + 1.0])
+            d_lo, d_hi = np.maximum(top, delta), np.minimum(bot, delta + 1.0)
+            width = np.where(d_hi >= d_lo - 1e-12, np.maximum(d_hi - d_lo, 0.0), -1.0)
+            k = width.argmax(0)
+            d_lo, d_hi = d_lo[k, rows], np.maximum(d_hi[k, rows], d_lo[k, rows])
+            cut = d_lo + (d_hi - d_lo) * u[:, 1 + (region == "C")]
+            bounds = np.column_stack([np.zeros(count),
+                                      -tau0[:, None] - np.arange(jumps) * period,
+                                      np.zeros(count)])
+            bounds[rows, k + 1] = -(cut - k)
         else:
-            u = rng.random(2).tolist()
-            amp = lo + (hi - lo) * u[0]
-            depth_total = delta + (0.05 + (0.95 - 0.05) * u[1])  # in s + k
-            max_jumps = min(max(SEGMENT_COUNTS), math.floor(depth_total))
+            depth = delta + (0.05 + (0.95 - 0.05) * u[:, 1])  # in s + k
             # each memory jump spends a unit of depth; the time left must
-            # still hold the longest delay the flow and jump maps read
+            # still hold the longest delay the flow and jump maps read.  The
+            # counts that fit run from 0, as SEGMENT_COUNTS does.
             reach = max(self.spec.meta.get("delays", ()), default=0.0)
-            counts = [c for c in SEGMENT_COUNTS
-                      if c <= max_jumps and depth_total - c >= reach] or [0]
-            # integers read the stream unlike uniforms: kept as a choice
-            k_count = int(rng.choice(counts))
-            time_depth = depth_total - k_count
-            draws = rng.random(k_count + (k_count + 1) * per_segment)
-            cuts = sorted((-time_depth + time_depth * x
-                           for x in draws[:k_count].tolist()), reverse=True)
-            draws = draws[k_count:]
-            bounds = [0.0] + cuts + [-time_depth]
-            tau_hi = None
+            fits = (depth[:, None] - np.array(SEGMENT_COUNTS) >= reach).sum(1)
+            k = (u[:, 2] * np.maximum(fits, 1)).astype(np.intp)
+            head, time_depth = 3 + k, (depth - k)[:, None]
+            cuts = -time_depth + time_depth * u[:, 3:3 + jumps]
+            cuts[np.arange(jumps) >= k[:, None]] = -np.inf  # no such jump
+            bounds = np.column_stack([np.zeros(count), cuts, -time_depth])
+            bounds = -np.sort(-bounds, 1)  # each arc's jump times, newest first
+        # level q (newest first) holds np.linspace(s_lo, s_hi, m) on
+        # [bounds[q + 1], bounds[q]], or its first sample alone if s_lo == s_hi
+        q = k[:, None] - np.arange(jumps + 1)
+        arc = np.nonzero(q >= 0)[0]
+        q = q[q >= 0]
+        s_lo, s_hi = bounds[arc, q + 1], bounds[arc, q]
+        grid = np.maximum(-bounds[rows, k + 1] / 60.0, 1e-4)[arc]
+        m = np.where(s_hi == s_lo, 1, np.maximum(2, np.ceil((s_hi - s_lo) / grid) + 1))
+        cols = (head[arc] + q * per_level)[:, None] + np.arange(per_level)
+        levels = [s_lo, s_hi, m.astype(np.intp), amp[arc], u[arc[:, None], cols]]
+        if clock is not None:  # the clock at s_hi
+            levels.append(np.where(q == 0, tau0[arc], period))
+        return k, levels
 
-        # level i (newest first) holds np.linspace(s_lo, s_hi, m), or its
-        # first sample alone if s_lo == s_hi
-        grid = max((bounds[0] - bounds[-1]) / 60.0, 1e-4)
-        spans = list(zip(bounds[:0:-1], bounds[-2::-1]))  # oldest first
-        sizes = [1 if s_hi == s_lo else max(2, math.ceil((s_hi - s_lo) / grid) + 1)
-                 for s_lo, s_hi in spans]
-        return _CoverPlan(index, amp, spans, sizes, tau_hi,
-                          draws.reshape(k_count + 1, per_segment)[::-1])
-
-    def _cover_block(self, region: str,
-                     block: list[_CoverPlan]) -> list[tuple[HybridMemoryArc, str]]:
-        """The arcs of a block of cover plans, each level's grid, knots and
-        spline values as np.linspace and np.interp give them, bit for bit."""
+    def _splines(self, s_lo, s_hi, m, amp, u, tau_hi=None):
+        """Times and values of levels of m samples on [s_lo, s_hi], with
+        amplitudes amp, uniforms u and clocks tau_hi at s_hi, as np.linspace
+        and np.interp give them, bit for bit."""
         n = self.spec.dimension
         clock = self.spec.meta.get("clock_index")
         free = [comp for comp in range(n) if comp != clock]
-        s_lo, s_hi = np.array([s for plan in block for s in plan.spans]).T
-        m = np.array([s for plan in block for s in plan.sizes])
-        amp = np.repeat([plan.amp for plan in block],
-                        [len(plan.sizes) for plan in block])
-        u = np.concatenate([plan.draws for plan in block])
         # the grid: k * (span / (m - 1)) + s_lo, then s_hi; 0.0 + s_lo alone
         span = s_hi - s_lo
         level = np.repeat(np.arange(len(m)), m)
@@ -327,8 +311,7 @@ class ArcSampler:
         ts[(ends - 1)[m > 1]] = s_hi[m > 1]
         vals = np.empty((ts.shape[0], n))
         if clock is not None:
-            tau = np.array([t for plan in block for t in plan.tau_hi])
-            vals[:, clock] = tau[level] + (ts - s_hi[level])
+            vals[:, clock] = tau_hi[level] + (ts - s_hi[level])
         # the knots, sorted per level as sorted() orders ties
         knots = np.column_stack([s_lo, s_hi, s_lo[:, None] + span[:, None] * u[:, :3]])
         knots = np.sort(knots, axis=1, kind="stable").ravel()
@@ -361,12 +344,4 @@ class ArcSampler:
             v += y0
             np.copyto(v, y0, where=exact)
             vals[:, comp] = v
-        del j0, inner, exact, dt, dx  # before the arcs are built: a lower peak
-        out, a = [], 0
-        for plan in block:  # the checked constructor copies each arc's rows
-            b = a + sum(plan.sizes)
-            arc = HybridMemoryArc(ts[a:b], vals[a:b], [0, *accumulate(plan.sizes[:-1])],
-                                  self.spec.memory_size)
-            out.append((arc, f"cover:{region}{plan.index}"))
-            a = b
-        return out
+        return ts, vals

@@ -119,6 +119,8 @@ def _number(value, where: str, integer: bool = False) -> float | int:
     """value as a float, or as an int if ``integer``; ConfigError naming the
     field ``where`` when it is not a number, or not an integral one."""
     try:
+        if isinstance(value, bool):  # JSON's true and false are not numbers
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None

@@ -158,6 +158,8 @@ class TestExitCodes:
         (("simulate", "--system", "example2", "--set", "a=foo"), None),
         (("simulate", "--system", "example1", "--set", "delta=foo"), None),
         (("simulate", "--system", "example1", "--set", "sigma=[1]"), None),
+        (("simulate", "--system", "example2", "--set", "a=true"), None),
+        (("check-kl", "--system", "example1", "--eta-grid", "0.5,x"), None),
     ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "eps-grid-zero",
             "eta-grid-negative", "step-zero", "history", "config-t-max",
             "config-history-point", "t-max-nan", "step-nan", "slack-nan",
@@ -165,7 +167,8 @@ class TestExitCodes:
             "config-history-nan", "config-history-point-inf",
             "set-config-history-nan", "set-r-inf", "set-delta-nan", "set-r-nan",
             "config-memory-size-inf", "config-period-nan", "set-K-inf",
-            "config-A0-nan", "set-a-foo", "set-delta-foo", "set-sigma-list"])
+            "config-A0-nan", "set-a-foo", "set-delta-foo", "set-sigma-list",
+            "set-a-bool", "eta-grid-word"])
     def test_malformed_input_exits_two(self, tmp_path, request, args, config):
         # read before anything runs: exit 2 with the reason, no traceback
         if config is not None:
@@ -188,6 +191,11 @@ class TestExitCodes:
                  "set-a-foo": "a must be a number, got 'foo'",
                  "set-delta-foo": "delta must be a number, got 'foo'",
                  "set-sigma-list": "sigma must be a number, got [1]",
+                 "set-a-bool": "a must be a number, got True",
+                 # each item of a comma list is read as its flag's number
+                 "history": "--history must be a number, got 'x'",
+                 "eps-grid": "--eps-grid must be a number, got 'x'",
+                 "eta-grid-word": "--eta-grid must be a number, got 'x'",
                  }.get(request.node.callspec.id)
         if named is not None:
             assert r.stderr.startswith(f"config error: {named}"), r.stderr
@@ -207,8 +215,12 @@ class TestExitCodes:
          "initial_history.points must be rows of numbers"),
         ({"sim": {"step": "x"}}, "sim.step must be a number, got 'x'"),
         ({"sim": {"j_max": 2.9}}, "sim.j_max must be an integer, got 2.9"),
+        # JSON booleans are not numbers
+        ({"dimension": True}, "dimension must be a number, got True"),
+        ({"sim": {"t_max": True}}, "sim.t_max must be a number, got True"),
     ], ids=["A0", "dimension", "dimension-fraction", "memory-size", "delay", "J0",
-            "history-value", "history-points-ragged", "step", "j-max-fraction"])
+            "history-value", "history-points-ragged", "step", "j-max-fraction",
+            "dimension-bool", "t-max-bool"])
     def test_config_errors_name_their_field(self, tmp_path, config, message):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({**MINIMAL_CONFIG, **config}))

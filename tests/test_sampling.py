@@ -1,5 +1,6 @@
 """Sampler guarantees: region guards, memory-class membership, determinism."""
 
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -107,82 +108,104 @@ def test_amplitude_range_respected():
         assert np.max(np.abs(xs)) <= AMPLITUDE[1] + 1e-12
 
 
-def reference_cover_arc(sampler, region, index):
-    """The cover arc as the sampler built it with one NumPy call per draw:
-    the draw order and arithmetic that every seeded cover arc depends on."""
-    rng = sampler._rng("cover", region, index)
-    n = sampler.spec.dimension
-    clock = sampler.spec.meta.get("clock_index")
-    period = sampler.spec.meta.get("period")
-    delta = sampler.spec.memory_size
-    lo, hi = AMPLITUDE
-    amp = rng.uniform(lo, hi)
-    depth_total = delta + rng.uniform(0.05, 0.95)  # target depth in s + k
+def reference_stride(spec):
+    """The most uniforms a cover arc of spec reads: three, the jump times of
+    an unclocked arc, and the levels of the deepest candidate an arc with
+    tau0 = 0 has (no arc has more)."""
+    clock = spec.meta.get("clock_index")
+    per_level = 3 + 5 * (spec.dimension - (clock is not None))
+    if clock is None:
+        return 3 + max(SEGMENT_COUNTS) + (max(SEGMENT_COUNTS) + 1) * per_level
+    cands = _clock_candidates(0.0, spec.meta["period"], spec.memory_size)
+    return 3 + (max(i for i, _, _ in cands) + 1) * per_level
 
+
+def _clock_candidates(tau0, period, delta):
+    """(level, d_lo, d_hi): the jump levels, newest first, of a clock-
+    consistent history whose depths meet [delta, delta + 1], and where."""
+    levels = [(0.0, tau0)]  # each level's (top, bottom) depth
+    while levels[-1][0] <= delta + 1.0:
+        levels.append((levels[-1][1] + 1.0, tau0 + len(levels) * (1.0 + period)))
+    cands = []
+    for i, (top, bot) in enumerate(levels):
+        d_lo, d_hi = max(top, delta), min(bot, delta + 1.0)
+        if d_hi >= d_lo - 1e-12:
+            cands.append((i, d_lo, max(d_hi, d_lo)))
+    return cands
+
+
+def reference_cover_arc(spec, region, row, index):
+    """Cover arc ``index`` of ``region`` from its row of uniforms, one scalar
+    step per uniform: the layout and arithmetic that every seeded cover arc
+    depends on.  Returns the arc (through the checked constructor), its
+    origin and the number of uniforms it read."""
+    pos = 0
+
+    def uniform(lo, hi):  # as Generator.uniform maps a uniform
+        nonlocal pos
+        pos += 1
+        return lo + (hi - lo) * float(row[pos - 1])
+
+    n = spec.dimension
+    clock = spec.meta.get("clock_index")
+    period = spec.meta.get("period")
+    delta = spec.memory_size
+    amp = uniform(*AMPLITUDE)
     if clock is not None:
-        if region in ("D", "Gplus"):
-            tau0 = period
-        else:
-            tau0 = rng.uniform(0.0, 0.9 * period)
-        levels = [(0, 0.0, tau0)]
-        while levels[-1][1] <= delta + 1.0:
-            i, top, bot = levels[-1]
-            levels.append((i + 1, bot + 1.0, bot + 1.0 + period))
-        cands = []
-        for i, top, bot in levels:
-            d_lo, d_hi = max(top, delta), min(bot, delta + 1.0)
-            if d_hi >= d_lo - 1e-12:
-                cands.append((i, d_lo, max(d_hi, d_lo)))
-        widths = np.array([hi_ - lo_ + 1e-6 for _, lo_, hi_ in cands])
-        pick = int(rng.choice(len(cands), p=widths / widths.sum()))
-        k_count, d_lo, d_hi = cands[pick]
-        depth_cut = rng.uniform(d_lo, d_hi)
+        tau0 = uniform(0.0, 0.9 * period) if region == "C" else period
+        # the widest candidate, the first of equally wide ones
+        k_count, d_lo, d_hi = max(_clock_candidates(tau0, period, delta),
+                                  key=lambda c: c[2] - c[1])
+        depth_cut = uniform(d_lo, d_hi)
         bounds = [0.0] + [-tau0 - m * period for m in range(k_count)]
         bounds.append(-(depth_cut - k_count))
     else:
-        max_jumps = min(max(SEGMENT_COUNTS), int(np.floor(depth_total)))
-        reach = max(sampler.spec.meta.get("delays", ()), default=0.0)
+        depth_total = delta + uniform(0.05, 0.95)  # in s + k
+        max_jumps = min(max(SEGMENT_COUNTS), math.floor(depth_total))
+        reach = max(spec.meta.get("delays", ()), default=0.0)
         counts = [c for c in SEGMENT_COUNTS
                   if c <= max_jumps and depth_total - c >= reach] or [0]
-        k_count = int(rng.choice(counts))
+        k_count = counts[int(uniform(0.0, 1.0) * len(counts))]
         time_depth = depth_total - k_count
-        cuts = np.sort(rng.uniform(-time_depth, 0.0, size=k_count))[::-1]
-        bounds = [0.0] + [float(c) for c in cuts] + [-time_depth]
+        cuts = sorted((uniform(-time_depth, 0.0) for _ in range(k_count)), reverse=True)
+        bounds = [0.0] + cuts + [-time_depth]
         tau0 = None
 
     segments = []
     grid = max((bounds[0] - bounds[-1]) / 60.0, 1e-4)
     for i in range(len(bounds) - 1):
         s_hi, s_lo = bounds[i], bounds[i + 1]
-        k = -i
         m = max(2, int(np.ceil((s_hi - s_lo) / grid)) + 1)
         times = np.linspace(s_lo, s_hi, m)
-        knots = np.sort(np.concatenate([[s_lo, s_hi],
-                                        rng.uniform(s_lo, s_hi, size=3)]))
+        knots = np.sort([s_lo, s_hi] + [uniform(s_lo, s_hi) for _ in range(3)])
         vals = np.empty((m, n))
         for comp in range(n):
-            if comp == clock:
-                continue
-            kv = amp * rng.uniform(-1.0, 1.0, size=len(knots))
-            vals[:, comp] = np.interp(times, knots, kv)
+            if comp != clock:
+                kv = [amp * uniform(-1.0, 1.0) for _ in range(len(knots))]
+                vals[:, comp] = np.interp(times, knots, kv)
         if clock is not None:
             tau_hi = tau0 if i == 0 else period
             vals[:, clock] = tau_hi + (times - s_hi)
         if s_hi == s_lo:
             times, vals = times[:1], vals[:1]
-        segments.append(ArcSegment(k, times, vals))
+        segments.append(ArcSegment(-i, times, vals))
     segments.reverse()
     arc = HybridMemoryArc(np.concatenate([s.times for s in segments]),
                           np.concatenate([s.values for s in segments]),
                           np.cumsum([0] + [len(s.times) for s in segments[:-1]]),
                           delta)
-    return arc, f"cover:{region}{index}"
+    return arc, f"cover:{region}{index}", pos
 
 
 def _reference_systems():
     jump_free, _ = build_linear_delay_system(LinearDelayConfig(
         dimension=2, memory_size=3.0, a0=np.array([[-1.0, 0.5], [0.0, -2.0]])))
-    return _systems() + [("jump-free", jump_free)]
+    # period 0.5 and memory size 1.7: a C arc cuts one or two jump levels
+    # deep, as tau0 lies above or below 0.2
+    deep_clock, _ = build_linear_delay_system(LinearDelayConfig(
+        dimension=2, memory_size=1.7, a0=np.array([[-1.0, 0.5], [0.0, -2.0]]),
+        jump_period=0.5, j0=np.eye(2) * 0.5))
+    return _systems() + [("jump-free", jump_free), ("deep-clock", deep_clock)]
 
 
 def _arc_bytes(arc):
@@ -190,41 +213,53 @@ def _arc_bytes(arc):
             for s in arc.memory_segments]
 
 
+def _checked_bytes(arc):
+    """The arc rebuilt through the checked constructor, as bytes."""
+    rebuilt = HybridMemoryArc(arc.times, arc.values, arc.starts, arc.delta)
+    assert (rebuilt.starts, rebuilt.n_memory, rebuilt.n) == (arc.starts, arc.n_memory, arc.n)
+    return _arc_bytes(rebuilt)
+
+
 def _check_against_reference(spec, sampler, region, count, streams):
     """sample(region, count) gives, byte for byte, the arcs and origins of
-    the reference sampler, each arc reading its own stream exactly as far;
-    a post-jump arc is its pre-jump cover arc after the jump.  Returns the
-    arcs and each pre-jump arc's number of stored samples."""
+    the scalar reference on row i of one (count, stride) draw from the
+    region's stream, which it reads exactly that far; every arc is also
+    what the checked constructor builds from it, and a post-jump arc is its
+    pre-jump cover arc after the jump.  Returns the arcs, each pre-jump
+    arc's number of stored samples, and the uniforms each read."""
     streams.clear()
     got = sampler.sample(region, count)
-    drawn = streams[:]  # one stream per arc, in index order
-    assert [key for key, _ in drawn] == [("cover", region, i) for i in range(count)]
+    assert [key for key, _ in streams] == [("cover", region)]  # one stream a call
+    stride = reference_stride(spec)
+    fresh = sampler._rng("cover", region)
+    rows = fresh.random((count, stride))
+    assert str(streams[0][1].bit_generator.state) == str(fresh.bit_generator.state)
     assert [s.index for s in got] == list(range(count))
-    sizes = []
-    for s, (_, rng) in zip(got, drawn):
-        arc, origin = reference_cover_arc(sampler, region, s.index)
+    sizes, read = [], []
+    for s in got:
+        arc, origin, used = reference_cover_arc(spec, region, rows[s.index], s.index)
         sizes.append(len(arc.times))
+        read.append(used)
         if region == "Gplus":
             gs = spec.jump_selections(arc)
             arc, origin = append_jump(arc, gs[s.index % len(gs)]), origin + ":+g"
         assert s.origin == origin
         assert _arc_bytes(s.arc) == _arc_bytes(arc), (region, s.index)
-        # exactly the draws the reference makes, none left unread
-        assert str(rng.bit_generator.state) == \
-            str(streams[-1][1].bit_generator.state), (region, s.index)
-    return got, sizes
+        assert _checked_bytes(s.arc) == _arc_bytes(arc), (region, s.index)
+    return got, sizes, read
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 @pytest.mark.parametrize("name, spec", _reference_systems(),
                          ids=[name for name, _ in _reference_systems()])
 def test_cover_arcs_match_the_reference_sampler(name, spec, seed):
-    """Byte for byte the arcs and origins of the one-call-per-draw sampler,
-    in every region the system supports: example 1 (three free components),
-    both example 2 cases, and a jump-free system (the unclocked branch,
-    deep enough for every segment count).  400 arcs are several blocks of
-    the array builder; one arc, and one more than fits a block, split the
-    blocks unevenly."""
+    """Byte for byte the arcs and origins of the one-uniform-at-a-time
+    reference, in every region the system supports: example 1 (three free
+    components), both example 2 cases, and a jump-free system (the
+    unclocked branch, deep enough for every segment count).  400 arcs are
+    several blocks of the array builder, each of at most _STACK_ROWS stored
+    samples; one arc, and one more than the first 4096 samples hold, end
+    the blocks unevenly."""
     sampler = ArcSampler(spec, seed=seed, mode="cover")
     streams = []  # each stream's key and generator, to see how far it was read
     make_rng = sampler._rng
@@ -234,12 +269,23 @@ def test_cover_arcs_match_the_reference_sampler(name, spec, seed):
         return streams[-1][1]
 
     sampler._rng = recording_rng
+    blocks = []  # stored samples of each spline pass
+    splines = sampler._splines
+
+    def recording_splines(*levels):
+        blocks.append(int(levels[2].sum()))
+        return splines(*levels)
+
+    sampler._splines = recording_splines
     regions = [r for r in ("C", "D", "Gplus") if sampler.region_supported(r)]
     assert regions == (["C"] if name == "jump-free" else ["C", "D", "Gplus"])
     levels = set()
     for region in regions:
-        got, sizes = _check_against_reference(spec, sampler, region, 400, streams)
+        blocks.clear()
+        got, sizes, read = _check_against_reference(spec, sampler, region, 400, streams)
+        assert len(blocks) > 1 and max(blocks) <= _STACK_ROWS
         levels.update(len(s.arc.starts) for s in got)
+        assert max(read) <= reference_stride(spec)
         full = sum(r <= _STACK_ROWS for r in accumulate(sizes))  # the first block
         assert 1 < full < 400
         for count in (1, full + 1):
@@ -250,57 +296,71 @@ def test_cover_arcs_match_the_reference_sampler(name, spec, seed):
             assert not any(a.flags.writeable for a in arrays)
             bases = {id(a if a.base is None else a.base) for a in arrays}
             assert len(bases) == len(arrays)
-    if name == "jump-free":  # every entry of SEGMENT_COUNTS comes up
+    if name == "jump-free":  # every entry of SEGMENT_COUNTS comes up, and
+        # an arc with the most jumps reads the whole row
         assert levels == {c + 1 for c in SEGMENT_COUNTS}
+        assert max(read) == reference_stride(spec)
+    if name == "deep-clock":
+        assert levels == {2, 3}
 
 
-class _Stub:
-    """A stream of given uniforms: ``head``, then ``cycle`` repeated.  Its
-    uniform and choice read it as Generator's do (choice with p reads one
-    uniform; without p it takes a[0] and reads none)."""
+def _arcs_bytes(samples):
+    return [(s.origin, _arc_bytes(s.arc)) for s in samples]
+
+
+@pytest.mark.parametrize("name, spec", _reference_systems(),
+                         ids=[name for name, _ in _reference_systems()])
+def test_cover_arcs_are_prefixes_and_ignore_call_order(name, spec):
+    """sample(r, n) is a byte prefix of sample(r, m) for n < m, and drawing
+    another region first leaves a region's arcs as they are."""
+    sampler = ArcSampler(spec, seed=4, mode="cover")
+    regions = [r for r in ("C", "D", "Gplus") if sampler.region_supported(r)]
+    for region in regions:
+        longest = _arcs_bytes(sampler.sample(region, 150))
+        for n in (1, 37, 149):
+            assert _arcs_bytes(sampler.sample(region, n)) == longest[:n], (region, n)
+    first_c = _arcs_bytes(ArcSampler(spec, seed=4, mode="cover").sample("C", 60))
+    other = ArcSampler(spec, seed=4, mode="cover")
+    for region in regions[:0:-1]:  # D and Gplus, when there are jumps
+        other.sample(region, 80)
+    assert _arcs_bytes(other.sample("C", 60)) == first_c
+
+
+class _Rows:
+    """A stream whose every row of uniforms is ``head``, then ``cycle``
+    repeated."""
 
     def __init__(self, head, cycle):
-        self.head, self.cycle, self.pos = list(head), list(cycle), 0
+        self.head, self.cycle = list(head), list(cycle)
 
-    def _next(self):
-        i, self.pos = self.pos, self.pos + 1
-        return self.head[i] if i < len(self.head) else \
-            self.cycle[(i - len(self.head)) % len(self.cycle)]
-
-    def random(self, size=None):
-        if size is None:
-            return self._next()
-        return np.array([self._next() for _ in range(int(np.prod(size)))]).reshape(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return low + (high - low) * self.random(size)
-
-    def choice(self, a, p=None):
-        if p is None:
-            return a[0]
-        cdf = np.cumsum(p)
-        return int(np.searchsorted(cdf / cdf[-1], self.random(), side="right"))
+    def random(self, size):
+        count, stride = size
+        row = (self.head + self.cycle * stride)[:stride]
+        return np.tile(np.array(row), (count, 1))
 
 
 @pytest.mark.parametrize("head, cycle, region", [
     # tau0 = 0: the newest level is the one sample at s = 0
-    ([0.3, 0.5, 0.0, 0.5, 0.5], [0.2, 0.7, 0.4, 0.1, 0.9, 0.5, 0.3, 0.6], "C"),
-    # coincident knots: two at s_lo (a draw of 0), two in between
-    ([0.3, 0.5, 0.4, 0.5, 0.5], [0.0, 0.5, 0.5, 0.1, 0.9, 0.5, 0.3, 0.6], "C"),
-    # three equal knot times, and a draw of 0 for the clock's tau0 and cut
-    ([0.8, 0.5, 0.0, 0.5, 0.0], [0.25, 0.25, 0.25, 0.9, 0.1, 0.0, 0.7, 0.2], "C"),
-    ([0.8, 0.5, 0.5, 0.0], [0.0, 0.0, 0.75, 0.9, 0.1, 0.0, 0.7, 0.2], "D"),
+    ([0.3, 0.0, 0.5], [0.2, 0.7, 0.4, 0.1, 0.9, 0.5, 0.3, 0.6], "C"),
+    # coincident knots: two at s_lo (a uniform of 0), two in between
+    ([0.3, 0.4, 0.5], [0.0, 0.5, 0.5, 0.1, 0.9, 0.5, 0.3, 0.6], "C"),
+    # three equal knot times, and a uniform of 0 for the clock's tau0 and cut
+    ([0.8, 0.0, 0.0], [0.25, 0.25, 0.25, 0.9, 0.1, 0.0, 0.7, 0.2], "C"),
+    ([0.8, 0.0], [0.0, 0.0, 0.75, 0.9, 0.1, 0.0, 0.7, 0.2], "D"),
 ])
 def test_cover_arcs_match_the_reference_on_edge_draws(head, cycle, region):
-    """np.interp's zero-width intervals and a one-sample level, forced by a
-    stub stream on example 2 case 2, give the reference's bytes."""
+    """np.interp's zero-width intervals and a one-sample level, forced by
+    chosen rows of uniforms on example 2 case 2, give the reference's
+    bytes, and the checked constructor's."""
     spec, _ = build_example2(Example2Params.case2())
     sampler = ArcSampler(spec, seed=0, mode="cover")
-    sampler._rng = lambda *key: _Stub(head, cycle)
+    sampler._rng = lambda *key: _Rows(head, cycle)
     got = sampler.sample(region, 3)
+    rows = _Rows(head, cycle).random((3, reference_stride(spec)))
     for s in got:
-        arc, origin = reference_cover_arc(sampler, region, s.index)
+        arc, origin, _ = reference_cover_arc(spec, region, rows[s.index], s.index)
         assert s.origin == origin
         assert _arc_bytes(s.arc) == _arc_bytes(arc)
-    if head[2] == 0.0 and region == "C":
+        assert _checked_bytes(s.arc) == _arc_bytes(arc)
+    if head[1] == 0.0 and region == "C":
         assert len(got[0].arc.memory_segments[-1].times) == 1
