@@ -5,9 +5,10 @@ in one pass.
 stored sample of a :class:`~hymem.hybrid_time.History`, and its subclass
 :class:`BatchView` at many at once: one stage rule, two reads of the
 stored history.  Those two level kernels stay apart for speed, the scalar
-loop of :meth:`~hymem.hybrid_time.HybridArc.value` (one sample a read, as
-the solver reads) and the batch view's array search; a change to the level
-rule changes both.  This module holds the operators' one implementation.
+loop of :meth:`~hymem.hybrid_time.HybridArc.value` (one sample a read) and
+the batch view's array search, :meth:`BatchView._at`, which also reads the
+solver's blocks of stage reads; a change to the level rule changes both.
+This module holds the operators' one implementation.
 Arcs are joined back to back in one History, each a row with its own
 levels, and every operation runs on whole arrays of levels, pieces and
 samples, giving each window or arc, bit for bit, what it would get alone:
@@ -84,6 +85,13 @@ class WindowView:
     stages of a step read the stored history once per delay.  The straight
     line depends on the head and is never kept.  Every read returns a fresh
     array.  A :class:`BatchView` differs only in its stored-history read.
+
+    Block reads: the solver gives its stored view a :class:`_StepReads`
+    cache, which holds the rows that blocks of stage reads (see
+    :mod:`hymem.solver`) keep for the view's step, and :meth:`extend` hands
+    each RK4 stage a cache of that stage's rows.  A row is the stored read
+    at the same time, through :class:`BatchView`'s level kernel, so
+    :meth:`delayed` returns the same bits from it.
     """
 
     __slots__ = ("history", "index", "segment", "head", "dt", "reads", "floor")
@@ -113,7 +121,9 @@ class WindowView:
         return view
 
     def extend(self, dt: float, x: np.ndarray) -> "WindowView":
-        return self._moved(x, dt, {})
+        reads = self.reads
+        stages = reads.stages if type(reads) is _StepReads else None
+        return self._moved(x, dt, {} if stages is None else stages.get(dt, {}))
 
     def with_head(self, x: np.ndarray) -> "WindowView":
         """The view at the same point and stage time with head x; it shares
@@ -138,6 +148,21 @@ class WindowView:
         hist = self.history
         return hist.value(hist.times.item(self.index) + q, self.segment,
                           self.index + 1, self.floor)
+
+
+class _StepReads(dict):
+    """The read cache of the solver's stored view in the step ``key`` (t,
+    h): it starts with the rows its step's blocks hold, and at a miss of a
+    delay s it asks ``blocks.build(s)`` for the row of a block that starts
+    at this step.  ``stages`` maps the stage offsets h/2 and h to their
+    caches, which :meth:`WindowView.extend` hands on; it is None while the
+    step has no rows."""
+
+    __slots__ = ("blocks", "key", "stages")
+
+    def get(self, s: float) -> np.ndarray | None:
+        x = dict.get(self, s)
+        return self.blocks.build(s) if x is None else x
 
 
 class BatchView(WindowView):
@@ -173,9 +198,13 @@ class BatchView(WindowView):
 
     def _stored(self, q: float) -> np.ndarray:
         """Each row's History.value q after its sample, on its own levels."""
+        return self._at(self.history.times[self.index] + q)
+
+    def _at(self, tq: np.ndarray) -> np.ndarray:
+        """Each row's History.value at the time tq[i], on its own levels and
+        up to its own sample: the array level kernel."""
         hist, index = self.history, self.index
         times = hist.times
-        tq = times[index] + q
         late = tq > times[index] + TIME_TOL
         if late.any():
             t = tq[late][0]

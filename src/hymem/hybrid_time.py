@@ -507,7 +507,8 @@ class History(HybridArc):
         self.times[self.n] = t
         self.values[self.n] = x
         self.n += 1
-        self._index = None
+        if self._index is not None:  # the levels stand; their ends moved
+            self._index[0] = None
 
     def start_segments(self, t: float, xs) -> np.ndarray:
         """Open every row's next forward jump level with its first sample

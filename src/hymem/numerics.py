@@ -2,13 +2,14 @@
 
 Matrix exponential, discrete Lyapunov solve, and the quadratic-form
 contraction factor.  Matrices are plain numpy arrays (row-major, finite
-entries, positive dimensions).
+entries, positive dimensions).  Only example 1's certificate builder needs
+scipy, so ``scipy.linalg`` is imported by the functions that call it, and
+``import hymem`` does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 
 class InfeasibleError(ValueError):
@@ -26,7 +27,8 @@ def _square(m: np.ndarray, name: str) -> np.ndarray:
 
 def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with a Pade core)."""
-    return sla.expm(_square(m, "M"))
+    import scipy.linalg
+    return scipy.linalg.expm(_square(m, "M"))
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -52,7 +54,8 @@ def solve_discrete_lyapunov(h: np.ndarray, q: np.ndarray | None = None) -> np.nd
     if sr >= 1.0:
         raise InfeasibleError(f"spectral radius {sr:.6g} >= 1; no positive "
                               "definite solution exists")
-    p = sla.solve_discrete_lyapunov(h.T, q)
+    import scipy.linalg
+    p = scipy.linalg.solve_discrete_lyapunov(h.T, q)
     p = 0.5 * (p + p.T)
     residual = np.linalg.norm(h.T @ p @ h - p + q)
     if residual > 1e-10 * np.linalg.norm(q):
@@ -75,5 +78,6 @@ def contraction_factor(h: np.ndarray, p: np.ndarray) -> float:
         np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
         raise ValueError("P must be positive definite") from None
-    vals = sla.eigh(h.T @ p @ h, p, eigvals_only=True)
+    import scipy.linalg
+    vals = scipy.linalg.eigh(h.T @ p @ h, p, eigvals_only=True)
     return float(np.max(vals))

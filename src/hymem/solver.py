@@ -29,6 +29,20 @@ depends on the stage's head and is read afresh.  Every read returns a fresh
 array, so a selection map may write into it.  An infinite time horizon needs
 a declared jump period.  The solver is deterministic: identical inputs
 produce bit-identical trajectories.
+
+Block reads (the method of steps): while the stage times t' of the next
+steps satisfy t' + s < t for a delay s the flow reads, t the newest stored
+time, those reads touch only stored history.  At the first stored read of
+s in a step, the solver reads the stored point, half-step and full-step
+stages of as many of the next steps as its own step recurrence allows, in
+one call of :class:`~hymem.hybrid_time.BatchView`'s level kernel, the
+array read every batch view makes; each row is bit for bit the scalar read
+it stands for.  A block needs ``_MIN_STEPS`` (24) steps, since a build
+costs about the scalar reads of 12, and it ends at a located event, at a
+jump and at a step that leaves the recurrence.  Its rows reach the views
+through their read caches (see :class:`~hymem.hybrid_time.WindowView`).
+A flow that reads no stored delay builds none; guards, jump maps, event
+trials and delays of at most 24 steps read one at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import _blocks, memory_windows, sup_norm_w
+from .batch import _STACK_ROWS, _blocks, _StepReads, memory_windows, sup_norm_w
 from .hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                           HybridArc, HybridMemoryArc, WindowView,
                           validate_domain)
@@ -229,6 +243,112 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     return (lo, x_lo) if crossing_down else (hi, x_hi)
 
 
+#: Fewest steps in a block.  Building a block costs about 100-150 us on a
+#: 2-vCPU host, what the scalar reads of 12 steps cost (three a step, at
+#: 3.7 us each), so a block of 24 steps pays for itself even when a reset
+#: drops it halfway.
+_MIN_STEPS = 24
+
+
+class _StageBlocks:
+    """Blocks of stage reads: the stored-history reads of the Runge-Kutta
+    stages of the next steps, one array call per delay (the method of
+    steps).
+
+    A block of a delay s holds, for each of the next K steps (t, h), the
+    stored reads at t + (dt + s) for the stages dt = 0, h/2 and h, read by
+    :class:`~hymem.hybrid_time.BatchView`'s level kernel: bit for bit the
+    scalar reads.  It is built at the first stored read of s in a step
+    (:class:`~hymem.batch._StepReads`).  K is the largest count, at most a
+    third of ``_STACK_ROWS``, for which every such time, with (t, h)
+    predicted by the solver's recurrence h = min(step, t_max - t), t += h,
+    lies strictly before the newest stored time; on a Hermite store whose
+    newest derivative is still unknown, before the time of the sample
+    before it.  So a block reads only stored samples and derivatives that
+    no later step changes.  Fewer than ``_MIN_STEPS`` steps make no block,
+    and s makes none until :meth:`drop`, since K depends on s, h and the
+    horizon alone.  A step that leaves the prediction (a shortened step)
+    finds no rows and builds a new block; :meth:`drop` ends every block at
+    a located event and at a jump.  After a step that read no block row,
+    ``on`` is False and the stored views read one at a time until
+    :meth:`drop`, so a flow that reads no long delay pays one cache per
+    reset.
+    """
+
+    def __init__(self, hist: History, opts: SimOptions):
+        self.hist, self.opts = hist, opts
+        self.reads = _StepReads()  # the stored view's cache, step by step
+        self.reads.blocks, self.reads.key = self, None
+        self.on = True  # whether the stored views read through the blocks
+        self.blocks = {}  # s -> ({(t, h): first row of the step}, rows)
+        self.short = set()  # the delays whose blocks are too short
+
+    def at(self, t: float, h: float) -> _StepReads | None:
+        """The stored view's read cache in the step (t, h), which the view
+        holds for that step only, with the rows of the blocks there; None,
+        and ``on`` False, after a step that read no block row."""
+        reads = self.reads
+        if reads.key is not None and reads.stages is None:
+            self.on = False
+            return None
+        reads.clear()
+        key = reads.key = (t, h)
+        reads.stages = None
+        for s, (first, rows) in self.blocks.items():
+            i = first.get(key)
+            if i is not None:
+                self._hand(s, rows[i:i + 3])
+        return reads
+
+    def _hand(self, s: float, rows: list) -> None:
+        """Put a step's three rows of s in its stage caches, which are one
+        per step, since a stage's reads depend on its time alone."""
+        reads = self.reads
+        if reads.stages is None:
+            _, h = reads.key
+            reads.stages = {h / 2: {}, h: {}}
+        reads[s] = rows[0]
+        for stage, x in zip(reads.stages.values(), rows[1:]):
+            stage[s] = x
+
+    def build(self, s: float) -> np.ndarray | None:
+        """The stored read of s in the current step, from a block of s that
+        starts there; None when no block is built."""
+        if s in self.short:
+            return None
+        hist, opts, reads = self.hist, self.opts, self.reads
+        newest = hist.n - 1
+        bound = hist.times.item(newest - 1 if hist.interpolation == "hermite"
+                                and not hist.known[newest] else newest)
+        t, h = reads.key
+        steps, tq = [], []
+        while len(steps) < _STACK_ROWS // 3:
+            last = t + (h + s)  # the stage that reads latest
+            if not last < bound:
+                break
+            steps.append((t, h))
+            tq += (t + s, t + (h / 2 + s), last)
+            t += h
+            if t >= opts.t_max - TIME_TOL:
+                break
+            h = min(opts.step, opts.t_max - t)
+            if not h > TIME_TOL:
+                break
+        if len(steps) < _MIN_STEPS:
+            self.short.add(s)
+            return None
+        tq = np.array(tq)
+        rows = list(BatchView(hist, np.full(tq.shape, newest))._at(tq))
+        self.blocks[s] = (dict(zip(steps, range(0, len(rows), 3))), rows)
+        self._hand(s, rows[:3])
+        return rows[0]
+
+    def drop(self) -> None:
+        self.blocks.clear()
+        self.short.clear()
+        self.reads.key, self.on = None, True
+
+
 def _judge(spec: SystemSpec, hist: History) -> tuple[WindowView, bool, bool]:
     """The window at the newest stored sample, and whether it lies in the
     flow set and in the jump set."""
@@ -276,6 +396,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
 
     hist = History([init], spec.memory_size, room=64)
     hist.start_segment(0.0, np.array(init.head, dtype=float))
+    blocks = _StageBlocks(hist, opts)
     t, j = 0.0, 0
     termination = Termination.horizon_reached
     consecutive_jumps = 0
@@ -283,22 +404,26 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     try:
         w, in_c, in_d = _judge(spec, hist)
         while True:
+            h = min(opts.step, opts.t_max - t)
             if in_c:
+                if blocks.on:  # the flow selection and its stages read the blocks
+                    w.reads = blocks.at(t, h)
                 hist.derivs[w.index] = np.asarray(spec.flow_selection(w), dtype=float)
                 hist.known[w.index] = True
             if t >= opts.t_max - TIME_TOL or j >= opts.j_max:
                 termination = Termination.horizon_reached
                 break
-            h = min(opts.step, opts.t_max - t)
             if (in_c and h > TIME_TOL
                     and not (in_d and opts.jump_priority == "jump")):
                 k1 = hist.derivs[w.index]
                 x_new, _ = _rk4(spec, w, h, k1)
+                w.reads = None  # guards and event trials read one at a time
                 hist.append(t + h, x_new)
                 end = _judge(spec, hist)
                 if not end[1] or (end[2] and opts.jump_priority == "jump"):
                     # the step end crossed a guard: drop it (its derivative
                     # slot is still unwritten) and store the located crossing
+                    blocks.drop()
                     hist.n -= 1
                     guard = "jump" if end[1] else "flow"
                     h, x_new = locate_event(spec, w, h, guard, opts.event_tol,
@@ -313,6 +438,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                     consecutive_jumps = 0
                     continue
             # flow cannot progress past the boundary, or w is not in C
+            w.reads = None
             if not in_d:
                 termination = Termination.left_C_and_D
                 break
@@ -327,6 +453,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                     "offers no candidate")
             g = np.array(candidates[0], dtype=float)
             j += 1
+            blocks.drop()
             hist.start_segment(t, g)
             w, in_c, in_d = _judge(spec, hist)
     except DomainError as exc:
@@ -401,9 +528,10 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
     time are excluded from the derivative check (the guard check still runs
     there).
 
-    Each flow segment's derivative check runs in arrays: one ``flow_batch``
-    call on the segment's :class:`~hymem.hybrid_time.BatchView` gives every
-    checked point's flow selection.  At the segment's first checked point
+    Each flow segment's derivative check runs in arrays, in chunks of at
+    most ``_STACK_ROWS`` checked points: one ``flow_batch`` call on a
+    chunk's :class:`~hymem.hybrid_time.BatchView` gives each of its points'
+    flow selection.  At the segment's first checked point
     that row is compared with ``flow_selection``, and a gap beyond
     tol * (1 + |f|) raises ValueError (a batch map left over from another
     flow selection).  The guard runs point by point, and issues come out
@@ -425,21 +553,23 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
     forward = arc.levels()[arc.n_memory:]
     for j, (start, end) in enumerate(forward):
         times, values = arc.times[start:end], arc.values[start:end]
-        i = _stencil_centres(times, kinks)
+        centres = _stencil_centres(times, kinks)
         failed = {}
-        if i.size:
+        for lo in range(0, centres.size, _STACK_ROWS):
+            i = centres[lo:lo + _STACK_ROWS]
             fd = ((values[i - 2] - 8 * values[i - 1] + 8 * values[i + 1]
                    - values[i + 2]) / (12 * (times[i - 1] - times[i - 2]))[:, None])
             fval = np.asarray(spec.flow_batch(BatchView(hist, start + i)),
                               dtype=float)
-            f0 = np.asarray(spec.flow_selection(hist.view(start + i[0])),
-                            dtype=float)
-            gap = float(np.linalg.norm(fval[0] - f0))
-            if gap > tol * (1.0 + float(np.linalg.norm(f0))):
-                raise ValueError(
-                    f"flow_batch disagrees with flow_selection by {gap:.3e} at "
-                    f"(t={times[i[0]]}, j={j}); dataclasses.replace keeps the "
-                    "old batch map unless flow_batch=None is passed")
+            if lo == 0:
+                f0 = np.asarray(spec.flow_selection(hist.view(start + i[0])),
+                                dtype=float)
+                gap = float(np.linalg.norm(fval[0] - f0))
+                if gap > tol * (1.0 + float(np.linalg.norm(f0))):
+                    raise ValueError(
+                        f"flow_batch disagrees with flow_selection by {gap:.3e} "
+                        f"at (t={times[i[0]]}, j={j}); dataclasses.replace keeps "
+                        "the old batch map unless flow_batch=None is passed")
             # np.vecdot runs the dot kernel of np.linalg.norm on each row,
             # so err and bound are bit for bit the per-point norms
             diff = fd - fval
@@ -447,7 +577,7 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
             bound = tol * (1.0 + np.sqrt(np.vecdot(fval, fval)))
             n_deriv += i.size
             bad = err > bound
-            failed = dict(zip(i[bad].tolist(),
+            failed.update(zip(i[bad].tolist(),
                               zip(err[bad].tolist(), bound[bad].tolist())))
         for k, t in enumerate(times.tolist()):
             fgv = spec.flow_guard(hist.view(start + k))

@@ -131,11 +131,21 @@ def _number(value, where: str, integer: bool = False) -> float | int:
 
 def _array(value, where: str, what: str) -> np.ndarray:
     """value as a float array; ConfigError naming the field ``where`` when
-    it is not ``what``."""
+    it is not ``what``, as when a nested list holds a JSON boolean."""
     try:
+        if _has_bool(value):
+            raise TypeError
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be {what}, got {value!r}") from None
+
+
+def _has_bool(value) -> bool:
+    """Whether value, or a list or tuple nested in it, holds a boolean."""
+    if isinstance(value, (list, tuple)):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, np.ndarray) and value.dtype == bool)
 
 
 def _numbers(params, names: Sequence[str]) -> None:

@@ -218,14 +218,21 @@ class TestExitCodes:
         # JSON booleans are not numbers
         ({"dimension": True}, "dimension must be a number, got True"),
         ({"sim": {"t_max": True}}, "sim.t_max must be a number, got True"),
+        ({"flow": {"A0": [[True]]}}, "flow.A0 must be a matrix of numbers, got [[True]]"),
+        (("--system", "example1", "--set", "K=[[true, 0]]", "--t-max", "0.1"),
+         "K must be a matrix of numbers, got [[True, 0]]"),
     ], ids=["A0", "dimension", "dimension-fraction", "memory-size", "delay", "J0",
             "history-value", "history-points-ragged", "step", "j-max-fraction",
-            "dimension-bool", "t-max-bool"])
+            "dimension-bool", "t-max-bool", "matrix-bool", "override-matrix-bool"])
     def test_config_errors_name_their_field(self, tmp_path, config, message):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({**MINIMAL_CONFIG, **config}))
-        r = run_cli("simulate", "--config", str(cfg), "--report",
-                    str(tmp_path / "r.json"))
+        # a tuple is the command line of a stock system, a dict a config
+        if isinstance(config, tuple):
+            args = config
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({**MINIMAL_CONFIG, **config}))
+            args = ("--config", str(cfg))
+        r = run_cli("simulate", *args, "--report", str(tmp_path / "r.json"))
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith(f"config error: {message}"), r.stderr
 

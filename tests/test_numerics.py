@@ -1,8 +1,14 @@
 """Matrix-computation tests with brute-force oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hymem
 from hymem.numerics import (InfeasibleError, contraction_factor, expm,
                             solve_discrete_lyapunov, spectral_radius)
 
@@ -106,3 +112,17 @@ class TestContractionFactor:
     def test_indefinite_p_rejected(self):
         with pytest.raises(ValueError):
             contraction_factor(np.eye(2), np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("module", ["hymem", "hymem.cli"])
+def test_import_leaves_scipy_out(module):
+    # only example 1's certificate builder needs scipy; it imports it when
+    # called
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(hymem.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hymem import hybrid_time, solver
-from hymem.hybrid_time import (TIME_TOL, DomainError, History,
+from hymem.hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                                HybridArc, HybridMemoryArc,
                                InsufficientHistoryError, WindowView,
                                constant_memory_arc, memory_arc_from_function,
@@ -508,12 +508,33 @@ def reference_rk4(spec, window, h, k1=None):
 
 @contextlib.contextmanager
 def reference_reads(monkeypatch):
-    """Every read and RK4 step of the solver through the references."""
+    """Every read and RK4 step of the solver through the references: no
+    block of stage reads is built."""
     with monkeypatch.context() as m:
         m.setattr(solver, "_rk4", reference_rk4)
+        m.setattr(solver._StageBlocks, "build", lambda self, s: None)
         m.setattr(History, "value", reference_value)
         m.setattr(hybrid_time, "_interpolate", reference_interpolate)
         yield
+
+
+def count_reads(monkeypatch):
+    """Lists that grow by one at each block call (the array level kernel
+    on a block's stage times) and at each scalar stored read."""
+    blocks, scalar = [], []
+    at, value = BatchView._at, History.value
+
+    def block_call(self, tq):
+        blocks.append(tq.shape[0])
+        return at(self, tq)
+
+    def scalar_read(self, *args):
+        scalar.append(args[0])
+        return value(self, *args)
+
+    monkeypatch.setattr(BatchView, "_at", block_call)
+    monkeypatch.setattr(History, "value", scalar_read)
+    return blocks, scalar
 
 
 def in_place_problem():
@@ -560,6 +581,20 @@ SHARED_READ_CASES = {
     "hermite-case1": (hermite_case1_problem, SimOptions(t_max=3.5, step=5e-3)),
     "short-delay": (short_delay_problem, SimOptions(t_max=1.5, step=2.0 ** -6)),
     "in-place": (in_place_problem, SimOptions(t_max=2.0, step=0.01)),
+    # r = 0.13 is off the step grid (32.5 steps); the resets fall inside
+    # blocks and at their ends
+    "example2-r013": (lambda: example2_problem(
+        dataclasses.replace(Example2Params.case1(), r=0.13), [1.0, 0.0]),
+        SimOptions(t_max=4.0, step=4e-3)),
+    # d = 0.245 is off the step grid, so the last step of a block reads the
+    # newest interval, whose derivative is unknown while the block is built
+    "hermite-newest": (lambda: hermite_delay_problem(0.245),
+                       SimOptions(t_max=1.0, step=0.01)),
+    # the last step is shortened to 0.004
+    "t-max-off-grid": (delay_horizon_problem, SimOptions(t_max=1.234, step=0.01)),
+    # a step that does not divide the reset period: the resets are located
+    "located-resets": (lambda: example2_problem(Example2Params.case1(), [1.0, 0.0]),
+                       SimOptions(t_max=3.5, step=7e-3)),
 }
 
 
@@ -574,19 +609,29 @@ def same_run(a, b):
 
 class TestSharedHalfStepReads:
     """The two half-step stages of a step share their stored-history reads,
-    and a read is one lean scalar interpolation; both give, bit for bit,
-    what the references give."""
+    the stages of a block of steps read them in one array call per delay,
+    and a read left over is one lean scalar interpolation; all give, bit for
+    bit, what the references give."""
 
     @pytest.mark.parametrize("case", sorted(SHARED_READ_CASES))
     def test_simulate_matches_the_references(self, case, monkeypatch):
         problem, opts = SHARED_READ_CASES[case]
         spec, init = problem()
-        got = simulate(spec, init, opts)
+        with monkeypatch.context() as m:
+            # blocks from 2 steps on, whatever they cost
+            m.setattr(solver, "_MIN_STEPS", 2)
+            blocks, _ = count_reads(m)
+            got = simulate(spec, init, opts)
+        assert blocks  # every case reads a delay longer than two steps
         with reference_reads(monkeypatch):
             want = simulate(spec, init, opts)
         same_run(got, want)
-        if case.startswith(("example2", "hermite")):
+        if case.startswith(("example2", "hermite-case1", "located")):
             assert len(got.jumps) >= 3
+        if case == "located-resets":
+            assert any(t % 7e-3 > 1e-9 for t, _ in got.jumps)
+        if case == "t-max-off-grid":
+            assert got.arc.times[-1] - got.arc.times[-2] == pytest.approx(0.004)
 
     @pytest.mark.parametrize("case", sorted(SHARED_READ_CASES))
     def test_reads_match_the_reference_read(self, case):
@@ -631,26 +676,39 @@ class TestSharedHalfStepReads:
         assert len(trials) >= 2  # the bracket's end and a trial
         assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
-    def test_three_stored_reads_per_step(self, monkeypatch):
-        # the stored point's flow selection, one read for both half steps
-        # and one for the full step; four with the reference stages
+    def test_block_calls_and_scalar_reads(self, monkeypatch):
+        # r = 0.432 and step 0.01: the full stage of the m-th step reads
+        # before the block's first point while m <= 42, so a block covers
+        # 43 steps and 250 steps take 6 array calls of 3 rows a step; one
+        # scalar read is left, the flow selection at t_max, which starts no
+        # step.  The reference stages read one at a time, three a step
         spec, init = delay_horizon_problem()
         steps = 250
         opts = SimOptions(t_max=steps * 0.01, step=0.01)
-        reads = []
-        value = History.value
-
-        def counting(self, *args):
-            reads.append(args[0])
-            return value(self, *args)
-
-        monkeypatch.setattr(History, "value", counting)
+        blocks, scalar = count_reads(monkeypatch)
         simulate(spec, init, opts)
-        assert len(reads) == 1 + 3 * steps
-        reads.clear()
+        assert blocks == [3 * 43] * 5 + [3 * 35]
+        assert len(scalar) == 1
+        blocks.clear()
+        scalar.clear()
         monkeypatch.setattr(solver, "_rk4", reference_rk4)
         simulate(spec, init, opts)
-        assert len(reads) == 1 + 4 * steps
+        assert blocks == [3 * 43] * 5 + [3 * 35]
+        assert len(scalar) == 1 + 3 * steps
+
+    @pytest.mark.parametrize("case", ["example1", "example2-case2"])
+    def test_no_block_without_a_long_delay(self, case, monkeypatch):
+        # example 1 reads its delay at jumps only; example 2 case 2 reads
+        # r = 0.05, 10 steps of 5e-3, so a block would cover 9 steps
+        if case == "example1":
+            _, spec, init = example1_at_clock(0.0)
+        else:
+            spec, init = example2_problem(Example2Params.case2(), [1.0, 0.03])
+        blocks, scalar = count_reads(monkeypatch)
+        traj = simulate(spec, init, SimOptions(t_max=1.0, step=5e-3))
+        assert len(traj.jumps) >= 4 and blocks == []
+        assert solver._MIN_STEPS > 9 and len(scalar) > (0 if case == "example1"
+                                                        else 3 * 200)
 
     def test_reads_are_fresh_arrays(self):
         spec, init = short_delay_problem()
@@ -970,6 +1028,23 @@ class TestVerifySolutionMatchesThePointwiseLoop:
         report = assert_same_report(spec, traj)
         assert report.passed
         assert report.derivative_points_checked == 797
+
+    def test_segment_longer_than_a_chunk(self):
+        # 4497 checked points: a chunk of _STACK_ROWS (4096) and one of 401,
+        # with forged kinks in both and across their border
+        spec, traj = delay_horizon_system(45.0)
+        assert solver._STACK_ROWS < 4497
+
+        def kinks(values):
+            for at in (1000, 4097, 4098, 4400):
+                values[at] *= 1.01
+            return values
+
+        report = assert_same_report(spec, traj)
+        assert report.passed and report.derivative_points_checked == 4497
+        report = assert_same_report(spec, forge(traj, 0, kinks))
+        hits = [i.t for i in report.issues if i.kind == "S1.derivative"]
+        assert min(hits) < 40.9 < max(hits)
 
     @pytest.mark.parametrize("build, state, t_max, exact", [
         (lambda: build_example1(Example1Params.paper()), [1.0, 1.0, 0.0, 0.0],
