@@ -4,9 +4,13 @@ Two modes:
 
 * ``reachable``: arcs are memory windows harvested from simulations of the
   system itself, started from random constant histories.  Flow-set windows
-  come from random accepted sample points, jump-set windows from the
-  pre-jump instants, and post-jump arcs from appending the selected jump
-  value.  These arcs are dynamically consistent, which matters for
+  come from random accepted sample points, one per ``POINTS_PER_WINDOW``
+  stored forward points of the simulation (at least ``MIN_FLOW_WINDOWS``),
+  jump-set windows from every pre-jump instant, and post-jump arcs from
+  appending the selected jump value.  What a simulation gives depends on
+  it alone, so the pools fill in simulation order whichever region is
+  drawn first, and the region that needs the most simulations sets their
+  number.  These arcs are dynamically consistent, which matters for
   certificates whose jump condition relies on the delayed state tracking the
   flow (the sampled-data example does).
 * ``cover``: arcs are synthesized directly: clock components follow the
@@ -59,7 +63,8 @@ from .system import GUARD_TOL, SystemSpec
 _REGIONS = ("C", "D", "Gplus")
 AMPLITUDE = (0.1, 2.0)  # range of a random arc's amplitude
 SEGMENT_COUNTS = (0, 1, 2, 3)  # memory jumps of an unclocked cover arc: a run from 0
-_FLOW_CHUNK = 16  # flow points cut per window call while filling the pool
+POINTS_PER_WINDOW = 20  # stored forward points per flow window a simulation yields
+MIN_FLOW_WINDOWS = 8  # the flow windows a simulation yields however short it is
 
 
 @dataclass(frozen=True)
@@ -170,18 +175,24 @@ class ArcSampler:
         delta = self.spec.memory_size
         clock = self.spec.meta.get("clock_index")
         period = self.spec.meta.get("period")
-        # one cut for the jump windows and the first flow points, taken in
-        # a deterministic pseudo-random order until 8 pass; more only if not
+        # flow windows at the points in a deterministic pseudo-random order,
+        # until one per POINTS_PER_WINDOW stored points (at least
+        # MIN_FLOW_WINDOWS) pass.  The take depends on the trajectory alone,
+        # so the pool does not depend on which region was drawn first.  One
+        # cut holds the jump windows and the first 2 * take points; more
+        # only if too few of them pass.
         points = [(t, j) for (t, j, _) in traj.sample_points()]
         order = [points[i] for i in rng.permutation(len(points)).tolist()]
+        take = max(MIN_FLOW_WINDOWS, len(points) // POINTS_PER_WINDOW)
+        chunk = 2 * take
         jumps = list(traj.jumps)
-        windows = memory_windows(traj.arc, jumps + order[:_FLOW_CHUNK], delta)
+        windows = memory_windows(traj.arc, jumps + order[:chunk], delta)
         for nj, w in enumerate(windows[:len(jumps)]):
             self._pool_jump_windows.append((w, f"{tag}:jump{nj}"))
         windows, taken = windows[len(jumps):], 0
-        for a in range(0, len(order), _FLOW_CHUNK):
+        for a in range(0, len(order), chunk):
             if a:
-                windows = memory_windows(traj.arc, order[a:a + _FLOW_CHUNK], delta)
+                windows = memory_windows(traj.arc, order[a:a + chunk], delta)
             for (t, j), w in zip(order[a:], windows):
                 if clock is not None and not 0.0 <= float(w.head[clock]) <= 0.9 * period:
                     continue
@@ -189,7 +200,7 @@ class ArcSampler:
                     continue
                 self._pool_flow_windows.append((w, f"{tag}:flow@({t:.6g},{j})"))
                 taken += 1
-                if taken >= 8:
+                if taken >= take:
                     return
 
     def _reachable(self, region: str, count: int) -> list[tuple[HybridMemoryArc, str]]:

@@ -309,10 +309,10 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
     dim = n + 1 if has_clock else n
     flow_reads = [(-t.delay, t.matrix) for t in flow_terms]
     jump_reads = [(-t.delay, t.matrix) for t in jump_terms]
-    rate, reset = np.ones(1), np.zeros(1)  # the clock's flow and jump values
 
-    def linear(m0, reads, w) -> np.ndarray:
-        out = m0.dot(w.head[:n])
+    def linear(m0, reads, w, out=None) -> np.ndarray:
+        """m0 head + the delayed terms, written into ``out`` when given."""
+        out = m0.dot(w.head[:n], out=out)
         for s, m in reads:
             out += m.dot(w.delayed(s)[:n])
         return out
@@ -336,14 +336,20 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
             return -abs(period - float(w.head[n]))
 
         def flow_selection(w) -> np.ndarray:
-            return np.concatenate((linear(a0, flow_reads, w), rate))
+            out = np.empty(dim)  # the state, then the clock's rate
+            out[n] = 1.0
+            linear(a0, flow_reads, w, out[:n])
+            return out
 
         def flow_batch(w) -> np.ndarray:
             rates = np.ones((w.head.shape[0], 1))
             return np.hstack((linear_batch(a0, flow_reads, w), rates))
 
         def jump_selections(w) -> list[np.ndarray]:
-            return [np.concatenate((linear(j0, jump_reads, w), reset))]
+            out = np.empty(dim)  # the state, then the clock's reset
+            out[n] = 0.0
+            linear(j0, jump_reads, w, out[:n])
+            return [out]
     else:
         def flow_guard(w) -> float:
             return 1.0

@@ -1,14 +1,19 @@
 """Sampler guarantees: region guards, memory-class membership, determinism."""
 
+import dataclasses
 import math
+from collections import Counter
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from hymem.batch import _STACK_ROWS
+from hymem.builtin import (example1_razumikhin_certificate,
+                           example2_krasovskii_certificate)
+from hymem.certificates import check_krasovskii, check_razumikhin
 from hymem.hybrid_time import ArcSegment, HybridMemoryArc, append_jump
-from hymem.sampling import AMPLITUDE, SEGMENT_COUNTS, ArcSampler
+from hymem.sampling import AMPLITUDE, MIN_FLOW_WINDOWS, SEGMENT_COUNTS, ArcSampler
 from hymem.system import (DelayTerm, Example1Params, Example2Params,
                           LinearDelayConfig, build_example1, build_example2,
                           build_linear_delay_system)
@@ -308,22 +313,93 @@ def _arcs_bytes(samples):
     return [(s.origin, _arc_bytes(s.arc)) for s in samples]
 
 
-@pytest.mark.parametrize("name, spec", _reference_systems(),
-                         ids=[name for name, _ in _reference_systems()])
-def test_cover_arcs_are_prefixes_and_ignore_call_order(name, spec):
+_ORDER_CASES = ([("cover", name, spec) for name, spec in _reference_systems()]
+                + [("reachable", name, spec) for name, spec in _systems()[:2]])
+
+
+@pytest.mark.parametrize("mode, name, spec", _ORDER_CASES,
+                         ids=[f"{mode}-{name}" for mode, name, _ in _ORDER_CASES])
+def test_arcs_are_prefixes_and_ignore_call_order(mode, name, spec):
     """sample(r, n) is a byte prefix of sample(r, m) for n < m, and drawing
-    another region first leaves a region's arcs as they are."""
-    sampler = ArcSampler(spec, seed=4, mode="cover")
+    another region first leaves a region's arcs as they are: a cover arc
+    reads its own row of its region's stream, and the reachable pool grows
+    a trajectory at a time, each giving the windows its own length sets."""
+    sampler = ArcSampler(spec, seed=4, mode=mode)
     regions = [r for r in ("C", "D", "Gplus") if sampler.region_supported(r)]
     for region in regions:
         longest = _arcs_bytes(sampler.sample(region, 150))
         for n in (1, 37, 149):
             assert _arcs_bytes(sampler.sample(region, n)) == longest[:n], (region, n)
-    first_c = _arcs_bytes(ArcSampler(spec, seed=4, mode="cover").sample("C", 60))
-    other = ArcSampler(spec, seed=4, mode="cover")
+    flows_first = ArcSampler(spec, seed=4, mode=mode)
+    first_c = _arcs_bytes(flows_first.sample("C", 60))
+    other = ArcSampler(spec, seed=4, mode=mode)
     for region in regions[:0:-1]:  # D and Gplus, when there are jumps
-        other.sample(region, 80)
+        assert _arcs_bytes(other.sample(region, 80)) \
+            == _arcs_bytes(flows_first.sample(region, 80)), region
     assert _arcs_bytes(other.sample("C", 60)) == first_c
+
+
+@pytest.mark.parametrize("name, spec, sims, per_trajectory", [
+    ("ex1", _systems()[0][1], [7, 13, 13], 16),
+    ("ex2c2", _systems()[1][1], [2, 4, 4], 51),
+], ids=["ex1", "ex2c2"])
+def test_reachable_pool_simulation_counts(name, spec, sims, per_trajectory):
+    """Simulations run to draw 200 arcs of C, then D, then Gplus in
+    ``both`` mode (100 from the pool each), and the flow windows each
+    trajectory gives: one per POINTS_PER_WINDOW stored points, 332 points
+    on example 1 and 1029 on example 2 case 2.  At a fixed 8 flow windows
+    a trajectory the C draw alone ran 13 simulations on both systems, so
+    the counts were [13, 13, 13].  Now the jumps set them: 8 a trajectory
+    on example 1, 25 on example 2 case 2."""
+    sampler = ArcSampler(spec, seed=0, mode="both")
+    counts = []
+    for region in ("C", "D", "Gplus"):
+        sampler.sample(region, 200)
+        counts.append(sampler._pool_sims)
+    assert counts == sims
+    taken = Counter(origin.partition(":flow")[0]
+                    for _, origin in sampler._pool_flow_windows)
+    assert len(taken) == sims[-1]
+    assert set(taken.values()) == {per_trajectory}
+    assert per_trajectory > MIN_FLOW_WINDOWS
+
+
+# razumikhin-reachable's open-loop control: the sampler seed at each
+# workload seed 1-3, and the violating arcs of 600 (28.7, 29.8 and 29.7 per
+# 100) at a fixed 8 flow windows a trajectory
+_OPEN_LOOP_CONTROLS = [(1740671847, 172), (201393339, 179), (63848401, 178)]
+
+
+@pytest.mark.parametrize("seed, floor", _OPEN_LOOP_CONTROLS)
+def test_reachable_open_loop_control_keeps_its_violation_rate(seed, floor):
+    """Example 1 with K = [[0, 0]]: reachable arcs violate the nominal
+    Razumikhin certificate at least as often as at a fixed 8 flow windows
+    a trajectory, which drew C from more independent histories."""
+    params = dataclasses.replace(Example1Params.paper(), K=[[0.0, 0.0]])
+    spec, target = build_example1(params)
+    cert, _ = example1_razumikhin_certificate(params)
+    report = check_razumikhin(spec, cert, ArcSampler(spec, seed=seed), samples=600,
+                              target=target)
+    assert report.checked == 600 and _violating_arcs(report) >= floor
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reachable_enlarged_period_control_keeps_its_violation_rate(seed):
+    """Example 2 with period 0.75, where rho >= exp(-sigma delta) breaks the
+    jump condition: 180 of 600 reachable arcs (30.0 per 100) violate it at a
+    fixed 8 flow windows a trajectory, every one in krasovskii.iii."""
+    params = Example2Params(a=0.5, b=0.25, rho=0.5, r=0.05, delta=0.75,
+                            sigma=2.0, mu=0.5)
+    spec, target = build_example2(params)
+    cert, _ = example2_krasovskii_certificate(params)
+    report = check_krasovskii(spec, cert, ArcSampler(spec, seed=seed), samples=600,
+                              target=target)
+    assert report.checked == 600 and _violating_arcs(report) >= 180
+    assert {v.condition for v in report.violations} == {"krasovskii.iii"}
+
+
+def _violating_arcs(report):
+    return len({(v.region, v.index) for v in report.violations})
 
 
 class _Rows:
