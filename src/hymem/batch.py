@@ -6,8 +6,8 @@ stored sample of a :class:`~hymem.hybrid_time.History`, and its subclass
 :class:`BatchView` at many at once: one stage rule, two reads of the
 stored history.  Those two level kernels stay apart for speed, the scalar
 loop of :meth:`~hymem.hybrid_time.HybridArc.value` (one sample a read) and
-the batch view's array search, :meth:`BatchView._at`, which also reads the
-solver's blocks of stage reads; a change to the level rule changes both.
+the batch view's array search, :meth:`BatchView._at`, which also makes the
+solver's reads ahead; a change to the level rule changes both.
 This module holds the operators' one implementation.
 Arcs are joined back to back in one History, each a row with its own
 levels, and every operation runs on whole arrays of levels, pieces and
@@ -86,12 +86,12 @@ class WindowView:
     line depends on the head and is never kept.  Every read returns a fresh
     array.  A :class:`BatchView` differs only in its stored-history read.
 
-    Block reads: the solver gives its stored view a :class:`_StepReads`
-    cache, which holds the rows that blocks of stage reads (see
-    :mod:`hymem.solver`) keep for the view's step, and :meth:`extend` hands
-    each RK4 stage a cache of that stage's rows.  A row is the stored read
-    at the same time, through :class:`BatchView`'s level kernel, so
-    :meth:`delayed` returns the same bits from it.
+    Reads made ahead: the solver's store carries a table ``ahead`` of
+    stored reads keyed by their absolute time tq (see :mod:`hymem.solver`),
+    and :meth:`_stored` looks tq up there first; a miss at a stored view
+    (dt = 0) asks the table to build a block.  A row is the stored read at
+    its time, through :class:`BatchView`'s level kernel, so :meth:`delayed`
+    returns the same bits from it, whichever view asks.
     """
 
     __slots__ = ("history", "index", "segment", "head", "dt", "reads", "floor")
@@ -121,9 +121,7 @@ class WindowView:
         return view
 
     def extend(self, dt: float, x: np.ndarray) -> "WindowView":
-        reads = self.reads
-        stages = reads.stages if type(reads) is _StepReads else None
-        return self._moved(x, dt, {} if stages is None else stages.get(dt, {}))
+        return self._moved(x, dt, {})
 
     def with_head(self, x: np.ndarray) -> "WindowView":
         """The view at the same point and stage time with head x; it shares
@@ -144,25 +142,18 @@ class WindowView:
         return x.copy()
 
     def _stored(self, q: float) -> np.ndarray:
-        """The stored history q after the view's sample, by History.value."""
+        """The stored history q after the view's sample: the store's row
+        made ahead at that time, else History.value."""
         hist = self.history
-        return hist.value(hist.times.item(self.index) + q, self.segment,
-                          self.index + 1, self.floor)
-
-
-class _StepReads(dict):
-    """The read cache of the solver's stored view in the step ``key`` (t,
-    h): it starts with the rows its step's blocks hold, and at a miss of a
-    delay s it asks ``blocks.build(s)`` for the row of a block that starts
-    at this step.  ``stages`` maps the stage offsets h/2 and h to their
-    caches, which :meth:`WindowView.extend` hands on; it is None while the
-    step has no rows."""
-
-    __slots__ = ("blocks", "key", "stages")
-
-    def get(self, s: float) -> np.ndarray | None:
-        x = dict.get(self, s)
-        return self.blocks.build(s) if x is None else x
+        t = hist.times.item(self.index)
+        ahead = hist.ahead
+        if ahead is not None:
+            x = ahead.get(t + q)
+            if x is None and self.dt == 0.0:
+                x = ahead.build(t, q)
+            if x is not None:
+                return x.copy()
+        return hist.value(t + q, self.segment, self.index + 1, self.floor)
 
 
 class BatchView(WindowView):
@@ -343,9 +334,9 @@ def _cut_rows(st: History, row, key, lv, a, b, lo, hi, pre, post, shift, derivs,
 
 
 def _check_points(st: History, row, t, j) -> None:
-    """DomainError naming the first query (row, t, j) whose point is not in
-    its row's domain up to TIME_TOL (at (0, 0) the memory side's level
-    counts): ``HybridArc._level_at``'s rule."""
+    """DomainError naming the first query (row, t, j) whose time t lies on
+    no level of its row with jump index j, up to TIME_TOL (at j = 0, the
+    memory side's level for t <= 0 and the forward side's for t >= 0)."""
     m, base = st.memory[row], st.spans[row]
     size = st.spans[row + 1] - base
     found = np.zeros(row.shape, dtype=bool)

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .batch import _blocks, append_jumps, memory_windows, sup_norm_w, vbar
+from .batch import _blocks, append_jumps, memory_windows, sup_norm_w
 from .hybrid_time import HybridMemoryArc
 from .sampling import ArcSample, ArcSampler
 from .solver import PreconditionError, Trajectory, flow_windows
@@ -567,7 +567,7 @@ def check_vbar_monotone(traj: Trajectory, v: Callable[[np.ndarray], float],
     """Windowed maximum of V must be non-increasing along the trajectory.
     The windows are cut and maximised ``_VBAR_POINTS`` points at a time."""
     points = [(t, j) for t, j, _ in traj.sample_points()]
-    maxima = np.concatenate([vbar(memory_windows(
+    maxima = np.concatenate([sup_norm_w(memory_windows(
         traj.arc, points[i:i + _VBAR_POINTS], delta), v, batch=v_batch)
         for i in range(0, len(points), _VBAR_POINTS)]).tolist()
     first = next(((t, j, prev, cur) for (t, j), prev, cur

@@ -206,7 +206,8 @@ _io_options = [
 ]
 
 # Only the commands that draw random arcs or initial states take a seed.
-_seed_option = click.option("--seed", type=int, default=0, show_default=True,
+_seed_option = click.option("--seed", type=click.IntRange(0), default=0,
+                            show_default=True,
                             help="Seed of the sampled arcs or initial states.")
 
 _sim_flag_options = [

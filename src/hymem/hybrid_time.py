@@ -293,24 +293,6 @@ class HybridArc:
     def forward_segments(self) -> tuple[ArcSegment, ...]:
         return self.all_segments()[self.n_memory:]
 
-    def _level_at(self, t: float, j: int) -> tuple[int, int]:
-        """(first, end) indices of the level holding hybrid time (t, j), up
-        to TIME_TOL (at (0, 0) the memory side's); DomainError if none."""
-        m, levels = self.n_memory, self.levels()
-        for k, first, end, side in ((m - 1 + j, 0, m, j < 0 or t <= TIME_TOL),
-                                    (m + j, m, len(levels), j > 0 or t >= -TIME_TOL)):
-            if side and first <= k < end:
-                a, b = levels[k]
-                if self.times.item(a) - TIME_TOL <= t <= self.times.item(b - 1) + TIME_TOL:
-                    return a, b
-        raise DomainError(f"point (t={t}, j={j}) is not in the arc domain", t, j)
-
-    def eval(self, t: float, j: int) -> np.ndarray:
-        """Value at hybrid time (t, j), interpolated within its level."""
-        a, b = self._level_at(t, j)
-        return _interpolate(self.times, self.values, self.derivs, t,
-                            self.interpolation, a, b, self.known)
-
     def value(self, tq: float, segment: int | None = None,
               end: int | None = None, floor: int = 0) -> np.ndarray:
         """Value at time tq on the newest jump level whose first sample is at
@@ -386,11 +368,6 @@ class HybridMemoryArc(HybridArc):
         """Value at (0, 0)."""
         return self.values[self.n - 1]
 
-    @property
-    def time_reach(self) -> float:
-        """Oldest time covered by the arc (a nonpositive number)."""
-        return self.times.item(0)
-
     #: Value at (s, k(s)), k(s) the maximal jump index at time s.
     delayed = HybridArc.value
 
@@ -413,8 +390,11 @@ class History(HybridArc):
     table, built at its first read: per level, ``first`` and ``end`` are
     its index range, ``jump`` its jump index and ``row`` its row; row i's
     levels are ``spans[i]:spans[i + 1]``, ``memory[i]`` of them memory
-    levels.
+    levels.  ``ahead`` is the solver's table of stored reads made ahead
+    (see :mod:`hymem.solver`), None on every other store.
     """
+
+    ahead = None
 
     def __init__(self, arcs: Sequence[HybridArc], delta: float | None = None,
                  room: int = 0):

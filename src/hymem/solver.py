@@ -30,24 +30,23 @@ array, so a selection map may write into it.  An infinite time horizon needs
 a declared jump period.  The solver is deterministic: identical inputs
 produce bit-identical trajectories.
 
-Block reads (the method of steps): while the stage times t' of the next
-steps satisfy t' + s < t for a delay s the flow reads, t the newest stored
-time, those reads touch only stored history.  At the first stored read of
-s in a step, the solver reads the stored point, half-step and full-step
-stages of as many of the next steps as its own step recurrence allows, in
-one call of :class:`~hymem.hybrid_time.BatchView`'s level kernel, the
-array read every batch view makes; each row is bit for bit the scalar read
-it stands for.  A block needs ``_MIN_STEPS`` (24) steps, since a build
-costs about the scalar reads of 12, and it ends at a located event, at a
-jump and at a step that leaves the recurrence.  Its rows reach the views
-through their read caches (see :class:`~hymem.hybrid_time.WindowView`).
-A flow that reads no stored delay builds none; guards, jump maps, event
-trials and delays of at most 24 steps read one at a time.
+Reads made ahead (the method of steps): a stage read at a time before the
+newest stored sample is final, since no later step changes it.  So at a
+stored read of a delay s that misses, the solver's table
+(:class:`_ReadAhead`, carried as ``History.ahead``) reads the stages of as
+many of the next steps as its step recurrence allows in one call of
+:class:`~hymem.hybrid_time.BatchView`'s level kernel, bit for bit the
+scalar reads, and keys each row by the time it reads; every view of the
+store looks that time up first.  A block needs ``_MIN_STEPS`` (24) steps,
+since a build costs about the scalar reads of 12; a flow that reads no
+stored delay builds none, and event trials and delays of at most 24 steps
+read one at a time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -55,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import _STACK_ROWS, _blocks, _StepReads, memory_windows, sup_norm_w
+from .batch import _STACK_ROWS, _blocks, memory_windows, sup_norm_w
 from .hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                           HybridArc, HybridMemoryArc, WindowView,
                           validate_domain)
@@ -110,6 +109,10 @@ class SimOptions:
             raise ValueError("step must be positive")
         if self.event_tol <= 0:
             raise ValueError("event_tol must be positive")
+        for name in ("j_max", "max_consecutive_jumps"):  # NaN would never stop
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.t_max <= 0 or self.j_max <= 0:
             raise ValueError("horizons must be positive")
         if self.jump_priority not in ("jump", "flow"):
@@ -250,83 +253,49 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
 _MIN_STEPS = 24
 
 
-class _StageBlocks:
-    """Blocks of stage reads: the stored-history reads of the Runge-Kutta
-    stages of the next steps, one array call per delay (the method of
-    steps).
+class _ReadAhead(dict):
+    """Stored reads made ahead (the method of steps): the solver's table of
+    rows keyed by their absolute read time tq, which its store carries as
+    ``History.ahead`` and every view of that store looks up first.
 
-    A block of a delay s holds, for each of the next K steps (t, h), the
-    stored reads at t + (dt + s) for the stages dt = 0, h/2 and h, read by
+    A miss at a stored view (dt = 0) of the time t reading a delay s asks
+    :meth:`build` for a block of s: the stored reads at t_k + s, t_k + (h_k/2
+    + s) and t_k + (h_k + s), the RK4 stage times of each of the next K
+    steps (t_k, h_k), predicted by the solver's recurrence h = min(step,
+    t_max - t), t += h from t_0 = t, all in one call of
     :class:`~hymem.hybrid_time.BatchView`'s level kernel: bit for bit the
-    scalar reads.  It is built at the first stored read of s in a step
-    (:class:`~hymem.batch._StepReads`).  K is the largest count, at most a
-    third of ``_STACK_ROWS``, for which every such time, with (t, h)
-    predicted by the solver's recurrence h = min(step, t_max - t), t += h,
-    lies strictly before the newest stored time; on a Hermite store whose
-    newest derivative is still unknown, before the time of the sample
-    before it.  So a block reads only stored samples and derivatives that
-    no later step changes.  Fewer than ``_MIN_STEPS`` steps make no block,
-    and s makes none until :meth:`drop`, since K depends on s, h and the
-    horizon alone.  A step that leaves the prediction (a shortened step)
-    finds no rows and builds a new block; :meth:`drop` ends every block at
-    a located event and at a jump.  After a step that read no block row,
-    ``on`` is False and the stored views read one at a time until
-    :meth:`drop`, so a flow that reads no long delay pays one cache per
-    reset.
+    scalar reads.  K is the largest count, at most a third of
+    ``_STACK_ROWS``, for which every such time lies strictly before the
+    newest stored time; on a Hermite store whose newest derivative is still
+    unknown, before the time of the sample before it.  So a row reads only
+    stored samples and derivatives that no later step changes: it is the
+    final read at its time, whichever view asks, and a step that leaves the
+    prediction only misses.  A block replaces its delay's previous one;
+    fewer than ``_MIN_STEPS`` steps make none, and s makes none until
+    :meth:`drop`, since K depends on s, h and the horizon alone.  The solver
+    drops the table at a jump and at a dropped step end, whose guards may
+    have built rows bounded by the dropped sample.
     """
 
     def __init__(self, hist: History, opts: SimOptions):
         self.hist, self.opts = hist, opts
-        self.reads = _StepReads()  # the stored view's cache, step by step
-        self.reads.blocks, self.reads.key = self, None
-        self.on = True  # whether the stored views read through the blocks
-        self.blocks = {}  # s -> ({(t, h): first row of the step}, rows)
+        self.blocks = {}  # s -> the read times of its block
         self.short = set()  # the delays whose blocks are too short
 
-    def at(self, t: float, h: float) -> _StepReads | None:
-        """The stored view's read cache in the step (t, h), which the view
-        holds for that step only, with the rows of the blocks there; None,
-        and ``on`` False, after a step that read no block row."""
-        reads = self.reads
-        if reads.key is not None and reads.stages is None:
-            self.on = False
-            return None
-        reads.clear()
-        key = reads.key = (t, h)
-        reads.stages = None
-        for s, (first, rows) in self.blocks.items():
-            i = first.get(key)
-            if i is not None:
-                self._hand(s, rows[i:i + 3])
-        return reads
-
-    def _hand(self, s: float, rows: list) -> None:
-        """Put a step's three rows of s in its stage caches, which are one
-        per step, since a stage's reads depend on its time alone."""
-        reads = self.reads
-        if reads.stages is None:
-            _, h = reads.key
-            reads.stages = {h / 2: {}, h: {}}
-        reads[s] = rows[0]
-        for stage, x in zip(reads.stages.values(), rows[1:]):
-            stage[s] = x
-
-    def build(self, s: float) -> np.ndarray | None:
-        """The stored read of s in the current step, from a block of s that
-        starts there; None when no block is built."""
+    def build(self, t: float, s: float) -> np.ndarray | None:
+        """The row at t + s of a new block of s from the step at t; None
+        when no block is built."""
         if s in self.short:
             return None
-        hist, opts, reads = self.hist, self.opts, self.reads
+        hist, opts = self.hist, self.opts
         newest = hist.n - 1
         bound = hist.times.item(newest - 1 if hist.interpolation == "hermite"
                                 and not hist.known[newest] else newest)
-        t, h = reads.key
-        steps, tq = [], []
-        while len(steps) < _STACK_ROWS // 3:
+        h, tq = min(opts.step, opts.t_max - t), []
+        while len(tq) < 3 * (_STACK_ROWS // 3):
             last = t + (h + s)  # the stage that reads latest
             if not last < bound:
                 break
-            steps.append((t, h))
             tq += (t + s, t + (h / 2 + s), last)
             t += h
             if t >= opts.t_max - TIME_TOL:
@@ -334,19 +303,20 @@ class _StageBlocks:
             h = min(opts.step, opts.t_max - t)
             if not h > TIME_TOL:
                 break
-        if len(steps) < _MIN_STEPS:
+        if len(tq) < 3 * _MIN_STEPS:
             self.short.add(s)
             return None
-        tq = np.array(tq)
-        rows = list(BatchView(hist, np.full(tq.shape, newest))._at(tq))
-        self.blocks[s] = (dict(zip(steps, range(0, len(rows), 3))), rows)
-        self._hand(s, rows[:3])
+        rows = BatchView(hist, np.full(len(tq), newest))._at(np.array(tq))
+        for old in self.blocks.pop(s, ()):
+            self.pop(old, None)
+        self.blocks[s] = tq
+        self.update(zip(tq, rows))
         return rows[0]
 
     def drop(self) -> None:
+        self.clear()
         self.blocks.clear()
         self.short.clear()
-        self.reads.key, self.on = None, True
 
 
 def _judge(spec: SystemSpec, hist: History) -> tuple[WindowView, bool, bool]:
@@ -396,7 +366,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
 
     hist = History([init], spec.memory_size, room=64)
     hist.start_segment(0.0, np.array(init.head, dtype=float))
-    blocks = _StageBlocks(hist, opts)
+    ahead = hist.ahead = _ReadAhead(hist, opts)
     t, j = 0.0, 0
     termination = Termination.horizon_reached
     consecutive_jumps = 0
@@ -406,8 +376,6 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
         while True:
             h = min(opts.step, opts.t_max - t)
             if in_c:
-                if blocks.on:  # the flow selection and its stages read the blocks
-                    w.reads = blocks.at(t, h)
                 hist.derivs[w.index] = np.asarray(spec.flow_selection(w), dtype=float)
                 hist.known[w.index] = True
             if t >= opts.t_max - TIME_TOL or j >= opts.j_max:
@@ -417,13 +385,12 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                     and not (in_d and opts.jump_priority == "jump")):
                 k1 = hist.derivs[w.index]
                 x_new, _ = _rk4(spec, w, h, k1)
-                w.reads = None  # guards and event trials read one at a time
                 hist.append(t + h, x_new)
                 end = _judge(spec, hist)
                 if not end[1] or (end[2] and opts.jump_priority == "jump"):
                     # the step end crossed a guard: drop it (its derivative
                     # slot is still unwritten) and store the located crossing
-                    blocks.drop()
+                    ahead.drop()
                     hist.n -= 1
                     guard = "jump" if end[1] else "flow"
                     h, x_new = locate_event(spec, w, h, guard, opts.event_tol,
@@ -438,7 +405,6 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                     consecutive_jumps = 0
                     continue
             # flow cannot progress past the boundary, or w is not in C
-            w.reads = None
             if not in_d:
                 termination = Termination.left_C_and_D
                 break
@@ -453,7 +419,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                     "offers no candidate")
             g = np.array(candidates[0], dtype=float)
             j += 1
-            blocks.drop()
+            ahead.drop()
             hist.start_segment(t, g)
             w, in_c, in_d = _judge(spec, hist)
     except DomainError as exc:

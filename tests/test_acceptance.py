@@ -236,7 +236,9 @@ def test_criterion_5_semantics_invariants():
             for ts, vs in zip(seg.times, seg.values):
                 if ts + seg.jump_index - 1 < -w.delta - 1 - 1e-12:
                     continue
-                assert np.array_equal(psi.eval(float(ts), seg.jump_index - 1), vs)
+                a, b = psi.levels()[psi.n_memory + seg.jump_index - 2]
+                i = a + int(np.searchsorted(psi.times[a:b], ts))
+                assert i < b and psi.times[i] == ts and np.array_equal(psi.values[i], vs)
 
     # verify_solution on a batch of solver outputs
     verified = 0

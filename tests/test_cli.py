@@ -272,6 +272,15 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "is not in the range x>=1" in r.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("check-razumikhin", "--system", "example1"),
+        ("check-kl", "--system", "example1"),
+    ], ids=["check-razumikhin", "check-kl"])
+    def test_negative_seed_exits_two(self, args):
+        r = run_cli(*args, "--seed", "-1")
+        assert r.returncode == 2, r.stderr
+        assert "is not in the range x>=0" in r.stderr
+
     def test_small_eta_grid_runs(self):
         # initial sizes are drawn below the largest eta, however small
         r = run_cli("check-kl", "--system", "example2", "--t-max", "1",

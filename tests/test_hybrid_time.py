@@ -144,20 +144,34 @@ class TestValidateDomain:
         assert self.violated([(-1.0, -0.5, 0)], []) == "memory domain must end at t = 0"
 
 
-class TestEvalArc:
+def stored_value(arc, t, j):
+    """The value stored at time t on the memory arc's level of jump index j,
+    read from that level's stored arrays."""
+    a, b = arc.levels()[arc.n_memory - 1 + j]
+    i = a + int(np.searchsorted(arc.times[a:b], t))
+    assert i < b and arc.times[i] == t, (t, j)
+    return arc.values[i]
+
+
+class TestArcValue:
     def test_endpoint_sample(self):
         arc = decay_arc()
-        assert arc.eval(0.0, 0)[0] == 1.0
+        assert arc.value(0.0)[0] == 1.0
 
     def test_interior_against_closed_form(self):
         arc = decay_arc()
         # linear interpolation on a 0.01 grid of e^-t is accurate to ~1.25e-5
-        assert arc.eval(0.5, 0)[0] == pytest.approx(np.exp(-0.5), abs=2e-5)
+        assert arc.value(0.5)[0] == pytest.approx(np.exp(-0.5), abs=2e-5)
 
     def test_off_domain_raises(self):
-        arc = decay_arc()
-        with pytest.raises(DomainError):
-            arc.eval(1.5, 0)
+        arc = decay_arc(history_span=0.5)
+        with pytest.raises(DomainError, match="after the stored history"):
+            arc.value(1.5)
+        with pytest.raises(DomainError, match="precedes all stored history"):
+            arc.value(-0.6)
+        for t, j in [(1.5, 0), (0.5, -1), (0.5, 1)]:
+            with pytest.raises(DomainError, match="not in the arc domain"):
+                memory_windows(arc, [(t, j)], 0.5)
 
     def test_hermite_beats_linear(self):
         ts = np.linspace(0.0, 1.0, 11)
@@ -166,8 +180,8 @@ class TestEvalArc:
         lin = HybridArc(ts, vals, [0], 0, interpolation="linear")
         her = HybridArc(ts, vals, [0], 0, derivs, interpolation="hermite")
         x = 0.55
-        assert abs(her.eval(x, 0)[0] - np.exp(-x)) < \
-            abs(lin.eval(x, 0)[0] - np.exp(-x)) / 50
+        assert abs(her.value(x)[0] - np.exp(-x)) < \
+            abs(lin.value(x)[0] - np.exp(-x)) / 50
 
 
 def _memory_arc(times, values, derivs):
@@ -415,7 +429,7 @@ class TestMemoryWindow:
         arc = decay_arc(history_span=1.0)
         w = memory_window(arc, 0.0, 0, 1.0)
         assert w.head[0] == 1.0
-        assert w.time_reach == pytest.approx(-1.0)
+        assert w.times[0] == pytest.approx(-1.0)
 
     def test_constant_arc_windows_are_constant(self):
         mem = [seg(0, np.linspace(-1.5, 0, 16), np.full(16, 2.5))]
@@ -553,7 +567,7 @@ class TestAppendJump:
         phi = memory_arc_of([seg(0, [0.0], [4.0])], 0.0)
         psi = append_jump(phi, np.array([7.0]))
         assert psi.head[0] == 7.0
-        assert psi.eval(0.0, -1)[0] == 4.0
+        assert stored_value(psi, 0.0, -1)[0] == 4.0
 
     def test_shift_identity_exact(self):
         rng = np.random.default_rng(11)
@@ -567,7 +581,7 @@ class TestAppendJump:
             for t, v in zip(s.times, s.values):
                 if t + s.jump_index - 1 < -w.delta - 1 - 1e-12:
                     continue
-                assert psi.eval(float(t), s.jump_index - 1)[0] == v[0]
+                assert stored_value(psi, t, s.jump_index - 1)[0] == v[0]
 
     def test_truncation_keeps_membership(self):
         phi = memory_arc_of([seg(0, np.linspace(-1.5, 0, 31),
@@ -642,7 +656,7 @@ class TestHistory:
                 # shared jump-boundary times read the post-jump value
                 boundaries = [tj - t for tj, _ in traj.jumps if tj <= t]
                 for s in np.concatenate([grid, boundaries]):
-                    if s < window.time_reach:
+                    if s < window.times.item(0):
                         continue
                     got, want = view.delayed(float(s)), window.delayed(float(s))
                     assert got.tobytes() == want.tobytes(), (t, j, s)
@@ -1201,7 +1215,7 @@ class TestArraySlicing:
         rng = np.random.default_rng(29)
         pieces = 0
         for phi in arcs:
-            reach = phi.time_reach
+            reach = phi.times.item(0)
             for lo, hi in [(-p.r, 0.0), (reach, 0.0),
                            *sorted(rng.uniform(reach, 0.0, (3, 2)).tolist())]:
                 lo, hi = min(lo, hi), max(lo, hi)
@@ -1333,9 +1347,22 @@ def _cut(arc, pieces, shift, delta):
                                known, arc.interpolation, delta=delta)
 
 
+def reference_level_at(arc, t, j):
+    """(first, end) indices of the level holding hybrid time (t, j), up to
+    TIME_TOL (at (0, 0) the memory side's); DomainError if none."""
+    m, levels = arc.n_memory, arc.levels()
+    for k, first, end, side in ((m - 1 + j, 0, m, j < 0 or t <= TIME_TOL),
+                                (m + j, m, len(levels), j > 0 or t >= -TIME_TOL)):
+        if side and first <= k < end:
+            a, b = levels[k]
+            if arc.times[a] - TIME_TOL <= t <= arc.times[b - 1] + TIME_TOL:
+                return a, b
+    raise DomainError(f"point (t={t}, j={j}) is not in the arc domain", t, j)
+
+
 def reference_memory_window(arc, t, j, delta):
     """memory_window one level at a time."""
-    arc._level_at(t, j)
+    reference_level_at(arc, t, j)
     dinf = reference_delta_inf(arc, t, j, delta)
     pieces = []
     for level, (a0, b0) in enumerate(arc.levels()):
@@ -1603,7 +1630,7 @@ class TestHistoryOfMemoryArc:
             [seg(-1, np.linspace(-0.85, -0.4, 10), np.linspace(2.0, 1.0, 10)),
              seg(0, np.linspace(-0.4, 0.0, 9), np.cos(np.linspace(-0.4, 0, 9)))],
             0.9)
-        grid = np.concatenate([np.linspace(phi.time_reach, 0.0, 57),
+        grid = np.concatenate([np.linspace(phi.times.item(0), 0.0, 57),
                                [-0.4, -0.4 - 1e-13, 1e-13]])
         first = [phi.delayed(float(s)).tobytes() for s in grid]
         again = [phi.delayed(float(s)).tobytes() for s in grid]
@@ -1829,7 +1856,7 @@ def test_append_shift_property(arc, gval):
         for t, v in zip(s.times, s.values):
             if t + s.jump_index - 1 < -w.delta - 1 - 1e-12:
                 continue
-            assert psi.eval(float(t), s.jump_index - 1)[0] == v[0]
+            assert stored_value(psi, t, s.jump_index - 1)[0] == v[0]
 
 
 def _revalidate(phi):
@@ -1871,7 +1898,7 @@ def test_window_cuts_of_a_solution_pass_the_checks():
             w = memory_window(arc, float(t), s.jump_index, traj.memory_size)
             _revalidate(w)
             _revalidate(append_jump(w, np.array([1.0, 0.0])))
-            joined += s.jump_index == 0 and w.time_reach < -t
+            joined += s.jump_index == 0 and w.times.item(0) < -t
     assert joined > 10
 
 
@@ -1895,7 +1922,7 @@ def test_window_operators_match_the_segment_references_property(arc, kind, data)
     assert_same_cut(append_jump(w, g), segment_list_append_jump(w, g))
     # a joined level 0 that has derivatives on its forward part only reads
     # them there, where the segment lists read that level linearly
-    lo = data.draw(st.floats(w.time_reach, 0.0))
+    lo = data.draw(st.floats(w.times.item(0), 0.0))
     if kind != "hermite-forward":
         assert (delayed_sq_integral([w], lo, 0.0)[0]
                 == reference_delayed_sq_integral(w, lo, 0.0))

@@ -255,6 +255,14 @@ class TestSimOptions:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SimOptions(**{field: float("inf")})
 
+    @pytest.mark.parametrize("field", ["j_max", "max_consecutive_jumps"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0, True, float("inf")])
+    def test_jump_bounds_must_be_integers(self, field, value):
+        # a NaN bound would never stop a clocked run or trip the Zeno guard
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimOptions(**{field: value})
+        assert getattr(SimOptions(**{field: np.int64(3)}), field) == 3
+
     def test_infinite_horizon_is_bounded_by_the_jump_horizon(self):
         p, spec, init = example1_at_clock(0.0)
         traj = simulate(spec, init, SimOptions(t_max=float("inf"), j_max=3,
@@ -289,7 +297,7 @@ class TestSimulateClosedForms:
         init = const_history(spec, [1.0, 0.0])
         traj = simulate(spec, init, SimOptions(t_max=1.0, step=1e-3))
         assert traj.termination is Termination.horizon_reached
-        assert traj.arc.eval(1.0, 0)[0] == pytest.approx(np.exp(-1.0), abs=1e-6)
+        assert traj.arc.value(1.0)[0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
     def test_precondition_outside_both_sets(self):
         p = Example2Params(a=-1.0, b=0.0, rho=1.0, r=0.1, delta=0.5)
@@ -512,7 +520,7 @@ def reference_reads(monkeypatch):
     block of stage reads is built."""
     with monkeypatch.context() as m:
         m.setattr(solver, "_rk4", reference_rk4)
-        m.setattr(solver._StageBlocks, "build", lambda self, s: None)
+        m.setattr(solver._ReadAhead, "build", lambda self, t, s: None)
         m.setattr(History, "value", reference_value)
         m.setattr(hybrid_time, "_interpolate", reference_interpolate)
         yield
@@ -679,22 +687,28 @@ class TestSharedHalfStepReads:
     def test_block_calls_and_scalar_reads(self, monkeypatch):
         # r = 0.432 and step 0.01: the full stage of the m-th step reads
         # before the block's first point while m <= 42, so a block covers
-        # 43 steps and 250 steps take 6 array calls of 3 rows a step; one
-        # scalar read is left, the flow selection at t_max, which starts no
-        # step.  The reference stages read one at a time, three a step
+        # 43 steps.  Rows are keyed by read time, so where t + (h + s) and
+        # (t + h) + s round alike, a block's last full-stage row serves the
+        # next step's first stage: that step (t = 0.43, 0.87, 1.31, 1.75)
+        # reads its half and full stages one at a time, and the next block
+        # starts a step later.  At t = 2.19 the two keys differ, so the
+        # first stage builds the last block (31 steps), whose last row also
+        # serves the flow selection at t_max.  The reference stages are
+        # views of the same store, so they read its rows too; at those four
+        # steps they read three stages one at a time
         spec, init = delay_horizon_problem()
         steps = 250
         opts = SimOptions(t_max=steps * 0.01, step=0.01)
         blocks, scalar = count_reads(monkeypatch)
         simulate(spec, init, opts)
-        assert blocks == [3 * 43] * 5 + [3 * 35]
-        assert len(scalar) == 1
+        assert blocks == [3 * 43] * 5 + [3 * 31]
+        assert len(scalar) == 2 * 4
         blocks.clear()
         scalar.clear()
         monkeypatch.setattr(solver, "_rk4", reference_rk4)
         simulate(spec, init, opts)
-        assert blocks == [3 * 43] * 5 + [3 * 35]
-        assert len(scalar) == 1 + 3 * steps
+        assert blocks == [3 * 43] * 5 + [3 * 31]
+        assert len(scalar) == 3 * 4
 
     @pytest.mark.parametrize("case", ["example1", "example2-case2"])
     def test_no_block_without_a_long_delay(self, case, monkeypatch):
@@ -723,6 +737,61 @@ class TestSharedHalfStepReads:
             other.delayed(-0.25).tobytes() == view.delayed(-0.24).tobytes()
         # the provisional line follows each view's own head
         assert half.delayed(-0.005)[0] != other.delayed(-0.005)[0]
+
+
+def long_delay_guard_system():
+    """dx = 0.5 + 0.3 x(t - 0.5), reset to 0 when x(t) + x(t - 0.5) reaches
+    2.5: the flow guard reads a delay of 50 steps of 0.01."""
+    def flow_guard(w):
+        return 2.5 - float(w.head[0]) - float(w.delayed(-0.5)[0])
+
+    return SystemSpec(
+        dimension=1, memory_size=0.5, flow_guard=flow_guard,
+        jump_guard=lambda w: -flow_guard(w),
+        flow_selection=lambda w: 0.5 + 0.3 * w.delayed(-0.5),
+        jump_selections=lambda w: [np.array([0.0])])
+
+
+class TestReadAhead:
+    """The solver's table of stored reads made ahead, keyed by read time:
+    guards at stored views build from it too, and it holds one block per
+    delay."""
+
+    def test_guard_built_rows_are_the_scalar_reads(self, monkeypatch):
+        # the guard at each stored step end builds blocks, also at the step
+        # ends that cross it and are dropped, and at the located points just
+        # before a jump; a row kept past its dropped sample or past a jump
+        # would differ from the run that reads one at a time
+        spec = long_delay_guard_system()
+        init = constant_memory_arc(np.array([1.0]), spec.memory_size)
+        opts = SimOptions(t_max=12.0, step=0.01)
+        with monkeypatch.context() as m:
+            blocks, _ = count_reads(m)
+            got = simulate(spec, init, opts)
+        assert blocks
+        with monkeypatch.context() as m:
+            m.setattr(solver._ReadAhead, "build", lambda self, t, s: None)
+            want = simulate(spec, init, opts)
+        same_run(got, want)
+        assert len(got.jumps) == 6
+        assert all(t % 0.01 > 1e-9 for t, _ in got.jumps)  # located
+
+    def test_one_block_per_delay(self, monkeypatch):
+        tables = []
+
+        class Recorded(solver._ReadAhead):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(solver, "_ReadAhead", Recorded)
+        spec, init = delay_horizon_problem()
+        traj = simulate(spec, init, SimOptions(t_max=30.0, step=0.01))
+        assert traj.arc.n - traj.arc.starts[1] == 3001
+        (table,) = tables
+        (s,) = table.blocks  # the one delay, r = 0.432
+        assert s == -0.432 and set(table) == set(table.blocks[s])
+        assert len(table) <= 3 * 43
 
 
 def delayed_guard_system(d=0.004):

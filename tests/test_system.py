@@ -359,7 +359,7 @@ class TestConfigSchema:
         cfg, extras = parse_linear_delay_config(doc)
         spec, _ = build_linear_delay_system(cfg)
         arc = history_from_config(extras["initial_history"], spec)
-        assert arc.time_reach == -1e-3
+        assert arc.times[0] == -1e-3
         assert arc.delayed(-1e-3)[0] == 1.0
         assert arc.delayed(-0.00025)[0] == pytest.approx(1.5)
 
