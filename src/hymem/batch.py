@@ -46,6 +46,9 @@ from .hybrid_time import (TIME_TOL, DomainError, History, HybridArc,
 #: than this is a block of its own).  Its refinement rounds hold up to 2^5
 #: midpoints per sample interval, so its blocks stay small.
 _BLOCK_ROWS = 1024
+#: The window maximum's refinement: the agreement that ends it, the most rounds.
+_REFINE_TOL = 1e-9
+_MAX_LEVELS = 6
 #: Most stored samples in one block of the other array forms, whose arrays
 #: hold a few rows per stored sample.  Only one block's arrays exist at a
 #: time, whatever the number of arcs.
@@ -90,8 +93,10 @@ class WindowView:
     stored reads keyed by their absolute time tq (see :mod:`hymem.solver`),
     and :meth:`_stored` looks tq up there first; a miss at a stored view
     (dt = 0) asks the table to build a block.  A row is the stored read at
-    its time, through :class:`BatchView`'s level kernel, so :meth:`delayed`
-    returns the same bits from it, whichever view asks.
+    its time, through :class:`BatchView`'s level kernel, and reads only
+    samples and levels that no later append, dropped step end or jump
+    changes, so :meth:`delayed` returns the same bits from it, whichever
+    view asks and whenever.
     """
 
     __slots__ = ("history", "index", "segment", "head", "dt", "reads", "floor")
@@ -458,8 +463,7 @@ def append_jump(phi: HybridMemoryArc, g: np.ndarray) -> HybridMemoryArc:
 
 
 def sup_norm_w(phis: Sequence[HybridMemoryArc], fn: Callable[[np.ndarray], float],
-               batch: Callable[[np.ndarray], np.ndarray] | None = None,
-               refine_tol: float = 1e-9, max_levels: int = 6) -> np.ndarray:
+               batch: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
     """Max of fn over each window's s + k >= -delta - 1, with grid refinement:
     one value per window of ``phis``, as an array.
 
@@ -471,8 +475,8 @@ def sup_norm_w(phis: Sequence[HybridMemoryArc], fn: Callable[[np.ndarray], float
 
     Each jump level's stored samples above the depth floor seed its
     estimate; each refinement round adds the midpoints of its current grid
-    until successive estimates agree to refine_tol (relative), at most
-    ``max_levels`` rounds, and a level leaves the pass once it converges.
+    until successive estimates agree to ``_REFINE_TOL`` (relative), at most
+    ``_MAX_LEVELS`` rounds, and a level leaves the pass once it converges.
     A window's maximum is the largest of its levels'.  One pass serves every
     window of the call: consecutive windows go into blocks of at most
     ``_BLOCK_ROWS`` stored samples, and a block makes one evaluation for all
@@ -495,13 +499,11 @@ def sup_norm_w(phis: Sequence[HybridMemoryArc], fn: Callable[[np.ndarray], float
         lambda arr: np.array([fn(row) for row in arr]))
     out = np.empty(len(phis))
     for lo, hi in _blocks(phis, budget=_BLOCK_ROWS):
-        out[lo:hi] = _block_max(History(phis[lo:hi]), lo, evaluate, refine_tol,
-                                max_levels)
+        out[lo:hi] = _block_max(History(phis[lo:hi]), lo, evaluate)
     return out
 
 
-def _block_max(st: History, offset: int, evaluate: Callable, refine_tol: float,
-               max_levels: int) -> np.ndarray:
+def _block_max(st: History, offset: int, evaluate: Callable) -> np.ndarray:
     """:func:`sup_norm_w` of one block of windows, the first of which has
     index ``offset`` in the call."""
     win, jumps, starts, ends = st.row + offset, st.jump, st.first, st.end
@@ -534,7 +536,7 @@ def _block_max(st: History, offset: int, evaluate: Callable, refine_tol: float,
     # refinement: the grids of the levels still refining, back to back
     act = np.flatnonzero(count[lv] >= 2)
     grid = times[above & np.repeat(count >= 2, lengths)]
-    for r in range(max_levels):
+    for r in range(_MAX_LEVELS):
         if act.size == 0:
             break
         k = lv[act]
@@ -560,8 +562,8 @@ def _block_max(st: History, offset: int, evaluate: Callable, refine_tol: float,
         new = np.maximum(prev, level_max)
         est[act] = new
         with np.errstate(invalid="ignore"):  # inf - inf never converges
-            going = ~(np.abs(new - prev) <= refine_tol * np.maximum(1.0, np.abs(new)))
-        if r + 1 == max_levels:
+            going = ~(np.abs(new - prev) <= _REFINE_TOL * np.maximum(1.0, np.abs(new)))
+        if r + 1 == _MAX_LEVELS:
             break
         keep = np.repeat(going, 2 * (cnt + 1))
         keep[2 * goff[1:] - 1] = False

@@ -30,9 +30,10 @@ array, so a selection map may write into it.  An infinite time horizon needs
 a declared jump period.  The solver is deterministic: identical inputs
 produce bit-identical trajectories.
 
-Reads made ahead (the method of steps): a stage read at a time before the
-newest stored sample is final, since no later step changes it.  So at a
-stored read of a delay s that misses, the solver's table
+Reads made ahead (the method of steps): a stage read at a time more than
+``TIME_TOL`` before the sample before the newest is final, since no later
+append, dropped step end or jump changes what it reads.  So at a stored
+read of a delay s that misses, the solver's table
 (:class:`_ReadAhead`, carried as ``History.ahead``) reads the stages of as
 many of the next steps as its step recurrence allows in one call of
 :class:`~hymem.hybrid_time.BatchView`'s level kernel, bit for bit the
@@ -105,8 +106,8 @@ class SimOptions:
         for name in ("step", "event_tol"):
             if math.isinf(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if self.step <= TIME_TOL:  # the solver treats shorter steps as none
+            raise ValueError(f"step must exceed {TIME_TOL:g}, got {self.step!r}")
         if self.event_tol <= 0:
             raise ValueError("event_tol must be positive")
         for name in ("j_max", "max_consecutive_jumps"):  # NaN would never stop
@@ -201,7 +202,8 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     halve the bracket or the secant has no finite root.  An affine guard
     closes in two or three trials, any guard in at most about twice the
     trials of bisection.  Returns (h*, x*), x* the flow state at h*: the
-    final bracket is at most event_tol wide and h* is its end on the flow
+    final bracket is at most event_tol wide, or two adjacent floats when
+    event_tol is finer than they are, and h* is its end on the flow
     set's side for the flow guard and on the jump set's side for the jump
     guard, so guard(x*) >= -GUARD_TOL (:data:`~hymem.system.GUARD_TOL`,
     the one guard slack) and the accepted flow segment can end at h*.
@@ -236,6 +238,8 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
                         hi - 0.5 * event_tol)
         else:
             trial = 0.5 * (lo + hi)
+            if not lo < trial < hi:  # adjacent floats, finer than event_tol
+                break
         x_t, _ = _rk4(spec, window, trial, k1)
         g_t = gfun(window.extend(trial, x_t))
         if (g_t >= 0.0) == crossing_down:
@@ -248,8 +252,8 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
 
 #: Fewest steps in a block.  Building a block costs about 100-150 us on a
 #: 2-vCPU host, what the scalar reads of 12 steps cost (three a step, at
-#: 3.7 us each), so a block of 24 steps pays for itself even when a reset
-#: drops it halfway.
+#: 3.7 us each), so a block of 24 steps pays for itself even when a located
+#: jump moves the step grid off its rows halfway.
 _MIN_STEPS = 24
 
 
@@ -265,16 +269,15 @@ class _ReadAhead(dict):
     t_max - t), t += h from t_0 = t, all in one call of
     :class:`~hymem.hybrid_time.BatchView`'s level kernel: bit for bit the
     scalar reads.  K is the largest count, at most a third of
-    ``_STACK_ROWS``, for which every such time lies strictly before the
-    newest stored time; on a Hermite store whose newest derivative is still
-    unknown, before the time of the sample before it.  So a row reads only
-    stored samples and derivatives that no later step changes: it is the
-    final read at its time, whichever view asks, and a step that leaves the
-    prediction only misses.  A block replaces its delay's previous one;
-    fewer than ``_MIN_STEPS`` steps make none, and s makes none until
-    :meth:`drop`, since K depends on s, h and the horizon alone.  The solver
-    drops the table at a jump and at a dropped step end, whose guards may
-    have built rows bounded by the dropped sample.
+    ``_STACK_ROWS``, for which every such time lies more than ``TIME_TOL``
+    before the sample before the newest: the newest sample may yet be
+    dropped or lack its derivative, and a jump opens a level at its time
+    (two jumps at one instant, two) that reads up to ``TIME_TOL`` earlier
+    take.  So a row reads nothing that changes later: it is the final read
+    at its time, whichever view asks, and a step that leaves the prediction
+    only misses.  A block replaces its delay's previous one; fewer than
+    ``_MIN_STEPS`` steps make none, for that delay ever, since K depends on
+    s, the step and the horizon (on the last step's length by one at most).
     """
 
     def __init__(self, hist: History, opts: SimOptions):
@@ -289,8 +292,7 @@ class _ReadAhead(dict):
             return None
         hist, opts = self.hist, self.opts
         newest = hist.n - 1
-        bound = hist.times.item(newest - 1 if hist.interpolation == "hermite"
-                                and not hist.known[newest] else newest)
+        bound = hist.times.item(newest - 1) - TIME_TOL
         h, tq = min(opts.step, opts.t_max - t), []
         while len(tq) < 3 * (_STACK_ROWS // 3):
             last = t + (h + s)  # the stage that reads latest
@@ -312,11 +314,6 @@ class _ReadAhead(dict):
         self.blocks[s] = tq
         self.update(zip(tq, rows))
         return rows[0]
-
-    def drop(self) -> None:
-        self.clear()
-        self.blocks.clear()
-        self.short.clear()
 
 
 def _judge(spec: SystemSpec, hist: History) -> tuple[WindowView, bool, bool]:
@@ -366,7 +363,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
 
     hist = History([init], spec.memory_size, room=64)
     hist.start_segment(0.0, np.array(init.head, dtype=float))
-    ahead = hist.ahead = _ReadAhead(hist, opts)
+    hist.ahead = _ReadAhead(hist, opts)
     t, j = 0.0, 0
     termination = Termination.horizon_reached
     consecutive_jumps = 0
@@ -390,7 +387,6 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                 if not end[1] or (end[2] and opts.jump_priority == "jump"):
                     # the step end crossed a guard: drop it (its derivative
                     # slot is still unwritten) and store the located crossing
-                    ahead.drop()
                     hist.n -= 1
                     guard = "jump" if end[1] else "flow"
                     h, x_new = locate_event(spec, w, h, guard, opts.event_tol,
@@ -419,7 +415,6 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                     "offers no candidate")
             g = np.array(candidates[0], dtype=float)
             j += 1
-            ahead.drop()
             hist.start_segment(t, g)
             w, in_c, in_d = _judge(spec, hist)
     except DomainError as exc:

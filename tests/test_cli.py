@@ -160,6 +160,9 @@ class TestExitCodes:
         (("simulate", "--system", "example1", "--set", "sigma=[1]"), None),
         (("simulate", "--system", "example2", "--set", "a=true"), None),
         (("check-kl", "--system", "example1", "--eta-grid", "0.5,x"), None),
+        # refused before the history grid of step * 4 is allocated
+        (("simulate", "--system", "example2", "--step", "1e-13", "--t-max", "0.1"),
+         None),
     ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "eps-grid-zero",
             "eta-grid-negative", "step-zero", "history", "config-t-max",
             "config-history-point", "t-max-nan", "step-nan", "slack-nan",
@@ -168,7 +171,7 @@ class TestExitCodes:
             "set-config-history-nan", "set-r-inf", "set-delta-nan", "set-r-nan",
             "config-memory-size-inf", "config-period-nan", "set-K-inf",
             "config-A0-nan", "set-a-foo", "set-delta-foo", "set-sigma-list",
-            "set-a-bool", "eta-grid-word"])
+            "set-a-bool", "eta-grid-word", "step-below-time-tol"])
     def test_malformed_input_exits_two(self, tmp_path, request, args, config):
         # read before anything runs: exit 2 with the reason, no traceback
         if config is not None:
@@ -196,6 +199,7 @@ class TestExitCodes:
                  "history": "--history must be a number, got 'x'",
                  "eps-grid": "--eps-grid must be a number, got 'x'",
                  "eta-grid-word": "--eta-grid must be a number, got 'x'",
+                 "step-below-time-tol": "step must exceed 1e-12, got 1e-13",
                  }.get(request.node.callspec.id)
         if named is not None:
             assert r.stderr.startswith(f"config error: {named}"), r.stderr

@@ -497,8 +497,7 @@ class TestSupNormAndVbar:
     def test_refinement_finds_interior_peak(self):
         # V peaks strictly inside a sampling interval
         phi = memory_arc_of([seg(0, [-1.0, 0.0], [-1.0, 1.0])], 0.0)
-        got = vbar([phi], lambda z: 1.0 - z[0] ** 2, refine_tol=1e-12,
-                   max_levels=20)
+        got = vbar([phi], lambda z: 1.0 - z[0] ** 2)
         assert got[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_under_extension(self):
@@ -1099,9 +1098,11 @@ class TestWindowMaximumPass:
         assert got.tolist() == want
         assert sup_norm_w(windows[::5], self.fn).tolist() == want[::5]
 
-    def test_peak_refines_every_round(self):
-        rounds = [sup_norm_w([_peak_window()], self.fn, max_levels=m)[0]
-                  for m in range(7)]
+    def test_peak_refines_every_round(self, monkeypatch):
+        rounds = []
+        for m in range(7):
+            monkeypatch.setattr(batch, "_MAX_LEVELS", m)
+            rounds.append(sup_norm_w([_peak_window()], self.fn)[0])
         assert all(a < b for a, b in zip(rounds, rounds[1:]))
         assert rounds[-1] == _window_max_loop(_peak_window(), self.fn, None)
 

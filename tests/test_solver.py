@@ -219,6 +219,33 @@ class TestLocateEvent:
             assert c - x[0] ** 9 >= 0.0
             assert root - tol <= h <= root + 1e-15
 
+    def test_tolerance_finer_than_the_floats_ends(self):
+        # at event_tol = 1e-300 the bracket closes to two adjacent floats,
+        # where the midpoint is one of its ends; the counted guards turn a
+        # loop that never ends into a failure
+        spec, init = example2_problem(Example2Params.case2(), [1.0, 0.03])
+        calls = []
+
+        def counted(guard):
+            def g(w):
+                calls.append(1)
+                if len(calls) > 10_000:
+                    raise RuntimeError("event location did not end")
+                return guard(w)
+            return g
+
+        spec = dataclasses.replace(spec, flow_guard=counted(spec.flow_guard),
+                                   jump_guard=counted(spec.jump_guard))
+        fine = simulate(spec, init, SimOptions(t_max=0.3, step=0.003,
+                                               event_tol=1e-300))
+        calls.clear()
+        coarse = simulate(spec, init, SimOptions(t_max=0.3, step=0.003))
+        assert fine.termination is coarse.termination is Termination.horizon_reached
+        assert len(fine.jumps) == len(coarse.jumps) == 3
+        for (t, _), (u, _) in zip(fine.jumps, coarse.jumps):
+            assert abs(t - u) <= 1e-9
+        assert verify_solution(spec, fine).passed
+
     def test_jump_spacing_equals_period_across_many_jumps(self):
         p = Example1Params.paper()
         spec, _ = build_example1(p)
@@ -254,6 +281,14 @@ class TestSimOptions:
     def test_infinite_step_and_event_tol_are_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SimOptions(**{field: float("inf")})
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, 1e-13, TIME_TOL])
+    def test_step_must_exceed_the_time_tolerance(self, step):
+        # the solver takes a step of at most TIME_TOL for none, so a run in
+        # C would stop with left_C_and_D at t = 0
+        with pytest.raises(ValueError, match="step must exceed"):
+            SimOptions(step=step)
+        assert SimOptions(step=2 * TIME_TOL).step == 2 * TIME_TOL
 
     @pytest.mark.parametrize("field", ["j_max", "max_consecutive_jumps"])
     @pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0, True, float("inf")])
@@ -612,7 +647,9 @@ def same_run(a, b):
                     strict=True):
         assert x.times.tobytes() == y.times.tobytes()
         assert x.values.tobytes() == y.values.tobytes()
-        assert x.derivs.tobytes() == y.derivs.tobytes()
+        # a one-sample level outside C stores no derivative
+        assert (None if x.derivs is None else x.derivs.tobytes()) == \
+            (None if y.derivs is None else y.derivs.tobytes())
 
 
 class TestSharedHalfStepReads:
@@ -685,29 +722,31 @@ class TestSharedHalfStepReads:
         assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
     def test_block_calls_and_scalar_reads(self, monkeypatch):
-        # r = 0.432 and step 0.01: the full stage of the m-th step reads
-        # before the block's first point while m <= 42, so a block covers
-        # 43 steps.  Rows are keyed by read time, so where t + (h + s) and
-        # (t + h) + s round alike, a block's last full-stage row serves the
-        # next step's first stage: that step (t = 0.43, 0.87, 1.31, 1.75)
-        # reads its half and full stages one at a time, and the next block
-        # starts a step later.  At t = 2.19 the two keys differ, so the
-        # first stage builds the last block (31 steps), whose last row also
-        # serves the flow selection at t_max.  The reference stages are
-        # views of the same store, so they read its rows too; at those four
-        # steps they read three stages one at a time
+        # r = 0.432 and step 0.01: a block from the step at t reads up to
+        # TIME_TOL before the sample before t, t - 0.01, so its m-th step's
+        # full stage qualifies while m <= 41 and it covers 42 steps; the
+        # first one 43, since at t = 0 the sample before the newest is the
+        # memory's last, also at 0.  Rows are keyed by read time, so where
+        # t + (h + s) and (t + h) + s round alike, a block's last full-stage
+        # row serves the next step's first stage: that step (t = 0.43, 0.86,
+        # 1.29, 1.72) reads its half and full stages one at a time, and the
+        # next block starts a step later.  At t = 2.15 the two keys differ,
+        # so the first stage builds the last block (35 steps), whose last
+        # row also serves the flow selection at t_max.  The reference stages
+        # are views of the same store, so they read its rows too; at those
+        # four steps they read three stages one at a time
         spec, init = delay_horizon_problem()
         steps = 250
         opts = SimOptions(t_max=steps * 0.01, step=0.01)
         blocks, scalar = count_reads(monkeypatch)
         simulate(spec, init, opts)
-        assert blocks == [3 * 43] * 5 + [3 * 31]
+        assert blocks == [3 * 43] + [3 * 42] * 4 + [3 * 35]
         assert len(scalar) == 2 * 4
         blocks.clear()
         scalar.clear()
         monkeypatch.setattr(solver, "_rk4", reference_rk4)
         simulate(spec, init, opts)
-        assert blocks == [3 * 43] * 5 + [3 * 31]
+        assert blocks == [3 * 43] + [3 * 42] * 4 + [3 * 35]
         assert len(scalar) == 3 * 4
 
     @pytest.mark.parametrize("case", ["example1", "example2-case2"])
@@ -775,6 +814,78 @@ class TestReadAhead:
         same_run(got, want)
         assert len(got.jumps) == 6
         assert all(t % 0.01 > 1e-9 for t, _ in got.jumps)  # located
+
+    def test_rows_survive_resets_and_dropped_step_ends(self, monkeypatch):
+        # a row reads nothing a jump or a dropped step end changes, so the
+        # table keeps it.  Example 2 case 1 at step delta/160 resets on the
+        # step grid at t = 1, 2 and 3, and the rows built before a reset
+        # serve the steps after it: no block is built near one.  The guard
+        # system's 6 jumps are located, so each drops a step end and moves
+        # the step grid; one block is built at each located point, whose
+        # rows also serve the views after the jump, and none twice at one
+        # time
+        built = []
+        build = solver._ReadAhead.build
+
+        def recorded(self, t, s):
+            row = build(self, t, s)
+            if row is not None:
+                built.append(t)
+            return row
+
+        monkeypatch.setattr(solver._ReadAhead, "build", recorded)
+        p = Example2Params.case1()
+        spec, init = example2_problem(p, [1.0, 0.0])
+        traj = simulate(spec, init, SimOptions(t_max=4.0, step=p.delta / 160))
+        resets = np.array([t for t, _ in traj.jumps])
+        assert resets == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
+        assert len(built) == 16
+        assert np.abs(np.subtract.outer(resets, built)).min() > 0.01
+        built.clear()
+        spec = long_delay_guard_system()
+        init = constant_memory_arc(np.array([1.0]), spec.memory_size)
+        traj = simulate(spec, init, SimOptions(t_max=12.0, step=0.01))
+        assert len(traj.jumps) == 6 and len(built) == 30
+        assert len(set(built)) == 30
+        assert {t for t, _ in traj.jumps} <= set(built)
+
+    def test_two_jumps_at_one_instant(self, monkeypatch):
+        # each unit of time the clock reaches 1 and the state jumps twice at
+        # that instant, the second time from the marker clock 2; the guard
+        # and the flow read the delay d = 30 steps + TIME_TOL / 2.  The run
+        # starts in the jump set, and the block built at t = 0 has the
+        # sample before the newest at 0 too, the memory's last.  The full
+        # stage of the step at t = 29 h reads TIME_TOL / 2 before 0: on the
+        # newest level at 0 while the block is built, but on the level two
+        # jumps above it when the step is taken.  The margin leaves that
+        # row out of the block
+        h = 2.0 ** -7
+        d = 30 * h + TIME_TOL / 2
+
+        def flow_guard(w):
+            return min(1.0 - w.head[1], 5.0 - abs(float(w.delayed(-d)[0])))
+
+        def jump_selections(w):
+            x, clock = w.head
+            return [np.array([x + 1.0, 2.0]) if clock < 1.5
+                    else np.array([-0.5 * x, 0.0])]
+
+        spec = SystemSpec(
+            dimension=2, memory_size=d, flow_guard=flow_guard,
+            jump_guard=lambda w: w.head[1] - 1.0,
+            flow_selection=lambda w: np.array([-0.5 * w.delayed(-d)[0], 1.0]),
+            jump_selections=jump_selections)
+        init = constant_memory_arc(np.array([1.0, 1.0]), d)
+        opts = SimOptions(t_max=2.5, step=h)
+        with monkeypatch.context() as m:
+            blocks, _ = count_reads(m)
+            got = simulate(spec, init, opts)
+        assert [t for t, _ in got.jumps] == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
+        with monkeypatch.context() as m:
+            m.setattr(solver._ReadAhead, "build", lambda self, t, s: None)
+            want = simulate(spec, init, opts)
+        same_run(got, want)
+        assert len(blocks) == 11
 
     def test_one_block_per_delay(self, monkeypatch):
         tables = []
