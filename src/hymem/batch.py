@@ -148,7 +148,9 @@ class WindowView:
 
     def _stored(self, q: float) -> np.ndarray:
         """The stored history q after the view's sample: the store's row
-        made ahead at that time, else History.value."""
+        made ahead at that time, else History.value.  A row is final and
+        shared, so it is copied here only for a view without a read cache;
+        :meth:`delayed` copies what the cache holds."""
         hist = self.history
         t = hist.times.item(self.index)
         ahead = hist.ahead
@@ -157,7 +159,7 @@ class WindowView:
             if x is None and self.dt == 0.0:
                 x = ahead.build(t, q)
             if x is not None:
-                return x.copy()
+                return x if self.reads is not None else x.copy()
         return hist.value(t + q, self.segment, self.index + 1, self.floor)
 
 
@@ -199,26 +201,31 @@ class BatchView(WindowView):
     def _at(self, tq: np.ndarray) -> np.ndarray:
         """Each row's History.value at the time tq[i], on its own levels and
         up to its own sample: the array level kernel."""
-        hist, index = self.history, self.index
+        hist, index, segment = self.history, self.index, self.segment
         times = hist.times
         late = tq > times[index] + TIME_TOL
         if late.any():
             t = tq[late][0]
             raise DomainError(f"time {t} is after the stored history", t, None)
-        first, end, row = hist.first, hist.end, hist.row
-        # History.value's rule: the newest of the row's levels, up to its
-        # own, whose first sample lies at or before tq: one search of the
-        # levels' (row, first time) pairs, in History.search's order
-        level = np.minimum(np.searchsorted(_pairs(row, times[first] - TIME_TOL),
-                                           _pairs(row[self.segment], tq), "right"),
-                           self.segment + 1) - 1
-        missing = (level < self.floor) | np.isnan(tq)
-        if missing.any():
-            t = tq[missing][0]
-            raise InsufficientHistoryError(
-                f"time {t} precedes all stored history", t, None)
+        first = hist.first
+        if (tq >= times[first[segment]] - TIME_TOL).all():
+            # every read on its sample's own level (NaN is not): what the
+            # level search below gives, without it
+            level, stop = segment, index + 1
+        else:
+            # History.value's rule: the newest of the row's levels, up to
+            # its own, whose first sample lies at or before tq: one search of
+            # the levels' (row, first time) pairs, in History.search's order
+            level = np.minimum(np.searchsorted(hist.level_keys,
+                                               _pairs(hist.row[segment], tq), "right"),
+                               segment + 1) - 1
+            missing = (level < self.floor) | np.isnan(tq)
+            if missing.any():
+                t = tq[missing][0]
+                raise InsufficientHistoryError(
+                    f"time {t} precedes all stored history", t, None)
+            stop = np.where(level == segment, index + 1, hist.end[level])
         first = first[level]
-        stop = np.where(level == self.segment, index + 1, end[level])
         # _interpolate on each row's samples first:stop, held constant past
         # either end
         values = hist.values

@@ -388,10 +388,14 @@ class History(HybridArc):
     have some or have room, whose cuts keep them.  ``starts``, ``n_memory``
     and ``n`` are an arc's, ``n`` the end of the last row.  The level
     table, built at its first read: per level, ``first`` and ``end`` are
-    its index range, ``jump`` its jump index and ``row`` its row; row i's
-    levels are ``spans[i]:spans[i + 1]``, ``memory[i]`` of them memory
-    levels.  ``ahead`` is the solver's table of stored reads made ahead
-    (see :mod:`hymem.solver`), None on every other store.
+    its index range, ``jump`` its jump index, ``row`` its row and
+    ``level_keys`` the pair (row, first time - TIME_TOL) that
+    :class:`~hymem.batch.BatchView` searches; row i's levels are
+    ``spans[i]:spans[i + 1]``, ``memory[i]`` of them memory levels.  An
+    append, or a dropped sample (``n`` lowered), keeps the table and the
+    search keys; a new level rebuilds both, a doubling the search keys.
+    ``ahead`` is the solver's table of stored reads made ahead (see
+    :mod:`hymem.solver`), None on every other store.
     """
 
     ahead = None
@@ -430,8 +434,12 @@ class History(HybridArc):
         self.n = int(self._bounds[-1]) - room
 
     def _table(self) -> list:
-        """[n, first, end, jump, row, spans, search keys]: the level arrays
-        as long as the levels stand, the rest as long as ``n`` does."""
+        """[n, first, end, jump, row, spans, level keys, search keys]: the
+        level arrays as long as the levels stand, each row's newest end as
+        long as ``n`` does.  The level keys are the (row, first time -
+        TIME_TOL) pairs of the levels; the search keys (made at the first
+        search) are kept by the appends, which only ever write a row's
+        newest level."""
         table = self._index
         if table is None or table[1].shape[0] != len(self.starts):
             first = np.array(self.starts, dtype=np.intp)
@@ -440,11 +448,12 @@ class History(HybridArc):
             # a level's jump index from its place k in its row: HybridArc.jump_index
             k = np.arange(first.shape[0]) - np.repeat(spans[:-1], count)
             m = np.repeat(self.memory, count)
-            table = self._index = [None, first, None, k - m + (k < m),
-                                   np.repeat(np.arange(count.shape[0]), count), spans,
+            row = np.repeat(np.arange(count.shape[0]), count)
+            table = self._index = [None, first, np.append(first[1:], 0), k - m + (k < m),
+                                   row, spans, _pairs(row, self.times[first] - TIME_TOL),
                                    None]
         if table[0] != self.n:  # each row's newest level ends at its newest sample
-            table[0], table[2], table[6] = self.n, np.append(table[1][1:], 0), None
+            table[0] = self.n
             table[2][table[5][1:] - 1] = self.newest() + 1
         return table
 
@@ -453,18 +462,20 @@ class History(HybridArc):
     jump = property(lambda self: self._table()[3])
     row = property(lambda self: self._table()[4])
     spans = property(lambda self: self._table()[5])
+    level_keys = property(lambda self: self._table()[6])
 
     def search(self, lv: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
         """first[lv[i]] + np.searchsorted(level lv[i]'s times, q[i], side) for
-        each i, in one search of the samples as (level, time) pairs (made at
-        the first search; a row's free samples go with its last level), in
-        the complex numbers' lexicographic order, which compares both exactly."""
+        each i, in one search of the samples in use as (level, time) pairs (a
+        row's free samples go with its last level), in the complex numbers'
+        lexicographic order, which compares both exactly.  The pairs cover
+        every slot of the arrays, so an append only writes its slot's time."""
         table = self._table()
-        if table[6] is None:
-            table[6] = _pairs(np.repeat(np.arange(table[1].shape[0]),
-                                        np.diff(table[1], append=self.n)),
-                              self.times[:self.n])
-        return np.searchsorted(table[6], _pairs(lv, q), side)
+        if table[7] is None:
+            table[7] = _pairs(np.repeat(np.arange(table[1].shape[0]),
+                                        np.diff(table[1], append=self.times.shape[0])),
+                              self.times)
+        return np.searchsorted(table[7][:self.n], _pairs(lv, q), side)
 
     def newest(self) -> np.ndarray:
         """Each row's newest sample, as an index array."""
@@ -479,16 +490,19 @@ class History(HybridArc):
 
     def append(self, t: float, x: np.ndarray) -> None:
         """Add a sample to the last row's newest level, doubling full arrays."""
-        if self.n == self.times.shape[0]:
+        n, table = self.n, self._index
+        if n == self.times.shape[0]:
             for name in ("times", "values", "derivs", "known"):
                 a = getattr(self, name)
                 if a is not None:  # new samples: derivative 0, flagged unknown
                     setattr(self, name, np.concatenate([a, np.zeros_like(a)]))
-        self.times[self.n] = t
-        self.values[self.n] = x
-        self.n += 1
-        if self._index is not None:  # the levels stand; their ends moved
-            self._index[0] = None
+            if table is not None:  # the search keys cover the old arrays
+                table[7] = None
+        self.times[n] = t
+        self.values[n] = x
+        self.n = n + 1
+        if table is not None and table[7] is not None:
+            table[7].imag[n] = t
 
     def start_segments(self, t: float, xs) -> np.ndarray:
         """Open every row's next forward jump level with its first sample
@@ -503,6 +517,8 @@ class History(HybridArc):
             raise ValueError("no room left in the rows")
         at = self.newest() + 1
         self.times[at], self.values[at] = t, xs
+        if self._index is not None and self._index[7] is not None:
+            self._index[7].imag[at] = t
         self._room -= 1
         self.n += 1
         return at

@@ -12,7 +12,8 @@ Two modes:
   drawn first, and the region that needs the most simulations sets their
   number.  These arcs are dynamically consistent, which matters for
   certificates whose jump condition relies on the delayed state tracking the
-  flow (the sampled-data example does).
+  flow (the sampled-data example does).  A simulation that ends in error
+  stops the sampler with a RuntimeError that names it and says why.
 * ``cover``: arcs are synthesized directly: clock components follow the
   clock structure (the guard constrains them), all other components are
   random piecewise-linear splines that may change discontinuously across
@@ -57,7 +58,7 @@ import numpy as np
 
 from .batch import _STACK_ROWS, append_jumps, memory_windows
 from .hybrid_time import HybridMemoryArc, constant_memory_arc
-from .solver import SimOptions, simulate
+from .solver import SimOptions, Termination, simulate
 from .system import GUARD_TOL, SystemSpec
 
 _REGIONS = ("C", "D", "Gplus")
@@ -170,6 +171,9 @@ class ArcSampler:
         opts = self._sim_options()
         init = self._random_history(rng)
         traj = simulate(self.spec, init, opts)
+        if traj.termination is Termination.error:
+            raise RuntimeError(f"reachable sampler: simulation {traj_index} "
+                               f"ended in error: {traj.error}")
         self._pool_sims += 1
         tag = f"reachable:traj{traj_index}"
         delta = self.spec.memory_size

@@ -38,10 +38,16 @@ read of a delay s that misses, the solver's table
 many of the next steps as its step recurrence allows in one call of
 :class:`~hymem.hybrid_time.BatchView`'s level kernel, bit for bit the
 scalar reads, and keys each row by the time it reads; every view of the
-store looks that time up first.  A block needs ``_MIN_STEPS`` (24) steps,
-since a build costs about the scalar reads of 12; a flow that reads no
-stored delay builds none, and event trials and delays of at most 24 steps
-read one at a time.
+store looks that time up first.  A block needs ``_MIN_STEPS`` (16) steps,
+since a build costs about the scalar reads of 8 (about 120 us, its level
+search kept across appends); a flow that reads no stored delay builds
+none, and event trials and delays of at most 16 steps read one at a time.
+
+Cost of a step: on a one-component flow that reads one delay (the
+delay-horizon benchmark), a step costs about 23 us on a 2-vCPU host,
+about half of it in the four flow-map calls and their reads.  RK4's final
+combination runs on Python floats up to ``_FLOAT_DIM`` components, with
+the array expression's bits; a row made ahead is copied once per read.
 """
 
 from __future__ import annotations
@@ -171,14 +177,29 @@ def run_summary(traj: Trajectory, target: TargetSet) -> dict:
     }
 
 
+#: Largest state dimension whose RK4 combination runs on Python floats: the
+#: same IEEE operations, element by element, as the array expression, and
+#: cheaper up to about 10 components (1.5 against 3.7 us at n = 1, 3.3
+#: against 3.5 us at n = 8, 4.0 against 3.7 us at n = 12 on a 2-vCPU host).
+#: Only the sign of a NaN made by adding two NaNs may differ: IEEE 754
+#: leaves it open, and numpy's loops and compiled scalar code settle it
+#: differently.
+_FLOAT_DIM = 10
+
+
 def _rk4(spec: SystemSpec, window: WindowView | BatchView, h: float,
          k1: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step from the window's head; ``k1``, when given, is the flow
     selection already evaluated on this same window.  The two half-step
     stages sit at one stage time, so they share its stored-history reads.
     On a :class:`~hymem.hybrid_time.BatchView` every row steps at once
-    through ``flow_batch``, with the same arithmetic row by row."""
-    f = spec.flow_batch if isinstance(window, BatchView) else spec.flow_selection
+    through ``flow_batch``, with the same arithmetic row by row.  The final
+    combination of a window of at most ``_FLOAT_DIM`` components, whose
+    stages all have its shape, runs on Python floats, in the array
+    expression's order, so with its bits; stages that broadcast take the
+    array expression."""
+    batch = isinstance(window, BatchView)
+    f = spec.flow_batch if batch else spec.flow_selection
     x0 = np.asarray(window.head, dtype=float)
     if k1 is None:
         k1 = np.asarray(f(window), dtype=float)
@@ -186,7 +207,13 @@ def _rk4(spec: SystemSpec, window: WindowView | BatchView, h: float,
     k2 = np.asarray(f(half), dtype=float)
     k3 = np.asarray(f(half.with_head(x0 + (h / 2) * k2)), dtype=float)
     k4 = np.asarray(f(window.extend(h, x0 + h * k3)), dtype=float)
-    return x0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
+    if (batch or x0.shape[0] > _FLOAT_DIM
+            or not x0.shape == k1.shape == k2.shape == k3.shape == k4.shape):
+        return x0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
+    c = h / 6.0
+    return np.array([a + c * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4
+                     in zip(x0.tolist(), k1.tolist(), k2.tolist(), k3.tolist(),
+                            k4.tolist())]), k1
 
 
 def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
@@ -250,11 +277,12 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     return (lo, x_lo) if crossing_down else (hi, x_hi)
 
 
-#: Fewest steps in a block.  Building a block costs about 100-150 us on a
-#: 2-vCPU host, what the scalar reads of 12 steps cost (three a step, at
-#: 3.7 us each), so a block of 24 steps pays for itself even when a located
-#: jump moves the step grid off its rows halfway.
-_MIN_STEPS = 24
+#: Fewest steps in a block.  Building a block costs about 120 us on a
+#: 2-vCPU host (45 us of it the level kernel, whose search the store keeps
+#: across appends), what the scalar reads of 8 steps cost (three a step, at
+#: about 5 us each), so a block of 16 steps pays for itself even when a
+#: located jump moves the step grid off its rows halfway.
+_MIN_STEPS = 16
 
 
 class _ReadAhead(dict):
@@ -290,19 +318,20 @@ class _ReadAhead(dict):
         when no block is built."""
         if s in self.short:
             return None
-        hist, opts = self.hist, self.opts
+        hist, step, t_max = self.hist, self.opts.step, self.opts.t_max
         newest = hist.n - 1
         bound = hist.times.item(newest - 1) - TIME_TOL
-        h, tq = min(opts.step, opts.t_max - t), []
+        t_last = t_max - TIME_TOL
+        h, tq = min(step, t_max - t), []
         while len(tq) < 3 * (_STACK_ROWS // 3):
             last = t + (h + s)  # the stage that reads latest
             if not last < bound:
                 break
             tq += (t + s, t + (h / 2 + s), last)
             t += h
-            if t >= opts.t_max - TIME_TOL:
+            if t >= t_last:
                 break
-            h = min(opts.step, opts.t_max - t)
+            h = min(step, t_max - t)
             if not h > TIME_TOL:
                 break
         if len(tq) < 3 * _MIN_STEPS:
@@ -316,10 +345,17 @@ class _ReadAhead(dict):
         return rows[0]
 
 
+class _NonFiniteState(Exception):
+    """The newest stored sample holds a non-finite component."""
+
+
 def _judge(spec: SystemSpec, hist: History) -> tuple[WindowView, bool, bool]:
     """The window at the newest stored sample, and whether it lies in the
-    flow set and in the jump set."""
+    flow set and in the jump set; :class:`_NonFiniteState` when that
+    sample is not finite."""
     w = hist.view()
+    if not all(map(math.isfinite, w.head.tolist())):
+        raise _NonFiniteState
     return (w, spec.flow_guard(w) >= -GUARD_TOL,
             spec.jump_guard(w) >= -GUARD_TOL)
 
@@ -331,9 +367,11 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     The initial data must be admissible for the system's memory size and lie
     in the union of the flow and jump sets.  Integration stops when t or j
     reaches its horizon, when the window leaves both sets, or when the Zeno
-    guard trips.  A read outside the stored history or a non-finite state
-    stops it with ``Termination.error``, and ``Trajectory.error`` says why;
-    a non-finite initial arc is refused before integrating.
+    guard trips.  A read outside the stored history stops it with
+    ``Termination.error``, and so does the first stored sample that is not
+    finite (a step end, a located crossing or a post-jump value), which is
+    kept as the run's last; ``Trajectory.error`` says why and where.  A
+    non-finite initial arc is refused before integrating.
     An infinite ``t_max`` needs a jump period in ``spec.meta``.  Each guard
     and the flow selection run once per stored sample, on its stored window;
     a step end that leaves C, or enters D under jump priority, is dropped and
@@ -364,6 +402,9 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     hist = History([init], spec.memory_size, room=64)
     hist.start_segment(0.0, np.array(init.head, dtype=float))
     hist.ahead = _ReadAhead(hist, opts)
+    flow, step, t_max, j_max = spec.flow_selection, opts.step, opts.t_max, opts.j_max
+    t_last = t_max - TIME_TOL
+    jump_first = opts.jump_priority == "jump"
     t, j = 0.0, 0
     termination = Termination.horizon_reached
     consecutive_jumps = 0
@@ -371,20 +412,19 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     try:
         w, in_c, in_d = _judge(spec, hist)
         while True:
-            h = min(opts.step, opts.t_max - t)
+            h = min(step, t_max - t)
             if in_c:
-                hist.derivs[w.index] = np.asarray(spec.flow_selection(w), dtype=float)
+                hist.derivs[w.index] = np.asarray(flow(w), dtype=float)
                 hist.known[w.index] = True
-            if t >= opts.t_max - TIME_TOL or j >= opts.j_max:
+            if t >= t_last or j >= j_max:
                 termination = Termination.horizon_reached
                 break
-            if (in_c and h > TIME_TOL
-                    and not (in_d and opts.jump_priority == "jump")):
+            if in_c and h > TIME_TOL and not (in_d and jump_first):
                 k1 = hist.derivs[w.index]
                 x_new, _ = _rk4(spec, w, h, k1)
                 hist.append(t + h, x_new)
                 end = _judge(spec, hist)
-                if not end[1] or (end[2] and opts.jump_priority == "jump"):
+                if not end[1] or (end[2] and jump_first):
                     # the step end crossed a guard: drop it (its derivative
                     # slot is still unwritten) and store the located crossing
                     hist.n -= 1
@@ -420,13 +460,10 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     except DomainError as exc:
         termination = Termination.error
         error = f"{type(exc).__name__} at (t={t}, j={j}): {exc}"
-    arc = hist.to_arc()
-    ends = [b - 1 for _, b in arc.levels()[arc.n_memory:]]
-    bad = [(arc.times.item(i), j) for j, i in enumerate(ends)
-           if not np.isfinite(arc.values[i]).all()]
-    if bad:
+    except _NonFiniteState:
         termination = Termination.error
-        error = error or f"non-finite state at (t={bad[0][0]}, j={bad[0][1]})"
+        error = f"non-finite state at (t={hist.times.item(hist.n - 1)}, j={j})"
+    arc = hist.to_arc()
     return Trajectory(arc=arc, termination=termination,
                       memory_size=spec.memory_size, error=error)
 

@@ -311,10 +311,16 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
     jump_reads = [(-t.delay, t.matrix) for t in jump_terms]
 
     def linear(m0, reads, w, out=None) -> np.ndarray:
-        """m0 head + the delayed terms, written into ``out`` when given."""
-        out = m0.dot(w.head[:n], out=out)
+        """m0 head + the delayed terms, on the state before the clock,
+        written into ``out`` when given."""
+        if has_clock:
+            out = m0.dot(w.head[:n], out=out)
+            for s, m in reads:
+                out += m.dot(w.delayed(s)[:n])
+            return out
+        out = m0.dot(w.head, out=out)  # the whole state: no view to slice
         for s, m in reads:
-            out += m.dot(w.delayed(s)[:n])
+            out += m.dot(w.delayed(s))
         return out
 
     def linear_batch(m0, reads, w) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Domain, arc, and window-operator tests."""
 
+import copy
 import dataclasses
 import io
 import itertools
@@ -16,7 +17,7 @@ from hymem.builtin import example1_razumikhin_certificate
 from hymem.hybrid_time import (TIME_TOL, ArcSegment, BatchView, DomainError,
                                History, HybridArc, HybridMemoryArc,
                                InsufficientHistoryError,
-                               _blend, _interpolate,
+                               _blend, _interpolate, _pairs,
                                append_jump,
                                arc_from_csv, arc_to_csv, constant_memory_arc,
                                delayed_sq_integral, delta_inf,
@@ -2336,3 +2337,152 @@ class TestOneStore:
             got = BatchView(st, index[reachable]).delayed(s)
             want = np.array([views[i].delayed(s) for i in reachable])
             assert got.tobytes() == want.tobytes(), s
+
+
+# ---------------------------------------------------------------------------
+# The level table and search keys kept across appends, and the array level
+# kernel's path for reads on each row's own level
+# ---------------------------------------------------------------------------
+
+def fresh_search(st, lv, q, side):
+    """History.search on (level, time) keys made afresh from the store's
+    levels and its samples in use."""
+    first = np.array(st.starts, dtype=np.intp)
+    keys = _pairs(np.repeat(np.arange(first.size), np.diff(first, append=st.n)),
+                  st.times[:st.n])
+    return np.searchsorted(keys, _pairs(lv, q), side)
+
+
+def assert_table_kept(st):
+    """The store's level table and search equal those of a copy that builds
+    its table afresh, and the search equals keys made afresh, on queries at,
+    next to and between every level's times, at its first time less
+    TIME_TOL, at +-inf and NaN."""
+    fresh = copy.copy(st)
+    fresh._index = None
+    for name in ("first", "end", "jump", "row", "spans"):
+        assert getattr(st, name).tolist() == getattr(fresh, name).tolist(), name
+    assert st.level_keys.tobytes() == fresh.level_keys.tobytes()
+    lv, q = [], []
+    for k, (a, b) in enumerate(zip(st.first.tolist(), st.end.tolist())):
+        times = st.times[a:b]
+        for t in np.concatenate([times, times + 1e-13, times - 1e-13,
+                                 0.5 * (times[1:] + times[:-1]),
+                                 [times[0] - TIME_TOL, -np.inf, np.inf, np.nan]]):
+            lv.append(k)
+            q.append(t)
+    lv, q = np.array(lv), np.array(q)
+    for side in ("left", "right"):
+        want = fresh_search(st, lv, q, side)
+        assert st.search(lv, q, side).tolist() == want.tolist(), side
+        assert fresh.search(lv, q, side).tolist() == want.tolist(), side
+
+
+def own_level_reads(st, index, fractions=(0.0, 0.3, 1.0)):
+    """Read times on each sample's own level: at the sample, at fractions
+    of the way back to the level's first time, and at that time less
+    TIME_TOL (the level rule's edge)."""
+    view = BatchView(st, index)
+    t = st.times[index]
+    t0 = st.times[st.first[view.segment]]
+    return view, [t - f * (t - t0) for f in fractions] + [t0 - TIME_TOL]
+
+
+class TestKeptLevelSearch:
+    """An append, a dropped sample (n lowered) and a new level keep the
+    level table and search keys what a table made afresh holds, and
+    BatchView._at's path for reads on each row's own level gives its
+    general path's bits."""
+
+    @pytest.mark.parametrize("interpolation", ["linear", "hermite"])
+    def test_one_row_grown_by_appends_drops_and_levels(self, interpolation):
+        phi = memory_arc_from_function(lambda s: np.array([np.cos(3 * s), s]),
+                                       0.5, grid_step=1 / 64)
+        phi = HybridMemoryArc(phi.times, phi.values, phi.starts, 0.5,
+                              interpolation=interpolation)
+        hist = History([phi], room=3)
+        hist.start_segment(0.0, np.array([1.0, 0.0]))
+        assert_table_kept(hist)
+        for i in range(1, 130):
+            t = i / 128
+            x = np.array([np.cos(t) * (1 + (i >= 40) + (i >= 90)), t])
+            (hist.start_segment if i in (40, 90) else hist.append)(t, x)
+            if i % 5 == 0:
+                assert_table_kept(hist)
+            if i % 7 == 0:  # a dropped step end, then a sample before it
+                hist.n -= 1
+                assert_table_kept(hist)
+                hist.append(t - 1 / 512, x)
+            hist.derivs[hist.n - 1] = [-np.sin(t), 1.0]
+            assert_table_kept(hist)
+        assert hist.times.shape[0] > 2 * (phi.n + 3)  # doubled more than once
+        arc = hist.to_arc()
+        fresh = History([arc], 0.5)
+        for s in (0.0, -1 / 256, -0.3, -0.5):
+            index = np.arange(phi.n, hist.n)
+            ok = hist.times[index] + s >= hist.times[0]
+            want = BatchView(fresh, index[ok]).delayed(s)
+            assert BatchView(hist, index[ok]).delayed(s).tobytes() == want.tobytes()
+
+    def test_rows_grown_together_keep_their_free_samples(self):
+        arcs = _store_arcs("cover")
+        heads = np.array([phi.head for phi in arcs])
+        st = History(arcs, room=4)
+        assert_table_kept(st)
+        st.start_segments(0.0, heads)
+        assert_table_kept(st)
+        for i in range(1, 4):
+            st.append_rows(i / 64, heads * (1.0 + i / 8))
+            if i < 3:  # each row but the last has free samples among those in use
+                assert np.isinf(st.times[st.newest()[:-1] + 1]).all()
+            assert_table_kept(st)
+
+    @pytest.mark.parametrize("kind", ["one-row", "rows-with-room"])
+    def test_own_level_path_equals_the_general_path(self, kind):
+        if kind == "one-row":
+            traj = _reset_trajectory("hermite")
+            st = History([traj.arc], traj.memory_size, room=8)
+            st.append(st.times[st.n - 1] + 1 / 64, st.values[st.n - 1])
+            index = np.arange(st.starts[st.n_memory], st.n)
+        else:
+            arcs = _store_arcs("cover")
+            st = History(arcs, room=4)
+            st.start_segments(0.0, np.array([phi.head for phi in arcs]))
+            st.append_rows(1 / 64, np.array([phi.head for phi in arcs]))
+            index = np.concatenate([st.newest(), st.newest() - 1,
+                                    st.first[st.spans[1:] - 2]])
+        # a row on a later level reading before its level's first time: with
+        # it, a call takes the general path for every row
+        later = st.spans[-1] - 1  # the last row's newest level, not its first
+        assert later > st.spans[-2]
+        other, other_t = st.end[later] - 1, st.times[st.first[later]] - 1e-3
+        checked = 0
+        for frac in ((0.0, 0.3, 1.0), (0.5, 0.99), (1.0,)):
+            view, reads = own_level_reads(st, index, frac)
+            for tq in reads:
+                t0 = st.times[st.first[view.segment]]
+                assert (tq >= t0 - TIME_TOL).all()  # the own-level path
+                got = view._at(tq)
+                general = BatchView(st, np.append(index, other))._at(np.append(tq, other_t))
+                assert got.tobytes() == general[:-1].tobytes()
+                want = np.array([st.value(t, k, i + 1, f) for t, k, i, f in zip(
+                    tq.tolist(), view.segment.tolist(), index.tolist(),
+                    view.floor.tolist())])
+                assert got.tobytes() == want.tobytes()
+                checked += tq.size
+                # just past the level rule's edge, a row on a later level
+                # reads the level before: the general path
+                on = np.flatnonzero(view.segment > view.floor)
+                past = BatchView(st, index[on])
+                edge = t0[on] - 1.5 * TIME_TOL
+                want = np.array([st.value(t, k, i + 1, f) for t, k, i, f in zip(
+                    edge.tolist(), past.segment.tolist(), index[on].tolist(),
+                    past.floor.tolist())])
+                assert past._at(edge).tobytes() == want.tobytes()
+                assert (want != st.values[st.first[past.segment]]).any()
+                bad = tq.copy()
+                bad[len(bad) // 2] = np.nan  # NaN takes the general path, and fails
+                with pytest.raises(InsufficientHistoryError,
+                                   match="time nan precedes all stored history"):
+                    view._at(bad)
+        assert checked > 100

@@ -91,6 +91,19 @@ def test_unclocked_cover_arcs_reach_the_declared_delay(delay):
         spec.flow_candidates(s.arc)
 
 
+def test_reachable_pool_refuses_a_simulation_that_ended_in_error():
+    """A pool simulation that overflows ends in error, and the sampler says
+    so instead of handing out windows that hold infinities."""
+    spec, _ = build_linear_delay_system(LinearDelayConfig(
+        dimension=1, memory_size=0.1, a0=np.array([[800.0]]),
+        flow_delayed=(DelayTerm(0.1, np.array([[1.0]])),)))
+    sampler = ArcSampler(spec, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"simulation 0 ended in error: "
+                           r"non-finite state at \(t=[0-9.]+, j=0\)"):
+            sampler.sample("C", 20)
+
+
 def test_cover_clock_history_is_consistent():
     """Clock components of synthesized arcs run at slope one and reset."""
     p = Example2Params.case2()

@@ -778,6 +778,103 @@ class TestSharedHalfStepReads:
         assert half.delayed(-0.005)[0] != other.delayed(-0.005)[0]
 
 
+#: Components that the float path must round as the arrays do: signed
+#: zeros, subnormals, huge values that overflow, infinities and NaN.
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1.7e308, 9e307, -9e307,
+           np.inf, -np.inf, np.nan, 1.0, -3.25, 7e-17]
+
+
+def special_problem(n, shift):
+    """An n-component flow x' = p x + c, component by component, p and c
+    cycling through SPECIAL from other places than the head does."""
+    def cycle(at):
+        return np.array([SPECIAL[(at + 5 * i) % len(SPECIAL)] for i in range(n)])
+
+    p, c = cycle(shift + 1), cycle(shift + 3)
+    spec = SystemSpec(
+        dimension=n, memory_size=0.0, flow_guard=lambda w: 1.0,
+        jump_guard=lambda w: -1.0, flow_selection=lambda w: p * w.head + c,
+        jump_selections=lambda w: [])
+    return spec, HybridMemoryArc([0.0], [cycle(shift)], [0], 0.0)
+
+
+def same_floats(a, b):
+    """Bit for bit, but a NaN only as a NaN: IEEE 754 leaves the sign of the
+    NaN that adding two NaNs gives open, and numpy's loops and compiled
+    scalar code settle it differently (nan + (-nan))."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and (nan == np.isnan(b)).all()
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+class TestRk4FloatCombination:
+    """RK4's final combination on Python floats, up to solver._FLOAT_DIM
+    components, gives the array expression's bits (reference_rk4)."""
+
+    @pytest.mark.parametrize("n", [1, 4, solver._FLOAT_DIM, solver._FLOAT_DIM + 1])
+    def test_bits_equal_the_array_expression(self, n):
+        assert solver._FLOAT_DIM >= 4
+        checked = 0
+        with np.errstate(all="ignore"):
+            for shift in range(len(SPECIAL)):
+                spec, init = special_problem(n, shift)
+                view = head_view(init)
+                for h in (0.01, 2.0 ** -6, 1e-300, 3.0):
+                    for k1 in (None, np.array(SPECIAL[shift:] + SPECIAL[:shift])[
+                            np.arange(n) % len(SPECIAL)]):
+                        got = _rk4(spec, view, h, k1)
+                        want = reference_rk4(spec, view, h, k1)
+                        assert same_floats(got[0], want[0]), (shift, h)
+                        assert same_floats(got[1], want[1])
+                        checked += 1
+        assert checked == 2 * 4 * len(SPECIAL)
+
+    @pytest.mark.parametrize("n", [1, 4, solver._FLOAT_DIM, solver._FLOAT_DIM + 1])
+    def test_stages_drawn_from_the_special_values(self, n):
+        # a flow that hands out prescribed stages k1..k4, in the order both
+        # steps call it, so every mix of special values meets in the sums
+        rng = np.random.default_rng(n)
+        specials = np.array(SPECIAL)
+        init = HybridMemoryArc([0.0], [np.zeros(n)], [0], 0.0)
+        seen = set()
+        with np.errstate(all="ignore"):
+            for draw in range(400):
+                # every other draw takes its stages from the tiny values, so
+                # zeros and subnormals come out too
+                pool = specials if draw % 2 else specials[np.abs(specials) < 1e-16]
+                x0 = specials[rng.integers(0, len(SPECIAL), n)]
+                ks = pool[rng.integers(0, len(pool), (4, n))]
+                stages = []
+                spec = SystemSpec(dimension=n, memory_size=0.0,
+                                  flow_guard=lambda w: 1.0, jump_guard=lambda w: -1.0,
+                                  flow_selection=lambda w: stages.pop(0),
+                                  jump_selections=lambda w: [])
+                view = head_view(init)
+                view.head = x0
+                h = float(rng.choice([0.01, 1e-300, 3.0, 2.0 ** -6]))
+                out = []
+                for step in (_rk4, reference_rk4):
+                    stages[:] = [k.copy() for k in ks]
+                    out.append(step(spec, view, h))
+                    assert not stages
+                assert same_floats(out[0][0], out[1][0])
+                for v in out[0][0].tolist():
+                    seen.add("nan" if v != v else "inf" if abs(v) == np.inf
+                             else "zero" if v == 0 else "subnormal"
+                             if abs(v) < 2.3e-308 else "finite")
+        assert seen == {"nan", "inf", "zero", "subnormal", "finite"}
+
+    @pytest.mark.parametrize("n, stage", [(1, lambda w: -1.5),
+                                          (3, lambda w: np.array([0.25]))])
+    def test_stages_that_broadcast_take_the_array_expression(self, n, stage):
+        spec = SystemSpec(dimension=n, memory_size=0.0, flow_guard=lambda w: 1.0,
+                          jump_guard=lambda w: -1.0, flow_selection=stage,
+                          jump_selections=lambda w: [])
+        view = head_view(HybridMemoryArc([0.0], [np.arange(1.0, n + 1)], [0], 0.0))
+        got, want = _rk4(spec, view, 0.1), reference_rk4(spec, view, 0.1)
+        assert got[0].shape == (n,) and got[0].tobytes() == want[0].tobytes()
+
+
 def long_delay_guard_system():
     """dx = 0.5 + 0.3 x(t - 0.5), reset to 0 when x(t) + x(t - 0.5) reaches
     2.5: the flow guard reads a delay of 50 steps of 0.01."""
@@ -839,7 +936,9 @@ class TestReadAhead:
         traj = simulate(spec, init, SimOptions(t_max=4.0, step=p.delta / 160))
         resets = np.array([t for t, _ in traj.jumps])
         assert resets == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
-        assert len(built) == 16
+        # blocks of 38 steps (39 at t = 0), and one of 17 at t = 3.89 that
+        # ends at t_max, since _MIN_STEPS is 16
+        assert len(built) == 17
         assert np.abs(np.subtract.outer(resets, built)).min() > 0.01
         built.clear()
         spec = long_delay_guard_system()
@@ -1408,8 +1507,42 @@ class TestTerminationReason:
         init = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             traj = simulate(blowup, init, SimOptions(t_max=0.5, step=0.1))
+        # k2 = 1e308 * (1 + 0.05e308) overflows, so the first step end is
+        # inf: the run stops there, at the first non-finite stored sample
         assert traj.termination is Termination.error
-        assert traj.error == "non-finite state at (t=0.5, j=0)"
+        assert traj.error == "non-finite state at (t=0.1, j=0)"
+        assert traj.t_final == 0.1 and traj.arc.values[-1].tolist() == [np.inf]
+
+    def test_the_run_stops_at_the_first_non_finite_step_end(self):
+        # x' = 800 x + x(t - 0.1) overflows near t = 1.24: the run keeps
+        # that step end as its last sample and names it
+        cfg = LinearDelayConfig(dimension=1, memory_size=0.1, a0=np.array([[800.0]]),
+                                flow_delayed=(DelayTerm(0.1, np.array([[1.0]])),))
+        spec, _ = build_linear_delay_system(cfg)
+        init = constant_memory_arc(np.array([1.0]), 0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = simulate(spec, init, SimOptions(t_max=5.0, step=0.01))
+        assert traj.termination is Termination.error
+        assert traj.error == f"non-finite state at (t={traj.t_final}, j=0)"
+        assert traj.t_final == pytest.approx(1.24)
+        values = traj.arc.values
+        assert np.isfinite(values[:-1]).all() and not np.isfinite(values[-1]).all()
+        assert traj.arc.n == init.n + 124 + 1
+
+    def test_a_non_finite_jump_value_stops_the_run(self):
+        # x' = 1 jumps where x reaches 0.5, to +inf: the post-jump sample is
+        # kept, named with its jump index, and nothing is stepped from it
+        spec = SystemSpec(
+            dimension=1, memory_size=0.0, flow_guard=lambda w: 0.5 - w.head[0],
+            jump_guard=lambda w: w.head[0] - 0.5,
+            flow_selection=lambda w: np.array([1.0]),
+            jump_selections=lambda w: [np.array([np.inf])])
+        init = constant_memory_arc(np.array([0.0]), 0.0, depth=0.0)
+        traj = simulate(spec, init, SimOptions(t_max=2.0, step=0.1))
+        assert traj.termination is Termination.error
+        assert traj.j_final == 1 and traj.arc.values[-1].tolist() == [np.inf]
+        assert traj.error == f"non-finite state at (t={traj.t_final}, j=1)"
+        assert traj.t_final == pytest.approx(0.5)
 
     def test_no_error_when_the_horizon_is_reached(self):
         spec, _ = decay_system()
