@@ -49,6 +49,7 @@ from .system import (
     build_example1,
     build_example2,
     build_linear_delay_system,
+    constant_history,
     history_from_config,
     origin_target,
     origin_times_clock_target,

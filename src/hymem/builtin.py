@@ -8,6 +8,8 @@ pointwise term and an integral of the squared recent history.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +21,31 @@ from .certificates import (HalanayCertificate, KrasovskiiCertificate,
 from .batch import delayed_sq_integral
 from .hybrid_time import HybridMemoryArc
 from .system import Example1Params, Example2Params
+
+
+def _exp1(v: float) -> float:
+    """e to the real v through libm; inf where libm overflows."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _cexp1(v: complex) -> complex:
+    """e to the complex v through libm; its modulus inf where libm overflows."""
+    try:
+        return cmath.exp(v)
+    except OverflowError:
+        im = v.imag and math.inf * math.sin(v.imag)  # a zero keeps its sign
+        return complex(math.inf * math.cos(v.imag), im)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """e to each entry of x through libm, so each entry's bits depend on it
+    alone: numpy picks its ``exp`` loop by the CPU's features, and an
+    AVX-512 loop differs from libm in the last bit now and then."""
+    f = _cexp1 if x.dtype.kind == "c" else _exp1
+    return np.fromiter(map(f, x.ravel().tolist()), x.dtype, x.size).reshape(x.shape)
 
 
 class _MatrixExpFamily:
@@ -46,7 +73,7 @@ class _MatrixExpFamily:
 
     def at(self, s: float) -> np.ndarray:
         if self.eig_ok:
-            return ((self.s * np.exp(self.w * s)) @ self.s_inv).real
+            return ((self.s * _exp(self.w * s)) @ self.s_inv).real
         return numerics.expm(self.m * s)
 
     def apply_batch(self, svec: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
@@ -55,7 +82,7 @@ class _MatrixExpFamily:
         which round differently by the number of rows."""
         if self.eig_ok:
             y = np.einsum("ij,mj->mi", self.s_inv, x_rows)
-            y = np.exp(np.multiply.outer(svec, self.w)) * y
+            y = _exp(np.multiply.outer(svec, self.w)) * y
             return np.einsum("ij,mj->mi", self.s, y).real
         return np.array([self.at(float(si)) @ xi
                          for si, xi in zip(svec, x_rows)])
@@ -96,8 +123,8 @@ def _example1_ingredients(params: Example1Params,
         p = numerics.solve_discrete_lyapunov(h / theta)
         rho_quad = numerics.contraction_factor(h, p)
         sigma = params.sigma if params.sigma is not None else \
-            min(1.0, np.log((1.0 + rho_quad) / (2.0 * rho_quad)) / params.delta)
-        rho_hat = max(0.9, 0.5 * (1.0 + rho_quad * np.exp(sigma * params.delta)))
+            min(1.0, math.log((1.0 + rho_quad) / (2.0 * rho_quad)) / params.delta)
+        rho_hat = max(0.9, 0.5 * (1.0 + rho_quad * _exp1(sigma * params.delta)))
         if rho_hat >= 1.0:
             feasible = False
             rho_hat = 0.95
@@ -112,7 +139,7 @@ def _example1_ingredients(params: Example1Params,
     c1, c2 = np.inf, 0.0
     for tau in taus:
         e = fam.at(params.delta - tau)
-        mat = np.exp(-sigma * tau) * (e.T @ p @ e)
+        mat = _exp1(-sigma * tau) * (e.T @ p @ e)
         vals = np.linalg.eigvalsh(mat)
         c1 = min(c1, vals[0])
         c2 = max(c2, vals[-1])
@@ -138,14 +165,14 @@ def _example1_parts(params: Example1Params):
     def v(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         y = fam.at(delta - x[n1]) @ x[:n1]
-        return float(np.exp(-sigma * x[n1]) * (y @ p @ y))
+        return float(_exp1(-sigma * x[n1]) * (y @ p @ y))
 
     def grad_v(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         e = fam.at(delta - x[n1])
         y = e @ x[:n1]
         py = p @ y
-        scale = np.exp(-sigma * x[n1])
+        scale = _exp1(-sigma * x[n1])
         g = np.empty(n1 + 1)
         g[:n1] = 2.0 * scale * (e.T @ py)
         g[n1] = -sigma * scale * (y @ py) - 2.0 * scale * ((a_f @ y) @ py)
@@ -155,7 +182,7 @@ def _example1_parts(params: Example1Params):
         arr = np.asarray(arr, dtype=float)
         taus = arr[:, n1]
         y = fam.apply_batch(delta - taus, arr[:, :n1])
-        return np.exp(-sigma * taus) * np.einsum("ij,jk,ik->i", y, p, y)
+        return _exp(-sigma * taus) * np.einsum("ij,jk,ik->i", y, p, y)
 
     return info, v, grad_v, v_batch
 
@@ -228,17 +255,17 @@ def example2_feasibility(params: Example2Params) -> Example2CertificateInfo:
     taus = np.linspace(0.0, delta, 401)
     worst = -np.inf
     for tau in taus:
-        w = np.exp(-sigma * tau)
+        w = _exp1(-sigma * tau)
         mat = np.array([[(2 * a - sigma) * w + mu, b * w],
                         [b * w, -mu]])
         worst = max(worst, float(np.linalg.eigvalsh(mat)[-1]))
     flow_margin = -worst
-    jump_margin = float(np.exp(-sigma * delta) - rho * rho)
+    jump_margin = float(_exp1(-sigma * delta) - rho * rho)
 
-    w_bind = np.exp(-sigma * delta) if sigma < 0 else 1.0
+    w_bind = _exp1(-sigma * delta) if sigma < 0 else 1.0
     flow_form = (2 * a - sigma) * w_bind + mu
     flow_coupling = -flow_form * mu - b * b * w_bind * w_bind
-    jump_cond = float(np.exp(-sigma * delta) - rho)
+    jump_cond = float(_exp1(-sigma * delta) - rho)
 
     feasible = flow_margin > 0 and jump_margin > 0
     gamma3 = 0.5 * min(flow_margin, jump_margin) if feasible else 0.05
@@ -264,7 +291,7 @@ def example2_krasovskii_certificate(
 
     def vf_batch(phis: Sequence[HybridMemoryArc]) -> np.ndarray:
         heads = np.array([phi.head for phi in phis]).reshape(len(phis), 2)
-        point = heads[:, 0] * heads[:, 0] * np.exp(-sigma * heads[:, 1])
+        point = heads[:, 0] * heads[:, 0] * _exp(-sigma * heads[:, 1])
         if mu == 0.0:
             return point
         return point + mu * delayed_sq_integral(phis, -r, 0.0,
@@ -273,8 +300,8 @@ def example2_krasovskii_certificate(
     abs_sig = abs(sigma)
     cert = KrasovskiiCertificate(
         vf=lambda phi: float(vf_batch([phi])[0]),
-        alpha1=lambda s: s * s * np.exp(-abs_sig * delta),
-        alpha2=lambda s: s * s * (np.exp(abs_sig * delta) + r * mu),
+        alpha1=lambda s: s * s * _exp1(-abs_sig * delta),
+        alpha2=lambda s: s * s * (_exp1(abs_sig * delta) + r * mu),
         alpha3=lambda s, g=info.gamma3: g * s * s,
         vf_batch=vf_batch,
     )

@@ -602,6 +602,17 @@ class KLEnvelopeReport:
         }
 
 
+def _settling_time(tj: np.ndarray, dist: np.ndarray, eps: float) -> float | None:
+    """The t + j after which dist stays at most eps: 0.0 if it never
+    exceeds eps, None if its last sample does."""
+    above = np.flatnonzero(dist > eps)
+    if above.size == 0:
+        return 0.0
+    if above[-1] == dist.size - 1:
+        return None
+    return float(tj[above[-1] + 1])
+
+
 def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
                       eps_grid: Sequence[float], eta_grid: Sequence[float]
                       ) -> KLEnvelopeReport:
@@ -622,47 +633,33 @@ def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
 
     etas = sup_norm_w([t.arc.memory_side(t.memory_size) for t in trajectories],
                       target.dist, batch=target.dist_batch)
-    sups, drop_times = [], []
+    sups, curves = [], []
     for traj in trajectories:
         tj, dist = np.array([(t + j, target.dist(x))
                              for t, j, x in traj.sample_points()]).T
         sups.append(float(np.max(dist)))
-        drop_times.append((tj, dist))
+        curves.append((tj, dist))
 
-    gamma_rows = []
+    gamma_rows, buckets = [], []  # buckets: each eta with its members
     bounded_ok = True
     for eta in sorted(eta_grid):
-        mask = etas <= eta + 1e-12
-        if not np.any(mask):
+        members = np.flatnonzero(etas <= eta + 1e-12)
+        if members.size == 0:
             continue
-        gamma = float(np.max(np.asarray(sups)[mask]))
+        gamma = max(sups[i] for i in members)
         gamma_rows.append((float(eta), gamma))
+        buckets.append((float(eta), members))
         if gamma > OVERSHOOT_CAP * max(eta, 1e-9):
             bounded_ok = False
 
     time_rows = []
-    attractive_ok = True
     for eps in sorted(eps_grid):
-        for eta in sorted(eta_grid):
-            mask = etas <= eta + 1e-12
-            if not np.any(mask):
-                continue
-            worst_T: float | None = 0.0
-            for i in np.flatnonzero(mask):
-                tj, dist = drop_times[i]
-                above = dist > eps
-                if above[-1]:
-                    worst_T = None
-                    break
-                if np.any(above):
-                    last = int(np.flatnonzero(above)[-1])
-                    t_i = float(tj[last + 1])
-                else:
-                    t_i = 0.0
-                worst_T = max(worst_T, t_i)
-            time_rows.append((float(eps), float(eta), worst_T))
-            if worst_T is None:
-                attractive_ok = False
+        settled = [_settling_time(tj, dist, eps) for tj, dist in curves]
+        for eta, members in buckets:
+            times = [settled[i] for i in members]
+            worst_T = None if None in times else max(times)
+            time_rows.append((float(eps), eta, worst_T))
+    attractive_ok = all(worst_T is not None for _, _, worst_T in time_rows)
 
     return KLEnvelopeReport(
         bounded_ok=bounded_ok, attractive_ok=attractive_ok,

@@ -36,13 +36,13 @@ from .builtin import (example1_halanay_certificate,
 from .certificates import (CertificateValidationError, check_halanay,
                            check_kl_envelope, check_krasovskii,
                            check_razumikhin)
-from .hybrid_time import HybridMemoryArc, constant_memory_arc, write_arc_csv
+from .hybrid_time import HybridMemoryArc, write_arc_csv
 from .sampling import ArcSampler
 from .solver import SimOptions, Trajectory, run_summary, simulate
 from .system import (ConfigError, Example1Params, Example2Params, SystemSpec,
                      TargetSet, _number, build_example1, build_example2,
-                     build_linear_delay_system, history_from_config,
-                     parse_linear_delay_config)
+                     build_linear_delay_system, constant_history,
+                     history_from_config, parse_linear_delay_config)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -128,13 +128,6 @@ def _sim_options(spec: SystemSpec, extras: dict, t_max: float | None,
     return SimOptions(**chosen)
 
 
-def _constant_history(spec: SystemSpec, value: np.ndarray,
-                      opts: SimOptions) -> HybridMemoryArc:
-    return constant_memory_arc(value, spec.memory_size,
-                               depth=spec.memory_size + 0.5,
-                               grid_step=opts.step * 4)
-
-
 def _initial_history(history: str | None, spec: SystemSpec, extras: dict,
                      opts: SimOptions) -> HybridMemoryArc:
     if history is not None:
@@ -144,13 +137,13 @@ def _initial_history(history: str | None, spec: SystemSpec, extras: dict,
         if not np.all(np.isfinite(value)):
             raise ConfigError(f"--history must be finite, got {history!r}")
     elif "initial_history" in extras:
-        return history_from_config(extras["initial_history"], spec)
+        return history_from_config(extras["initial_history"], spec, opts.step)
     else:
         value = np.ones(spec.dimension)
         clock = spec.meta.get("clock_index")
         if clock is not None:
             value[clock] = 0.0
-    return _constant_history(spec, value, opts)
+    return constant_history(spec, value, opts.step)
 
 
 def emit_plot_data(traj: Trajectory, target: TargetSet, out: str) -> None:
@@ -338,7 +331,7 @@ def cmd_check_kl(system, config_path, overrides, report, seed, t_max, j_max,
             norm = np.linalg.norm(v)
             if norm > 0:
                 v = v / norm * rng.uniform(min(0.05, 0.5 * top), top)
-            trajs.append(simulate(spec, _constant_history(spec, v, opts), opts))
+            trajs.append(simulate(spec, constant_history(spec, v, opts.step), opts))
         result = check_kl_envelope(trajs, target, eps, eta)
         _write_json(result.to_json_dict(), report)
     sys.exit(EXIT_OK if result.passed else EXIT_VIOLATIONS)

@@ -57,9 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import _STACK_ROWS, append_jumps, memory_windows
-from .hybrid_time import HybridMemoryArc, constant_memory_arc
+from .hybrid_time import HybridMemoryArc
 from .solver import SimOptions, Termination, simulate
-from .system import GUARD_TOL, SystemSpec
+from .system import GUARD_TOL, SystemSpec, constant_history
 
 _REGIONS = ("C", "D", "Gplus")
 AMPLITUDE = (0.1, 2.0)  # range of a random arc's amplitude
@@ -162,9 +162,7 @@ class ArcSampler:
         v = amp * rng.uniform(-1.0, 1.0, size=n)
         if clock is not None:
             v[clock] = rng.uniform(0.0, 0.95 * period)
-        return constant_memory_arc(v, self.spec.memory_size,
-                                   depth=self.spec.memory_size + 0.5,
-                                   grid_step=self._sim_options().step * 4)
+        return constant_history(self.spec, v, self._sim_options().step)
 
     def _extend_pool(self, traj_index: int) -> None:
         rng = self._rng("reachable-traj", traj_index)

@@ -22,8 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hybrid_time import (HybridMemoryArc, _interpolate, constant_memory_arc,
-                          memory_arc_from_function)
+from .hybrid_time import TIME_TOL, HybridMemoryArc, constant_memory_arc
 
 
 # A window lies in a set when its guard is at least -GUARD_TOL.  Event
@@ -507,41 +506,53 @@ def parse_linear_delay_config(doc: dict) -> tuple[LinearDelayConfig, dict]:
     return cfg, extras
 
 
-def history_from_config(hist: dict, spec: SystemSpec) -> HybridMemoryArc:
+def constant_history(spec: SystemSpec, value, step: float) -> HybridMemoryArc:
+    """The initial history holding ``value`` on [-memory_size - 0.5, 0] on a
+    grid of ``4 * step``: ``--history``, its default, a config's ``constant``
+    kind, the ``check-kl`` bundle and the reachable pool all start from it."""
+    return constant_memory_arc(value, spec.memory_size,
+                               depth=spec.memory_size + 0.5, grid_step=step * 4)
+
+
+def history_from_config(hist: dict, spec: SystemSpec, step: float) -> HybridMemoryArc:
     """Build the initial memory arc described by an 'initial_history' section.
 
-    Constant histories put the given state vector on the whole window;
-    sampled histories list [s, v_1, ..., v_n] rows, no two with one s, and
-    read their linear interpolant, held constant past either end.  The
-    clock component, if the system has one, must be included in the vectors.
+    A constant history is :func:`constant_history` of the given state
+    vector with the run's ``step``.  A sampled history is the one-level
+    memory arc of its [s, v_1, ..., v_n] rows sorted by s, no two with one
+    s, read by the arcs' linear rule: from at or below -memory_size (not
+    below -memory_size - 1) up to s = 0, up to ``TIME_TOL``.  No row may lie
+    after s = 0, and only the last within ``TIME_TOL`` of it, which is then
+    taken at s = 0, where the forward side starts.  The vectors include the
+    clock component when the system has one.
     """
-    delta = spec.memory_size
-    depth = max(delta, 1e-3)
-    period = spec.meta.get("period")
-    grid_step = (period / 50.0) if period else depth / 50.0
-    kind = hist["kind"]
-    if kind == "constant":
+    if hist["kind"] == "constant":
         value = np.atleast_1d(_array(hist["value"], "initial_history.value",
                                      "a vector of numbers"))
         if value.shape != (spec.dimension,):
             raise ConfigError(f"initial_history.value must have length {spec.dimension}")
         if not np.all(np.isfinite(value)):
             raise ConfigError(f"initial_history.value must be finite, got {hist['value']}")
-        return constant_memory_arc(value, delta, depth=depth, grid_step=grid_step)
+        return constant_history(spec, value, step)
     points = hist["points"]
-    if not isinstance(points, list) or not points:
-        raise ConfigError("initial_history.points must be a nonempty list")
+    if not isinstance(points, list) or len(points) < 2:
+        raise ConfigError("initial_history.points must list at least two rows")
     rows = _array(points, "initial_history.points", "rows of numbers")
     if rows.ndim != 2 or rows.shape[1] != spec.dimension + 1:
         raise ConfigError("initial_history.points rows must be [s, v_1, ..., v_n]")
     if not np.all(np.isfinite(rows)):
         raise ConfigError("initial_history.points must be finite")
-    order = np.argsort(rows[:, 0])
-    rows = rows[order]
-    times, values = rows[:, 0], rows[:, 1:]
-    if (times[1:] == times[:-1]).any():
+    rows = rows[np.argsort(rows[:, 0])]
+    if (rows[1:, 0] == rows[:-1, 0]).any():
         raise ConfigError("initial_history.points must not repeat a time s")
-    if times[-1] < -1e-12 or times[0] > -delta + 1e-12:
-        raise ConfigError("initial_history.points must span [-memory_size, 0]")
-    return memory_arc_from_function(lambda s: _interpolate(times, values, None, s),
-                                    delta, depth=depth, grid_step=grid_step)
+    if rows[-1, 0] > 0.0:
+        raise ConfigError("initial_history.points: rows must have s <= 0")
+    if rows[-2, 0] >= -TIME_TOL:
+        raise ConfigError("initial_history.points: only the last row may lie "
+                          "within TIME_TOL of s = 0")
+    if rows[-1, 0] >= -TIME_TOL:
+        rows[-1, 0] = 0.0  # where the forward side starts
+    try:
+        return HybridMemoryArc(rows[:, 0], rows[:, 1:], [0], spec.memory_size)
+    except ValueError as exc:  # no row at s = 0, or rows outside the memory window
+        raise ConfigError(f"initial_history.points: {exc}") from None

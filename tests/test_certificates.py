@@ -1,14 +1,16 @@
 """Certificate screening, the functional derivative, checkers, and the
 trajectory-level conclusion checks."""
 
+import cmath
 import dataclasses
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hymem import certificates
+from hymem import builtin, certificates
 from hymem.batch import append_jumps
 from hymem.builtin import (example1_halanay_certificate,
                            example1_razumikhin_certificate,
@@ -335,6 +337,21 @@ class TestExample2Checks:
                                samples=400, target=target)
         assert rep.passed, rep.violations[:3]
 
+    def test_exponentials_overflow_to_inf(self):
+        # libm raises where np.exp gives inf: a huge sigma still builds a
+        # certificate, which screening then refuses (exit 2, not 3)
+        cert, _ = example2_krasovskii_certificate(
+            dataclasses.replace(Example2Params.case2(), sigma=9000.0))
+        assert cert.alpha2(1.0) == np.inf and cert.alpha1(1.0) == 0.0
+        # each entry is libm's, whatever its neighbours
+        x = np.array([0.1 * k for k in range(-30, 30)] + [800.0])
+        assert builtin._exp(x).tolist() == [math.exp(v) for v in x[:-1]] + [np.inf]
+        z = np.array([0.3 - 0.7j, 800.0 + 1.0j, 800.0 + 0.0j, complex(800.0, -0.0)])
+        got = builtin._exp(z)
+        assert got[0] == cmath.exp(0.3 - 0.7j)
+        assert got[1].real == np.inf and got[1].imag == np.inf
+        assert got[2] == np.inf and math.copysign(1.0, got[3].imag) == -1.0
+
     def test_enlarged_period_reports_jump_violations(self):
         p = Example2Params(a=0.5, b=0.25, rho=0.5, r=0.05, delta=0.75,
                            sigma=2.0, mu=0.5)
@@ -399,10 +416,11 @@ class TestExample2Checks:
 
 
 def reference_vf(params):
-    """Example 2's functional arc by arc, as its scalar form computed it."""
+    """Example 2's functional arc by arc, as its scalar form computed it,
+    with the certificate's libm exponential."""
     def vf(phi):
         head = phi.head
-        point = head[0] * head[0] * np.exp(-params.sigma * head[1])
+        point = head[0] * head[0] * math.exp(-params.sigma * head[1])
         return float(point + params.mu * delayed_sq_integral(
             [phi], -params.r, 0.0, components=slice(0, 1))[0])
     return vf

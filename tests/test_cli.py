@@ -163,6 +163,19 @@ class TestExitCodes:
         # refused before the history grid of step * 4 is allocated
         (("simulate", "--system", "example2", "--step", "1e-13", "--t-max", "0.1"),
          None),
+        # sampled rows the memory arc of memory size 0.5 cannot hold
+        (("simulate",), {"memory_size": 0.5, "initial_history": {
+            "kind": "samples", "points": [[-0.5, 1.0], [-0.1, 2.0]]}}),
+        (("simulate",), {"memory_size": 0.5, "initial_history": {
+            "kind": "samples", "points": [[-0.5, 1.0], [0.0, 2.0], [0.25, 3.0]]}}),
+        (("simulate",), {"memory_size": 0.5, "initial_history": {
+            "kind": "samples", "points": [[-0.5, 1.0], [1e-13, 2.0]]}}),
+        (("simulate",), {"memory_size": 0.5, "initial_history": {
+            "kind": "samples", "points": [[-0.5, 1.0], [-5e-13, 2.0], [0.0, 3.0]]}}),
+        (("simulate",), {"memory_size": 0.5, "initial_history": {
+            "kind": "samples", "points": [[-0.3, 1.0], [0.0, 2.0]]}}),
+        (("simulate",), {"memory_size": 0.5, "initial_history": {
+            "kind": "samples", "points": [[-1.6, 1.0], [0.0, 2.0]]}}),
     ], ids=["set-K", "set-A", "config-dimension", "eps-grid", "eps-grid-zero",
             "eta-grid-negative", "step-zero", "history", "config-t-max",
             "config-history-point", "t-max-nan", "step-nan", "slack-nan",
@@ -171,7 +184,10 @@ class TestExitCodes:
             "set-config-history-nan", "set-r-inf", "set-delta-nan", "set-r-nan",
             "config-memory-size-inf", "config-period-nan", "set-K-inf",
             "config-A0-nan", "set-a-foo", "set-delta-foo", "set-sigma-list",
-            "set-a-bool", "eta-grid-word", "step-below-time-tol"])
+            "set-a-bool", "eta-grid-word", "step-below-time-tol",
+            "points-no-row-at-zero", "points-row-after-zero",
+            "points-row-just-after-zero", "points-two-rows-at-zero",
+            "points-too-shallow", "points-too-deep"])
     def test_malformed_input_exits_two(self, tmp_path, request, args, config):
         # read before anything runs: exit 2 with the reason, no traceback
         if config is not None:
@@ -201,6 +217,8 @@ class TestExitCodes:
                  "eta-grid-word": "--eta-grid must be a number, got 'x'",
                  "step-below-time-tol": "step must exceed 1e-12, got 1e-13",
                  }.get(request.node.callspec.id)
+        if request.node.callspec.id.startswith("points-"):
+            named = "initial_history.points: "
         if named is not None:
             assert r.stderr.startswith(f"config error: {named}"), r.stderr
 
@@ -348,6 +366,48 @@ class TestConfigSystems:
                     "jump.J0=[[1.6]]", "--report", str(rep))
         assert r.returncode == 0, r.stderr
         assert json.loads(rep.read_text())["final_distW"] > 1.0
+
+    def test_constant_kind_is_the_history_flag(self, tmp_path):
+        # a config's constant history and --history with its value run from
+        # one arc: depth memory_size + 0.5 on a grid of 4 steps
+        doc = {**MINIMAL_CONFIG, "memory_size": 0.5,
+               "flow": {"A0": [[-1.0]], "delayed": [{"delay": 0.5, "A": [[0.5]]}]}}
+        outs = []
+        for name, extra, args in (
+                ("kind", {"initial_history": {"kind": "constant", "value": [1.0]}}, ()),
+                ("flag", {}, ("--history", "1.0"))):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**doc, **extra}))
+            r = run_cli("simulate", "--config", str(cfg), "--t-max", "1", *args,
+                        "--out", str(tmp_path / f"{name}.csv"),
+                        "--report", str(tmp_path / f"{name}.json"))
+            assert r.returncode == 0, r.stderr
+            outs.append(((tmp_path / f"{name}.csv").read_bytes(),
+                         (tmp_path / f"{name}.json").read_bytes()))
+        assert outs[0] == outs[1]
+        first, end = hymem.arc_from_csv(outs[0][0].decode()).levels()[0]
+        assert end - first == 26  # samples of the memory side, from s = -1
+
+    @pytest.mark.parametrize("last", [0.0, -1e-13, -hymem.TIME_TOL],
+                             ids=["zero", "just-before", "time-tol-before"])
+    def test_sampled_history_round_trips_through_the_csv(self, tmp_path, last):
+        # a last row within TIME_TOL before s = 0 is taken at s = 0
+        points = [[-0.5, 1.0], [-0.123, 3.0], [last, 2.0]]
+        cfg, out = tmp_path / "sys.json", tmp_path / "traj.csv"
+        cfg.write_text(json.dumps({
+            **MINIMAL_CONFIG, "memory_size": 0.5,
+            "flow": {"A0": [[-1.0]], "delayed": [{"delay": 0.5, "A": [[0.5]]}]},
+            "initial_history": {"kind": "samples", "points": points}}))
+        r = run_cli("simulate", "--config", str(cfg), "--t-max", "1",
+                    "--out", str(out), "--report", str(tmp_path / "sum.json"))
+        assert r.returncode == 0, r.stderr
+        text = out.read_text()
+        arc = hymem.arc_from_csv(text)
+        assert hymem.arc_to_csv(arc) == text
+        memory = arc.memory_side(0.5)
+        assert np.column_stack((memory.times, memory.values)).tolist() == \
+            [[-0.5, 1.0], [-0.123, 3.0], [0.0, 2.0]]
+        assert arc.value(-0.123)[0] == 3.0
 
 
 class TestSimFlags:

@@ -12,8 +12,8 @@ from hymem.solver import SimOptions, simulate
 from hymem.system import (ConfigError, DelayTerm, Example1Params,
                           Example2Params, LinearDelayConfig, SystemSpec,
                           build_example1, build_example2,
-                          build_linear_delay_system, history_from_config,
-                          parse_linear_delay_config)
+                          build_linear_delay_system, constant_history,
+                          history_from_config, parse_linear_delay_config)
 
 
 def const_arc(values, delta, depth=None):
@@ -332,12 +332,22 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="target_set must be 'origin' or"):
             build_linear_delay_system(cfg)
 
-    def test_history_from_config_constant(self):
-        cfg, extras = parse_linear_delay_config(self.good_doc())
+    def built(self, doc):
+        cfg, extras = parse_linear_delay_config(doc)
         spec, _ = build_linear_delay_system(cfg)
-        arc = history_from_config(extras["initial_history"], spec)
+        return extras["initial_history"], spec
+
+    def test_history_from_config_constant(self):
+        hist, spec = self.built(self.good_doc())
+        arc = history_from_config(hist, spec, 0.002)
         assert arc.membership_violation() is None
         assert np.array_equal(arc.head, np.array([1.0, 0.0]))
+        # the --history arc: depth memory_size + 0.5 on a grid of 4 steps
+        same = constant_history(spec, [1.0, 0.0], 0.002)
+        assert arc.times.tobytes() == same.times.tobytes()
+        assert arc.values.tobytes() == same.values.tobytes()
+        assert arc.times[0] == -spec.memory_size - 0.5
+        assert np.allclose(np.diff(arc.times), 0.008, rtol=0, atol=1e-12)
 
     def test_history_from_config_samples(self):
         doc = self.good_doc()
@@ -345,23 +355,61 @@ class TestConfigSchema:
             "kind": "samples",
             "points": [[-1.2, 0.5, 0.0], [0.0, 1.5, 0.0]],
         }
-        cfg, extras = parse_linear_delay_config(doc)
-        spec, _ = build_linear_delay_system(cfg)
-        arc = history_from_config(extras["initial_history"], spec)
+        arc = history_from_config(*self.built(doc), 0.002)
         assert arc.head[0] == pytest.approx(1.5)
         assert arc.delayed(-0.6)[0] == pytest.approx(1.0, abs=1e-6)
 
-    def test_history_from_config_holds_its_end_values(self):
-        # the arc reaches depth 1e-3, past the oldest point at -memory_size
+    def test_history_from_config_reads_its_own_rows(self):
+        # the row at -0.123 reads back as given, not as a grid interpolates it
+        doc = {"dimension": 1, "memory_size": 0.5,
+               "flow": {"A0": [[-1.0]], "delayed": [{"delay": 0.5, "A": [[0.5]]}]},
+               "initial_history": {"kind": "samples", "points": [
+                   [-0.5, 1.0], [-0.123, 3.0], [0.0, 2.0]]}}
+        arc = history_from_config(*self.built(doc), 0.01)
+        assert arc.delayed(-0.123)[0] == 3.0
+        assert arc.delayed(-0.5)[0] == 1.0 and arc.head[0] == 2.0
+
+    def test_history_from_config_is_the_arc_of_its_rows(self):
+        # the rows, sorted, are the arc's samples: no grid and no
+        # extension past the oldest row
         doc = {"dimension": 1, "memory_size": 0.0005, "flow": {"A0": [[-1.0]]},
                "initial_history": {"kind": "samples",
-                                   "points": [[-0.0005, 1.0], [0.0, 2.0]]}}
-        cfg, extras = parse_linear_delay_config(doc)
-        spec, _ = build_linear_delay_system(cfg)
-        arc = history_from_config(extras["initial_history"], spec)
-        assert arc.times[0] == -1e-3
-        assert arc.delayed(-1e-3)[0] == 1.0
+                                   "points": [[0.0, 2.0], [-0.0005, 1.0]]}}
+        arc = history_from_config(*self.built(doc), 0.01)
+        assert arc.times.tolist() == [-0.0005, 0.0]
+        assert arc.values.tolist() == [[1.0], [2.0]]
+        assert arc.starts == [0] and arc.delta == 0.0005
         assert arc.delayed(-0.00025)[0] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("points, reason", [
+        ([[-0.5, 1.0], [-0.1, 2.0]], "memory domain must end at t = 0"),
+        ([[-0.5, 1.0], [0.0, 2.0], [0.25, 3.0]], "rows must have s <= 0"),
+        ([[-0.5, 1.0], [1e-13, 2.0]], "rows must have s <= 0"),
+        ([[-0.5, 1.0], [-5e-13, 2.0], [0.0, 3.0]], "only the last row may lie"),
+        ([[-0.3, 1.0], [0.0, 2.0]], "some point must satisfy s \\+ k <= -delta"),
+        ([[-1.6, 1.0], [0.0, 2.0]], "< -delta - 1"),
+    ], ids=["no-row-at-zero", "row-after-zero", "row-just-after-zero",
+            "two-rows-at-zero", "too-shallow", "too-deep"])
+    def test_history_from_config_refuses_rows_no_arc_holds(self, points, reason):
+        doc = {"dimension": 1, "memory_size": 0.5, "flow": {"A0": [[-1.0]]},
+               "initial_history": {"kind": "samples", "points": points}}
+        hist, spec = self.built(doc)
+        with pytest.raises(ConfigError, match=f"^initial_history.points: .*{reason}"):
+            history_from_config(hist, spec, 0.01)
+        # the edges themselves, up to TIME_TOL, are held; a last row just
+        # before s = 0 is taken at s = 0, where the forward side starts
+        arc = history_from_config({"kind": "samples", "points": [
+            [-1.5 - 1e-13, 1.0], [-0.5, 1.0], [-1e-13, 2.0]]}, spec, 0.01)
+        assert arc.times.tolist() == [-1.5 - 1e-13, -0.5, 0.0]
+
+    def test_history_from_config_needs_two_rows(self):
+        # one row would be a one-sample memory side, which no CSV can hold
+        hist, spec = self.built({"dimension": 1, "memory_size": 0.0,
+                                 "flow": {"A0": [[-1.0]]},
+                                 "initial_history": {"kind": "samples",
+                                                     "points": [[0.0, 1.0]]}})
+        with pytest.raises(ConfigError, match="must list at least two rows"):
+            history_from_config(hist, spec, 0.01)
 
     def test_history_from_config_rejects_a_repeated_time(self):
         doc = self.good_doc()
@@ -370,7 +418,5 @@ class TestConfigSchema:
             "points": [[-1.2, 0.5, 0.0], [-0.6, 1.0, 0.0], [-0.6, 2.0, 0.0],
                        [0.0, 1.5, 0.0]],
         }
-        cfg, extras = parse_linear_delay_config(doc)
-        spec, _ = build_linear_delay_system(cfg)
         with pytest.raises(ConfigError, match="must not repeat a time s"):
-            history_from_config(extras["initial_history"], spec)
+            history_from_config(*self.built(doc), 0.002)
