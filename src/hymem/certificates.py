@@ -18,8 +18,9 @@ The checkers falsify, not prove: zero violations over a sample set is
 evidence, a reported violation is a certified counterexample (re-evaluating
 the witness reproduces it exactly).
 
-Default slack: 1e-9 for algebraic conditions, 1e-7 + 10 h for conditions
-evaluated through an h-step finite difference.
+Default slack: 1e-9 for algebraic conditions, 1e-7 + 10 h for conditions on
+a derivative: h = ``DERIVATIVE_STEP`` (1e-5) for the functional form's
+difference quotient, h = 0 for the pointwise forms' gradient.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ import numpy as np
 from .batch import _blocks, append_jumps, memory_windows, sup_norm_w
 from .hybrid_time import HybridMemoryArc
 from .sampling import ArcSample, ArcSampler
-from .solver import PreconditionError, Trajectory, flow_windows
+from .solver import _FLOW_STEPS, PreconditionError, Trajectory, flow_windows
 from .system import GUARD_TOL, SystemSpec, TargetSet
 
 ALGEBRAIC_SLACK = 1e-9
+DERIVATIVE_STEP = 1e-5  # the flow duration of check_krasovskii's quotients
 OVERSHOOT_CAP = 100.0  # largest excursion over initial size a KL bundle may show
 _VBAR_POINTS = 64  # windows that check_vbar_monotone holds at once
 
@@ -276,7 +278,7 @@ def check_gradient(cert, points: np.ndarray) -> None:
 
 def _split_counts(total: int) -> tuple[int, int, int]:
     n_c = max(1, int(round(total * 0.4)))
-    n_d = max(1, int(round(total * 0.3)))
+    n_d = min(max(1, int(round(total * 0.3))), total - n_c)
     n_g = max(0, total - n_c - n_d)
     return n_c, n_d, n_g
 
@@ -286,7 +288,7 @@ def _split_counts(total: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
-           target: TargetSet | None, h: float,
+           target: TargetSet, h: float,
            values: Callable[[list[HybridMemoryArc]], Sequence[float]],
            window: tuple[Callable, Callable | None], upper_is_window: bool,
            flow: Callable[[list[ArcSample], list[tuple]], Iterable[Iterable[tuple]]],
@@ -310,8 +312,6 @@ def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
     recorded.  h sets the default derivative slack; meta joins the report's
     meta when the run ends, so the terms may update it.
     """
-    if target is None:
-        raise ValueError("a TargetSet is required (pass target=...)")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if slack is not None and not np.isfinite(slack):
@@ -354,8 +354,7 @@ def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
 
 
 def _check_pointwise(spec: SystemSpec, cert, sampler: ArcSampler,
-                     slack: float | None, samples: int,
-                     target: TargetSet | None,
+                     slack: float | None, samples: int, target: TargetSet,
                      premise: Callable[[float, float], bool],
                      flow_rhs: Callable[[float, float], float],
                      jump_rhs: Callable[[float], float]) -> CheckReport:
@@ -388,8 +387,7 @@ def _check_pointwise(spec: SystemSpec, cert, sampler: ArcSampler,
 
 def check_razumikhin(spec: SystemSpec, cert: RazumikhinCertificate,
                      sampler: ArcSampler, slack: float | None = None,
-                     samples: int = 1000, target: TargetSet | None = None
-                     ) -> CheckReport:
+                     samples: int = 1000, *, target: TargetSet) -> CheckReport:
     """Evaluate the threshold certificate's three conditions on sampled arcs.
 
     (i) sandwich at the window head on C, D and post-jump arcs; (ii) when
@@ -407,8 +405,7 @@ def check_razumikhin(spec: SystemSpec, cert: RazumikhinCertificate,
 
 def check_halanay(spec: SystemSpec, cert: HalanayCertificate,
                   sampler: ArcSampler, slack: float | None = None,
-                  samples: int = 1000, target: TargetSet | None = None
-                  ) -> CheckReport:
+                  samples: int = 1000, *, target: TargetSet) -> CheckReport:
     """Linear-form conditions: (ii) grad V . f <= -mu V + q Vbar on all flow
     arcs, (iii) V(g) <= rho Vbar on all jump arcs; sandwich as in the
     threshold check."""
@@ -449,8 +446,8 @@ def _quotients(spec: SystemSpec, functional: Callable,
             break
         retry = []
         # one block of windows at a time; a window's store adds the head and
-        # flow_windows' two steps to its arc's samples
-        for lo, hi in _blocks([phis[i] for i in todo], 3):
+        # flow_windows' steps to its arc's samples
+        for lo, hi in _blocks([phis[i] for i in todo], _FLOW_STEPS + 1):
             rows = todo[lo:hi]
             windows = flow_windows(spec, [phis[i] for i in rows], h)
             inside = [spec.flow_guard(w) >= -GUARD_TOL for w in windows]
@@ -487,13 +484,13 @@ def dplus_v(spec: SystemSpec, cert: KrasovskiiCertificate,
 
 def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
                      sampler: ArcSampler, slack: float | None = None,
-                     samples: int = 1000, h: float = 1e-5,
-                     target: TargetSet | None = None) -> CheckReport:
+                     samples: int = 1000, *, target: TargetSet) -> CheckReport:
     """Functional certificate conditions on sampled arcs.
 
-    (i) alpha1(|head|_W) <= Vf(phi) <= alpha2(sup-norm); (ii) the h-step
-    difference quotient descends at rate alpha3(|head|_W) on flow arcs;
-    (iii) appending any jump value decreases Vf by alpha3(|head|_W).  Flow
+    (i) alpha1(|head|_W) <= Vf(phi) <= alpha2(sup-norm); (ii) the difference
+    quotient over a flow of h = ``DERIVATIVE_STEP`` (the report's
+    ``meta.h``) descends at rate alpha3(|head|_W) on flow arcs; (iii)
+    appending any jump value decreases Vf by alpha3(|head|_W).  Flow
     candidates are screened for an empirical norm bound (local boundedness).
 
     The functional runs on lists of arcs: one call for the arcs of (i), and
@@ -505,6 +502,7 @@ def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
     before anything is recorded.
     """
     validate_krasovskii(cert)
+    h = DERIVATIVE_STEP
     meta = {"flow_bound_observed": 0.0, "flow_arcs_skipped": 0, "h": h}
     functional = _functional(cert)
 
@@ -562,13 +560,13 @@ class VbarMonotoneReport:
 
 
 def check_vbar_monotone(traj: Trajectory, v: Callable[[np.ndarray], float],
-                        delta: float, tol: float,
-                        v_batch=None) -> VbarMonotoneReport:
-    """Windowed maximum of V must be non-increasing along the trajectory.
-    The windows are cut and maximised ``_VBAR_POINTS`` points at a time."""
+                        tol: float, v_batch=None) -> VbarMonotoneReport:
+    """The maximum of V over the window of the trajectory's memory size must
+    be non-increasing along the trajectory, up to tol.  The windows are cut
+    and maximised ``_VBAR_POINTS`` points at a time."""
     points = [(t, j) for t, j, _ in traj.sample_points()]
     maxima = np.concatenate([sup_norm_w(memory_windows(
-        traj.arc, points[i:i + _VBAR_POINTS], delta), v, batch=v_batch)
+        traj.arc, points[i:i + _VBAR_POINTS], traj.memory_size), v, batch=v_batch)
         for i in range(0, len(points), _VBAR_POINTS)]).tolist()
     first = next(((t, j, prev, cur) for (t, j), prev, cur
                   in zip(points[1:], maxima, maxima[1:]) if cur > prev + tol), None)

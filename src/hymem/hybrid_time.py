@@ -663,13 +663,12 @@ def write_arc_csv(arc: HybridArc, path: str) -> None:
         fh.write(arc_to_csv(arc))
 
 
-def arc_from_csv(text: str, delta: float | None = None,
-                 interpolation: str = "linear") -> HybridArc:
+def arc_from_csv(text: str, delta: float | None = None) -> HybridArc:
     """Parse the CSV produced by :func:`arc_to_csv`.
 
     When both sides are present the shared sample at (0, 0) must appear twice
     (once per side).  If ``delta`` is given and the forward side is empty, a
-    :class:`HybridMemoryArc` is returned.
+    :class:`HybridMemoryArc` is returned.  The arc interpolates linearly.
     """
     if not text.strip():
         raise ValueError("empty CSV")
@@ -734,9 +733,8 @@ def arc_from_csv(text: str, delta: float | None = None,
         starts.append(starts[-1] + order.shape[0])
     times, values, starts = np.concatenate(times), np.concatenate(values), starts[:-1]
     if delta is not None and not forward:
-        return HybridMemoryArc(times, values, starts, delta,
-                               interpolation=interpolation)
-    return HybridArc(times, values, starts, len(mem_js), interpolation=interpolation)
+        return HybridMemoryArc(times, values, starts, delta)
+    return HybridArc(times, values, starts, len(mem_js))
 
 
 # The window operators import this module's arcs and reads; they keep their

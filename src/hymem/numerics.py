@@ -36,20 +36,15 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(_square(m, "M")))))
 
 
-def solve_discrete_lyapunov(h: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
-    """Symmetric P > 0 with H^T P H - P = -Q (Q defaults to the identity).
+def solve_discrete_lyapunov(h: np.ndarray) -> np.ndarray:
+    """Symmetric P > 0 with H^T P H - P = -I.
 
     Requires the spectral radius of H to be below one; otherwise the fixed
-    point series sum_k (H^T)^k Q H^k diverges and an InfeasibleError is
+    point series sum_k (H^T)^k H^k diverges and an InfeasibleError is
     raised (stabilizability failure).
     """
     h = _square(h, "H")
-    n = h.shape[0]
-    q = np.eye(n) if q is None else _square(q, "Q")
-    if not np.allclose(q, q.T, atol=1e-12):
-        raise ValueError("Q must be symmetric")
-    if np.min(np.linalg.eigvalsh(q)) <= 0:
-        raise ValueError("Q must be positive definite")
+    q = np.eye(h.shape[0])
     sr = spectral_radius(h)
     if sr >= 1.0:
         raise InfeasibleError(f"spectral radius {sr:.6g} >= 1; no positive "
@@ -60,7 +55,7 @@ def solve_discrete_lyapunov(h: np.ndarray, q: np.ndarray | None = None) -> np.nd
     residual = np.linalg.norm(h.T @ p @ h - p + q)
     if residual > 1e-10 * np.linalg.norm(q):
         raise InfeasibleError(f"Lyapunov residual {residual:.3e} exceeds "
-                              "1e-10 * ||Q||")
+                              "1e-10 * ||I||")
     return p
 
 

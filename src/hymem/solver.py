@@ -2,8 +2,8 @@
 
 Integrates the flow with a fixed-step classical Runge-Kutta scheme while the
 memory window stays in the flow set, locates guard crossings within
-``event_tol`` by a safeguarded secant (regula falsi that falls back to the
-midpoint), applies jumps when the window is in the jump set, and records
+:data:`EVENT_TOL` by a safeguarded secant (regula falsi that falls back to
+the midpoint), applies jumps when the window is in the jump set, and records
 the result as a hybrid arc (memory side = initial data, forward side =
 computed solution).  Each guard and the flow selection are evaluated once
 per stored sample, on its stored window; the stored flow selection is the
@@ -89,37 +89,32 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Fixed-step integration options.
+    """Fixed-step integration options: what ``--t-max``, ``--j-max``,
+    ``--step`` and ``--jump-priority`` (or a config's ``sim`` section) set.
 
     ``jump_priority`` picks the branch taken when the window lies in both the
-    flow and jump sets; ``max_consecutive_jumps`` bounds jumps at a single
-    continuous time (Zeno guard).  Set membership allows the guard slack
+    flow and jump sets.  Event location, the Zeno guard and set membership
+    use the constants :data:`EVENT_TOL`, :data:`MAX_CONSECUTIVE_JUMPS` and
     :data:`~hymem.system.GUARD_TOL`.
     """
 
     t_max: float = 10.0
     j_max: int = 1_000_000
     step: float = 1e-2
-    event_tol: float = 1e-9
     jump_priority: str = "jump"
-    max_consecutive_jumps: int = 10_000
 
     def __post_init__(self):
-        for name in ("t_max", "step", "event_tol"):
+        for name in ("t_max", "step"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must not be NaN")
         # an infinite t_max is fine: j_max then bounds the run
-        for name in ("step", "event_tol"):
-            if math.isinf(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if math.isinf(self.step):
+            raise ValueError("step must be finite")
         if self.step <= TIME_TOL:  # the solver treats shorter steps as none
             raise ValueError(f"step must exceed {TIME_TOL:g}, got {self.step!r}")
-        if self.event_tol <= 0:
-            raise ValueError("event_tol must be positive")
-        for name in ("j_max", "max_consecutive_jumps"):  # NaN would never stop
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # a NaN j_max would never stop a clocked run
+        if isinstance(self.j_max, bool) or not isinstance(self.j_max, numbers.Integral):
+            raise ValueError(f"j_max must be an integer, got {self.j_max!r}")
         if self.t_max <= 0 or self.j_max <= 0:
             raise ValueError("horizons must be positive")
         if self.jump_priority not in ("jump", "flow"):
@@ -177,6 +172,19 @@ def run_summary(traj: Trajectory, target: TargetSet) -> dict:
     }
 
 
+#: Width within which :func:`locate_event` places a guard crossing.
+EVENT_TOL = 1e-9
+
+#: Most jumps at a single continuous time before a run stops (Zeno guard).
+MAX_CONSECUTIVE_JUMPS = 10_000
+
+#: Tolerance of every check :func:`verify_solution` makes.
+VERIFY_TOL = 1e-4
+
+#: RK4 steps that :func:`flow_windows` takes over its duration.
+_FLOW_STEPS = 2
+
+
 #: Largest state dimension whose RK4 combination runs on Python floats: the
 #: same IEEE operations, element by element, as the array expression, and
 #: cheaper up to about 10 components (1.5 against 3.7 us at n = 1, 3.3
@@ -217,20 +225,19 @@ def _rk4(spec: SystemSpec, window: WindowView | BatchView, h: float,
 
 
 def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
-                 guard: str = "flow", event_tol: float = 1e-9,
-                 k1: np.ndarray | None = None,
+                 guard: str = "flow", k1: np.ndarray | None = None,
                  x_end: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Locate the time at which the named guard crosses zero along the flow.
 
     The guard ("flow" or "jump") must change sign across (0, h_bracket].
     Each trial shrinks the bracket: it is the secant root of the guard
-    values at the bracket's ends, kept at least event_tol / 2 inside it
+    values at the bracket's ends, kept at least EVENT_TOL / 2 inside it
     (regula falsi), or the midpoint when the previous secant trial did not
     halve the bracket or the secant has no finite root.  An affine guard
     closes in two or three trials, any guard in at most about twice the
     trials of bisection.  Returns (h*, x*), x* the flow state at h*: the
-    final bracket is at most event_tol wide, or two adjacent floats when
-    event_tol is finer than they are, and h* is its end on the flow
+    final bracket is at most :data:`EVENT_TOL` wide, or two adjacent floats
+    when they are wider (a bracket above 2^23), and h* is its end on the flow
     set's side for the flow guard and on the jump set's side for the jump
     guard, so guard(x*) >= -GUARD_TOL (:data:`~hymem.system.GUARD_TOL`,
     the one guard slack) and the accepted flow segment can end at h*.
@@ -256,16 +263,16 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     lo, hi = 0.0, h_bracket
     x_lo, x_hi = np.array(window.head, dtype=float), x_end
     secant_stalled = False
-    while hi - lo > event_tol:
+    while hi - lo > EVENT_TOL:
         width = hi - lo
         ratio = g_lo / (g_lo - g_hi) if g_lo != g_hi else math.nan
         secant = not secant_stalled and math.isfinite(ratio)
         if secant:
-            trial = min(max(lo + width * ratio, lo + 0.5 * event_tol),
-                        hi - 0.5 * event_tol)
+            trial = min(max(lo + width * ratio, lo + 0.5 * EVENT_TOL),
+                        hi - 0.5 * EVENT_TOL)
         else:
             trial = 0.5 * (lo + hi)
-            if not lo < trial < hi:  # adjacent floats, finer than event_tol
+            if not lo < trial < hi:  # adjacent floats, wider than EVENT_TOL
                 break
         x_t, _ = _rk4(spec, window, trial, k1)
         g_t = gfun(window.extend(trial, x_t))
@@ -429,8 +436,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                     # slot is still unwritten) and store the located crossing
                     hist.n -= 1
                     guard = "jump" if end[1] else "flow"
-                    h, x_new = locate_event(spec, w, h, guard, opts.event_tol,
-                                            k1, x_new)
+                    h, x_new = locate_event(spec, w, h, guard, k1, x_new)
                     end = None
                     if h > TIME_TOL:
                         hist.append(t + h, x_new)
@@ -445,7 +451,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                 termination = Termination.left_C_and_D
                 break
             consecutive_jumps += 1
-            if consecutive_jumps > opts.max_consecutive_jumps:
+            if consecutive_jumps > MAX_CONSECUTIVE_JUMPS:
                 termination = Termination.zeno_guard
                 break
             candidates = spec.jump_selections(w)
@@ -510,9 +516,9 @@ def _stencil_centres(times: np.ndarray, kinks: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~skip) + 2
 
 
-def verify_solution(spec: SystemSpec, traj: Trajectory,
-                    tol: float = 1e-4) -> SolutionCheckReport:
-    """Check the stored trajectory against the solution semantics.
+def verify_solution(spec: SystemSpec, traj: Trajectory) -> SolutionCheckReport:
+    """Check the stored trajectory against the solution semantics, with
+    tol = :data:`VERIFY_TOL`.
 
     Flow segments: at stored interior points with a uniform five-point
     stencil, the fourth-order finite-difference derivative must match the
@@ -535,6 +541,7 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
     flow selection).  The guard runs point by point, and issues come out
     in time order, a point's guard issue before its derivative issue.
     """
+    tol = VERIFY_TOL
     issues: list[SolutionIssue] = []
     arc = traj.arc
     msg = validate_domain(arc)
@@ -621,21 +628,20 @@ def verify_solution(spec: SystemSpec, traj: Trajectory,
         guard_points_checked=n_guard, jumps_checked=n_jumps)
 
 
-def flow_window(spec: SystemSpec, phi: HybridMemoryArc, h: float,
-                n_steps: int = 2) -> HybridMemoryArc:
+def flow_window(spec: SystemSpec, phi: HybridMemoryArc, h: float) -> HybridMemoryArc:
     """Window reached by flowing from phi for duration h without jumping:
     :func:`flow_windows` of phi alone.  Raises PreconditionError when phi
     is not in the flow set (its flow guard is below -GUARD_TOL)."""
     if spec.flow_guard(phi) < -GUARD_TOL:
         raise PreconditionError("window is not in the flow set")
-    return flow_windows(spec, [phi], h, n_steps)[0]
+    return flow_windows(spec, [phi], h)[0]
 
 
-def flow_windows(spec: SystemSpec, phis: Sequence[HybridMemoryArc], h: float,
-                 n_steps: int = 2) -> list[HybridMemoryArc]:
+def flow_windows(spec: SystemSpec, phis: Sequence[HybridMemoryArc],
+                 h: float) -> list[HybridMemoryArc]:
     """The window reached from each arc of phis by flowing for duration h
-    without jumping, in n_steps RK4 steps, for the functional-derivative
-    evaluator.  The arcs must lie in the flow set.
+    without jumping, in ``_FLOW_STEPS`` (2) RK4 steps, for the
+    functional-derivative evaluator.  The arcs must lie in the flow set.
 
     Each block of arcs is one :class:`~hymem.hybrid_time.History` with a
     row per arc, which opens a forward level at each row's head and
@@ -650,7 +656,7 @@ def flow_windows(spec: SystemSpec, phis: Sequence[HybridMemoryArc], h: float,
     more, its matrix products may sum in another order (on example 1, 5 of
     1000 cover windows differed, by at most 1 ulp, at h = 1e-3).
     """
-    out = []
+    n_steps, out = _FLOW_STEPS, []
     for lo, hi in _blocks(phis, n_steps + 1):
         st = History(phis[lo:hi], room=n_steps + 1)
         new = st.start_segments(0.0, st.values[st.newest()])  # the heads, at t = 0

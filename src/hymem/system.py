@@ -26,7 +26,7 @@ from .hybrid_time import TIME_TOL, HybridMemoryArc, constant_memory_arc
 
 
 # A window lies in a set when its guard is at least -GUARD_TOL.  Event
-# location places a boundary time within the solver's event_tol, which maps
+# location places a boundary time within the solver's EVENT_TOL, which maps
 # into guard values through the guard's slope; the slack absorbs that.
 GUARD_TOL = 1e-7
 

@@ -160,8 +160,8 @@ class TestCheckHalanayScalar:
         assert rep.region_counts["D"] == 0  # no jump set without a clock
 
 
-@pytest.mark.parametrize("samples", [0, -5])
-@pytest.mark.parametrize("check, params, build, certificate", [
+# the three checkers, each on a stock system with its certificate
+CHECKERS = pytest.mark.parametrize("check, params, build, certificate", [
     (check_razumikhin, Example1Params.paper(), build_example1,
      example1_razumikhin_certificate),
     (check_halanay, Example1Params.paper(), build_example1,
@@ -169,6 +169,10 @@ class TestCheckHalanayScalar:
     (check_krasovskii, Example2Params.case2(), build_example2,
      example2_krasovskii_certificate),
 ], ids=["razumikhin", "halanay", "krasovskii"])
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+@CHECKERS
 def test_sample_counts_below_one_rejected(check, params, build, certificate,
                                           samples):
     # no count may be stretched into a token run of one C and one D arc
@@ -179,15 +183,50 @@ def test_sample_counts_below_one_rejected(check, params, build, certificate,
               target=target)
 
 
+@CHECKERS
+def test_one_sample_checks_one_flow_arc(check, params, build, certificate):
+    # C's share of one sample is that sample; D and G+ get none
+    spec, target = build(params)
+    cert, _ = certificate(params)
+    rep = check(spec, cert, ArcSampler(spec, seed=0), samples=1, target=target)
+    assert rep.checked == 1
+    assert rep.region_counts == {"C": 1, "D": 0, "Gplus": 0}
+
+
+def test_split_counts_sum_to_the_total():
+    for total in range(1, 5001):
+        n_c, n_d, n_g = certificates._split_counts(total)
+        assert n_c >= 1 and n_d >= 0 and n_g >= 0
+        assert n_c + n_d + n_g == total
+
+
+def test_split_counts_above_one_sample_are_forty_thirty_thirty():
+    # capping D's share at what C leaves changes only the split of one
+    for total in range(2, 5001):
+        n_c = max(1, int(round(total * 0.4)))
+        n_d = max(1, int(round(total * 0.3)))
+        want = (n_c, n_d, max(0, total - n_c - n_d))
+        assert certificates._split_counts(total) == want
+
+
+def test_krasovskii_quotient_step_is_read_when_called(monkeypatch):
+    params = Example2Params.case2()
+    spec, target = build_example2(params)
+    cert, _ = example2_krasovskii_certificate(params)
+
+    def run():
+        return check_krasovskii(spec, cert, ArcSampler(spec, seed=0), samples=3,
+                                target=target)
+
+    assert run().meta["h"] == certificates.DERIVATIVE_STEP == 1e-5
+    monkeypatch.setattr(certificates, "DERIVATIVE_STEP", 4e-5)
+    rep = run()
+    assert rep.meta["h"] == 4e-5
+    assert rep.passed
+
+
 @pytest.mark.parametrize("slack", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("check, params, build, certificate", [
-    (check_razumikhin, Example1Params.paper(), build_example1,
-     example1_razumikhin_certificate),
-    (check_halanay, Example1Params.paper(), build_example1,
-     example1_halanay_certificate),
-    (check_krasovskii, Example2Params.case2(), build_example2,
-     example2_krasovskii_certificate),
-], ids=["razumikhin", "halanay", "krasovskii"])
+@CHECKERS
 def test_non_finite_slack_rejected(check, params, build, certificate, slack):
     # a NaN slack makes every margin test false and an infinite one true,
     # either way no condition could fail
@@ -603,8 +642,8 @@ class TestVbarMonotone:
         spec, target = build_example1(p)
         cert, _ = example1_razumikhin_certificate(p)
         traj = self._trajectory(spec, [1.0, -0.5, 0.3, 0.0])
-        rep = check_vbar_monotone(traj, cert.v, spec.memory_size,
-                                  tol=1e-6 * 1.0, v_batch=cert.v_batch)
+        rep = check_vbar_monotone(traj, cert.v, tol=1e-6 * 1.0,
+                                  v_batch=cert.v_batch)
         assert rep.passed
         assert rep.final_value < rep.initial_value
 
@@ -614,8 +653,8 @@ class TestVbarMonotone:
         spec, _ = build_example1(p)
         cert, _ = example1_razumikhin_certificate(p)
         traj = self._trajectory(spec, [1.0, 1.0, 0.0, 0.0], t_max=2.0)
-        rep = check_vbar_monotone(traj, cert.v, spec.memory_size,
-                                  tol=1e-6, v_batch=cert.v_batch)
+        rep = check_vbar_monotone(traj, cert.v, tol=1e-6,
+                                  v_batch=cert.v_batch)
         assert not rep.passed
         assert rep.first_violation is not None
 
@@ -624,7 +663,7 @@ class TestVbarMonotone:
         spec, _ = build_example1(p)
         cert, _ = example1_razumikhin_certificate(p)
         traj = self._trajectory(spec, [0.0, 0.0, 0.0, 0.0], t_max=1.0)
-        rep = check_vbar_monotone(traj, cert.v, spec.memory_size, tol=1e-12,
+        rep = check_vbar_monotone(traj, cert.v, tol=1e-12,
                                   v_batch=cert.v_batch)
         assert rep.passed
         assert rep.initial_value == 0.0

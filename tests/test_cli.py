@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, schema strictness, reproducibility, artifacts."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import hymem
+from hymem import cli, system
+from hymem.solver import SimOptions
 
 CLI = [sys.executable, "-m", "hymem"]
 # the subprocess imports this checkout's package, installed or not
@@ -88,6 +91,13 @@ class TestExitCodes:
         r = run_cli("check-razumikhin", "--system", "example1",
                     "--set", "K=[0,0]", "--samples", "150")
         assert r.returncode == 1
+
+    def test_one_sample_is_one_arc(self, tmp_path):
+        rep = tmp_path / "check.json"
+        r = run_cli("check-razumikhin", "--system", "example1",
+                    "--samples", "1", "--report", str(rep))
+        assert r.returncode == 0, r.stderr
+        assert json.loads(rep.read_text())["samples"] == 1
 
     def test_unknown_parameter_exits_two(self):
         r = run_cli("simulate", "--system", "example1", "--set", "zeta=3")
@@ -455,6 +465,31 @@ class TestSimFlags:
         assert self.run_config(tmp_path, sim)["jumps"] == 3
         doc = self.run_config(tmp_path, sim, "--j-max", "1000000")
         assert doc["jumps"] >= 9
+
+
+def test_sim_options_are_what_the_flags_and_a_config_set(monkeypatch):
+    """SimOptions has exactly the fields _sim_options reads from a config's
+    sim section (each one a flag) and that section allows; a field that
+    nothing sets fails here."""
+    fields = {f.name for f in dataclasses.fields(SimOptions)}
+    read, allowed = set(), []
+
+    class Recorded(dict):
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    spec, _ = system.build_example2(system.Example2Params.case2())
+    cli._sim_options(spec, {"sim": Recorded()}, None, None, None, None)
+
+    def recording(d, where, names):
+        if where == "sim":
+            allowed.append(names)
+        return d
+
+    monkeypatch.setattr(system, "_object", recording)
+    system.parse_linear_delay_config({**MINIMAL_CONFIG, "sim": {}})
+    assert read == fields and allowed == [fields]
 
 
 class TestDeterminism:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hymem import batch
+from hymem import batch, solver
 from hymem.batch import append_jumps, memory_windows
 from hymem.builtin import example1_razumikhin_certificate
 from hymem.hybrid_time import (TIME_TOL, ArcSegment, BatchView, DomainError,
@@ -1471,16 +1471,19 @@ PARAMS_AND_MODES = pytest.mark.parametrize("params, mode", [
 
 class TestArrayFormsOfTheFunctionalCheck:
     @PARAMS_AND_MODES
-    def test_flow_windows_equal_one_arc_at_a_time(self, params, mode):
+    def test_flow_windows_equal_one_arc_at_a_time(self, params, mode,
+                                                  monkeypatch):
         spec, c, _, _ = functional_arcs(params, mode)
         # some windows hold a memory jump inside [-r, 0]
         assert any(phi.times[phi.starts[-1]] > -params.r for phi in c)
         for h, n_steps in ((1e-5, 2), (0.3 * params.delta, 2), (1e-3, 4)):
             want = [reference_flow_window(spec, phi, h, n_steps) for phi in c]
-            same_rows_by_chunks(lambda arcs: flow_windows(spec, arcs, h, n_steps),
-                                c, want, assert_same_store, 31)
-            for phi, w in zip(c[:8], want):
-                assert_same_store(flow_window(spec, phi, h, n_steps), w)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_FLOW_STEPS", n_steps)
+                same_rows_by_chunks(lambda arcs: flow_windows(spec, arcs, h),
+                                    c, want, assert_same_store, 31)
+                for phi, w in zip(c[:8], want):
+                    assert_same_store(flow_window(spec, phi, h), w)
         # a system without a batch map steps each row through its own view
         plain = dataclasses.replace(spec, flow_batch=None)
         want = [reference_flow_window(spec, phi, 1e-5) for phi in c]

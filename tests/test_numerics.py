@@ -64,7 +64,7 @@ class TestDiscreteLyapunov:
             h = rng.normal(size=(n, n))
             h *= 0.9 / max(spectral_radius(h), 1e-12)
             q = np.eye(n)
-            p = solve_discrete_lyapunov(h, q)
+            p = solve_discrete_lyapunov(h)
             resid = np.linalg.norm(h.T @ p @ h - p + q)
             assert resid <= 1e-10 * np.linalg.norm(q)
             assert np.min(np.linalg.eigvalsh(p)) > 0
@@ -72,10 +72,6 @@ class TestDiscreteLyapunov:
     def test_unstable_rejected(self):
         with pytest.raises(InfeasibleError):
             solve_discrete_lyapunov(np.array([[1.5]]))
-
-    def test_q_must_be_positive_definite(self):
-        with pytest.raises(ValueError):
-            solve_discrete_lyapunov(np.array([[0.5]]), np.array([[0.0]]))
 
 
 class TestContractionFactor:

@@ -42,13 +42,17 @@ def head_view(phi):
 
 
 class TestIntegrateFlowStep:
-    """One integration step of the flow: flow_window with n_steps=1 is one
-    RK4 step from the arc's head."""
+    """One integration step of the flow: flow_window with its step count
+    patched to 1 is one RK4 step from the arc's head."""
+
+    @pytest.fixture(autouse=True)
+    def one_step(self, monkeypatch):
+        monkeypatch.setattr(solver, "_FLOW_STEPS", 1)
 
     def test_rk4_value_for_exponential_decay(self):
         spec, _ = decay_system()
         phi = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
-        x_new = flow_window(spec, phi, 0.1, n_steps=1).head
+        x_new = flow_window(spec, phi, 0.1).head
         assert x_new[0] == pytest.approx(0.9048375, abs=1e-12)
         assert abs(x_new[0] - np.exp(-0.1)) < 1e-7
         x_rk4, deriv = _rk4(spec, head_view(phi), 0.1)
@@ -61,7 +65,7 @@ class TestIntegrateFlowStep:
         spec, _ = build_linear_delay_system(cfg)
         phi = constant_memory_arc(np.array([1.0, -2.0]), 0.0, depth=0.0)
         for h in (1e-3, 0.1, 1.0):
-            x_new = flow_window(spec, phi, h, n_steps=1).head
+            x_new = flow_window(spec, phi, h).head
             assert np.array_equal(x_new, np.array([1.0, -2.0]))
 
     def test_constant_history_delay_reduction(self):
@@ -71,19 +75,21 @@ class TestIntegrateFlowStep:
         spec, _ = build_example2(p)
         phi = const_history(spec, [c, 0.0])
         h = 0.01
-        x_new = flow_window(spec, phi, h, n_steps=1).head
+        x_new = flow_window(spec, phi, h).head
         want = (c + b * c / a) * np.exp(a * h) - b * c / a
         assert x_new[0] == pytest.approx(want, abs=1e-8)
 
     @pytest.mark.parametrize("history_derivs", [True, False])
-    def test_hermite_window_reads_its_steps_linearly(self, history_derivs):
+    def test_hermite_window_reads_its_steps_linearly(self, history_derivs,
+                                                    monkeypatch):
         # the steps store no derivative, so a Hermite window reads between
         # them linearly, whether or not its history carries derivatives
+        monkeypatch.setattr(solver, "_FLOW_STEPS", 4)
         spec, phi = hermite_case1_problem()
         if not history_derivs:
             phi = HybridMemoryArc(phi.times, phi.values, [0], phi.delta,
                                   interpolation="hermite")
-        w = flow_window(spec, phi, 0.1, n_steps=4)
+        w = flow_window(spec, phi, 0.1)
         for s in np.linspace(-0.1, 0.0, 41)[1:-1]:
             want = hybrid_time._interpolate(w.times, w.values, None, s)
             assert w.delayed(s).tobytes() == want.tobytes()
@@ -93,7 +99,7 @@ class TestIntegrateFlowStep:
         spec, _ = build_example2(p)
         phi = const_history(spec, [1.0, 0.7])  # clock beyond the period
         with pytest.raises(PreconditionError, match="not in the flow set"):
-            flow_window(spec, phi, 0.01, n_steps=1)
+            flow_window(spec, phi, 0.01)
 
 
 def count_rk4_steps(monkeypatch):
@@ -120,8 +126,7 @@ class TestLocateEvent:
         p = Example2Params(a=0.0, b=0.0, rho=1.0, r=0.1, delta=0.2)
         spec, _ = build_example2(p)
         phi = const_history(spec, [1.0, 0.15])
-        t_star, x_star = locate_event(spec, head_view(phi), 0.1, guard="flow",
-                                      event_tol=1e-9)
+        t_star, x_star = locate_event(spec, head_view(phi), 0.1, guard="flow")
         assert t_star == pytest.approx(0.05, abs=2e-9)
         assert x_star[1] == pytest.approx(0.2, abs=2e-9)
 
@@ -151,7 +156,7 @@ class TestLocateEvent:
     def test_jump_guard_crossing(self):
         phi = constant_memory_arc(np.array([0.25]), 0.0, depth=0.0)
         t_star, x_star = locate_event(self.ramp(), head_view(phi), 0.1,
-                                      guard="jump", event_tol=1e-9)
+                                      guard="jump")
         assert t_star == pytest.approx(0.05, abs=2e-9)
         assert 0.25 + t_star >= 0.3 - 1e-12  # on the jump-set side
         assert x_star[0] >= 0.3 - 1e-12
@@ -175,8 +180,7 @@ class TestLocateEvent:
     def test_affine_clock_guard_takes_at_most_four_rk4_steps(self, tau0, monkeypatch):
         p, spec, phi = example1_at_clock(tau0)
         steps = count_rk4_steps(monkeypatch)
-        h, x = locate_event(spec, head_view(phi), 0.005, guard="flow",
-                            event_tol=1e-9)
+        h, x = locate_event(spec, head_view(phi), 0.005, guard="flow")
         assert len(steps) <= 4  # the bracket's end plus at most three trials
         assert 0.0 <= (p.delta - tau0) - h <= 1e-9 + 1e-15
         assert spec.flow_guard(head_view(phi).extend(h, x)) >= 0.0
@@ -186,10 +190,9 @@ class TestLocateEvent:
         # Example 1's jump guard -|period - tau| touches zero only at the
         # period; a step that ends there rounds to either side of it.
         p, spec, phi = example1_at_clock(0.2 - h_bracket)
-        tol = 1e-9
+        tol = solver.EVENT_TOL
         steps = count_rk4_steps(monkeypatch)
-        h, x = locate_event(spec, head_view(phi), h_bracket, guard="jump",
-                            event_tol=tol)
+        h, x = locate_event(spec, head_view(phi), h_bracket, guard="jump")
         assert len(steps) <= 2 * np.ceil(np.log2(h_bracket / tol)) + 2
         assert spec.jump_guard(head_view(phi).extend(h, x)) >= -1e-7
         assert abs(x[3] - p.delta) <= tol
@@ -205,10 +208,9 @@ class TestLocateEvent:
         else:
             spec = self.ramp(flow_guard=lambda x: c - x ** 9)
         phi = constant_memory_arc(np.array([0.0]), 0.0, depth=0.0)
-        h_bracket, tol = 0.5, 1e-9
+        h_bracket, tol = 0.5, solver.EVENT_TOL
         steps = count_rk4_steps(monkeypatch)
-        h, x = locate_event(spec, head_view(phi), h_bracket, guard=guard,
-                            event_tol=tol)
+        h, x = locate_event(spec, head_view(phi), h_bracket, guard=guard)
         assert len(steps) <= 2 * np.ceil(np.log2(h_bracket / tol)) + 2
         assert len(steps) > 4  # the secant alone does not close it
         root = 0.3
@@ -219,8 +221,40 @@ class TestLocateEvent:
             assert c - x[0] ** 9 >= 0.0
             assert root - tol <= h <= root + 1e-15
 
-    def test_tolerance_finer_than_the_floats_ends(self):
-        # at event_tol = 1e-300 the bracket closes to two adjacent floats,
+    def test_event_tolerance_is_read_when_called(self, monkeypatch):
+        # the flat guard of the test above, closed to a coarser bracket
+        c = 0.3 ** 9
+        spec = self.ramp(jump_guard=lambda x: x ** 9 - c)
+        phi = constant_memory_arc(np.array([0.0]), 0.0, depth=0.0)
+        fine_steps = count_rk4_steps(monkeypatch)
+        locate_event(spec, head_view(phi), 0.5, guard="jump")
+        monkeypatch.setattr(solver, "EVENT_TOL", 1e-3)
+        steps = count_rk4_steps(monkeypatch)
+        h, x = locate_event(spec, head_view(phi), 0.5, guard="jump")
+        assert x[0] ** 9 - c >= 0.0
+        assert 0.3 - 1e-15 <= h <= 0.3 + 1e-3
+        assert len(steps) < len(fine_steps)
+
+    def test_bracket_beyond_two_to_the_23_ends_at_adjacent_floats(self):
+        # there two adjacent floats lie more than EVENT_TOL apart, so the
+        # midpoint of the last bracket is one of its ends
+        root = 9e6 + 0.3
+        calls = []
+
+        def guard(x):
+            calls.append(1)
+            if len(calls) > 10_000:
+                raise RuntimeError("event location did not end")
+            return x - root
+
+        spec = self.ramp(jump_guard=guard)
+        phi = constant_memory_arc(np.array([0.0]), 0.0, depth=0.0)
+        h, x = locate_event(spec, head_view(phi), 1e7, guard="jump")
+        assert x[0] >= root
+        assert h - np.spacing(h) <= root <= h + np.spacing(h)
+
+    def test_tolerance_finer_than_the_floats_ends(self, monkeypatch):
+        # at EVENT_TOL = 1e-300 the bracket closes to two adjacent floats,
         # where the midpoint is one of its ends; the counted guards turn a
         # loop that never ends into a failure
         spec, init = example2_problem(Example2Params.case2(), [1.0, 0.03])
@@ -236,8 +270,9 @@ class TestLocateEvent:
 
         spec = dataclasses.replace(spec, flow_guard=counted(spec.flow_guard),
                                    jump_guard=counted(spec.jump_guard))
-        fine = simulate(spec, init, SimOptions(t_max=0.3, step=0.003,
-                                               event_tol=1e-300))
+        with monkeypatch.context() as m:
+            m.setattr(solver, "EVENT_TOL", 1e-300)
+            fine = simulate(spec, init, SimOptions(t_max=0.3, step=0.003))
         calls.clear()
         coarse = simulate(spec, init, SimOptions(t_max=0.3, step=0.003))
         assert fine.termination is coarse.termination is Termination.horizon_reached
@@ -267,20 +302,19 @@ class TestLocateEvent:
         times = np.array([t for t, _ in traj.jumps])
         want = (p.delta - tau0) + p.delta * np.arange(len(times))
         assert len(times) == 12 + (tau0 > 0.1)
-        assert np.max(np.abs(times - want)) <= opts.event_tol
+        assert np.max(np.abs(times - want)) <= solver.EVENT_TOL
         assert verify_solution(spec, traj).issues == ()
 
 
 class TestSimOptions:
-    @pytest.mark.parametrize("field", ["t_max", "step", "event_tol"])
+    @pytest.mark.parametrize("field", ["t_max", "step"])
     def test_nan_is_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must not be NaN"):
             SimOptions(**{field: float("nan")})
 
-    @pytest.mark.parametrize("field", ["step", "event_tol"])
-    def test_infinite_step_and_event_tol_are_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            SimOptions(**{field: float("inf")})
+    def test_infinite_step_is_rejected(self):
+        with pytest.raises(ValueError, match="step must be finite"):
+            SimOptions(step=float("inf"))
 
     @pytest.mark.parametrize("step", [0.0, -0.01, 1e-13, TIME_TOL])
     def test_step_must_exceed_the_time_tolerance(self, step):
@@ -290,13 +324,12 @@ class TestSimOptions:
             SimOptions(step=step)
         assert SimOptions(step=2 * TIME_TOL).step == 2 * TIME_TOL
 
-    @pytest.mark.parametrize("field", ["j_max", "max_consecutive_jumps"])
     @pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0, True, float("inf")])
-    def test_jump_bounds_must_be_integers(self, field, value):
-        # a NaN bound would never stop a clocked run or trip the Zeno guard
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            SimOptions(**{field: value})
-        assert getattr(SimOptions(**{field: np.int64(3)}), field) == 3
+    def test_jump_horizon_must_be_an_integer(self, value):
+        # a NaN bound would never stop a clocked run
+        with pytest.raises(ValueError, match="j_max must be an integer"):
+            SimOptions(j_max=value)
+        assert SimOptions(j_max=np.int64(3)).j_max == 3
 
     def test_infinite_horizon_is_bounded_by_the_jump_horizon(self):
         p, spec, init = example1_at_clock(0.0)
@@ -387,15 +420,15 @@ class TestSimulateClosedForms:
                 if t + j >= 20.0]
         assert tail and max(tail) <= 1e-3 * sup0
 
-    def test_zeno_guard_trips(self):
+    def test_zeno_guard_trips(self, monkeypatch):
         # jump map keeps the clock at the period: infinitely many jumps at t=0
         p = Example2Params(a=0.0, b=0.0, rho=0.5, r=0.1, delta=0.3)
         spec, _ = build_example2(p)
         from dataclasses import replace
         stuck = replace(spec, jump_selections=lambda w: [np.array([0.5, p.delta])])
         init = const_history(spec, [1.0, p.delta])
-        traj = simulate(stuck, init, SimOptions(t_max=1.0, step=1e-2,
-                                                max_consecutive_jumps=40))
+        monkeypatch.setattr(solver, "MAX_CONSECUTIVE_JUMPS", 40)
+        traj = simulate(stuck, init, SimOptions(t_max=1.0, step=1e-2))
         assert traj.termination is Termination.zeno_guard
 
     def test_flow_priority_flows_through_and_jumps_at_boundary(self):
@@ -1121,7 +1154,7 @@ class TestVerifySolution:
         spec, _ = build_example1(p)
         init = const_history(spec, [1.0, 1.0, 0.0, 0.0])
         traj = simulate(spec, init, SimOptions(t_max=1.0, step=5e-3))
-        report = verify_solution(spec, traj, tol=1e-4)
+        report = verify_solution(spec, traj)
         assert report.passed, report.issues[:3]
         assert report.derivative_points_checked > 100
         assert report.jumps_checked == len(traj.jumps)
@@ -1136,7 +1169,7 @@ class TestVerifySolution:
             return values
 
         forged = forge(traj, 1, bump)
-        report = verify_solution(spec, forged, tol=1e-4)
+        report = verify_solution(spec, forged)
         kinds = {i.kind for i in report.issues}
         assert "S2.jump_value" in kinds
 
@@ -1150,7 +1183,7 @@ class TestVerifySolution:
         forged = Trajectory(
             arc=HybridArc(seg0.times, values, [0], 0),
             termination=traj.termination, memory_size=0.0)
-        report = verify_solution(spec, forged, tol=1e-4)
+        report = verify_solution(spec, forged)
         assert any(i.kind == "S1.derivative" for i in report.issues)
 
     def test_domain_validity_of_solver_output(self):
@@ -1182,7 +1215,7 @@ class TestVerifySolution:
             ("domain", "forward domain must start at t = 0")]
 
 
-def pointwise_verify_solution(spec, traj, tol=1e-4):
+def pointwise_verify_solution(spec, traj, tol):
     """verify_solution as it was before its flow check ran in arrays: one
     window view, flow guard and flow selection per stored point."""
     issues = []
@@ -1261,12 +1294,15 @@ def pointwise_verify_solution(spec, traj, tol=1e-4):
         guard_points_checked=n_guard, jumps_checked=n_jumps)
 
 
-def assert_same_report(spec, traj, exact=True, tol=1e-4):
-    """verify_solution's report equals the pointwise loop's: the issues in
-    order, with kind, t, j and detail, lhs and rhs (bit for bit, or within
-    1e-12 relative when the batch flow map sums products of more than one
-    term in another order), and the three counters.  Returns the report."""
-    got = verify_solution(spec, traj, tol)
+def assert_same_report(spec, traj, exact=True, tol=solver.VERIFY_TOL):
+    """verify_solution's report at VERIFY_TOL = tol equals the pointwise
+    loop's: the issues in order, with kind, t, j and detail, lhs and rhs
+    (bit for bit, or within 1e-12 relative when the batch flow map sums
+    products of more than one term in another order), and the three
+    counters.  Returns the report."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "VERIFY_TOL", tol)
+        got = verify_solution(spec, traj)
     want = pointwise_verify_solution(spec, traj, tol)
     assert (got.derivative_points_checked, got.guard_points_checked,
             got.jumps_checked) == (want.derivative_points_checked,
