@@ -19,10 +19,9 @@ samples, giving each window or arc, bit for bit, what it would get alone:
   (:func:`~hymem.solver.flow_windows`) are cut so from the store they grow;
 * :func:`append_jumps`, with its one-arc case :func:`append_jump`;
 * the window maximum (:func:`sup_norm_w`, also named :func:`vbar`) makes,
-  per block, one call of the batch form for the stored samples and one per
-  refinement round.  A batch form must give each row the same bits
-  whatever rows come with it, so a window's maximum is what it would be
-  alone;
+  per block, one call of its array-form map for the stored samples and one
+  per refinement round.  The map must give each row the same bits whatever
+  rows come with it, so a window's maximum is what it would be alone;
 * :func:`delayed_sq_integral`, the functional check's delayed integral.
 
 Consecutive memory arcs go into blocks of at most ``_BLOCK_ROWS`` or
@@ -469,16 +468,16 @@ def append_jump(phi: HybridMemoryArc, g: np.ndarray) -> HybridMemoryArc:
     return append_jumps([phi], [g])[0]
 
 
-def sup_norm_w(phis: Sequence[HybridMemoryArc], fn: Callable[[np.ndarray], float],
-               batch: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+def sup_norm_w(phis: Sequence[HybridMemoryArc],
+               fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Max of fn over each window's s + k >= -delta - 1, with grid refinement:
     one value per window of ``phis``, as an array.
 
     Both window maxima of the conditions are this one function: with
-    fn = |.|_W it is the window norm sup |phi(s,k)|_W (the argument of
-    alpha2 in the functional form, and a run's initial size), and as
-    :func:`vbar`, with fn = V, it is the maximum of V over the window that
-    the Razumikhin and Halanay forms compare with.
+    fn = |.|_W (``dist_batch``) it is the window norm sup |phi(s,k)|_W (the
+    argument of alpha2 in the functional form, and a run's initial size),
+    and as :func:`vbar`, with fn = V (``v_batch``), it is the maximum of V
+    over the window that the Razumikhin and Halanay forms compare with.
 
     Each jump level's stored samples above the depth floor seed its
     estimate; each refinement round adds the midpoints of its current grid
@@ -491,22 +490,19 @@ def sup_norm_w(phis: Sequence[HybridMemoryArc], fn: Callable[[np.ndarray], float
     A midpoint's bracket is its stored interval, known from its index in the
     grid, and its value is bit for bit the arc's pointwise interpolant.
 
-    ``batch`` maps an (m, n) array of states to the m values of fn; without
-    it fn runs row by row.  Its contract: row i of the result depends on row
-    i of the input alone, bit for bit, whatever rows come with it.  Then a
-    window's maximum does not depend on the other windows of the call or on
-    the blocks.  The windows must share one state dimension.  A NaN value of
-    fn, at a stored sample or a midpoint, raises
+    fn maps an (m, n) array of states to their m values, and row i of its
+    result depends on row i of its input alone, bit for bit, whatever rows
+    come with it.  Then a window's maximum does not depend on the other
+    windows of the call or on the blocks.  The windows must share one state
+    dimension.  A NaN value of fn, at a stored sample or a midpoint, raises
     :class:`~hymem.hybrid_time.DomainError` naming the window's index and
     its jump level; infinite values are compared as they are, so a window
     may have an infinite maximum.  A window with no sample above its floor
     raises.
     """
-    evaluate = batch if batch is not None else (
-        lambda arr: np.array([fn(row) for row in arr]))
     out = np.empty(len(phis))
     for lo, hi in _blocks(phis, budget=_BLOCK_ROWS):
-        out[lo:hi] = _block_max(History(phis[lo:hi]), lo, evaluate)
+        out[lo:hi] = _block_max(History(phis[lo:hi]), lo, fn)
     return out
 
 

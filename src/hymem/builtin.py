@@ -289,7 +289,7 @@ def example2_krasovskii_certificate(
     info = example2_feasibility(params)
     sigma, mu, r, delta = params.sigma, params.mu, params.r, params.delta
 
-    def vf_batch(phis: Sequence[HybridMemoryArc]) -> np.ndarray:
+    def vf(phis: Sequence[HybridMemoryArc]) -> np.ndarray:
         heads = np.array([phi.head for phi in phis]).reshape(len(phis), 2)
         point = heads[:, 0] * heads[:, 0] * _exp(-sigma * heads[:, 1])
         if mu == 0.0:
@@ -299,10 +299,9 @@ def example2_krasovskii_certificate(
 
     abs_sig = abs(sigma)
     cert = KrasovskiiCertificate(
-        vf=lambda phi: float(vf_batch([phi])[0]),
+        vf=vf,
         alpha1=lambda s: s * s * _exp1(-abs_sig * delta),
         alpha2=lambda s: s * s * (_exp1(abs_sig * delta) + r * mu),
         alpha3=lambda s, g=info.gamma3: g * s * s,
-        vf_batch=vf_batch,
     )
     return cert, info

@@ -7,12 +7,12 @@ jumps.  One pipeline, :func:`_check`, draws flow, jump and post-jump arcs
 from the sampler, evaluates (i) on all of them, (ii) on the flow arcs and
 (iii) on the jump arcs, and records every evaluation; each checker only
 supplies its certificate's values and its (ii) and (iii) terms.  The terms
-take whole lists of arcs, so the functional form evaluates its functional
-in arrays: over all arcs for (i), over the flow windows of a block of flow
-arcs for (ii) (:func:`~hymem.solver.flow_windows`), over the appended arcs
-of a block of jump candidates for (iii)
-(:func:`~hymem.batch.append_jumps`), through ``vf_batch`` when the
-certificate has one.  Evaluations are still recorded in drawing order.
+take whole lists of arcs, so the functional, which maps a list of arcs to
+an array, runs over all arcs for (i), over the flow windows of a block of
+flow arcs for (ii) (:func:`~hymem.solver.flow_windows`) and over the
+appended arcs of a block of jump candidates for (iii)
+(:func:`~hymem.batch.append_jumps`).  The window maximum takes V or the
+distance in array form.  Evaluations are still recorded in drawing order.
 
 The checkers falsify, not prove: zero violations over a sample set is
 evidence, a reported violation is a certified counterexample (re-evaluating
@@ -62,12 +62,12 @@ class CertificateValidationError(ValueError):
 class RazumikhinCertificate:
     """Pointwise function V with threshold p and jump contraction rho.
 
-    v / grad_v act on state vectors; alpha1, alpha2 are class-K-infinity
-    bounds, alpha3 is positive definite, p(r) > r and rho(r) < r for r > 0.
-    ``v_batch`` optionally evaluates V on an (m, n) array of states at once.
-    Row i of its result must depend on row i alone, bit for bit, whatever
-    rows come with it, since the window maximum evaluates the rows of many
-    windows in one call (:func:`~hymem.hybrid_time.sup_norm_w`).
+    v / grad_v act on one state (the head terms); alpha1, alpha2 are
+    class-K-infinity bounds, alpha3 is positive definite, p(r) > r and
+    rho(r) < r for r > 0.  ``v_batch`` maps an (m, n) array of states to m
+    values of V, for Vbar: row i must depend on row i alone, bit for bit,
+    as :func:`~hymem.hybrid_time.sup_norm_w` evaluates many windows' rows
+    in one call.
     """
 
     v: Callable[[np.ndarray], float]
@@ -77,16 +77,15 @@ class RazumikhinCertificate:
     alpha3: Callable[[float], float]
     p: Callable[[float], float]
     rho: Callable[[float], float]
-    v_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    v_batch: Callable[[np.ndarray], np.ndarray]
     name = "razumikhin"  # label of the report and its conditions
 
 
 @dataclass(frozen=True)
 class HalanayCertificate:
     """Linear-form variant: decay -mu V + q Vbar with mu > q > 0, jump
-    contraction by a constant rho in (0, 1).  ``v_batch`` is as in
-    :class:`RazumikhinCertificate`: row i of its result depends on row i of
-    its input alone, bit for bit."""
+    contraction by a constant rho in (0, 1).  v, grad_v and ``v_batch`` are
+    as in :class:`RazumikhinCertificate`."""
 
     v: Callable[[np.ndarray], float]
     grad_v: Callable[[np.ndarray], np.ndarray]
@@ -95,27 +94,25 @@ class HalanayCertificate:
     mu: float
     q: float
     rho: float
-    v_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    v_batch: Callable[[np.ndarray], np.ndarray]
     name = "halanay"
 
 
 @dataclass(frozen=True)
 class KrasovskiiCertificate:
-    """Functional certificate: vf maps a whole memory arc to a value.
+    """Functional certificate: vf maps a sequence of memory arcs to the
+    array of their values.
 
-    ``vf_batch`` optionally maps a sequence of memory arcs to the array of
-    their values at once.  Row i of its result must be vf of arc i, bit for
-    bit, whatever arcs come with it: the check then evaluates all arcs,
-    flow windows and jump candidates in a few calls, and
-    :func:`check_krasovskii` refuses a ``vf_batch`` that differs from vf in
-    any bit on the first sampled arcs.  Without it, vf runs arc by arc.
+    Row i of its result must depend on arc i alone, bit for bit, whatever
+    arcs come with it, since the check evaluates all arcs, flow windows and
+    jump candidates in a few calls.  A functional written arc by arc takes
+    this form as ``lambda phis: np.array([f(phi) for phi in phis])``.
     """
 
-    vf: Callable[[HybridMemoryArc], float]
+    vf: Callable[[Sequence[HybridMemoryArc]], np.ndarray]
     alpha1: Callable[[float], float]
     alpha2: Callable[[float], float]
     alpha3: Callable[[float], float]
-    vf_batch: Callable[[Sequence[HybridMemoryArc]], np.ndarray] | None = None
     name = "krasovskii"
 
 
@@ -290,7 +287,7 @@ def _split_counts(total: int) -> tuple[int, int, int]:
 def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
            target: TargetSet, h: float,
            values: Callable[[list[HybridMemoryArc]], Sequence[float]],
-           window: tuple[Callable, Callable | None], upper_is_window: bool,
+           window: Callable[[np.ndarray], np.ndarray], upper_is_window: bool,
            flow: Callable[[list[ArcSample], list[tuple]], Iterable[Iterable[tuple]]],
            jump: Callable[[list[ArcSample], list[tuple]], Iterable[Iterable[tuple]]],
            meta: dict) -> CheckReport:
@@ -304,9 +301,9 @@ def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
     take whole lists: ``values`` maps the arcs to their values, and
     ``flow`` and ``jump`` map the flow (jump) arcs and their (value,
     |head|_W, window maximum) triples to one iterable of triples per arc.
-    ``window`` is the (fn, batch) pair whose maximum :func:`sup_norm_w`
-    takes, in one call for the whole check: over every arc when (i) reads
-    it, over the flow and jump arcs otherwise.  Every arc's value and head
+    ``window`` is the array form whose maximum :func:`sup_norm_w` takes, in
+    one call for the whole check: over every arc when (i) reads it, over
+    the flow and jump arcs otherwise.  Every arc's value and head
     distance are computed once, in (i).  A certificate with a gradient has
     it screened at up to 1000 flow and jump heads before anything is
     recorded.  h sets the default derivative slack; meta joins the report's
@@ -318,7 +315,9 @@ def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
         raise ValueError(f"slack must be finite, got {slack}")
     rec = _Recorder(slack if slack is not None else ALGEBRAIC_SLACK,
                     slack if slack is not None else derivative_slack(h))
-    n_c, n_d, n_g = _split_counts(samples)
+    # without a jump set the sampler draws no D or G+ arc: C takes them all
+    n_c, n_d, n_g = (_split_counts(samples) if sampler.region_supported("D")
+                     else (samples, 0, 0))
     c_arcs = sampler.sample("C", n_c)
     d_arcs = sampler.sample("D", n_d)
     g_arcs = sampler.sample("Gplus", n_g)
@@ -328,8 +327,7 @@ def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
 
     arcs = c_arcs + d_arcs + g_arcs
     maxima = sup_norm_w([s.arc for s in (arcs if upper_is_window
-                                         else c_arcs + d_arcs)],
-                        window[0], batch=window[1]).tolist()
+                                         else c_arcs + d_arcs)], window).tolist()
     terms = []  # (value, |head|_W, window maximum) of every arc, in drawing order
     for s, val, wm in zip_longest(arcs, values([s.arc for s in arcs]), maxima):
         dw = float(target.dist(s.arc.head))
@@ -381,7 +379,7 @@ def _check_pointwise(spec: SystemSpec, cert, sampler: ArcSampler,
 
     return _check(cert, sampler, slack, samples, target, 0.0,
                   values=lambda arcs: [float(cert.v(arc.head)) for arc in arcs],
-                  window=(cert.v, cert.v_batch), upper_is_window=False,
+                  window=cert.v_batch, upper_is_window=False,
                   flow=each(flow), jump=each(jump), meta={})
 
 
@@ -415,18 +413,6 @@ def check_halanay(spec: SystemSpec, cert: HalanayCertificate,
         premise=lambda vh, vb: True,
         flow_rhs=lambda vh, vb: -cert.mu * vh + cert.q * vb,
         jump_rhs=lambda vb: cert.rho * vb)
-
-
-#: Sampled arcs on which check_krasovskii compares vf_batch with vf.
-SCREENED_ARCS = 5
-
-
-def _functional(cert: KrasovskiiCertificate) -> Callable:
-    """The certificate's functional on a list of arcs, as an array: vf_batch,
-    or vf arc by arc without it."""
-    if cert.vf_batch is not None:
-        return cert.vf_batch
-    return lambda phis: np.array([float(cert.vf(phi)) for phi in phis])
 
 
 def _quotients(spec: SystemSpec, functional: Callable,
@@ -472,8 +458,7 @@ def dplus_v(spec: SystemSpec, cert: KrasovskiiCertificate,
     duration keeps its flow inside.  The check evaluates it for all its
     flow arcs at once; this is the one-arc case.
     """
-    functional = _functional(cert)
-    d = _quotients(spec, functional, [phi], h, functional([phi]).tolist())[0]
+    d = _quotients(spec, cert.vf, [phi], h, cert.vf([phi]).tolist())[0]
     if d is None:
         if spec.flow_guard(phi) < -GUARD_TOL:
             raise PreconditionError("window is not in the flow set")
@@ -497,32 +482,19 @@ def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
     for (ii) and (iii) one per block of the flow windows (a block of flow
     arcs flows at once, and those whose window leaves the flow set retry at
     h/2) and of the jump candidates' appended arcs, so that one block's
-    windows exist at a time.  A ``vf_batch`` that differs from vf in any
-    bit on the first SCREENED_ARCS arcs raises CertificateValidationError
-    before anything is recorded.
+    windows exist at a time.  The window norm of (i) is the target's
+    ``dist_batch`` maximised over each arc.
     """
     validate_krasovskii(cert)
     h = DERIVATIVE_STEP
     meta = {"flow_bound_observed": 0.0, "flow_arcs_skipped": 0, "h": h}
-    functional = _functional(cert)
-
-    def values(arcs: list[HybridMemoryArc]) -> list[float]:
-        vals = functional(arcs).tolist()
-        if cert.vf_batch is not None:
-            for k, (arc, got) in enumerate(zip(arcs[:SCREENED_ARCS], vals)):
-                want = float(cert.vf(arc))
-                if np.float64(got).tobytes() != np.float64(want).tobytes():
-                    raise CertificateValidationError(
-                        f"{cert.name}: vf_batch gives {got!r} where vf gives "
-                        f"{want!r} on sampled arc {k}")
-        return vals
 
     def flow(samples: list[ArcSample], terms: list[tuple]):
         for s in samples:
             for f in spec.flow_candidates(s.arc):
                 meta["flow_bound_observed"] = max(meta["flow_bound_observed"],
                                                   float(np.linalg.norm(f)))
-        quotients = _quotients(spec, functional, [s.arc for s in samples], h,
+        quotients = _quotients(spec, cert.vf, [s.arc for s in samples], h,
                                [vf for vf, _, _ in terms])
         meta["flow_arcs_skipped"] += quotients.count(None)
         return [() if d is None else ((d, -cert.alpha3(dw), ()),)
@@ -533,7 +505,7 @@ def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
                  for gi, g in enumerate(spec.jump_selections(s.arc))]
         arcs, lhs = [samples[i].arc for i, _, _ in cands], []
         for lo, hi in _blocks(arcs, 1):  # one block's appended arcs at a time
-            lhs += functional(append_jumps(
+            lhs += cert.vf(append_jumps(
                 arcs[lo:hi], [g for _, _, g in cands[lo:hi]])).tolist()
         rows: list[list[tuple]] = [[] for _ in samples]
         for (i, gi, _), v in zip(cands, lhs):
@@ -541,8 +513,9 @@ def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
             rows[i].append((v - vf, -cert.alpha3(dw), ("jump_candidate", gi)))
         return rows
 
-    return _check(cert, sampler, slack, samples, target, h, values=values,
-                  window=(target.dist, target.dist_batch), upper_is_window=True,
+    return _check(cert, sampler, slack, samples, target, h,
+                  values=lambda arcs: cert.vf(arcs).tolist(),
+                  window=target.dist_batch, upper_is_window=True,
                   flow=flow, jump=jump, meta=meta)
 
 
@@ -559,14 +532,15 @@ class VbarMonotoneReport:
     points: int
 
 
-def check_vbar_monotone(traj: Trajectory, v: Callable[[np.ndarray], float],
-                        tol: float, v_batch=None) -> VbarMonotoneReport:
+def check_vbar_monotone(traj: Trajectory, v: Callable[[np.ndarray], np.ndarray],
+                        tol: float) -> VbarMonotoneReport:
     """The maximum of V over the window of the trajectory's memory size must
-    be non-increasing along the trajectory, up to tol.  The windows are cut
-    and maximised ``_VBAR_POINTS`` points at a time."""
+    be non-increasing along the trajectory, up to tol.  v is V's array form,
+    (m, n) states to m values, as a certificate's ``v_batch``.  The windows
+    are cut and maximised ``_VBAR_POINTS`` points at a time."""
     points = [(t, j) for t, j, _ in traj.sample_points()]
     maxima = np.concatenate([sup_norm_w(memory_windows(
-        traj.arc, points[i:i + _VBAR_POINTS], traj.memory_size), v, batch=v_batch)
+        traj.arc, points[i:i + _VBAR_POINTS], traj.memory_size), v)
         for i in range(0, len(points), _VBAR_POINTS)]).tolist()
     first = next(((t, j, prev, cur) for (t, j), prev, cur
                   in zip(points[1:], maxima, maxima[1:]) if cur > prev + tol), None)
@@ -630,7 +604,7 @@ def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
         raise ValueError("trajectories come from mismatched systems")
 
     etas = sup_norm_w([t.arc.memory_side(t.memory_size) for t in trajectories],
-                      target.dist, batch=target.dist_batch)
+                      target.dist_batch)
     sups, curves = [], []
     for traj in trajectories:
         tj, dist = np.array([(t + j, target.dist(x))

@@ -160,7 +160,7 @@ class Trajectory:
 def run_summary(traj: Trajectory, target: TargetSet) -> dict:
     """Deterministic JSON-ready digest of a simulation run."""
     init = traj.arc.memory_side(traj.memory_size)
-    sup0 = float(sup_norm_w([init], target.dist, batch=target.dist_batch)[0])
+    sup0 = float(sup_norm_w([init], target.dist_batch)[0])
     final = traj.arc.values[traj.arc.n - 1]
     return {
         "termination": traj.termination.value,

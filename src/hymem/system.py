@@ -39,15 +39,15 @@ class ConfigError(ValueError):
 class TargetSet:
     """Point-to-set distance |z|_W; zero exactly on W.
 
-    ``dist_batch`` optionally maps an (m, n) array of states to the m
-    distances at once.  Row i of its result must depend on row i alone, bit
-    for bit, whatever rows come with it, as
+    ``dist`` takes one state (the per-point distances); ``dist_batch`` maps
+    an (m, n) array of states to m distances, for the window norm.  Row i
+    of its result must depend on row i alone, bit for bit, as
     :func:`~hymem.hybrid_time.sup_norm_w` evaluates many windows' rows in
     one call and promises each window the value it would get alone.
     """
 
     dist: Callable[[np.ndarray], float]
-    dist_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    dist_batch: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)

@@ -94,9 +94,8 @@ def test_criterion_2_sampled_data_decay():
         assert tail, "horizon did not reach t + j = 30"
         worst_tail = max(worst_tail, max(tail))
         vbar0 = vbar([memory_window(traj.arc, 0.0, 0, spec.memory_size)],
-                     cert.v, batch=cert.v_batch)[0]
-        rep = check_vbar_monotone(traj, cert.v, tol=1e-6 * vbar0,
-                                  v_batch=cert.v_batch)
+                     cert.v_batch)[0]
+        rep = check_vbar_monotone(traj, cert.v_batch, tol=1e-6 * vbar0)
         all_monotone = all_monotone and rep.passed
     ok = worst_tail <= 1e-3 and all_monotone
     _line(2, ok, f"worst |x|_W beyond t+j=30 is {worst_tail:.2e}, "

@@ -27,21 +27,43 @@ from hymem.sampling import ArcSampler
 from hymem.solver import (PreconditionError, SimOptions, flow_window,
                           flow_windows, simulate)
 from hymem.system import (GUARD_TOL, Example1Params, Example2Params,
-                          LinearDelayConfig,
+                          LinearDelayConfig, TargetSet,
                           build_example1, build_example2,
                           build_linear_delay_system, origin_target)
 
 
+def row_loop(v):
+    """The array form of a V written for one state: v row by row."""
+    return lambda arr: np.array([v(x) for x in arr])
+
+
+def arc_by_arc(vf):
+    """The list form of a functional written for one arc: vf arc by arc."""
+    return lambda phis: np.array([vf(phi) for phi in phis])
+
+
+def square(x):
+    return float(x @ x)
+
+
 def quadratic_razumikhin(rho=0.5, alpha3=None):
     return RazumikhinCertificate(
-        v=lambda x: float(x @ x),
+        v=square,
         grad_v=lambda x: 2.0 * x,
         alpha1=lambda s: 0.5 * s * s,
         alpha2=lambda s: 2.0 * s * s,
         alpha3=alpha3 if alpha3 is not None else (lambda s: 0.1 * s),
         p=lambda r: 2.0 * r,
         rho=lambda r: rho * r,
+        v_batch=row_loop(square),
     )
+
+
+def quadratic_halanay():
+    return HalanayCertificate(
+        v=square, grad_v=lambda x: 2.0 * x,
+        alpha1=lambda s: 0.5 * s * s, alpha2=lambda s: 2.0 * s * s,
+        mu=2.0, q=1.0, rho=0.5, v_batch=row_loop(square))
 
 
 class TestScreening:
@@ -51,35 +73,24 @@ class TestScreening:
             validate_razumikhin(cert)
 
     def test_threshold_must_exceed_identity(self):
-        cert = RazumikhinCertificate(
-            v=lambda x: float(x @ x), grad_v=lambda x: 2 * x,
-            alpha1=lambda s: 0.5 * s * s, alpha2=lambda s: 2 * s * s,
-            alpha3=lambda s: 0.1 * s, p=lambda r: r, rho=lambda r: 0.5 * r)
+        cert = dataclasses.replace(quadratic_razumikhin(), p=lambda r: r)
         with pytest.raises(CertificateValidationError, match="p\\(r\\)"):
             validate_razumikhin(cert)
 
     def test_halanay_needs_mu_above_q(self):
-        cert = HalanayCertificate(
-            v=lambda x: float(x @ x), grad_v=lambda x: 2 * x,
-            alpha1=lambda s: 0.5 * s * s, alpha2=lambda s: 2 * s * s,
-            mu=1.0, q=1.0, rho=0.5)
+        cert = dataclasses.replace(quadratic_halanay(), mu=1.0)
         with pytest.raises(CertificateValidationError, match="mu > q"):
             validate_halanay(cert)
 
     def test_alpha_order_enforced(self):
-        cert = quadratic_razumikhin()
-        bad = RazumikhinCertificate(
-            v=cert.v, grad_v=cert.grad_v,
-            alpha1=lambda s: 3.0 * s * s, alpha2=lambda s: 2.0 * s * s,
-            alpha3=cert.alpha3, p=cert.p, rho=cert.rho)
+        bad = dataclasses.replace(quadratic_razumikhin(),
+                                  alpha1=lambda s: 3.0 * s * s)
         with pytest.raises(CertificateValidationError, match="alpha1"):
             validate_razumikhin(bad)
 
     def test_wrong_gradient_rejected(self):
-        cert = RazumikhinCertificate(
-            v=lambda x: float(x @ x), grad_v=lambda x: 3.0 * x,
-            alpha1=lambda s: 0.5 * s * s, alpha2=lambda s: 2 * s * s,
-            alpha3=lambda s: 0.1 * s, p=lambda r: 2 * r, rho=lambda r: 0.5 * r)
+        cert = dataclasses.replace(quadratic_razumikhin(),
+                                   grad_v=lambda x: 3.0 * x)
         pts = np.random.default_rng(0).normal(size=(20, 3))
         with pytest.raises(CertificateValidationError, match="grad"):
             check_gradient(cert, pts)
@@ -100,7 +111,7 @@ class TestDplusV:
     def test_pointwise_square_along_decay(self):
         spec, _ = decay_spec()
         cert = KrasovskiiCertificate(
-            vf=lambda phi: float(phi.head[0] ** 2),
+            vf=lambda phis: np.array([phi.head[0] ** 2 for phi in phis]),
             alpha1=lambda s: 0.5 * s * s, alpha2=lambda s: 2 * s * s,
             alpha3=lambda s: 0.1 * s * s)
         phi = constant_memory_arc(np.array([1.0]), 0.4)
@@ -110,7 +121,7 @@ class TestDplusV:
     def test_constant_functional_is_flat(self):
         spec, _ = decay_spec()
         cert = KrasovskiiCertificate(
-            vf=lambda phi: 4.5,
+            vf=lambda phis: np.full(len(phis), 4.5),
             alpha1=lambda s: 0.5 * s * s, alpha2=lambda s: 2 * s * s,
             alpha3=lambda s: 0.1 * s * s)
         phi = constant_memory_arc(np.array([1.0]), 0.4)
@@ -133,8 +144,8 @@ class TestDplusV:
         # differences D(h) - D(h/2) should halve with h (first-order error)
         spec, _ = decay_spec()
         cert = KrasovskiiCertificate(
-            vf=lambda phi: float(phi.head[0] ** 4
-                                 + delayed_sq_integral([phi], -0.3, 0.0)[0]),
+            vf=lambda phis: np.array([phi.head[0] ** 4 for phi in phis])
+            + delayed_sq_integral(phis, -0.3, 0.0),
             alpha1=lambda s: 0.1 * s * s, alpha2=lambda s: 9 * (s ** 4 + s * s),
             alpha3=lambda s: 0.01 * s * s)
         phi = constant_memory_arc(np.array([1.3]), 0.4, grid_step=5e-3)
@@ -150,14 +161,12 @@ class TestDplusV:
 class TestCheckHalanayScalar:
     def test_delay_free_decay_passes(self):
         spec, target = decay_spec()
-        cert = HalanayCertificate(
-            v=lambda x: float(x @ x), grad_v=lambda x: 2.0 * x,
-            alpha1=lambda s: 0.5 * s * s, alpha2=lambda s: 2.0 * s * s,
-            mu=2.0, q=1.0, rho=0.5)
         sampler = ArcSampler(spec, seed=0, mode="cover")
-        rep = check_halanay(spec, cert, sampler, samples=200, target=target)
+        rep = check_halanay(spec, quadratic_halanay(), sampler, samples=200,
+                            target=target)
         assert rep.passed
-        assert rep.region_counts["D"] == 0  # no jump set without a clock
+        # no jump set without a clock: C takes the whole count
+        assert rep.region_counts == {"C": 200, "D": 0, "Gplus": 0}
 
 
 # the three checkers, each on a stock system with its certificate
@@ -289,7 +298,7 @@ class TestExample1Checks:
         from hymem.hybrid_time import vbar
         for v in rep.violations[:10]:
             assert v.condition == "razumikhin.iii"
-            vb = vbar([v.arc], cert.v, batch=cert.v_batch)[0]
+            vb = vbar([v.arc], cert.v_batch)[0]
             g = spec.jump_selections(v.arc)[v.aux[1]]
             assert float(cert.v(np.asarray(g))) == v.lhs
             assert cert.rho(vb) == v.rhs
@@ -343,25 +352,39 @@ class TestExample1Checks:
         assert k1 == k2 and k1
 
 
-@pytest.mark.parametrize("check", ["razumikhin", "krasovskii"])
+@pytest.mark.parametrize("check", ["razumikhin", "halanay", "krasovskii"])
 def test_cover_checks_run_on_an_unclocked_delay_system(check):
-    """Both checks evaluate every cover arc of a jump-free system with a
-    flow delay of 0.3 (they stopped at an arc shorter than the delay)."""
+    """Every check evaluates as many cover arcs of a jump-free system with
+    a flow delay of 0.3 as asked for (they stopped at an arc shorter than
+    the delay, and C used to get only its 40 % share of the count)."""
     from test_sampling import delay_system
     spec, target = delay_system(0.3)
     sampler = ArcSampler(spec, seed=3, mode="cover")
     if check == "razumikhin":
         rep = check_razumikhin(spec, quadratic_razumikhin(), sampler, samples=60,
                                target=target)
+    elif check == "halanay":
+        rep = check_halanay(spec, quadratic_halanay(), sampler, samples=60,
+                            target=target)
     else:
         cert = KrasovskiiCertificate(
-            vf=lambda phi: float(phi.head @ phi.head
-                                 + delayed_sq_integral([phi], -0.3, 0.0)[0]),
+            vf=lambda phis: np.array([phi.head @ phi.head for phi in phis])
+            + delayed_sq_integral(phis, -0.3, 0.0),
             alpha1=lambda s: 0.5 * s * s, alpha2=lambda s: 9.0 * s * s,
             alpha3=lambda s: 0.01 * s * s)
         rep = check_krasovskii(spec, cert, sampler, samples=60, target=target)
-    assert rep.checked == rep.region_counts["C"] == 24  # C's share of 60
+    assert rep.checked == 60
+    assert rep.region_counts == {"C": 60, "D": 0, "Gplus": 0}
     assert rep.meta.get("flow_arcs_skipped", 0) == 0
+
+
+def test_certificate_maps_have_no_optional_second_form():
+    """Each certificate map and the target distance has the forms its
+    callers read, every one required: no field defaults to None."""
+    for cls in (RazumikhinCertificate, HalanayCertificate,
+                KrasovskiiCertificate, TargetSet):
+        for f in dataclasses.fields(cls):
+            assert f.default is not None, (cls.__name__, f.name)
 
 
 class TestExample2Checks:
@@ -403,7 +426,7 @@ class TestExample2Checks:
 
     def test_functional_evaluated_once_per_arc_window_and_jump(self, monkeypatch):
         """Every arc, flow window and jump candidate goes through the
-        functional once: as vf_batch rows, or as vf calls without it."""
+        functional once, as one row of a vf call."""
         p = Example2Params.case2()
         spec, target = build_example2(p)
         stock, _ = example2_krasovskii_certificate(p)
@@ -419,28 +442,13 @@ class TestExample2Checks:
                             counted("window", certificates.flow_windows, 1))
         monkeypatch.setattr(certificates, "append_jumps",
                             counted("jump", certificates.append_jumps))
-        for batched in (True, False):
-            rows.clear()
-            calls = Counter()
-
-            def vf(phi):
-                calls["vf"] += 1
-                return stock.vf(phi)
-
-            cert = dataclasses.replace(
-                stock, vf=vf,
-                vf_batch=counted("vf_batch", stock.vf_batch) if batched else None)
-            rep = check_krasovskii(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
-                                   samples=50, target=target)
-            assert rep.passed
-            assert rows["window"] == rep.region_counts["C"] > 0
-            assert rows["jump"] >= rep.region_counts["D"] > 0
-            evaluated = rep.checked + rows["window"] + rows["jump"]
-            if batched:  # vf only screens vf_batch on the first arcs
-                assert rows["vf_batch"] == evaluated
-                assert calls["vf"] == certificates.SCREENED_ARCS
-            else:
-                assert calls["vf"] == evaluated
+        cert = dataclasses.replace(stock, vf=counted("vf", stock.vf))
+        rep = check_krasovskii(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
+                               samples=50, target=target)
+        assert rep.passed
+        assert rows["window"] == rep.region_counts["C"] > 0
+        assert rows["jump"] >= rep.region_counts["D"] > 0
+        assert rows["vf"] == rep.checked + rows["window"] + rows["jump"]
 
     def test_report_json_shape(self):
         p = Example2Params.case2()
@@ -491,30 +499,29 @@ PARAMS_AND_MODES = pytest.mark.parametrize("params, mode", [
 
 
 class TestFunctionalInArrays:
-    """vf_batch, the batched flow quotient and the batched check give what
-    the functional gives one arc at a time."""
+    """The stock functional, the flow quotient and the check, all on lists
+    of arcs, give what the functional gives one arc at a time."""
 
     @PARAMS_AND_MODES
-    def test_vf_batch_equals_vf(self, params, mode):
+    def test_vf_rows_equal_the_functional_arc_by_arc(self, params, mode):
         spec, arcs = functional_rows(params, mode)
         cert, _ = example2_krasovskii_certificate(params)
         want = np.array([reference_vf(params)(phi) for phi in arcs])
         cuts = np.sort(np.random.default_rng(41).choice(
             np.arange(1, len(arcs)), 12, replace=False))
         parts = np.split(np.arange(len(arcs)), cuts)
-        chunks = np.concatenate([cert.vf_batch([arcs[i] for i in part])
+        chunks = np.concatenate([cert.vf([arcs[i] for i in part])
                                  for part in parts])
-        single = np.concatenate([cert.vf_batch([phi]) for phi in arcs])
-        alone = np.array([cert.vf(phi) for phi in arcs])
-        assert cert.vf_batch(arcs).tobytes() == want.tobytes()
-        assert chunks.tobytes() == single.tobytes() == alone.tobytes() == want.tobytes()
+        single = np.concatenate([cert.vf([phi]) for phi in arcs])
+        assert cert.vf(arcs).tobytes() == want.tobytes()
+        assert chunks.tobytes() == single.tobytes() == want.tobytes()
 
     @PARAMS_AND_MODES
-    def test_check_without_vf_batch_reports_the_same(self, params, mode):
+    def test_check_of_the_functional_arc_by_arc_reports_the_same(self, params,
+                                                                  mode):
         spec, target = build_example2(params)
         cert, _ = example2_krasovskii_certificate(params)
-        plain = KrasovskiiCertificate(vf=reference_vf(params), alpha1=cert.alpha1,
-                                      alpha2=cert.alpha2, alpha3=cert.alpha3)
+        plain = dataclasses.replace(cert, vf=arc_by_arc(reference_vf(params)))
         reports = [check_krasovskii(spec, c, ArcSampler(spec, seed=2, mode=mode),
                                     samples=80, target=target).to_json_dict()
                    for c in (cert, plain)]
@@ -528,8 +535,8 @@ class TestFunctionalInArrays:
         arcs = (arcs[:6] + [near_period(phi, p.delta) for phi in arcs[6:11]]
                 + [near_period(arcs[11], p.delta, gap=-1e-3)])  # last: not in C
         h = 1e-5
-        bases = cert.vf_batch(arcs).tolist()
-        got = certificates._quotients(spec, cert.vf_batch, arcs, h, bases)
+        bases = cert.vf(arcs).tolist()
+        got = certificates._quotients(spec, cert.vf, arcs, h, bases)
         assert got[-1] is None
         with pytest.raises(PreconditionError, match="not in the flow set"):
             dplus_v(spec, cert, arcs[-1], h)
@@ -544,16 +551,6 @@ class TestFunctionalInArrays:
             assert np.float64(dplus_v(spec, cert, phi, h)).tobytes() == \
                 np.float64(d).tobytes()
         assert steps[:6] == [h] * 6 and all(s < h for s in steps[6:])
-
-    def test_disagreeing_vf_batch_is_refused(self):
-        p = Example2Params.case2()
-        spec, target = build_example2(p)
-        cert, _ = example2_krasovskii_certificate(p)
-        off = dataclasses.replace(  # one bit off, on every arc
-            cert, vf_batch=lambda phis: np.nextafter(cert.vf_batch(phis), np.inf))
-        with pytest.raises(CertificateValidationError, match="vf_batch gives"):
-            check_krasovskii(spec, off, ArcSampler(spec, seed=0, mode="cover"),
-                             samples=40, target=target)
 
 
 def _states(spec, seed):
@@ -642,8 +639,7 @@ class TestVbarMonotone:
         spec, target = build_example1(p)
         cert, _ = example1_razumikhin_certificate(p)
         traj = self._trajectory(spec, [1.0, -0.5, 0.3, 0.0])
-        rep = check_vbar_monotone(traj, cert.v, tol=1e-6 * 1.0,
-                                  v_batch=cert.v_batch)
+        rep = check_vbar_monotone(traj, cert.v_batch, tol=1e-6 * 1.0)
         assert rep.passed
         assert rep.final_value < rep.initial_value
 
@@ -653,8 +649,7 @@ class TestVbarMonotone:
         spec, _ = build_example1(p)
         cert, _ = example1_razumikhin_certificate(p)
         traj = self._trajectory(spec, [1.0, 1.0, 0.0, 0.0], t_max=2.0)
-        rep = check_vbar_monotone(traj, cert.v, tol=1e-6,
-                                  v_batch=cert.v_batch)
+        rep = check_vbar_monotone(traj, cert.v_batch, tol=1e-6)
         assert not rep.passed
         assert rep.first_violation is not None
 
@@ -663,8 +658,7 @@ class TestVbarMonotone:
         spec, _ = build_example1(p)
         cert, _ = example1_razumikhin_certificate(p)
         traj = self._trajectory(spec, [0.0, 0.0, 0.0, 0.0], t_max=1.0)
-        rep = check_vbar_monotone(traj, cert.v, tol=1e-12,
-                                  v_batch=cert.v_batch)
+        rep = check_vbar_monotone(traj, cert.v_batch, tol=1e-12)
         assert rep.passed
         assert rep.initial_value == 0.0
 

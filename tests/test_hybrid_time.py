@@ -30,6 +30,12 @@ from hymem.system import (Example1Params, Example2Params, build_example1,
                           parse_linear_delay_config)
 
 
+def row_loop(fn):
+    """The array form of a map written for one state: fn row by row, as
+    the window maximum takes it."""
+    return lambda arr: np.array([fn(x) for x in arr])
+
+
 def seg(j, times, values):
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
@@ -467,23 +473,23 @@ class TestMemoryWindow:
 class TestSupNormAndVbar:
     def test_zero_arc(self):
         phi = constant_memory_arc(np.zeros(2), 0.5)
-        assert sup_norm_w([phi], np.linalg.norm).tolist() == [0.0]
+        assert sup_norm_w([phi], row_loop(np.linalg.norm)).tolist() == [0.0]
 
     def test_ramp(self):
         phi = memory_arc_of([seg(0, np.linspace(-1, 0, 11),
                                    np.linspace(-1, 0, 11))], 0.0)
-        assert sup_norm_w([phi], np.linalg.norm)[0] == pytest.approx(1.0)
-        assert vbar([phi], lambda z: z[0] ** 2)[0] == pytest.approx(1.0)
+        assert sup_norm_w([phi], row_loop(np.linalg.norm))[0] == pytest.approx(1.0)
+        assert vbar([phi], row_loop(lambda z: z[0] ** 2))[0] == pytest.approx(1.0)
 
     def test_constant_arc_vbar_equals_value(self):
         phi = constant_memory_arc(np.array([3.0]), 0.7)
-        assert vbar([phi], lambda z: abs(z[0])).tolist() == [3.0]
+        assert vbar([phi], row_loop(lambda z: abs(z[0]))).tolist() == [3.0]
 
     def test_piecewise_max_across_jump_levels(self):
         phi = memory_arc_of(
             [seg(-1, [-1.0, -0.4], [2.0, 2.0]), seg(0, [-0.4, 0.0], [0.5, 0.5])],
             1.0)
-        assert vbar([phi], lambda z: abs(z[0])).tolist() == [2.0]
+        assert vbar([phi], row_loop(lambda z: abs(z[0]))).tolist() == [2.0]
 
     def test_vbar_dominates_head(self):
         rng = np.random.default_rng(5)
@@ -492,13 +498,13 @@ class TestSupNormAndVbar:
             arc = _random_solution_like_arc(rng)
             windows.append(memory_window(arc, arc.forward_segments[0].hi, 0, 0.02))
         v = lambda z: float(z[0] ** 2 + 0.3 * abs(z[0]))
-        for w, vb in zip(windows, vbar(windows, v)):
+        for w, vb in zip(windows, vbar(windows, row_loop(v))):
             assert vb >= v(w.head) - 1e-12
 
     def test_refinement_finds_interior_peak(self):
         # V peaks strictly inside a sampling interval
         phi = memory_arc_of([seg(0, [-1.0, 0.0], [-1.0, 1.0])], 0.0)
-        got = vbar([phi], lambda z: 1.0 - z[0] ** 2)
+        got = vbar([phi], row_loop(lambda z: 1.0 - z[0] ** 2))
         assert got[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_under_extension(self):
@@ -509,7 +515,7 @@ class TestSupNormAndVbar:
                                                    np.linspace(0.2, 0.7, 6)]))],
                               0.4)
         f = lambda z: abs(z[0])
-        got_ext, got_base = sup_norm_w([ext, base], f)
+        got_ext, got_base = sup_norm_w([ext, base], row_loop(f))
         assert got_ext >= got_base
 
     @staticmethod
@@ -525,9 +531,9 @@ class TestSupNormAndVbar:
     def test_nan_at_a_stored_sample_raises(self, oldest, newest, level, batch):
         # max(best, nan) keeps best: a NaN window used to read 0.3 here
         phi = self.two_levels(oldest, newest)
-        kw = {"batch": lambda arr: np.abs(arr[:, 0])} if batch else {}
+        fn = (lambda arr: np.abs(arr[:, 0])) if batch else row_loop(lambda z: abs(z[0]))
         with pytest.raises(DomainError, match=f"NaN on jump level {level}$"):
-            sup_norm_w([phi], lambda z: abs(z[0]), **kw)
+            sup_norm_w([phi], fn)
 
     @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "batch"])
     def test_nan_at_a_refined_midpoint_raises(self, batch):
@@ -537,21 +543,23 @@ class TestSupNormAndVbar:
         def fn(z):
             return np.nan if z[0] == 0.25 else abs(z[0])
 
-        kw = {"batch": lambda arr: np.array([fn(z) for z in arr])} if batch else {}
+        def array_fn(arr):
+            return np.where(arr[:, 0] == 0.25, np.nan, np.abs(arr[:, 0]))
+
         with pytest.raises(DomainError, match="NaN on jump level 0$"):
-            sup_norm_w([phi], fn, **kw)
+            sup_norm_w([phi], array_fn if batch else row_loop(fn))
 
     def test_minus_infinity_is_a_value_below_the_maximum(self):
         phi = self.two_levels([0.1, 0.2], [0.1, 0.2, 0.3])
-        got = sup_norm_w([phi], lambda z: -np.inf if z[0] < 0.3 else 0.3)
+        got = sup_norm_w([phi], row_loop(lambda z: -np.inf if z[0] < 0.3 else 0.3))
         assert got.tolist() == [0.3]
 
     @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "batch"])
     def test_plus_infinity_is_the_maximum(self, batch):
         # an infinite maximum used to raise "window is empty above the depth floor"
         phi = HybridMemoryArc([-1.0, 0.0], [[np.inf], [1.0]], [0], 0.0)
-        kw = {"batch": lambda arr: np.abs(arr[:, 0])} if batch else {}
-        assert sup_norm_w([phi], lambda z: abs(z[0]), **kw).tolist() == [np.inf]
+        fn = (lambda arr: np.abs(arr[:, 0])) if batch else row_loop(lambda z: abs(z[0]))
+        assert sup_norm_w([phi], fn).tolist() == [np.inf]
 
     def test_window_below_its_floor_raises(self):
         # only unchecked arcs can lie wholly below s + k = -delta - 1
@@ -559,7 +567,7 @@ class TestSupNormAndVbar:
                           seg(0, [-2.5], [2.0])], delta=0.5)
         ok = constant_memory_arc(np.array([1.0]), 0.5)
         with pytest.raises(DomainError, match="window 1 is empty above the depth floor"):
-            sup_norm_w([ok, deep], lambda z: abs(z[0]))
+            sup_norm_w([ok, deep], row_loop(lambda z: abs(z[0])))
 
 
 class TestAppendJump:
@@ -772,12 +780,11 @@ def _interpolate_array(times, values, derivs, ts, scheme):
     return out
 
 
-def _window_max_loop(phi, fn, batch, refine_tol=1e-9, max_levels=6):
-    """The window maximum with one pointwise interpolation per midpoint."""
+def _window_max_loop(phi, evaluate, refine_tol=1e-9, max_levels=6):
+    """The window maximum of the array-form map ``evaluate`` with one
+    pointwise interpolation per midpoint."""
     floor = -phi.delta - 1 - TIME_TOL
     best = -np.inf
-    evaluate = batch if batch is not None else (
-        lambda arr: np.array([fn(row) for row in arr]))
     for s in phi.memory_segments:
         mask = (s.times + s.jump_index) >= floor
         if not np.any(mask):
@@ -1029,12 +1036,13 @@ class TestWindowMaximumArrayPath:
         cert, _ = example1_razumikhin_certificate(p)
         arcs = _cover_arcs(spec, 5, 201)
         assert len(arcs) == 201
-        got = vbar(arcs, cert.v, batch=cert.v_batch)
+        got = vbar(arcs, cert.v_batch)
         for phi, vb in zip(arcs, got):
-            assert vb == _window_max_loop(phi, cert.v, cert.v_batch)
-        # row by row when there is no batch form
-        for phi, vb in zip(arcs[::10], vbar(arcs[::10], cert.v)):
-            assert vb == _window_max_loop(phi, cert.v, None)
+            assert vb == _window_max_loop(phi, cert.v_batch)
+        # the one-state V, row by row
+        v_rows = row_loop(cert.v)
+        for phi, vb in zip(arcs[::10], vbar(arcs[::10], v_rows)):
+            assert vb == _window_max_loop(phi, v_rows)
 
     @pytest.mark.parametrize("hermite", [False, True], ids=["linear", "hermite"])
     def test_example2_sup_norm(self, hermite):
@@ -1042,9 +1050,9 @@ class TestWindowMaximumArrayPath:
         arcs = _cover_arcs(spec, 6, 201)
         if hermite:
             arcs = [_as_hermite(phi) for phi in arcs]
-        got = sup_norm_w(arcs, target.dist, batch=target.dist_batch)
+        got = sup_norm_w(arcs, target.dist_batch)
         for phi, sup in zip(arcs, got):
-            assert sup == _window_max_loop(phi, target.dist, target.dist_batch)
+            assert sup == _window_max_loop(phi, target.dist_batch)
 
 
 def seg2(j, times, first):
@@ -1087,17 +1095,17 @@ def _mixed_windows():
 class TestWindowMaximumPass:
     """One pass over many windows equals the pointwise refinement of each."""
 
-    fn = staticmethod(lambda z: float(1.0 - z[0] * z[0]))
-    batch = staticmethod(lambda arr: 1.0 - arr[:, 0] * arr[:, 0])
+    fn = staticmethod(lambda arr: 1.0 - arr[:, 0] * arr[:, 0])
+    pointwise = staticmethod(row_loop(lambda z: float(1.0 - z[0] * z[0])))
 
     def test_mixed_list_equals_each_window_alone(self):
         windows = _mixed_windows()
         assert sum(s.times.shape[0] for w in windows
                    for s in w.memory_segments) > 2 * batch._BLOCK_ROWS
-        got = sup_norm_w(windows, self.fn, batch=self.batch)
-        want = [_window_max_loop(w, self.fn, self.batch) for w in windows]
+        got = sup_norm_w(windows, self.fn)
+        want = [_window_max_loop(w, self.fn) for w in windows]
         assert got.tolist() == want
-        assert sup_norm_w(windows[::5], self.fn).tolist() == want[::5]
+        assert sup_norm_w(windows[::5], self.pointwise).tolist() == want[::5]
 
     def test_peak_refines_every_round(self, monkeypatch):
         rounds = []
@@ -1105,32 +1113,31 @@ class TestWindowMaximumPass:
             monkeypatch.setattr(batch, "_MAX_LEVELS", m)
             rounds.append(sup_norm_w([_peak_window()], self.fn)[0])
         assert all(a < b for a, b in zip(rounds, rounds[1:]))
-        assert rounds[-1] == _window_max_loop(_peak_window(), self.fn, None)
+        assert rounds[-1] == _window_max_loop(_peak_window(), self.fn)
 
     def test_floor_cut_levels(self):
         phi = _floor_cut_window()
-        want = _window_max_loop(phi, self.fn, None)
+        want = _window_max_loop(phi, self.fn)
         assert sup_norm_w([phi], self.fn).tolist() == [want]
         # the 9s, the 8 and the 3 lie below the floor
-        assert sup_norm_w([phi], lambda z: abs(z[0])).tolist() == [0.7]
+        assert sup_norm_w([phi], lambda arr: np.abs(arr[:, 0])).tolist() == [0.7]
 
     def test_result_does_not_depend_on_the_other_windows(self):
         windows = _mixed_windows()
-        want = sup_norm_w(windows, self.fn, batch=self.batch)
+        want = sup_norm_w(windows, self.fn)
         order = np.random.default_rng(9).permutation(len(windows))
-        got = sup_norm_w([windows[i] for i in order], self.fn, batch=self.batch)
+        got = sup_norm_w([windows[i] for i in order], self.fn)
         assert got.tolist() == want[order].tolist()
         for lo, hi in ((0, 1), (3, 17), (len(windows) - 2, len(windows))):
-            assert sup_norm_w(windows[lo:hi], self.fn,
-                              batch=self.batch).tolist() == want[lo:hi].tolist()
+            assert sup_norm_w(windows[lo:hi], self.fn).tolist() == want[lo:hi].tolist()
 
     @pytest.mark.parametrize("rows", [7, 150])
     def test_block_size_does_not_change_the_result(self, monkeypatch, rows):
         # 7: one window per block; 150: two or three
         windows = _mixed_windows()[:-1]
-        want = sup_norm_w(windows, self.fn, batch=self.batch)
+        want = sup_norm_w(windows, self.fn)
         monkeypatch.setattr(batch, "_BLOCK_ROWS", rows)
-        assert sup_norm_w(windows, self.fn, batch=self.batch).tolist() == want.tolist()
+        assert sup_norm_w(windows, self.fn).tolist() == want.tolist()
 
     @staticmethod
     def _touching(where):
@@ -1152,8 +1159,8 @@ class TestWindowMaximumPass:
         phi = self._touching(where)
         inverse = lambda arr: 1.0 / arr[:, 0]
         with np.errstate(divide="ignore"):
-            got = sup_norm_w([phi], None, batch=inverse)
-            want = _window_max_loop(phi, None, inverse)
+            got = sup_norm_w([phi], inverse)
+            want = _window_max_loop(phi, inverse)
         assert got.tolist() == [want] == [1.0]
 
     def test_empty_list(self):
@@ -1165,9 +1172,9 @@ class TestWindowMaximumPass:
         windows = _mixed_windows()[:3] + [memory_arc_of(
             [seg2(-1, [-1.0, -0.5], [np.nan, 0.1]),
              seg2(0, [-0.5, -0.25, 0.0], [0.1, 0.2, 0.3])], 1.0)]
-        kw = {"batch": lambda arr: np.abs(arr[:, 0])} if batch else {}
+        fn = (lambda arr: np.abs(arr[:, 0])) if batch else row_loop(lambda z: abs(z[0]))
         with pytest.raises(DomainError, match="window 3: .*NaN on jump level -1$"):
-            sup_norm_w(windows, lambda z: abs(z[0]), **kw)
+            sup_norm_w(windows, fn)
 
 
 class TestArraySlicing:

@@ -76,7 +76,7 @@ class TestExample1Builder:
         p = Example1Params.paper()
         spec, target = build_example1(p)
         phi = const_arc([0.6, -0.8, 0.0, 0.1], spec.memory_size)
-        assert sup_norm_w([phi], target.dist)[0] == pytest.approx(1.0)
+        assert sup_norm_w([phi], target.dist_batch)[0] == pytest.approx(1.0)
 
 
 class TestExample2Builder:
