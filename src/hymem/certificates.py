@@ -25,6 +25,7 @@ difference quotient, h = 0 for the pointwise forms' gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
@@ -128,7 +129,7 @@ class Violation:
     origin: str
     lhs: float
     rhs: float
-    margin: float  # rhs - lhs; a violation has margin < -slack
+    margin: float  # rhs - lhs; a violation has margin < -slack, or NaN
     arc: HybridMemoryArc = field(repr=False, compare=False)
     aux: tuple = ()
 
@@ -171,7 +172,9 @@ class CheckReport:
 
 
 class _Recorder:
-    """Accumulates condition evaluations and violations."""
+    """Accumulates condition evaluations and violations.  A NaN margin is
+    a violation, and makes the worst margin NaN; a margin of -inf is the
+    worst margin as it is."""
 
     def __init__(self, slack_alg: float, slack_der: float):
         self.slack_alg = slack_alg
@@ -185,8 +188,9 @@ class _Recorder:
         slack = self.slack_alg if algebraic else self.slack_der
         margin = rhs - lhs
         self.evaluated += 1
-        self.worst = min(self.worst, margin)
-        if margin < -slack:
+        # min keeps a NaN it starts from, but not one that comes second
+        self.worst = margin if math.isnan(margin) else min(self.worst, margin)
+        if not margin >= -slack:
             self.violations.append(Violation(
                 condition=condition, region=sample.region, index=sample.index,
                 origin=sample.origin, lhs=float(lhs), rhs=float(rhs),
@@ -197,7 +201,8 @@ class _Recorder:
         return CheckReport(
             certificate=name, checked=checked, conditions_evaluated=self.evaluated,
             violations=tuple(self.violations),
-            worst_margin=float(self.worst) if np.isfinite(self.worst) else 0.0,
+            # +inf: nothing was evaluated, or every margin was +inf
+            worst_margin=0.0 if self.worst == np.inf else float(self.worst),
             slack_algebraic=self.slack_alg, slack_derivative=self.slack_der,
             region_counts=counts, meta=meta)
 
@@ -257,7 +262,8 @@ def validate_krasovskii(cert: KrasovskiiCertificate) -> None:
 
 def check_gradient(cert, points: np.ndarray) -> None:
     """Reject the certificate when grad_v disagrees with central finite
-    differences of v beyond 1e-6 (norm-relative) at any supplied point."""
+    differences of v beyond 1e-6 (norm-relative), or either is NaN, at any
+    supplied point."""
     for x in points:
         g = np.asarray(cert.grad_v(x), dtype=float)
         fd = np.empty_like(g)
@@ -267,10 +273,11 @@ def check_gradient(cert, points: np.ndarray) -> None:
             e[i] = step
             fd[i] = (cert.v(x + e) - cert.v(x - e)) / (2 * step)
         scale = max(1.0, float(np.linalg.norm(g)), float(np.linalg.norm(fd)))
-        if np.linalg.norm(fd - g) > 1e-6 * scale:
+        gap = np.linalg.norm(fd - g)
+        if not gap <= 1e-6 * scale:
             raise CertificateValidationError(
                 f"{cert.name}: grad_v disagrees with finite differences at "
-                f"x={x.tolist()} (|diff|={np.linalg.norm(fd - g):.3e})")
+                f"x={x.tolist()} (|diff|={gap:.3e})")
 
 
 def _split_counts(total: int) -> tuple[int, int, int]:
@@ -359,16 +366,16 @@ def _check_pointwise(spec: SystemSpec, cert, sampler: ArcSampler,
     """The pointwise forms' terms for :func:`_check`.
 
     (i) sandwich at the window head; (ii) on a flow arc whose premise(V,
-    Vbar) holds, grad V . f <= flow_rhs(V, Vbar) for every flow candidate f;
-    (iii) V(g) <= jump_rhs(Vbar) for every jump candidate g.
+    Vbar) holds, grad V . f <= flow_rhs(V, Vbar) for the flow selection f,
+    recorded with the aux ("flow_candidate", 0); (iii) V(g) <= jump_rhs(Vbar)
+    for every jump candidate g.
     """
     def flow(s: ArcSample, vh: float, dw: float, vb: float):
         if not premise(vh, vb):
             return  # no decay required here
         grad = np.asarray(cert.grad_v(s.arc.head), dtype=float)
-        for ci, f in enumerate(spec.flow_candidates(s.arc)):
-            yield (float(grad @ np.asarray(f, dtype=float)), flow_rhs(vh, vb),
-                   ("flow_candidate", ci))
+        f = np.asarray(spec.flow_selection(s.arc), dtype=float)
+        yield float(grad @ f), flow_rhs(vh, vb), ("flow_candidate", 0)
 
     def jump(s: ArcSample, vh: float, dw: float, vb: float):
         for gi, g in enumerate(spec.jump_selections(s.arc)):
@@ -389,8 +396,8 @@ def check_razumikhin(spec: SystemSpec, cert: RazumikhinCertificate,
     """Evaluate the threshold certificate's three conditions on sampled arcs.
 
     (i) sandwich at the window head on C, D and post-jump arcs; (ii) when
-    the threshold premise p(V) >= Vbar holds on a flow arc, every flow
-    candidate must descend at rate alpha3(V); (iii) every jump candidate
+    the threshold premise p(V) >= Vbar holds on a flow arc, the flow
+    selection must descend at rate alpha3(V); (iii) every jump candidate
     must contract below rho(Vbar).
     """
     validate_razumikhin(cert)
@@ -455,8 +462,9 @@ def dplus_v(spec: SystemSpec, cert: KrasovskiiCertificate,
 
     Halves h while the flow would leave the flow set within h; raises
     PreconditionError when phi is not in the flow set or no positive
-    duration keeps its flow inside.  The check evaluates it for all its
-    flow arcs at once; this is the one-arc case.
+    duration keeps its flow inside, and ValueError on a batch map left over
+    from another flow selection.  The check evaluates it for all its flow
+    arcs at once; this is the one-arc case.
     """
     d = _quotients(spec, cert.vf, [phi], h, cert.vf([phi]).tolist())[0]
     if d is None:
@@ -475,8 +483,10 @@ def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
     (i) alpha1(|head|_W) <= Vf(phi) <= alpha2(sup-norm); (ii) the difference
     quotient over a flow of h = ``DERIVATIVE_STEP`` (the report's
     ``meta.h``) descends at rate alpha3(|head|_W) on flow arcs; (iii)
-    appending any jump value decreases Vf by alpha3(|head|_W).  Flow
-    candidates are screened for an empirical norm bound (local boundedness).
+    appending any jump value decreases Vf by alpha3(|head|_W).  The flow
+    selection's norm on the flow arcs is reported as ``meta.flow_bound_observed``
+    (local boundedness).  A batch map left over from another flow selection
+    raises ValueError (:func:`~hymem.solver.flow_windows`).
 
     The functional runs on lists of arcs: one call for the arcs of (i), and
     for (ii) and (iii) one per block of the flow windows (a block of flow
@@ -491,9 +501,9 @@ def check_krasovskii(spec: SystemSpec, cert: KrasovskiiCertificate,
 
     def flow(samples: list[ArcSample], terms: list[tuple]):
         for s in samples:
-            for f in spec.flow_candidates(s.arc):
-                meta["flow_bound_observed"] = max(meta["flow_bound_observed"],
-                                                  float(np.linalg.norm(f)))
+            meta["flow_bound_observed"] = max(
+                meta["flow_bound_observed"],
+                float(np.linalg.norm(spec.flow_selection(s.arc))))
         quotients = _quotients(spec, cert.vf, [s.arc for s in samples], h,
                                [vf for vf, _, _ in terms])
         meta["flow_arcs_skipped"] += quotients.count(None)
@@ -576,8 +586,9 @@ class KLEnvelopeReport:
 
 def _settling_time(tj: np.ndarray, dist: np.ndarray, eps: float) -> float | None:
     """The t + j after which dist stays at most eps: 0.0 if it never
-    exceeds eps, None if its last sample does."""
-    above = np.flatnonzero(dist > eps)
+    exceeds eps, None if its last sample does.  A NaN distance counts as
+    above eps."""
+    above = np.flatnonzero(~(dist <= eps))
     if above.size == 0:
         return 0.0
     if above[-1] == dist.size - 1:
@@ -594,7 +605,9 @@ def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
     must stay below OVERSHOOT_CAP * eta.  Attractivity: for every grid pair
     (eps, eta) a single time T(eps, eta) must exist by which every bucket
     trajectory's distance has permanently dropped below eps; T is measured
-    in t + j and must lie within the simulated horizon.
+    in t + j and must lie within the simulated horizon.  A NaN distance
+    is neither bounded nor settled: it makes its buckets' bound NaN and
+    fails both.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -618,10 +631,10 @@ def check_kl_envelope(trajectories: Sequence[Trajectory], target: TargetSet,
         members = np.flatnonzero(etas <= eta + 1e-12)
         if members.size == 0:
             continue
-        gamma = max(sups[i] for i in members)
+        gamma = float(np.max([sups[i] for i in members]))  # NaN if any is
         gamma_rows.append((float(eta), gamma))
         buckets.append((float(eta), members))
-        if gamma > OVERSHOOT_CAP * max(eta, 1e-9):
+        if not gamma <= OVERSHOOT_CAP * max(eta, 1e-9):
             bounded_ok = False
 
     time_rows = []

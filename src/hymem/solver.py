@@ -73,11 +73,7 @@ class PreconditionError(ValueError):
 
 
 class EventLocationError(RuntimeError):
-    """The guard does not cross in the event bracket; carries that bracket."""
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """The guard does not cross in the event bracket."""
 
 
 class Termination(Enum):
@@ -195,19 +191,43 @@ _FLOW_STEPS = 2
 _FLOAT_DIM = 10
 
 
+def _batch_map(spec: SystemSpec):
+    """The spec's batch flow map: ``flow_batch``, or when that is None,
+    ``flow_selection`` on each row's own view, read when called."""
+    if spec.flow_batch is not None:
+        return spec.flow_batch
+    return lambda w: np.array([spec.flow_selection(v) for v in w.views()],
+                              dtype=float)
+
+
+def _screen_batch_map(spec: SystemSpec, row: np.ndarray, view: WindowView,
+                      where: str) -> None:
+    """Raise ValueError when ``row``, the batch map's row of a window, and
+    ``flow_selection`` on that window's own ``view`` differ by more than
+    :data:`VERIFY_TOL` * (1 + |f|): a batch map left over from another flow
+    selection.  ``where`` names the window in the message."""
+    f0 = np.asarray(spec.flow_selection(view), dtype=float)
+    gap = float(np.linalg.norm(row - f0))
+    if gap > VERIFY_TOL * (1.0 + float(np.linalg.norm(f0))):
+        raise ValueError(
+            f"flow_batch disagrees with flow_selection by {gap:.3e} at "
+            f"{where}; dataclasses.replace keeps the old batch map unless "
+            "flow_batch=None is passed")
+
+
 def _rk4(spec: SystemSpec, window: WindowView | BatchView, h: float,
          k1: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step from the window's head; ``k1``, when given, is the flow
     selection already evaluated on this same window.  The two half-step
     stages sit at one stage time, so they share its stored-history reads.
     On a :class:`~hymem.hybrid_time.BatchView` every row steps at once
-    through ``flow_batch``, with the same arithmetic row by row.  The final
-    combination of a window of at most ``_FLOAT_DIM`` components, whose
-    stages all have its shape, runs on Python floats, in the array
-    expression's order, so with its bits; stages that broadcast take the
-    array expression."""
+    through the batch map (:func:`_batch_map`), with the same arithmetic
+    row by row.  The final combination of a window of at most
+    ``_FLOAT_DIM`` components, whose stages all have its shape, runs on
+    Python floats, in the array expression's order, so with its bits;
+    stages that broadcast take the array expression."""
     batch = isinstance(window, BatchView)
-    f = spec.flow_batch if batch else spec.flow_selection
+    f = _batch_map(spec) if batch else spec.flow_selection
     x0 = np.asarray(window.head, dtype=float)
     if k1 is None:
         k1 = np.asarray(f(window), dtype=float)
@@ -258,7 +278,7 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
             or (g_hi >= -GUARD_TOL) == crossing_down):
         raise EventLocationError(
             f"{guard} guard does not cross in bracket (g0={g_lo:.3e}, "
-            f"g1={g_hi:.3e})", (0.0, h_bracket))
+            f"g1={g_hi:.3e})")
 
     lo, hi = 0.0, h_bracket
     x_lo, x_hi = np.array(window.head, dtype=float), x_end
@@ -533,13 +553,14 @@ def verify_solution(spec: SystemSpec, traj: Trajectory) -> SolutionCheckReport:
     there).
 
     Each flow segment's derivative check runs in arrays, in chunks of at
-    most ``_STACK_ROWS`` checked points: one ``flow_batch`` call on a
+    most ``_STACK_ROWS`` checked points: one call of the batch map
+    (``flow_batch``, or ``flow_selection`` row by row when it is None) on a
     chunk's :class:`~hymem.hybrid_time.BatchView` gives each of its points'
-    flow selection.  At the segment's first checked point
-    that row is compared with ``flow_selection``, and a gap beyond
-    tol * (1 + |f|) raises ValueError (a batch map left over from another
-    flow selection).  The guard runs point by point, and issues come out
-    in time order, a point's guard issue before its derivative issue.
+    flow selection.  At the segment's first checked point that row is
+    compared with ``flow_selection``, and a gap beyond tol * (1 + |f|)
+    raises ValueError (a batch map left over from another flow selection).
+    The guard runs point by point, and issues come out in time order, a
+    point's guard issue before its derivative issue.
     """
     tol = VERIFY_TOL
     issues: list[SolutionIssue] = []
@@ -555,6 +576,7 @@ def verify_solution(spec: SystemSpec, traj: Trajectory) -> SolutionCheckReport:
     n_deriv = 0
     n_guard = 0
     hist = History([arc], traj.memory_size)
+    batch_map = _batch_map(spec)
     forward = arc.levels()[arc.n_memory:]
     for j, (start, end) in enumerate(forward):
         times, values = arc.times[start:end], arc.values[start:end]
@@ -564,17 +586,10 @@ def verify_solution(spec: SystemSpec, traj: Trajectory) -> SolutionCheckReport:
             i = centres[lo:lo + _STACK_ROWS]
             fd = ((values[i - 2] - 8 * values[i - 1] + 8 * values[i + 1]
                    - values[i + 2]) / (12 * (times[i - 1] - times[i - 2]))[:, None])
-            fval = np.asarray(spec.flow_batch(BatchView(hist, start + i)),
-                              dtype=float)
+            fval = np.asarray(batch_map(BatchView(hist, start + i)), dtype=float)
             if lo == 0:
-                f0 = np.asarray(spec.flow_selection(hist.view(start + i[0])),
-                                dtype=float)
-                gap = float(np.linalg.norm(fval[0] - f0))
-                if gap > tol * (1.0 + float(np.linalg.norm(f0))):
-                    raise ValueError(
-                        f"flow_batch disagrees with flow_selection by {gap:.3e} "
-                        f"at (t={times[i[0]]}, j={j}); dataclasses.replace keeps "
-                        "the old batch map unless flow_batch=None is passed")
+                _screen_batch_map(spec, fval[0], hist.view(start + i[0]),
+                                  f"(t={times[i[0]]}, j={j})")
             # np.vecdot runs the dot kernel of np.linalg.norm on each row,
             # so err and bound are bit for bit the per-point norms
             diff = fd - fval
@@ -631,7 +646,8 @@ def verify_solution(spec: SystemSpec, traj: Trajectory) -> SolutionCheckReport:
 def flow_window(spec: SystemSpec, phi: HybridMemoryArc, h: float) -> HybridMemoryArc:
     """Window reached by flowing from phi for duration h without jumping:
     :func:`flow_windows` of phi alone.  Raises PreconditionError when phi
-    is not in the flow set (its flow guard is below -GUARD_TOL)."""
+    is not in the flow set (its flow guard is below -GUARD_TOL), and
+    ValueError on a batch map left over from another flow selection."""
     if spec.flow_guard(phi) < -GUARD_TOL:
         raise PreconditionError("window is not in the flow set")
     return flow_windows(spec, [phi], h)[0]
@@ -646,23 +662,32 @@ def flow_windows(spec: SystemSpec, phis: Sequence[HybridMemoryArc],
     Each block of arcs is one :class:`~hymem.hybrid_time.History` with a
     row per arc, which opens a forward level at each row's head and
     appends every step's samples to all rows at once (see
-    :mod:`hymem.batch`); every step takes all its arcs at once through
-    ``spec.flow_batch`` on a :class:`~hymem.hybrid_time.BatchView`, whose
-    stage reads are a WindowView's, and the windows are cut from the store.
-    So each window is bit for bit what stepping its arc alone through
-    ``flow_selection`` gives, as long as ``flow_batch`` gives each row
-    flow_selection's bits: the default batch map does, and so does the
-    linear family's for one component besides the clock (example 2).  With
-    more, its matrix products may sum in another order (on example 1, 5 of
-    1000 cover windows differed, by at most 1 ulp, at h = 1e-3).
+    :mod:`hymem.batch`); every step takes all its arcs at once through the
+    batch map on a :class:`~hymem.hybrid_time.BatchView`, whose stage reads
+    are a WindowView's, and the windows are cut from the store.  So each
+    window is bit for bit what stepping its arc alone through
+    ``flow_selection`` gives, as long as the batch map gives each row
+    flow_selection's bits: ``flow_batch=None`` does, and so does the linear
+    family's ``flow_batch`` for one component besides the clock (example
+    2).  With more, its matrix products may sum in another order (on
+    example 1, 5 of 1000 cover windows differed, by at most 1 ulp, at
+    h = 1e-3).  The first step's batch row of the first arc is screened
+    against ``flow_selection`` as :func:`verify_solution` screens a
+    segment's first point: a batch map left over from another flow
+    selection raises ValueError.
     """
-    n_steps, out = _FLOW_STEPS, []
+    n_steps, out, batch_map = _FLOW_STEPS, [], _batch_map(spec)
     for lo, hi in _blocks(phis, n_steps + 1):
         st = History(phis[lo:hi], room=n_steps + 1)
         new = st.start_segments(0.0, st.values[st.newest()])  # the heads, at t = 0
         t, sub = 0.0, h / n_steps
-        for _ in range(n_steps):
-            x_new, _ = _rk4(spec, BatchView(st, new), sub)
+        for step in range(n_steps):
+            view = BatchView(st, new)
+            k1 = np.asarray(batch_map(view), dtype=float)
+            if lo == step == 0:  # row 0's view reads only row 0's levels
+                _screen_batch_map(spec, k1[0], st.view(new[0]),
+                                  "the head of the first arc")
+            x_new, _ = _rk4(spec, view, sub, k1)
             t += sub
             new = st.append_rows(t, x_new)
         out += memory_windows(st, [(r, t, 0) for r in range(hi - lo)], st.delta)

@@ -56,18 +56,17 @@ class SystemSpec:
 
     ``flow_selection`` must be defined whenever ``flow_guard`` >= 0 and
     ``jump_selections`` must be nonempty whenever ``jump_guard`` >= 0; the
-    solver applies the first candidate.  ``flow_candidates`` lists the flow
-    selections a checker should try; it defaults to the single simulation
-    selection.  ``flow_batch`` maps a batch of windows (``head`` and
-    ``delayed(s)`` of shape (B, n), ``delta``) to a (B, n) array whose row i
-    is the flow selection of window i; it defaults to ``flow_selection`` on
-    each row's own window (:meth:`~hymem.hybrid_time.BatchView.views`).
-    Both defaults are bound when the spec is built, so
-    ``dataclasses.replace(spec, flow_selection=f)`` keeps the old ones; pass
-    ``flow_candidates=None, flow_batch=None`` with ``f`` to derive them from
-    it.  :func:`~hymem.solver.verify_solution` raises ValueError when the
-    batch map and ``flow_selection`` disagree.  ``meta`` holds
-    ``clock_index``, ``period`` and ``delays``.
+    solver applies the first jump candidate, and the checkers evaluate the
+    flow selection and every jump candidate.  ``flow_batch`` maps a batch
+    of windows (``head`` and ``delayed(s)`` of shape (B, n), ``delta``) to a
+    (B, n) array whose row i is the flow selection of window i; None means
+    ``flow_selection`` on each row's own window
+    (:meth:`~hymem.hybrid_time.BatchView.views`), read when called.  So
+    ``dataclasses.replace(spec, flow_selection=f)`` steps ``f`` everywhere
+    unless the spec keeps a batch map; :func:`~hymem.solver.flow_windows`
+    and :func:`~hymem.solver.verify_solution` raise ValueError when a kept
+    batch map and ``flow_selection`` disagree, so pass ``flow_batch=None``
+    with ``f``.  ``meta`` holds ``clock_index``, ``period`` and ``delays``.
     """
 
     dimension: int
@@ -76,17 +75,8 @@ class SystemSpec:
     jump_guard: Callable
     flow_selection: Callable
     jump_selections: Callable
-    flow_candidates: Callable = None  # type: ignore[assignment]
-    flow_batch: Callable = None  # type: ignore[assignment]
+    flow_batch: Callable | None = None
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.flow_candidates is None:
-            object.__setattr__(self, "flow_candidates",
-                               lambda w: [self.flow_selection(w)])
-        if self.flow_batch is None:
-            object.__setattr__(self, "flow_batch", lambda w: np.array(
-                [self.flow_selection(v) for v in w.views()], dtype=float))
 
 
 def origin_target() -> TargetSet:

@@ -27,7 +27,7 @@ from hymem.sampling import ArcSampler
 from hymem.solver import (PreconditionError, SimOptions, flow_window,
                           flow_windows, simulate)
 from hymem.system import (GUARD_TOL, Example1Params, Example2Params,
-                          LinearDelayConfig, TargetSet,
+                          LinearDelayConfig, SystemSpec, TargetSet,
                           build_example1, build_example2,
                           build_linear_delay_system, origin_target)
 
@@ -99,6 +99,22 @@ class TestScreening:
         cert = quadratic_razumikhin()
         pts = np.random.default_rng(0).normal(size=(1000, 3))
         check_gradient(cert, pts)
+
+    def test_nan_gradient_gap_rejected(self):
+        cert = dataclasses.replace(quadratic_razumikhin(),
+                                   grad_v=lambda x: np.full(3, np.nan))
+        with pytest.raises(CertificateValidationError, match="grad"):
+            check_gradient(cert, np.ones((1, 3)))
+
+    def test_nan_certificate_fails_the_check(self):
+        # a V that is NaN everywhere has a NaN finite difference
+        p = Example1Params.paper()
+        spec, target = build_example1(p)
+        stock, _ = example1_razumikhin_certificate(p)
+        cert = dataclasses.replace(stock, v=lambda x: float("nan"))
+        with pytest.raises(CertificateValidationError, match="grad"):
+            check_razumikhin(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
+                             samples=100, target=target)
 
 
 def decay_spec():
@@ -378,6 +394,37 @@ def test_cover_checks_run_on_an_unclocked_delay_system(check):
     assert rep.meta.get("flow_arcs_skipped", 0) == 0
 
 
+def test_nan_margin_is_a_violation():
+    """A functional that is NaN on every arc makes every margin NaN: each
+    is a violation with its arc, and the worst margin is NaN."""
+    p = Example2Params.case2()
+    spec, target = build_example2(p)
+    stock, _ = example2_krasovskii_certificate(p)
+    cert = dataclasses.replace(stock, vf=lambda phis: np.full(len(phis), np.nan))
+    rep = check_krasovskii(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
+                           samples=100, target=target)
+    kinds = Counter(v.condition for v in rep.violations)
+    assert kinds["krasovskii.i.lower"] == kinds["krasovskii.i.upper"] == 100
+    assert kinds["krasovskii.ii"] > 0 and kinds["krasovskii.iii"] > 0
+    assert len(rep.violations) == rep.conditions_evaluated
+    assert all(math.isnan(v.margin) and v.arc is not None for v in rep.violations)
+    assert not rep.passed and math.isnan(rep.worst_margin)
+    assert '"worst_margin": NaN' in json.dumps(rep.to_json_dict())
+
+
+def test_infinite_margin_is_the_worst_margin():
+    """A window maximum of -inf makes every (ii) and (iii) margin -inf,
+    and the report says so instead of a worst margin of 0."""
+    p = Example1Params.paper()
+    spec, target = build_example1(p)
+    stock, _ = example1_halanay_certificate(p)
+    cert = dataclasses.replace(stock, v_batch=lambda arr: np.full(len(arr), -np.inf))
+    rep = check_halanay(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
+                        samples=100, target=target)
+    assert {v.margin for v in rep.violations} == {-np.inf}
+    assert rep.worst_margin == -np.inf
+
+
 def test_certificate_maps_have_no_optional_second_form():
     """Each certificate map and the target distance has the forms its
     callers read, every one required: no field defaults to None."""
@@ -385,6 +432,79 @@ def test_certificate_maps_have_no_optional_second_form():
                 KrasovskiiCertificate, TargetSet):
         for f in dataclasses.fields(cls):
             assert f.default is not None, (cls.__name__, f.name)
+
+
+def with_flow(spec, scale, rebuilt=False):
+    """spec with the flow selection scaled entrywise: through
+    dataclasses.replace, keeping the batch map, or rebuilt with a batch map
+    scaled alike."""
+    def flow(w):
+        return scale * spec.flow_selection(w)
+
+    if not rebuilt:
+        return dataclasses.replace(spec, flow_selection=flow)
+    return SystemSpec(dimension=spec.dimension, memory_size=spec.memory_size,
+                      flow_guard=spec.flow_guard, jump_guard=spec.jump_guard,
+                      flow_selection=flow, jump_selections=spec.jump_selections,
+                      flow_batch=lambda w: scale * spec.flow_batch(w),
+                      meta=spec.meta)
+
+
+def report_text(rep):
+    return json.dumps(rep.to_json_dict(), sort_keys=True)
+
+
+class TestReplacedFlowSelection:
+    """A spec replaced with a new flow selection is checked against that
+    flow, as one built with it is."""
+
+    @pytest.mark.parametrize("check, certificate, count", [
+        (check_razumikhin, example1_razumikhin_certificate, 38),
+        (check_halanay, example1_halanay_certificate, 78),
+    ], ids=["razumikhin", "halanay"])
+    def test_pointwise_checks_read_the_replaced_flow(self, check, certificate,
+                                                     count):
+        # example 1 with the state's rates negated, the clock's kept
+        p = Example1Params.paper()
+        spec, target = build_example1(p)
+        cert, _ = certificate(p)
+        scale = np.array([-1.0, -1.0, -1.0, 1.0])
+        reports = [check(s, cert, ArcSampler(s, seed=0, mode="cover"),
+                         samples=300, target=target)
+                   for s in (with_flow(spec, scale), with_flow(spec, scale, True))]
+        ii = [v for v in reports[0].violations if v.condition == f"{cert.name}.ii"]
+        assert len(ii) == count
+        assert all(v.aux == ("flow_candidate", 0) for v in ii)
+        assert report_text(reports[0]) == report_text(reports[1])
+
+    def case2_scaled(self):
+        # example 2 case 2 with the state's rate times 50
+        p = Example2Params.case2()
+        spec, target = build_example2(p)
+        cert, _ = example2_krasovskii_certificate(p)
+        return spec, target, cert, np.array([50.0, 1.0])
+
+    def test_kept_batch_map_is_refused(self):
+        spec, target, cert, scale = self.case2_scaled()
+        replaced = with_flow(spec, scale)
+        sampler = ArcSampler(replaced, seed=0, mode="cover")
+        with pytest.raises(ValueError, match="flow_batch"):
+            check_krasovskii(replaced, cert, sampler, samples=200, target=target)
+        phi = sampler.sample("C", 1)[0].arc
+        with pytest.raises(ValueError, match="flow_batch"):
+            dplus_v(replaced, cert, phi, 1e-5)
+
+    def test_krasovskii_reads_the_replaced_flow(self):
+        spec, target, cert, scale = self.case2_scaled()
+        reports = [check_krasovskii(s, cert, ArcSampler(s, seed=0, mode="cover"),
+                                    samples=200, target=target)
+                   for s in (dataclasses.replace(with_flow(spec, scale),
+                                                 flow_batch=None),
+                             with_flow(spec, scale, True))]
+        kinds = Counter(v.condition for v in reports[0].violations)
+        assert kinds["krasovskii.ii"] == 74
+        assert reports[0].meta["flow_bound_observed"] == pytest.approx(55.8, abs=0.05)
+        assert report_text(reports[0]) == report_text(reports[1])
 
 
 class TestExample2Checks:
@@ -711,6 +831,23 @@ class TestKLEnvelope:
                                 eta_grid=[1.0])
         assert not rep.attractive_ok
         assert not rep.passed
+
+    def test_nan_distance_is_neither_bounded_nor_settled(self):
+        p = Example1Params.paper()
+        spec, target = build_example1(p)
+        trajs = self._bundle(spec, range(3), t_max=1.0)
+        blind = dataclasses.replace(target, dist=lambda z: float("nan"))
+        rep = check_kl_envelope(trajs, blind, eps_grid=[1e-1], eta_grid=[1.0])
+        assert not rep.bounded_ok and not rep.attractive_ok
+        assert math.isnan(rep.gamma_table[0][1])
+        assert rep.time_table == ((0.1, 1.0, None),)
+
+    def test_nan_distance_counts_as_above_eps(self):
+        tj = np.arange(4.0)
+        assert certificates._settling_time(tj, np.array([0.0, np.nan, 0.0, 0.0]),
+                                           0.1) == 2.0
+        assert certificates._settling_time(tj, np.array([0.0, 0.0, 0.0, np.nan]),
+                                           0.1) is None
 
     def test_mismatched_systems_rejected(self):
         p1 = Example1Params.paper()

@@ -88,7 +88,7 @@ def test_unclocked_cover_arcs_reach_the_declared_delay(delay):
     assert len({len(s.arc.starts) for s in arcs}) > 1  # some memory jumps
     for s in arcs:
         assert s.arc.times[0] <= -delay
-        spec.flow_candidates(s.arc)
+        spec.flow_selection(s.arc)
 
 
 def test_reachable_pool_refuses_a_simulation_that_ended_in_error():

@@ -17,7 +17,8 @@ from hymem.hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                                validate_domain)
 from hymem.solver import (EventLocationError, PreconditionError, SimOptions,
                           Termination, Trajectory, _rk4, flow_window,
-                          locate_event, run_summary, simulate, verify_solution)
+                          flow_windows, locate_event, run_summary, simulate,
+                          verify_solution)
 from hymem.system import (DelayTerm, Example1Params, Example2Params,
                           LinearDelayConfig, SystemSpec, build_example1,
                           build_example2, build_linear_delay_system)
@@ -1510,6 +1511,37 @@ class TestVerifySolutionBatchGuard:
         nudged = dataclasses.replace(
             spec, flow_batch=lambda w: spec.flow_batch(w) * (1 + 1e-7))
         assert verify_solution(nudged, traj).passed
+
+
+def sloped_arcs(r):
+    """Memory arcs x(s) = c + s on [-r, 0], one per offset c."""
+    return [memory_arc_from_function(lambda s, c=c: np.array([c + s]), r,
+                                     depth=r, grid_step=0.01)
+            for c in (1.0, 0.5, -2.0)]
+
+
+class TestFlowWindowsBatchGuard:
+    def test_replaced_flow_selection_is_caught(self):
+        spec, _ = delay_horizon_problem()
+        doubled = dataclasses.replace(
+            spec, flow_selection=lambda w: 2.0 * spec.flow_selection(w))
+        arcs = sloped_arcs(spec.memory_size)
+        with pytest.raises(ValueError, match="flow_batch disagrees with "
+                                             "flow_selection"):
+            flow_windows(doubled, arcs, 0.05)
+        with pytest.raises(ValueError, match="flow_batch disagrees"):
+            flow_window(doubled, arcs[0], 0.05)
+
+    def test_one_screen_call_per_call(self):
+        spec, _ = delay_horizon_problem()
+        calls = []
+        counted = dataclasses.replace(
+            spec, flow_selection=lambda w: calls.append(1) or spec.flow_selection(w))
+        arcs = sloped_arcs(spec.memory_size)
+        flow_windows(counted, arcs, 0.05)
+        assert len(calls) == 1
+        flow_windows(counted, arcs[:1], 0.05)
+        assert len(calls) == 2
 
 
 class TestRunSummary:

@@ -8,7 +8,7 @@ import pytest
 from hymem.builtin import example2_feasibility
 from hymem.hybrid_time import (BatchView, History, constant_memory_arc,
                                memory_arc_from_function)
-from hymem.solver import SimOptions, simulate
+from hymem.solver import SimOptions, _batch_map, simulate
 from hymem.system import (ConfigError, DelayTerm, Example1Params,
                           Example2Params, LinearDelayConfig, SystemSpec,
                           build_example1, build_example2,
@@ -278,15 +278,22 @@ class TestFlowBatch:
                           flow_guard=lambda w: 1.0, jump_guard=lambda w: -1.0,
                           flow_selection=lambda w: w.head - 3 * w.delayed(-0.1),
                           jump_selections=lambda w: [])
+        assert spec.flow_batch is None
         batch, rows = batch_of_run(spec, [1.0], 1.0)
-        assert spec.flow_batch(batch).tobytes() == rows.tobytes()
-        # a replaced flow selection keeps the old default unless the batch
-        # map is derived again
+        assert _batch_map(spec)(batch).tobytes() == rows.tobytes()
+        # no batch map means the flow selection row by row, read when
+        # called: a replaced selection is the one evaluated
         doubled = dataclasses.replace(
             spec, flow_selection=lambda w: 2 * spec.flow_selection(w))
-        assert doubled.flow_batch(batch).tobytes() == rows.tobytes()
-        again = dataclasses.replace(doubled, flow_batch=None)
-        assert again.flow_batch(batch).tobytes() == (2 * rows).tobytes()
+        assert doubled.flow_batch is None
+        assert _batch_map(doubled)(batch).tobytes() == (2 * rows).tobytes()
+
+    def test_a_spec_holds_only_the_maps_it_is_given(self):
+        # no flow candidates and no map bound at construction
+        assert [f.name for f in dataclasses.fields(SystemSpec)] == [
+            "dimension", "memory_size", "flow_guard", "jump_guard",
+            "flow_selection", "jump_selections", "flow_batch", "meta"]
+        assert not hasattr(SystemSpec, "__post_init__")
 
 
 class TestConfigSchema:
