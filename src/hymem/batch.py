@@ -24,11 +24,15 @@ samples, giving each window or arc, bit for bit, what it would get alone:
   rows come with it, so a window's maximum is what it would be alone;
 * :func:`delayed_sq_integral`, the functional check's delayed integral.
 
-Consecutive memory arcs go into blocks of at most ``_BLOCK_ROWS`` or
-``_STACK_ROWS`` stored samples (one memory size and one interpolation
-scheme each), so only one block's arrays exist at a time, whatever the
-number of arcs.  ``hymem.hybrid_time`` re-exports every public name here
-under its old name.
+Consecutive memory arcs go into blocks of at most ``_BLOCK_SAMPLES``
+(16384) stored samples, one memory size and one interpolation scheme each,
+so only one block's arrays exist at a time, whatever the number of arcs.
+Every array pass of the package, here and in :mod:`hymem.solver`,
+:mod:`hymem.sampling` and :mod:`hymem.certificates`, reads that one budget
+when called.  No output depends on it as long as each map's array form
+gives each row what it would get alone: the stock maps do, except example
+1's batch flow map (see :func:`~hymem.solver.flow_windows`).
+``hymem.hybrid_time`` re-exports every public name here under its old name.
 """
 
 from __future__ import annotations
@@ -41,29 +45,31 @@ from .hybrid_time import (TIME_TOL, DomainError, History, HybridArc,
                           HybridMemoryArc, InsufficientHistoryError, _blend,
                           _lerp, _pairs)
 
-#: Most stored samples in one block of the window maximum (an arc larger
-#: than this is a block of its own).  Its refinement rounds hold up to 2^5
-#: midpoints per sample interval, so its blocks stay small.
-_BLOCK_ROWS = 1024
+#: Most stored samples in one block of every array pass (an arc larger
+#: than this is a block of its own), read when called: the window maximum
+#: (and its refinement rounds, in midpoints), the delayed integral, appended
+#: jumps, flow windows, :func:`~hymem.solver.verify_solution`'s chunks, the
+#: solver's reads made ahead and the cover sampler's draws.  Each block
+#: pays a fixed cost of about a hundred NumPy calls, so larger blocks are
+#: faster until that cost is spread thin: krasovskii-cover's run_s (seed 1,
+#: nproc 2, median of 6 alternating runs) was 68.5 ms with blocks of 1024
+#: and 4096, and 62.7, 52.8, 49.4 and 48.7 ms with one budget of 4096,
+#: 8192, 16384 and 32768.  Only one block's arrays exist at a time,
+#: whatever the number of arcs.
+_BLOCK_SAMPLES = 16384
 #: The window maximum's refinement: the agreement that ends it, the most rounds.
 _REFINE_TOL = 1e-9
 _MAX_LEVELS = 6
-#: Most stored samples in one block of the other array forms, whose arrays
-#: hold a few rows per stored sample.  Only one block's arrays exist at a
-#: time, whatever the number of arcs.
-_STACK_ROWS = 4096
 
 
-def _blocks(phis: Sequence[HybridMemoryArc], room: int = 0,
-            budget: int | None = None):
-    """(lo, hi) ranges of consecutive arcs of phis with at most ``budget``
-    (default _STACK_ROWS) stored samples, ``room`` more per arc, and one
-    memory size and one interpolation scheme each."""
-    budget = _STACK_ROWS if budget is None else budget
+def _blocks(phis: Sequence[HybridMemoryArc], room: int = 0):
+    """(lo, hi) ranges of consecutive arcs of phis with at most
+    ``_BLOCK_SAMPLES`` stored samples, ``room`` more per arc, and one memory
+    size and one interpolation scheme each."""
     lo = rows = 0
     for hi, phi in enumerate(phis):
         key = (phi.delta, phi.interpolation)
-        if hi > lo and (rows + phi.n + room > budget or key != first):
+        if hi > lo and (rows + phi.n + room > _BLOCK_SAMPLES or key != first):
             yield lo, hi
             lo, rows = hi, 0
         if hi == lo:
@@ -485,10 +491,15 @@ def sup_norm_w(phis: Sequence[HybridMemoryArc],
     ``_MAX_LEVELS`` rounds, and a level leaves the pass once it converges.
     A window's maximum is the largest of its levels'.  One pass serves every
     window of the call: consecutive windows go into blocks of at most
-    ``_BLOCK_ROWS`` stored samples, and a block makes one evaluation for all
-    its stored samples and one per refinement round for all its midpoints.
-    A midpoint's bracket is its stored interval, known from its index in the
-    grid, and its value is bit for bit the arc's pointwise interpolant.
+    ``_BLOCK_SAMPLES`` stored samples, and a block makes one evaluation for
+    all its stored samples and, per refinement round, one for each group
+    of consecutive levels of about ``_BLOCK_SAMPLES`` midpoints (one group
+    unless the grids have grown past the budget).  So a call's memory is
+    one block's, whatever the number of windows: at 16384 samples a block,
+    the tracemalloc peak is about 11 MB when every level refines all six
+    rounds, most of it the doubled grids.  A midpoint's bracket is its
+    stored interval, known from its index in the grid, and its value is bit
+    for bit the arc's pointwise interpolant.
 
     fn maps an (m, n) array of states to their m values, and row i of its
     result depends on row i of its input alone, bit for bit, whatever rows
@@ -501,7 +512,7 @@ def sup_norm_w(phis: Sequence[HybridMemoryArc],
     raises.
     """
     out = np.empty(len(phis))
-    for lo, hi in _blocks(phis, budget=_BLOCK_ROWS):
+    for lo, hi in _blocks(phis):
         out[lo:hi] = _block_max(History(phis[lo:hi]), lo, fn)
     return out
 
@@ -536,14 +547,13 @@ def _block_max(st: History, offset: int, evaluate: Callable) -> np.ndarray:
     est = np.maximum.reduceat(evaluate_rows(values[above]),
                               np.cumsum(count[lv]) - count[lv])
     check_nan(est, lv)
-    # refinement: the grids of the levels still refining, back to back
-    act = np.flatnonzero(count[lv] >= 2)
-    grid = times[above & np.repeat(count >= 2, lengths)]
-    for r in range(_MAX_LEVELS):
-        if act.size == 0:
-            break
+
+    def refine(act: np.ndarray, grid: np.ndarray, cnt: np.ndarray, r: int):
+        """Round r for the levels lv[act], whose grids are grid back to back
+        and which take cnt midpoints each: raise their estimates, and return
+        which of them go on refining and those levels' grids for the next
+        round."""
         k = lv[act]
-        cnt = (count[k] - 1) << r  # midpoints per level this round
         goff = np.concatenate(([0], np.cumsum(cnt + 1)))
         pairs = 0.5 * (grid[:-1] + grid[1:])
         mids = np.delete(pairs, goff[1:-1] - 1)  # drop pairs across levels
@@ -567,14 +577,30 @@ def _block_max(st: History, offset: int, evaluate: Callable) -> np.ndarray:
         with np.errstate(invalid="ignore"):  # inf - inf never converges
             going = ~(np.abs(new - prev) <= _REFINE_TOL * np.maximum(1.0, np.abs(new)))
         if r + 1 == _MAX_LEVELS:
-            break
+            return going, None
         keep = np.repeat(going, 2 * (cnt + 1))
         keep[2 * goff[1:] - 1] = False
         merged = np.empty(2 * grid.shape[0] - 1)
         merged[0::2] = grid
         merged[1::2] = pairs
-        grid = merged[keep[:-1]]
-        act = act[going]
+        return going, merged[keep[:-1]]
+
+    # refinement: the grids of the levels still refining, back to back, in
+    # groups of consecutive levels of about _BLOCK_SAMPLES midpoints a round
+    act = np.flatnonzero(count[lv] >= 2)
+    grid = times[above & np.repeat(count >= 2, lengths)]
+    for r in range(_MAX_LEVELS):
+        if act.size == 0:
+            break
+        cnt = (count[lv[act]] - 1) << r  # midpoints per level this round
+        goff = np.concatenate(([0], np.cumsum(cnt + 1)))
+        upto = np.cumsum(cnt)  # midpoints up to each level's end
+        cuts = [0, *np.unique(np.searchsorted(upto[:-1], np.arange(
+            _BLOCK_SAMPLES, upto[-1], _BLOCK_SAMPLES), "right")).tolist(), act.shape[0]]
+        rounds = [refine(act[a:b], grid[goff[a]:goff[b]], cnt[a:b], r)
+                  for a, b in zip(cuts, cuts[1:]) if b > a]
+        act = act[np.concatenate([going for going, _ in rounds])]
+        grid = np.concatenate([g for _, g in rounds]) if r + 1 < _MAX_LEVELS else None
     return np.maximum.reduceat(est, np.searchsorted(win[lv], np.arange(
         offset, offset + windows)))
 

@@ -40,13 +40,13 @@ A uniform u maps onto [lo, hi) as lo + (hi - lo) * u.  Any change to that
 layout or to a mapping changes every seeded cover arc.
 
 The array is drawn a block of consecutive rows at a time (the same
-numbers as one draw), as many rows as ``_STACK_ROWS`` (4096) stored samples
-surely hold, and each block is planned (its levels' bounds and sizes) and
-splined (every level's grid as ``np.linspace``, sorted knots and values as
-``np.interp``, bit for bit) in one set of array passes, so only one block's
-arrays exist at a time.  The arcs are valid by construction and built
-unchecked (``HybridMemoryArc._of``), each on its own copy of its rows;
-``sample`` checks every C and D arc's guard.
+numbers as one draw), as many rows as ``batch._BLOCK_SAMPLES`` (16384)
+stored samples surely hold, and each block is planned (its levels' bounds
+and sizes) and splined (every level's grid as ``np.linspace``, sorted knots
+and values as ``np.interp``, bit for bit) in one set of array passes, so
+only one block's arrays exist at a time.  The arcs are valid by
+construction and built unchecked (``HybridMemoryArc._of``), each on its own
+copy of its rows; ``sample`` checks every C and D arc's guard.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import _STACK_ROWS, append_jumps, memory_windows
+from . import batch
+from .batch import append_jumps, memory_windows
 from .hybrid_time import HybridMemoryArc
 from .solver import SimOptions, Termination, simulate
 from .system import GUARD_TOL, SystemSpec, constant_history
@@ -236,7 +237,7 @@ class ArcSampler:
         stride = 3 + (clock is None) * jumps + (jumps + 1) * per_level
         # an arc's grid step is at least its depth / 60, so it holds at most
         # 60 samples plus 2 per level, and rounding adds at most 1 per level
-        block = max(1, _STACK_ROWS // (60 + 3 * (jumps + 1)))
+        block = max(1, batch._BLOCK_SAMPLES // (60 + 3 * (jumps + 1)))
         rng, out = self._rng("cover", region), []
         for a in range(0, count, block):  # each draw continues the stream
             u = rng.random((min(block, count - a), stride))

@@ -61,7 +61,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import _STACK_ROWS, _blocks, memory_windows, sup_norm_w
+from . import batch
+from .batch import _blocks, memory_windows, sup_norm_w
 from .hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                           HybridArc, HybridMemoryArc, WindowView,
                           validate_domain)
@@ -226,8 +227,8 @@ def _rk4(spec: SystemSpec, window: WindowView | BatchView, h: float,
     ``_FLOAT_DIM`` components, whose stages all have its shape, runs on
     Python floats, in the array expression's order, so with its bits;
     stages that broadcast take the array expression."""
-    batch = isinstance(window, BatchView)
-    f = _batch_map(spec) if batch else spec.flow_selection
+    many = isinstance(window, BatchView)
+    f = _batch_map(spec) if many else spec.flow_selection
     x0 = np.asarray(window.head, dtype=float)
     if k1 is None:
         k1 = np.asarray(f(window), dtype=float)
@@ -235,7 +236,7 @@ def _rk4(spec: SystemSpec, window: WindowView | BatchView, h: float,
     k2 = np.asarray(f(half), dtype=float)
     k3 = np.asarray(f(half.with_head(x0 + (h / 2) * k2)), dtype=float)
     k4 = np.asarray(f(window.extend(h, x0 + h * k3)), dtype=float)
-    if (batch or x0.shape[0] > _FLOAT_DIM
+    if (many or x0.shape[0] > _FLOAT_DIM
             or not x0.shape == k1.shape == k2.shape == k3.shape == k4.shape):
         return x0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
     c = h / 6.0
@@ -324,15 +325,17 @@ class _ReadAhead(dict):
     t_max - t), t += h from t_0 = t, all in one call of
     :class:`~hymem.hybrid_time.BatchView`'s level kernel: bit for bit the
     scalar reads.  K is the largest count, at most a third of
-    ``_STACK_ROWS``, for which every such time lies more than ``TIME_TOL``
-    before the sample before the newest: the newest sample may yet be
-    dropped or lack its derivative, and a jump opens a level at its time
-    (two jumps at one instant, two) that reads up to ``TIME_TOL`` earlier
-    take.  So a row reads nothing that changes later: it is the final read
-    at its time, whichever view asks, and a step that leaves the prediction
-    only misses.  A block replaces its delay's previous one; fewer than
-    ``_MIN_STEPS`` steps make none, for that delay ever, since K depends on
-    s, the step and the horizon (on the last step's length by one at most).
+    ``batch._BLOCK_SAMPLES`` (5461 steps), for which every such time lies
+    more than ``TIME_TOL`` before the sample before the newest: the newest
+    sample may yet be dropped or lack its derivative, and a jump opens a
+    level at its time (two jumps at one instant, two) that reads up to
+    ``TIME_TOL`` earlier take.  So a row reads nothing that changes later:
+    it is the final read at its time, whichever view asks, and a step that
+    leaves the prediction only misses.  A block replaces its delay's
+    previous one; fewer than ``_MIN_STEPS`` steps make none, for that delay
+    ever, since K depends on s, the step and the horizon (on the last
+    step's length by one at most).  The cap binds only for a delay of more
+    than 5461 steps.
     """
 
     def __init__(self, hist: History, opts: SimOptions):
@@ -350,7 +353,8 @@ class _ReadAhead(dict):
         bound = hist.times.item(newest - 1) - TIME_TOL
         t_last = t_max - TIME_TOL
         h, tq = min(step, t_max - t), []
-        while len(tq) < 3 * (_STACK_ROWS // 3):
+        cap = 3 * (batch._BLOCK_SAMPLES // 3)
+        while len(tq) < cap:
             last = t + (h + s)  # the stage that reads latest
             if not last < bound:
                 break
@@ -553,10 +557,11 @@ def verify_solution(spec: SystemSpec, traj: Trajectory) -> SolutionCheckReport:
     there).
 
     Each flow segment's derivative check runs in arrays, in chunks of at
-    most ``_STACK_ROWS`` checked points: one call of the batch map
-    (``flow_batch``, or ``flow_selection`` row by row when it is None) on a
-    chunk's :class:`~hymem.hybrid_time.BatchView` gives each of its points'
-    flow selection.  At the segment's first checked point that row is
+    most ``batch._BLOCK_SAMPLES`` (16384) checked points, read when called:
+    one call of the batch map (``flow_batch``, or ``flow_selection`` row by
+    row when it is None) on a chunk's
+    :class:`~hymem.hybrid_time.BatchView` gives each of its points' flow
+    selection.  At the segment's first checked point that row is
     compared with ``flow_selection``, and a gap beyond tol * (1 + |f|)
     raises ValueError (a batch map left over from another flow selection).
     The guard runs point by point, and issues come out in time order, a
@@ -582,8 +587,9 @@ def verify_solution(spec: SystemSpec, traj: Trajectory) -> SolutionCheckReport:
         times, values = arc.times[start:end], arc.values[start:end]
         centres = _stencil_centres(times, kinks)
         failed = {}
-        for lo in range(0, centres.size, _STACK_ROWS):
-            i = centres[lo:lo + _STACK_ROWS]
+        chunk = batch._BLOCK_SAMPLES
+        for lo in range(0, centres.size, chunk):
+            i = centres[lo:lo + chunk]
             fd = ((values[i - 2] - 8 * values[i - 1] + 8 * values[i + 1]
                    - values[i + 2]) / (12 * (times[i - 1] - times[i - 2]))[:, None])
             fval = np.asarray(batch_map(BatchView(hist, start + i)), dtype=float)

@@ -1079,12 +1079,13 @@ def _floor_cut_window():
 
 def _mixed_windows():
     """Linear and Hermite windows, levels cut by the floor, single-sample
-    levels, a level that refines every round, and more rows than a block."""
+    levels, a level that refines every round, and a window of more stored
+    samples than a block holds."""
     spec, _ = build_example2(Example2Params.case2())
     cover = _cover_arcs(spec, 7, 60)
     one_point = append_jump(cover[0], np.array([0.5, 0.01]))
     rng = np.random.default_rng(8)
-    long_times = np.linspace(-1.5, 0.0, batch._BLOCK_ROWS + 300)
+    long_times = np.linspace(-1.5, 0.0, batch._BLOCK_SAMPLES + 300)
     long = memory_arc_of([seg2(0, long_times, rng.normal(size=long_times.shape[0]))],
                            0.5)
     return (cover[:30] + [_as_hermite(phi) for phi in cover[30:]]
@@ -1093,15 +1094,22 @@ def _mixed_windows():
 
 
 class TestWindowMaximumPass:
-    """One pass over many windows equals the pointwise refinement of each."""
+    """One pass over many windows equals the pointwise refinement of each.
+    The budget is 1024 stored samples a block here, so that the mixed list
+    spans several blocks and its long window stays cheap for the pointwise
+    loop; ``test_block_budget.py`` checks the default budget."""
 
     fn = staticmethod(lambda arr: 1.0 - arr[:, 0] * arr[:, 0])
     pointwise = staticmethod(row_loop(lambda z: float(1.0 - z[0] * z[0])))
 
+    @pytest.fixture(autouse=True)
+    def _budget(self, monkeypatch):
+        monkeypatch.setattr(batch, "_BLOCK_SAMPLES", 1024)
+
     def test_mixed_list_equals_each_window_alone(self):
         windows = _mixed_windows()
         assert sum(s.times.shape[0] for w in windows
-                   for s in w.memory_segments) > 2 * batch._BLOCK_ROWS
+                   for s in w.memory_segments) > 2 * batch._BLOCK_SAMPLES
         got = sup_norm_w(windows, self.fn)
         want = [_window_max_loop(w, self.fn) for w in windows]
         assert got.tolist() == want
@@ -1136,7 +1144,7 @@ class TestWindowMaximumPass:
         # 7: one window per block; 150: two or three
         windows = _mixed_windows()[:-1]
         want = sup_norm_w(windows, self.fn)
-        monkeypatch.setattr(batch, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(batch, "_BLOCK_SAMPLES", rows)
         assert sup_norm_w(windows, self.fn).tolist() == want.tolist()
 
     @staticmethod

@@ -8,7 +8,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from hymem.batch import _STACK_ROWS
+from hymem import batch
 from hymem.builtin import (example1_razumikhin_certificate,
                            example2_krasovskii_certificate)
 from hymem.certificates import check_krasovskii, check_razumikhin
@@ -270,14 +270,16 @@ def _check_against_reference(spec, sampler, region, count, streams):
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 @pytest.mark.parametrize("name, spec", _reference_systems(),
                          ids=[name for name, _ in _reference_systems()])
-def test_cover_arcs_match_the_reference_sampler(name, spec, seed):
+def test_cover_arcs_match_the_reference_sampler(name, spec, seed, monkeypatch):
     """Byte for byte the arcs and origins of the one-uniform-at-a-time
     reference, in every region the system supports: example 1 (three free
     components), both example 2 cases, and a jump-free system (the
-    unclocked branch, deep enough for every segment count).  400 arcs are
-    several blocks of the array builder, each of at most _STACK_ROWS stored
-    samples; one arc, and one more than the first 4096 samples hold, end
+    unclocked branch, deep enough for every segment count).  At a budget of
+    4096 stored samples a block, 400 arcs are several blocks of the array
+    builder; one arc, and one more than the first 4096 samples hold, end
     the blocks unevenly."""
+    budget = 4096
+    monkeypatch.setattr(batch, "_BLOCK_SAMPLES", budget)
     sampler = ArcSampler(spec, seed=seed, mode="cover")
     streams = []  # each stream's key and generator, to see how far it was read
     make_rng = sampler._rng
@@ -301,10 +303,10 @@ def test_cover_arcs_match_the_reference_sampler(name, spec, seed):
     for region in regions:
         blocks.clear()
         got, sizes, read = _check_against_reference(spec, sampler, region, 400, streams)
-        assert len(blocks) > 1 and max(blocks) <= _STACK_ROWS
+        assert len(blocks) > 1 and max(blocks) <= budget
         levels.update(len(s.arc.starts) for s in got)
         assert max(read) <= reference_stride(spec)
-        full = sum(r <= _STACK_ROWS for r in accumulate(sizes))  # the first block
+        full = sum(r <= budget for r in accumulate(sizes))  # the first block
         assert 1 < full < 400
         for count in (1, full + 1):
             _check_against_reference(spec, sampler, region, count, streams)

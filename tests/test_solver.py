@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hymem import hybrid_time, solver
+from hymem import batch, hybrid_time, solver
 from hymem.hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                                HybridArc, HybridMemoryArc,
                                InsufficientHistoryError, WindowView,
@@ -1345,11 +1345,11 @@ class TestVerifySolutionMatchesThePointwiseLoop:
         assert report.passed
         assert report.derivative_points_checked == 797
 
-    def test_segment_longer_than_a_chunk(self):
-        # 4497 checked points: a chunk of _STACK_ROWS (4096) and one of 401,
-        # with forged kinks in both and across their border
+    def test_segment_longer_than_a_chunk(self, monkeypatch):
+        # 4497 checked points: at a budget of 4096 a chunk, a chunk of 4096
+        # and one of 401, with forged kinks in both and across their border
+        monkeypatch.setattr(batch, "_BLOCK_SAMPLES", 4096)
         spec, traj = delay_horizon_system(45.0)
-        assert solver._STACK_ROWS < 4497
 
         def kinks(values):
             for at in (1000, 4097, 4098, 4400):
