@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import batch
 from .batch import _blocks, append_jumps, memory_windows, sup_norm_w
 from .hybrid_time import HybridMemoryArc
 from .sampling import ArcSample, ArcSampler
@@ -63,12 +64,14 @@ class CertificateValidationError(ValueError):
 class RazumikhinCertificate:
     """Pointwise function V with threshold p and jump contraction rho.
 
-    v / grad_v act on one state (the head terms); alpha1, alpha2 are
+    v acts on one state and serves only the head terms of (i) and (iii);
+    grad_v maps one state to shape (n,), for (ii).  alpha1, alpha2 are
     class-K-infinity bounds, alpha3 is positive definite, p(r) > r and
     rho(r) < r for r > 0.  ``v_batch`` maps an (m, n) array of states to m
-    values of V, for Vbar: row i must depend on row i alone, bit for bit,
-    as :func:`~hymem.hybrid_time.sup_norm_w` evaluates many windows' rows
-    in one call.
+    values of V, for Vbar and for the gradient screen's differences
+    (:func:`check_gradient`): row i must depend on row i alone, bit for
+    bit, as :func:`~hymem.hybrid_time.sup_norm_w` evaluates many windows'
+    rows in one call.
     """
 
     v: Callable[[np.ndarray], float]
@@ -85,8 +88,9 @@ class RazumikhinCertificate:
 @dataclass(frozen=True)
 class HalanayCertificate:
     """Linear-form variant: decay -mu V + q Vbar with mu > q > 0, jump
-    contraction by a constant rho in (0, 1).  v, grad_v and ``v_batch`` are
-    as in :class:`RazumikhinCertificate`."""
+    contraction by a constant rho in (0, 1).  v (the head terms), grad_v
+    and ``v_batch`` (Vbar and the gradient screen) are as in
+    :class:`RazumikhinCertificate`."""
 
     v: Callable[[np.ndarray], float]
     grad_v: Callable[[np.ndarray], np.ndarray]
@@ -262,22 +266,49 @@ def validate_krasovskii(cert: KrasovskiiCertificate) -> None:
 
 def check_gradient(cert, points: np.ndarray) -> None:
     """Reject the certificate when grad_v disagrees with central finite
-    differences of v beyond 1e-6 (norm-relative), or either is NaN, at any
-    supplied point."""
-    for x in points:
-        g = np.asarray(cert.grad_v(x), dtype=float)
-        fd = np.empty_like(g)
-        for i in range(x.shape[0]):
-            step = 1e-6 * max(1.0, abs(x[i]))
-            e = np.zeros_like(x)
-            e[i] = step
-            fd[i] = (cert.v(x + e) - cert.v(x - e)) / (2 * step)
-        scale = max(1.0, float(np.linalg.norm(g)), float(np.linalg.norm(fd)))
-        gap = np.linalg.norm(fd - g)
-        if not gap <= 1e-6 * scale:
+    differences of V beyond 1e-6 (norm-relative), or either is NaN, at any
+    supplied point; the first such point is named.
+
+    The differences take ``v_batch`` at the 2n states x +- step_i e_i,
+    step_i = 1e-6 max(1, |x_i|), of a block of points at a time, at most
+    ``batch._BLOCK_SAMPLES`` states a block (or one point's).  grad_v, the
+    map screened, is called once per point.  A grad_v result of another
+    shape than (n,), or a v_batch without one value per row, is refused.
+    """
+    points = np.asarray(points, dtype=float)
+    if len(points) == 0:
+        return
+    n = points.shape[1]
+    diag = np.arange(n)
+    size = max(1, batch._BLOCK_SAMPLES // (2 * n))
+    for lo in range(0, len(points), size):
+        xs = points[lo:lo + size]
+        g = np.empty_like(xs)
+        for r, x in enumerate(xs):
+            g[r] = _shaped(cert, "grad_v", cert.grad_v(x), (n,))
+        steps = 1e-6 * np.maximum(1.0, np.abs(xs))
+        rows = np.repeat(xs, 2 * n, axis=0).reshape(-1, 2, n, n)
+        rows[:, 0, diag, diag] += steps  # row (r, 0, i) is x_r + step e_i
+        rows[:, 1, diag, diag] -= steps
+        vals = _shaped(cert, "v_batch", cert.v_batch(rows.reshape(-1, n)),
+                       (rows.size // n,)).reshape(-1, 2, n)
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN gap, refused
+            fd = (vals[:, 0] - vals[:, 1]) / (2 * steps)
+            gap = np.linalg.norm(fd - g, axis=1)
+        scale = np.linalg.norm([g, fd], axis=2).max(axis=0, initial=1.0)
+        bad = np.flatnonzero(~(gap <= 1e-6 * scale))
+        if bad.size:
             raise CertificateValidationError(
                 f"{cert.name}: grad_v disagrees with finite differences at "
-                f"x={x.tolist()} (|diff|={gap:.3e})")
+                f"x={xs[bad[0]].tolist()} (|diff|={gap[bad[0]]:.3e})")
+
+
+def _shaped(cert, label: str, result, shape: tuple) -> np.ndarray:
+    out = np.asarray(result, dtype=float)
+    if out.shape != shape:
+        raise CertificateValidationError(
+            f"{cert.name}: {label} must return shape {shape}, got {out.shape}")
+    return out
 
 
 def _split_counts(total: int) -> tuple[int, int, int]:
@@ -312,9 +343,11 @@ def _check(cert, sampler: ArcSampler, slack: float | None, samples: int,
     one call for the whole check: over every arc when (i) reads it, over
     the flow and jump arcs otherwise.  Every arc's value and head
     distance are computed once, in (i).  A certificate with a gradient has
-    it screened at up to 1000 flow and jump heads before anything is
-    recorded.  h sets the default derivative slack; meta joins the report's
-    meta when the run ends, so the terms may update it.
+    it screened against central differences of its ``v_batch`` at up to
+    1000 flow and jump heads, in array blocks (:func:`check_gradient`),
+    before anything is recorded.  h sets the default derivative slack;
+    meta joins the report's meta when the run ends, so the terms may
+    update it.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")

@@ -3,7 +3,8 @@
 Every array pass works in blocks of at most ``batch._BLOCK_SAMPLES`` stored
 samples, read when called.  Each pass here gives, at a budget of 7 (one arc
 a block) and of 150 (a few arcs a block), the bytes it gives at the default
-budget; the inputs span several blocks at 150.  (The window maximum's own
+budget (the gradient screen: its verdict and the point it names); the
+inputs span several blocks at 150.  (The window maximum's own
 test is ``test_hybrid_time.py``'s ``test_block_size_does_not_change_the_result``.)
 Also the memory a block costs at the default budget, measured with
 tracemalloc.
@@ -17,8 +18,10 @@ import pytest
 
 from hymem import batch
 from hymem.batch import append_jumps, delayed_sq_integral, memory_windows, sup_norm_w
-from hymem.builtin import example2_krasovskii_certificate
-from hymem.certificates import check_krasovskii
+from hymem.builtin import (example1_razumikhin_certificate,
+                           example2_krasovskii_certificate)
+from hymem.certificates import (CertificateValidationError, check_gradient,
+                                check_krasovskii)
 from hymem.hybrid_time import (BatchView, History, HybridArc, HybridMemoryArc,
                                memory_arc_from_function)
 from hymem.sampling import ArcSampler
@@ -139,6 +142,41 @@ class TestArrayPasses:
             spec, cert, ArcSampler(spec, seed=2, mode="cover"), samples=150,
             target=target).to_json_dict(), budget)
         assert report["conditions_evaluated"] > 300 and not report["violations"]
+
+    @pytest.mark.parametrize("wrong", [False, True])
+    def test_check_gradient(self, monkeypatch, budget, wrong):
+        # 2n = 8 perturbed states a head: 18 heads a block at 150, and at 7
+        # each head a block of its own
+        p = Example1Params.paper()
+        spec, _ = SYSTEMS["example1"]
+        stock, _ = example1_razumikhin_certificate(p)
+        sampler = ArcSampler(spec, seed=3, mode="cover")
+        heads = np.array([s.arc.head for s in sampler.sample("C", 120)
+                          + sampler.sample("D", 80)])
+        rows = []
+
+        def v_batch(arr):
+            rows.append(len(arr))
+            return stock.v_batch(arr)
+
+        def grad_v(x):  # off where the first state exceeds its median when wrong
+            g = np.array(stock.grad_v(x))
+            g[0] += wrong * 1e-3 * (1.0 + abs(g[0])) * (x[0] > np.median(heads[:, 0]))
+            return g
+
+        cert = dataclasses.replace(stock, v_batch=v_batch, grad_v=grad_v)
+
+        def screen():
+            rows.clear()
+            try:
+                check_gradient(cert, heads)
+            except CertificateValidationError as err:
+                return str(err).split(" (|diff|")[0]  # the verdict and the point
+            return None
+
+        got = _same_at_every_budget(monkeypatch, screen, budget)
+        assert (got is None) == (not wrong)
+        assert max(rows) == (8 if budget == 7 else 144)
 
 
 def _delay_horizon(t_max):

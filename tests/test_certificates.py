@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -107,14 +108,118 @@ class TestScreening:
             check_gradient(cert, np.ones((1, 3)))
 
     def test_nan_certificate_fails_the_check(self):
-        # a V that is NaN everywhere has a NaN finite difference
+        # a V whose array form is NaN everywhere has a NaN finite difference
+        p = Example1Params.paper()
+        spec, target = build_example1(p)
+        stock, _ = example1_razumikhin_certificate(p)
+        cert = dataclasses.replace(stock, v_batch=lambda arr: np.full(len(arr), np.nan))
+        with pytest.raises(CertificateValidationError, match="grad"):
+            check_razumikhin(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
+                             samples=100, target=target)
+
+    def test_nan_scalar_v_makes_nan_head_margins(self):
+        # the screen differences v_batch; a NaN v reaches the head terms
         p = Example1Params.paper()
         spec, target = build_example1(p)
         stock, _ = example1_razumikhin_certificate(p)
         cert = dataclasses.replace(stock, v=lambda x: float("nan"))
+        rep = check_razumikhin(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
+                               samples=100, target=target)
+        heads = [v for v in rep.violations if ".i." in v.condition]
+        assert len(heads) == 2 * rep.checked == 200
+        assert all(math.isnan(v.margin) for v in heads)
+        assert not rep.passed and math.isnan(rep.worst_margin)
+
+    def test_minus_infinite_v_batch_fails_the_screen(self):
+        # -inf - (-inf) is NaN
+        p = Example1Params.paper()
+        spec, target = build_example1(p)
+        stock, _ = example1_halanay_certificate(p)
+        cert = dataclasses.replace(stock, v_batch=lambda arr: np.full(len(arr), -np.inf))
         with pytest.raises(CertificateValidationError, match="grad"):
-            check_razumikhin(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
-                             samples=100, target=target)
+            check_halanay(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
+                          samples=100, target=target)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_gradient_of_another_shape_rejected(self, size):
+        cert = dataclasses.replace(quadratic_razumikhin(),
+                                   grad_v=lambda x: np.ones(size))
+        with pytest.raises(CertificateValidationError,
+                           match=rf"grad_v must return shape \(3,\), got \({size},\)"):
+            check_gradient(cert, np.ones((2, 3)))
+
+    def test_v_batch_without_one_value_per_row_rejected(self):
+        cert = dataclasses.replace(quadratic_razumikhin(),
+                                   v_batch=lambda arr: row_loop(square)(arr)[:-1])
+        with pytest.raises(CertificateValidationError,
+                           match=r"v_batch must return shape \(12,\), got \(11,\)"):
+            check_gradient(cert, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_no_points_accepted(self, shape):
+        check_gradient(quadratic_razumikhin(), np.empty(shape))
+
+    @pytest.mark.parametrize("name", ["quadratic", "razumikhin", "halanay"])
+    @pytest.mark.parametrize("wrong", [False, True])
+    def test_array_screen_matches_the_loop(self, name, wrong):
+        cert, heads = screened(name, wrong)
+        want = loop_screen(cert, heads)
+        assert (want is None) == (not wrong)
+        assert screen_outcome(cert, heads) == want
+
+
+def screened(name, wrong, count=200, seed=7):
+    """A certificate and ``count`` random heads; when ``wrong``, its
+    grad_v is off in the half-space x_0 > 0.5 only."""
+    rng = np.random.default_rng(seed)
+    if name == "quadratic":
+        cert, heads = quadratic_razumikhin(), rng.normal(size=(count, 3))
+    else:
+        p = Example1Params.paper()
+        certificate = {"razumikhin": example1_razumikhin_certificate,
+                       "halanay": example1_halanay_certificate}[name]
+        cert, _ = certificate(p)
+        heads = rng.normal(size=(count, 4))
+        heads[:, -1] = rng.uniform(0.0, p.delta, count)  # the clock
+    if wrong:
+        grad = cert.grad_v
+
+        def off(x):
+            g = np.array(grad(x), dtype=float)
+            g[0] += 1e-3 * (1.0 + abs(g[0])) * (x[0] > 0.5)
+            return g
+
+        cert = dataclasses.replace(cert, grad_v=off)
+    return cert, heads
+
+
+def loop_screen(cert, points):
+    """The screen as a loop over points, each difference through v_batch
+    on one row: the first offending point as a list, or None."""
+    def v(x):
+        return float(cert.v_batch(x[None, :])[0])
+
+    for x in points:
+        g = np.asarray(cert.grad_v(x), dtype=float)
+        fd = np.empty_like(g)
+        for i in range(x.shape[0]):
+            step = 1e-6 * max(1.0, abs(x[i]))
+            e = np.zeros_like(x)
+            e[i] = step
+            fd[i] = (v(x + e) - v(x - e)) / (2 * step)
+        scale = max(1.0, float(np.linalg.norm(g)), float(np.linalg.norm(fd)))
+        if not np.linalg.norm(fd - g) <= 1e-6 * scale:
+            return x.tolist()
+    return None
+
+
+def screen_outcome(cert, points):
+    """check_gradient's outcome: the point it names, or None."""
+    try:
+        check_gradient(cert, points)
+    except CertificateValidationError as err:
+        return json.loads(re.search(r"x=(\[[^]]*\])", str(err)).group(1))
+    return None
 
 
 def decay_spec():
@@ -413,15 +518,17 @@ def test_nan_margin_is_a_violation():
 
 
 def test_infinite_margin_is_the_worst_margin():
-    """A window maximum of -inf makes every (ii) and (iii) margin -inf,
-    and the report says so instead of a worst margin of 0."""
+    """A Halanay decay rate mu = inf makes every (ii) right side -inf, so
+    every flow arc's (ii) margin is -inf, and the report says so instead
+    of a worst margin of 0."""
     p = Example1Params.paper()
     spec, target = build_example1(p)
     stock, _ = example1_halanay_certificate(p)
-    cert = dataclasses.replace(stock, v_batch=lambda arr: np.full(len(arr), -np.inf))
+    cert = dataclasses.replace(stock, mu=np.inf)
     rep = check_halanay(spec, cert, ArcSampler(spec, seed=0, mode="cover"),
                         samples=100, target=target)
-    assert {v.margin for v in rep.violations} == {-np.inf}
+    flow = [v.margin for v in rep.violations if v.condition == "halanay.ii"]
+    assert flow == [-np.inf] * rep.region_counts["C"]
     assert rep.worst_margin == -np.inf
 
 
