@@ -95,8 +95,9 @@ class WindowView:
     array.  A :class:`BatchView` differs only in its stored-history read.
 
     Reads made ahead: the solver's store carries a table ``ahead`` of
-    stored reads keyed by their absolute time tq (see :mod:`hymem.solver`),
-    and :meth:`_stored` looks tq up there first; a miss at a stored view
+    stored reads, per delay, keyed by their absolute time tq (see
+    :mod:`hymem.solver`), and :meth:`_stored` looks tq up there first; a
+    miss at a stored view
     (dt = 0) asks the table to build a block.  A row is the stored read at
     its time, through :class:`BatchView`'s level kernel, and reads only
     samples and levels that no later append, dropped step end or jump
@@ -145,24 +146,23 @@ class WindowView:
         reads = self.reads
         x = None if reads is None else reads.get(s)
         if x is None:
-            x = self._stored(q)
+            x = self._stored(q, s)
             if reads is None:
                 return x
             reads[s] = x
         return x.copy()
 
-    def _stored(self, q: float) -> np.ndarray:
-        """The stored history q after the view's sample: the store's row
-        made ahead at that time, else History.value.  A row is final and
-        shared, so it is copied here only for a view without a read cache;
-        :meth:`delayed` copies what the cache holds."""
+    def _stored(self, q: float, s: float) -> np.ndarray:
+        """The stored history q after the view's sample, read for the
+        delay s: the store's row made ahead at that time, else
+        History.value.  A row is final and shared, so it is copied here only
+        for a view without a read cache; :meth:`delayed` copies what the
+        cache holds."""
         hist = self.history
         t = hist.times.item(self.index)
         ahead = hist.ahead
         if ahead is not None:
-            x = ahead.get(t + q)
-            if x is None and self.dt == 0.0:
-                x = ahead.build(t, q)
+            x = ahead.row(t, q, s, self.dt == 0.0)
             if x is not None:
                 return x if self.reads is not None else x.copy()
         return hist.value(t + q, self.segment, self.index + 1, self.floor)
@@ -199,7 +199,7 @@ class BatchView(WindowView):
                 for i, k, x, f in zip(self.index.tolist(), self.segment.tolist(),
                                       self.head, self.floor.tolist())]
 
-    def _stored(self, q: float) -> np.ndarray:
+    def _stored(self, q: float, s: float) -> np.ndarray:
         """Each row's History.value q after its sample, on its own levels."""
         return self._at(self.history.times[self.index] + q)
 

@@ -37,17 +37,22 @@ read of a delay s that misses, the solver's table
 (:class:`_ReadAhead`, carried as ``History.ahead``) reads the stages of as
 many of the next steps as its step recurrence allows in one call of
 :class:`~hymem.hybrid_time.BatchView`'s level kernel, bit for bit the
-scalar reads, and keys each row by the time it reads; every view of the
-store looks that time up first.  A block needs ``_MIN_STEPS`` (16) steps,
-since a build costs about the scalar reads of 8 (about 120 us, its level
-search kept across appends); a flow that reads no stored delay builds
-none, and event trials and delays of at most 16 steps read one at a time.
+scalar reads, and keys each row by the time it reads, one block per delay;
+every view of the store looks that time up first.  A block needs
+``_MIN_STEPS`` (16) steps, since a build costs about the scalar reads of 7
+(about 100 us, its level search kept across appends); a flow that reads no
+stored delay builds none, and event trials and delays of at most 16 steps
+read one at a time.
 
-Cost of a step: on a one-component flow that reads one delay (the
-delay-horizon benchmark), a step costs about 23 us on a 2-vCPU host,
-about half of it in the four flow-map calls and their reads.  RK4's final
-combination runs on Python floats up to ``_FLOAT_DIM`` components, with
-the array expression's bits; a row made ahead is copied once per read.
+The step: a linear-delay flow whose every delay is longer than the step
+(``SystemSpec.flow_linear``) takes RK4 as one affine map of the head and
+the three stored reads of each delay (:class:`_MatrixStep`), with one
+flow-selection call a step, the one stored as the sample's derivative;
+every other flow takes :func:`_rk4`'s four flow-selection calls.  The two
+agree up to rounding, and on a clock bit for bit.  On the delay-horizon
+benchmark (one component, one delay) the matrix step makes a step cost
+about 12 us on a 2-vCPU host, against 23 us through four flow-map calls and
+their reads.  A row made ahead is copied once per view read.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from functools import partial
+from itertools import accumulate, repeat
 from typing import Sequence
 
 import numpy as np
@@ -182,16 +188,6 @@ VERIFY_TOL = 1e-4
 _FLOW_STEPS = 2
 
 
-#: Largest state dimension whose RK4 combination runs on Python floats: the
-#: same IEEE operations, element by element, as the array expression, and
-#: cheaper up to about 10 components (1.5 against 3.7 us at n = 1, 3.3
-#: against 3.5 us at n = 8, 4.0 against 3.7 us at n = 12 on a 2-vCPU host).
-#: Only the sign of a NaN made by adding two NaNs may differ: IEEE 754
-#: leaves it open, and numpy's loops and compiled scalar code settle it
-#: differently.
-_FLOAT_DIM = 10
-
-
 def _batch_map(spec: SystemSpec):
     """The spec's batch flow map: ``flow_batch``, or when that is None,
     ``flow_selection`` on each row's own view, read when called."""
@@ -207,13 +203,20 @@ def _screen_batch_map(spec: SystemSpec, row: np.ndarray, view: WindowView,
     ``flow_selection`` on that window's own ``view`` differ by more than
     :data:`VERIFY_TOL` * (1 + |f|): a batch map left over from another flow
     selection.  ``where`` names the window in the message."""
-    f0 = np.asarray(spec.flow_selection(view), dtype=float)
+    _screen("flow_batch", row, np.asarray(spec.flow_selection(view), dtype=float),
+            where)
+
+
+def _screen(field: str, row: np.ndarray, f0: np.ndarray, where: str) -> None:
+    """Raise ValueError when ``row``, the spec's ``field`` form of the flow
+    selection at a window, and the flow selection f0 there differ by more
+    than :data:`VERIFY_TOL` * (1 + |f0|).  ``where`` names the window."""
     gap = float(np.linalg.norm(row - f0))
     if gap > VERIFY_TOL * (1.0 + float(np.linalg.norm(f0))):
         raise ValueError(
-            f"flow_batch disagrees with flow_selection by {gap:.3e} at "
-            f"{where}; dataclasses.replace keeps the old batch map unless "
-            "flow_batch=None is passed")
+            f"{field} disagrees with flow_selection by {gap:.3e} at {where}; "
+            f"dataclasses.replace keeps the old {field} unless {field}=None "
+            "is passed")
 
 
 def _rk4(spec: SystemSpec, window: WindowView | BatchView, h: float,
@@ -223,10 +226,7 @@ def _rk4(spec: SystemSpec, window: WindowView | BatchView, h: float,
     stages sit at one stage time, so they share its stored-history reads.
     On a :class:`~hymem.hybrid_time.BatchView` every row steps at once
     through the batch map (:func:`_batch_map`), with the same arithmetic
-    row by row.  The final combination of a window of at most
-    ``_FLOAT_DIM`` components, whose stages all have its shape, runs on
-    Python floats, in the array expression's order, so with its bits;
-    stages that broadcast take the array expression."""
+    row by row."""
     many = isinstance(window, BatchView)
     f = _batch_map(spec) if many else spec.flow_selection
     x0 = np.asarray(window.head, dtype=float)
@@ -236,18 +236,159 @@ def _rk4(spec: SystemSpec, window: WindowView | BatchView, h: float,
     k2 = np.asarray(f(half), dtype=float)
     k3 = np.asarray(f(half.with_head(x0 + (h / 2) * k2)), dtype=float)
     k4 = np.asarray(f(window.extend(h, x0 + h * k3)), dtype=float)
-    if (many or x0.shape[0] > _FLOAT_DIM
-            or not x0.shape == k1.shape == k2.shape == k3.shape == k4.shape):
-        return x0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
-    c = h / 6.0
-    return np.array([a + c * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4
-                     in zip(x0.tolist(), k1.tolist(), k2.tolist(), k3.tolist(),
-                            k4.tolist())]), k1
+    return x0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
+
+
+#: Most step lengths whose matrices a :class:`_MatrixStep` keeps at once:
+#: the step, a shortened last step and the trials of an event location.
+_KEPT_STEPS = 8
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product a b by column accumulation: entry (i, j) sums
+    a[i, l] b[l, j] over l in order, each operation an elementwise numpy
+    one, so its bits do not depend on the BLAS kernel."""
+    out = a[:, :1] * b[:1]
+    for col in range(1, a.shape[1]):
+        out = out + a[:, col:col + 1] * b[col:col + 1]
+    return out
+
+
+def _combine(rows: list, v: list) -> list:
+    """Each row of ``rows`` times v, on Python floats: the products of a
+    row's entries and v's leading ones, summed left to right from -0.0,
+    which adds as zero to every float, signed zeros and NaN included."""
+    out = []
+    for r in rows:
+        acc = -0.0
+        for a, b in zip(r, v):
+            acc += a * b
+        out.append(acc)
+    return out
+
+
+class _MatrixStep:
+    """One RK4 step of a linear-delay flow (``SystemSpec.flow_linear``) as
+    one affine map of the head and its stored reads.
+
+    With Z = h A0, and y_k(0), y_k(1/2), y_k(1) the reads of the delay d_k
+    at the step's three stage times, on the state x before the clock:
+
+        x1 = Phi x0 + sum_k [B_k0 y_k(0) + B_k1/2 y_k(1/2) + B_k1 y_k(1)],
+
+    Phi = I + Z + Z^2/2 + Z^3/6 + Z^4/24 (RK4's stability polynomial),
+    B_k0 = (h/6)(I + Z + Z^2/2 + Z^3/4) A_k, B_k1/2 = (h/6)(4I + 2Z + Z^2/2)
+    A_k and B_k1 = (h/6) A_k, read off the stage formulas (k2 and k3 both
+    read y(1/2)).  That is RK4 up to rounding when every delay is longer
+    than h, so that every stage reads the stored history, not the straight
+    line to its own head.  A clock advances by (h/6) 6, RK4's own bits, so
+    the jump instants of a clocked system are RK4's.
+
+    The matrices of a step length are built once (``_KEPT_STEPS`` of them
+    kept) by :func:`_product`, and a step is one pass of Python floats over
+    their rows (:func:`_combine`), so neither depends on the BLAS kernel.
+    The reads are :meth:`~hymem.hybrid_time.WindowView.delayed`'s at
+    dt = 0, h/2 and h: rows made ahead, else ``History.value``, with its
+    DomainError.  The first step screens the flow selection stored at its
+    window against A0 x0 + sum_k A_k y_k(0), as :func:`verify_solution`
+    screens a kept batch map.
+    """
+
+    def __init__(self, spec: SystemSpec):
+        a0, terms = spec.flow_linear
+        self.n = a0.shape[0]
+        self.clock = spec.dimension > self.n
+        self.a0 = np.asarray(a0, dtype=float)
+        self.mats = [np.asarray(term.matrix, dtype=float) for term in terms]
+        self.delays = [-float(term.delay) for term in terms]
+        self.flow_rows = np.hstack([self.a0] + self.mats).tolist()
+        self.kept = {}
+        self.screened = False
+
+    def covers(self, step: float) -> bool:
+        """Whether every stage of a step of at most ``step`` reads each
+        delay from the stored history."""
+        return all(step + s < 0.0 for s in self.delays)
+
+    def matrices(self, h: float) -> list:
+        """The rows of [Phi, B_10, ..., B_K0, B_1(1/2), ..., B_K1] at h."""
+        if len(self.kept) >= _KEPT_STEPS:
+            self.kept.clear()
+        eye, z = np.eye(self.n), h * self.a0
+        z2 = _product(z, z)
+        z3 = _product(z2, z)
+        c = h / 6.0
+        phi = eye + z + z2 / 2 + z3 / 6 + _product(z3, z) / 24
+        first = c * (eye + z + z2 / 2 + z3 / 4)
+        half = c * (4 * eye + 2 * z + z2 / 2)
+        rows = self.kept[h] = np.hstack(
+            [phi] + [_product(first, m) for m in self.mats]
+            + [_product(half, m) for m in self.mats]
+            + [c * m for m in self.mats]).tolist()
+        return rows
+
+    def reads(self, window: WindowView, h: float) -> list:
+        """[y_1(0), ..., y_K(0), y_1(1/2), ..., y_K(1)], each on the state
+        before the clock, as one list of floats.  The reads at dt = 0 are
+        the window's own, which its read cache (``simulate``'s stored views
+        keep one) shares with the flow selection."""
+        hist, n = window.history, self.n
+        out = []
+        for s in self.delays:
+            out += window.delayed(s).tolist()[:n]
+        t = hist.times.item(window.index)
+        ahead = hist.ahead
+        for dt in (h / 2, h):
+            for s in self.delays:
+                q = dt + s
+                y = None if ahead is None else ahead.row(t, q, s, False)
+                if y is None:
+                    y = hist.value(t + q, window.segment, window.index + 1,
+                                   window.floor)
+                out += y.tolist()[:n]
+        return out
+
+    def __call__(self, window: WindowView, h: float,
+                 k1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The state h after the window's head, and k1 (the flow selection
+        on the window) as given."""
+        n = self.n
+        x0 = window.head.tolist()
+        v = x0[:n]
+        if self.delays:
+            v += self.reads(window, h)
+        if not self.screened:
+            f = _combine(self.flow_rows, v)
+            if self.clock:
+                f.append(1.0)
+            t = window.history.times.item(window.index)
+            _screen("flow_linear", np.array(f), np.asarray(k1, dtype=float),
+                    f"t={t}")
+            self.screened = True
+        rows = self.kept.get(h)
+        x1 = _combine(self.matrices(h) if rows is None else rows, v)
+        if self.clock:
+            x1.append(x0[n] + (h / 6.0) * 6.0)
+        return np.array(x1), k1
+
+
+def _step_rule(spec: SystemSpec, step: float):
+    """The RK4 step that :func:`simulate` takes at the step length
+    ``step``, and at every shorter one of the run: a callable (window, h,
+    k1) -> (the state h later, k1).  It is the matrix step of the spec's
+    ``flow_linear`` (:class:`_MatrixStep`) when every flow delay is longer
+    than ``step``, else :func:`_rk4`."""
+    if spec.flow_linear is not None:
+        rule = _MatrixStep(spec)
+        if rule.covers(step):
+            return rule
+    return partial(_rk4, spec)
 
 
 def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
                  guard: str = "flow", k1: np.ndarray | None = None,
-                 x_end: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                 x_end: np.ndarray | None = None,
+                 step_rule=None) -> tuple[float, np.ndarray]:
     """Locate the time at which the named guard crosses zero along the flow.
 
     The guard ("flow" or "jump") must change sign across (0, h_bracket].
@@ -263,7 +404,10 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     guard, so guard(x*) >= -GUARD_TOL (:data:`~hymem.system.GUARD_TOL`,
     the one guard slack) and the accepted flow segment can end at h*.
     ``k1`` (the flow selection on the window) and ``x_end`` (the RK4 state
-    at h_bracket) may be passed when already computed.
+    at h_bracket) may be passed when already computed.  Every trial takes
+    ``step_rule`` (:func:`_step_rule`), the step of the bracket's end:
+    :func:`simulate` passes its own, and by default it is the one a run at
+    the step h_bracket takes.
     """
     if guard not in ("flow", "jump"):
         raise ValueError(f"guard must be 'flow' or 'jump', not {guard!r}")
@@ -271,8 +415,12 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     # from outside to inside; lo always stays on the starting side.
     crossing_down = guard == "flow"
     gfun = spec.flow_guard if crossing_down else spec.jump_guard
+    if step_rule is None:
+        step_rule = _step_rule(spec, h_bracket)
+    if k1 is None:
+        k1 = np.asarray(spec.flow_selection(window), dtype=float)
     if x_end is None:
-        x_end, k1 = _rk4(spec, window, h_bracket, k1)
+        x_end, _ = step_rule(window, h_bracket, k1)
     g_lo = gfun(window)
     g_hi = gfun(window.extend(h_bracket, x_end))
     if ((g_lo >= -GUARD_TOL) != crossing_down
@@ -295,7 +443,7 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
             trial = 0.5 * (lo + hi)
             if not lo < trial < hi:  # adjacent floats, wider than EVENT_TOL
                 break
-        x_t, _ = _rk4(spec, window, trial, k1)
+        x_t, _ = step_rule(window, trial, k1)
         g_t = gfun(window.extend(trial, x_t))
         if (g_t >= 0.0) == crossing_down:
             lo, g_lo, x_lo = trial, g_t, x_t
@@ -305,18 +453,19 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     return (lo, x_lo) if crossing_down else (hi, x_hi)
 
 
-#: Fewest steps in a block.  Building a block costs about 120 us on a
-#: 2-vCPU host (45 us of it the level kernel, whose search the store keeps
-#: across appends), what the scalar reads of 8 steps cost (three a step, at
+#: Fewest steps in a block.  Building a block costs about 100 us on a
+#: 2-vCPU host (40 us of it the level kernel, whose search the store keeps
+#: across appends), what the scalar reads of 7 steps cost (three a step, at
 #: about 5 us each), so a block of 16 steps pays for itself even when a
 #: located jump moves the step grid off its rows halfway.
 _MIN_STEPS = 16
 
 
 class _ReadAhead(dict):
-    """Stored reads made ahead (the method of steps): the solver's table of
-    rows keyed by their absolute read time tq, which its store carries as
-    ``History.ahead`` and every view of that store looks up first.
+    """Stored reads made ahead (the method of steps): the solver's table,
+    which its store carries as ``History.ahead`` and every view of that
+    store looks up first, of one block per delay s: {tq: row}, its rows
+    keyed by their absolute read time tq.
 
     A miss at a stored view (dt = 0) of the time t reading a delay s asks
     :meth:`build` for a block of s: the stored reads at t_k + s, t_k + (h_k/2
@@ -340,40 +489,72 @@ class _ReadAhead(dict):
 
     def __init__(self, hist: History, opts: SimOptions):
         self.hist, self.opts = hist, opts
-        self.blocks = {}  # s -> the read times of its block
         self.short = set()  # the delays whose blocks are too short
+
+    def row(self, t: float, q: float, s: float, build: bool) -> np.ndarray | None:
+        """The row of the delay s at t + q; on a miss, when ``build`` (at a
+        stored view, where q is s), the first row of a new block of s from
+        the step at t.  None when there is neither."""
+        block = self.get(s)
+        x = None if block is None else block.get(t + q)
+        if x is None and build:
+            return self.build(t, s)
+        return x
 
     def build(self, t: float, s: float) -> np.ndarray | None:
         """The row at t + s of a new block of s from the step at t; None
-        when no block is built."""
+        when no block is built.  The steps of full length go first, their
+        times t + step + ... + step summed in the recurrence's order
+        (``itertools.accumulate``), and the recurrence itself takes what
+        is left: a shortened last step, or steps past the estimate."""
         if s in self.short:
             return None
         hist, step, t_max = self.hist, self.opts.step, self.opts.t_max
         newest = hist.n - 1
         bound = hist.times.item(newest - 1) - TIME_TOL
         t_last = t_max - TIME_TOL
-        h, tq = min(step, t_max - t), []
-        cap = 3 * (batch._BLOCK_SAMPLES // 3)
-        while len(tq) < cap:
-            last = t + (h + s)  # the stage that reads latest
+        cap = batch._BLOCK_SAMPLES // 3
+        full, half = step + s, step / 2 + s
+        # the full steps whose latest stage can precede the bound, and two
+        # more: the estimate need not be exact
+        m = min(cap, max(0, int((bound - (t + full)) / step) + 2))
+        ts = list(accumulate(repeat(step, m), initial=t))
+        k, tq = 0, []
+        while k < m:
+            u = ts[k]
+            last = u + full  # the stage that reads latest
+            if not last < bound or t_max - u < step or k and u >= t_last:
+                break
+            tq += (u + s, u + half, last)
+            k += 1
+        t = ts[k]
+        while k < cap:
+            if k and t >= t_last:
+                break
+            h = min(step, t_max - t)
+            if k and not h > TIME_TOL:
+                break
+            last = t + (h + s)
             if not last < bound:
                 break
             tq += (t + s, t + (h / 2 + s), last)
             t += h
-            if t >= t_last:
-                break
-            h = min(step, t_max - t)
-            if not h > TIME_TOL:
-                break
-        if len(tq) < 3 * _MIN_STEPS:
+            k += 1
+        if k < _MIN_STEPS:
             self.short.add(s)
             return None
         rows = BatchView(hist, np.full(len(tq), newest))._at(np.array(tq))
-        for old in self.blocks.pop(s, ()):
-            self.pop(old, None)
-        self.blocks[s] = tq
-        self.update(zip(tq, rows))
+        self[s] = dict(zip(tq, rows))
         return rows[0]
+
+
+def _shaped(value, shape: tuple, label: str) -> np.ndarray:
+    """value as a float array of the state's ``shape``; PreconditionError
+    naming the map ``label`` and both shapes when it has another."""
+    out = np.asarray(value, dtype=float)
+    if out.shape != shape:
+        raise PreconditionError(f"{label} must return shape {shape}, got {out.shape}")
+    return out
 
 
 class _NonFiniteState(Exception):
@@ -383,8 +564,10 @@ class _NonFiniteState(Exception):
 def _judge(spec: SystemSpec, hist: History) -> tuple[WindowView, bool, bool]:
     """The window at the newest stored sample, and whether it lies in the
     flow set and in the jump set; :class:`_NonFiniteState` when that
-    sample is not finite."""
+    sample is not finite.  The window keeps a read cache, so its guards,
+    its flow selection and a matrix step from it read each delay once."""
     w = hist.view()
+    w.reads = {}
     if not all(map(math.isfinite, w.head.tolist())):
         raise _NonFiniteState
     return (w, spec.flow_guard(w) >= -GUARD_TOL,
@@ -406,7 +589,9 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     An infinite ``t_max`` needs a jump period in ``spec.meta``.  Each guard
     and the flow selection run once per stored sample, on its stored window;
     a step end that leaves C, or enters D under jump priority, is dropped and
-    the crossing located.
+    the crossing located.  A flow selection or first jump candidate whose
+    result is not of shape (dimension,) raises PreconditionError.  Each
+    step, and each event trial, is :func:`_step_rule`'s at ``opts.step``.
     """
     if abs(init.delta - spec.memory_size) > 1e-12:
         raise PreconditionError(
@@ -434,6 +619,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     hist.start_segment(0.0, np.array(init.head, dtype=float))
     hist.ahead = _ReadAhead(hist, opts)
     flow, step, t_max, j_max = spec.flow_selection, opts.step, opts.t_max, opts.j_max
+    advance, shape = _step_rule(spec, step), (spec.dimension,)
     t_last = t_max - TIME_TOL
     jump_first = opts.jump_priority == "jump"
     t, j = 0.0, 0
@@ -445,14 +631,14 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
         while True:
             h = min(step, t_max - t)
             if in_c:
-                hist.derivs[w.index] = np.asarray(flow(w), dtype=float)
+                hist.derivs[w.index] = _shaped(flow(w), shape, "flow_selection")
                 hist.known[w.index] = True
             if t >= t_last or j >= j_max:
                 termination = Termination.horizon_reached
                 break
             if in_c and h > TIME_TOL and not (in_d and jump_first):
                 k1 = hist.derivs[w.index]
-                x_new, _ = _rk4(spec, w, h, k1)
+                x_new, _ = advance(w, h, k1)
                 hist.append(t + h, x_new)
                 end = _judge(spec, hist)
                 if not end[1] or (end[2] and jump_first):
@@ -460,7 +646,8 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                     # slot is still unwritten) and store the located crossing
                     hist.n -= 1
                     guard = "jump" if end[1] else "flow"
-                    h, x_new = locate_event(spec, w, h, guard, k1, x_new)
+                    h, x_new = locate_event(spec, w, h, guard, k1, x_new,
+                                            step_rule=advance)
                     end = None
                     if h > TIME_TOL:
                         hist.append(t + h, x_new)
@@ -483,7 +670,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                 raise PreconditionError(
                     f"jump set entered at (t={t}, j={j}) but the jump map "
                     "offers no candidate")
-            g = np.array(candidates[0], dtype=float)
+            g = _shaped(candidates[0], shape, "the first jump candidate")
             j += 1
             hist.start_segment(t, g)
             w, in_c, in_d = _judge(spec, hist)

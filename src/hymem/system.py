@@ -66,7 +66,15 @@ class SystemSpec:
     unless the spec keeps a batch map; :func:`~hymem.solver.flow_windows`
     and :func:`~hymem.solver.verify_solution` raise ValueError when a kept
     batch map and ``flow_selection`` disagree, so pass ``flow_batch=None``
-    with ``f``.  ``meta`` holds ``clock_index``, ``period`` and ``delays``.
+    with ``f``.  ``flow_linear``, when not None, is the flow selection's
+    matrices (A0, terms): the flow is A0 x + sum_k A_k x(t - d_k) on the
+    first A0.shape[0] components, with one :class:`DelayTerm` (d_k, A_k)
+    per delay, and 1 on a last clock component when the dimension is one
+    more.  :func:`~hymem.solver.simulate` then steps by RK4's affine map of
+    those matrices when every flow delay is longer than the step.  It
+    raises ValueError when ``flow_selection`` disagrees with a kept
+    ``flow_linear``, so pass ``flow_linear=None`` with a replaced ``f`` too.
+    ``meta`` holds ``clock_index``, ``period`` and ``delays``.
     """
 
     dimension: int
@@ -76,6 +84,7 @@ class SystemSpec:
     flow_selection: Callable
     jump_selections: Callable
     flow_batch: Callable | None = None
+    flow_linear: tuple | None = None
     meta: dict = field(default_factory=dict)
 
 
@@ -375,7 +384,7 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
         dimension=dim, memory_size=cfg.memory_size,
         flow_guard=flow_guard, jump_guard=jump_guard,
         flow_selection=flow_selection, jump_selections=jump_selections,
-        flow_batch=flow_batch,
+        flow_batch=flow_batch, flow_linear=(a0, flow_terms),
         meta={"clock_index": n if has_clock else None,
               "period": cfg.jump_period,
               "delays": tuple(t.delay for t in flow_terms + jump_terms)},

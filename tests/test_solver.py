@@ -3,6 +3,7 @@ order of accuracy, event location, and the a-posteriori solution check."""
 
 import contextlib
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -104,14 +105,21 @@ class TestIntegrateFlowStep:
 
 
 def count_rk4_steps(monkeypatch):
-    """Count the RK4 steps the solver takes from now on."""
+    """Count the RK4 steps the solver takes from now on, through _rk4 and
+    through the linear-delay family's matrix step."""
     calls = []
+    matrix_step = solver._MatrixStep.__call__
 
     def counting(*args, **kwargs):
         calls.append(args[2])
         return _rk4(*args, **kwargs)
 
+    def counting_matrix(self, window, h, k1):
+        calls.append(h)
+        return matrix_step(self, window, h, k1)
+
     monkeypatch.setattr(solver, "_rk4", counting)
+    monkeypatch.setattr(solver._MatrixStep, "__call__", counting_matrix)
     return calls
 
 
@@ -172,10 +180,17 @@ class TestLocateEvent:
     @pytest.mark.parametrize("guard, tau0", [("flow", 0.1973), ("flow", 0.1999),
                                              ("jump", 0.195)])
     def test_returned_state_is_the_rk4_step_at_the_returned_time(self, guard, tau0):
+        # example 1's flow reads no delay, so the bracket and its trials take
+        # the matrix step: the crossing's state is that step's at h, and
+        # RK4's stagewise one up to rounding
         _, spec, phi = example1_at_clock(tau0)
         h, x = locate_event(spec, head_view(phi), 0.005, guard=guard)
-        want, _ = _rk4(spec, head_view(phi), h)
+        k1 = spec.flow_selection(head_view(phi))
+        want, _ = solver._MatrixStep(spec)(head_view(phi), h, k1)
         assert x.tobytes() == want.tobytes()
+        stagewise, _ = _rk4(spec, head_view(phi), h)
+        assert x[3] == stagewise[3]  # the clock
+        assert np.abs(x - stagewise).max() <= 8 * np.spacing(np.abs(stagewise).max())
 
     @pytest.mark.parametrize("tau0", [0.1951, 0.1963, 0.19775, 0.1988, 0.19999])
     def test_affine_clock_guard_takes_at_most_four_rk4_steps(self, tau0, monkeypatch):
@@ -766,9 +781,11 @@ class TestSharedHalfStepReads:
         # 1.29, 1.72) reads its half and full stages one at a time, and the
         # next block starts a step later.  At t = 2.15 the two keys differ,
         # so the first stage builds the last block (35 steps), whose last
-        # row also serves the flow selection at t_max.  The reference stages
-        # are views of the same store, so they read its rows too; at those
-        # four steps they read three stages one at a time
+        # row also serves the flow selection at t_max.  The matrix step
+        # reads each stage time once, as _rk4's shared half-step reads do.
+        # The reference stages (through _rk4, so with flow_linear=None) are
+        # views of the same store, so they read its rows too; at those four
+        # steps they read three stages one at a time
         spec, init = delay_horizon_problem()
         steps = 250
         opts = SimOptions(t_max=steps * 0.01, step=0.01)
@@ -779,7 +796,7 @@ class TestSharedHalfStepReads:
         blocks.clear()
         scalar.clear()
         monkeypatch.setattr(solver, "_rk4", reference_rk4)
-        simulate(spec, init, opts)
+        simulate(dataclasses.replace(spec, flow_linear=None), init, opts)
         assert blocks == [3 * 43] + [3 * 42] * 4 + [3 * 35]
         assert len(scalar) == 3 * 4
 
@@ -812,24 +829,11 @@ class TestSharedHalfStepReads:
         assert half.delayed(-0.005)[0] != other.delayed(-0.005)[0]
 
 
-#: Components that the float path must round as the arrays do: signed
-#: zeros, subnormals, huge values that overflow, infinities and NaN.
+#: Components that the fixed-order rule must round as numpy's elementwise
+#: operations do: signed zeros, subnormals, huge values that overflow,
+#: infinities and NaN.
 SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1.7e308, 9e307, -9e307,
            np.inf, -np.inf, np.nan, 1.0, -3.25, 7e-17]
-
-
-def special_problem(n, shift):
-    """An n-component flow x' = p x + c, component by component, p and c
-    cycling through SPECIAL from other places than the head does."""
-    def cycle(at):
-        return np.array([SPECIAL[(at + 5 * i) % len(SPECIAL)] for i in range(n)])
-
-    p, c = cycle(shift + 1), cycle(shift + 3)
-    spec = SystemSpec(
-        dimension=n, memory_size=0.0, flow_guard=lambda w: 1.0,
-        jump_guard=lambda w: -1.0, flow_selection=lambda w: p * w.head + c,
-        jump_selections=lambda w: [])
-    return spec, HybridMemoryArc([0.0], [cycle(shift)], [0], 0.0)
 
 
 def same_floats(a, b):
@@ -841,72 +845,224 @@ def same_floats(a, b):
             and a[~nan].tobytes() == b[~nan].tobytes())
 
 
-class TestRk4FloatCombination:
-    """RK4's final combination on Python floats, up to solver._FLOAT_DIM
-    components, gives the array expression's bits (reference_rk4)."""
+def kind_of(v):
+    return ("nan" if v != v else "inf" if abs(v) == np.inf else "zero" if v == 0
+            else "subnormal" if abs(v) < 2.3e-308 else "finite")
 
-    @pytest.mark.parametrize("n", [1, 4, solver._FLOAT_DIM, solver._FLOAT_DIM + 1])
-    def test_bits_equal_the_array_expression(self, n):
-        assert solver._FLOAT_DIM >= 4
-        checked = 0
-        with np.errstate(all="ignore"):
-            for shift in range(len(SPECIAL)):
-                spec, init = special_problem(n, shift)
-                view = head_view(init)
-                for h in (0.01, 2.0 ** -6, 1e-300, 3.0):
-                    for k1 in (None, np.array(SPECIAL[shift:] + SPECIAL[:shift])[
-                            np.arange(n) % len(SPECIAL)]):
-                        got = _rk4(spec, view, h, k1)
-                        want = reference_rk4(spec, view, h, k1)
-                        assert same_floats(got[0], want[0]), (shift, h)
-                        assert same_floats(got[1], want[1])
-                        checked += 1
-        assert checked == 2 * 4 * len(SPECIAL)
 
-    @pytest.mark.parametrize("n", [1, 4, solver._FLOAT_DIM, solver._FLOAT_DIM + 1])
-    def test_stages_drawn_from_the_special_values(self, n):
-        # a flow that hands out prescribed stages k1..k4, in the order both
-        # steps call it, so every mix of special values meets in the sums
-        rng = np.random.default_rng(n)
+class TestFixedOrderRule:
+    """The matrix step's sums run in one fixed order, each operation an IEEE
+    one, so their bits depend on no BLAS kernel and no numpy dispatch."""
+
+    def test_rows_times_a_vector_are_the_ordered_sums(self):
+        # against numpy's elementwise operations in the same order, over
+        # the special values, so every mix of them meets in the sums
+        rng = np.random.default_rng(7)
         specials = np.array(SPECIAL)
-        init = HybridMemoryArc([0.0], [np.zeros(n)], [0], 0.0)
         seen = set()
         with np.errstate(all="ignore"):
             for draw in range(400):
-                # every other draw takes its stages from the tiny values, so
+                # every other draw takes its rows from the tiny values, so
                 # zeros and subnormals come out too
                 pool = specials if draw % 2 else specials[np.abs(specials) < 1e-16]
-                x0 = specials[rng.integers(0, len(SPECIAL), n)]
-                ks = pool[rng.integers(0, len(pool), (4, n))]
-                stages = []
-                spec = SystemSpec(dimension=n, memory_size=0.0,
-                                  flow_guard=lambda w: 1.0, jump_guard=lambda w: -1.0,
-                                  flow_selection=lambda w: stages.pop(0),
-                                  jump_selections=lambda w: [])
-                view = head_view(init)
-                view.head = x0
-                h = float(rng.choice([0.01, 1e-300, 3.0, 2.0 ** -6]))
-                out = []
-                for step in (_rk4, reference_rk4):
-                    stages[:] = [k.copy() for k in ks]
-                    out.append(step(spec, view, h))
-                    assert not stages
-                assert same_floats(out[0][0], out[1][0])
-                for v in out[0][0].tolist():
-                    seen.add("nan" if v != v else "inf" if abs(v) == np.inf
-                             else "zero" if v == 0 else "subnormal"
-                             if abs(v) < 2.3e-308 else "finite")
+                n, width = rng.integers(1, 5), rng.integers(1, 9)
+                rows = pool[rng.integers(0, len(pool), (n, width))]
+                v = specials[rng.integers(0, len(SPECIAL), width + 2)]
+                want = np.full(n, -0.0)
+                for j in range(width):
+                    want = want + rows[:, j] * v[j]
+                got = np.array(solver._combine(rows.tolist(), v.tolist()))
+                assert same_floats(got, want)
+                seen.update(map(kind_of, got.tolist()))
         assert seen == {"nan", "inf", "zero", "subnormal", "finite"}
+        # a sum of negative zeros is a negative zero, as in the arrays
+        assert np.signbit(solver._combine([[0.0, 0.0]], [-1.0, -2.0])[0])
 
-    @pytest.mark.parametrize("n, stage", [(1, lambda w: -1.5),
-                                          (3, lambda w: np.array([0.25]))])
-    def test_stages_that_broadcast_take_the_array_expression(self, n, stage):
-        spec = SystemSpec(dimension=n, memory_size=0.0, flow_guard=lambda w: 1.0,
-                          jump_guard=lambda w: -1.0, flow_selection=stage,
-                          jump_selections=lambda w: [])
-        view = head_view(HybridMemoryArc([0.0], [np.arange(1.0, n + 1)], [0], 0.0))
-        got, want = _rk4(spec, view, 0.1), reference_rk4(spec, view, 0.1)
-        assert got[0].shape == (n,) and got[0].tobytes() == want[0].tobytes()
+    def test_products_sum_in_order(self):
+        rng = np.random.default_rng(8)
+        specials = np.array(SPECIAL)
+        with np.errstate(all="ignore"):
+            for draw in range(200):
+                n, m, k = rng.integers(1, 5, 3)
+                a = rng.normal(size=(n, m))
+                b = rng.normal(size=(m, k))
+                if draw % 2:
+                    a.flat[rng.integers(0, a.size)] = rng.choice(specials)
+                want = np.empty((n, k))
+                for i in range(n):
+                    for j in range(k):
+                        acc = a[i, 0] * b[0, j]
+                        for col in range(1, m):
+                            acc += a[i, col] * b[col, j]
+                        want[i, j] = acc
+                assert same_floats(solver._product(a, b), want)
+
+
+def random_linear_delay_system(rng, delays, clocked):
+    """dx = A0 x + sum_k A_k x(t - d_k) on 1 to 3 components, with a clock of
+    a long period when ``clocked``, from a smooth random history."""
+    n = int(rng.integers(1, 4))
+    cfg = LinearDelayConfig(
+        dimension=n, memory_size=max(delays), a0=rng.normal(size=(n, n)),
+        flow_delayed=tuple(DelayTerm(d, rng.normal(size=(n, n))) for d in delays),
+        jump_period=100.0 if clocked else None)
+    spec, _ = build_linear_delay_system(cfg)
+    c, w = rng.normal(size=n), rng.uniform(1.0, 5.0, size=n)
+
+    def history(s):
+        x = c * np.cos(w * s + 1.0)
+        return np.append(x, 0.25 + s / 1000) if clocked else x
+
+    return spec, memory_arc_from_function(history, spec.memory_size,
+                                          depth=spec.memory_size, grid_step=0.01)
+
+
+class TestMatrixStep:
+    """simulate steps a linear-delay flow whose every delay is longer than the
+    step by RK4's affine map, and everything else by _rk4."""
+
+    @pytest.mark.parametrize("clocked", [False, True], ids=["unclocked", "clocked"])
+    @pytest.mark.parametrize("n_delays", [1, 2, 3])
+    def test_the_step_is_rk4_up_to_rounding(self, clocked, n_delays):
+        rng = np.random.default_rng(10 * n_delays + clocked)
+        step = 0.01
+        checked = 0
+        for trial in range(12):
+            # one delay just above the step, the others up to 40 steps
+            delays = [float(np.nextafter(step, 1.0))] + list(
+                rng.uniform(1.5 * step, 0.4, n_delays - 1))
+            spec, init = random_linear_delay_system(rng, delays, clocked)
+            rk4_spec = dataclasses.replace(spec, flow_linear=None)
+            run = simulate(rk4_spec, init, SimOptions(t_max=0.3, step=step))
+            hist = History([run.arc], run.memory_size)
+            view = hist.view()
+            k1 = spec.flow_selection(view)
+            rule = solver._step_rule(spec, step)
+            assert isinstance(rule, solver._MatrixStep)
+            # a full step, a short last step and an event trial's length,
+            # and on a clock one where tau + h and RK4's tau + (h/6) 6 differ
+            lengths = [step, 0.37 * step, 1e-7]
+            if clocked:
+                tau = float(view.head[-1])
+                lengths += [h for h in np.linspace(1e-4, step, 4001).tolist()
+                            if tau + h != tau + (h / 6.0) * 6.0][:1]
+                assert len(lengths) == 4
+            for h in lengths:
+                got, _ = rule(view, h, k1)
+                want, _ = _rk4(spec, view, h, k1)
+                n = rule.n
+                # the size of the terms RK4 sums: the head, and h times the
+                # flow's terms at each stage
+                reads = rule.reads(view, h)
+                y = np.abs(np.array(reads).reshape(3, n_delays, n))
+                terms = np.abs(view.head[:n]) + h * (
+                    np.abs(rule.a0) @ np.abs(view.head[:n])
+                    + sum(np.abs(m) @ (y[0, k] + 2 * y[1, k] + y[2, k])
+                          for k, m in enumerate(rule.mats)))
+                err = np.abs(got[:n] - want[:n])
+                assert np.all(err <= 8 * np.finfo(float).eps * terms), (trial, h)
+                if clocked:
+                    assert got[n] == want[n]  # the clock keeps RK4's bits
+                checked += 1
+        assert checked == 12 * (3 + clocked)
+
+    @pytest.mark.parametrize("build, state, t_max", [
+        (lambda: build_example1(Example1Params.paper()), [1.0, 1.0, 0.0, 0.0], 2.0),
+        (lambda: build_example2(Example2Params.case1()), [1.0, 0.0], 4.0),
+        (lambda: build_example2(Example2Params.case2()), [1.0, 0.03], 1.0),
+    ], ids=["example1", "example2-case1", "example2-case2"])
+    def test_clock_and_jump_times_are_rk4s(self, build, state, t_max):
+        spec, _ = build()
+        init, opts = const_history(spec, state), SimOptions(t_max=t_max, step=5e-3)
+        assert isinstance(solver._step_rule(spec, opts.step), solver._MatrixStep)
+        got = simulate(spec, init, opts)
+        want = simulate(dataclasses.replace(spec, flow_linear=None), init, opts)
+        assert len(got.jumps) >= 3 and got.jumps == want.jumps
+        assert got.arc.times.tobytes() == want.arc.times.tobytes()
+        assert got.arc.starts == want.arc.starts
+        assert got.arc.values[:, -1].tobytes() == want.arc.values[:, -1].tobytes()
+        assert np.abs(got.arc.values - want.arc.values).max() <= 1e-13
+        assert verify_solution(spec, got).passed
+
+    @pytest.mark.parametrize("d", [2.0 ** -8, 2.0 ** -6], ids=["shorter", "equal"])
+    def test_a_delay_of_at_most_a_step_keeps_rk4(self, d):
+        # one delay longer than the step and one not: the run is _rk4's,
+        # bit for bit, its last step shortened and its trials included
+        cfg = LinearDelayConfig(
+            dimension=1, memory_size=0.25, a0=np.array([[-0.5]]),
+            flow_delayed=(DelayTerm(0.25, np.array([[0.75]])),
+                          DelayTerm(d, np.array([[-1.0]]))),
+            jump_period=0.3)
+        spec, _ = build_linear_delay_system(cfg)
+        init = memory_arc_from_function(lambda s: np.array([np.cos(3.0 * s), 0.0]),
+                                        0.25, depth=0.25, grid_step=2.0 ** -6)
+        opts = SimOptions(t_max=1.234, step=2.0 ** -6)
+        assert isinstance(solver._step_rule(spec, opts.step), functools.partial)
+        got = simulate(spec, init, opts)
+        want = simulate(dataclasses.replace(spec, flow_linear=None), init, opts)
+        assert len(got.jumps) == 4
+        same_run(got, want)
+
+    def test_a_kept_flow_linear_is_refused(self, monkeypatch):
+        spec, init = delay_horizon_problem()
+        doubled = lambda w: 2.0 * spec.flow_selection(w)  # noqa: E731
+        opts = SimOptions(t_max=1.0, step=0.01)
+        kept = dataclasses.replace(spec, flow_selection=doubled, flow_batch=None)
+        with pytest.raises(ValueError, match="flow_linear disagrees with "
+                                             "flow_selection"):
+            simulate(kept, init, opts)
+        # with flow_linear=None the run steps the replaced selection by _rk4
+        rederived = dataclasses.replace(kept, flow_linear=None)
+        steps = count_rk4_steps(monkeypatch)
+        traj = simulate(rederived, init, opts)
+        assert len(steps) == 100
+        hist = History([traj.arc], traj.memory_size)
+        for i in range(hist.starts[1], hist.n):
+            assert traj.arc.derivs[i].tobytes() == doubled(hist.view(i)).tobytes()
+
+    def test_a_traced_flow_selection_keeps_the_matrix_step(self):
+        # a wrapper that returns the same values passes the screen: the
+        # steps are the unwrapped spec's, with one flow selection a step
+        spec, init = delay_horizon_problem()
+        calls = []
+        counted = dataclasses.replace(
+            spec, flow_selection=lambda w: calls.append(1) or spec.flow_selection(w))
+        opts = SimOptions(t_max=1.0, step=0.01)
+        got = simulate(counted, init, opts)
+        same_run(got, simulate(spec, init, opts))
+        assert len(calls) == 100 + 1
+
+
+class TestWrongShapes:
+    """A flow selection or first jump candidate not of the state's shape
+    is refused, not broadcast into it."""
+
+    def test_a_short_flow_selection_on_a_linear_system(self):
+        cfg = LinearDelayConfig(dimension=2, memory_size=0.0, a0=-np.eye(2))
+        spec, _ = build_linear_delay_system(cfg)
+        short = dataclasses.replace(spec, flow_selection=lambda w: np.array([-w.head[0]]),
+                                    flow_batch=None)
+        init = constant_memory_arc(np.array([1.0, 2.0]), 0.0, depth=0.0)
+        with pytest.raises(PreconditionError, match=re.escape(
+                "flow_selection must return shape (2,), got (1,)")):
+            simulate(short, init, SimOptions(t_max=1.0, step=0.01))
+
+    def test_a_flow_selection_without_the_clock(self):
+        # it once froze example 2's clock: the run reached t_max unjumped
+        spec, init = example2_problem(Example2Params.case2(), [1.0, 0.0])
+        short = dataclasses.replace(spec, flow_selection=lambda w: np.array([-w.head[0]]),
+                                    flow_batch=None, flow_linear=None)
+        with pytest.raises(PreconditionError, match=re.escape(
+                "flow_selection must return shape (2,), got (1,)")):
+            simulate(short, init, SimOptions(t_max=1.0, step=5e-3))
+
+    def test_a_short_jump_value(self):
+        # it once raised a bare IndexError
+        spec, init = example2_problem(Example2Params.case2(), [1.0, 0.0])
+        short = dataclasses.replace(spec, jump_selections=lambda w: [np.array([0.5])])
+        with pytest.raises(PreconditionError, match=re.escape(
+                "the first jump candidate must return shape (2,), got (1,)")):
+            simulate(short, init, SimOptions(t_max=1.0, step=5e-3))
 
 
 def long_delay_guard_system():
@@ -1020,6 +1176,51 @@ class TestReadAhead:
         same_run(got, want)
         assert len(blocks) == 11
 
+    @pytest.mark.parametrize("step, t_max, budget", [
+        (0.01, 30.0, None), (0.003, 30.0, None), (0.01, 3.2345, None),
+        (0.003, 3.1, None), (0.01, float("inf"), None), (0.01, 30.0, 60),
+        (0.003, 3.0501, 60)])
+    def test_block_times_follow_the_step_recurrence(self, step, t_max, budget,
+                                                    monkeypatch):
+        # the steps of full length run in arrays: their stage times, in
+        # order, are the recurrence's one step at a time, also where it
+        # shortens the last step, reaches t_max or the cap
+        if budget is not None:
+            monkeypatch.setattr(batch, "_BLOCK_SAMPLES", budget)
+        spec, init = delay_horizon_problem()
+        run = simulate(spec, init, SimOptions(t_max=3.0, step=0.01))
+        hist = History([run.arc], run.memory_size)
+        table = solver._ReadAhead(hist, SimOptions(t_max=t_max, step=step))
+        read, at = [], BatchView._at
+        monkeypatch.setattr(BatchView, "_at",
+                            lambda self, tq: read.append(tq.tolist()) or at(self, tq))
+        t = hist.times.item(hist.n - 1)
+        bound = hist.times.item(hist.n - 2) - TIME_TOL
+        built = 0
+        for s in (-0.432, -0.2, -1 / 3, -0.0701):
+            row = table.build(t, s)
+            h, tq, u = min(step, t_max - t), [], t
+            while len(tq) < 3 * (batch._BLOCK_SAMPLES // 3):
+                last = u + (h + s)
+                if not last < bound:
+                    break
+                tq += (u + s, u + (h / 2 + s), last)
+                u += h
+                if u >= t_max - TIME_TOL:
+                    break
+                h = min(step, t_max - u)
+                if not h > TIME_TOL:
+                    break
+            if len(tq) < 3 * solver._MIN_STEPS:
+                assert row is None and s not in table
+                continue
+            # one row per time: a full stage and the next first stage may
+            # round to one key
+            assert read.pop() == tq and list(table[s]) == list(dict.fromkeys(tq))
+            assert row.tobytes() == hist.value(tq[0]).tobytes()
+            built += 1
+        assert built >= 1 + (t_max > 3.1)
+
     def test_one_block_per_delay(self, monkeypatch):
         tables = []
 
@@ -1033,9 +1234,8 @@ class TestReadAhead:
         traj = simulate(spec, init, SimOptions(t_max=30.0, step=0.01))
         assert traj.arc.n - traj.arc.starts[1] == 3001
         (table,) = tables
-        (s,) = table.blocks  # the one delay, r = 0.432
-        assert s == -0.432 and set(table) == set(table.blocks[s])
-        assert len(table) <= 3 * 43
+        (s,) = table  # the one delay, r = 0.432
+        assert s == -0.432 and len(table[s]) <= 3 * 43
 
 
 def delayed_guard_system(d=0.004):
@@ -1571,7 +1771,8 @@ class TestTerminationReason:
 
     def test_overflow_is_reported(self):
         spec, _ = decay_system()
-        blowup = dataclasses.replace(spec, flow_selection=lambda w: 1e308 * w.head)
+        blowup = dataclasses.replace(spec, flow_selection=lambda w: 1e308 * w.head,
+                                     flow_linear=None)
         init = constant_memory_arc(np.array([1.0]), 0.0, depth=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             traj = simulate(blowup, init, SimOptions(t_max=0.5, step=0.1))
@@ -1582,8 +1783,11 @@ class TestTerminationReason:
         assert traj.t_final == 0.1 and traj.arc.values[-1].tolist() == [np.inf]
 
     def test_the_run_stops_at_the_first_non_finite_step_end(self):
-        # x' = 800 x + x(t - 0.1) overflows near t = 1.24: the run keeps
-        # that step end as its last sample and names it
+        # x' = 800 x + x(t - 0.1) overflows near t = 1.25: the run keeps
+        # that step end as its last sample and names it.  The matrix step
+        # overflows where the step end does; RK4's stages overflowed a step
+        # earlier, at t = 1.24, where k4 = 800 (x0 + h k3) exceeds the
+        # largest float while the step end (4.2e306) does not
         cfg = LinearDelayConfig(dimension=1, memory_size=0.1, a0=np.array([[800.0]]),
                                 flow_delayed=(DelayTerm(0.1, np.array([[1.0]])),))
         spec, _ = build_linear_delay_system(cfg)
@@ -1592,10 +1796,10 @@ class TestTerminationReason:
             traj = simulate(spec, init, SimOptions(t_max=5.0, step=0.01))
         assert traj.termination is Termination.error
         assert traj.error == f"non-finite state at (t={traj.t_final}, j=0)"
-        assert traj.t_final == pytest.approx(1.24)
+        assert traj.t_final == pytest.approx(1.25)
         values = traj.arc.values
         assert np.isfinite(values[:-1]).all() and not np.isfinite(values[-1]).all()
-        assert traj.arc.n == init.n + 124 + 1
+        assert traj.arc.n == init.n + 125 + 1
 
     def test_a_non_finite_jump_value_stops_the_run(self):
         # x' = 1 jumps where x reaches 0.5, to +inf: the post-jump sample is

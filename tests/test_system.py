@@ -289,10 +289,12 @@ class TestFlowBatch:
         assert _batch_map(doubled)(batch).tobytes() == (2 * rows).tobytes()
 
     def test_a_spec_holds_only_the_maps_it_is_given(self):
-        # no flow candidates and no map bound at construction
+        # no flow candidates and no map bound at construction; the
+        # linear-delay family's matrices are data, not a map
         assert [f.name for f in dataclasses.fields(SystemSpec)] == [
             "dimension", "memory_size", "flow_guard", "jump_guard",
-            "flow_selection", "jump_selections", "flow_batch", "meta"]
+            "flow_selection", "jump_selections", "flow_batch", "flow_linear",
+            "meta"]
         assert not hasattr(SystemSpec, "__post_init__")
 
 
