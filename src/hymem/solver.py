@@ -51,7 +51,8 @@ flow-selection call a step, the one stored as the sample's derivative;
 every other flow takes :func:`_rk4`'s four flow-selection calls.  The two
 agree up to rounding, and on a clock bit for bit.  On the delay-horizon
 benchmark (one component, one delay) the matrix step makes a step cost
-about 12 us on a 2-vCPU host, against 23 us through four flow-map calls and
+about 13 us on a 2-vCPU host, 1 us of it the screen of the flow selection
+against the matrices, against 23 us through four flow-map calls and
 their reads.  A row made ahead is copied once per view read.
 """
 
@@ -62,7 +63,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -207,12 +208,19 @@ def _screen_batch_map(spec: SystemSpec, row: np.ndarray, view: WindowView,
             where)
 
 
-def _screen(field: str, row: np.ndarray, f0: np.ndarray, where: str) -> None:
+def _apart(row: Sequence[float], f0: Sequence[float]) -> bool:
+    """Whether ``row`` and the flow selection f0 differ by more than
+    :data:`VERIFY_TOL` * (1 + |f0|), in Euclidean norms."""
+    return math.dist(row, f0) > VERIFY_TOL * (1.0 + math.hypot(*f0))
+
+
+def _screen(field: str, row: Sequence[float], f0: Sequence[float],
+            where: str) -> None:
     """Raise ValueError when ``row``, the spec's ``field`` form of the flow
-    selection at a window, and the flow selection f0 there differ by more
-    than :data:`VERIFY_TOL` * (1 + |f0|).  ``where`` names the window."""
-    gap = float(np.linalg.norm(row - f0))
-    if gap > VERIFY_TOL * (1.0 + float(np.linalg.norm(f0))):
+    selection at a window, and the flow selection f0 there are
+    :func:`_apart`.  ``where`` names the window."""
+    if _apart(row, f0):
+        gap = math.dist(row, f0)
         raise ValueError(
             f"{field} disagrees with flow_selection by {gap:.3e} at {where}; "
             f"dataclasses.replace keeps the old {field} unless {field}=None "
@@ -237,11 +245,6 @@ def _rk4(spec: SystemSpec, window: WindowView | BatchView, h: float,
     k3 = np.asarray(f(half.with_head(x0 + (h / 2) * k2)), dtype=float)
     k4 = np.asarray(f(window.extend(h, x0 + h * k3)), dtype=float)
     return x0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
-
-
-#: Most step lengths whose matrices a :class:`_MatrixStep` keeps at once:
-#: the step, a shortened last step and the trials of an event location.
-_KEPT_STEPS = 8
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -284,17 +287,19 @@ class _MatrixStep:
     line to its own head.  A clock advances by (h/6) 6, RK4's own bits, so
     the jump instants of a clocked system are RK4's.
 
-    The matrices of a step length are built once (``_KEPT_STEPS`` of them
-    kept) by :func:`_product`, and a step is one pass of Python floats over
-    their rows (:func:`_combine`), so neither depends on the BLAS kernel.
-    The reads are :meth:`~hymem.hybrid_time.WindowView.delayed`'s at
-    dt = 0, h/2 and h: rows made ahead, else ``History.value``, with its
-    DomainError.  The first step screens the flow selection stored at its
-    window against A0 x0 + sum_k A_k y_k(0), as :func:`verify_solution`
-    screens a kept batch map.
+    The matrices are built by :func:`_product`, once for the run's
+    ``step`` and afresh for any other length (a shortened last step, an
+    event trial), and a step is one pass of Python floats over their rows
+    (:func:`_combine`), so neither depends on the BLAS kernel.  The reads
+    are :meth:`~hymem.hybrid_time.WindowView.delayed`'s at dt = 0, h/2 and
+    h: rows made ahead, else ``History.value``, with its DomainError.
+    Every step screens the flow selection k1 against A0 x0 + sum_k A_k
+    y_k(0), as :func:`verify_solution` screens a kept batch map, so a
+    ``flow_linear`` left over from another flow selection raises ValueError
+    at the first step where the two part.
     """
 
-    def __init__(self, spec: SystemSpec):
+    def __init__(self, spec: SystemSpec, step: float):
         a0, terms = spec.flow_linear
         self.n = a0.shape[0]
         self.clock = spec.dimension > self.n
@@ -302,18 +307,23 @@ class _MatrixStep:
         self.mats = [np.asarray(term.matrix, dtype=float) for term in terms]
         self.delays = [-float(term.delay) for term in terms]
         self.flow_rows = np.hstack([self.a0] + self.mats).tolist()
-        self.kept = {}
-        self.screened = False
+        self.step, self.step_rows = step, None
 
-    def covers(self, step: float) -> bool:
+    def covers(self) -> bool:
         """Whether every stage of a step of at most ``step`` reads each
         delay from the stored history."""
-        return all(step + s < 0.0 for s in self.delays)
+        return all(self.step + s < 0.0 for s in self.delays)
 
     def matrices(self, h: float) -> list:
         """The rows of [Phi, B_10, ..., B_K0, B_1(1/2), ..., B_K1] at h."""
-        if len(self.kept) >= _KEPT_STEPS:
-            self.kept.clear()
+        if h == self.step:
+            if self.step_rows is None:
+                self.step_rows = self.build(h)
+            return self.step_rows
+        return self.build(h)
+
+    def build(self, h: float) -> list:
+        """:meth:`matrices` at h, built afresh."""
         eye, z = np.eye(self.n), h * self.a0
         z2 = _product(z, z)
         z3 = _product(z2, z)
@@ -321,11 +331,10 @@ class _MatrixStep:
         phi = eye + z + z2 / 2 + z3 / 6 + _product(z3, z) / 24
         first = c * (eye + z + z2 / 2 + z3 / 4)
         half = c * (4 * eye + 2 * z + z2 / 2)
-        rows = self.kept[h] = np.hstack(
+        return np.hstack(
             [phi] + [_product(first, m) for m in self.mats]
             + [_product(half, m) for m in self.mats]
             + [c * m for m in self.mats]).tolist()
-        return rows
 
     def reads(self, window: WindowView, h: float) -> list:
         """[y_1(0), ..., y_K(0), y_1(1/2), ..., y_K(1)], each on the state
@@ -357,16 +366,14 @@ class _MatrixStep:
         v = x0[:n]
         if self.delays:
             v += self.reads(window, h)
-        if not self.screened:
-            f = _combine(self.flow_rows, v)
-            if self.clock:
-                f.append(1.0)
+        f = _combine(self.flow_rows, v)
+        if self.clock:
+            f.append(1.0)
+        f0 = k1.tolist()
+        if _apart(f, f0):
             t = window.history.times.item(window.index)
-            _screen("flow_linear", np.array(f), np.asarray(k1, dtype=float),
-                    f"t={t}")
-            self.screened = True
-        rows = self.kept.get(h)
-        x1 = _combine(self.matrices(h) if rows is None else rows, v)
+            _screen("flow_linear", f, f0, f"t={t}")
+        x1 = _combine(self.matrices(h), v)
         if self.clock:
             x1.append(x0[n] + (h / 6.0) * 6.0)
         return np.array(x1), k1
@@ -379,8 +386,8 @@ def _step_rule(spec: SystemSpec, step: float):
     ``flow_linear`` (:class:`_MatrixStep`) when every flow delay is longer
     than ``step``, else :func:`_rk4`."""
     if spec.flow_linear is not None:
-        rule = _MatrixStep(spec)
-        if rule.covers(step):
+        rule = _MatrixStep(spec, step)
+        if rule.covers():
             return rule
     return partial(_rk4, spec)
 
@@ -388,7 +395,7 @@ def _step_rule(spec: SystemSpec, step: float):
 def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
                  guard: str = "flow", k1: np.ndarray | None = None,
                  x_end: np.ndarray | None = None,
-                 step_rule=None) -> tuple[float, np.ndarray]:
+                 step: float | None = None) -> tuple[float, np.ndarray]:
     """Locate the time at which the named guard crosses zero along the flow.
 
     The guard ("flow" or "jump") must change sign across (0, h_bracket].
@@ -405,9 +412,10 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     the one guard slack) and the accepted flow segment can end at h*.
     ``k1`` (the flow selection on the window) and ``x_end`` (the RK4 state
     at h_bracket) may be passed when already computed.  Every trial takes
-    ``step_rule`` (:func:`_step_rule`), the step of the bracket's end:
-    :func:`simulate` passes its own, and by default it is the one a run at
-    the step h_bracket takes.
+    the RK4 step (:func:`_step_rule`) of a run whose step length is
+    ``step`` (at least h_bracket, and by default h_bracket);
+    :func:`simulate` passes its own, so that a shortened step's trials
+    step as its bracket did.
     """
     if guard not in ("flow", "jump"):
         raise ValueError(f"guard must be 'flow' or 'jump', not {guard!r}")
@@ -415,10 +423,8 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     # from outside to inside; lo always stays on the starting side.
     crossing_down = guard == "flow"
     gfun = spec.flow_guard if crossing_down else spec.jump_guard
-    if step_rule is None:
-        step_rule = _step_rule(spec, h_bracket)
-    if k1 is None:
-        k1 = np.asarray(spec.flow_selection(window), dtype=float)
+    step_rule = _step_rule(spec, h_bracket if step is None else max(step, h_bracket))
+    k1 = np.asarray(spec.flow_selection(window) if k1 is None else k1, dtype=float)
     if x_end is None:
         x_end, _ = step_rule(window, h_bracket, k1)
     g_lo = gfun(window)
@@ -503,43 +509,27 @@ class _ReadAhead(dict):
 
     def build(self, t: float, s: float) -> np.ndarray | None:
         """The row at t + s of a new block of s from the step at t; None
-        when no block is built.  The steps of full length go first, their
-        times t + step + ... + step summed in the recurrence's order
-        (``itertools.accumulate``), and the recurrence itself takes what
-        is left: a shortened last step, or steps past the estimate."""
+        when no block is built."""
         if s in self.short:
             return None
         hist, step, t_max = self.hist, self.opts.step, self.opts.t_max
         newest = hist.n - 1
         bound = hist.times.item(newest - 1) - TIME_TOL
         t_last = t_max - TIME_TOL
+        h, tq, k = min(step, t_max - t), [], 0
         cap = batch._BLOCK_SAMPLES // 3
-        full, half = step + s, step / 2 + s
-        # the full steps whose latest stage can precede the bound, and two
-        # more: the estimate need not be exact
-        m = min(cap, max(0, int((bound - (t + full)) / step) + 2))
-        ts = list(accumulate(repeat(step, m), initial=t))
-        k, tq = 0, []
-        while k < m:
-            u = ts[k]
-            last = u + full  # the stage that reads latest
-            if not last < bound or t_max - u < step or k and u >= t_last:
-                break
-            tq += (u + s, u + half, last)
-            k += 1
-        t = ts[k]
         while k < cap:
-            if k and t >= t_last:
-                break
-            h = min(step, t_max - t)
-            if k and not h > TIME_TOL:
-                break
-            last = t + (h + s)
+            last = t + (h + s)  # the stage that reads latest
             if not last < bound:
                 break
             tq += (t + s, t + (h / 2 + s), last)
             t += h
             k += 1
+            if t >= t_last:
+                break
+            h = min(step, t_max - t)
+            if not h > TIME_TOL:
+                break
         if k < _MIN_STEPS:
             self.short.add(s)
             return None
@@ -646,8 +636,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
                     # slot is still unwritten) and store the located crossing
                     hist.n -= 1
                     guard = "jump" if end[1] else "flow"
-                    h, x_new = locate_event(spec, w, h, guard, k1, x_new,
-                                            step_rule=advance)
+                    h, x_new = locate_event(spec, w, h, guard, k1, x_new, step)
                     end = None
                     if h > TIME_TOL:
                         hist.append(t + h, x_new)

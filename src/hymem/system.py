@@ -72,8 +72,9 @@ class SystemSpec:
     per delay, and 1 on a last clock component when the dimension is one
     more.  :func:`~hymem.solver.simulate` then steps by RK4's affine map of
     those matrices when every flow delay is longer than the step.  It
-    raises ValueError when ``flow_selection`` disagrees with a kept
-    ``flow_linear``, so pass ``flow_linear=None`` with a replaced ``f`` too.
+    raises ValueError at the first step where ``flow_selection``
+    disagrees with a kept ``flow_linear``, so pass ``flow_linear=None``
+    with a replaced ``f`` too.
     ``meta`` holds ``clock_index``, ``period`` and ``delays``.
     """
 

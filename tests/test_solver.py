@@ -186,7 +186,7 @@ class TestLocateEvent:
         _, spec, phi = example1_at_clock(tau0)
         h, x = locate_event(spec, head_view(phi), 0.005, guard=guard)
         k1 = spec.flow_selection(head_view(phi))
-        want, _ = solver._MatrixStep(spec)(head_view(phi), h, k1)
+        want, _ = solver._MatrixStep(spec, 0.005)(head_view(phi), h, k1)
         assert x.tobytes() == want.tobytes()
         stagewise, _ = _rk4(spec, head_view(phi), h)
         assert x[3] == stagewise[3]  # the clock
@@ -1020,6 +1020,18 @@ class TestMatrixStep:
         for i in range(hist.starts[1], hist.n):
             assert traj.arc.derivs[i].tobytes() == doubled(hist.view(i)).tobytes()
 
+    def test_a_selection_that_parts_after_the_first_step_is_refused(self):
+        # g adds a term that is zero at the initial head: the two agree at
+        # t = 0 and part at the first step end, where the run stops
+        spec, init = delay_horizon_problem()
+        x0 = init.head.copy()
+        parted = dataclasses.replace(
+            spec, flow_selection=lambda w: spec.flow_selection(w) + (w.head - x0),
+            flow_batch=None)
+        with pytest.raises(ValueError, match=r"flow_linear disagrees with "
+                                             r"flow_selection by \S+ at t=0\.01;"):
+            simulate(parted, init, SimOptions(t_max=1.0, step=0.01))
+
     def test_a_traced_flow_selection_keeps_the_matrix_step(self):
         # a wrapper that returns the same values passes the screen: the
         # steps are the unwrapped spec's, with one flow selection a step
@@ -1175,51 +1187,6 @@ class TestReadAhead:
             want = simulate(spec, init, opts)
         same_run(got, want)
         assert len(blocks) == 11
-
-    @pytest.mark.parametrize("step, t_max, budget", [
-        (0.01, 30.0, None), (0.003, 30.0, None), (0.01, 3.2345, None),
-        (0.003, 3.1, None), (0.01, float("inf"), None), (0.01, 30.0, 60),
-        (0.003, 3.0501, 60)])
-    def test_block_times_follow_the_step_recurrence(self, step, t_max, budget,
-                                                    monkeypatch):
-        # the steps of full length run in arrays: their stage times, in
-        # order, are the recurrence's one step at a time, also where it
-        # shortens the last step, reaches t_max or the cap
-        if budget is not None:
-            monkeypatch.setattr(batch, "_BLOCK_SAMPLES", budget)
-        spec, init = delay_horizon_problem()
-        run = simulate(spec, init, SimOptions(t_max=3.0, step=0.01))
-        hist = History([run.arc], run.memory_size)
-        table = solver._ReadAhead(hist, SimOptions(t_max=t_max, step=step))
-        read, at = [], BatchView._at
-        monkeypatch.setattr(BatchView, "_at",
-                            lambda self, tq: read.append(tq.tolist()) or at(self, tq))
-        t = hist.times.item(hist.n - 1)
-        bound = hist.times.item(hist.n - 2) - TIME_TOL
-        built = 0
-        for s in (-0.432, -0.2, -1 / 3, -0.0701):
-            row = table.build(t, s)
-            h, tq, u = min(step, t_max - t), [], t
-            while len(tq) < 3 * (batch._BLOCK_SAMPLES // 3):
-                last = u + (h + s)
-                if not last < bound:
-                    break
-                tq += (u + s, u + (h / 2 + s), last)
-                u += h
-                if u >= t_max - TIME_TOL:
-                    break
-                h = min(step, t_max - u)
-                if not h > TIME_TOL:
-                    break
-            if len(tq) < 3 * solver._MIN_STEPS:
-                assert row is None and s not in table
-                continue
-            # one row per time: a full stage and the next first stage may
-            # round to one key
-            assert read.pop() == tq and list(table[s]) == list(dict.fromkeys(tq))
-            assert row.tobytes() == hist.value(tq[0]).tobytes()
-            built += 1
-        assert built >= 1 + (t_max > 3.1)
 
     def test_one_block_per_delay(self, monkeypatch):
         tables = []
