@@ -6,7 +6,8 @@ memory window stays in the flow set, locates guard crossings within
 the midpoint), applies jumps when the window is in the jump set, and records
 the result as a hybrid arc (memory side = initial data, forward side =
 computed solution).  Each guard and the flow selection are evaluated once
-per stored sample, on its stored window; the stored flow selection is the
+per stored sample, on its stored window (the linear-delay family's own
+selection by the step that starts there); the stored flow selection is the
 first Runge-Kutta stage of the step and of every event trial from it.  A step
 end that crosses a guard is dropped and the crossing located.  So a guard
 that reads delayed values judges a step end on the stored window, which
@@ -46,14 +47,21 @@ read one at a time.
 
 The step: a linear-delay flow whose every delay is longer than the step
 (``SystemSpec.flow_linear``) takes RK4 as one affine map of the head and
-the three stored reads of each delay (:class:`_MatrixStep`), with one
-flow-selection call a step, the one stored as the sample's derivative;
-every other flow takes :func:`_rk4`'s four flow-selection calls.  The two
-agree up to rounding, and on a clock bit for bit.  On the delay-horizon
-benchmark (one component, one delay) the matrix step makes a step cost
-about 13 us on a 2-vCPU host, 1 us of it the screen of the flow selection
-against the matrices, against 23 us through four flow-map calls and
-their reads.  A row made ahead is copied once per view read.
+the three stored reads of each delay (:class:`_MatrixStep`); every other
+flow takes :func:`_rk4`'s four flow-selection calls.  The two agree up to
+rounding, and on a clock bit for bit.  When ``flow_linear`` is the flow
+selection itself (the family's :class:`~hymem.system.LinearFlow`), a
+step's start stores the step's own fixed-order flow value as its
+derivative, bit for bit the selection's, with no flow-selection call;
+the selection is called only at samples where no step starts (the last
+one, and one that jumps first).  Any other flow selection, such as one
+wrapped to count its calls, is called once a step and screened against
+the matrices, which keeps a wrapped run's bytes the family's own.  On the
+delay-horizon benchmark (one component, one delay) a step costs about
+10 us on a 2-vCPU host through the family's own flow value, against
+13 us through the called and screened selection and 23 us through four
+flow-map calls and their reads.  A row made ahead is copied once per view
+read.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ from .batch import _blocks, memory_windows, sup_norm_w
 from .hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                           HybridArc, HybridMemoryArc, WindowView,
                           validate_domain)
-from .system import GUARD_TOL, SystemSpec, TargetSet
+from .system import GUARD_TOL, LinearFlow, SystemSpec, TargetSet, _combine
 
 
 class PreconditionError(ValueError):
@@ -257,19 +265,6 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _combine(rows: list, v: list) -> list:
-    """Each row of ``rows`` times v, on Python floats: the products of a
-    row's entries and v's leading ones, summed left to right from -0.0,
-    which adds as zero to every float, signed zeros and NaN included."""
-    out = []
-    for r in rows:
-        acc = -0.0
-        for a, b in zip(r, v):
-            acc += a * b
-        out.append(acc)
-    return out
-
-
 class _MatrixStep:
     """One RK4 step of a linear-delay flow (``SystemSpec.flow_linear``) as
     one affine map of the head and its stored reads.
@@ -290,23 +285,36 @@ class _MatrixStep:
     The matrices are built by :func:`_product`, once for the run's
     ``step`` and afresh for any other length (a shortened last step, an
     event trial), and a step is one pass of Python floats over their rows
-    (:func:`_combine`), so neither depends on the BLAS kernel.  The reads
-    are :meth:`~hymem.hybrid_time.WindowView.delayed`'s at dt = 0, h/2 and
-    h: rows made ahead, else ``History.value``, with its DomainError.
-    Every step screens the flow selection k1 against A0 x0 + sum_k A_k
-    y_k(0), as :func:`verify_solution` screens a kept batch map, so a
-    ``flow_linear`` left over from another flow selection raises ValueError
-    at the first step where the two part.
+    (:func:`~hymem.system._combine`), so neither depends on the BLAS
+    kernel.  The reads are :meth:`~hymem.hybrid_time.WindowView.delayed`'s
+    at dt = 0, h/2 and h: rows made ahead, else ``History.value``, with its
+    DomainError.  The head and the reads at dt = 0 are the
+    :class:`~hymem.system.LinearFlow`'s inputs, so the flow value there,
+    k1, is one pass of the flow's rows over them (:meth:`start`).
+
+    When the spec's ``flow_linear`` is its ``flow_selection`` (``own``, as
+    :func:`~hymem.system.build_linear_delay_system` builds it), that value
+    is the flow selection's bit for bit: :func:`simulate` stores it as the
+    derivative of a step's start without calling the selection.  Any other
+    flow selection (replaced, wrapped to count its calls, or a spec built
+    with the pair (A0, terms)) is called once a step, and every step
+    screens it against the matrices' k1, as :func:`verify_solution`
+    screens a kept batch map: a ``flow_linear`` left over from another flow
+    selection raises ValueError at the first step where the two part.  That
+    screened path stays because a wrapped selection must step, and store,
+    the bytes the family's own does.
     """
 
     def __init__(self, spec: SystemSpec, step: float):
-        a0, terms = spec.flow_linear
-        self.n = a0.shape[0]
-        self.clock = spec.dimension > self.n
-        self.a0 = np.asarray(a0, dtype=float)
-        self.mats = [np.asarray(term.matrix, dtype=float) for term in terms]
-        self.delays = [-float(term.delay) for term in terms]
-        self.flow_rows = np.hstack([self.a0] + self.mats).tolist()
+        flow = spec.flow_linear
+        if not isinstance(flow, LinearFlow):  # the pair (A0, terms)
+            a0, terms = flow
+            a0 = np.asarray(a0, dtype=float)
+            flow = LinearFlow(a0, terms, spec.dimension > a0.shape[0])
+        self.flow, self.own = flow, flow is spec.flow_selection
+        self.n, self.clock, self.delays = flow.n, flow.clock, flow.delays
+        self.a0 = flow.a0
+        self.mats = [np.asarray(term.matrix, dtype=float) for term in flow.terms]
         self.step, self.step_rows = step, None
 
     def covers(self) -> bool:
@@ -323,12 +331,15 @@ class _MatrixStep:
         return self.build(h)
 
     def build(self, h: float) -> list:
-        """:meth:`matrices` at h, built afresh."""
+        """:meth:`matrices` at h, built afresh; Phi alone for a flow
+        without delay terms."""
         eye, z = np.eye(self.n), h * self.a0
         z2 = _product(z, z)
         z3 = _product(z2, z)
         c = h / 6.0
         phi = eye + z + z2 / 2 + z3 / 6 + _product(z3, z) / 24
+        if not self.mats:
+            return phi.tolist()
         first = c * (eye + z + z2 / 2 + z3 / 4)
         half = c * (4 * eye + 2 * z + z2 / 2)
         return np.hstack(
@@ -336,15 +347,20 @@ class _MatrixStep:
             + [_product(half, m) for m in self.mats]
             + [c * m for m in self.mats]).tolist()
 
+    def start(self, window: WindowView) -> tuple[list, np.ndarray]:
+        """The flow's inputs on the window (the head and the reads at
+        dt = 0, one list of floats) and k1, the flow value there: bit for
+        bit the family's flow selection on the window.  The window's read
+        cache (``simulate``'s stored views keep one) shares the reads with
+        its guards."""
+        v = self.flow.inputs(window)
+        return v, np.array(self.flow.of(v))
+
     def reads(self, window: WindowView, h: float) -> list:
-        """[y_1(0), ..., y_K(0), y_1(1/2), ..., y_K(1)], each on the state
-        before the clock, as one list of floats.  The reads at dt = 0 are
-        the window's own, which its read cache (``simulate``'s stored views
-        keep one) shares with the flow selection."""
+        """[y_1(1/2), ..., y_K(1/2), y_1(1), ..., y_K(1)], each on the state
+        before the clock, as one list of floats."""
         hist, n = window.history, self.n
         out = []
-        for s in self.delays:
-            out += window.delayed(s).tolist()[:n]
         t = hist.times.item(window.index)
         ahead = hist.ahead
         for dt in (h / 2, h):
@@ -357,25 +373,23 @@ class _MatrixStep:
                 out += y.tolist()[:n]
         return out
 
-    def __call__(self, window: WindowView, h: float,
-                 k1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, window: WindowView, h: float, k1: np.ndarray,
+                 v: list | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The state h after the window's head, and k1 (the flow selection
-        on the window) as given."""
-        n = self.n
-        x0 = window.head.tolist()
-        v = x0[:n]
+        on the window) as given; ``v``, when given, is :meth:`start`'s
+        inputs on this same window, whose k1 needs no screen."""
+        if v is None:
+            v = self.flow.inputs(window)
+            if not self.own:
+                f, f0 = self.flow.of(v), k1.tolist()
+                if _apart(f, f0):
+                    t = window.history.times.item(window.index)
+                    _screen("flow_linear", f, f0, f"t={t}")
         if self.delays:
-            v += self.reads(window, h)
-        f = _combine(self.flow_rows, v)
-        if self.clock:
-            f.append(1.0)
-        f0 = k1.tolist()
-        if _apart(f, f0):
-            t = window.history.times.item(window.index)
-            _screen("flow_linear", f, f0, f"t={t}")
+            v = v + self.reads(window, h)
         x1 = _combine(self.matrices(h), v)
         if self.clock:
-            x1.append(x0[n] + (h / 6.0) * 6.0)
+            x1.append(window.head.item(self.n) + (h / 6.0) * 6.0)
         return np.array(x1), k1
 
 
@@ -582,6 +596,15 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     the crossing located.  A flow selection or first jump candidate whose
     result is not of shape (dimension,) raises PreconditionError.  Each
     step, and each event trial, is :func:`_step_rule`'s at ``opts.step``.
+    When that is a :class:`_MatrixStep` of the spec's own flow selection
+    (``flow_linear is flow_selection``), the derivative stored at a step's
+    start is the step's own flow value, bit for bit the selection's, and
+    the selection is called only at a sample where no step starts: the
+    last, and one that jumps first.  Every other spec calls its selection
+    at each stored sample in C; a matrix step screens that value, so a
+    selection wrapped to count its calls steps and stores the same bytes.
+    Either way the derivative is stored before the step's stages read, so
+    a Hermite read of the newest interval has it.
     """
     if abs(init.delta - spec.memory_size) > 1e-12:
         raise PreconditionError(
@@ -610,6 +633,7 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     hist.ahead = _ReadAhead(hist, opts)
     flow, step, t_max, j_max = spec.flow_selection, opts.step, opts.t_max, opts.j_max
     advance, shape = _step_rule(spec, step), (spec.dimension,)
+    own = isinstance(advance, _MatrixStep) and advance.own
     t_last = t_max - TIME_TOL
     jump_first = opts.jump_priority == "jump"
     t, j = 0.0, 0
@@ -620,15 +644,21 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
         w, in_c, in_d = _judge(spec, hist)
         while True:
             h = min(step, t_max - t)
-            if in_c:
-                hist.derivs[w.index] = _shaped(flow(w), shape, "flow_selection")
+            ends = t >= t_last or j >= j_max
+            flows = in_c and not ends and h > TIME_TOL and not (in_d and jump_first)
+            if flows and own:  # the step's own k1, the selection's bits
+                v, f = advance.start(w)
+            elif in_c:
+                v, f = None, _shaped(flow(w), shape, "flow_selection")
+            if in_c:  # stored before the step's stages read the newest interval
+                hist.derivs[w.index] = f
                 hist.known[w.index] = True
-            if t >= t_last or j >= j_max:
+            if ends:
                 termination = Termination.horizon_reached
                 break
-            if in_c and h > TIME_TOL and not (in_d and jump_first):
+            if flows:
                 k1 = hist.derivs[w.index]
-                x_new, _ = advance(w, h, k1)
+                x_new, _ = advance(w, h, k1, v) if own else advance(w, h, k1)
                 hist.append(t + h, x_new)
                 end = _judge(spec, hist)
                 if not end[1] or (end[2] and jump_first):
@@ -850,10 +880,8 @@ def flow_windows(spec: SystemSpec, phis: Sequence[HybridMemoryArc],
     window is bit for bit what stepping its arc alone through
     ``flow_selection`` gives, as long as the batch map gives each row
     flow_selection's bits: ``flow_batch=None`` does, and so does the linear
-    family's ``flow_batch`` for one component besides the clock (example
-    2).  With more, its matrix products may sum in another order (on
-    example 1, 5 of 1000 cover windows differed, by at most 1 ulp, at
-    h = 1e-3).  The first step's batch row of the first arc is screened
+    family's (:meth:`~hymem.system.LinearFlow.batch`, which sums in the
+    scalar value's order).  The first step's batch row of the first arc is screened
     against ``flow_selection`` as :func:`verify_solution` screens a
     segment's first point: a batch map left over from another flow
     selection raises ValueError.

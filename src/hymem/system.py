@@ -12,7 +12,8 @@ Both stock systems are members of the linear-delay family below, jumping
 when their clock reaches the period delta: ``example1`` has x = (z, u),
 A0 = [[A, B], [0, 0]], J0 = [[I, 0], [0, 0]] and one jump term
 [[0, 0], [K, 0]] at delay r; ``example2`` has A0 = [[a]], one flow term [[b]]
-at delay r and J0 = [[rho]].
+at delay r and J0 = [[rho]].  The family's flow selection is one
+:class:`LinearFlow`, which is also its batch map and its matrices.
 """
 
 from __future__ import annotations
@@ -67,14 +68,20 @@ class SystemSpec:
     and :func:`~hymem.solver.verify_solution` raise ValueError when a kept
     batch map and ``flow_selection`` disagree, so pass ``flow_batch=None``
     with ``f``.  ``flow_linear``, when not None, is the flow selection's
-    matrices (A0, terms): the flow is A0 x + sum_k A_k x(t - d_k) on the
-    first A0.shape[0] components, with one :class:`DelayTerm` (d_k, A_k)
-    per delay, and 1 on a last clock component when the dimension is one
-    more.  :func:`~hymem.solver.simulate` then steps by RK4's affine map of
-    those matrices when every flow delay is longer than the step.  It
-    raises ValueError at the first step where ``flow_selection``
-    disagrees with a kept ``flow_linear``, so pass ``flow_linear=None``
-    with a replaced ``f`` too.
+    matrices, a :class:`LinearFlow` or a pair (A0, terms): the flow is A0 x
+    + sum_k A_k x(t - d_k) on the first A0.shape[0] components, with one
+    :class:`DelayTerm` (d_k, A_k) per delay, and 1 on a last clock
+    component when the dimension is one more.
+    :func:`~hymem.solver.simulate` then steps by RK4's affine map of those
+    matrices when every flow delay is longer than the step.  When
+    ``flow_linear is flow_selection`` (the family's own
+    :class:`LinearFlow`, as :func:`build_linear_delay_system` sets both),
+    a step's own flow value is the sample's stored derivative, with no
+    flow-selection call.  Any other ``flow_selection`` (a replaced one, or
+    one wrapped to count its calls) is called once a step and screened
+    against the matrices: ``simulate`` raises ValueError at the first step
+    where it disagrees with a kept ``flow_linear``, so pass
+    ``flow_linear=None`` with a replaced ``f`` too.
     ``meta`` holds ``clock_index``, ``period`` and ``delays``.
     """
 
@@ -85,7 +92,7 @@ class SystemSpec:
     flow_selection: Callable
     jump_selections: Callable
     flow_batch: Callable | None = None
-    flow_linear: tuple | None = None
+    flow_linear: LinearFlow | tuple | None = None
     meta: dict = field(default_factory=dict)
 
 
@@ -263,6 +270,74 @@ class LinearDelayConfig:
     target_set: str = "origin"
 
 
+def _combine(rows: list, v: list) -> list:
+    """Each row of ``rows`` times v, on Python floats: the products of a
+    row's entries and v's leading ones, summed left to right from -0.0,
+    which adds as zero to every float, signed zeros and NaN included."""
+    out = []
+    for r in rows:
+        acc = -0.0
+        for a, b in zip(r, v):
+            acc += a * b
+        out.append(acc)
+    return out
+
+
+class LinearFlow:
+    """The linear-delay family's flow selection: A0 x + sum_k A_k x(t - d_k)
+    on the first n = A0.shape[0] components, one :class:`DelayTerm` (d_k,
+    A_k) per delay, and 1 on a last clock component when ``clock``.
+
+    A value is one fixed-order pass of Python floats (:func:`_combine`) of
+    the rows [A0, A_1, ..., A_K] over :meth:`inputs`, the head and each
+    delayed read before the clock, so its bits depend on no BLAS kernel.
+    The solver's matrix step (``hymem.solver._MatrixStep``) takes the same
+    rows over the same reads: when a spec's ``flow_linear`` is its
+    ``flow_selection``, the step's value is the one stored as a sample's
+    derivative.  :meth:`batch` is the batch flow map, each row bit for bit
+    the value of its own window.
+    """
+
+    def __init__(self, a0: np.ndarray, terms: Sequence[DelayTerm], clock: bool):
+        self.a0, self.terms, self.clock = a0, tuple(terms), clock
+        self.n = a0.shape[0]
+        self.delays = [-float(t.delay) for t in self.terms]
+        self.matrix = np.hstack([a0] + [t.matrix for t in self.terms])
+        self.rows = self.matrix.tolist()
+
+    def inputs(self, w) -> list:
+        """The window's head and its read of each delay, each on the state
+        before the clock, as one list of floats."""
+        n = self.n
+        v = w.head.tolist()[:n]
+        for s in self.delays:
+            v += w.delayed(s).tolist()[:n]
+        return v
+
+    def of(self, v: list) -> list:
+        """The flow value at the :meth:`inputs` v, as a list of floats."""
+        f = _combine(self.rows, v)
+        if self.clock:
+            f.append(1.0)
+        return f
+
+    def __call__(self, w) -> np.ndarray:
+        return np.array(self.of(self.inputs(w)))
+
+    def batch(self, w) -> np.ndarray:
+        """The value on each row of a batch window, summed by column
+        accumulation in :meth:`of`'s order: each entry is an elementwise
+        numpy operation, so row i is the value of window i bit for bit."""
+        n, columns, out = self.n, iter(self.matrix.T), None
+        for y in [w.head] + [w.delayed(s) for s in self.delays]:
+            for c in range(n):
+                term = y[:, c:c + 1] * next(columns)
+                out = term if out is None else out + term
+        if self.clock:
+            out = np.hstack((out, np.ones((out.shape[0], 1))))
+        return out
+
+
 def _square_matrix(m, n: int, where: str) -> np.ndarray:
     m = np.atleast_2d(_array(m, where, "a matrix of numbers"))
     if m.shape != (n, n):
@@ -306,29 +381,8 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
         j0, jump_terms = None, ()
 
     dim = n + 1 if has_clock else n
-    flow_reads = [(-t.delay, t.matrix) for t in flow_terms]
+    flow = LinearFlow(a0, flow_terms, has_clock)
     jump_reads = [(-t.delay, t.matrix) for t in jump_terms]
-
-    def linear(m0, reads, w, out=None) -> np.ndarray:
-        """m0 head + the delayed terms, on the state before the clock,
-        written into ``out`` when given."""
-        if has_clock:
-            out = m0.dot(w.head[:n], out=out)
-            for s, m in reads:
-                out += m.dot(w.delayed(s)[:n])
-            return out
-        out = m0.dot(w.head, out=out)  # the whole state: no view to slice
-        for s, m in reads:
-            out += m.dot(w.delayed(s))
-        return out
-
-    def linear_batch(m0, reads, w) -> np.ndarray:
-        """``linear`` on each row of a batch window; a product of n > 1
-        terms may sum in another order and differ in the last bits."""
-        out = w.head[:, :n] @ m0.T
-        for s, m in reads:
-            out += w.delayed(s)[:, :n] @ m.T
-        return out
 
     if has_clock:
         period = cfg.jump_period
@@ -340,20 +394,12 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
         def jump_guard(w) -> float:
             return -abs(period - float(w.head[n]))
 
-        def flow_selection(w) -> np.ndarray:
-            out = np.empty(dim)  # the state, then the clock's rate
-            out[n] = 1.0
-            linear(a0, flow_reads, w, out[:n])
-            return out
-
-        def flow_batch(w) -> np.ndarray:
-            rates = np.ones((w.head.shape[0], 1))
-            return np.hstack((linear_batch(a0, flow_reads, w), rates))
-
         def jump_selections(w) -> list[np.ndarray]:
             out = np.empty(dim)  # the state, then the clock's reset
             out[n] = 0.0
-            linear(j0, jump_reads, w, out[:n])
+            x = j0.dot(w.head[:n], out=out[:n])
+            for s, m in jump_reads:
+                x += m.dot(w.delayed(s)[:n])
             return [out]
     else:
         def flow_guard(w) -> float:
@@ -361,12 +407,6 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
 
         def jump_guard(w) -> float:
             return -1.0
-
-        def flow_selection(w) -> np.ndarray:
-            return linear(a0, flow_reads, w)
-
-        def flow_batch(w) -> np.ndarray:
-            return linear_batch(a0, flow_reads, w)
 
         def jump_selections(w) -> list[np.ndarray]:
             return []
@@ -384,8 +424,8 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
     spec = SystemSpec(
         dimension=dim, memory_size=cfg.memory_size,
         flow_guard=flow_guard, jump_guard=jump_guard,
-        flow_selection=flow_selection, jump_selections=jump_selections,
-        flow_batch=flow_batch, flow_linear=(a0, flow_terms),
+        flow_selection=flow, jump_selections=jump_selections,
+        flow_batch=flow.batch, flow_linear=flow,
         meta={"clock_index": n if has_clock else None,
               "period": cfg.jump_period,
               "delays": tuple(t.delay for t in flow_terms + jump_terms)},

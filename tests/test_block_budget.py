@@ -113,12 +113,11 @@ class TestArrayPasses:
         assert _same_at_every_budget(
             monkeypatch, lambda: cuts(batch._blocks(arcs)), budget, arcs) == want
 
-    def test_flow_windows(self, monkeypatch, budget):
-        # example 2 only: example 1's batch flow map is a matrix product,
-        # whose bits may depend on the rows that come with a row (see
-        # flow_windows), so a block of one arc may differ by an ulp
-        spec, _ = SYSTEMS["example2-case2"]
-        arcs = _cover("example2-case2", "C", 80)
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_flow_windows(self, monkeypatch, budget, name):
+        # the family's batch flow map gives each row its own window's bits
+        spec, _ = SYSTEMS[name]
+        arcs = _cover(name, "C", 80)
         _same_at_every_budget(
             monkeypatch, lambda: [_arc_bytes(w) for w in flow_windows(spec, arcs, 1e-3)],
             budget, arcs)

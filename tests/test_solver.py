@@ -21,8 +21,9 @@ from hymem.solver import (EventLocationError, PreconditionError, SimOptions,
                           flow_windows, locate_event, run_summary, simulate,
                           verify_solution)
 from hymem.system import (DelayTerm, Example1Params, Example2Params,
-                          LinearDelayConfig, SystemSpec, build_example1,
-                          build_example2, build_linear_delay_system)
+                          LinearDelayConfig, LinearFlow, SystemSpec,
+                          build_example1, build_example2,
+                          build_linear_delay_system)
 
 
 def decay_system():
@@ -114,9 +115,9 @@ def count_rk4_steps(monkeypatch):
         calls.append(args[2])
         return _rk4(*args, **kwargs)
 
-    def counting_matrix(self, window, h, k1):
+    def counting_matrix(self, window, h, *rest):
         calls.append(h)
-        return matrix_step(self, window, h, k1)
+        return matrix_step(self, window, h, *rest)
 
     monkeypatch.setattr(solver, "_rk4", counting)
     monkeypatch.setattr(solver._MatrixStep, "__call__", counting_matrix)
@@ -953,7 +954,7 @@ class TestMatrixStep:
                 n = rule.n
                 # the size of the terms RK4 sums: the head, and h times the
                 # flow's terms at each stage
-                reads = rule.reads(view, h)
+                reads = rule.flow.inputs(view)[n:] + rule.reads(view, h)
                 y = np.abs(np.array(reads).reshape(3, n_delays, n))
                 terms = np.abs(view.head[:n]) + h * (
                     np.abs(rule.a0) @ np.abs(view.head[:n])
@@ -1003,6 +1004,22 @@ class TestMatrixStep:
         assert len(got.jumps) == 4
         same_run(got, want)
 
+    @pytest.mark.parametrize("case", ["example1", "two-delays"])
+    def test_rows_are_the_full_formula_s(self, case):
+        # a flow without delay terms builds Phi alone, and the rows, with
+        # or without the delay blocks, are byte for byte the formula's
+        if case == "example1":
+            spec, _ = build_example1(Example1Params.paper())
+        else:
+            spec, _ = random_linear_delay_system(np.random.default_rng(3),
+                                                 [0.05, 0.3], True)
+        rule = solver._MatrixStep(spec, 0.01)
+        for h in [0.01, 0.0037, 1e-7, 0.2]:
+            got = np.array(rule.build(h))
+            assert got.tobytes() == reference_matrices(rule, h).tobytes()
+            assert got.shape == (rule.n, rule.n * (1 + 3 * len(rule.mats)))
+        assert (rule.mats == []) == (case == "example1")
+
     def test_a_kept_flow_linear_is_refused(self, monkeypatch):
         spec, init = delay_horizon_problem()
         doubled = lambda w: 2.0 * spec.flow_selection(w)  # noqa: E731
@@ -1043,6 +1060,141 @@ class TestMatrixStep:
         got = simulate(counted, init, opts)
         same_run(got, simulate(spec, init, opts))
         assert len(calls) == 100 + 1
+
+
+def reference_matrices(rule, h):
+    """The matrix step's rows at h as first written: every block built,
+    for a flow without delay terms too."""
+    eye, z = np.eye(rule.n), h * rule.a0
+    z2 = solver._product(z, z)
+    z3 = solver._product(z2, z)
+    c = h / 6.0
+    phi = eye + z + z2 / 2 + z3 / 6 + solver._product(z3, z) / 24
+    first = c * (eye + z + z2 / 2 + z3 / 4)
+    half = c * (4 * eye + 2 * z + z2 / 2)
+    return np.hstack([phi] + [solver._product(first, m) for m in rule.mats]
+                     + [solver._product(half, m) for m in rule.mats]
+                     + [c * m for m in rule.mats])
+
+
+def family_problem(n, clocked, hermite):
+    """dx = A0 x + A1 x(t - 0.015) + A2 x(t - 0.21) on n components, both
+    delays longer than a step of 0.01 and the first shorter than two, with
+    a clock of period 0.3 from 0.1 when ``clocked``, from a cosine history
+    whose exact derivative samples are read as cubic Hermite when
+    ``hermite``."""
+    rng = np.random.default_rng(100 * n + 10 * clocked + hermite)
+    cfg = LinearDelayConfig(
+        dimension=n, memory_size=0.25, a0=rng.normal(size=(n, n)),
+        flow_delayed=tuple(DelayTerm(d, rng.normal(size=(n, n)))
+                           for d in (0.015, 0.21)),
+        jump_period=0.3 if clocked else None)
+    spec, _ = build_linear_delay_system(cfg)
+    times = np.linspace(-0.25, 0.0, 26)[:, None]
+    c, w = rng.normal(size=n), rng.uniform(1.0, 5.0, size=n)
+    values = c * np.cos(w * times + 1.0)
+    derivs = -c * w * np.sin(w * times + 1.0)
+    if clocked:
+        values = np.hstack([values, 0.1 + times])
+        derivs = np.hstack([derivs, np.ones_like(times)])
+    return spec, HybridMemoryArc(times[:, 0], values, [0], 0.25,
+                                 derivs if hermite else None,
+                                 interpolation="hermite" if hermite else "linear")
+
+
+class ProxyWindow:
+    """A window that forwards only the protocol (head, delayed, delta), as
+    a tracer's counting proxy does."""
+
+    def __init__(self, w):
+        self._w = w
+
+    head = property(lambda self: self._w.head)
+    delta = property(lambda self: self._w.delta)
+
+    def delayed(self, s):
+        return self._w.delayed(s)
+
+
+FAMILY_CASES = [(n, clocked, hermite) for n in (1, 2, 3)
+                for clocked in (False, True) for hermite in (False, True)]
+FAMILY_IDS = [f"n{n}-{'clocked' if c else 'unclocked'}-{'hermite' if h else 'linear'}"
+              for n, c, h in FAMILY_CASES]
+FAMILY_OPTS = SimOptions(t_max=1.0, step=0.01)
+
+
+class TestOwnFlowValue:
+    """The family's spec, whose flow_linear is its flow_selection, stores
+    the matrix step's own flow value as each step start's derivative,
+    bit for bit the selection's, and calls the selection only where no
+    step starts; a selection wrapped in a plain function takes the
+    screened path to the same bytes."""
+
+    @pytest.mark.parametrize("n, clocked, hermite", FAMILY_CASES, ids=FAMILY_IDS)
+    def test_stored_derivatives_are_the_selection_s(self, n, clocked, hermite):
+        spec, init = family_problem(n, clocked, hermite)
+        assert spec.flow_linear is spec.flow_selection
+        assert solver._step_rule(spec, FAMILY_OPTS.step).own
+        traj = simulate(spec, init, FAMILY_OPTS)
+        assert traj.termination is Termination.horizon_reached
+        assert len(traj.jumps) == (3 if clocked else 0)
+        arc, hist = traj.arc, History([traj.arc], traj.memory_size)
+        first = arc.starts[arc.n_memory]
+        assert arc.known[first:].all()
+        for i in range(first, arc.n):
+            want = spec.flow_selection(hist.view(i))
+            assert arc.derivs[i].tobytes() == want.tobytes(), i
+
+    @pytest.mark.parametrize("n, clocked, hermite", FAMILY_CASES, ids=FAMILY_IDS)
+    def test_a_wrapped_selection_gives_the_same_run(self, n, clocked, hermite):
+        # the wrapper steps the screened path: one call per stored sample,
+        # every one in C here (a clock's pre-jump sample is on C's edge)
+        spec, init = family_problem(n, clocked, hermite)
+        calls = []
+
+        def counted(w):
+            calls.append(1)
+            return spec.flow_selection(ProxyWindow(w))
+
+        wrapped = dataclasses.replace(spec, flow_selection=counted)
+        assert not solver._step_rule(wrapped, FAMILY_OPTS.step).own
+        got = simulate(wrapped, init, FAMILY_OPTS)
+        same_run(got, simulate(spec, init, FAMILY_OPTS))
+        arc = got.arc
+        first = arc.starts[arc.n_memory]
+        assert arc.known[first:].all()
+        assert len(calls) == arc.n - first
+
+    @pytest.mark.parametrize("n, clocked", [(1, True), (3, False)])
+    def test_a_pair_of_matrices_takes_the_screened_path(self, n, clocked):
+        # flow_linear as the pair (A0, terms), as a spec built by hand
+        # may give it: the selection is called and screened, same bytes
+        spec, init = family_problem(n, clocked, True)
+        flow = spec.flow_selection
+        pair = dataclasses.replace(spec, flow_linear=(flow.a0, flow.terms))
+        rule = solver._step_rule(pair, FAMILY_OPTS.step)
+        assert isinstance(rule, solver._MatrixStep) and not rule.own
+        same_run(simulate(pair, init, FAMILY_OPTS),
+                 simulate(spec, init, FAMILY_OPTS))
+
+    @pytest.mark.parametrize("clocked", [False, True], ids=["unclocked", "clocked"])
+    def test_the_selection_runs_only_where_no_step_starts(self, clocked,
+                                                          monkeypatch):
+        # the last sample of each forward level: before a jump it jumps
+        # first, and the run's last one ends the run
+        spec, init = family_problem(2, clocked, True)
+        seen, call = [], LinearFlow.__call__
+
+        def counted(self, w):
+            seen.append(w.index)
+            return call(self, w)
+
+        monkeypatch.setattr(LinearFlow, "__call__", counted)
+        traj = simulate(spec, init, FAMILY_OPTS)
+        arc = traj.arc
+        ends = [b - 1 for _, b in arc.levels()[arc.n_memory:]]
+        assert len(ends) == (4 if clocked else 1)
+        assert seen == ends
 
 
 class TestWrongShapes:

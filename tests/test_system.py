@@ -260,18 +260,23 @@ class TestFlowBatch:
         assert rows.shape[0] > 90
         assert spec.flow_batch(batch).tobytes() == rows.tobytes()
 
-    def test_example1_rows_within_rounding_of_the_scalar_map(self):
-        # A0 x sums n = 3 products per entry, and the batch product may sum
-        # them in another order: each entry lies within 2 n ulps of
-        # sum_j |A0_ij x_j| of the scalar map
-        p = Example1Params.paper()
-        spec, _ = build_example1(p)
-        batch, rows = batch_of_run(spec, [1.0, -2.0, 0.5, 0.0], 2.0)
-        a0 = np.block([[p.A, p.B], [np.zeros((1, 3))]])
-        scale = np.abs(batch.head[:, :3]) @ np.abs(a0).T
-        got = spec.flow_batch(batch)
-        assert np.all(np.abs(got[:, :3] - rows[:, :3]) <= 6 * np.spacing(scale))
-        assert np.array_equal(got[:, 3], rows[:, 3])
+    @pytest.mark.parametrize("build, state, t_max", [
+        (lambda: build_example1(Example1Params.paper()), [1.0, -2.0, 0.5, 0.0], 2.0),
+        (lambda: build_linear_delay_system(LinearDelayConfig(
+            dimension=3, memory_size=0.3,
+            a0=np.array([[-1.0, 0.3, 0.1], [0.2, -0.7, 1.0 / 3], [0.0, 0.4, -0.2]]),
+            flow_delayed=(DelayTerm(0.3, np.array([[0.1, -0.2, 0.7], [0.3, 0.1, 0.0],
+                                                   [-0.5, 0.2, 0.1]])),
+                          DelayTerm(0.05, np.eye(3) / 7)))), [1.0, -0.3, 0.2], 1.5),
+    ], ids=["example1", "three-components"])
+    def test_rows_equal_the_scalar_map_on_several_components(self, build, state,
+                                                             t_max):
+        # the batch map sums by column accumulation in the scalar map's
+        # order, so each row is the scalar value bit for bit
+        spec, _ = build()
+        batch, rows = batch_of_run(spec, state, t_max)
+        assert rows.shape[0] > 90
+        assert spec.flow_batch(batch).tobytes() == rows.tobytes()
 
     def test_default_evaluates_each_row(self):
         spec = SystemSpec(dimension=1, memory_size=0.1,
@@ -290,7 +295,7 @@ class TestFlowBatch:
 
     def test_a_spec_holds_only_the_maps_it_is_given(self):
         # no flow candidates and no map bound at construction; the
-        # linear-delay family's matrices are data, not a map
+        # linear-delay family's matrices are its flow selection
         assert [f.name for f in dataclasses.fields(SystemSpec)] == [
             "dimension", "memory_size", "flow_guard", "jump_guard",
             "flow_selection", "jump_selections", "flow_batch", "flow_linear",
