@@ -49,7 +49,8 @@ from .hybrid_time import (TIME_TOL, DomainError, History, HybridArc,
 #: than this is a block of its own), read when called: the window maximum
 #: (and its refinement rounds, in midpoints), the delayed integral, appended
 #: jumps, flow windows, :func:`~hymem.solver.verify_solution`'s chunks, the
-#: solver's reads made ahead and the cover sampler's draws.  Each block
+#: solver's reads made ahead and blocks of steps, and the cover sampler's
+#: draws.  Each block
 #: pays a fixed cost of about a hundred NumPy calls, so larger blocks are
 #: faster until that cost is spread thin: krasovskii-cover's run_s (seed 1,
 #: nproc 2, median of 6 alternating runs) was 68.5 ms with blocks of 1024

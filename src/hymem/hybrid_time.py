@@ -378,9 +378,10 @@ class History(HybridArc):
     It holds ``arcs`` (one interpolation scheme) back to back, each row
     followed by ``room`` free samples; ``delta`` defaults to the first
     arc's.  The last row grows by :meth:`start_segment` and :meth:`append`
-    (the solver's solution) with no NumPy call, in arrays that double when
-    full; every row grows at once by :meth:`start_segments` and
-    :meth:`append_rows`, within its room.  An appended sample carries
+    (the solver's solution) with no NumPy call, and by :meth:`extend` (a
+    block of its steps) in one write, in arrays that double when full;
+    every row grows at once by :meth:`start_segments` and
+    :meth:`append_rows`, within its room.  A sample appended alone carries
     derivative 0, flagged unknown, until its writer sets one.  One arc
     without room is stored on its own read-only arrays.  Derivatives are
     kept on Hermite stores and on one row with room (where the solver
@@ -492,17 +493,40 @@ class History(HybridArc):
         """Add a sample to the last row's newest level, doubling full arrays."""
         n, table = self.n, self._index
         if n == self.times.shape[0]:
-            for name in ("times", "values", "derivs", "known"):
-                a = getattr(self, name)
-                if a is not None:  # new samples: derivative 0, flagged unknown
-                    setattr(self, name, np.concatenate([a, np.zeros_like(a)]))
-            if table is not None:  # the search keys cover the old arrays
-                table[7] = None
+            self._grow(n + 1)
         self.times[n] = t
         self.values[n] = x
         self.n = n + 1
         if table is not None and table[7] is not None:
             table[7].imag[n] = t
+
+    def extend(self, times: Sequence[float], values: np.ndarray,
+               derivs: np.ndarray) -> None:
+        """Add samples, with their derivatives (flagged known), to the last
+        row's newest level in one write: :meth:`append` of each, and its
+        derivative set."""
+        n, m = self.n, len(times)
+        if n + m > self.times.shape[0]:
+            self._grow(n + m)
+        self.times[n:n + m] = times
+        self.values[n:n + m] = values
+        self.derivs[n:n + m] = derivs
+        self.known[n:n + m] = True
+        self.n = n + m
+        table = self._index
+        if table is not None and table[7] is not None:
+            table[7].imag[n:n + m] = times
+
+    def _grow(self, size: int) -> None:
+        """Double the last row's arrays until they hold ``size`` samples;
+        new samples have derivative 0, flagged unknown."""
+        while self.times.shape[0] < size:
+            for name in ("times", "values", "derivs", "known"):
+                a = getattr(self, name)
+                if a is not None:
+                    setattr(self, name, np.concatenate([a, np.zeros_like(a)]))
+        if self._index is not None:  # the search keys cover the old arrays
+            self._index[7] = None
 
     def start_segments(self, t: float, xs) -> np.ndarray:
         """Open every row's next forward jump level with its first sample

@@ -7,8 +7,10 @@ the midpoint), applies jumps when the window is in the jump set, and records
 the result as a hybrid arc (memory side = initial data, forward side =
 computed solution).  Each guard and the flow selection are evaluated once
 per stored sample, on its stored window (the linear-delay family's own
-selection by the step that starts there); the stored flow selection is the
-first Runge-Kutta stage of the step and of every event trial from it.  A step
+selection by the step that starts there), except the family's guards,
+which read only the clock and skip the step ends of a block of steps
+(below); the stored flow selection is the first Runge-Kutta stage of the
+step and of every event trial from it.  A step
 end that crosses a guard is dropped and the crossing located.  So a guard
 that reads delayed values judges a step end on the stored window, which
 :func:`verify_solution` re-checks, not on the stage view; the two can differ
@@ -56,12 +58,21 @@ derivative, bit for bit the selection's, with no flow-selection call;
 the selection is called only at samples where no step starts (the last
 one, and one that jumps first).  Any other flow selection, such as one
 wrapped to count its calls, is called once a step and screened against
-the matrices, which keeps a wrapped run's bytes the family's own.  On the
-delay-horizon benchmark (one component, one delay) a step costs about
-10 us on a 2-vCPU host through the family's own flow value, against
-13 us through the called and screened selection and 23 us through four
-flow-map calls and their reads.  A row made ahead is copied once per view
-read.
+the matrices, which keeps a wrapped run's bytes the family's own.  A row
+made ahead is copied once per view read.
+
+Blocks of steps (the method of steps again): with the family's flow and
+guards (:class:`~hymem.system.ClockGuard`), the clock recurrence tau +
+(h/6) 6 and t += h say, before a step is taken, which step ends lie in C
+and out of D.  So between events the solver runs the matrix step's
+recurrence over a block of them on Python floats, its reads the rows made
+ahead in step order, sums the derivatives at their starts in arrays, and
+stores the block in one write (:meth:`_MatrixStep.block`); the step after
+it is judged, and dropped or located, as every step is.  On seed 1 of the
+benchmarks 97 % of razumikhin-reachable's steps and 96 % of
+delay-horizon's are taken in blocks, and their simulate runs take 0.42 to
+0.56 of the time of the same runs judged step by step (plain-function
+guards; best of 15 on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -81,7 +92,8 @@ from .batch import _blocks, memory_windows, sup_norm_w
 from .hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                           HybridArc, HybridMemoryArc, WindowView,
                           validate_domain)
-from .system import GUARD_TOL, LinearFlow, SystemSpec, TargetSet, _combine
+from .system import (GUARD_TOL, ClockGuard, LinearFlow, SystemSpec, TargetSet,
+                     _combine)
 
 
 class PreconditionError(ValueError):
@@ -290,12 +302,13 @@ class _MatrixStep:
     at dt = 0, h/2 and h: rows made ahead, else ``History.value``, with its
     DomainError.  The head and the reads at dt = 0 are the
     :class:`~hymem.system.LinearFlow`'s inputs, so the flow value there,
-    k1, is one pass of the flow's rows over them (:meth:`start`).
+    k1, is one pass of the flow's rows over them.
 
     When the spec's ``flow_linear`` is its ``flow_selection`` (``own``, as
     :func:`~hymem.system.build_linear_delay_system` builds it), that value
-    is the flow selection's bit for bit: :func:`simulate` stores it as the
-    derivative of a step's start without calling the selection.  Any other
+    is the flow selection's bit for bit: :func:`simulate` steps by
+    :meth:`block`, which stores it as the derivative of a step's start
+    without calling the selection, a block of steps at a time.  Any other
     flow selection (replaced, wrapped to count its calls, or a spec built
     with the pair (A0, terms)) is called once a step, and every step
     screens it against the matrices' k1, as :func:`verify_solution`
@@ -313,6 +326,12 @@ class _MatrixStep:
             flow = LinearFlow(a0, terms, spec.dimension > a0.shape[0])
         self.flow, self.own = flow, flow is spec.flow_selection
         self.n, self.clock, self.delays = flow.n, flow.clock, flow.delays
+        # guards that read only this flow's clock, or none, for block
+        clock = flow.n if flow.clock else None
+        guards = (spec.flow_guard, spec.jump_guard)
+        own_clock = all(isinstance(g, ClockGuard) and g.clock in (None, clock)
+                        for g in guards)
+        self.guards = guards if own_clock else None
         self.a0 = flow.a0
         self.mats = [np.asarray(term.matrix, dtype=float) for term in flow.terms]
         self.step, self.step_rows = step, None
@@ -347,15 +366,6 @@ class _MatrixStep:
             + [_product(half, m) for m in self.mats]
             + [c * m for m in self.mats]).tolist()
 
-    def start(self, window: WindowView) -> tuple[list, np.ndarray]:
-        """The flow's inputs on the window (the head and the reads at
-        dt = 0, one list of floats) and k1, the flow value there: bit for
-        bit the family's flow selection on the window.  The window's read
-        cache (``simulate``'s stored views keep one) shares the reads with
-        its guards."""
-        v = self.flow.inputs(window)
-        return v, np.array(self.flow.of(v))
-
     def reads(self, window: WindowView, h: float) -> list:
         """[y_1(1/2), ..., y_K(1/2), y_1(1), ..., y_K(1)], each on the state
         before the clock, as one list of floats."""
@@ -373,24 +383,140 @@ class _MatrixStep:
                 out += y.tolist()[:n]
         return out
 
-    def __call__(self, window: WindowView, h: float, k1: np.ndarray,
-                 v: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, window: WindowView, h: float,
+                 k1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The state h after the window's head, and k1 (the flow selection
-        on the window) as given; ``v``, when given, is :meth:`start`'s
-        inputs on this same window, whose k1 needs no screen."""
-        if v is None:
-            v = self.flow.inputs(window)
-            if not self.own:
-                f, f0 = self.flow.of(v), k1.tolist()
-                if _apart(f, f0):
-                    t = window.history.times.item(window.index)
-                    _screen("flow_linear", f, f0, f"t={t}")
+        on the window) as given, screened unless ``own``."""
+        v = self.flow.inputs(window)
+        if not self.own:
+            f, f0 = self.flow.of(v), k1.tolist()
+            if _apart(f, f0):
+                t = window.history.times.item(window.index)
+                _screen("flow_linear", f, f0, f"t={t}")
+        return self._advance(window, h, v), k1
+
+    def _advance(self, window: WindowView, h: float, v: list) -> np.ndarray:
+        """The state h after the window's head, whose :meth:`inputs
+        <hymem.system.LinearFlow.inputs>` are v."""
         if self.delays:
             v = v + self.reads(window, h)
         x1 = _combine(self.matrices(h), v)
         if self.clock:
             x1.append(window.head.item(self.n) + (h / 6.0) * 6.0)
-        return np.array(x1), k1
+        return np.array(x1)
+
+    def block(self, w: WindowView, t: float, h: float,
+              t_max: float) -> tuple[WindowView, float, float, np.ndarray]:
+        """Take the run's steps from its newest stored sample (the view w
+        at time t, in C, whose step is h) a block at a time: the steps
+        sure to end in C and out of D are stored at once, unjudged, and
+        the step after them is taken but not stored.
+
+        With the family's guards (:class:`~hymem.system.ClockGuard`),
+        :meth:`_times` predicts those steps from the clock and the time
+        alone.  Their states are the recurrence of
+        :func:`~hymem.system._combine` over the step's rows on Python
+        floats, up to the first that is not finite.  The derivative at
+        each step start, w's and the last sample's too, is
+        :meth:`~hymem.system.LinearFlow.of_rows` of the heads and their
+        rows, and :meth:`~hymem.hybrid_time.History.extend` stores the
+        block.  Each value is, bit for bit, what the step-by-step run
+        stores.  With other guards, or no step predicted, the block is
+        empty and only w's derivative is stored.
+
+        Returns the view at the block's last sample, its time t, its step
+        min(step, t_max - t) and that step's end.  :func:`simulate` judges
+        that step as it judges every step: a crossing, a shortened step, a
+        step whose reads were not all made ahead and one whose end is not
+        finite all come there.
+        """
+        hist, n, step = w.history, self.n, self.step
+        v = self.flow.inputs(w)  # the reads at w build the rows ahead
+        runs = self._runs(hist.ahead, t) if self.guards and h == step else None
+        times = [] if runs is None else self._times(runs, t, w.head.item(n)
+                                                    if self.clock else None, t_max)
+        states = []
+        if times:
+            flats = [rows[p:p + 3 * len(times) + 1, :n].ravel().tolist()
+                     for _, _, rows, p in runs]
+            rule, c, x = self.matrices(step), (step / 6.0) * 6.0, w.head.tolist()
+            for i in range(0, 3 * n * len(times), 3 * n):
+                u = x[:n]
+                for at in (i, i + n, i + 2 * n):
+                    for f in flats:
+                        u += f[at:at + n]
+                x1 = _combine(rule, u)
+                if self.clock:
+                    x1.append(x[n] + c)
+                if not all(map(math.isfinite, x1)):
+                    break
+                states.append(x1)
+                x = x1
+        k = len(states)
+        if k:
+            dim = len(x)
+            heads = np.fromiter(chain(w.head.tolist(), *states), float,
+                                (k + 1) * dim).reshape(k + 1, dim)
+            with np.errstate(all="ignore"):  # as silent as the sums on floats
+                derivs = self.flow.of_rows([heads] + [rows[p:p + 3 * k + 1:3]
+                                                      for _, _, rows, p in runs])
+            hist.derivs[w.index] = derivs[0]
+            hist.known[w.index] = True
+            hist.extend(times[:k], heads[1:], derivs[1:])
+            t, w = times[k - 1], hist.view()
+            w.reads = {}
+            v, i = states[-1][:n], 3 * n * k
+            for f in flats:
+                v += f[i:i + n]
+        else:
+            hist.derivs[w.index] = self.flow.of(v)
+            hist.known[w.index] = True
+        h = min(step, t_max - t)
+        return w, t, h, self._advance(w, h, v)
+
+    def _runs(self, ahead: _ReadAhead, t: float) -> list | None:
+        """Per delay s, (s, the times read, the rows read, the place of the
+        read at t + s) in the table of rows made ahead; None when one delay
+        has no row there."""
+        runs = []
+        for s in self.delays:
+            p = ahead.get(s, {}).get(t + s)
+            if p is None:
+                return None
+            runs.append((s, *ahead.rows[s], p))
+        return runs
+
+    def _times(self, runs: list, t: float, tau: float | None,
+               t_max: float) -> list:
+        """The end times of the full-length steps from t (the clock tau
+        there, None without one) whose ends lie in C, out of D and before
+        ``t_max - TIME_TOL``, by the clock recurrence tau + (h/6) 6, the
+        matrix step's, and t += step, simulate's; every read of each, and
+        the next step's first, must be the row of ``runs`` (:meth:`_runs`)
+        read at its own time, in step order.  At most
+        ``batch._BLOCK_SAMPLES`` - 1."""
+        step, half = self.step, self.step / 2
+        fg, jg = self.guards
+        t_last, c = t_max - TIME_TOL, (step / 6.0) * 6.0
+        cap = batch._BLOCK_SAMPLES - 1
+        for _, tq, _, p in runs:
+            cap = min(cap, (len(tq) - 1 - p) // 3)
+        out, i = [], 0
+        while len(out) < cap and not t_max - t < step:
+            t1 = t + step
+            if tau is not None:
+                tau += c
+            if not (t1 < t_last and min(step, t_max - t1) > TIME_TOL
+                    and fg.at(tau) >= -GUARD_TOL and not jg.at(tau) >= -GUARD_TOL):
+                break
+            for s, tq, _, p in runs:
+                j = p + i
+                if not (tq[j + 1] == t + (half + s) and tq[j + 2] == t + (step + s)
+                        and tq[j + 3] == t1 + s):
+                    return out
+            out.append(t1)
+            t, i = t1, i + 3
+        return out
 
 
 def _step_rule(spec: SystemSpec, step: float):
@@ -477,15 +603,23 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
 #: 2-vCPU host (40 us of it the level kernel, whose search the store keeps
 #: across appends), what the scalar reads of 7 steps cost (three a step, at
 #: about 5 us each), so a block of 16 steps pays for itself even when a
-#: located jump moves the step grid off its rows halfway.
+#: located jump moves the step grid off its rows halfway.  Its rows also
+#: feed a block of steps (:meth:`_MatrixStep.block`), yet a lower value
+#: was no win (medians of 10 alternating in-process rounds at 16 / 8 / 6,
+#: 2-vCPU host): ``hymem check-kl --system example2`` (20-step delays)
+#: 1657 / 1609 / 1570 ms, within its spread; the same at ``--step 0.005``
+#: (10-step delays, a located jump every 20 steps) 1318 / 1419 / 1368 ms;
+#: jump-free runs of 3000 steps with a delay of 12.2 steps 69 / 41 / 42
+#: ms, and of 8.2 steps 69 / 72 / 62 ms.
 _MIN_STEPS = 16
 
 
 class _ReadAhead(dict):
     """Stored reads made ahead (the method of steps): the solver's table,
     which its store carries as ``History.ahead`` and every view of that
-    store looks up first, of one block per delay s: {tq: row}, its rows
-    keyed by their absolute read time tq.
+    store looks up first, of one block per delay s: {tq: i}, the place i
+    in ``rows[s]`` = (times, rows) of the row read at the absolute time tq,
+    the rows in step order.
 
     A miss at a stored view (dt = 0) of the time t reading a delay s asks
     :meth:`build` for a block of s: the stored reads at t_k + s, t_k + (h_k/2
@@ -509,6 +643,7 @@ class _ReadAhead(dict):
 
     def __init__(self, hist: History, opts: SimOptions):
         self.hist, self.opts = hist, opts
+        self.rows = {}
         self.short = set()  # the delays whose blocks are too short
 
     def row(self, t: float, q: float, s: float, build: bool) -> np.ndarray | None:
@@ -516,10 +651,10 @@ class _ReadAhead(dict):
         stored view, where q is s), the first row of a new block of s from
         the step at t.  None when there is neither."""
         block = self.get(s)
-        x = None if block is None else block.get(t + q)
-        if x is None and build:
-            return self.build(t, s)
-        return x
+        i = None if block is None else block.get(t + q)
+        if i is not None:
+            return self.rows[s][1][i]
+        return self.build(t, s) if build else None
 
     def build(self, t: float, s: float) -> np.ndarray | None:
         """The row at t + s of a new block of s from the step at t; None
@@ -548,7 +683,8 @@ class _ReadAhead(dict):
             self.short.add(s)
             return None
         rows = BatchView(hist, np.full(len(tq), newest))._at(np.array(tq))
-        self[s] = dict(zip(tq, rows))
+        self[s] = dict(zip(tq, range(len(tq))))
+        self.rows[s] = (tq, rows)
         return rows[0]
 
 
@@ -590,21 +726,30 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     finite (a step end, a located crossing or a post-jump value), which is
     kept as the run's last; ``Trajectory.error`` says why and where.  A
     non-finite initial arc is refused before integrating.
-    An infinite ``t_max`` needs a jump period in ``spec.meta``.  Each guard
-    and the flow selection run once per stored sample, on its stored window;
-    a step end that leaves C, or enters D under jump priority, is dropped and
-    the crossing located.  A flow selection or first jump candidate whose
-    result is not of shape (dimension,) raises PreconditionError.  Each
-    step, and each event trial, is :func:`_step_rule`'s at ``opts.step``.
-    When that is a :class:`_MatrixStep` of the spec's own flow selection
-    (``flow_linear is flow_selection``), the derivative stored at a step's
-    start is the step's own flow value, bit for bit the selection's, and
-    the selection is called only at a sample where no step starts: the
-    last, and one that jumps first.  Every other spec calls its selection
-    at each stored sample in C; a matrix step screens that value, so a
-    selection wrapped to count its calls steps and stores the same bytes.
-    Either way the derivative is stored before the step's stages read, so
-    a Hermite read of the newest interval has it.
+    An infinite ``t_max`` needs a jump period in ``spec.meta``.  Guards
+    without the family's clock form run once per stored sample, on its
+    stored window, and so does the flow selection unless the step below
+    gives its value; a step end that leaves C, or enters D under jump
+    priority, is dropped and the crossing located.  A flow selection or
+    first jump candidate whose result is not of shape (dimension,) raises
+    PreconditionError.  Each step, and each event trial, is
+    :func:`_step_rule`'s at ``opts.step``.  When that is a
+    :class:`_MatrixStep` of the spec's own flow selection (``flow_linear
+    is flow_selection``), the derivative stored at a step's start is the
+    step's own flow value, bit for bit the selection's, and the selection
+    is called only at a sample where no step starts: the last, and one
+    that jumps first.  If both guards are also the family's
+    (:class:`~hymem.system.ClockGuard`, which read only the clock), the
+    run goes a block at a time (:meth:`_MatrixStep.block`): from a sample
+    that flows, the full-length steps whose clock and time say they end in
+    C and out of D, before ``t_max - TIME_TOL``, with their reads made
+    ahead, are taken and stored at once, unjudged, and the step after them
+    is judged as every step is.  The bytes are the step-by-step run's.
+    Every other spec calls its selection at each stored sample in C; a
+    matrix step screens that value, so a selection wrapped to count its
+    calls steps and stores the same bytes.  Either way the derivative is
+    stored before the step's stages read, so a Hermite read of the newest
+    interval has it.
     """
     if abs(init.delta - spec.memory_size) > 1e-12:
         raise PreconditionError(
@@ -646,19 +791,20 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
             h = min(step, t_max - t)
             ends = t >= t_last or j >= j_max
             flows = in_c and not ends and h > TIME_TOL and not (in_d and jump_first)
-            if flows and own:  # the step's own k1, the selection's bits
-                v, f = advance.start(w)
-            elif in_c:
-                v, f = None, _shaped(flow(w), shape, "flow_selection")
-            if in_c:  # stored before the step's stages read the newest interval
-                hist.derivs[w.index] = f
+            if flows and own:  # the steps sure to stay in C \ D, and the next
+                w, t1, h, x_new = advance.block(w, t, h, t_max)
+                if t1 != t:
+                    t, consecutive_jumps = t1, 0
+            elif in_c:  # stored before the step's stages read the newest interval
+                hist.derivs[w.index] = _shaped(flow(w), shape, "flow_selection")
                 hist.known[w.index] = True
             if ends:
                 termination = Termination.horizon_reached
                 break
             if flows:
                 k1 = hist.derivs[w.index]
-                x_new, _ = advance(w, h, k1, v) if own else advance(w, h, k1)
+                if not own:
+                    x_new, _ = advance(w, h, k1)
                 hist.append(t + h, x_new)
                 end = _judge(spec, hist)
                 if not end[1] or (end[2] and jump_first):
@@ -770,8 +916,12 @@ def verify_solution(spec: SystemSpec, traj: Trajectory) -> SolutionCheckReport:
     selection.  At the segment's first checked point that row is
     compared with ``flow_selection``, and a gap beyond tol * (1 + |f|)
     raises ValueError (a batch map left over from another flow selection).
-    The guard runs point by point, and issues come out in time order, a
-    point's guard issue before its derivative issue.
+    A flow guard of the family's clock form
+    (:class:`~hymem.system.ClockGuard`) runs over each segment's stored
+    states in one pass (:meth:`~hymem.system.ClockGuard.rows`), any other
+    point by point, on each point's view, with the same values.  Issues
+    come out in time order, a point's guard issue before its derivative
+    issue.
     """
     tol = VERIFY_TOL
     issues: list[SolutionIssue] = []
@@ -788,6 +938,7 @@ def verify_solution(spec: SystemSpec, traj: Trajectory) -> SolutionCheckReport:
     n_guard = 0
     hist = History([arc], traj.memory_size)
     batch_map = _batch_map(spec)
+    clock_form = isinstance(spec.flow_guard, ClockGuard)
     forward = arc.levels()[arc.n_memory:]
     for j, (start, end) in enumerate(forward):
         times, values = arc.times[start:end], arc.values[start:end]
@@ -811,8 +962,11 @@ def verify_solution(spec: SystemSpec, traj: Trajectory) -> SolutionCheckReport:
             bad = err > bound
             failed.update(zip(i[bad].tolist(),
                               zip(err[bad].tolist(), bound[bad].tolist())))
-        for k, t in enumerate(times.tolist()):
-            fgv = spec.flow_guard(hist.view(start + k))
+        if clock_form:  # one pass over the segment's clock column
+            guard = spec.flow_guard.rows(values).tolist()
+        else:
+            guard = (spec.flow_guard(hist.view(start + k)) for k in range(times.shape[0]))
+        for k, (t, fgv) in enumerate(zip(times.tolist(), guard)):
             if fgv < -tol:
                 issues.append(SolutionIssue(
                     "S1.flow_set", t, j,

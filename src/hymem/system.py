@@ -13,7 +13,8 @@ when their clock reaches the period delta: ``example1`` has x = (z, u),
 A0 = [[A, B], [0, 0]], J0 = [[I, 0], [0, 0]] and one jump term
 [[0, 0], [K, 0]] at delay r; ``example2`` has A0 = [[a]], one flow term [[b]]
 at delay r and J0 = [[rho]].  The family's flow selection is one
-:class:`LinearFlow`, which is also its batch map and its matrices.
+:class:`LinearFlow`, which is also its batch map and its matrices, and its
+guards are :class:`ClockGuard` objects, which read only the clock.
 """
 
 from __future__ import annotations
@@ -81,8 +82,11 @@ class SystemSpec:
     one wrapped to count its calls) is called once a step and screened
     against the matrices: ``simulate`` raises ValueError at the first step
     where it disagrees with a kept ``flow_linear``, so pass
-    ``flow_linear=None`` with a replaced ``f`` too.
-    ``meta`` holds ``clock_index``, ``period`` and ``delays``.
+    ``flow_linear=None`` with a replaced ``f`` too.  When both guards are
+    the family's :class:`ClockGuard` too, ``simulate`` takes the steps
+    whose clock says they stay in C and out of D a block at a time,
+    without calling the guards; any other guard is called at every step
+    end.  ``meta`` holds ``clock_index``, ``period`` and ``delays``.
     """
 
     dimension: int
@@ -325,17 +329,58 @@ class LinearFlow:
         return np.array(self.of(self.inputs(w)))
 
     def batch(self, w) -> np.ndarray:
-        """The value on each row of a batch window, summed by column
-        accumulation in :meth:`of`'s order: each entry is an elementwise
-        numpy operation, so row i is the value of window i bit for bit."""
+        """The value on each row of a batch window: :meth:`of_rows` of its
+        head and its read of each delay."""
+        return self.of_rows([w.head] + [w.delayed(s) for s in self.delays])
+
+    def of_rows(self, ys: Sequence[np.ndarray]) -> np.ndarray:
+        """The value at each row of the arrays ys = [heads, y_1, ..., y_K]
+        (the inputs, one row per window, clock columns ignored), summed by
+        column accumulation in :meth:`of`'s order: each entry is an
+        elementwise numpy operation, so row i is :meth:`of` of row i's
+        inputs bit for bit."""
         n, columns, out = self.n, iter(self.matrix.T), None
-        for y in [w.head] + [w.delayed(s) for s in self.delays]:
+        for y in ys:
             for c in range(n):
                 term = y[:, c:c + 1] * next(columns)
                 out = term if out is None else out + term
         if self.clock:
             out = np.hstack((out, np.ones((out.shape[0], 1))))
         return out
+
+
+class ClockGuard:
+    """A guard of the linear-delay family, which reads only the clock
+    tau = head[clock]: the flow guard min(tau, period - tau) or, when
+    ``jump``, the jump guard -|period - tau|; without a clock (``clock``
+    None) the constant 1, or -1 when ``jump``.  :meth:`at` gives the value
+    at a clock value and :meth:`rows` at the clock of each row of an array
+    of states, both with the call's bits, so the solver can judge a step
+    end from its clock alone."""
+
+    def __init__(self, jump: bool, clock: int | None = None,
+                 period: float | None = None):
+        self.jump, self.clock, self.period = jump, clock, period
+
+    def at(self, tau: float | None) -> float:
+        if self.clock is None:
+            return -1.0 if self.jump else 1.0
+        if self.jump:
+            return -abs(self.period - tau)
+        return min(tau, self.period - tau)
+
+    def __call__(self, w) -> float:
+        return self.at(None if self.clock is None else float(w.head[self.clock]))
+
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """The value at each row of values, elementwise as :meth:`at`."""
+        if self.clock is None:
+            return np.full(values.shape[0], self.at(None))
+        tau = values[:, self.clock]
+        if self.jump:
+            return -np.abs(self.period - tau)
+        rest = self.period - tau
+        return np.where(rest < tau, rest, tau)  # min(tau, rest), as Python has it
 
 
 def _square_matrix(m, n: int, where: str) -> np.ndarray:
@@ -384,16 +429,10 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
     flow = LinearFlow(a0, flow_terms, has_clock)
     jump_reads = [(-t.delay, t.matrix) for t in jump_terms]
 
+    clock = n if has_clock else None
+    flow_guard = ClockGuard(False, clock, cfg.jump_period)
+    jump_guard = ClockGuard(True, clock, cfg.jump_period)
     if has_clock:
-        period = cfg.jump_period
-
-        def flow_guard(w) -> float:
-            tau = float(w.head[n])
-            return min(tau, period - tau)
-
-        def jump_guard(w) -> float:
-            return -abs(period - float(w.head[n]))
-
         def jump_selections(w) -> list[np.ndarray]:
             out = np.empty(dim)  # the state, then the clock's reset
             out[n] = 0.0
@@ -402,12 +441,6 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
                 x += m.dot(w.delayed(s)[:n])
             return [out]
     else:
-        def flow_guard(w) -> float:
-            return 1.0
-
-        def jump_guard(w) -> float:
-            return -1.0
-
         def jump_selections(w) -> list[np.ndarray]:
             return []
 
@@ -426,7 +459,7 @@ def build_linear_delay_system(cfg: LinearDelayConfig) -> tuple[SystemSpec, Targe
         flow_guard=flow_guard, jump_guard=jump_guard,
         flow_selection=flow, jump_selections=jump_selections,
         flow_batch=flow.batch, flow_linear=flow,
-        meta={"clock_index": n if has_clock else None,
+        meta={"clock_index": clock,
               "period": cfg.jump_period,
               "delays": tuple(t.delay for t in flow_terms + jump_terms)},
     )

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import functools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hymem.solver import (EventLocationError, PreconditionError, SimOptions,
                           Termination, Trajectory, _rk4, flow_window,
                           flow_windows, locate_event, run_summary, simulate,
                           verify_solution)
-from hymem.system import (DelayTerm, Example1Params, Example2Params,
+from hymem.system import (ClockGuard, DelayTerm, Example1Params, Example2Params,
                           LinearDelayConfig, LinearFlow, SystemSpec,
                           build_example1, build_example2,
                           build_linear_delay_system)
@@ -918,6 +919,20 @@ def random_linear_delay_system(rng, delays, clocked):
                                           depth=spec.memory_size, grid_step=0.01)
 
 
+def short_and_long_delay_problem(d):
+    """dx = -x/2 + 3/4 x(t - 1/4) - x(t - d), clocked with period 0.3, from a
+    cosine history on a grid of 2^-6: with d at most a step of 2^-6, _rk4's."""
+    cfg = LinearDelayConfig(
+        dimension=1, memory_size=0.25, a0=np.array([[-0.5]]),
+        flow_delayed=(DelayTerm(0.25, np.array([[0.75]])),
+                      DelayTerm(d, np.array([[-1.0]]))),
+        jump_period=0.3)
+    spec, _ = build_linear_delay_system(cfg)
+    return spec, memory_arc_from_function(
+        lambda s: np.array([np.cos(3.0 * s), 0.0]), 0.25, depth=0.25,
+        grid_step=2.0 ** -6)
+
+
 class TestMatrixStep:
     """simulate steps a linear-delay flow whose every delay is longer than the
     step by RK4's affine map, and everything else by _rk4."""
@@ -989,14 +1004,7 @@ class TestMatrixStep:
     def test_a_delay_of_at_most_a_step_keeps_rk4(self, d):
         # one delay longer than the step and one not: the run is _rk4's,
         # bit for bit, its last step shortened and its trials included
-        cfg = LinearDelayConfig(
-            dimension=1, memory_size=0.25, a0=np.array([[-0.5]]),
-            flow_delayed=(DelayTerm(0.25, np.array([[0.75]])),
-                          DelayTerm(d, np.array([[-1.0]]))),
-            jump_period=0.3)
-        spec, _ = build_linear_delay_system(cfg)
-        init = memory_arc_from_function(lambda s: np.array([np.cos(3.0 * s), 0.0]),
-                                        0.25, depth=0.25, grid_step=2.0 ** -6)
+        spec, init = short_and_long_delay_problem(d)
         opts = SimOptions(t_max=1.234, step=2.0 ** -6)
         assert isinstance(solver._step_rule(spec, opts.step), functools.partial)
         got = simulate(spec, init, opts)
@@ -1197,6 +1205,151 @@ class TestOwnFlowValue:
         assert seen == ends
 
 
+def plain_guards(spec):
+    """spec with its guards wrapped in plain functions: the same values,
+    without the clock form, so simulate judges every step end."""
+    fg, jg = spec.flow_guard, spec.jump_guard
+    return dataclasses.replace(spec, flow_guard=lambda w: fg(w),
+                               jump_guard=lambda w: jg(w))
+
+
+def same_store(a, b):
+    """Two runs stored the same times, values, derivatives, known flags and
+    levels, byte for byte, and ended alike."""
+    assert (a.termination, a.error) == (b.termination, b.error)
+    x, y = a.arc, b.arc
+    assert x.starts == y.starts and x.n_memory == y.n_memory
+    for name in ("times", "values", "derivs", "known"):
+        assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), name
+
+
+def blow_up_problem():
+    """dx = 300 x + x(t - 0.3): it overflows near t = 2.5 at a step of 0.01."""
+    cfg = LinearDelayConfig(dimension=1, memory_size=0.3, a0=np.array([[300.0]]),
+                            flow_delayed=(DelayTerm(0.3, np.array([[1.0]])),))
+    spec, _ = build_linear_delay_system(cfg)
+    return spec, constant_memory_arc(np.array([1.0]), 0.3)
+
+
+def example1_problem(tau0):
+    _, spec, init = example1_at_clock(tau0)
+    return spec, init
+
+
+#: A clock from the reachable sampler's range, off the step grid.
+RANDOM_TAU0 = float(np.random.default_rng(37).uniform(0.0, 0.95 * 0.2))
+
+BLOCK_CASES = {
+    # name: (problem, options, whether a block of steps is taken)
+    "example1-jump": (lambda: example1_problem(0.0),
+                      SimOptions(t_max=2.0, step=5e-3), True),
+    "example1-flow": (lambda: example1_problem(0.0),
+                      SimOptions(t_max=2.0, step=5e-3, jump_priority="flow"), True),
+    "example1-tau0-jump": (lambda: example1_problem(RANDOM_TAU0),
+                           SimOptions(t_max=2.0, step=5e-3), True),
+    "example1-tau0-flow": (lambda: example1_problem(RANDOM_TAU0),
+                           SimOptions(t_max=2.0, step=5e-3, jump_priority="flow"),
+                           True),
+    "example2-case1": (lambda: example2_problem(Example2Params.case1(), [1.0, 0.0]),
+                       SimOptions(t_max=4.0, step=5e-3), True),
+    # r = 0.05 is 20 steps of 2.5e-3, the CLI's default step for case 2
+    "example2-case2": (lambda: example2_problem(Example2Params.case2(), [1.0, 0.03]),
+                       SimOptions(t_max=1.0, step=2.5e-3), True),
+    "delay-horizon": (delay_horizon_problem, SimOptions(t_max=4.0, step=0.01), True),
+    "t-max-off-grid": (delay_horizon_problem, SimOptions(t_max=1.234, step=0.01), True),
+    "hermite": (hermite_case1_problem, SimOptions(t_max=3.5, step=5e-3), True),
+    "blow-up": (blow_up_problem, SimOptions(t_max=4.0, step=0.01), True),
+    "delay-of-a-quarter-step": (lambda: short_and_long_delay_problem(2.0 ** -8),
+                                SimOptions(t_max=1.234, step=2.0 ** -6), False),
+}
+
+
+class TestBlockSteps:
+    """The family's spec, whose guards read only the clock, takes the steps
+    sure to end in C and out of D a block at a time; the same spec with
+    plain-function guards judges every step end, and both store the same
+    bytes."""
+
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_blocks_store_the_step_by_step_bytes(self, case, monkeypatch):
+        problem, opts, blocks = BLOCK_CASES[case]
+        spec, init = problem()
+        assert isinstance(spec.flow_guard, ClockGuard)
+        extended, extend = [], History.extend
+
+        def counted(self, times, *rest):
+            extended.append(len(times))
+            return extend(self, times, *rest)
+
+        monkeypatch.setattr(History, "extend", counted)
+        with warnings.catch_warnings():
+            # a block warns no more than the step-by-step run, which sums
+            # on floats: the blow-up overflows silently in both
+            warnings.simplefilter("error")
+            got = simulate(spec, init, opts)
+            stepped = sum(extended)
+            extended.clear()
+            want = simulate(plain_guards(spec), init, opts)
+        assert extended == []  # plain guards: no block
+        same_store(got, want)
+        rule = solver._step_rule(spec, opts.step)
+        assert isinstance(rule, solver._MatrixStep) == blocks
+        n = got.arc.n - got.arc.starts[got.arc.n_memory]
+        if blocks:  # most steps in blocks
+            assert stepped > n / 2
+        else:
+            assert stepped == 0
+        if case == "blow-up":
+            assert got.termination is Termination.error
+            assert got.error.startswith("non-finite state")
+        else:
+            assert got.termination is Termination.horizon_reached
+        if case.startswith(("example", "hermite")):
+            assert len(got.jumps) >= 3
+        if case == "t-max-off-grid":
+            assert got.arc.times[-1] - got.arc.times[-2] == pytest.approx(0.004)
+
+    def test_a_block_reads_a_row_only_at_its_own_read_time(self):
+        # rows keyed as _ReadAhead.build keys them, 10 steps from t: a block
+        # from t takes 9 steps (the 10th step's start needs the next row),
+        # and stops where a row's time is not the one its step reads, as
+        # when the rows were built on another step grid
+        spec, _ = delay_horizon_problem()
+        rule = solver._step_rule(spec, 0.01)
+        (s,), h, t = rule.delays, 0.01, 0.3
+        tq, tk = [], t
+        for _ in range(10):
+            tq += (tk + s, tk + (h / 2 + s), tk + (h + s))
+            tk += h
+        rows = np.zeros((len(tq), 1))
+        runs = [(s, tq, rows, 0)]
+        assert len(rule._times(runs, t, None, 10.0)) == 9
+        for at, steps in [(3 * 4 + 1, 4), (3 * 4 + 2, 4), (3 * 6, 5)]:
+            keys = list(tq)  # one row a float off its step's read time
+            keys[at] = float(np.nextafter(keys[at], 0.0))
+            assert len(rule._times([(s, keys, rows, 0)], t, None, 10.0)) == steps
+        # and only full-length steps that end before t_max - TIME_TOL
+        assert len(rule._times(runs, t, None, t + 3.5 * h)) == 3
+        assert len(rule._times(runs, t, None, t + 3 * h)) == 2
+
+    def test_a_block_stops_at_the_budget(self, monkeypatch):
+        # a block writes at most batch._BLOCK_SAMPLES samples, read when
+        # called, whatever it would take
+        spec, init = example1_problem(0.0)
+        opts = SimOptions(t_max=1.0, step=5e-3)
+        want = simulate(spec, init, opts)
+        extended, extend = [], History.extend
+
+        def counted(self, times, *rest):
+            extended.append(len(times))
+            return extend(self, times, *rest)
+
+        monkeypatch.setattr(History, "extend", counted)
+        monkeypatch.setattr(batch, "_BLOCK_SAMPLES", 7)
+        same_store(simulate(spec, init, opts), want)
+        assert max(extended) == 6
+
+
 class TestWrongShapes:
     """A flow selection or first jump candidate not of the state's shape
     is refused, not broadcast into it."""
@@ -1371,9 +1524,11 @@ def delayed_guard_system(d=0.004):
 
 
 class TestOneGuardEvaluationPerStoredPoint:
-    """Both guards run once on the initial data and once per stored forward
+    """Guards without the family's clock form (here counting wrappers, as
+    a tracer's) run once on the initial data and once per stored forward
     sample, on its stored window; a step end that crosses a guard is judged
-    too before it is dropped and its crossing located."""
+    too before it is dropped and its crossing located.  Guards of the clock
+    form skip the step ends of a block (TestBlockSteps)."""
 
     @pytest.mark.parametrize("case, jump_priority", [
         ("example1", "jump"), ("example2-case1", "jump"),
@@ -1767,6 +1922,44 @@ class TestVerifySolutionMatchesThePointwiseLoop:
         assert kinds.count("S1.flow_set") == 10
         assert "S1.derivative" in kinds
         assert kinds != sorted(kinds)  # interleaved by time, not grouped
+
+    @pytest.mark.parametrize("case", ["example1", "example2-case1"])
+    def test_clock_form_guard_in_one_pass(self, case, monkeypatch):
+        # an arc edited to leave C on both sides of the period, and a NaN
+        # clock: the family's guard over each segment's clock column and a
+        # plain-function copy of it, one view and one call per stored
+        # point, give the same issues, bit for bit and in order
+        if case == "example1":
+            spec, init = example1_problem(0.0)
+            opts, clock, period = SimOptions(t_max=1.0, step=5e-3), 3, 0.2
+        else:
+            spec, init = example2_problem(Example2Params.case1(), [1.0, 0.0])
+            opts, clock, period = SimOptions(t_max=2.5, step=5e-3), 1, 1.0
+        traj = simulate(spec, init, opts)
+
+        def leave_c(values):
+            values[10:15, clock] += period
+            values[20:23, clock] = -0.25
+            values[25, clock] = np.nan
+            return values
+
+        forged = forge(traj, 1, leave_c)
+
+        def flow_guard(w):
+            tau = float(w.head[clock])
+            return min(tau, period - tau)
+
+        views, view = [], History.view
+        monkeypatch.setattr(History, "view",
+                            lambda self, *a: views.append(1) or view(self, *a))
+        got = verify_solution(spec, forged)
+        own_views = len(views)
+        want = verify_solution(dataclasses.replace(spec, flow_guard=flow_guard),
+                               forged)
+        assert got == want
+        assert [i.kind for i in got.issues].count("S1.flow_set") == 8
+        stored = forged.arc.n - forged.arc.starts[forged.arc.n_memory]
+        assert len(views) - own_views == own_views + stored
 
     def test_spec_without_a_batch_map(self):
         # dx = -x(t - 0.1) written by hand: flow_batch is the default

@@ -9,7 +9,7 @@ from hymem.builtin import example2_feasibility
 from hymem.hybrid_time import (BatchView, History, constant_memory_arc,
                                memory_arc_from_function)
 from hymem.solver import SimOptions, _batch_map, simulate
-from hymem.system import (ConfigError, DelayTerm, Example1Params,
+from hymem.system import (ClockGuard, ConfigError, DelayTerm, Example1Params,
                           Example2Params, LinearDelayConfig, SystemSpec,
                           build_example1, build_example2,
                           build_linear_delay_system, constant_history,
@@ -301,6 +301,38 @@ class TestFlowBatch:
             "flow_selection", "jump_selections", "flow_batch", "flow_linear",
             "meta"]
         assert not hasattr(SystemSpec, "__post_init__")
+
+
+#: Clock values at and around both edges of C, and past them.
+CLOCKS = [0.0, -0.0, 5e-324, -1e-8, -1e-7, -2e-7, 0.1, 0.2 - 1e-17, 0.2,
+          0.2 + 1e-8, 0.2 + 2e-7, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+class TestClockGuard:
+    @pytest.mark.parametrize("clocked", [False, True], ids=["unclocked", "clocked"])
+    def test_the_family_s_guards_read_only_the_clock(self, clocked):
+        # at, rows and the call on a window give one value, bit for bit
+        cfg = LinearDelayConfig(dimension=2, memory_size=0.0, a0=-np.eye(2),
+                                jump_period=0.2 if clocked else None)
+        spec, _ = build_linear_delay_system(cfg)
+        for guard in (spec.flow_guard, spec.jump_guard):
+            assert isinstance(guard, ClockGuard)
+            assert guard.clock == (2 if clocked else None)
+            states = np.array([[0.5, -1.0, tau] for tau in CLOCKS])
+            got = guard.rows(states)
+            for row, value in zip(states, got.tolist()):
+                want = guard(const_arc(row[:spec.dimension], 0.0))
+                assert type(want) is float
+                assert np.array([value]).tobytes() == np.array([want]).tobytes()
+                assert np.array([guard.at(row[2] if clocked else None)]).tobytes() \
+                    == np.array([want]).tobytes()
+
+    def test_the_formulas(self):
+        spec, _ = build_example2(Example2Params.case2())
+        fg, jg = spec.flow_guard, spec.jump_guard
+        assert (fg.at(0.03), fg.at(0.09), fg.at(-0.01)) == (0.03, 0.1 - 0.09, -0.01)
+        assert (jg.at(0.1), jg.at(0.07), jg.at(0.12)) == (-0.0, -(0.1 - 0.07),
+                                                         -abs(0.1 - 0.12))
 
 
 class TestConfigSchema:
