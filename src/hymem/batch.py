@@ -6,8 +6,9 @@ stored sample of a :class:`~hymem.hybrid_time.History`, and its subclass
 :class:`BatchView` at many at once: one stage rule, two reads of the
 stored history.  Those two level kernels stay apart for speed, the scalar
 loop of :meth:`~hymem.hybrid_time.HybridArc.value` (one sample a read) and
-the batch view's array search, :meth:`BatchView._at`, which also makes the
-solver's reads ahead; a change to the level rule changes both.
+the batch view's array search, :meth:`BatchView._at`, which also reads the
+stages of the solver's blocks of steps; a change to the level rule changes
+both.
 This module holds the operators' one implementation.
 Arcs are joined back to back in one History, each a row with its own
 levels, and every operation runs on whole arrays of levels, pieces and
@@ -49,7 +50,7 @@ from .hybrid_time import (TIME_TOL, DomainError, History, HybridArc,
 #: than this is a block of its own), read when called: the window maximum
 #: (and its refinement rounds, in midpoints), the delayed integral, appended
 #: jumps, flow windows, :func:`~hymem.solver.verify_solution`'s chunks, the
-#: solver's reads made ahead and blocks of steps, and the cover sampler's
+#: solver's blocks of steps and their reads, and the cover sampler's
 #: draws.  Each block
 #: pays a fixed cost of about a hundred NumPy calls, so larger blocks are
 #: faster until that cost is spread thin: krasovskii-cover's run_s (seed 1,
@@ -94,16 +95,6 @@ class WindowView:
     stages of a step read the stored history once per delay.  The straight
     line depends on the head and is never kept.  Every read returns a fresh
     array.  A :class:`BatchView` differs only in its stored-history read.
-
-    Reads made ahead: the solver's store carries a table ``ahead`` of
-    stored reads, per delay, keyed by their absolute time tq (see
-    :mod:`hymem.solver`), and :meth:`_stored` looks tq up there first; a
-    miss at a stored view
-    (dt = 0) asks the table to build a block.  A row is the stored read at
-    its time, through :class:`BatchView`'s level kernel, and reads only
-    samples and levels that no later append, dropped step end or jump
-    changes, so :meth:`delayed` returns the same bits from it, whichever
-    view asks and whenever.
     """
 
     __slots__ = ("history", "index", "segment", "head", "dt", "reads", "floor")
@@ -147,26 +138,17 @@ class WindowView:
         reads = self.reads
         x = None if reads is None else reads.get(s)
         if x is None:
-            x = self._stored(q, s)
+            x = self._stored(q)
             if reads is None:
                 return x
             reads[s] = x
         return x.copy()
 
-    def _stored(self, q: float, s: float) -> np.ndarray:
-        """The stored history q after the view's sample, read for the
-        delay s: the store's row made ahead at that time, else
-        History.value.  A row is final and shared, so it is copied here only
-        for a view without a read cache; :meth:`delayed` copies what the
-        cache holds."""
+    def _stored(self, q: float) -> np.ndarray:
+        """The stored history q after the view's sample: History.value."""
         hist = self.history
-        t = hist.times.item(self.index)
-        ahead = hist.ahead
-        if ahead is not None:
-            x = ahead.row(t, q, s, self.dt == 0.0)
-            if x is not None:
-                return x if self.reads is not None else x.copy()
-        return hist.value(t + q, self.segment, self.index + 1, self.floor)
+        return hist.value(hist.times.item(self.index) + q, self.segment,
+                          self.index + 1, self.floor)
 
 
 class BatchView(WindowView):
@@ -200,7 +182,7 @@ class BatchView(WindowView):
                 for i, k, x, f in zip(self.index.tolist(), self.segment.tolist(),
                                       self.head, self.floor.tolist())]
 
-    def _stored(self, q: float, s: float) -> np.ndarray:
+    def _stored(self, q: float) -> np.ndarray:
         """Each row's History.value q after its sample, on its own levels."""
         return self._at(self.history.times[self.index] + q)
 

@@ -395,11 +395,7 @@ class History(HybridArc):
     ``spans[i]:spans[i + 1]``, ``memory[i]`` of them memory levels.  An
     append, or a dropped sample (``n`` lowered), keeps the table and the
     search keys; a new level rebuilds both, a doubling the search keys.
-    ``ahead`` is the solver's table of stored reads made ahead (see
-    :mod:`hymem.solver`), None on every other store.
     """
-
-    ahead = None
 
     def __init__(self, arcs: Sequence[HybridArc], delta: float | None = None,
                  room: int = 0):

@@ -33,20 +33,6 @@ array, so a selection map may write into it.  An infinite time horizon needs
 a declared jump period.  The solver is deterministic: identical inputs
 produce bit-identical trajectories.
 
-Reads made ahead (the method of steps): a stage read at a time more than
-``TIME_TOL`` before the sample before the newest is final, since no later
-append, dropped step end or jump changes what it reads.  So at a stored
-read of a delay s that misses, the solver's table
-(:class:`_ReadAhead`, carried as ``History.ahead``) reads the stages of as
-many of the next steps as its step recurrence allows in one call of
-:class:`~hymem.hybrid_time.BatchView`'s level kernel, bit for bit the
-scalar reads, and keys each row by the time it reads, one block per delay;
-every view of the store looks that time up first.  A block needs
-``_MIN_STEPS`` (16) steps, since a build costs about the scalar reads of 7
-(about 100 us, its level search kept across appends); a flow that reads no
-stored delay builds none, and event trials and delays of at most 16 steps
-read one at a time.
-
 The step: a linear-delay flow whose every delay is longer than the step
 (``SystemSpec.flow_linear``) takes RK4 as one affine map of the head and
 the three stored reads of each delay (:class:`_MatrixStep`); every other
@@ -58,21 +44,26 @@ derivative, bit for bit the selection's, with no flow-selection call;
 the selection is called only at samples where no step starts (the last
 one, and one that jumps first).  Any other flow selection, such as one
 wrapped to count its calls, is called once a step and screened against
-the matrices, which keeps a wrapped run's bytes the family's own.  A row
-made ahead is copied once per view read.
+the matrices, which keeps a wrapped run's bytes the family's own.
 
-Blocks of steps (the method of steps again): with the family's flow and
-guards (:class:`~hymem.system.ClockGuard`), the clock recurrence tau +
-(h/6) 6 and t += h say, before a step is taken, which step ends lie in C
-and out of D.  So between events the solver runs the matrix step's
-recurrence over a block of them on Python floats, its reads the rows made
-ahead in step order, sums the derivatives at their starts in arrays, and
-stores the block in one write (:meth:`_MatrixStep.block`); the step after
-it is judged, and dropped or located, as every step is.  On seed 1 of the
-benchmarks 97 % of razumikhin-reachable's steps and 96 % of
-delay-horizon's are taken in blocks, and their simulate runs take 0.42 to
-0.56 of the time of the same runs judged step by step (plain-function
-guards; best of 15 on a 2-vCPU host).
+Blocks of steps (the method of steps): with the family's flow and guards
+(:class:`~hymem.system.ClockGuard`), the clock recurrence tau + (h/6) 6
+and t += h say, before a step is taken, which step ends lie in C and out
+of D.  A stage read at a time more than ``TIME_TOL`` before the sample
+before the newest is final, since no later append, dropped step end or
+jump changes what it reads.  So between events the solver reads the
+stages of such steps whose reads are all final in one call of
+:class:`~hymem.hybrid_time.BatchView`'s level kernel per delay, bit for
+bit the scalar reads, runs the matrix step's recurrence over them on
+Python floats, sums the derivatives at their starts in arrays, and stores
+the block in one write (:meth:`_MatrixStep.block`); the step after it is
+judged, and dropped or located, as every step is.  Every other read,
+and every read of a run taken one step at a time, is one
+:meth:`~hymem.hybrid_time.HybridArc.value`.  On seed 1 of the
+benchmarks 97 % of razumikhin-reachable's steps and 98 % of
+delay-horizon's are taken in blocks, and delay-horizon's simulate run
+takes 0.16 of the time of the same run judged step by step, whose reads
+are all scalar (plain-function guards; best of 15 on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -92,8 +83,7 @@ from .batch import _blocks, memory_windows, sup_norm_w
 from .hybrid_time import (TIME_TOL, BatchView, DomainError, History,
                           HybridArc, HybridMemoryArc, WindowView,
                           validate_domain)
-from .system import (GUARD_TOL, ClockGuard, LinearFlow, SystemSpec, TargetSet,
-                     _combine)
+from .system import GUARD_TOL, ClockGuard, SystemSpec, TargetSet, _combine
 
 
 class PreconditionError(ValueError):
@@ -299,8 +289,8 @@ class _MatrixStep:
     event trial), and a step is one pass of Python floats over their rows
     (:func:`~hymem.system._combine`), so neither depends on the BLAS
     kernel.  The reads are :meth:`~hymem.hybrid_time.WindowView.delayed`'s
-    at dt = 0, h/2 and h: rows made ahead, else ``History.value``, with its
-    DomainError.  The head and the reads at dt = 0 are the
+    at dt = 0, h/2 and h: ``History.value``, with its DomainError, or in a
+    :meth:`block` its level kernel's.  The head and the reads at dt = 0 are the
     :class:`~hymem.system.LinearFlow`'s inputs, so the flow value there,
     k1, is one pass of the flow's rows over them.
 
@@ -309,8 +299,8 @@ class _MatrixStep:
     is the flow selection's bit for bit: :func:`simulate` steps by
     :meth:`block`, which stores it as the derivative of a step's start
     without calling the selection, a block of steps at a time.  Any other
-    flow selection (replaced, wrapped to count its calls, or a spec built
-    with the pair (A0, terms)) is called once a step, and every step
+    flow selection (replaced, wrapped to count its calls, or beside a
+    ``flow_linear`` built by hand) is called once a step, and every step
     screens it against the matrices' k1, as :func:`verify_solution`
     screens a kept batch map: a ``flow_linear`` left over from another flow
     selection raises ValueError at the first step where the two part.  That
@@ -318,20 +308,28 @@ class _MatrixStep:
     the bytes the family's own does.
     """
 
+    #: Fewest steps in a block that reads a delay: a call of the level
+    #: kernel costs about what the scalar reads of 4 steps do.  Jump-free
+    #: runs of 3000 steps of 0.01 with delays of 3.5 / 4.5 / 5.5 / 6.5
+    #: steps, so blocks of 2 / 3 / 4 / 5 steps, took 170 / 89 / 82 / 66 ms
+    #: with no fewest against 115 / 69 / 73 / 82 ms taken one step at a time
+    #: (medians of 10 alternating in-process pairs, 2-vCPU host).  A block's
+    #: reads lie a step before its start, so a delay of at most this many
+    #: steps never allows one.
+    FEWEST = 5
+
     def __init__(self, spec: SystemSpec, step: float):
         flow = spec.flow_linear
-        if not isinstance(flow, LinearFlow):  # the pair (A0, terms)
-            a0, terms = flow
-            a0 = np.asarray(a0, dtype=float)
-            flow = LinearFlow(a0, terms, spec.dimension > a0.shape[0])
         self.flow, self.own = flow, flow is spec.flow_selection
         self.n, self.clock, self.delays = flow.n, flow.clock, flow.delays
-        # guards that read only this flow's clock, or none, for block
+        # guards that read only this flow's clock, or none, and delays
+        # long enough for a block
         clock = flow.n if flow.clock else None
         guards = (spec.flow_guard, spec.jump_guard)
-        own_clock = all(isinstance(g, ClockGuard) and g.clock in (None, clock)
-                        for g in guards)
-        self.guards = guards if own_clock else None
+        blocks = all(isinstance(g, ClockGuard) and g.clock in (None, clock)
+                     for g in guards) and all(s < -self.FEWEST * step
+                                              for s in self.delays)
+        self.guards = guards if blocks else None
         self.a0 = flow.a0
         self.mats = [np.asarray(term.matrix, dtype=float) for term in flow.terms]
         self.step, self.step_rows = step, None
@@ -368,18 +366,14 @@ class _MatrixStep:
 
     def reads(self, window: WindowView, h: float) -> list:
         """[y_1(1/2), ..., y_K(1/2), y_1(1), ..., y_K(1)], each on the state
-        before the clock, as one list of floats."""
+        before the clock, as one list of floats, read by ``History.value``."""
         hist, n = window.history, self.n
         out = []
         t = hist.times.item(window.index)
-        ahead = hist.ahead
         for dt in (h / 2, h):
             for s in self.delays:
-                q = dt + s
-                y = None if ahead is None else ahead.row(t, q, s, False)
-                if y is None:
-                    y = hist.value(t + q, window.segment, window.index + 1,
-                                   window.floor)
+                y = hist.value(t + (dt + s), window.segment, window.index + 1,
+                               window.floor)
                 out += y.tolist()[:n]
         return out
 
@@ -414,32 +408,42 @@ class _MatrixStep:
 
         With the family's guards (:class:`~hymem.system.ClockGuard`),
         :meth:`_times` predicts those steps from the clock and the time
-        alone.  Their states are the recurrence of
-        :func:`~hymem.system._combine` over the step's rows on Python
-        floats, up to the first that is not finite.  The derivative at
-        each step start, w's and the last sample's too, is
-        :meth:`~hymem.system.LinearFlow.of_rows` of the heads and their
-        rows, and :meth:`~hymem.hybrid_time.History.extend` stores the
-        block.  Each value is, bit for bit, what the step-by-step run
-        stores.  With other guards, or no step predicted, the block is
-        empty and only w's derivative is stored.
+        alone, as many as read only final times.  Each delay's reads, at
+        the three stage times of every step and at the next step's start,
+        are one call of :class:`~hymem.hybrid_time.BatchView`'s level
+        kernel (:meth:`_reads`), bit for bit ``History.value``'s.  The
+        states are the recurrence of :func:`~hymem.system._combine` over
+        the step's rows on Python floats, up to the first that is not
+        finite.  The derivative at each step start, w's and the last
+        sample's too, is :meth:`~hymem.system.LinearFlow.of_rows` of the
+        heads and their reads, and :meth:`~hymem.hybrid_time.History.extend`
+        stores the block.  Each value is, bit for bit, what the
+        step-by-step run stores.  With other guards, or no step predicted,
+        the block is empty, w's reads are its own and only w's derivative
+        is stored.
 
         Returns the view at the block's last sample, its time t, its step
         min(step, t_max - t) and that step's end.  :func:`simulate` judges
         that step as it judges every step: a crossing, a shortened step, a
-        step whose reads were not all made ahead and one whose end is not
-        finite all come there.
+        step whose reads are not all final and one whose end is not finite
+        all come there.
         """
         hist, n, step = w.history, self.n, self.step
-        v = self.flow.inputs(w)  # the reads at w build the rows ahead
-        runs = self._runs(hist.ahead, t) if self.guards and h == step else None
-        times = [] if runs is None else self._times(runs, t, w.head.item(n)
-                                                    if self.clock else None, t_max)
+        head = w.head.tolist()
+        times = (self._times(t, head[n] if self.clock else None, t_max,
+                             hist.times.item(w.index - 1) - TIME_TOL)
+                 if self.guards and h == step else [])
+        if self.delays and len(times) < self.FEWEST:
+            times = []
         states = []
         if times:
-            flats = [rows[p:p + 3 * len(times) + 1, :n].ravel().tolist()
-                     for _, _, rows, p in runs]
-            rule, c, x = self.matrices(step), (step / 6.0) * 6.0, w.head.tolist()
+            starts = np.array([t] + times)
+            reads = [self._reads(w, starts, s) for s in self.delays]
+            flats = [y[:, :n].ravel().tolist() for y in reads]
+            v = head[:n]
+            for f in flats:
+                v += f[:n]
+            rule, c, x = self.matrices(step), (step / 6.0) * 6.0, head
             for i in range(0, 3 * n * len(times), 3 * n):
                 u = x[:n]
                 for at in (i, i + n, i + 2 * n):
@@ -452,14 +456,15 @@ class _MatrixStep:
                     break
                 states.append(x1)
                 x = x1
+        else:
+            v = self.flow.inputs(w)
         k = len(states)
         if k:
-            dim = len(x)
-            heads = np.fromiter(chain(w.head.tolist(), *states), float,
+            dim = len(head)
+            heads = np.fromiter(chain(head, *states), float,
                                 (k + 1) * dim).reshape(k + 1, dim)
             with np.errstate(all="ignore"):  # as silent as the sums on floats
-                derivs = self.flow.of_rows([heads] + [rows[p:p + 3 * k + 1:3]
-                                                      for _, _, rows, p in runs])
+                derivs = self.flow.of_rows([heads] + [y[:3 * k + 1:3] for y in reads])
             hist.derivs[w.index] = derivs[0]
             hist.known[w.index] = True
             hist.extend(times[:k], heads[1:], derivs[1:])
@@ -474,34 +479,38 @@ class _MatrixStep:
         h = min(step, t_max - t)
         return w, t, h, self._advance(w, h, v)
 
-    def _runs(self, ahead: _ReadAhead, t: float) -> list | None:
-        """Per delay s, (s, the times read, the rows read, the place of the
-        read at t + s) in the table of rows made ahead; None when one delay
-        has no row there."""
-        runs = []
-        for s in self.delays:
-            p = ahead.get(s, {}).get(t + s)
-            if p is None:
-                return None
-            runs.append((s, *ahead.rows[s], p))
-        return runs
+    def _reads(self, w: WindowView, starts: np.ndarray, s: float) -> np.ndarray:
+        """The stored reads of the delay s at t_k + s, t_k + (step/2 + s)
+        and t_k + (step + s) for each step start t_k of ``starts`` but the
+        last, in step order, and at the last's t + s: one call of the level
+        kernel from the newest sample w, each time summed as the step's
+        :meth:`reads` sums it."""
+        step = self.step
+        tq = np.empty(3 * starts.shape[0] - 2)
+        tq[0::3] = starts + s
+        tq[1::3] = starts[:-1] + (step / 2 + s)
+        tq[2::3] = starts[:-1] + (step + s)
+        return BatchView(w.history, np.full(tq.shape[0], w.index))._at(tq)
 
-    def _times(self, runs: list, t: float, tau: float | None,
-               t_max: float) -> list:
+    def _times(self, t: float, tau: float | None, t_max: float,
+               bound: float) -> list:
         """The end times of the full-length steps from t (the clock tau
         there, None without one) whose ends lie in C, out of D and before
         ``t_max - TIME_TOL``, by the clock recurrence tau + (h/6) 6, the
-        matrix step's, and t += step, simulate's; every read of each, and
-        the next step's first, must be the row of ``runs`` (:meth:`_runs`)
-        read at its own time, in step order.  At most
-        ``batch._BLOCK_SAMPLES`` - 1."""
-        step, half = self.step, self.step / 2
+        matrix step's, and t += step, simulate's, and whose reads, and the
+        next step's first, all lie before ``bound``: final reads, when that
+        is ``TIME_TOL`` before the sample before the newest.  The latest
+        read of a step is the one of its full stage at the shortest delay.
+        At most ``batch._BLOCK_SAMPLES`` - 1 steps, and with delays a third
+        of that, so that each delay's reads fit one block too."""
+        step = self.step
         fg, jg = self.guards
         t_last, c = t_max - TIME_TOL, (step / 6.0) * 6.0
         cap = batch._BLOCK_SAMPLES - 1
-        for _, tq, _, p in runs:
-            cap = min(cap, (len(tq) - 1 - p) // 3)
-        out, i = [], 0
+        late = max(self.delays, default=None)
+        if late is not None:
+            cap //= 3
+        out = []
         while len(out) < cap and not t_max - t < step:
             t1 = t + step
             if tau is not None:
@@ -509,13 +518,11 @@ class _MatrixStep:
             if not (t1 < t_last and min(step, t_max - t1) > TIME_TOL
                     and fg.at(tau) >= -GUARD_TOL and not jg.at(tau) >= -GUARD_TOL):
                 break
-            for s, tq, _, p in runs:
-                j = p + i
-                if not (tq[j + 1] == t + (half + s) and tq[j + 2] == t + (step + s)
-                        and tq[j + 3] == t1 + s):
-                    return out
+            if late is not None and not (t + (step + late) < bound
+                                         and t1 + late < bound):
+                break
             out.append(t1)
-            t, i = t1, i + 3
+            t = t1
         return out
 
 
@@ -599,95 +606,6 @@ def locate_event(spec: SystemSpec, window: WindowView, h_bracket: float,
     return (lo, x_lo) if crossing_down else (hi, x_hi)
 
 
-#: Fewest steps in a block.  Building a block costs about 100 us on a
-#: 2-vCPU host (40 us of it the level kernel, whose search the store keeps
-#: across appends), what the scalar reads of 7 steps cost (three a step, at
-#: about 5 us each), so a block of 16 steps pays for itself even when a
-#: located jump moves the step grid off its rows halfway.  Its rows also
-#: feed a block of steps (:meth:`_MatrixStep.block`), yet a lower value
-#: was no win (medians of 10 alternating in-process rounds at 16 / 8 / 6,
-#: 2-vCPU host): ``hymem check-kl --system example2`` (20-step delays)
-#: 1657 / 1609 / 1570 ms, within its spread; the same at ``--step 0.005``
-#: (10-step delays, a located jump every 20 steps) 1318 / 1419 / 1368 ms;
-#: jump-free runs of 3000 steps with a delay of 12.2 steps 69 / 41 / 42
-#: ms, and of 8.2 steps 69 / 72 / 62 ms.
-_MIN_STEPS = 16
-
-
-class _ReadAhead(dict):
-    """Stored reads made ahead (the method of steps): the solver's table,
-    which its store carries as ``History.ahead`` and every view of that
-    store looks up first, of one block per delay s: {tq: i}, the place i
-    in ``rows[s]`` = (times, rows) of the row read at the absolute time tq,
-    the rows in step order.
-
-    A miss at a stored view (dt = 0) of the time t reading a delay s asks
-    :meth:`build` for a block of s: the stored reads at t_k + s, t_k + (h_k/2
-    + s) and t_k + (h_k + s), the RK4 stage times of each of the next K
-    steps (t_k, h_k), predicted by the solver's recurrence h = min(step,
-    t_max - t), t += h from t_0 = t, all in one call of
-    :class:`~hymem.hybrid_time.BatchView`'s level kernel: bit for bit the
-    scalar reads.  K is the largest count, at most a third of
-    ``batch._BLOCK_SAMPLES`` (5461 steps), for which every such time lies
-    more than ``TIME_TOL`` before the sample before the newest: the newest
-    sample may yet be dropped or lack its derivative, and a jump opens a
-    level at its time (two jumps at one instant, two) that reads up to
-    ``TIME_TOL`` earlier take.  So a row reads nothing that changes later:
-    it is the final read at its time, whichever view asks, and a step that
-    leaves the prediction only misses.  A block replaces its delay's
-    previous one; fewer than ``_MIN_STEPS`` steps make none, for that delay
-    ever, since K depends on s, the step and the horizon (on the last
-    step's length by one at most).  The cap binds only for a delay of more
-    than 5461 steps.
-    """
-
-    def __init__(self, hist: History, opts: SimOptions):
-        self.hist, self.opts = hist, opts
-        self.rows = {}
-        self.short = set()  # the delays whose blocks are too short
-
-    def row(self, t: float, q: float, s: float, build: bool) -> np.ndarray | None:
-        """The row of the delay s at t + q; on a miss, when ``build`` (at a
-        stored view, where q is s), the first row of a new block of s from
-        the step at t.  None when there is neither."""
-        block = self.get(s)
-        i = None if block is None else block.get(t + q)
-        if i is not None:
-            return self.rows[s][1][i]
-        return self.build(t, s) if build else None
-
-    def build(self, t: float, s: float) -> np.ndarray | None:
-        """The row at t + s of a new block of s from the step at t; None
-        when no block is built."""
-        if s in self.short:
-            return None
-        hist, step, t_max = self.hist, self.opts.step, self.opts.t_max
-        newest = hist.n - 1
-        bound = hist.times.item(newest - 1) - TIME_TOL
-        t_last = t_max - TIME_TOL
-        h, tq, k = min(step, t_max - t), [], 0
-        cap = batch._BLOCK_SAMPLES // 3
-        while k < cap:
-            last = t + (h + s)  # the stage that reads latest
-            if not last < bound:
-                break
-            tq += (t + s, t + (h / 2 + s), last)
-            t += h
-            k += 1
-            if t >= t_last:
-                break
-            h = min(step, t_max - t)
-            if not h > TIME_TOL:
-                break
-        if k < _MIN_STEPS:
-            self.short.add(s)
-            return None
-        rows = BatchView(hist, np.full(len(tq), newest))._at(np.array(tq))
-        self[s] = dict(zip(tq, range(len(tq))))
-        self.rows[s] = (tq, rows)
-        return rows[0]
-
-
 def _shaped(value, shape: tuple, label: str) -> np.ndarray:
     """value as a float array of the state's ``shape``; PreconditionError
     naming the map ``label`` and both shapes when it has another."""
@@ -742,8 +660,8 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
     (:class:`~hymem.system.ClockGuard`, which read only the clock), the
     run goes a block at a time (:meth:`_MatrixStep.block`): from a sample
     that flows, the full-length steps whose clock and time say they end in
-    C and out of D, before ``t_max - TIME_TOL``, with their reads made
-    ahead, are taken and stored at once, unjudged, and the step after them
+    C and out of D, before ``t_max - TIME_TOL``, and whose reads are all
+    final, are taken and stored at once, unjudged, and the step after them
     is judged as every step is.  The bytes are the step-by-step run's.
     Every other spec calls its selection at each stored sample in C; a
     matrix step screens that value, so a selection wrapped to count its
@@ -775,7 +693,6 @@ def simulate(spec: SystemSpec, init: HybridMemoryArc,
 
     hist = History([init], spec.memory_size, room=64)
     hist.start_segment(0.0, np.array(init.head, dtype=float))
-    hist.ahead = _ReadAhead(hist, opts)
     flow, step, t_max, j_max = spec.flow_selection, opts.step, opts.t_max, opts.j_max
     advance, shape = _step_rule(spec, step), (spec.dimension,)
     own = isinstance(advance, _MatrixStep) and advance.own

@@ -69,10 +69,9 @@ class SystemSpec:
     and :func:`~hymem.solver.verify_solution` raise ValueError when a kept
     batch map and ``flow_selection`` disagree, so pass ``flow_batch=None``
     with ``f``.  ``flow_linear``, when not None, is the flow selection's
-    matrices, a :class:`LinearFlow` or a pair (A0, terms): the flow is A0 x
-    + sum_k A_k x(t - d_k) on the first A0.shape[0] components, with one
-    :class:`DelayTerm` (d_k, A_k) per delay, and 1 on a last clock
-    component when the dimension is one more.
+    matrices, a :class:`LinearFlow`: the flow is A0 x + sum_k A_k x(t -
+    d_k) on the first A0.shape[0] components, with one :class:`DelayTerm`
+    (d_k, A_k) per delay, and 1 on a last clock component when it has one.
     :func:`~hymem.solver.simulate` then steps by RK4's affine map of those
     matrices when every flow delay is longer than the step.  When
     ``flow_linear is flow_selection`` (the family's own
@@ -96,7 +95,7 @@ class SystemSpec:
     flow_selection: Callable
     jump_selections: Callable
     flow_batch: Callable | None = None
-    flow_linear: LinearFlow | tuple | None = None
+    flow_linear: LinearFlow | None = None
     meta: dict = field(default_factory=dict)
 
 

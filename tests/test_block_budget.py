@@ -193,9 +193,9 @@ def _delay_horizon(t_max):
 @pytest.mark.parametrize("budget", BUDGETS)
 class TestSolverPasses:
     def test_simulate(self, monkeypatch, budget):
-        # the reads made ahead: a block holds at most the budget's rows, and
-        # none is built below 16 steps (48 rows); 43 steps to the delay
-        # bound a block at 129 rows
+        # a block of steps reads each delay in one call of at most the
+        # budget's rows, and takes at least FEWEST (5) steps, so 16 rows;
+        # the delay bounds a block at 43 steps, 130 rows
         rows = []
         at = BatchView._at
 
@@ -211,10 +211,10 @@ class TestSolverPasses:
 
         want, built = _at_budget(monkeypatch, None, run)
         assert len(want[0]) == 8 * 446  # 45 samples of history, 401 computed
-        assert max(built) == 129
+        assert max(built) == 3 * 43 + 1
         got, built = _at_budget(monkeypatch, budget, run)
         assert got == want
-        assert max(built, default=0) <= budget and bool(built) == (budget >= 48)
+        assert max(built, default=0) <= budget and bool(built) == (budget >= 16)
 
     def test_verify_solution(self, monkeypatch, budget):
         spec, traj = _delay_horizon(4.0)

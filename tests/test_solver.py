@@ -603,10 +603,10 @@ def reference_rk4(spec, window, h, k1=None):
 @contextlib.contextmanager
 def reference_reads(monkeypatch):
     """Every read and RK4 step of the solver through the references: no
-    block of stage reads is built."""
+    block of steps is taken."""
     with monkeypatch.context() as m:
         m.setattr(solver, "_rk4", reference_rk4)
-        m.setattr(solver._ReadAhead, "build", lambda self, t, s: None)
+        m.setattr(solver._MatrixStep, "_times", lambda self, *args: [])
         m.setattr(History, "value", reference_value)
         m.setattr(hybrid_time, "_interpolate", reference_interpolate)
         yield
@@ -714,11 +714,12 @@ class TestSharedHalfStepReads:
         problem, opts = SHARED_READ_CASES[case]
         spec, init = problem()
         with monkeypatch.context() as m:
-            # blocks from 2 steps on, whatever they cost
-            m.setattr(solver, "_MIN_STEPS", 2)
             blocks, _ = count_reads(m)
             got = simulate(spec, init, opts)
-        assert blocks  # every case reads a delay longer than two steps
+        # every family case whose delays all pass FEWEST steps reads its
+        # blocks in array calls; a plain spec, and a family with a delay
+        # shorter than the step, take one step at a time
+        assert bool(blocks) == (case not in ("in-place", "short-delay"))
         with reference_reads(monkeypatch):
             want = simulate(spec, init, opts)
         same_run(got, want)
@@ -773,48 +774,56 @@ class TestSharedHalfStepReads:
         assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
     def test_block_calls_and_scalar_reads(self, monkeypatch):
-        # r = 0.432 and step 0.01: a block from the step at t reads up to
+        # r = 0.432 and step 0.01: a block from the sample at t reads up to
         # TIME_TOL before the sample before t, t - 0.01, so its m-th step's
-        # full stage qualifies while m <= 41 and it covers 42 steps; the
-        # first one 43, since at t = 0 the sample before the newest is the
-        # memory's last, also at 0.  Rows are keyed by read time, so where
-        # t + (h + s) and (t + h) + s round alike, a block's last full-stage
-        # row serves the next step's first stage: that step (t = 0.43, 0.86,
-        # 1.29, 1.72) reads its half and full stages one at a time, and the
-        # next block starts a step later.  At t = 2.15 the two keys differ,
-        # so the first stage builds the last block (35 steps), whose last
-        # row also serves the flow selection at t_max.  The matrix step
+        # full stage, and the next step's first, qualify while m <= 42: it
+        # reads 3 * 42 + 1 times in one call.  The first reads 3 * 43 + 1,
+        # since at t = 0 the sample before the newest is the memory's last,
+        # also at 0.  The step after each block reads its half and full
+        # stages one at a time, and so does the flow selection at t_max; the
+        # last block (33 steps) ends a step before t_max.  The matrix step
         # reads each stage time once, as _rk4's shared half-step reads do.
-        # The reference stages (through _rk4, so with flow_linear=None) are
-        # views of the same store, so they read its rows too; at those four
-        # steps they read three stages one at a time
+        # The reference stages (through _rk4, so with flow_linear=None) read
+        # the stored head's delay and each stage's one at a time
         spec, init = delay_horizon_problem()
         steps = 250
         opts = SimOptions(t_max=steps * 0.01, step=0.01)
         blocks, scalar = count_reads(monkeypatch)
         simulate(spec, init, opts)
-        assert blocks == [3 * 43] + [3 * 42] * 4 + [3 * 35]
-        assert len(scalar) == 2 * 4
+        assert blocks == [3 * 43 + 1] + [3 * 42 + 1] * 4 + [3 * 33 + 1]
+        assert 43 + 42 * 4 + 33 + 6 == steps
+        assert len(scalar) == 2 * 6 + 1
         blocks.clear()
         scalar.clear()
         monkeypatch.setattr(solver, "_rk4", reference_rk4)
         simulate(dataclasses.replace(spec, flow_linear=None), init, opts)
-        assert blocks == [3 * 43] + [3 * 42] * 4 + [3 * 35]
-        assert len(scalar) == 3 * 4
+        assert blocks == []
+        assert len(scalar) == 4 * steps + 1
 
     @pytest.mark.parametrize("case", ["example1", "example2-case2"])
-    def test_no_block_without_a_long_delay(self, case, monkeypatch):
-        # example 1 reads its delay at jumps only; example 2 case 2 reads
-        # r = 0.05, 10 steps of 5e-3, so a block would cover 9 steps
+    def test_no_block_read_without_a_long_delay(self, case, monkeypatch):
+        # example 1's flow reads no delay (its jumps read one), so its
+        # blocks of steps make no array read; example 2 case 2 at a step of
+        # 0.01 reads r = 0.05, FEWEST steps, which never allows a block of
+        # FEWEST steps, so it takes one step at a time and reads the half
+        # and full stages of each one at a time
         if case == "example1":
             _, spec, init = example1_at_clock(0.0)
+            step = 5e-3
         else:
             spec, init = example2_problem(Example2Params.case2(), [1.0, 0.03])
+            step = 0.01
+            assert 0.05 <= solver._MatrixStep.FEWEST * step
         blocks, scalar = count_reads(monkeypatch)
-        traj = simulate(spec, init, SimOptions(t_max=1.0, step=5e-3))
+        extended, extend = [], History.extend
+        monkeypatch.setattr(History, "extend", lambda self, times, *rest:
+                            extended.append(len(times)) or extend(self, times, *rest))
+        traj = simulate(spec, init, SimOptions(t_max=1.0, step=step))
         assert len(traj.jumps) >= 4 and blocks == []
-        assert solver._MIN_STEPS > 9 and len(scalar) > (0 if case == "example1"
-                                                        else 3 * 200)
+        if case == "example1":
+            assert sum(extended) > 150 and len(scalar) == len(traj.jumps)
+        else:
+            assert extended == [] and len(scalar) > 3 * 90
 
     def test_reads_are_fresh_arrays(self):
         spec, init = short_delay_problem()
@@ -1174,15 +1183,17 @@ class TestOwnFlowValue:
         assert len(calls) == arc.n - first
 
     @pytest.mark.parametrize("n, clocked", [(1, True), (3, False)])
-    def test_a_pair_of_matrices_takes_the_screened_path(self, n, clocked):
-        # flow_linear as the pair (A0, terms), as a spec built by hand
-        # may give it: the selection is called and screened, same bytes
+    def test_a_hand_built_linear_flow_takes_the_screened_path(self, n, clocked):
+        # flow_linear built by hand from the same matrices, as a spec built
+        # by hand may give it, is not the selection: the selection is
+        # called and screened, same bytes
         spec, init = family_problem(n, clocked, True)
         flow = spec.flow_selection
-        pair = dataclasses.replace(spec, flow_linear=(flow.a0, flow.terms))
-        rule = solver._step_rule(pair, FAMILY_OPTS.step)
+        built = dataclasses.replace(
+            spec, flow_linear=LinearFlow(flow.a0, flow.terms, clocked))
+        rule = solver._step_rule(built, FAMILY_OPTS.step)
         assert isinstance(rule, solver._MatrixStep) and not rule.own
-        same_run(simulate(pair, init, FAMILY_OPTS),
+        same_run(simulate(built, init, FAMILY_OPTS),
                  simulate(spec, init, FAMILY_OPTS))
 
     @pytest.mark.parametrize("clocked", [False, True], ids=["unclocked", "clocked"])
@@ -1309,28 +1320,33 @@ class TestBlockSteps:
         if case == "t-max-off-grid":
             assert got.arc.times[-1] - got.arc.times[-2] == pytest.approx(0.004)
 
-    def test_a_block_reads_a_row_only_at_its_own_read_time(self):
-        # rows keyed as _ReadAhead.build keys them, 10 steps from t: a block
-        # from t takes 9 steps (the 10th step's start needs the next row),
-        # and stops where a row's time is not the one its step reads, as
-        # when the rows were built on another step grid
+    def test_a_block_reads_only_final_times(self):
+        # r = 0.432, step 0.01, from t = 0.3: the m-th step's full stage and
+        # the next step's first read (m - 43.2) * 0.01 after t, so they lie
+        # before the bound t - 0.01 - TIME_TOL (the sample before the newest
+        # a step back) while m <= 42, and before t - TIME_TOL (after a jump,
+        # at t too) while m <= 43; a bound a float below the 42nd step's
+        # full-stage read leaves 41 steps
         spec, _ = delay_horizon_problem()
         rule = solver._step_rule(spec, 0.01)
         (s,), h, t = rule.delays, 0.01, 0.3
-        tq, tk = [], t
-        for _ in range(10):
-            tq += (tk + s, tk + (h / 2 + s), tk + (h + s))
-            tk += h
-        rows = np.zeros((len(tq), 1))
-        runs = [(s, tq, rows, 0)]
-        assert len(rule._times(runs, t, None, 10.0)) == 9
-        for at, steps in [(3 * 4 + 1, 4), (3 * 4 + 2, 4), (3 * 6, 5)]:
-            keys = list(tq)  # one row a float off its step's read time
-            keys[at] = float(np.nextafter(keys[at], 0.0))
-            assert len(rule._times([(s, keys, rows, 0)], t, None, 10.0)) == steps
+        assert len(rule._times(t, None, 10.0, t - h - TIME_TOL)) == 42
+        assert len(rule._times(t, None, 10.0, t - TIME_TOL)) == 43
+        starts = [t]
+        for _ in range(42):
+            starts.append(starts[-1] + h)
+        last = starts[41] + (h + s)
+        assert len(rule._times(t, None, 10.0, last)) == 41
+        # the reads of the steps it takes, and the next step's first, in
+        # step order at the step's own sums
+        w = History([delay_horizon_problem()[1]], spec.memory_size).view()
+        got = rule._reads(w, np.array(starts[:4]), s)
+        want = [w.history.value(tk + q) for tk in starts[:3]
+                for q in (s, h / 2 + s, h + s)] + [w.history.value(starts[3] + s)]
+        assert got.tobytes() == np.array(want).tobytes()
         # and only full-length steps that end before t_max - TIME_TOL
-        assert len(rule._times(runs, t, None, t + 3.5 * h)) == 3
-        assert len(rule._times(runs, t, None, t + 3 * h)) == 2
+        assert len(rule._times(t, None, t + 3.5 * h, np.inf)) == 3
+        assert len(rule._times(t, None, t + 3 * h, np.inf)) == 2
 
     def test_a_block_stops_at_the_budget(self, monkeypatch):
         # a block writes at most batch._BLOCK_SAMPLES samples, read when
@@ -1395,119 +1411,108 @@ def long_delay_guard_system():
         jump_selections=lambda w: [np.array([0.0])])
 
 
-class TestReadAhead:
-    """The solver's table of stored reads made ahead, keyed by read time:
-    guards at stored views build from it too, and it holds one block per
-    delay."""
+def recording_blocks(monkeypatch):
+    """A list that grows by (t, steps stored) at each _MatrixStep.block
+    call."""
+    calls, block = [], solver._MatrixStep.block
 
-    def test_guard_built_rows_are_the_scalar_reads(self, monkeypatch):
-        # the guard at each stored step end builds blocks, also at the step
-        # ends that cross it and are dropped, and at the located points just
-        # before a jump; a row kept past its dropped sample or past a jump
-        # would differ from the run that reads one at a time
+    def recorded(self, w, t, *rest):
+        n = w.history.n
+        out = block(self, w, t, *rest)
+        calls.append((t, w.history.n - n))
+        return out
+
+    monkeypatch.setattr(solver._MatrixStep, "block", recorded)
+    return calls
+
+
+class TestBlockReads:
+    """A block of steps reads its stage times in one array call per delay,
+    only times that no later append, dropped step end or jump changes, and
+    stores the bytes of the run judged step by step; a run taken one step
+    at a time reads one value at a time."""
+
+    def test_guards_that_read_a_delay_read_one_value_at_a_time(self, monkeypatch):
+        # the guard at each stored step end reads the delay, also at the
+        # step ends that cross it and are dropped, and at the located
+        # points just before a jump: no array read, the references' bytes
         spec = long_delay_guard_system()
         init = constant_memory_arc(np.array([1.0]), spec.memory_size)
         opts = SimOptions(t_max=12.0, step=0.01)
         with monkeypatch.context() as m:
-            blocks, _ = count_reads(m)
+            blocks, scalar = count_reads(m)
             got = simulate(spec, init, opts)
-        assert blocks
+        assert blocks == [] and scalar
         with monkeypatch.context() as m:
-            m.setattr(solver._ReadAhead, "build", lambda self, t, s: None)
+            m.setattr(solver, "_rk4", reference_rk4)
+            m.setattr(History, "value", reference_value)
             want = simulate(spec, init, opts)
         same_run(got, want)
         assert len(got.jumps) == 6
         assert all(t % 0.01 > 1e-9 for t, _ in got.jumps)  # located
 
-    def test_rows_survive_resets_and_dropped_step_ends(self, monkeypatch):
-        # a row reads nothing a jump or a dropped step end changes, so the
-        # table keeps it.  Example 2 case 1 at step delta/160 resets on the
-        # step grid at t = 1, 2 and 3, and the rows built before a reset
-        # serve the steps after it: no block is built near one.  The guard
-        # system's 6 jumps are located, so each drops a step end and moves
-        # the step grid; one block is built at each located point, whose
-        # rows also serve the views after the jump, and none twice at one
-        # time
-        built = []
-        build = solver._ReadAhead.build
-
-        def recorded(self, t, s):
-            row = build(self, t, s)
-            if row is not None:
-                built.append(t)
-            return row
-
-        monkeypatch.setattr(solver._ReadAhead, "build", recorded)
+    @pytest.mark.parametrize("step", [1 / 160, 7e-3], ids=["on-grid", "located"])
+    def test_reads_across_resets_and_dropped_step_ends(self, step, monkeypatch):
+        # a read more than TIME_TOL before the sample before the newest is
+        # final, so the block from a reset's post-jump sample reads across
+        # the reset.  Example 2 case 1 (delta = 1, r = 0.1) at step 1/160
+        # resets on the step grid; at 7e-3 every reset is located, so the
+        # step end that crosses the guard is dropped and the grid moves
         p = Example2Params.case1()
         spec, init = example2_problem(p, [1.0, 0.0])
-        traj = simulate(spec, init, SimOptions(t_max=4.0, step=p.delta / 160))
-        resets = np.array([t for t, _ in traj.jumps])
-        assert resets == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
-        # blocks of 38 steps (39 at t = 0), and one of 17 at t = 3.89 that
-        # ends at t_max, since _MIN_STEPS is 16
-        assert len(built) == 17
-        assert np.abs(np.subtract.outer(resets, built)).min() > 0.01
-        built.clear()
-        spec = long_delay_guard_system()
-        init = constant_memory_arc(np.array([1.0]), spec.memory_size)
-        traj = simulate(spec, init, SimOptions(t_max=12.0, step=0.01))
-        assert len(traj.jumps) == 6 and len(built) == 30
-        assert len(set(built)) == 30
-        assert {t for t, _ in traj.jumps} <= set(built)
+        opts = SimOptions(t_max=4.0, step=step)
+        calls = recording_blocks(monkeypatch)
+        got = simulate(spec, init, opts)
+        resets = [t for t, _ in got.jumps]
+        assert resets == pytest.approx([1.0, 2.0, 3.0], abs=0.01)
+        off_grid = [abs(t / step - round(t / step)) > 1e-6 for t in resets]
+        assert off_grid == [step == 7e-3] * 3
+        assert {t for t, k in calls if k >= solver._MatrixStep.FEWEST} >= set(resets)
+        same_store(got, simulate(plain_guards(spec), init, opts))
 
     def test_two_jumps_at_one_instant(self, monkeypatch):
-        # each unit of time the clock reaches 1 and the state jumps twice at
-        # that instant, the second time from the marker clock 2; the guard
-        # and the flow read the delay d = 30 steps + TIME_TOL / 2.  The run
-        # starts in the jump set, and the block built at t = 0 has the
-        # sample before the newest at 0 too, the memory's last.  The full
-        # stage of the step at t = 29 h reads TIME_TOL / 2 before 0: on the
-        # newest level at 0 while the block is built, but on the level two
-        # jumps above it when the step is taken.  The margin leaves that
-        # row out of the block
+        # the family's flow and guards, with a jump map that jumps twice
+        # each time the clock reaches 1: to x + 10 with the clock kept, then
+        # to -(x - 10) / 2 with the clock reset.  The flow reads the delay
+        # d = 30 steps + TIME_TOL / 2.  The run starts in the jump set, so
+        # the block from the second jump's sample at t = 0 has the first's
+        # before it, at 0 too.  The full stage of the step from 29 h reads
+        # TIME_TOL / 2 before 0, within TIME_TOL of the levels the jumps
+        # open there: the block leaves it out and takes 29 steps
         h = 2.0 ** -7
         d = 30 * h + TIME_TOL / 2
-
-        def flow_guard(w):
-            return min(1.0 - w.head[1], 5.0 - abs(float(w.delayed(-d)[0])))
+        family, _ = build_linear_delay_system(LinearDelayConfig(
+            dimension=1, memory_size=d, a0=np.array([[0.0]]),
+            flow_delayed=(DelayTerm(d, np.array([[-0.5]])),), jump_period=1.0))
 
         def jump_selections(w):
-            x, clock = w.head
-            return [np.array([x + 1.0, 2.0]) if clock < 1.5
-                    else np.array([-0.5 * x, 0.0])]
+            x, clock = w.head.tolist()
+            return [np.array([x + 10.0, clock]) if x < 5.0
+                    else np.array([-0.5 * (x - 10.0), 0.0])]
 
-        spec = SystemSpec(
-            dimension=2, memory_size=d, flow_guard=flow_guard,
-            jump_guard=lambda w: w.head[1] - 1.0,
-            flow_selection=lambda w: np.array([-0.5 * w.delayed(-d)[0], 1.0]),
-            jump_selections=jump_selections)
+        spec = dataclasses.replace(family, jump_selections=jump_selections)
         init = constant_memory_arc(np.array([1.0, 1.0]), d)
         opts = SimOptions(t_max=2.5, step=h)
-        with monkeypatch.context() as m:
-            blocks, _ = count_reads(m)
-            got = simulate(spec, init, opts)
-        assert [t for t, _ in got.jumps] == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
-        with monkeypatch.context() as m:
-            m.setattr(solver._ReadAhead, "build", lambda self, t, s: None)
-            want = simulate(spec, init, opts)
-        same_run(got, want)
-        assert len(blocks) == 11
+        calls = recording_blocks(monkeypatch)
+        got = simulate(spec, init, opts)
+        jumps = [t for t, _ in got.jumps]
+        assert len(jumps) == 6 and jumps[:2] == [0.0, 0.0]
+        assert jumps[2] == jumps[3] and jumps[4] == jumps[5]
+        assert calls[0] == (0.0, 29)
+        same_store(got, simulate(plain_guards(spec), init, opts))
 
-    def test_one_block_per_delay(self, monkeypatch):
-        tables = []
-
-        class Recorded(solver._ReadAhead):
-            def __init__(self, *args):
-                super().__init__(*args)
-                tables.append(self)
-
-        monkeypatch.setattr(solver, "_ReadAhead", Recorded)
+    def test_every_block_stores_a_step(self, monkeypatch):
+        # delay-horizon to t = 30: a block from a judged sample takes 42
+        # steps (43 from t = 0) and the last what is left before t_max; the
+        # step after each is taken and judged alone
         spec, init = delay_horizon_problem()
+        calls = recording_blocks(monkeypatch)
+        blocks, _ = count_reads(monkeypatch)
         traj = simulate(spec, init, SimOptions(t_max=30.0, step=0.01))
         assert traj.arc.n - traj.arc.starts[1] == 3001
-        (table,) = tables
-        (s,) = table  # the one delay, r = 0.432
-        assert s == -0.432 and len(table[s]) <= 3 * 43
+        stored = [k for _, k in calls]
+        assert min(stored) >= 1 and sum(stored) + len(stored) == 3000
+        assert len(blocks) == len(calls) and max(blocks) == 3 * 43 + 1
 
 
 def delayed_guard_system(d=0.004):
